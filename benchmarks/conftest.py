@@ -8,9 +8,12 @@ its measurements exactly once.  Scale knobs:
   1.0 reproduces the paper's ~580-benchmark suite),
 * ``REPRO_LOOP_SIZE`` -- generated loop size (default 1024; paper 4096).
 
-The reported *numbers* are stable across scales (the steady-state
-analytics are size-invariant); larger scales only tighten the fitted
-weights.
+The steady-state analytics are size-invariant, but the fitted models
+are not: smaller suites give noisier weights, and some paper claims
+flip.  At ``REPRO_SCALE=0.05`` Fig 6 has BU's mean PAAE above
+TD_Micro's and Fig 7 no longer finds TD_Random the worst extrapolator;
+both hold at the default 0.3, Fig 6 by a margin of only 0.05-0.31
+points across seeds 0-3.
 """
 
 from __future__ import annotations

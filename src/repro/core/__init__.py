@@ -14,7 +14,7 @@ The public surface mirrors the paper's Figure-2 script::
     synth.add_pass(passes.EndlessLoopSkeleton(4096))
     synth.add_pass(passes.InstructionDistribution(loads_vsu))
     synth.add_pass(passes.MemoryModel({"L1": 1/3, "L2": 1/3, "L3": 1/3}))
-    synth.add_pass(passes.InitRegisters(pattern=0b01010101))
+    synth.add_pass(passes.InitRegisters("pattern", pattern=0b01010101))
     synth.add_pass(passes.DependencyDistance(mode="random"))
     bench = synth.synthesize()
     bench.save("example.c")

@@ -58,20 +58,12 @@ class IRInstruction:
 
     def target_register(self) -> tuple[str, OperandKind, int] | None:
         """(operand name, kind, number) of the primary written register."""
-        for operand in self.definition.operands:
-            if operand.is_register and operand.direction.is_write:
-                number = self.registers.get(operand.name)
-                if number is not None:
-                    return operand.name, operand.kind, number
+        registers = self.registers
+        for name, kind in self.definition.write_slots:
+            number = registers.get(name)
+            if number is not None:
+                return name, kind, number
         return None
-
-    def source_operands(self) -> list[tuple[str, OperandKind]]:
-        """Names and kinds of readable register operands."""
-        return [
-            (operand.name, operand.kind)
-            for operand in self.definition.operands
-            if operand.is_register and operand.direction.is_read
-        ]
 
 
 @dataclass
@@ -115,8 +107,7 @@ class Program:
         """Memory-op slots (loads and stores), program order."""
         return [
             ins for ins in self.body
-            if ins.definition.is_memory and not ins.definition.is_prefetch
-            and not ins.structural
+            if ins.definition.accesses_memory and not ins.structural
         ]
 
     # -- downstream views ------------------------------------------------------
@@ -134,15 +125,19 @@ class Program:
             raise SynthesisError(
                 f"program {self.name!r} has no body; run a skeleton pass"
             )
-        instructions = tuple(
-            KernelInstruction(
-                mnemonic=ins.mnemonic,
-                dep_distance=ins.dep_distance,
-                source_level=ins.source_level,
-                address=ins.address,
+        # Slots with equal content share one (immutable) kernel slot.
+        shared: dict[tuple, KernelInstruction] = {}
+        slots = []
+        for ins in self.body:
+            key = (
+                ins.definition.mnemonic, ins.dep_distance,
+                ins.source_level, ins.address,
             )
-            for ins in self.body
-        )
+            slot = shared.get(key)
+            if slot is None:
+                slot = shared[key] = KernelInstruction(*key)
+            slots.append(slot)
+        instructions = tuple(slots)
         return Kernel(
             name=self.name,
             instructions=instructions,

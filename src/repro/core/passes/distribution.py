@@ -9,7 +9,7 @@ default assignments; memory operands are left for the memory pass.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.core.ir import IRInstruction, Program
 from repro.core.passes.base import Pass, PassContext
@@ -61,22 +61,37 @@ class InstructionDistribution(Pass):
             else context.arch.isa.instruction(entry)
             for entry in self.pool
         ]
+        # Each definition with its register template: operand names and
+        # pool kinds, ``None`` for the base register of a load or store
+        # (it points at the benchmark's memory region; the memory pass
+        # plans the rest of the address).
+        entries = [
+            (definition, tuple(
+                (name, None if definition.is_memory and name == "RA" else kind)
+                for name, kind in definition.register_slots
+            ))
+            for definition in definitions
+        ]
         if self.exact:
-            choices = self._exact_mix(definitions, len(slots), context)
+            choices = self._exact_mix(entries, len(slots), context)
         else:
-            weights = self.weights or [1.0] * len(definitions)
-            choices = context.rng.choices(definitions, weights, k=len(slots))
+            weights = self.weights or [1.0] * len(entries)
+            choices = context.rng.choices(entries, weights, k=len(slots))
 
-        for slot, definition in zip(slots, choices):
-            program.body[slot] = self._instantiate(definition, context)
+        take = context.pools.take
+        for slot, (definition, template) in zip(slots, choices):
+            program.body[slot] = IRInstruction(definition, registers={
+                name: MEMORY_BASE_REGISTER if kind is None else take(kind)
+                for name, kind in template
+            })
 
     def _exact_mix(
         self,
-        definitions: list[InstructionDef],
+        entries: list[tuple],
         count: int,
         context: PassContext,
-    ) -> list[InstructionDef]:
-        weights = self.weights or [1.0] * len(definitions)
+    ) -> list[tuple]:
+        weights = self.weights or [1.0] * len(entries)
         total = sum(weights)
         raw = [weight / total * count for weight in weights]
         counts = [int(value) for value in raw]
@@ -86,32 +101,8 @@ class InstructionDistribution(Pass):
         )
         for index in order[:remainder]:
             counts[index] += 1
-        mix: list[InstructionDef] = []
-        for definition, amount in zip(definitions, counts):
-            mix.extend([definition] * amount)
+        mix: list[tuple] = []
+        for entry, amount in zip(entries, counts):
+            mix.extend([entry] * amount)
         context.rng.shuffle(mix)
         return mix
-
-    def _instantiate(
-        self, definition: InstructionDef, context: PassContext
-    ) -> IRInstruction:
-        """Create an instruction instance with default register operands."""
-        instruction = IRInstruction(definition=definition)
-        memory_names = {op.name for op in definition.memory_operands}
-        for operand in definition.operands:
-            if not operand.is_register:
-                continue
-            if definition.is_memory and operand.name in memory_names:
-                # Address operands: base points at the benchmark's
-                # memory region; the memory pass plans the rest.
-                if operand.name == "RA":
-                    instruction.registers[operand.name] = MEMORY_BASE_REGISTER
-                else:
-                    instruction.registers[operand.name] = context.pools.take(
-                        operand.kind
-                    )
-                continue
-            instruction.registers[operand.name] = context.pools.take(
-                operand.kind
-            )
-        return instruction

@@ -86,9 +86,19 @@ class DependencyDistance(Pass):
                 program.body[index].dep_operand = None
             return
 
+        body = program.body
+        # Index table of each slot's (name, kind, number) target, ``None``
+        # where no dependency can start (structural or writing nothing).
+        targets = [
+            None if ins.structural else ins.target_register() for ins in body
+        ]
+        candidates: dict[int, list[int]] = {}
         for index in slots:
             wanted = self._wanted_distance(context)
-            self._link(program, index, wanted)
+            order = candidates.get(wanted)
+            if order is None:
+                order = candidates[wanted] = _candidates(wanted, len(body))
+            self._link(body, targets, index, order)
 
     def _wanted_distance(self, context: PassContext) -> int:
         if self.mode == "chain":
@@ -108,8 +118,14 @@ class DependencyDistance(Pass):
             return low
         return context.rng.randint(self.min_distance, self.max_distance)
 
-    def _link(self, program: Program, index: int, wanted: int) -> None:
-        """Try body distances around ``wanted`` until kinds are compatible.
+    @staticmethod
+    def _link(
+        body: list[IRInstruction],
+        targets: list[tuple[str, OperandKind, int] | None],
+        index: int,
+        candidates: list[int],
+    ) -> None:
+        """Try body distances around the wanted one until kinds match.
 
         Distances are expressed in *body* positions (the same space the
         machine substrate and the validation pass use); structural
@@ -119,63 +135,33 @@ class DependencyDistance(Pass):
         operations keep their planned addressing whenever a data
         dependency can realize the distance.
         """
-        consumer = program.body[index]
-        all_sources = self._dependency_sources(consumer)
-        if not all_sources:
+        consumer = body[index]
+        groups = consumer.definition.dependency_sources
+        if not groups:
             consumer.dep_distance = None
             return
-        address_names = {
-            op.name for op in consumer.definition.memory_operands
-        }
-        data_sources = [
-            source for source in all_sources
-            if source[0] not in address_names
-        ]
-        size = len(program.body)
-        for sources in (data_sources, all_sources):
-            if not sources:
-                continue
-            for delta in range(_SEARCH_WINDOW + 1):
-                for candidate in (wanted + delta, wanted - delta):
-                    if candidate < 1 or candidate > size - 1:
-                        continue
-                    producer = program.body[(index - candidate) % size]
-                    if producer.structural:
-                        continue
-                    target = producer.target_register()
-                    if target is None:
-                        continue
-                    __, kind, number = target
-                    for source_name, source_kind in sources:
-                        if source_kind is kind:
-                            consumer.registers[source_name] = number
-                            consumer.dep_distance = candidate
-                            consumer.dep_operand = source_name
-                            return
+        for sources in groups:
+            for candidate in candidates:
+                target = targets[index - candidate]  # wraps like the loop
+                if target is None:
+                    continue
+                __, kind, number = target
+                for source_name, source_kind in sources:
+                    if source_kind is kind:
+                        consumer.registers[source_name] = number
+                        consumer.dep_distance = candidate
+                        consumer.dep_operand = source_name
+                        # A read-write source renames the consumer's
+                        # own target (``XT`` of the VSX FMAs).
+                        targets[index] = consumer.target_register()
+                        return
         consumer.dep_distance = None
         consumer.dep_operand = None
 
-    @staticmethod
-    def _dependency_sources(
-        instruction: IRInstruction,
-    ) -> list[tuple[str, OperandKind]]:
-        """Candidate source operands, preferring data over address inputs.
 
-        For memory instructions, the effective-address operands come
-        last (dependency through the index register is a pointer-chase
-        pattern); for everything else all register sources are data.
-        """
-        address_names = {
-            op.name for op in instruction.definition.memory_operands
-        }
-        data, index_reg, base_reg = [], [], []
-        for name, kind in instruction.source_operands():
-            if kind is OperandKind.SPR:
-                continue
-            if name not in address_names:
-                data.append((name, kind))
-            elif name == "RB":
-                index_reg.append((name, kind))
-            else:
-                base_reg.append((name, kind))
-        return data + index_reg + base_reg
+def _candidates(wanted: int, size: int) -> list[int]:
+    """Distances tried for ``wanted``, nearest first, inside the body."""
+    order = [wanted]
+    for delta in range(1, _SEARCH_WINDOW + 1):
+        order += (wanted + delta, wanted - delta)
+    return [candidate for candidate in order if 1 <= candidate < size]

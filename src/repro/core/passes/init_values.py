@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.core.ir import DATA_ENTROPY, Program
 from repro.core.passes.base import Pass, PassContext
 from repro.errors import PassError
-from repro.isa.operand import OperandKind
 
 _MODES = tuple(DATA_ENTROPY)
 
@@ -70,12 +69,8 @@ class InitImmediates(Pass):
             raise PassError(f"{program.name}: nothing to initialize")
         program.immediate_init = self.mode
         for instruction in program.body:
-            for operand in instruction.definition.immediates:
-                if operand.kind is OperandKind.DISP:
-                    continue
-                instruction.immediates[operand.name] = self._value(
-                    operand.width, context
-                )
+            for name, width in instruction.definition.immediate_fields:
+                instruction.immediates[name] = self._value(width, context)
 
     def _value(self, width: int, context: PassContext) -> int:
         # Immediates are encoded as signed fields; stay within the

@@ -74,13 +74,9 @@ class MemoryModel(Pass):
             instruction.address = address
             instruction.source_level = level
             offset = address - model.base_address
-            displacement = next(
-                (op for op in instruction.definition.operands
-                 if op.name in ("D", "DS", "DQ")),
-                None,
-            )
+            displacement = instruction.definition.displacement
             if displacement is not None:
-                instruction.immediates[displacement.name] = offset
+                instruction.immediates[displacement] = offset
                 if -32768 <= offset <= 32767:
                     fits_dform += 1
         program.metadata["dform_offsets_in_range"] = fits_dform

@@ -17,30 +17,38 @@ class ValidateProgram(Pass):
     """Check IR well-formedness after all transformations."""
 
     def apply(self, program: Program, context: PassContext) -> None:
-        if not program.body:
+        body = program.body
+        if not body:
             raise PassError(f"{program.name}: empty program")
-        size = len(program.body)
-        for index, instruction in enumerate(program.body):
-            where = f"{program.name} slot {index} ({instruction.mnemonic})"
-            for operand in instruction.definition.operands:
-                if operand.is_register and not operand.kind.name == "SPR":
-                    if operand.name not in instruction.registers:
-                        raise PassError(f"{where}: operand {operand.name} unassigned")
-            if instruction.definition.is_memory and not instruction.definition.is_prefetch:
-                if not instruction.structural and instruction.address is None:
-                    raise PassError(
-                        f"{where}: memory instruction without a planned "
-                        "address; run a MemoryModel pass"
+        size = len(body)
+        for index, instruction in enumerate(body):
+            definition = instruction.definition
+            for name in definition.required_registers:
+                if name not in instruction.registers:
+                    raise _slot_error(
+                        program, index, f"operand {name} unassigned"
+                    )
+            if definition.accesses_memory and not instruction.structural:
+                if instruction.address is None:
+                    raise _slot_error(
+                        program, index, "memory instruction without a "
+                        "planned address; run a MemoryModel pass"
                     )
             distance = instruction.dep_distance
             if distance is not None:
                 if distance < 1 or distance >= size:
-                    raise PassError(
-                        f"{where}: dependency distance {distance} out of range"
+                    raise _slot_error(
+                        program, index,
+                        f"dependency distance {distance} out of range",
                     )
-                producer = program.body[(index - distance) % size]
+                producer = body[index - distance]  # wraps like the loop
                 if producer.target_register() is None:
-                    raise PassError(
-                        f"{where}: producer at distance {distance} "
-                        f"({producer.mnemonic}) writes no register"
+                    raise _slot_error(
+                        program, index, f"producer at distance {distance} "
+                        f"({producer.mnemonic}) writes no register",
                     )
+
+
+def _slot_error(program: Program, index: int, reason: str) -> PassError:
+    mnemonic = program.body[index].mnemonic
+    return PassError(f"{program.name} slot {index} ({mnemonic}): {reason}")

@@ -10,6 +10,8 @@ memory base).
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.isa.operand import OperandKind
@@ -21,13 +23,14 @@ ADDRESS_SCRATCH_REGISTER = 27
 
 _RESERVED_GPRS = frozenset({0, 1, 2, 13, ADDRESS_SCRATCH_REGISTER, MEMORY_BASE_REGISTER})
 
-_POOL_SIZES = {
-    OperandKind.GPR: 32,
-    OperandKind.FPR: 32,
-    OperandKind.VR: 32,
-    OperandKind.VSR: 64,
-    OperandKind.CR: 8,
-    OperandKind.SPR: 1,
+#: Allocatable register numbers per kind, in round-robin order.
+_POOLS = {
+    OperandKind.GPR: tuple(n for n in range(32) if n not in _RESERVED_GPRS),
+    OperandKind.FPR: tuple(range(32)),
+    OperandKind.VR: tuple(range(32)),
+    OperandKind.VSR: tuple(range(64)),
+    OperandKind.CR: tuple(range(8)),
+    OperandKind.SPR: (0,),
 }
 
 
@@ -35,27 +38,19 @@ _POOL_SIZES = {
 class RegisterPools:
     """Round-robin register allocator over the architected files."""
 
-    _cursors: dict[OperandKind, int] = field(default_factory=dict)
-
-    def allocatable(self, kind: OperandKind) -> list[int]:
-        """Register numbers available to generated code for ``kind``."""
-        size = _POOL_SIZES.get(kind)
-        if size is None:
-            raise ValueError(f"no register pool for {kind}")
-        if kind is OperandKind.GPR:
-            return [n for n in range(size) if n not in _RESERVED_GPRS]
-        return list(range(size))
+    _cycles: dict[OperandKind, Iterator[int]] = field(default_factory=dict)
 
     def take(self, kind: OperandKind) -> int:
         """Next register in round-robin order for ``kind``."""
-        pool = self.allocatable(kind)
-        cursor = self._cursors.get(kind, 0)
-        register = pool[cursor % len(pool)]
-        self._cursors[kind] = cursor + 1
-        return register
+        cycle = self._cycles.get(kind)
+        if cycle is None:
+            if kind not in _POOLS:
+                raise ValueError(f"no register pool for {kind}")
+            cycle = self._cycles[kind] = itertools.cycle(_POOLS[kind])
+        return next(cycle)
 
     def reset(self) -> None:
-        self._cursors.clear()
+        self._cycles.clear()
 
 
 def register_prefix(kind: OperandKind) -> str:

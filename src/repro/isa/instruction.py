@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.isa.operand import Operand, OperandKind
 
@@ -185,6 +186,89 @@ class InstructionDef:
             return ()
         names = {"RA", "RB", "D", "DS", "DQ"}
         return tuple(op for op in self.operands if op.name in names)
+
+    # -- synthesis facts ---------------------------------------------------
+    #
+    # Derived from the declared fields on first use and cached on the
+    # instance, so the synthesis passes read plain tuples per slot.
+    # ``repr``, ``==`` and the architecture digest see declared fields only.
+
+    @cached_property
+    def register_slots(self) -> tuple[tuple[str, OperandKind], ...]:
+        """``(name, kind)`` of every register operand, in assembly order."""
+        return tuple(
+            (op.name, op.kind) for op in self.operands if op.is_register
+        )
+
+    @cached_property
+    def read_slots(self) -> tuple[tuple[str, OperandKind], ...]:
+        """``(name, kind)`` of the register operands the instruction reads."""
+        return tuple((op.name, op.kind) for op in self.register_reads)
+
+    @cached_property
+    def write_slots(self) -> tuple[tuple[str, OperandKind], ...]:
+        """``(name, kind)`` of the register operands the instruction writes."""
+        return tuple((op.name, op.kind) for op in self.register_writes)
+
+    @cached_property
+    def address_names(self) -> frozenset[str]:
+        """Names of the :attr:`memory_operands`."""
+        return frozenset(op.name for op in self.memory_operands)
+
+    @cached_property
+    def accesses_memory(self) -> bool:
+        """A load or store other than a prefetch hint."""
+        return self.is_memory and not self.is_prefetch
+
+    @cached_property
+    def dependency_sources(
+        self,
+    ) -> tuple[tuple[tuple[str, OperandKind], ...], ...]:
+        """Source groups a dependency may link through, preferred first.
+
+        The data sources come first, then every source with the
+        effective-address operands last, index before base (dependency
+        through an address register is a pointer-chase pattern).  SPRs
+        carry no dependency; empty and repeated groups are dropped.
+        """
+        data, index, base = [], [], []
+        for name, kind in self.read_slots:
+            if kind is OperandKind.SPR:
+                continue
+            if name not in self.address_names:
+                data.append((name, kind))
+            elif name == "RB":
+                index.append((name, kind))
+            else:
+                base.append((name, kind))
+        groups = (tuple(data),)
+        if index or base:
+            groups += (tuple(data + index + base),)
+        return tuple(group for group in groups if group)
+
+    @cached_property
+    def displacement(self) -> str | None:
+        """Name of the displacement operand (``D``/``DS``/``DQ``), if any."""
+        return next(
+            (op.name for op in self.operands if op.name in ("D", "DS", "DQ")),
+            None,
+        )
+
+    @cached_property
+    def immediate_fields(self) -> tuple[tuple[str, int], ...]:
+        """``(name, width)`` of the immediates other than displacements."""
+        return tuple(
+            (op.name, op.width) for op in self.immediates
+            if op.kind is not OperandKind.DISP
+        )
+
+    @cached_property
+    def required_registers(self) -> tuple[str, ...]:
+        """Register operands that need an assignment (SPRs are implicit)."""
+        return tuple(
+            name for name, kind in self.register_slots
+            if kind is not OperandKind.SPR
+        )
 
     @property
     def target_kind(self) -> OperandKind | None:

@@ -11,6 +11,7 @@ sets, bits ``[offset_bits, offset_bits + set_bits)`` form the set index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -90,7 +91,7 @@ class CacheGeometry:
         """Number of sets."""
         return self.size_bytes // (self.line_bytes * self.ways)
 
-    @property
+    @cached_property
     def fields(self) -> AddressFields:
         """Address-field decomposition for this level (Figure 3b)."""
         return AddressFields(

@@ -100,3 +100,51 @@ class TestOperandViews:
 
     def test_format_line(self):
         assert make().format_line() == "add RT, RA, RB"
+
+
+class TestSynthesisFacts:
+    def test_update_form_store(self):
+        ins = make("stwu", InstructionType.STORE,
+                   operands=("RS:GPR:R", "RA:GPR:RW", "D:DISP16:R"),
+                   flags=("update",))
+        gpr = OperandKind.GPR
+        assert ins.register_slots == (("RS", gpr), ("RA", gpr))
+        assert ins.write_slots == (("RA", gpr),)
+        assert ins.address_names == {"RA", "D"}
+        assert ins.accesses_memory
+        # Data sources first, then every source with the base last.
+        assert ins.dependency_sources == (
+            (("RS", gpr),), (("RS", gpr), ("RA", gpr)),
+        )
+        assert ins.displacement == "D"
+        assert ins.immediate_fields == ()
+        assert ins.required_registers == ("RS", "RA")
+
+    def test_indexed_load_links_index_before_base(self):
+        ins = make("lwzux", InstructionType.LOAD,
+                   operands=("RT:GPR:W", "RA:GPR:RW", "RB:GPR:R"),
+                   flags=("update", "indexed"))
+        gpr = OperandKind.GPR
+        assert ins.dependency_sources == ((("RB", gpr), ("RA", gpr)),)
+
+    def test_spr_and_prefetch(self):
+        mtctr = make("mtctr", InstructionType.CR,
+                     operands=("CTR:SPR:W", "RS:GPR:R"))
+        assert mtctr.write_slots == (("CTR", OperandKind.SPR),)
+        assert mtctr.dependency_sources == ((("RS", OperandKind.GPR),),)
+        assert mtctr.required_registers == ("RS",)
+        dcbt = make("dcbt", InstructionType.LOAD, 0,
+                    ("RA:GPR:R", "RB:GPR:R"), flags=("indexed", "prefetch"))
+        assert dcbt.is_memory and not dcbt.accesses_memory
+
+    def test_immediate_fields(self):
+        ins = make("addi", operands=("RT:GPR:W", "RA:GPR:R", "SI:IMM16:R"))
+        assert ins.immediate_fields == (("SI", 16),)
+        assert ins.displacement is None
+
+    def test_facts_leave_identity_alone(self):
+        ins = make()
+        before = (repr(ins), hash(ins))
+        ins.register_slots, ins.dependency_sources, ins.required_registers
+        assert (repr(ins), hash(ins)) == before
+        assert ins == make()
