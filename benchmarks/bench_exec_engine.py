@@ -21,7 +21,8 @@ The headline numbers (recorded in ``BENCH_results.json``):
   ``measure`` loop, gated at <= 2 (it was ~800 before the per-seed
   draws were cached);
 * cold-vs-warm store speedup on the identical plan (the warm pass
-  performs zero machine invocations), asserted >= 2x;
+  performs zero machine invocations), asserted >= 2x, and the stored
+  record size per cell, asserted <= 1,500 bytes;
 * two-replica shard scheduler scaling: the same plan through
   :class:`~repro.exec.shards.ShardedExecutor` against one and two
   ``repro serve`` subprocesses, asserted bit-identical to serial and
@@ -251,13 +252,25 @@ def test_warm_store_speedup(arch, tmp_path):
 
     assert warm == cold
     speedup = cold_elapsed / warm_elapsed
+    # Record size: one benchmark copy per hardware thread makes every
+    # thread's counters one set, written once (4.1 KB/cell when each
+    # thread's copy was written out).
+    bytes_per_cell = sum(
+        path.stat().st_size for path in store.shard_dir.glob("*.jsonl")
+    ) / len(store)
     print(
         f"\ncold (measure + persist): {cold_elapsed * 1e3:.0f} ms, "
         f"warm (store only): {warm_elapsed * 1e3:.0f} ms -> "
-        f"{speedup:.1f}x speedup, {len(store)} stored cells"
+        f"{speedup:.1f}x speedup, {len(store)} stored cells, "
+        f"{bytes_per_cell:,.0f} B/cell"
     )
-    record_result("exec_engine", warm_store_speedup=round(speedup, 2))
+    record_result(
+        "exec_engine",
+        warm_store_speedup=round(speedup, 2),
+        store_bytes_per_cell=round(bytes_per_cell),
+    )
     assert speedup >= 2.0
+    assert bytes_per_cell <= 1500
 
 
 def test_run_registry_overhead(tmp_path):

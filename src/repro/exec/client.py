@@ -91,6 +91,18 @@ def _retry_after_of(response: http.client.HTTPResponse) -> float | None:
         return None
 
 
+def _decode_measurement(data, index: int) -> Measurement:
+    """One streamed measurement; a body that does not decode is a
+    :class:`ServiceError`, like any other malformed stream."""
+    try:
+        return Measurement.from_dict(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ServiceError(
+            f"campaign service streamed an undecodable measurement for "
+            f"cell {index}: {exc!r}"
+        ) from None
+
+
 class ServiceClient:
     """HTTP client for one campaign-service endpoint.
 
@@ -286,6 +298,10 @@ class ServiceClient:
                         "campaign service streamed a torn line; the "
                         "connection likely dropped mid-response"
                     ) from None
+                if not isinstance(line, dict):
+                    raise ServiceError(
+                        "campaign service streamed a non-object line"
+                    )
                 if "error" in line:
                     raise ServiceError(str(line["error"]))
                 yield line
@@ -443,8 +459,15 @@ class RemoteExecutor:
                 ):
                     if "measurement" in line and "cell" in line:
                         index = line["cell"]
-                        measurement = Measurement.from_dict(
-                            line["measurement"]
+                        if type(index) is not int or not (
+                            0 <= index < len(unique)
+                        ):
+                            raise ServiceError(
+                                f"campaign service streamed cell {index!r} "
+                                f"for a {len(unique)}-cell plan"
+                            )
+                        measurement = _decode_measurement(
+                            line["measurement"], index
                         )
                         unique[index] = measurement
                         source = line.get("source", "measured")

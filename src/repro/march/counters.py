@@ -12,6 +12,7 @@ other Python syntax is accepted.
 from __future__ import annotations
 
 import ast
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -95,20 +96,29 @@ class CounterFormula:
     expression: str
 
     def __post_init__(self) -> None:
-        _validate_node(self._tree(), self.expression)
+        # Parse and validate eagerly, so a bad formula fails here.
+        _ = self._tree
 
+    @functools.cached_property
     def _tree(self) -> ast.Expression:
+        """The validated syntax tree, parsed once per formula.
+
+        Cached on the frozen instance; ``repr``, equality and hashing
+        read the declared fields only.
+        """
         try:
-            return ast.parse(self.expression, mode="eval")
+            tree = ast.parse(self.expression, mode="eval")
         except SyntaxError as exc:
             raise FormulaError(
                 f"cannot parse formula {self.name}: {self.expression!r}"
             ) from exc
+        _validate_node(tree, self.expression)
+        return tree
 
     def counters(self) -> frozenset[str]:
         """Counter names referenced by the formula."""
         return frozenset(
-            node.id for node in ast.walk(self._tree())
+            node.id for node in ast.walk(self._tree)
             if isinstance(node, ast.Name)
         )
 
@@ -118,7 +128,7 @@ class CounterFormula:
         Raises:
             FormulaError: If a referenced counter is missing.
         """
-        return _evaluate_node(self._tree(), readings)
+        return _evaluate_node(self._tree, readings)
 
 
 def evaluate_formula(expression: str, readings: Mapping[str, float]) -> float:

@@ -9,6 +9,7 @@ blindness of the paper's methodology.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -144,17 +145,26 @@ class Measurement:
     def to_dict(self) -> dict:
         """JSON-able form, round-tripped exactly by :meth:`from_dict`.
 
+        Per-thread counters are written compactly: ``counters`` lists
+        each distinct counter set once, in first-use order, and
+        ``threads`` maps every hardware thread to its set's index.  One
+        benchmark copy per thread makes a 32-thread measurement one set
+        plus 32 small integers.  Sets are deduplicated by content, with
+        floats compared by their exact bits, so threads sharing one
+        counters object, holding equal copies or decoded from an older
+        record encode identically.
+
         Counter values and power statistics are floats; JSON carries
         them at full shortest-round-trip precision, so a deserialized
         measurement compares equal to the original bit for bit.
         """
+        counters, threads = _compact_counters(self.thread_counters)
         return {
             "workload_name": self.workload_name,
             "config": self.config.to_dict(),
             "duration": self.duration,
-            "thread_counters": [
-                dict(counters) for counters in self.thread_counters
-            ],
+            "counters": counters,
+            "threads": threads,
             "mean_power": self.mean_power,
             "power_std": self.power_std,
             "sample_count": self.sample_count,
@@ -171,22 +181,41 @@ class Measurement:
 
         The configuration deserializes by shape: a ``clusters`` key
         marks a heterogeneous :class:`~repro.sim.topology.ChipTopology`,
-        anything else is a :class:`MachineConfig`.
+        anything else is a :class:`MachineConfig`.  Threads that map to
+        one counter set share one dict.  Records written before the
+        compact form (one ``thread_counters`` entry per thread) still
+        read.
+
+        Raises:
+            ValueError: On a malformed configuration or counter section:
+                a set that is not a mapping, a thread index that is not
+                an integer or is out of range, or a thread count that
+                does not match the configuration.  Missing fields raise
+                ``KeyError`` and mistyped ones ``TypeError``, the three
+                errors the store quarantines as corrupt records.
         """
         config_data = data["config"]
-        config = (
-            ChipTopology.from_dict(config_data)
-            if "clusters" in config_data
-            else MachineConfig.from_dict(config_data)
-        )
+        try:
+            config = (
+                ChipTopology.from_dict(config_data)
+                if "clusters" in config_data
+                else MachineConfig.from_dict(config_data)
+            )
+        except AttributeError as exc:  # a list or string where a dict goes
+            raise ValueError(f"malformed configuration: {exc}") from None
+        counters = data.get("counters")
+        if counters is None:
+            thread_counters = tuple(
+                _counter_set(entry) for entry in data["thread_counters"]
+            )
+        else:
+            thread_counters = _expand_counters(counters, data["threads"])
         thread_workloads = data.get("thread_workloads")
         return cls(
             workload_name=data["workload_name"],
             config=config,
             duration=data["duration"],
-            thread_counters=tuple(
-                dict(counters) for counters in data["thread_counters"]
-            ),
+            thread_counters=thread_counters,
             mean_power=data["mean_power"],
             power_std=data["power_std"],
             sample_count=data["sample_count"],
@@ -200,3 +229,76 @@ class Measurement:
         totals = self.total_counters()
         scale = self.duration * self.threads
         return {name: value / scale for name, value in totals.items()}
+
+
+# -- compact counter codec ---------------------------------------------------
+
+_FLOAT_ONLY = frozenset((float,))
+_INT_ONLY = frozenset((int,))
+
+
+def _row_key(row: dict) -> tuple:
+    """Hashable identity of one counter set, floats by their exact bits.
+
+    Plain dict equality would merge ``0.0`` with ``-0.0`` and split
+    NaNs with identical bits.  Rows holding anything but floats key on
+    ``repr``, which tells ``1``, ``1.0`` and ``True`` apart.
+    """
+    values = tuple(row.values())
+    if set(map(type, values)) <= _FLOAT_ONLY:
+        return tuple(row), array("d", values).tobytes()
+    return tuple(row), repr(values)
+
+
+def _compact_counters(
+    thread_counters: tuple[Mapping[str, float], ...],
+) -> tuple[list[dict], list[int]]:
+    """``(distinct counter sets, per-thread set index)``.
+
+    Object identity is only a shortcut: each new object is keyed by
+    content, so the result depends on the values alone.  Mappings other
+    than dicts (the fused plane's lazy row views) materialize through
+    ``items()``, one row read per distinct object.
+    """
+    rows: list[dict] = []
+    threads: list[int] = []
+    by_object: dict[int, int] = {}
+    by_value: dict[tuple, int] = {}
+    for counters in thread_counters:
+        index = by_object.get(id(counters))
+        if index is None:
+            row = (
+                dict(counters)
+                if type(counters) is dict
+                else dict(counters.items())
+            )
+            index = by_value.setdefault(_row_key(row), len(rows))
+            if index == len(rows):
+                rows.append(row)
+            by_object[id(counters)] = index
+        threads.append(index)
+    return rows, threads
+
+
+def _counter_set(data) -> dict:
+    if not isinstance(data, Mapping):
+        raise ValueError(
+            f"counter set must be a mapping, got {type(data).__name__}"
+        )
+    return dict(data)
+
+
+def _expand_counters(counters, threads) -> tuple[dict, ...]:
+    """Per-thread counters from a compact section; threads share sets."""
+    if not isinstance(counters, list) or not isinstance(threads, list):
+        raise ValueError("compact counters and threads must be lists")
+    rows = [_counter_set(row) for row in counters]
+    if not threads:
+        raise ValueError("compact counters map no threads")
+    if not set(map(type, threads)) <= _INT_ONLY:
+        raise ValueError("thread counter indices must be integers")
+    if min(threads) < 0 or max(threads) >= len(rows):
+        raise ValueError(
+            f"thread counter index out of range for {len(rows)} sets"
+        )
+    return tuple(map(rows.__getitem__, threads))

@@ -18,8 +18,10 @@ summarize a kernel in O(period) instead of O(loop size) work.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
+from repro.caching import LRUCache
 from repro.hashing import content_hash
 
 
@@ -61,14 +63,48 @@ class KernelInstruction:
 
     @classmethod
     def from_list(cls, data: list) -> "KernelInstruction":
-        """Rebuild a slot serialized by :meth:`to_list`."""
+        """The interned slot serialized by :meth:`to_list`."""
         mnemonic, dep_distance, source_level, address = data
-        return cls(
-            mnemonic=mnemonic,
-            dep_distance=dep_distance,
-            source_level=source_level,
-            address=address,
-        )
+        return intern_slot(mnemonic, dep_distance, source_level, address)
+
+
+#: Interned loop-body slots, shared by every kernel decoder and builder.
+#: Slots are frozen and their cached ``_content``/``_akey`` are
+#: deterministic, so sharing one instance across kernels changes no
+#: digest; a server that keeps thousands of decoded kernels holds each
+#: distinct slot once.
+_SLOTS: LRUCache = LRUCache(65_536, "kernel.slots")
+_SLOTS_LOCK = threading.Lock()
+_INT_OR_NONE = (int, type(None))
+_STR_OR_NONE = (str, type(None))
+
+
+def intern_slot(
+    mnemonic: str,
+    dep_distance: int | None = None,
+    source_level: str | None = None,
+    address: int | None = None,
+) -> KernelInstruction:
+    """The shared :class:`KernelInstruction` with these fields.
+
+    Only slots of the canonical field types are interned: ``1``,
+    ``1.0`` and ``True`` hash alike but render different digest text,
+    so any other value builds a private instance.
+    """
+    if not (
+        type(mnemonic) is str
+        and type(dep_distance) in _INT_OR_NONE
+        and type(source_level) in _STR_OR_NONE
+        and type(address) in _INT_OR_NONE
+    ):
+        return KernelInstruction(mnemonic, dep_distance, source_level, address)
+    key = (mnemonic, dep_distance, source_level, address)
+    with _SLOTS_LOCK:
+        slot = _SLOTS.get(key)
+        if slot is None:
+            slot = KernelInstruction(*key)
+            _SLOTS.put(key, slot)
+    return slot
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,11 @@ import logging
 import math
 from collections.abc import Iterable, Sequence
 
-from repro.caching import LRUCache
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.march.definition import MicroArchitecture
-from repro.sim.kernel import Kernel, KernelInstruction
+from repro.sim.kernel import Kernel, intern_slot
 
 logger = logging.getLogger("repro.stressmark")
-
-#: Interned loop-body slots: stressmark spaces reuse a small set of
-#: (mnemonic, level, address) combinations across hundreds of
-#: sequences, and :class:`~repro.sim.kernel.KernelInstruction` is
-#: frozen, so sharing instances across kernels is safe and makes
-#: building a 540-point space mostly dictionary lookups.
-_SLOT_CACHE: LRUCache = LRUCache(65_536, "stressmark.slots")
 
 #: Paper sequence length.
 SEQUENCE_LENGTH = 6
@@ -81,31 +73,25 @@ def build_stressmark(
     pattern = []
     for index in range(pattern_length):
         mnemonic = sequence[index % len(sequence)]
+        # Stressmark spaces reuse a small set of (mnemonic, address)
+        # slots across hundreds of sequences: interned, building a
+        # 540-point space is mostly dictionary lookups.
         if is_memory_slot[mnemonic]:
             offset = (index * line) % _L1_REGION_BYTES
-            slot_key = (mnemonic, l1_name, _L1_REGION_BASE + offset)
-        else:
-            slot_key = (mnemonic, None, None)
-        slot = _SLOT_CACHE.get(slot_key)
-        if slot is None:
-            slot = KernelInstruction(
-                mnemonic=mnemonic,
-                source_level=slot_key[1],
-                address=slot_key[2],
+            slot = intern_slot(
+                mnemonic,
+                source_level=l1_name,
+                address=_L1_REGION_BASE + offset,
             )
-            _SLOT_CACHE.put(slot_key, slot)
+        else:
+            slot = intern_slot(mnemonic)
         pattern.append(slot)
 
     pattern = tuple(pattern)
     repeats, remainder = divmod(loop_size, pattern_length)
     instructions = pattern * repeats + pattern[:remainder]
     # Loop-closing branch, as the skeleton pass would emit.
-    branch_key = ("b", None, None)
-    branch = _SLOT_CACHE.get(branch_key)
-    if branch is None:
-        branch = KernelInstruction(mnemonic="b")
-        _SLOT_CACHE.put(branch_key, branch)
-    instructions += (branch,)
+    instructions += (intern_slot("b"),)
     # The fingerprint contract places everything outside the replicated
     # pattern in the remainder tail; when the branch would land exactly
     # on a period boundary ((loop_size + 1) % pattern_length == 0) the

@@ -1,5 +1,7 @@
 """Tests for counter definitions and the formula language."""
 
+import ast
+
 import pytest
 
 from repro.march.counters import (
@@ -59,3 +61,46 @@ class TestFormulaValidation:
     def test_rejects_syntax_errors(self):
         with pytest.raises(FormulaError):
             CounterFormula("bad", "A +")
+
+
+class TestFormulaParsedOnce:
+    def test_repeated_evaluation_parses_once(self, monkeypatch):
+        # Model fitting evaluates every component formula once per
+        # measurement: the expression must be parsed at construction
+        # only, not on every evaluate().
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(source)
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        formula = CounterFormula("mixed", "(A + B) / C - -D * 0.5")
+        readings = [
+            {"A": 3.0, "B": 1.0, "C": 2.0, "D": 4.0},
+            {"A": 0.0, "B": 0.0, "C": 0.0, "D": 2.0},  # 0/0 reads as 0
+            {"A": 1.5, "B": -0.5, "C": 4.0, "D": -1.0},
+        ]
+        expected = [
+            (3.0 + 1.0) / 2.0 - -4.0 * 0.5,
+            0.0 - -2.0 * 0.5,
+            (1.5 + -0.5) / 4.0 - 1.0 * 0.5,
+        ]
+        for _ in range(50):
+            assert [formula.evaluate(r) for r in readings] == expected
+        assert formula.counters() == frozenset("ABCD")
+        assert parsed == ["(A + B) / C - -D * 0.5"]
+
+    def test_invalid_formula_still_fails_at_construction(self):
+        with pytest.raises(FormulaError, match="cannot parse"):
+            CounterFormula("bad", "A +")
+        with pytest.raises(FormulaError, match="operator not allowed"):
+            CounterFormula("bad", "A ** 2")
+
+    def test_cached_tree_stays_out_of_identity(self):
+        first = CounterFormula("IPC", "A / B")
+        first.evaluate({"A": 1.0, "B": 2.0})
+        second = CounterFormula("IPC", "A / B")
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == "CounterFormula(name='IPC', expression='A / B')"
