@@ -11,13 +11,9 @@ can:
    single-flight registry measures each distinct cell once, and the
    ``/stats`` counters prove it.
 
-Wire-format negotiation happens underneath all three: the server
-advertises ``"wire": [1, 2]`` on ``/health``, the client picks the
-highest shared version and ships wire-v2 bodies (each distinct
-workload/config pooled once, referenced by digest), and the server's
-intern cache rebuilds each digest only on first sight.  Against an
-old server the same client falls back to v1 byte-identically; force a
-version with ``ServiceClient(url, wire=1)`` or ``REPRO_WIRE``.
+Underneath all three, the client ships wire-v2 plan bodies (each
+distinct workload/config pooled once, referenced by digest), and the
+server's intern cache rebuilds each digest only on first sight.
 
 Run:  python examples/serve_client.py   (takes a few seconds)
 """
@@ -51,7 +47,6 @@ with tempfile.TemporaryDirectory() as store_dir:
     url = f"http://127.0.0.1:{server.server_port}"
     client = ServiceClient(url)
     print(f"service up at {url}: {client.health()}")
-    print(f"negotiated wire version: {client.negotiated_wire()}")
 
     # 2. Stream a small plan line by line.
     plan = ExperimentPlan.cross(suite[:3], configs, duration=2.0)

@@ -104,25 +104,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "results (default: the REPRO_SERVER environment variable, "
         "else local execution)",
     )
-    parser.add_argument(
-        "--shards",
-        metavar="URL[,URL...]",
-        help="shard the plan by content-addressed cell key across "
-        "several campaign-service endpoints plus this process "
-        "(python -m repro serve replicas); results are bit-identical "
-        "to local execution, merged through --store when given "
-        "(default: the REPRO_SHARDS environment variable)",
-    )
-    parser.add_argument(
-        "--wire",
-        choices=("auto", "1", "2"),
-        default="auto",
-        help="plan wire format for --server/--shards submissions: "
-        "1 inline cells, 2 digest-pooled (v2); auto negotiates per "
-        "server and falls back to v1 for old servers (default: the "
-        "REPRO_WIRE environment variable, else auto); results are "
-        "bit-identical either way",
-    )
 
 
 def _build_machine(arch, args: argparse.Namespace) -> Machine:
@@ -135,24 +116,7 @@ def _build_machine(arch, args: argparse.Namespace) -> Machine:
 
 def _build_executor(machine: Machine, args: argparse.Namespace):
     # Explicit flags win; unset flags fall back to the documented
-    # REPRO_PARALLEL / REPRO_STORE / REPRO_SERVER / REPRO_SHARDS
-    # environment knobs.
-    shards = getattr(args, "shards", None) or os.environ.get("REPRO_SHARDS")
-    wire_choice = getattr(args, "wire", "auto")
-    wire = int(wire_choice) if wire_choice in ("1", "2") else None
-    if shards:
-        from repro.exec.shards import ShardedExecutor
-        from repro.exec.store import ResultStore
-
-        store_dir = getattr(args, "store", None) or os.environ.get(
-            "REPRO_STORE"
-        )
-        return ShardedExecutor(
-            machine,
-            shards,
-            store=ResultStore(store_dir) if store_dir else None,
-            wire=wire,
-        )
+    # REPRO_PARALLEL / REPRO_STORE / REPRO_SERVER environment knobs.
     server = getattr(args, "server", None) or os.environ.get("REPRO_SERVER")
     if server:
         from repro.exec.client import RemoteExecutor
@@ -162,7 +126,6 @@ def _build_executor(machine: Machine, args: argparse.Namespace):
             arch=args.arch,
             seed=args.seed,
             vector=False if args.no_vector else None,
-            wire=wire,
         )
     return default_executor(machine, parallel=args.parallel, store=args.store)
 
@@ -391,15 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if port is None:
         port = int(os.environ.get("REPRO_SERVE_PORT", "8787"))
     token = args.token or os.environ.get("REPRO_TOKEN")
-
-    from repro.exec.serialize import DEFAULT_INTERN_CAPACITY
-
-    intern_capacity = args.intern_cache
-    if intern_capacity is None:
-        raw = os.environ.get("REPRO_INTERN_CACHE", "")
-        intern_capacity = (
-            int(raw) if raw.strip() else DEFAULT_INTERN_CAPACITY
-        )
     service = MeasurementService(
         store=store,
         parallel=parallel,
@@ -407,8 +361,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight_cells=args.max_inflight_cells,
         max_requests=args.max_requests,
         write_deadline=args.write_deadline,
-        intern_capacity=intern_capacity,
-        wire_v2=not args.wire_v1,
     )
     server = build_server(service, host=args.host, port=port)
     bound = f"http://{args.host}:{server.server_port}"
@@ -416,8 +368,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"campaign service on {bound} "
         f"(store: {store or 'none'}, "
         f"workers: {parallel or 'serial'}, "
-        f"auth: {'token' if token else 'open'}, "
-        f"wire: {'+'.join(str(v) for v in service.wire_versions)})",
+        f"auth: {'token' if token else 'open'})",
         flush=True,
     )
     logger.info(
@@ -702,22 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="on SIGTERM, how long to wait for in-flight submissions "
         "to finish streaming before exiting (default 30)",
-    )
-    serve.add_argument(
-        "--intern-cache",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cross-request wire intern cache capacity: distinct "
-        "workloads/configs kept rebuilt and digest-pinned so repeat "
-        "campaigns deserialize zero kernels (default 4096; 0 disables)",
-    )
-    serve.add_argument(
-        "--wire-v1",
-        action="store_true",
-        help="refuse wire-format-v2 (digest-pooled) plan bodies and "
-        "advertise v1 only, exactly like a pre-v2 server (migration "
-        "escape hatch; results are identical either way)",
     )
     serve.set_defaults(handler=_cmd_serve)
     return parser

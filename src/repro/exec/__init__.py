@@ -4,11 +4,11 @@ The automation layer behind every measurement campaign::
 
     plan      what to measure  -- a deduplicated cross product of
               workloads/placements x configurations x p-states x window
-    executor  how to measure   -- serially, or sharded across worker
-              processes (bit-identical to serial)
-    store     where results go -- an on-disk JSON store keyed by
-              content-addressed cell keys, so warm re-runs never touch
-              ``Machine.run``
+    executor  how to measure   -- serially, across worker processes,
+              or on a campaign service (all bit-identical to serial)
+    store     where results go -- checksummed JSON-line shard files
+              keyed by content-addressed cell keys, so warm re-runs
+              never touch ``Machine.run``
 
 All measurement consumers (the runner, the section-4 modeling
 campaign, the DSE evaluators, the stressmark search, the figure
@@ -16,7 +16,8 @@ benchmarks and the ``python -m repro`` CLI) route through this engine.
 The campaign service (``python -m repro serve`` /
 :mod:`repro.exec.service`) keeps the whole engine resident behind an
 HTTP/JSON API; :class:`~repro.exec.client.RemoteExecutor` is the
-executor-shaped client for it.
+executor-shaped client for it, and plans travel in one wire format
+(:func:`~repro.exec.serialize.plan_to_dict_v2`).
 """
 
 from repro.exec.client import RemoteExecutor, ServiceClient
@@ -36,19 +37,12 @@ from repro.exec.plan import (
 )
 from repro.exec.report import CellFailure, ExecutionReport
 from repro.exec.serialize import (
-    WIRE_V1,
-    WIRE_V2,
-    WIRE_VERSIONS,
     WireInternCache,
-    cell_from_dict,
-    cell_to_dict,
     plan_from_dict,
-    plan_to_dict,
     plan_to_dict_v2,
     wire_digest,
 )
 from repro.exec.service import MeasurementService, build_server
-from repro.exec.shards import ShardedExecutor, parse_shard_endpoints
 from repro.exec.store import ResultStore, StoreReport
 
 __all__ = [
@@ -65,21 +59,13 @@ __all__ = [
     "RunRegistry",
     "SerialExecutor",
     "ServiceClient",
-    "ShardedExecutor",
     "StoreReport",
-    "WIRE_V1",
-    "WIRE_V2",
-    "WIRE_VERSIONS",
     "WireInternCache",
     "build_server",
-    "cell_from_dict",
-    "cell_to_dict",
     "default_executor",
     "gc_journals",
     "parse_faults",
-    "parse_shard_endpoints",
     "plan_from_dict",
-    "plan_to_dict",
     "plan_to_dict_v2",
     "run_id",
     "sweep_configs",

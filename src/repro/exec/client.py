@@ -14,11 +14,13 @@ Two layers:
   are bit-identical to local execution, swapping executors never
   changes a result byte.
 
-Wire notes: responses are chunked JSON Lines; ``http.client`` decodes
-the chunked framing transparently and its response object supports
-``readline()``, so streaming consumption is just a loop.  Errors
-surface as :class:`~repro.errors.ServiceError` -- connection refusals,
-HTTP error documents and mid-stream ``{"error": ...}`` lines alike.
+Wire notes: plan bodies are the one pooled form
+(:func:`~repro.exec.serialize.plan_to_dict_v2`); responses are chunked
+JSON Lines, which ``http.client`` decodes transparently, and its
+response object supports ``readline()``, so streaming consumption is
+just a loop.  Errors surface as :class:`~repro.errors.ServiceError` --
+connection refusals, HTTP error documents and mid-stream
+``{"error": ...}`` lines alike.
 
 Resilience: both layers retry *transient* failures with capped,
 deterministic (jitter-free -- reproducibility is the house rule)
@@ -45,25 +47,10 @@ from urllib.parse import urlsplit
 from repro.errors import ServiceError
 from repro.exec.plan import ExperimentPlan
 from repro.exec.report import CellFailure, ExecutionReport
-from repro.exec.serialize import (
-    WIRE_V1,
-    WIRE_V2,
-    WIRE_VERSIONS,
-    plan_to_dict,
-    plan_to_dict_v2,
-)
+from repro.exec.serialize import plan_to_dict_v2
 from repro.measure.measurement import Measurement
 
 logger = logging.getLogger("repro.exec.client")
-
-
-def _wire_from_env() -> int | None:
-    """The ``REPRO_WIRE`` override: 1 or 2 forces a version, anything
-    else (unset, empty, ``auto``) negotiates."""
-    raw = os.environ.get("REPRO_WIRE", "").strip()
-    if raw in ("1", "2"):
-        return int(raw)
-    return None
 
 #: Deterministic client backoff: attempt N sleeps min(cap, base * 2^N)
 #: (or the server's ``Retry-After`` if longer).  No jitter on purpose.
@@ -116,13 +103,6 @@ class ServiceClient:
     set.  ``retries`` bounds the transparent re-attempts of idempotent
     GETs through connection resets; plan submissions stream, so their
     retry policy lives in :class:`RemoteExecutor`.
-
-    ``wire`` forces the plan body format (1 inline cells, 2 digest
-    pools; default the ``REPRO_WIRE`` environment variable).  Left
-    unset, the first submission negotiates: the client reads the
-    ``wire`` list the server advertises on ``/health``/``/probe`` and
-    sends the newest version both sides speak -- a pre-v2 server
-    (which never advertised) gets byte-identical v1 bodies.
     """
 
     def __init__(
@@ -131,7 +111,6 @@ class ServiceClient:
         timeout: float | None = None,
         token: str | None = None,
         retries: int = DEFAULT_CLIENT_RETRIES,
-        wire: int | None = None,
     ) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
         if parts.scheme not in ("", "http"):
@@ -139,25 +118,20 @@ class ServiceClient:
                 f"unsupported service URL scheme {parts.scheme!r} "
                 "(the campaign service speaks plain http)"
             )
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise ServiceError(
+                f"invalid campaign service URL {url!r}: {exc}"
+            ) from None
         self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 80
+        self.port = port or 80
         self.timeout = timeout
         self.token = (
             token if token is not None else os.environ.get("REPRO_TOKEN")
         ) or None
         self.retries = max(0, retries)
         self.url = f"http://{self.host}:{self.port}"
-        if wire is None:
-            wire = _wire_from_env()
-        if wire is not None and wire not in WIRE_VERSIONS:
-            raise ServiceError(
-                f"unknown wire version {wire!r} (supported: "
-                f"{', '.join(str(v) for v in WIRE_VERSIONS)})"
-            )
-        self.wire = wire
-        #: Wire version learned from the server's advertisement, or
-        #: ``None`` before any reply carried one.
-        self._negotiated: int | None = None
 
     def _connect(self) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
@@ -186,10 +160,8 @@ class ServiceClient:
             ) from None
         return connection, response
 
-    def _json_once(
-        self, method: str, path: str, body: dict | None = None
-    ) -> dict:
-        connection, response = self._request(method, path, body)
+    def _json_once(self, method: str, path: str) -> dict:
+        connection, response = self._request(method, path)
         try:
             try:
                 data = response.read()
@@ -208,41 +180,28 @@ class ServiceClient:
                 status=response.status,
                 retry_after=_retry_after_of(response),
             )
-        self._note_wire(document)
         return document
 
-    def _note_wire(self, document: dict) -> None:
-        """Record the wire versions a server reply advertises.
+    def _json(self, path: str) -> dict:
+        """One ``GET`` round trip, retrying transient failures.
 
-        Replies without the key (pre-v2 servers, non-handshake
-        endpoints) leave the negotiated state alone; /health and
-        /probe replies pin the newest mutually spoken version.
+        Every JSON endpoint is an idempotent ``GET``, safe to re-issue
+        by construction, so connection resets and backpressure answers
+        get ``retries`` deterministic backed-off re-attempts.  The one
+        ``POST`` (``/plans``) streams; its retry policy lives in
+        :class:`RemoteExecutor`.
         """
-        advertised = document.get("wire")
-        if not isinstance(advertised, list):
-            return
-        spoken = [v for v in advertised if v in WIRE_VERSIONS]
-        self._negotiated = max(spoken) if spoken else WIRE_V1
-
-    def _json(self, method: str, path: str, body: dict | None = None) -> dict:
-        """One JSON round trip; idempotent GETs retry transient failures.
-
-        POSTs never retry here (``/plans`` streams and ``/probe`` is
-        cheap enough that callers own the policy); GETs are safe to
-        re-issue by construction, so connection resets and backpressure
-        answers get ``retries`` deterministic backed-off re-attempts.
-        """
-        attempts = 1 + (self.retries if method == "GET" else 0)
+        attempts = 1 + self.retries
         for attempt in range(attempts):
             try:
-                return self._json_once(method, path, body)
+                return self._json_once("GET", path)
             except ServiceError as exc:
                 if not exc.transient or attempt + 1 >= attempts:
                     raise
                 logger.warning(
-                    "retrying %s %s after transient failure "
+                    "retrying GET %s after transient failure "
                     "(attempt %d/%d): %s",
-                    method, path, attempt + 1, attempts, exc,
+                    path, attempt + 1, attempts, exc,
                 )
                 _retry_sleep(attempt, exc.retry_after)
         raise AssertionError("unreachable")  # pragma: no cover
@@ -279,7 +238,7 @@ class ServiceClient:
                     # A mid-stream transport death (server killed, torn
                     # chunk framing) surfaces as the same error class
                     # as every other service failure, so callers (the
-                    # shard scheduler's failover above all) handle one
+                    # executor's resubmission above all) handle one
                     # exception type.
                     raise ServiceError(
                         f"campaign service stream from {self.url} died "
@@ -310,58 +269,14 @@ class ServiceClient:
 
     # -- endpoints -------------------------------------------------------------
 
-    @property
-    def wire_version(self) -> int | None:
-        """The effective plan-body version: forced, or as negotiated so
-        far (``None`` until a server reply has advertised one)."""
-        return self.wire if self.wire is not None else self._negotiated
-
-    def negotiated_wire(self) -> int:
-        """The wire version to submit with, negotiating if needed.
-
-        A forced ``wire`` short-circuits.  Otherwise the first call
-        asks ``/health`` (whose reply advertises the server's versions)
-        and pins the newest both sides speak; a server that advertises
-        nothing -- any pre-v2 build -- pins v1.  An unreachable server
-        falls back to v1 *without* pinning, so a later attempt (the
-        submission retry path re-enters here) re-negotiates once the
-        server is back.
-        """
-        if self.wire is not None:
-            return self.wire
-        if self._negotiated is None:
-            try:
-                self.health()
-            except ServiceError:
-                return WIRE_V1
-            if self._negotiated is None:
-                self._negotiated = WIRE_V1
-        return self._negotiated
-
     def health(self) -> dict:
-        return self._json("GET", "/health")
+        return self._json("/health")
 
     def stats(self) -> dict:
-        return self._json("GET", "/stats")
+        return self._json("/stats")
 
     def runs(self) -> dict:
-        return self._json("GET", "/runs")
-
-    def probe(
-        self, arch: str, digest, classes: dict | None = None
-    ) -> dict:
-        """Ask the server whether it rebuilds these exact definitions.
-
-        ``digest`` is the base architecture's content digest and
-        ``classes`` maps cluster core class names to theirs; the reply
-        carries ``ok`` (every digest reproduces on the server) plus
-        per-name verdicts.  The shard scheduler probes every endpoint
-        with this before routing any cell to it.
-        """
-        request: dict = {"arch": arch, "digest": digest}
-        if classes:
-            request["classes"] = classes
-        return self._json("POST", "/probe", request)
+        return self._json("/runs")
 
     def run_status(self, run: str) -> Iterator[dict]:
         """Stream the journal status and stored cells of one run."""
@@ -379,16 +294,8 @@ class ServiceClient:
         The first line is the run header, then one line per unique
         cell ordered by completion, then the trailer
         (``{"complete": true, ...}``).
-
-        The body format follows :meth:`negotiated_wire`: v2 (pooled,
-        digest-referenced) to servers that advertise it, v1 (inline
-        cells, byte-identical to pre-v2 clients) otherwise.  Results
-        are bit-identical either way -- only the request bytes differ.
         """
-        if self.negotiated_wire() == WIRE_V2:
-            request = plan_to_dict_v2(plan)
-        else:
-            request = plan_to_dict(plan)
+        request = plan_to_dict_v2(plan)
         request["arch"] = arch
         request["seed"] = seed
         if vector is not None:
@@ -425,12 +332,9 @@ class RemoteExecutor:
         seed: int = 0,
         vector: bool | None = None,
         retries: int = DEFAULT_CLIENT_RETRIES,
-        wire: int | None = None,
     ) -> None:
         self.client = (
-            client
-            if isinstance(client, ServiceClient)
-            else ServiceClient(client, wire=wire)
+            client if isinstance(client, ServiceClient) else ServiceClient(client)
         )
         self.arch = arch
         self.seed = seed
@@ -439,8 +343,7 @@ class RemoteExecutor:
         self.store = None
         self.last_report: ExecutionReport | None = None
         #: Transient-submission re-attempts performed over this
-        #: executor's lifetime; the shard fabric reads (and resets)
-        #: this for its per-replica fault accounting.
+        #: executor's lifetime.
         self.transport_retries = 0
 
     def execute(self, plan: ExperimentPlan, progress=None) -> ExecutionReport:

@@ -1,4 +1,4 @@
-"""JSON wire forms for experiment plans: cells, workloads, configs.
+"""JSON wire form for experiment plans: pooled workloads and configs.
 
 The campaign service (:mod:`repro.exec.service`) accepts
 :class:`~repro.exec.plan.ExperimentPlan`s over HTTP, so every plan
@@ -8,7 +8,9 @@ workload fingerprint, the same store key, the same noise salt and
 therefore the same measurement bytes as the original.  Kernels and
 placements already round-trip through their own ``to_dict``/``from_dict``
 (digest-exact by design); this module adds the workload/config
-discriminators and the profiled-workload form on top.
+discriminators, the profiled-workload form and the one plan body
+(:func:`plan_to_dict_v2`: each distinct ingredient pooled once, cells
+referencing it by digest) on top.
 
 Profiled workloads (the SPEC CPU2006 proxies) serialize their full
 :class:`~repro.workloads.profiles.ActivityProfile`.  Their plan
@@ -117,48 +119,11 @@ def config_from_dict(data: dict) -> MachineConfig | ChipTopology:
     return MachineConfig.from_dict(data)
 
 
-# -- cells and plans -----------------------------------------------------------
-
-
-def cell_to_dict(cell: PlanCell) -> dict:
-    """Wire form of one plan cell."""
-    return {
-        "workload": workload_to_dict(cell.workload),
-        "config": config_to_dict(cell.config),
-        "duration": cell.duration,
-    }
-
-
-def cell_from_dict(data: dict) -> PlanCell:
-    """Rebuild a cell serialized by :func:`cell_to_dict`."""
-    try:
-        return PlanCell(
-            workload=workload_from_dict(data["workload"]),
-            config=config_from_dict(data["config"]),
-            duration=float(data["duration"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MeasurementError(f"malformed plan cell: {exc}") from None
-
-
-def plan_to_dict(plan: ExperimentPlan) -> dict:
-    """Wire form of a plan: its *unique* cells, construction order.
-
-    Duplicate requested cells are a client-side concern (the client
-    keeps its plan and fans unique results back out with
-    :meth:`~repro.exec.plan.ExperimentPlan.expand`), so only the
-    deduplicated cells travel.
-    """
-    return {"cells": [cell_to_dict(cell) for cell in plan.cells]}
-
-
-# -- wire format v2: digest-interned pools -------------------------------------
+# -- plans: digest-interned pools ---------------------------------------------
 #
-# A v1 plan body repeats the full workload/config wire form in every
-# cell, so a 24-config sweep over one stressmark ships the kernel 24
-# times and the server rebuilds it 24 times.  Wire v2 ships each
-# distinct ingredient once in a digest-keyed pool and cells reference
-# pool entries by digest:
+# A plan body ships each distinct ingredient once in a digest-keyed
+# pool and cells reference pool entries by digest, so a 24-config sweep
+# over one stressmark ships (and rebuilds) the kernel once:
 #
 #     {"wire": "plan-v2",
 #      "pool": {"workloads": [[digest, entry], ...],
@@ -183,9 +148,6 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 # so sharing them across handler threads is safe.
 
 PLAN_WIRE_V2 = "plan-v2"
-WIRE_V1 = 1
-WIRE_V2 = 2
-WIRE_VERSIONS = (WIRE_V1, WIRE_V2)
 DEFAULT_INTERN_CAPACITY = 4096
 
 
@@ -209,12 +171,10 @@ def _pin_workload(workload: object) -> None:
 class WireInternCache:
     """Bounded cross-request intern cache: wire digest -> rebuilt object.
 
-    Thread-safe.  ``verify=True`` (untrusted, client-claimed digests)
-    re-hashes the entry before first intern and rejects mismatches;
-    ``verify=False`` (digests the server computed itself from a v1 body)
-    trusts the key.  Hits return the already-built object -- same
-    instance, same pinned digest -- so overlapping campaigns share one
-    kernel graph.
+    Thread-safe.  Digests are client claims, so the first intern of
+    each one re-hashes its entry and rejects a mismatch.  Hits return
+    the already-built object -- same instance, same pinned digest -- so
+    overlapping campaigns share one kernel graph.
     """
 
     def __init__(self, capacity: int = DEFAULT_INTERN_CAPACITY) -> None:
@@ -226,7 +186,7 @@ class WireInternCache:
         self.verified = 0
         self.rejected = 0
 
-    def _intern(self, cache, digest, entry, builder, pin, verify):
+    def _intern(self, cache, digest, entry, builder, pin):
         with self._lock:
             found = cache.get(digest)
             if found is not None:
@@ -236,36 +196,29 @@ class WireInternCache:
                     f"references pool digest {digest!r} which the pool does "
                     "not define"
                 )
-            if verify:
-                actual = wire_digest(entry)
-                if actual != digest:
-                    self.rejected += 1
-                    raise MeasurementError(
-                        f"pool entry claims digest {digest!r} but its content "
-                        f"hashes to {actual!r}"
-                    )
-                self.verified += 1
+            actual = wire_digest(entry)
+            if actual != digest:
+                self.rejected += 1
+                raise MeasurementError(
+                    f"pool entry claims digest {digest!r} but its content "
+                    f"hashes to {actual!r}"
+                )
+            self.verified += 1
             built = builder(entry)
             pin(built)
             cache.put(digest, built)
             return built
 
-    def workload(
-        self, digest: str, entry: dict | None = None, *, verify: bool = True
-    ) -> object:
+    def workload(self, digest: str, entry: dict | None = None) -> object:
         """The interned workload for ``digest``, building from ``entry``."""
         return self._intern(
-            self._workloads, digest, entry, workload_from_dict,
-            _pin_workload, verify,
+            self._workloads, digest, entry, workload_from_dict, _pin_workload
         )
 
-    def config(
-        self, digest: str, entry: dict | None = None, *, verify: bool = True
-    ) -> object:
+    def config(self, digest: str, entry: dict | None = None) -> object:
         """The interned configuration for ``digest``."""
         return self._intern(
-            self._configs, digest, entry, config_from_dict,
-            lambda built: None, verify,
+            self._configs, digest, entry, config_from_dict, lambda built: None
         )
 
     def clear(self) -> None:
@@ -286,9 +239,13 @@ class WireInternCache:
 
 
 def plan_to_dict_v2(plan: ExperimentPlan) -> dict:
-    """Dictionary-encoded wire form: pooled ingredients, digest refs.
+    """Wire form of a plan: pooled ingredients, digest refs.
 
-    Each distinct workload/config serializes once; repeated objects
+    Only the plan's *unique* cells travel, in construction order:
+    duplicate requested cells are a client-side concern (the client
+    keeps its plan and fans unique results back out with
+    :meth:`~repro.exec.plan.ExperimentPlan.expand`).  Each distinct
+    workload/config serializes once; repeated objects
     (the common case -- ``ExperimentPlan.cross`` shares instances) are
     recognized by identity before falling back to content digest, so a
     stressmark x 24-config sweep hashes the kernel once, not 24 times.
@@ -373,8 +330,22 @@ def _pool_entries(raw: object, label: str, cells: list, field: str) -> dict:
     return entries
 
 
-def _plan_from_v2(data: dict, intern: WireInternCache | None) -> ExperimentPlan:
-    """Rebuild a v2 plan, interning pool entries through ``intern``."""
+def plan_from_dict(
+    data: dict, intern: WireInternCache | None = None
+) -> ExperimentPlan:
+    """Rebuild a plan serialized by :func:`plan_to_dict_v2`.
+
+    A body without the ``"wire": "plan-v2"`` marker (such as the
+    inline-cell v1 body older clients sent) is rejected.  ``intern``
+    (optional) is a cross-request :class:`WireInternCache`; with one
+    attached, each distinct ingredient rebuilds at most once per cache
+    lifetime.
+    """
+    if data.get("wire") != PLAN_WIRE_V2:
+        raise MeasurementError(
+            f"plan request is not a {PLAN_WIRE_V2!r} body (wire marker "
+            f"{data.get('wire')!r}); inline-cell v1 bodies are not accepted"
+        )
     pool = data.get("pool")
     if not isinstance(pool, dict):
         raise MeasurementError("plan-v2 request carries no 'pool' object")
@@ -409,50 +380,3 @@ def _plan_from_v2(data: dict, intern: WireInternCache | None) -> ExperimentPlan:
             PlanCell(workload=workload, config=config, duration=duration)
         )
     return ExperimentPlan(cells)
-
-
-def _cell_from_dict_interned(data: dict, intern: WireInternCache) -> PlanCell:
-    """v1 cell decode routed through the intern cache.
-
-    The server computes the digests itself from the inline entries, so
-    they are trusted (``verify=False``); a warm cache then hands v1
-    clients the same zero-rebuild path v2 clients get.
-    """
-    try:
-        workload_entry = data["workload"]
-        config_entry = data["config"]
-        workload = intern.workload(
-            wire_digest(workload_entry), workload_entry, verify=False
-        )
-        config = intern.config(
-            wire_digest(config_entry), config_entry, verify=False
-        )
-        return PlanCell(
-            workload=workload,
-            config=config,
-            duration=float(data["duration"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MeasurementError(f"malformed plan cell: {exc}") from None
-
-
-def plan_from_dict(
-    data: dict, intern: WireInternCache | None = None
-) -> ExperimentPlan:
-    """Rebuild a plan serialized by :func:`plan_to_dict` or
-    :func:`plan_to_dict_v2`, dispatching on the ``wire`` marker.
-
-    ``intern`` (optional) is a cross-request :class:`WireInternCache`;
-    with one attached, both wire versions rebuild each distinct
-    ingredient at most once per cache lifetime.
-    """
-    if data.get("wire") == PLAN_WIRE_V2:
-        return _plan_from_v2(data, intern)
-    cells = data.get("cells")
-    if not isinstance(cells, list):
-        raise MeasurementError("plan request carries no 'cells' list")
-    if intern is None:
-        return ExperimentPlan(cell_from_dict(cell) for cell in cells)
-    return ExperimentPlan(
-        _cell_from_dict_interned(cell, intern) for cell in cells
-    )

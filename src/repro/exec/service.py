@@ -15,8 +15,10 @@ single bit of output: a response is always bit-identical to a one-shot
 Endpoints (all JSON; streamed bodies are chunked JSON Lines):
 
 ``POST /plans``
-    Submit a plan (:func:`~repro.exec.serialize.plan_from_dict` wire
-    form plus ``arch``/``seed``/``vector``).  The response streams one
+    Submit a plan (the pooled :func:`~repro.exec.serialize.plan_to_dict_v2`
+    body plus ``arch``/``seed``/``vector``; a body without its
+    ``"wire": "plan-v2"`` marker is answered 400 before the stream
+    header, measuring nothing).  The response streams one
     header line, then one line per unique cell *ordered by
     completion* -- warm cells first, measured batches as they land --
     and a trailer with the run's accounting.  Each cell line carries
@@ -35,10 +37,12 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
     plan is always the resume path (warm cells serve from the store
     with zero re-measurement).
 ``GET /stats``
-    Cache / store / fault / dedup / admission counters of the whole
-    service.
+    Cache / store / fault / dedup / admission / intern counters of the
+    whole service.
 ``GET /health``
     Liveness probe (the only endpoint exempt from token auth).
+
+Every other path answers 404.
 
 Hardening (this layer treats survivable restarts and bounded
 degradation as first-class):
@@ -100,14 +104,7 @@ from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.exec.journal import RunJournal, audit_journals, gc_journals, run_id
 from repro.exec.plan import ExperimentPlan
 from repro.exec.registry import RunRegistry, plan_digest
-from repro.exec.serialize import (
-    DEFAULT_INTERN_CAPACITY,
-    PLAN_WIRE_V2,
-    WIRE_V1,
-    WIRE_VERSIONS,
-    WireInternCache,
-    plan_from_dict,
-)
+from repro.exec.serialize import WireInternCache, plan_from_dict
 from repro.exec.store import ResultStore
 from repro.measure.measurement import Measurement
 from repro.sim.machine import Machine, _vector_enabled_by_default
@@ -224,8 +221,6 @@ class MeasurementService:
         max_requests: int | None = None,
         write_deadline: float = DEFAULT_WRITE_DEADLINE_S,
         retry_after: float = DEFAULT_RETRY_AFTER_S,
-        intern_capacity: int = DEFAULT_INTERN_CAPACITY,
-        wire_v2: bool = True,
     ) -> None:
         self.store = (
             ResultStore(store)
@@ -242,17 +237,8 @@ class MeasurementService:
         self.max_requests = max_requests
         self.write_deadline = write_deadline
         self.retry_after = retry_after
-        #: Whether v2 (digest-pooled) plan bodies are accepted and
-        #: advertised.  ``False`` makes this process behave exactly
-        #: like a pre-v2 server -- the knob the mixed-version tests
-        #: and ``--wire-v1`` migration escape hatch rely on.
-        self.wire_v2 = wire_v2
         #: Cross-request intern cache: wire digest -> rebuilt object.
-        #: Serves both wire versions (v1 bodies intern under digests
-        #: the server computes itself); 0 disables.
-        self.intern = (
-            WireInternCache(intern_capacity) if intern_capacity > 0 else None
-        )
+        self.intern = WireInternCache()
         self._engines: dict[tuple, _Engine] = {}
         #: Serializes executor.execute calls: the resident machines'
         #: caches and the parallel worker pool are single-writer.
@@ -280,7 +266,6 @@ class MeasurementService:
             "drain_rejected": 0,
             "auth_failures": 0,
             "broken_streams": 0,
-            "wire_v2_requests": 0,
         }
         #: Durable run listing; replayed from ``<store>/registry.jsonl``
         #: and reconciled against journals: nothing can be ``running``
@@ -295,12 +280,6 @@ class MeasurementService:
                     "the previous server process",
                     recovered,
                 )
-
-    @property
-    def wire_versions(self) -> list[int]:
-        """Wire versions this server accepts, newest last (advertised
-        on ``/health`` and ``/probe`` for client negotiation)."""
-        return list(WIRE_VERSIONS) if self.wire_v2 else [WIRE_V1]
 
     # -- counters --------------------------------------------------------------
 
@@ -471,13 +450,6 @@ class MeasurementService:
         except (TypeError, ValueError):
             raise ServiceError("plan request carries a non-integer seed")
         vector = request.get("vector")
-        if request.get("wire") == PLAN_WIRE_V2:
-            if not self.wire_v2:
-                raise ServiceError(
-                    "this server does not accept wire format v2 plan "
-                    "bodies; resubmit in v1 (inline cells)"
-                )
-            self._count("wire_v2_requests")
         try:
             plan = plan_from_dict(request, intern=self.intern)
             engine = self._engine(arch_name, seed, vector)
@@ -816,8 +788,7 @@ class MeasurementService:
             },
             "store": None,
             "engines": [],
-            "wire": self.wire_versions,
-            "intern": self.intern.stats() if self.intern is not None else None,
+            "intern": self.intern.stats(),
         }
         if self.store is not None:
             payload["store"] = {
@@ -841,44 +812,6 @@ class MeasurementService:
                 }
             )
         return payload
-
-    def probe(self, request: dict) -> dict:
-        """Serve one ``POST /probe`` request: can this replica rebuild?
-
-        The shard scheduler (and any remote client with a customized
-        architecture) sends the content digests its plan's measurements
-        depend on -- the base architecture's and, for topology plans,
-        each cluster core class's.  The reply says, per name, whether
-        this replica's registry reproduces that exact definition; the
-        scheduler only routes cells to replicas that answer ``ok``, so
-        digest drift surfaces as an up-front routing decision instead
-        of silently diverging measurements.
-        """
-        from repro.march.definition import get_architecture
-
-        def rebuilds(name: str, digest) -> bool:
-            try:
-                return get_architecture(str(name)).content_digest() == digest
-            except MicroProbeError:
-                return False
-
-        arch_name = str(request.get("arch", "POWER7"))
-        arch_ok = rebuilds(arch_name, request.get("digest"))
-        classes = request.get("classes") or {}
-        if not isinstance(classes, dict):
-            raise ServiceError("probe 'classes' must be an object")
-        class_ok = {
-            str(name): rebuilds(name, digest)
-            for name, digest in classes.items()
-        }
-        return {
-            "service": FORMAT,
-            "arch": arch_name,
-            "ok": arch_ok and all(class_ok.values()),
-            "arch_ok": arch_ok,
-            "classes": class_ok,
-            "wire": self.wire_versions,
-        }
 
     def runs_listing(self) -> dict:
         """The ``GET /runs`` payload: durable registry + live journals."""
@@ -1064,11 +997,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     "ok": True,
                     "service": FORMAT,
                     "draining": self.service.draining,
-                    # Wire-version negotiation: clients read this (or
-                    # the same key on /probe) and send the newest plan
-                    # body format both sides speak.  Pre-v2 servers
-                    # never sent the key; clients treat absence as [1].
-                    "wire": self.service.wire_versions,
                 },
             )
             return
@@ -1100,25 +1028,24 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server contract
         path = urlsplit(self.path).path.rstrip("/")
-        if path not in ("/plans", "/probe"):
+        if path != "/plans":
             self._send_json(404, {"error": f"unknown endpoint {path!r}"})
             return
         if not self._authorized():
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) would block until the client closes.
+                raise ValueError(f"negative Content-Length {length}")
             request = json.loads(self.rfile.read(length))
             if not isinstance(request, dict):
                 raise ValueError("plan request must be a JSON object")
         except (ValueError, TypeError) as exc:
+            # The body may be unread: close rather than parse it as the
+            # connection's next request.
+            self.close_connection = True
             self._send_json(400, {"error": f"malformed request body: {exc}"})
-            return
-
-        if path == "/probe":
-            try:
-                self._send_json(200, self.service.probe(request))
-            except ServiceError as exc:
-                self._send_error(exc)
             return
 
         state = None

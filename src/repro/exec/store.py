@@ -21,34 +21,32 @@ never degrades as the store grows.  Appends take an exclusive
 and write the whole batch with a single ``write`` call.  Re-written
 keys simply append a newer line; readers index the shard last-wins.
 
-Integrity: every record written by this version carries a content
-checksum (``"sum"``, over the key and the canonical measurement JSON).
-Reads verify it, so a torn or bit-flipped record is *quarantined* --
-counted, logged, served as a miss so the executor re-measures and
-overwrites it -- never silently returned and never a crash.  Lines
-written before checksums existed parse fine (they simply skip the
-check).  :meth:`verify` audits the whole store without modifying it;
-:meth:`scrub` compacts each shard to the newest valid record per key,
-dropping corrupt lines and upgrading legacy lines to checksummed ones.
-Swallowed I/O errors are counted too (:meth:`fault_stats`, warn-once
-per shard), so a half-unreadable store is visible instead of quietly
-re-measuring everything.
+Integrity: every record carries a content checksum (``"sum"``, over
+the key and the canonical measurement JSON), and every record the
+store serves has had it verified.  A torn, bit-flipped or sum-less
+record is *quarantined* -- counted, logged, served as a miss so the
+executor re-measures and overwrites it -- never silently returned and
+never a crash.  :meth:`verify` audits the whole store without
+modifying it; :meth:`scrub` compacts each shard to the newest valid
+record per key, dropping every line that fails the check.  Swallowed
+I/O errors are counted too (:meth:`fault_stats`, warn-once per shard),
+so a half-unreadable store is visible instead of quietly re-measuring
+everything.
 
 Reads are served from a lazy per-shard offset index: the first lookup
 touching a shard scans it once, later lookups seek straight to the
 line (verifying the key, so an externally rewritten shard is a miss,
 never a wrong entry).  A miss re-checks whether another process has
 grown the shard since it was scanned, so concurrent campaigns sharing
-one store see each other's results.  Stores written by the pre-shard
-layout (one ``<xx>/<key>.json`` file per cell) are still readable --
-legacy entries are found through a per-file fallback -- so existing
-warm stores keep serving.
+one store see each other's results.  Shard files are the only layout:
+per-cell ``<xx>/<key>.json`` files of the pre-shard layout are ignored,
+so such a store simply re-measures.
 
 The offset index itself is *persistent*: every shard carries a sidecar
 ``shards/<xx>.idx`` -- a header line, ``[key, offset, length]`` entry
 lines and per-batch commit lines ``{"commit": [base, upto]}`` appended
 under the same shard ``flock`` as the data they describe.  A fresh
-process (a warm serve replica, ``store verify``, ``len(store)``)
+process (a warm server, ``store verify``, ``len(store)``)
 loads the sidecar instead of rescanning the shard body: commits are
 folded while they are contiguous from byte 0 and consistent with the
 current shard size (a full-coverage commit also pins the shard mtime,
@@ -203,9 +201,11 @@ _KEY_PREFIX = b'{"format": "' + FORMAT.encode() + b'", "key": "'
 
 
 def _checksum_matches(
-    key: str, recorded: str, raw: bytes, measurement_dict: dict
+    key: str, recorded: str | None, raw: bytes, measurement_dict: dict
 ) -> bool:
     """Whether a record's checksum verifies, preferring the raw bytes.
+
+    A record without one (``recorded`` is ``None``) never verifies.
 
     Lines written by :func:`render_record` carry the canonical
     measurement text verbatim between the ``measurement`` field and the
@@ -274,8 +274,6 @@ class StoreReport:
     records: int = 0
     keys: int = 0
     checksummed: int = 0
-    legacy_lines: int = 0
-    legacy_files: int = 0
     corrupt_lines: int = 0
     checksum_mismatches: int = 0
     torn_tails: int = 0
@@ -297,9 +295,7 @@ class StoreReport:
     def describe(self) -> str:
         text = (
             f"{self.shards} shard(s), {self.records} record(s), "
-            f"{self.keys} key(s): {self.checksummed} checksummed, "
-            f"{self.legacy_lines} legacy line(s), "
-            f"{self.legacy_files} legacy file(s)"
+            f"{self.keys} key(s): {self.checksummed} checksummed"
         )
         if not self.ok:
             text += (
@@ -323,9 +319,8 @@ class StoreReport:
 def _classify_line(line: bytes) -> tuple[str, str | None, dict | None]:
     """(status, key, payload) of one shard line.
 
-    Status is ``ok`` (checksummed and verified), ``legacy`` (pre-checksum
-    line, parseable), ``mismatch`` (checksum failed) or ``corrupt``
-    (unparseable / wrong shape).
+    Status is ``ok`` (checksummed and verified), ``mismatch`` (checksum
+    missing or wrong) or ``corrupt`` (unparseable / wrong shape).
     """
     try:
         payload = json.loads(line)
@@ -337,10 +332,7 @@ def _classify_line(line: bytes) -> tuple[str, str | None, dict | None]:
             return ("corrupt", None, None)
     except (ValueError, KeyError, TypeError):
         return ("corrupt", None, None)
-    recorded = payload.get("sum")
-    if recorded is None:
-        return ("legacy", key, payload)
-    if not _checksum_matches(key, recorded, line, measurement):
+    if not _checksum_matches(key, payload.get("sum"), line, measurement):
         return ("mismatch", key, payload)
     return ("ok", key, payload)
 
@@ -645,34 +637,6 @@ class ResultStore:
         handle.seek(offset)
         return handle.read(length)
 
-    # -- legacy per-cell-file layout -------------------------------------------
-
-    def _legacy_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _legacy_get(self, key: str) -> Measurement | None:
-        path = self._legacy_path(key)
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("store record is not a JSON object")
-            if payload.get("format") != FORMAT:
-                raise ValueError(
-                    f"unknown store format {payload.get('format')!r}"
-                )
-            return Measurement.from_dict(payload["measurement"])
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self._count_io_error(path, exc)
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            self.corrupt_records += 1
-            logger.warning(
-                "discarding unreadable store entry %s: %s", path, exc
-            )
-            return None
-
     # -- public API -------------------------------------------------------------
 
     def get(self, key: str) -> Measurement | None:
@@ -695,10 +659,6 @@ class ResultStore:
             self._refresh(shard)
             location = shard.offsets.get(key)
         if location is None:
-            legacy = self._legacy_get(key)
-            if legacy is not None:
-                self.hits += 1
-                return legacy
             self.misses += 1
             return None
         try:
@@ -728,14 +688,13 @@ class ResultStore:
                 raise ValueError(
                     f"stale shard index: found {payload.get('key')!r}"
                 )
-            recorded = payload.get("sum")
-            if recorded is not None and not _checksum_matches(
-                key, recorded, raw, payload["measurement"]
+            if not _checksum_matches(
+                key, payload.get("sum"), raw, payload["measurement"]
             ):
                 self.checksum_failures += 1
                 logger.warning(
                     "quarantining corrupt store record %s[%s]: "
-                    "checksum mismatch (re-measuring; run "
+                    "checksum missing or mismatched (re-measuring; run "
                     "`python -m repro store scrub` to repair the shard)",
                     shard.path,
                     key,
@@ -920,9 +879,10 @@ class ResultStore:
     def verify(self) -> StoreReport:
         """Audit every shard without modifying anything.
 
-        Counts parseable records, checksummed vs legacy lines, corrupt
-        lines, checksum mismatches and torn (unterminated) tails; the
-        report's :attr:`~StoreReport.ok` is the clean-store verdict.
+        Counts parseable records, checksummed lines, corrupt lines,
+        checksum mismatches (a missing checksum included) and torn
+        (unterminated) tails; the report's :attr:`~StoreReport.ok` is
+        the clean-store verdict.
         """
         report = StoreReport()
         keys: set[str] = set()
@@ -948,9 +908,7 @@ class ResultStore:
                     continue
                 report.records += 1
                 keys.add(key)
-                if status == "legacy":
-                    report.legacy_lines += 1
-                elif status == "mismatch":
+                if status == "mismatch":
                     report.checksum_mismatches += 1
                     report.problems.append(
                         f"{path.name}:{number + 1}: checksum mismatch "
@@ -991,7 +949,6 @@ class ResultStore:
                     f"{index_path.name}: sidecar covers {covered} of "
                     f"{stat.st_size} bytes (will rebuild on next read)"
                 )
-        report.legacy_files = sum(1 for _ in self.root.glob("??/*.json"))
         report.keys = len(keys)
         return report
 
@@ -1000,10 +957,10 @@ class ResultStore:
 
         Each shard is rewritten -- under its exclusive ``flock``, via an
         atomic replace -- keeping only the newest *valid* record per
-        key: corrupt lines, checksum mismatches and torn tails are
-        dropped (their cells simply re-measure next run), superseded
-        duplicates are compacted away, and legacy pre-checksum lines
-        are upgraded to checksummed ones.  Concurrent *readers* stay
+        key: corrupt lines, checksum mismatches (sum-less lines
+        included) and torn tails are dropped (their cells simply
+        re-measure next run), and superseded duplicates are compacted
+        away.  Concurrent *readers* stay
         safe throughout (their stale offsets fail the key check and
         re-scan); do not scrub under concurrent writers.
         """
@@ -1034,11 +991,8 @@ class ResultStore:
                             report.records += 1
                             if key in newest:
                                 report.compacted += 1
-                            if status == "legacy":
-                                report.legacy_lines += 1
-                            # Upgrades legacy lines to checksummed form;
-                            # already-checksummed lines re-render to the
-                            # identical bytes.
+                            # A verified line re-renders to the bytes
+                            # this store writes.
                             newest[key] = render_record(
                                 key, payload["measurement"]
                             )
@@ -1065,7 +1019,6 @@ class ResultStore:
                 stale = self._shards.pop(path.stem, None)
                 if stale is not None:
                     stale.invalidate()
-        report.legacy_files = sum(1 for _ in self.root.glob("??/*.json"))
         report.keys = len(keys)
         return report
 
@@ -1076,26 +1029,24 @@ class ResultStore:
             shard = self._shard(key)
             if key not in shard.offsets:
                 self._refresh(shard)
-            return key in shard.offsets or self._legacy_path(key).exists()
+            return key in shard.offsets
 
     def _all_keys(self) -> set[str]:
         with self._lock:
             for path in self.shard_dir.glob("??.jsonl"):
                 shard = self._shard(path.stem + "00")
                 self._refresh(shard)
-            keys = {
+            return {
                 key
                 for shard in self._shards.values()
                 for key in shard.offsets
             }
-            keys.update(path.stem for path in self.root.glob("??/*.json"))
-            return keys
 
     def __len__(self) -> int:
         return len(self._all_keys())
 
     def keys(self) -> list[str]:
-        """All stored cell keys (sharded and legacy layouts)."""
+        """All stored cell keys."""
         return sorted(self._all_keys())
 
     def __repr__(self) -> str:

@@ -253,7 +253,7 @@ class _Connection:
 
 def _client(data: bytes) -> ServiceClient:
     """A client whose every request answers ``data`` as the stream."""
-    client = ServiceClient("http://127.0.0.1:9", wire=2, retries=0)
+    client = ServiceClient("http://127.0.0.1:9", retries=0)
     client._request = lambda *args, **kwargs: (_Connection(), _Response(data))
     return client
 
@@ -352,15 +352,6 @@ def test_non_object_record_is_a_counted_miss(tmp_path, measurements):
     assert found is None
     assert store.fault_stats()["corrupt_records"] == 1
     assert store.misses == 1
-
-
-def test_non_object_legacy_cell_file_is_a_counted_miss(tmp_path):
-    key = "cd" * 16
-    (tmp_path / "cd").mkdir()
-    (tmp_path / "cd" / f"{key}.json").write_text("[1, 2]")
-    store = ResultStore(tmp_path)
-    assert store.get(key) is None
-    assert store.fault_stats()["corrupt_records"] == 1
 
 
 # -- stream lines -------------------------------------------------------------

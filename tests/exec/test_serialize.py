@@ -17,12 +17,11 @@ from repro.errors import MeasurementError
 from repro.exec import ExperimentPlan, PlanCell, SerialExecutor
 from repro.exec.plan import workload_fingerprint
 from repro.exec.serialize import (
-    cell_from_dict,
-    cell_to_dict,
     plan_from_dict,
-    plan_to_dict,
+    plan_to_dict_v2,
     profile_from_dict,
     profile_to_dict,
+    wire_digest,
     workload_from_dict,
     workload_to_dict,
 )
@@ -36,6 +35,14 @@ _DURATION = 1.0
 def _wire(data: dict) -> dict:
     """Round-trip through real JSON bytes, as the socket does."""
     return json.loads(json.dumps(data))
+
+
+def _cell_round_trip(cell: PlanCell) -> PlanCell:
+    """One cell through a one-cell plan body and back."""
+    (rebuilt,) = plan_from_dict(
+        _wire(plan_to_dict_v2(ExperimentPlan([cell])))
+    ).cells
+    return rebuilt
 
 
 class TestWorkloadRoundTrip:
@@ -91,7 +98,7 @@ class TestCellAndPlanRoundTrip:
             MachineConfig(2, 2, p_state=get_pstate("p2")),
             _DURATION,
         )
-        rebuilt = cell_from_dict(_wire(cell_to_dict(cell)))
+        rebuilt = _cell_round_trip(cell)
         assert executor.key_of(rebuilt) == executor.key_of(cell)
 
     def test_topology_cell_key_is_preserved(
@@ -103,12 +110,20 @@ class TestCellAndPlanRoundTrip:
             parse_topology("2big-2@p2+2little"),
             _DURATION,
         )
-        rebuilt = cell_from_dict(_wire(cell_to_dict(cell)))
+        rebuilt = _cell_round_trip(cell)
         assert executor.key_of(rebuilt) == executor.key_of(cell)
 
     def test_malformed_cell_is_rejected(self):
-        with pytest.raises(MeasurementError):
-            cell_from_dict({"workload": {"kind": "kernel"}})
+        entry = {"kind": "kernel"}
+        body = {
+            "wire": "plan-v2",
+            "pool": {"workloads": [[wire_digest(entry), entry]], "configs": []},
+            "cells": [
+                {"workload": wire_digest(entry), "config": "c", "duration": 1}
+            ],
+        }
+        with pytest.raises(MeasurementError, match="cell 0"):
+            plan_from_dict(body)
 
     def test_plan_round_trip_measures_identically(
         self, power7_arch, small_kernel_factory
@@ -122,12 +137,12 @@ class TestCellAndPlanRoundTrip:
             p_states=[get_pstate("nominal"), get_pstate("p3")],
             duration=_DURATION,
         )
-        rebuilt = plan_from_dict(_wire(plan_to_dict(plan)))
+        rebuilt = plan_from_dict(_wire(plan_to_dict_v2(plan)))
         assert rebuilt.size == plan.size
         original = SerialExecutor(Machine(power7_arch)).run(plan)
         again = SerialExecutor(Machine(power7_arch)).run(rebuilt)
         assert original == again
 
     def test_plan_without_cells_is_rejected(self):
-        with pytest.raises(MeasurementError):
-            plan_from_dict({"cells": None})
+        with pytest.raises(MeasurementError, match="'cells' list"):
+            plan_from_dict({"wire": "plan-v2", "pool": {}, "cells": None})

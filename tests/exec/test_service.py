@@ -34,7 +34,7 @@ from repro.exec import (
 from repro.exec import faults
 from repro.exec.faults import FaultPlan
 from repro.exec.plan import workload_fingerprint
-from repro.exec.serialize import plan_to_dict
+from repro.exec.serialize import plan_to_dict_v2
 from repro.sim import Machine, MachineConfig, Placement, get_pstate
 from repro.sim.topology import parse_topology
 from repro.workloads import spec_cpu2006
@@ -309,7 +309,7 @@ class TestWarmAndSingleFlight:
             outputs: dict[str, list] = {"leader": [], "follower": []}
 
             def submit(label: str) -> None:
-                service.submit(plan_to_dict(plan), lambda: outputs[label].append)
+                service.submit(plan_to_dict_v2(plan), lambda: outputs[label].append)
 
             leader = threading.Thread(target=submit, args=("leader",))
             leader.start()
@@ -459,7 +459,7 @@ class TestEndpoints:
         with pytest.raises(ServiceError):
             list(client._stream("POST", "/plans", {"cells": None}))
         with pytest.raises(ServiceError) as excinfo:
-            client._json("GET", "/nowhere")
+            client._json("/nowhere")
         assert excinfo.value.status == 404
 
     def test_unknown_architecture_is_404(self, served, small_kernel_factory):

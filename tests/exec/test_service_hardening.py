@@ -11,14 +11,15 @@ The robustness properties layered onto the campaign service:
   answers 503, and the client layers retry transparently with capped
   deterministic backoff -- always byte-identical to an un-throttled
   run, because measurements are pure and the store dedupes;
-* **self-healing shards** -- a replica that goes down trips its
-  circuit breaker open (cells fail over locally), and once it comes
-  back the cooldown-gated half-open probe re-admits it mid-campaign.
+* **bounded reads** -- a malformed request body, a negative
+  ``Content-Length`` included, is a prompt 400, never a handler
+  blocked until its socket deadline.
 """
 
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -40,7 +41,7 @@ from repro.exec import faults
 from repro.exec.faults import FaultPlan
 from repro.exec.journal import RunJournal, run_id
 from repro.exec.registry import plan_digest
-from repro.exec.shards import ShardedExecutor, _CircuitBreaker
+from repro.exec.serialize import plan_to_dict_v2
 from repro.sim import Machine, MachineConfig
 
 _DURATION = 1.0
@@ -159,9 +160,7 @@ class TestRunRegistry:
 
 
 def plan_request(plan, **extra):
-    from repro.exec.serialize import plan_to_dict
-
-    request = plan_to_dict(plan)
+    request = plan_to_dict_v2(plan)
     request.update(extra)
     return request
 
@@ -337,7 +336,7 @@ class TestClientRetries:
         assert calls["n"] == 3
 
     def test_post_never_retries_and_terminal_errors_propagate(
-        self, monkeypatch
+        self, monkeypatch, small_kernel_factory
     ):
         client = ServiceClient("http://127.0.0.1:1", retries=3)
         calls = {"n": 0}
@@ -346,11 +345,15 @@ class TestClientRetries:
             calls["n"] += 1
             raise ServiceError("boom", status=503)
 
-        monkeypatch.setattr(client, "_json_once", always_down)
+        monkeypatch.setattr(client, "_request", always_down)
         monkeypatch.setattr("repro.exec.client.time.sleep", lambda s: None)
+        plan = ExperimentPlan.single(
+            small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
+        )
         with pytest.raises(ServiceError):
-            client.probe("POWER7", 0)
-        assert calls["n"] == 1  # POST: no transparent retry
+            list(client.submit(plan))
+        # POST /plans: no transparent retry (RemoteExecutor owns it).
+        assert calls["n"] == 1
         calls["n"] = 0
         with pytest.raises(ServiceError):
             client.stats()
@@ -370,91 +373,40 @@ class TestClientRetries:
         assert calls["n"] == 1
 
 
-# -- circuit breakers ----------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_state_machine(self):
-        breaker = _CircuitBreaker(threshold=2, cooldown=0.05)
-        assert breaker.admits() and breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.admits()  # one failure: still closed
-        breaker.record_failure()
-        assert breaker.state == "open" and breaker.opened == 1
-        assert not breaker.admits()
-        time.sleep(0.06)
-        assert breaker.admits()  # cooldown elapsed: half-open probe
-        assert breaker.state == "half-open"
-        breaker.record_failure()  # probe failed: straight back open
-        assert breaker.state == "open" and breaker.opened == 2
-        time.sleep(0.06)
-        assert breaker.admits()
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.consecutive == 0
-        assert breaker.to_dict()["failures"] == 3
-
-    def test_downed_replica_rejoins_mid_campaign(
-        self, tmp_path, small_kernel_factory, power7_arch
-    ):
-        plans = [
-            ExperimentPlan.single(
-                small_kernel_factory("add", count=24 + 8 * n),
-                MachineConfig(1, 1),
-                _DURATION,
-            )
-            for n in range(3)
-        ]
-        baseline = [
-            SerialExecutor(Machine(power7_arch)).run(plan) for plan in plans
-        ]
-        # Reserve a port for the replica without serving on it yet.
-        import socket
-
-        probe_sock = socket.socket()
-        probe_sock.bind(("127.0.0.1", 0))
-        port = probe_sock.getsockname()[1]
-        probe_sock.close()
-
-        executor = ShardedExecutor(
-            Machine(power7_arch),
-            [f"http://127.0.0.1:{port}"],
-            store=None,
-            local=True,
-            request_timeout=2.0,
-            breaker_threshold=1,
-            breaker_cooldown=0.2,
-        )
-        shard = executor._shards[0]
-        # Replica down: the first plan trips the breaker open and every
-        # cell fails over to the local plane.
-        first = executor.execute(plans[0])
-        assert first.ok
-        assert list(first.measurements) == baseline[0]
-        assert shard.breaker.state == "open"
-        # Still inside the cooldown: the breaker admits nothing (no
-        # probe round trip is even attempted against the dead port).
-        second = executor.execute(plans[1])
-        assert list(second.measurements) == baseline[1]
-
-        # The replica comes back; after the cooldown, the half-open
-        # probe re-admits it mid-campaign.
-        replica_service = MeasurementService()
-        server = build_server(replica_service, port=port)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+class TestMalformedRequests:
+    def test_negative_content_length_is_a_prompt_400(self):
+        """``rfile.read(-1)`` would block until the client hangs up; the
+        handler must answer at once instead of at its socket deadline."""
+        service = MeasurementService(write_deadline=3.0)
+        server, _url = _start(service)
         try:
-            time.sleep(0.25)
-            third = executor.execute(plans[2])
-            assert list(third.measurements) == baseline[2]
-            assert shard.breaker.state == "closed"
-            stats = executor.replica_stats()
-            assert stats[0]["opened"] >= 1
-            assert stats[0]["state"] == "closed"
-            assert stats[0]["successes"] >= 1
+            with socket.create_connection(
+                ("127.0.0.1", server.server_port), timeout=10
+            ) as sock:
+                start = time.monotonic()
+                sock.sendall(
+                    b"POST /plans HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+                elapsed = time.monotonic() - start
         finally:
-            executor.close()
             server.shutdown()
             server.server_close()
-            replica_service.close()
+            service.close()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"malformed request body" in reply
+        assert elapsed < 1.5  # the write deadline is 3 s
+
+    def test_non_numeric_port_is_a_service_error(self):
+        for url in ("http://127.0.0.1:notaport", "127.0.0.1:99999"):
+            with pytest.raises(ServiceError, match="invalid campaign service"):
+                ServiceClient(url)
+        with pytest.raises(ServiceError, match="notaport"):
+            RemoteExecutor("http://127.0.0.1:notaport")
 
 
 # -- kill -9 the server --------------------------------------------------------

@@ -217,17 +217,18 @@ class TestResultStore:
         shard.write_bytes(full)
         assert reader.get("ab" * 16) == measurement
 
-    def test_legacy_per_cell_files_still_served(
+    def test_stray_per_cell_file_is_ignored(
         self, machine, small_kernel_factory, tmp_path
     ):
-        """Stores written by the pre-shard layout stay warm."""
+        """Shard files are the only layout: a ``<xx>/<key>.json`` file
+        (the pre-shard layout) is neither served, found nor counted."""
         store = ResultStore(tmp_path)
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
-        legacy = tmp_path / "ab" / ("ab" * 16 + ".json")
-        legacy.parent.mkdir(parents=True)
-        legacy.write_text(
+        stray = tmp_path / "ab" / ("ab" * 16 + ".json")
+        stray.parent.mkdir(parents=True)
+        stray.write_text(
             json.dumps(
                 {
                     "format": "repro-result-v1",
@@ -236,9 +237,10 @@ class TestResultStore:
                 }
             )
         )
-        assert store.get("ab" * 16) == measurement
-        assert "ab" * 16 in store
-        assert len(store) == 1 and store.keys() == ["ab" * 16]
+        assert store.get("ab" * 16) is None
+        assert store.misses == 1 and store.hits == 0
+        assert "ab" * 16 not in store
+        assert len(store) == 0 and store.keys() == []
 
 
 def _forbid_measurement(machine):

@@ -53,26 +53,6 @@ class TestChecksums:
         reparsed = json.loads(json.dumps(original))
         assert record_checksum("k", reparsed) == record_checksum("k", original)
 
-    def test_legacy_lines_without_checksum_still_served(
-        self, measurement, tmp_path
-    ):
-        store = ResultStore(tmp_path)
-        legacy_line = (
-            json.dumps(
-                {
-                    "format": "repro-result-v1",
-                    "key": "ab" * 16,
-                    "measurement": measurement.to_dict(),
-                }
-            ).encode()
-            + b"\n"
-        )
-        (store.shard_dir / "ab.jsonl").write_bytes(legacy_line)
-        assert store.get("ab" * 16) == measurement
-        report = store.verify()
-        assert report.ok
-        assert report.legacy_lines == 1 and report.checksummed == 0
-
     def test_tampered_record_is_a_counted_miss(self, measurement, tmp_path):
         writer = ResultStore(tmp_path)
         writer.put("ab" * 16, measurement)
@@ -85,6 +65,30 @@ class TestChecksums:
         assert store.fault_stats()["checksum_failures"] == 1
         report = store.verify()
         assert not report.ok and report.checksum_mismatches == 1
+
+    def test_sumless_edited_record_is_a_counted_miss(
+        self, measurement, tmp_path
+    ):
+        """Without its checksum an edited record is indistinguishable
+        from a genuine one, so a line without ``sum`` is never served."""
+        writer = ResultStore(tmp_path)
+        writer.put("ab" * 16, measurement)
+        shard = writer.shard_dir / "ab.jsonl"
+        payload = json.loads(shard.read_bytes())
+        del payload["sum"]
+        payload["measurement"]["mean_power"] += 1.0
+        shard.write_bytes(json.dumps(payload).encode() + b"\n")
+        store = ResultStore(tmp_path)
+        assert store.get("ab" * 16) is None
+        assert store.misses == 1 and store.hits == 0
+        assert store.fault_stats() == {"checksum_failures": 1}
+        report = store.verify()
+        assert not report.ok
+        assert report.checksum_mismatches == 1 and report.checksummed == 0
+        scrubbed = store.scrub()
+        assert scrubbed.dropped == 1 and scrubbed.keys == 0
+        assert shard.read_bytes() == b""
+        assert ResultStore(tmp_path).verify().ok
 
     def test_corrupt_fault_roundtrip_remeasures_bit_identically(
         self, power7_arch, small_kernel_factory, tmp_path
@@ -116,16 +120,6 @@ class TestVerifyScrub:
         store.put("ab" * 16, measurement)  # superseded duplicate
         shard = store.shard_dir / "ab.jsonl"
         with shard.open("ab") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "format": "repro-result-v1",
-                        "key": "ab" + "cd" * 15 + "ef",
-                        "measurement": measurement.to_dict(),
-                    }
-                ).encode()
-                + b"\n"
-            )  # legacy line, no checksum
             handle.write(b"{not json at all\n")  # corrupt line
             tampered = json.loads(
                 render_record("ab" + "11" * 15, measurement.to_dict())
@@ -140,12 +134,11 @@ class TestVerifyScrub:
         assert not report.ok
         assert report.shards == 1
         assert report.checksummed == 2  # the duplicate pair
-        assert report.legacy_lines == 1
         assert report.corrupt_lines == 1
         assert report.checksum_mismatches == 1
         assert report.torn_tails == 1
         # Distinct keys *seen*, including the unservable mismatched one.
-        assert report.keys == 3
+        assert report.keys == 2
         assert "torn tail" in "; ".join(report.problems)
 
     def test_verify_is_read_only(self, damaged_store):
@@ -161,11 +154,9 @@ class TestVerifyScrub:
         after = ResultStore(damaged_store.root)
         clean = after.verify()
         assert clean.ok
-        assert clean.legacy_lines == 0  # legacy upgraded to checksummed
-        assert clean.keys == 2
-        # Surviving measurements are byte-identical.
+        assert clean.keys == 1
+        # The surviving measurement is byte-identical.
         assert after.get("ab" * 16) == measurement
-        assert after.get("ab" + "cd" * 15 + "ef") == measurement
         # The mismatched record is gone (re-measures next run).
         assert after.get("ab" + "11" * 15) is None
 

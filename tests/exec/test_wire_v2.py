@@ -1,42 +1,39 @@
-"""Wire format v2: digest-interned pools, negotiation, bit-identity.
+"""Plan wire format v2: digest-interned pools, bit-identity.
 
-The fast lane's acceptance properties:
+The one plan body's acceptance properties:
 
-* a v2 (pooled) plan body rebuilds to the same fingerprints, store
-  keys and measurement bytes as the v1 (inline) body and as local
-  execution -- through real JSON bytes;
+* a pooled plan body rebuilds to the same fingerprints, store keys and
+  measurement bytes as the original plan and as local execution --
+  through real JSON bytes;
 * the server's cross-request intern cache hands repeat campaigns the
   *same* rebuilt objects with zero re-deserialization, verifying each
   claimed digest exactly once;
-* clients negotiate per server: a v2 client falls back to v1 bodies
-  against an old server byte-identically, a v1 client is served by a
-  v2 server byte-identically, and forced mismatches fail cleanly;
+* a body without the ``plan-v2`` marker (the retired inline-cell v1
+  shape) is refused with a 400 before the stream header;
 * malformed pools -- duplicate digests, tampered entries, dangling
   references -- are rejected naming the offending cell.
 """
 
+import http.client
 import json
 import threading
 
 import pytest
 
-from repro.errors import MeasurementError, ServiceError
+from repro.errors import MeasurementError
 from repro.exec import (
     ExperimentPlan,
     MeasurementService,
     PlanCell,
     RemoteExecutor,
     SerialExecutor,
-    ServiceClient,
     build_server,
 )
 from repro.exec.plan import workload_fingerprint
 from repro.exec.serialize import (
-    WIRE_V1,
-    WIRE_V2,
     WireInternCache,
+    config_to_dict,
     plan_from_dict,
-    plan_to_dict,
     plan_to_dict_v2,
     wire_digest,
     workload_to_dict,
@@ -73,20 +70,34 @@ def _mixed_plan(make_kernel) -> ExperimentPlan:
     return ExperimentPlan(list(plan.cells) + [extra])
 
 
+def _inline_body(plan: ExperimentPlan) -> dict:
+    """Every cell carrying its full workload and config, unpooled."""
+    return {
+        "cells": [
+            {
+                "workload": workload_to_dict(cell.workload),
+                "config": config_to_dict(cell.config),
+                "duration": cell.duration,
+            }
+            for cell in plan.cells
+        ]
+    }
+
+
 class TestV2RoundTrip:
     def test_fingerprints_and_keys_match_v1(
         self, power7_arch, small_kernel_factory
     ):
+        """A decoded body keys every cell as the original plan does."""
         plan = _mixed_plan(small_kernel_factory)
         executor = SerialExecutor(Machine(power7_arch))
-        from_v1 = plan_from_dict(_wire(plan_to_dict(plan)))
         from_v2 = plan_from_dict(_wire(plan_to_dict_v2(plan)))
         assert [workload_fingerprint(c.workload) for c in from_v2.cells] == [
             workload_fingerprint(c.workload) for c in plan.cells
         ]
         assert [executor.key_of(c) for c in from_v2.cells] == [
-            executor.key_of(c) for c in from_v1.cells
-        ] == [executor.key_of(c) for c in plan.cells]
+            executor.key_of(c) for c in plan.cells
+        ]
 
     def test_pool_ships_each_ingredient_once(self, small_kernel_factory):
         kernel = small_kernel_factory("add", count=24)
@@ -96,20 +107,17 @@ class TestV2RoundTrip:
         assert len(body["pool"]["workloads"]) == 1
         assert len(body["pool"]["configs"]) == 3
         assert len(body["cells"]) == 3
-        # The pooled body is strictly smaller than the inline one.
-        assert len(json.dumps(body)) < len(json.dumps(plan_to_dict(plan)))
+        # The pooled body is strictly smaller than an inline one.
+        assert len(json.dumps(body)) < len(json.dumps(_inline_body(plan)))
 
-    def test_v1_body_is_unchanged(self, small_kernel_factory):
-        # Old servers key their dispatch off the absence of "wire";
-        # the v1 encoder must stay byte-compatible with them forever.
+    def test_unmarked_body_is_rejected(self, small_kernel_factory):
         plan = ExperimentPlan.cross(
             [small_kernel_factory("add", count=24)],
             [MachineConfig(1, 1)],
             duration=_DURATION,
         )
-        body = plan_to_dict(plan)
-        assert set(body) == {"cells"}
-        assert "wire" not in body
+        with pytest.raises(MeasurementError, match="plan-v2"):
+            plan_from_dict(_wire(_inline_body(plan)))
 
     def test_content_equal_objects_share_one_pool_entry(
         self, small_kernel_factory
@@ -148,19 +156,6 @@ class TestInternCache:
         assert verified > 0
         plan_from_dict(_wire(plan_to_dict_v2(plan)), intern=intern)
         assert intern.stats()["verified"] == verified
-
-    def test_v1_bodies_intern_under_trusted_digests(
-        self, small_kernel_factory
-    ):
-        plan = _mixed_plan(small_kernel_factory)
-        intern = WireInternCache()
-        from_v1 = plan_from_dict(_wire(plan_to_dict(plan)), intern=intern)
-        # Server-computed digests skip verification entirely...
-        assert intern.stats()["verified"] == 0
-        # ...and a v2 body then reuses the v1-built objects.
-        from_v2 = plan_from_dict(_wire(plan_to_dict_v2(plan)), intern=intern)
-        for one, two in zip(from_v1.cells, from_v2.cells):
-            assert one.workload is two.workload
 
     def test_capacity_bounds_and_counts_evictions(self, small_kernel_factory):
         intern = WireInternCache(capacity=1)
@@ -224,7 +219,7 @@ class TestMalformedPools:
             plan_from_dict(body)
 
 
-# -- negotiation over real sockets ---------------------------------------------
+# -- over real sockets ------------------------------------------------------------
 
 
 def _start(service):
@@ -233,83 +228,49 @@ def _start(service):
     return server, f"http://127.0.0.1:{server.server_port}"
 
 
+def _post(url: str, path: str, body: dict) -> tuple:
+    """``(response, parsed JSON document)`` of one raw POST."""
+    host, port = url.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        connection.request(
+            "POST",
+            path,
+            body=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 @pytest.fixture()
-def servers(tmp_path):
-    """One v2-speaking and one v1-only service, both store-backed."""
-    v2 = MeasurementService(store=tmp_path / "v2", flight_timeout=60.0)
-    v1 = MeasurementService(
-        store=tmp_path / "v1", flight_timeout=60.0, wire_v2=False
-    )
-    started = [_start(v2), _start(v1)]
-    yield (v2, started[0][1]), (v1, started[1][1])
-    for server, _url in started:
-        server.shutdown()
-        server.server_close()
-    v2.close()
-    v1.close()
+def served(tmp_path):
+    """One store-backed service on an ephemeral port."""
+    service = MeasurementService(store=tmp_path / "store", flight_timeout=60.0)
+    server, url = _start(service)
+    yield service, url
+    server.shutdown()
+    server.server_close()
+    service.close()
 
 
-class TestNegotiation:
-    def _serial(self, power7_arch, plan):
-        return [
-            m.to_dict() for m in SerialExecutor(Machine(power7_arch)).run(plan)
-        ]
-
+class TestServedOverSocket:
     def test_v2_client_v2_server_bit_identical(
-        self, servers, power7_arch, small_kernel_factory
+        self, served, power7_arch, small_kernel_factory
     ):
-        (service, url), _v1 = servers
+        service, url = served
         plan = _mixed_plan(small_kernel_factory)
-        executor = RemoteExecutor(url)
-        served = [m.to_dict() for m in executor.run(plan)]
-        assert served == self._serial(power7_arch, plan)
-        assert executor.client.wire_version == WIRE_V2
-        stats = service.stats()
-        assert stats["service"]["wire_v2_requests"] == 1
-        assert stats["intern"]["workloads"]["misses"] > 0
-        assert stats["wire"] == [1, 2]
-
-    def test_v2_client_v1_server_falls_back_bit_identical(
-        self, servers, power7_arch, small_kernel_factory
-    ):
-        _v2, (service, url) = servers
-        plan = _mixed_plan(small_kernel_factory)
-        executor = RemoteExecutor(url)
-        served = [m.to_dict() for m in executor.run(plan)]
-        assert served == self._serial(power7_arch, plan)
-        assert executor.client.wire_version == WIRE_V1
-        assert service.stats()["service"]["wire_v2_requests"] == 0
-        assert service.stats()["wire"] == [1]
-
-    def test_v1_client_v2_server_bit_identical(
-        self, servers, power7_arch, small_kernel_factory
-    ):
-        (service, url), _v1 = servers
-        plan = _mixed_plan(small_kernel_factory)
-        executor = RemoteExecutor(ServiceClient(url, wire=1))
-        served = [m.to_dict() for m in executor.run(plan)]
-        assert served == self._serial(power7_arch, plan)
-        assert service.stats()["service"]["wire_v2_requests"] == 0
-        # The v1 body still interns server-side under trusted digests.
+        served_dicts = [m.to_dict() for m in RemoteExecutor(url).run(plan)]
+        serial = SerialExecutor(Machine(power7_arch)).run(plan)
+        assert served_dicts == [m.to_dict() for m in serial]
         assert service.stats()["intern"]["workloads"]["misses"] > 0
 
-    def test_forced_v2_client_v1_server_fails_cleanly(
-        self, servers, small_kernel_factory
-    ):
-        _v2, (_service, url) = servers
-        plan = ExperimentPlan.cross(
-            [small_kernel_factory("add", count=24)],
-            [MachineConfig(1, 1)],
-            duration=_DURATION,
-        )
-        executor = RemoteExecutor(ServiceClient(url, wire=2), retries=0)
-        with pytest.raises(ServiceError, match="wire format v2"):
-            executor.run(plan)
-
     def test_repeat_campaign_rebuilds_zero_ingredients(
-        self, servers, small_kernel_factory
+        self, served, small_kernel_factory
     ):
-        (service, url), _v1 = servers
+        service, url = served
         plan = _mixed_plan(small_kernel_factory)
         RemoteExecutor(url).run(plan)
         before = service.intern.stats()
@@ -319,37 +280,23 @@ class TestNegotiation:
         assert after["configs"]["misses"] == before["configs"]["misses"]
         assert after["workloads"]["hits"] > before["workloads"]["hits"]
 
-    def test_health_and_probe_advertise_wire(
-        self, servers, power7_arch
+    def test_v1_body_gets_400_before_the_stream_header(
+        self, served, small_kernel_factory
     ):
-        (_service, url_v2), (_old, url_v1) = servers
-        assert ServiceClient(url_v2).health()["wire"] == [1, 2]
-        assert ServiceClient(url_v1).health()["wire"] == [1]
-        probe = ServiceClient(url_v2).probe(
-            "POWER7", power7_arch.content_digest()
-        )
-        assert probe["wire"] == [1, 2]
+        service, url = served
+        plan = _mixed_plan(small_kernel_factory)
+        body = dict(_inline_body(plan), arch="POWER7", seed=0)
+        response, document = _post(url, "/plans", body)
+        assert response.status == 400
+        assert response.getheader("Content-Type") == "application/json"
+        assert "plan-v2" in document["error"]
+        stats = service.stats()["service"]
+        assert stats["requests"] == 0 and stats["measured_cells"] == 0
+        assert len(service.store) == 0
 
-    def test_health_without_wire_key_pins_v1(self):
-        # A genuinely old server never sent the key at all.
-        client = ServiceClient("http://127.0.0.1:1")
-        client._note_wire({"ok": True, "service": "repro-serve-v1"})
-        assert client.wire_version is None
-        client._note_wire({"wire": "nonsense"})
-        assert client.wire_version is None
-
-    def test_unreachable_server_does_not_pin_negotiation(self):
-        client = ServiceClient("http://127.0.0.1:1", retries=0)
-        assert client.negotiated_wire() == WIRE_V1
-        # Nothing was memoized: a later handshake can still pick v2.
-        assert client._negotiated is None
-
-    def test_repro_wire_env_forces_version(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE", "1")
-        assert ServiceClient("http://127.0.0.1:1").wire == 1
-        monkeypatch.setenv("REPRO_WIRE", "2")
-        assert ServiceClient("http://127.0.0.1:1").wire == 2
-        monkeypatch.setenv("REPRO_WIRE", "auto")
-        assert ServiceClient("http://127.0.0.1:1").wire is None
-        with pytest.raises(ServiceError):
-            ServiceClient("http://127.0.0.1:1", wire=3)
+    def test_probe_endpoint_is_gone(self, served, power7_arch):
+        _service, url = served
+        body = {"arch": "POWER7", "digest": power7_arch.content_digest()}
+        response, document = _post(url, "/probe", body)
+        assert response.status == 404
+        assert "unknown endpoint" in document["error"]
