@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from perfbench import hostspeed
 from repro.march import get_architecture
 from repro.march.bootstrap import Bootstrapper
 from repro.power_model.campaign import ModelingCampaign
@@ -39,7 +40,9 @@ LOOP_SIZE = int(os.environ.get("REPRO_LOOP_SIZE", "1024"))
 #: an artifact).  Benches call :func:`record_result` with their
 #: headline numbers; the file is rewritten on every record (it is tiny,
 #: and pytest may load this conftest under two module names, so a
-#: session-end hook could see an empty dict).
+#: session-end hook could see an empty dict).  Each result carries the
+#: UTC time it was recorded (``results[bench]["recorded_at"][metric]``):
+#: one file mixes numbers recorded at different times and host speeds.
 BENCH_RESULTS_PATH = Path(
     os.environ.get("REPRO_BENCH_RESULTS", "BENCH_results.json")
 )
@@ -53,16 +56,57 @@ def record_result(name: str, **metrics) -> None:
             raise ValueError
     except (OSError, ValueError):
         payload = {"format": "repro-bench-v1", "results": {}}
+    # A file-wide timestamp would claim every result is as new as the
+    # last one written; each metric carries its own instead.
+    payload.pop("recorded_at", None)
     payload.update(
-        recorded_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         platform=platform.platform(),
         python=platform.python_version(),
         repro_scale=SCALE,
         loop_size=LOOP_SIZE,
     )
-    payload["results"].setdefault(name, {}).update(metrics)
+    now = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    result = payload["results"].setdefault(name, {})
+    result.update(metrics)
+    stamps = result.setdefault("recorded_at", {})
+    stamps.update(dict.fromkeys(metrics, now))
     BENCH_RESULTS_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True)
+    )
+
+
+# -- host-speed normalization ---------------------------------------------------
+#
+# Shared hosts drift in speed, so an absolute throughput floor fails or
+# passes with the host's phase.  Each absolute rate floor is therefore
+# scaled by perfbench's host-speed reference (a fixed pure-Python loop,
+# ``perfbench/hostspeed.py``) timed right before and after the measured
+# work: the bench requires ``rate >= floor * NOMINAL_S / reference``,
+# which is the unchanged floor on the nominal host.
+
+
+def host_reference() -> float:
+    """Seconds of one host-speed reference, timed now."""
+    return hostspeed.reference()
+
+
+def host_floor(floor: float, reference: float) -> float:
+    """An absolute rate floor rescaled to a host whose reference took
+    ``reference`` seconds."""
+    return floor * hostspeed.NOMINAL_S / reference
+
+
+def record_rate(name: str, metric: str, rate: float, reference: float) -> None:
+    """Record a raw rate, its host-normalized value and the reference."""
+    record_result(
+        name,
+        **{
+            metric: round(rate),
+            f"{metric}_normalized": round(
+                rate * reference / hostspeed.NOMINAL_S
+            ),
+            f"{metric}_host_reference_s": round(reference, 5),
+        },
     )
 
 

@@ -85,12 +85,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="measurement window in seconds (default 10)",
     )
     parser.add_argument(
-        "--no-vector",
-        action="store_true",
-        help="force the scalar reference measurement path "
-        "(equivalent to REPRO_VECTOR=0; both paths are bit-identical)",
-    )
-    parser.add_argument(
         "--cache-stats",
         action="store_true",
         help="print the machine's memo-cache hit/miss counters "
@@ -107,11 +101,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_machine(arch, args: argparse.Namespace) -> Machine:
-    # --no-vector pins the scalar path; otherwise the REPRO_VECTOR
-    # environment default applies.
-    return Machine(
-        arch, seed=args.seed, vector=False if args.no_vector else None
-    )
+    return Machine(arch, seed=args.seed)
 
 
 def _build_executor(machine: Machine, args: argparse.Namespace):
@@ -121,12 +111,7 @@ def _build_executor(machine: Machine, args: argparse.Namespace):
     if server:
         from repro.exec.client import RemoteExecutor
 
-        return RemoteExecutor(
-            server,
-            arch=args.arch,
-            seed=args.seed,
-            vector=False if args.no_vector else None,
-        )
+        return RemoteExecutor(server, arch=args.arch, seed=args.seed)
     return default_executor(machine, parallel=args.parallel, store=args.store)
 
 

@@ -287,7 +287,6 @@ class ServiceClient:
         plan: ExperimentPlan,
         arch: str = "POWER7",
         seed: int = 0,
-        vector: bool | None = None,
     ) -> Iterator[dict]:
         """Submit a plan; yield response lines as the server streams them.
 
@@ -298,8 +297,6 @@ class ServiceClient:
         request = plan_to_dict_v2(plan)
         request["arch"] = arch
         request["seed"] = seed
-        if vector is not None:
-            request["vector"] = vector
         return self._stream("POST", "/plans", request)
 
 
@@ -330,7 +327,6 @@ class RemoteExecutor:
         client: ServiceClient | str,
         arch: str = "POWER7",
         seed: int = 0,
-        vector: bool | None = None,
         retries: int = DEFAULT_CLIENT_RETRIES,
     ) -> None:
         self.client = (
@@ -338,7 +334,6 @@ class RemoteExecutor:
         )
         self.arch = arch
         self.seed = seed
-        self.vector = vector
         self.retries = max(0, retries)
         self.store = None
         self.last_report: ExecutionReport | None = None
@@ -358,7 +353,7 @@ class RemoteExecutor:
             failures: list[CellFailure] = []
             try:
                 for line in self.client.submit(
-                    plan, arch=self.arch, seed=self.seed, vector=self.vector
+                    plan, arch=self.arch, seed=self.seed
                 ):
                     if "measurement" in line and "cell" in line:
                         index = line["cell"]

@@ -549,16 +549,13 @@ class SerialExecutor(_ExecutorBase):
 _WORKER_MACHINE: Machine | None = None
 
 
-def _init_worker(arch_name: str, seed: int, vector: bool) -> None:
+def _init_worker(arch_name: str, seed: int) -> None:
     """Build this worker's machine from the architecture registry.
 
     Measurements depend only on the (deterministically parsed)
     architecture definition and the seed, so a registry rebuild is
     substrate-identical to the parent's machine; worker caches start
-    cold and warm up over the shard.  The parent's vector-plane flag
-    is carried over so an explicitly scalar machine stays scalar in
-    every worker (the paths are bit-identical, but a user debugging or
-    benchmarking one of them must get the one they asked for).
+    cold and warm up over the shard.
 
     SIGINT is ignored: Ctrl-C on a parallel campaign is delivered to
     the whole foreground process *group*, and workers that die on it
@@ -570,7 +567,7 @@ def _init_worker(arch_name: str, seed: int, vector: bool) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.march.definition import get_architecture
 
-    _WORKER_MACHINE = Machine(get_architecture(arch_name), seed, vector=vector)
+    _WORKER_MACHINE = Machine(get_architecture(arch_name), seed)
 
 
 def _run_chunk(payload) -> list[Measurement]:
@@ -736,11 +733,7 @@ class ParallelExecutor(_ExecutorBase):
             self._pool = context.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(
-                    self.machine.arch.name,
-                    self.machine.seed,
-                    self.machine.vector_enabled,
-                ),
+                initargs=(self.machine.arch.name, self.machine.seed),
             )
             self._pool_finalizer = weakref.finalize(
                 self, _shutdown_pool, self._pool

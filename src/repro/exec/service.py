@@ -4,7 +4,7 @@
 long-running HTTP service.  Where every CLI invocation rebuilds hot
 machines, packed-kernel caches and worker pools from scratch, the
 service keeps them *resident*: one :class:`~repro.sim.machine.Machine`
-per (architecture, seed, plane) with its summary/stack memos warm, one
+per (architecture, seed) with its summary/stack memos warm, one
 shared :class:`~repro.exec.executors.ParallelExecutor` worker pool, and
 one :class:`~repro.exec.store.ResultStore` that every client request
 reads and feeds.  Because measurements are pure functions of content,
@@ -16,7 +16,7 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
 
 ``POST /plans``
     Submit a plan (the pooled :func:`~repro.exec.serialize.plan_to_dict_v2`
-    body plus ``arch``/``seed``/``vector``; a body without its
+    body plus ``arch``/``seed``; a body without its
     ``"wire": "plan-v2"`` marker is answered 400 before the stream
     header, measuring nothing).  The response streams one
     header line, then one line per unique cell *ordered by
@@ -107,7 +107,7 @@ from repro.exec.registry import RunRegistry, plan_digest
 from repro.exec.serialize import WireInternCache, plan_from_dict
 from repro.exec.store import ResultStore
 from repro.measure.measurement import Measurement
-from repro.sim.machine import Machine, _vector_enabled_by_default
+from repro.sim.machine import Machine
 
 logger = logging.getLogger("repro.exec.service")
 
@@ -202,7 +202,7 @@ class _Engine:
 class MeasurementService:
     """The resident measurement plane behind the HTTP handler.
 
-    Holds machines/executors per (architecture, seed, plane), the
+    Holds machines/executors per (architecture, seed), the
     shared store, the single-flight registry and the service counters.
     Usable directly (tests drive :meth:`submit` without a socket) or
     through :func:`build_server`.
@@ -382,20 +382,15 @@ class MeasurementService:
 
     # -- engines ---------------------------------------------------------------
 
-    def _engine(self, arch_name: str, seed: int, vector) -> _Engine:
-        resolved = (
-            _vector_enabled_by_default() if vector is None else bool(vector)
-        )
-        key = (arch_name.upper(), seed, resolved)
+    def _engine(self, arch_name: str, seed: int) -> _Engine:
+        key = (arch_name.upper(), seed)
         with self._state_lock:
             engine = self._engines.get(key)
             if engine is not None:
                 return engine
             from repro.march.definition import get_architecture
 
-            machine = Machine(
-                get_architecture(arch_name), seed=seed, vector=resolved
-            )
+            machine = Machine(get_architecture(arch_name), seed=seed)
             if self.parallel and self.parallel > 1:
                 executor = ParallelExecutor(
                     machine,
@@ -414,10 +409,9 @@ class MeasurementService:
             engine = _Engine(machine, executor)
             self._engines[key] = engine
             logger.info(
-                "engine up: %s seed=%d plane=%s executor=%s",
+                "engine up: %s seed=%d executor=%s",
                 arch_name,
                 seed,
-                "vector" if resolved else "scalar",
                 type(executor).__name__,
             )
             return engine
@@ -449,10 +443,9 @@ class MeasurementService:
             seed = int(request.get("seed", 0))
         except (TypeError, ValueError):
             raise ServiceError("plan request carries a non-integer seed")
-        vector = request.get("vector")
         try:
             plan = plan_from_dict(request, intern=self.intern)
-            engine = self._engine(arch_name, seed, vector)
+            engine = self._engine(arch_name, seed)
             plan.validate_against(engine.machine)
         except UnknownArchitectureError as exc:
             raise ServiceError(str(exc), status=404) from None
@@ -797,13 +790,12 @@ class MeasurementService:
             }
         if self.registry is not None:
             payload["registry"] = self.registry.summary()
-        for (arch_name, seed, resolved), engine in engines.items():
+        for (arch_name, seed), engine in engines.items():
             report = engine.executor.last_report
             payload["engines"].append(
                 {
                     "arch": arch_name,
                     "seed": seed,
-                    "plane": "vector" if resolved else "scalar",
                     "executor": type(engine.executor).__name__,
                     "caches": engine.machine.cache_stats(),
                     "last_report": (

@@ -61,10 +61,7 @@ class MeasurementRunner:
             from repro.exec.client import RemoteExecutor
 
             executor = RemoteExecutor(
-                executor,
-                arch=machine.arch.name,
-                seed=machine.seed,
-                vector=machine.vector_enabled,
+                executor, arch=machine.arch.name, seed=machine.seed
             )
         self.executor = (
             executor if executor is not None else default_executor(machine)

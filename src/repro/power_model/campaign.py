@@ -319,9 +319,7 @@ class HeterogeneousCampaign:
                 class_machine = self.machine
             else:
                 class_machine = Machine(
-                    self.machine.cluster_arch(core_class),
-                    seed=self.seed,
-                    vector=self.machine.vector_enabled,
+                    self.machine.cluster_arch(core_class), seed=self.seed
                 )
             logger.info(
                 "heterogeneous campaign: fitting core class %s",

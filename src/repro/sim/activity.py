@@ -48,52 +48,3 @@ class ThreadActivity:
             raise ValueError("alternation must be within [0, 1]")
         if not 0.0 <= self.entropy <= 1.0:
             raise ValueError("entropy must be within [0, 1]")
-
-    @property
-    def instruction_rate(self) -> float:
-        """Total committed instructions per second."""
-        if self.insn_rates:
-            return sum(self.insn_rates.values())
-        return sum(self.unit_op_rates.values())
-
-    def at_frequency_scale(self, freq_scale: float) -> "ThreadActivity":
-        """Activity re-clocked to a scaled frequency.
-
-        Per-second rates scale with the clock while per-cycle
-        quantities (IPC) and stream shape (alternation, entropy, bias)
-        do not -- this is the performance half of a DVFS p-state; the
-        ``V^2`` power half lives in the hidden power model.  The
-        nominal scale returns ``self`` unchanged so pre-DVFS paths
-        stay bit-identical.
-        """
-        if freq_scale == 1.0:
-            return self
-        return ThreadActivity(
-            ipc=self.ipc,
-            insn_rates={
-                k: v * freq_scale for k, v in self.insn_rates.items()
-            },
-            unit_op_rates={
-                k: v * freq_scale for k, v in self.unit_op_rates.items()
-            },
-            level_rates={
-                k: v * freq_scale for k, v in self.level_rates.items()
-            },
-            alternation=self.alternation,
-            entropy=self.entropy,
-            unit_energy_bias=dict(self.unit_energy_bias),
-        )
-
-    def scaled(self, factor: float) -> "ThreadActivity":
-        """Activity with every rate multiplied by ``factor``."""
-        return ThreadActivity(
-            ipc=self.ipc * factor,
-            insn_rates={k: v * factor for k, v in self.insn_rates.items()},
-            unit_op_rates={
-                k: v * factor for k, v in self.unit_op_rates.items()
-            },
-            level_rates={k: v * factor for k, v in self.level_rates.items()},
-            alternation=self.alternation,
-            entropy=self.entropy,
-            unit_energy_bias=dict(self.unit_energy_bias),
-        )

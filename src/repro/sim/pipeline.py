@@ -26,16 +26,20 @@ Evaluation engine
 -----------------
 
 The public entry points (:meth:`CorePipelineModel.bounds`,
-:meth:`~CorePipelineModel.activity`, :meth:`~CorePipelineModel.counters`)
-run on a :class:`~repro.sim.summary.KernelSummary` computed once per
-kernel and memoized by analytic digest: per-mnemonic
+:meth:`~CorePipelineModel.activity`,
+:meth:`~CorePipelineModel.mixed_core_activities`) run on a
+:class:`~repro.sim.summary.KernelSummary` computed once per kernel and
+memoized by analytic digest: per-mnemonic
 :class:`~repro.march.properties.InstructionProperties` lookups are
 precompiled into flat occupancy rows at model construction, one
 water-fill result is shared between the unit bound and the per-unit
 operation split, and kernels declaring a periodic structure are
-summarized in O(period) work.  The pre-engine per-instruction walk is
-retained as ``reference_*`` methods; property tests assert the two
-paths agree to float precision on arbitrary kernels.
+summarized in O(period) work.  The resulting per-thread activities
+feed the measurement plane (:mod:`repro.sim.vector`), which re-clocks
+them, synthesizes their counters and evaluates their power.  The
+pre-engine per-instruction walk lives on as the test oracle
+(``tests/oracle/pipeline.py``); property tests assert the two paths
+agree to float precision on arbitrary kernels.
 """
 
 from __future__ import annotations
@@ -328,46 +332,6 @@ class CorePipelineModel:
             self._summary_activity(summary, span)
             for summary, span in zip(summaries, periods(hi))
         ]
-
-    def counters(
-        self, kernel: Kernel, smt: int, duration: float
-    ) -> dict[str, float]:
-        """Per-thread performance-counter readings over a window."""
-        activity = self.activity(kernel, smt)
-        return self.counters_from_activity(activity, duration)
-
-    def counters_from_activity(
-        self,
-        activity: ThreadActivity,
-        duration: float,
-        frequency: float | None = None,
-    ) -> dict[str, float]:
-        """Synthesize PMC readings from an activity vector.
-
-        ``frequency`` overrides the nominal clock for DVFS operating
-        points: cycle counts accrue at the scaled clock (the activity's
-        rates must already be re-clocked to match, see
-        :meth:`ThreadActivity.at_frequency_scale`).
-        """
-        if frequency is None:
-            frequency = self.arch.chip.cycles_per_second
-        readings = {
-            "PM_RUN_CYC": frequency * duration,
-            "PM_RUN_INST_CMPL": activity.ipc * frequency * duration,
-        }
-        for unit in self.arch.units.values():
-            rate = activity.unit_op_rates.get(unit.name, 0.0)
-            readings[unit.counter] = rate * duration
-        load_rate = activity.level_rates.get("_loads", 0.0)
-        store_rate = activity.level_rates.get("_stores", 0.0)
-        readings["PM_LD_REF_L1"] = load_rate * duration
-        readings["PM_ST_REF_L1"] = store_rate * duration
-        for cache in self.arch.caches[1:]:
-            rate = activity.level_rates.get(cache.name, 0.0)
-            readings[cache.counter] = rate * duration
-        memory_rate = activity.level_rates.get(self.arch.memory.name, 0.0)
-        readings[self.arch.memory.counter] = memory_rate * duration
-        return readings
 
     def alternation(self, kernel: Kernel) -> float:
         """Fraction of adjacent slots executing on different units."""
@@ -730,154 +694,3 @@ class CorePipelineModel:
                 self._level_latency[source] - self._level_latency[self._l1_name]
             )
         return latency
-
-    # -- reference path (pre-engine, per-instruction) ----------------------------
-    #
-    # The naive O(loop size) implementation the summary path replaced.
-    # Kept as the executable specification: the invariance tests assert
-    # the fast path reproduces it to float precision on arbitrary
-    # kernels, periodic or not.
-
-    def reference_bounds(self, kernel: Kernel, smt: int = 1) -> PipelineBounds:
-        """Per-instruction-walk bounds (executable specification)."""
-        share = self._share(smt)
-        dispatch = len(kernel) / self.arch.chip.dispatch_width * share
-        unit = self._unit_bound(kernel) * share
-        dependency = self._dependency_bound(kernel)
-        memory = self._memory_bound(kernel) * share
-        return PipelineBounds(
-            dispatch=dispatch, unit=unit, dependency=dependency, memory=memory
-        )
-
-    def reference_activity(self, kernel: Kernel, smt: int = 1) -> ThreadActivity:
-        """Per-instruction-walk activity (executable specification)."""
-        period = self.reference_bounds(kernel, smt).period
-        frequency = self.arch.chip.cycles_per_second
-        iterations_per_second = frequency / period
-
-        insn_rates: dict[str, float] = {}
-        for instruction in kernel.instructions:
-            insn_rates[instruction.mnemonic] = (
-                insn_rates.get(instruction.mnemonic, 0.0)
-                + iterations_per_second
-            )
-        unit_ops = self._unit_ops(kernel)
-        unit_op_rates = {
-            unit: ops * iterations_per_second for unit, ops in unit_ops.items()
-        }
-        level_counts = self._level_counts(kernel)
-        level_rates = {
-            level: count * iterations_per_second
-            for level, count in level_counts.items()
-        }
-        return ThreadActivity(
-            ipc=len(kernel) / period,
-            insn_rates=insn_rates,
-            unit_op_rates=unit_op_rates,
-            level_rates=level_rates,
-            alternation=self.reference_alternation(kernel),
-            entropy=kernel.operand_entropy,
-        )
-
-    def reference_alternation(self, kernel: Kernel) -> float:
-        """Per-instruction-walk alternation (executable specification)."""
-        units = [
-            self._primary_unit(self.arch.props(ins.mnemonic))
-            for ins in kernel.instructions
-        ]
-        units = [unit for unit in units if unit is not None]
-        if len(units) < 2:
-            return 0.0
-        pairs = len(units)
-        changes = sum(
-            1 for index in range(pairs)
-            if units[index] != units[(index + 1) % pairs]
-        )
-        return changes / pairs
-
-    def _props(self, mnemonic: str) -> InstructionProperties:
-        return self.arch.props(mnemonic)
-
-    @staticmethod
-    def _primary_unit(props: InstructionProperties) -> str | None:
-        if not props.usages:
-            return None
-        return props.usages[0].units[0]
-
-    def _unit_occupancies(
-        self, kernel: Kernel
-    ) -> tuple[dict[str, float], dict[tuple[str, ...], float]]:
-        """Fixed per-unit occupancy plus flexible occupancy per unit set."""
-        fixed: dict[str, float] = {name: 0.0 for name in self.arch.units}
-        flexible: dict[tuple[str, ...], float] = {}
-        for instruction in kernel.instructions:
-            props = self._props(instruction.mnemonic)
-            for position, usage in enumerate(props.usages):
-                occupancy = (
-                    props.inv_throughput * usage.ops
-                    if position == 0
-                    else SECONDARY_OCCUPANCY * usage.ops
-                )
-                if usage.is_flexible:
-                    flexible[usage.units] = (
-                        flexible.get(usage.units, 0.0) + occupancy
-                    )
-                else:
-                    fixed[usage.units[0]] += occupancy
-        return fixed, flexible
-
-    def _unit_bound(self, kernel: Kernel) -> float:
-        fixed, flexible = self._unit_occupancies(kernel)
-        loads = self._waterfill(fixed, flexible)
-        return max(
-            loads[name] / self.arch.unit(name).pipes for name in loads
-        ) if loads else 0.0
-
-    def _unit_ops(self, kernel: Kernel) -> dict[str, float]:
-        """Operations per iteration per unit (flexible ops assigned).
-
-        Flexible operations are split across their candidate units in
-        proportion to the occupancy the water-filling assigned there.
-        """
-        fixed_ops: dict[str, float] = {name: 0.0 for name in self.arch.units}
-        flexible_ops: dict[tuple[str, ...], float] = {}
-        for instruction in kernel.instructions:
-            props = self._props(instruction.mnemonic)
-            for usage in props.usages:
-                if usage.is_flexible:
-                    flexible_ops[usage.units] = (
-                        flexible_ops.get(usage.units, 0.0) + usage.ops
-                    )
-                else:
-                    fixed_ops[usage.units[0]] += usage.ops
-
-        fixed_occ, flexible_occ = self._unit_occupancies(kernel)
-        filled = self._waterfill(fixed_occ, flexible_occ)
-        return self._split_flexible_ops(
-            fixed_ops, flexible_ops, fixed_occ, filled
-        )
-
-    def _memory_bound(self, kernel: Kernel) -> float:
-        """Miss-bandwidth bound: total off-L1 latency over the MSHRs."""
-        total_latency = 0.0
-        l1_latency = self._level_latency[self._l1_name]
-        for instruction in kernel.instructions:
-            source = instruction.source_level
-            if source is None or source == self._l1_name:
-                continue
-            total_latency += self._level_latency[source] - l1_latency
-        return total_latency / MSHRS_PER_THREAD
-
-    def _level_counts(self, kernel: Kernel) -> dict[str, float]:
-        """Per-iteration access counts per hierarchy level, plus
-        ``_loads``/``_stores`` pseudo-levels for the L1 reference PMCs."""
-        counts: dict[str, float] = {}
-        for instruction in kernel.instructions:
-            source = instruction.source_level
-            if source is None:
-                continue
-            counts[source] = counts.get(source, 0.0) + 1
-            isa_def = self.arch.isa.instruction(instruction.mnemonic)
-            key = "_stores" if isa_def.is_store else "_loads"
-            counts[key] = counts.get(key, 0.0) + 1
-        return counts

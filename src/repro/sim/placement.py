@@ -195,34 +195,39 @@ class Placement:
         across clusters, so power and noise salts canonicalize per
         segment.
         """
-        per_core = {
-            core: sorted(
-                range(len(self.core_groups[core])),
-                key=lambda slot: workload_key(self.core_groups[core][slot]),
-            )
-            for core in range(start, stop)
-        }
+        key_of: dict[int, tuple] = {}
+        per_core = {}
+        for core in range(start, stop):
+            keys = []
+            for workload in self.core_groups[core]:
+                key = key_of.get(id(workload))
+                if key is None:
+                    key = key_of[id(workload)] = workload_key(workload)
+                keys.append(key)
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            per_core[core] = (order, tuple(keys[slot] for slot in order))
         core_order = sorted(
-            range(start, stop),
-            key=lambda core: tuple(
-                workload_key(self.core_groups[core][slot])
-                for slot in per_core[core]
-            ),
+            range(start, stop), key=lambda core: per_core[core][1]
         )
         return [
-            (core, slot) for core in core_order for slot in per_core[core]
+            (core, slot) for core in core_order for slot in per_core[core][0]
         ]
 
-    def canonical_order(self) -> list[tuple[int, int]]:
+    def canonical_order(self) -> tuple[tuple[int, int], ...]:
         """``(core, slot)`` pairs in the placement's canonical order.
 
         Slots sort by workload identity within each core, and cores
         sort by their sorted identity tuples.  Any two placements that
         are within-core (or whole-core) permutations of each other
         share one canonical order, which is what makes chip power and
-        noise draws exactly permutation-invariant.
+        noise draws exactly permutation-invariant.  Placements are
+        frozen, so the order is computed once per instance.
         """
-        return self.segment_order(0, self.cores)
+        cached = self.__dict__.get("_canonical_order")
+        if cached is None:
+            cached = tuple(self.segment_order(0, self.cores))
+            object.__setattr__(self, "_canonical_order", cached)
+        return cached
 
     def canonical_salt(self) -> int:
         """Noise-seed salt, invariant under co-runner permutation.
@@ -230,17 +235,25 @@ class Placement:
         The homogeneous case returns the single kernel's digest (zero
         for protocol workloads), matching the salt ``Machine.run``
         uses -- a homogeneous placement therefore draws the exact same
-        sensor noise as the plain run it degenerates to.
+        sensor noise as the plain run it degenerates to.  Computed
+        once per (frozen) instance.
         """
+        cached = self.__dict__.get("_canonical_salt")
+        if cached is not None:
+            return cached
         workloads = self.thread_workloads
         if self.is_homogeneous:
             first = workloads[0]
-            return first.digest() if isinstance(first, Kernel) else 0
-        parts = [
-            workload_key(self.core_groups[core][slot])
-            for core, slot in self.canonical_order()
-        ]
-        return stable_seed(*parts)
+            cached = first.digest() if isinstance(first, Kernel) else 0
+        else:
+            cached = stable_seed(
+                *(
+                    workload_key(self.core_groups[core][slot])
+                    for core, slot in self.canonical_order()
+                )
+            )
+        object.__setattr__(self, "_canonical_salt", cached)
+        return cached
 
     def canonical_salt_for(self, topology) -> int:
         """Noise salt on a heterogeneous topology, segment-canonical.

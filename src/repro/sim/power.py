@@ -26,12 +26,7 @@ values, as the paper does.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
-
 from repro.march.definition import MicroArchitecture
-from repro.sim.activity import ThreadActivity
-from repro.sim.config import MachineConfig
 
 # -- static components (watts) ------------------------------------------------
 
@@ -164,15 +159,20 @@ def cmp_effect(cores: int) -> float:
 
 
 class GroundTruthPowerModel:
-    """Computes true chip power from per-thread activity vectors."""
+    """One core class's hidden energy tables.
+
+    The measurement plane (:mod:`repro.sim.vector`) evaluates true chip
+    power from per-thread activities with these per-mnemonic energies,
+    the module's unit/level energy tables and the class's dynamic
+    energy scale.
+    """
 
     def __init__(self, arch: MicroArchitecture) -> None:
         self.arch = arch
         self._energy_cache: dict[str, float] = {}
         # Low-power core classes (the eco LITTLE core) declare a
         # dynamic-energy discount in their definition file; the
-        # reference big core's 1.0 skips the multiplication entirely so
-        # every pre-heterogeneity power is reproduced bit for bit.
+        # reference big core's 1.0 leaves every thread's power exact.
         self.energy_scale = arch.chip.energy_scale
 
     def instruction_energy(self, mnemonic: str) -> float:
@@ -194,115 +194,6 @@ class GroundTruthPowerModel:
         self._energy_cache[mnemonic] = energy
         return energy
 
-    def thread_dynamic_power(self, activity: ThreadActivity) -> float:
-        """Dynamic watts dissipated by one hardware thread."""
-        order = order_multiplier(activity.alternation)
-        data = data_multiplier(activity.entropy)
-
-        if activity.insn_rates:
-            core_joules = sum(
-                self.instruction_energy(mnemonic) * 1e-9 * rate
-                for mnemonic, rate in activity.insn_rates.items()
-            )
-        else:
-            core_joules = sum(
-                PROFILE_UNIT_ENERGY_NJ.get(unit, 0.5) * 1e-9 * rate
-                * activity.unit_energy_bias.get(unit, 1.0)
-                for unit, rate in activity.unit_op_rates.items()
-            )
-
-        level_joules = sum(
-            LEVEL_ENERGY_NJ[level] * 1e-9 * rate
-            for level, rate in activity.level_rates.items()
-            if level in LEVEL_ENERGY_NJ
-        )
-        power = order * data * core_joules + data * level_joules
-        if self.energy_scale != 1.0:
-            power *= self.energy_scale
-        return power
-
-    def chip_power(
-        self,
-        thread_activities: Sequence[ThreadActivity],
-        config: MachineConfig,
-    ) -> float:
-        """True chip power (watts) for a running configuration.
-
-        DVFS scaling follows ``P = C * V^2 * f`` for the dynamic part:
-        the ``f`` term is already inside the per-second activity rates
-        (the machine re-clocks activities before measuring), so only
-        the ``V^2`` multiplier applies here.  The static components
-        (idle, uncore, CMP effect, SMT control logic) are modeled as
-        frequency-independent and are never scaled; the nominal
-        p-state therefore reproduces pre-DVFS power exactly.
-        """
-        active = any(
-            activity.instruction_rate > 0 for activity in thread_activities
-        )
-        power = IDLE_POWER
-        if active:
-            power += UNCORE_ACTIVE
-            power += cmp_effect(config.cores)
-            if config.smt_enabled:
-                power += SMT_LOGIC * config.cores
-            dynamic = sum(
-                self.thread_dynamic_power(activity)
-                for activity in thread_activities
-            )
-            p_state = config.p_state
-            if not p_state.is_nominal:
-                dynamic *= p_state.dynamic_scale
-            power += dynamic
-        return power
-
     def idle_power(self) -> float:
         """True power with no workload running."""
         return IDLE_POWER
-
-
-def topology_power(cluster_parts: Sequence[tuple], total_cores: int) -> float:
-    """True chip power of a heterogeneous multi-cluster chip, watts.
-
-    ``cluster_parts`` is one ``(cluster, power_model, activities)``
-    triple per cluster: the :class:`~repro.sim.topology.CoreCluster`,
-    the cluster core class's :class:`GroundTruthPowerModel`, and the
-    per-thread activity vectors of the cluster (already re-clocked to
-    the cluster's operating point).
-
-    Chip-level semantics generalize :meth:`GroundTruthPowerModel.chip_power`:
-    the idle floor and active-uncore power are chip-wide and counted
-    once; the *concave* part of the CMP effect grows with the total
-    enabled core count (the interconnect is shared) while the *linear*
-    per-core part is paid per cluster, scaled by the core class's
-    energy scale (little cores drive a smaller uncore share); SMT
-    control logic is paid per cluster whose SMT facility is on; and
-    each cluster's dynamic power is evaluated with its own core
-    class's energy model and scaled by its own operating point's
-    ``V^2`` term -- per-cluster DVFS domains.  A single-cluster part
-    list on the base class reproduces the homogeneous
-    :func:`cmp_effect` value (``energy_scale`` is 1.0 there), summed
-    in per-term order.
-    """
-    active = any(
-        activity.instruction_rate > 0
-        for _, _, activities in cluster_parts
-        for activity in activities
-    )
-    power = IDLE_POWER
-    if active:
-        power += UNCORE_ACTIVE
-        power += CMP_CONCAVE * total_cores ** CMP_EXPONENT
-        for cluster, model, _ in cluster_parts:
-            power += CMP_LINEAR * cluster.cores * model.energy_scale
-            if cluster.smt_enabled:
-                power += SMT_LOGIC * cluster.cores
-        for cluster, model, activities in cluster_parts:
-            dynamic = sum(
-                model.thread_dynamic_power(activity)
-                for activity in activities
-            )
-            p_state = cluster.p_state
-            if not p_state.is_nominal:
-                dynamic *= p_state.dynamic_scale
-            power += dynamic
-    return power

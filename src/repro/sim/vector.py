@@ -1,15 +1,13 @@
-"""Array-backed evaluation plane: whole measurement plans as tensors.
+"""The measurement plane: whole cell batches as fused tensor programs.
 
-The scalar walk (:meth:`repro.sim.machine.Machine._measure`) evaluates
-one (kernel, configuration, window) cell at a time through per-mnemonic
-dict arithmetic.  This module compiles the same analytic state into
-dense NumPy arrays and evaluates an entire plan's worth of cells --
-spanning *different* configurations, heterogeneous
-:class:`~repro.sim.topology.ChipTopology` chips and windows -- in one
-vectorized pass.
+Every measurement the machine takes runs here.  One batch of
+``(workload, configuration, window)`` cells -- spanning different
+configurations, heterogeneous
+:class:`~repro.sim.topology.ChipTopology` chips, windows and every
+workload kind -- compiles once into a fused program
+(:class:`_FusedProgram`) and executes as whole-array passes.
 
-The unit of execution is a **fused per-lane tensor program**
-(:class:`_FusedProgram`): one batch of cells compiles -- once -- into
+Compilation resolves, once per batch,
 
 * a **packed** form of :class:`~repro.sim.summary.KernelSummary` --
   fixed unit/level/counter index spaces derived from the architecture,
@@ -19,11 +17,15 @@ The unit of execution is a **fused per-lane tensor program**
 * packed kernels stacked into ``(kernels x units)`` / ``(kernels x
   levels)`` matrices, memoized under a **canonical (digest-sorted)
   batch key** so permuted compositions of the same kernel set share
-  one stack, and gathered per cell by row index at compile time;
+  one stack, and gathered per cell by row index;
+* **activity rows** for every thread that does not run a plain kernel
+  replica: a protocol workload's ``thread_activity`` (once per
+  workload object, SMT way and core class), the cached steady state of
+  a kernel placed on a homogeneous core, or one slot of a mixed-kernel
+  core's contention solve (through the machine's mixed-core cache);
 * per-configuration scalar **broadcast tables** (SMT share, frequency
-  scale, effective clock, static power, dynamic V^2 scale) repeated
-  across each configuration's cell span, computed once per ladder in
-  plain Python with bit-for-bit the scalar walk's arithmetic;
+  scale, effective clock, static power, dynamic V^2 scale), computed
+  in plain Python with the ground-truth model's operation order;
 * the per-cell ``stable_seed`` values and their sensor draw constants
   (resolved through the sensor draw cache, see
   :func:`repro.sim.sensors.draw_constants`), bucketed per window
@@ -33,50 +35,52 @@ The unit of execution is a **fused per-lane tensor program**
   class's own lane (its own widths, unit mix, cache latencies, clock
   and energy scale).
 
-Executing the program then runs the steady-state bounds, activity,
-performance-counter synthesis, hidden-power and sensor stages as *one
-fused pass per lane* -- pure elementwise tensor arithmetic with no
-Python orchestration between stages -- and assembles Measurements
-through a lazy counters view that defers per-cell dict
-materialization until a reader asks.  ``Machine.run_plan`` keys
-compiled programs weakly by plan object, so a resident campaign
-(service engines, perf-bench steady state, DSE loops) re-executes the
-same plan at tensor speed with zero recompilation.
+Executing the program then runs the steady-state bounds, re-clock,
+performance-counter synthesis, per-thread dynamic power, the chip and
+per-cluster sums, the ``V^2`` scaling and the sensor stage as
+elementwise tensor arithmetic with no per-cell Python between stages,
+and assembles Measurements through a lazy counters view that defers
+per-cell dict materialization until a reader asks.
+``Machine.run_plan`` keys compiled programs weakly by plan object, so
+a resident campaign (service engines, perf-bench steady state, DSE
+loops) re-executes the same plan with zero recompilation.
 
-**Bit-identity contract.**  Every floating-point operation of the
-scalar walk is replayed here with the same operand values in the same
-order (IEEE-754 double arithmetic is deterministic, and NumPy
-elementwise ops round exactly like Python floats), and reductions whose
-accumulation order matters (the per-mnemonic energy sums, the
-per-thread dynamic-power sum, the per-cluster dynamic accumulation)
-are evaluated as explicit sequential adds rather than ``np.sum``
-(whose pairwise blocking would re-associate them).  The vectorized
-path therefore produces *bit-identical* Measurements -- counters,
-powers and sensor noise draws -- to the scalar reference, which stays
-in place as the executable specification and property-test oracle
-(``tests/sim/test_vector_plane.py``,
-``tests/sim/test_heterogeneous_machine.py``).
+**Bit-identity contract.**  Measurements are pure functions of cell
+content: the same floating-point operations on the same operands in
+the same order as the per-cell scalar definition kept as the
+differential test oracle (``tests/oracle/``).  IEEE-754 double
+arithmetic is deterministic and NumPy elementwise ops round exactly
+like Python floats; reductions whose accumulation order matters (the
+per-mnemonic and per-unit energy sums, the per-thread dynamic-power
+sum in canonical slot order, the per-cluster accumulation) run as
+explicit sequential adds rather than ``np.sum``, whose pairwise
+blocking would re-associate them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import chain
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 from zlib import crc32
 
 import numpy as np
 
 from repro.caching import LRUCache
+from repro.errors import MeasurementError
 from repro.measure.measurement import Measurement
 from repro.sim.config import MachineConfig
 from repro.sim.kernel import Kernel
 from repro.sim.pipeline import MSHRS_PER_THREAD, SMT_OVERHEAD
+from repro.sim.placement import Placement
 from repro.sim.power import (
     CMP_CONCAVE,
     CMP_EXPONENT,
     CMP_LINEAR,
     IDLE_POWER,
     LEVEL_ENERGY_NJ,
+    PROFILE_UNIT_ENERGY_NJ,
     SMT_LOGIC,
     UNCORE_ACTIVE,
     cmp_effect,
@@ -96,10 +100,6 @@ PACKED_CACHE_LIMIT = 65_536
 #: Stacked batch matrices retained per lane (LRU past this); a
 #: configuration sweep re-uses one stack across its whole ladder.
 STACK_CACHE_LIMIT = 256
-#: Below this many kernel cells the scalar walk is faster than the
-#: tensor pass's fixed setup cost.  Both paths are bit-identical, so
-#: this is purely a latency knob.
-MIN_VECTOR_BATCH = 8
 
 
 class PackedKernel:
@@ -132,11 +132,11 @@ class PackedKernel:
         self.entropy = summary.entropy
         # Kernels always commit work (empty loop bodies are rejected at
         # construction); the flag guards the idle-power degenerate case
-        # exactly as the scalar walk's activity check does.
+        # of a thread committing nothing.
         self.active = bool(summary.mnemonic_counts)
         # Per-mnemonic energies and counts, in the summary's dict
-        # insertion order: the scalar energy sum iterates that order,
-        # and sequential column adds must replay it term for term.
+        # insertion order: the energy sum is defined in that order,
+        # and sequential column adds replay it term for term.
         items = list(summary.mnemonic_counts.items())
         self.insn_e9 = np.array(
             [power_model.instruction_energy(m) * 1e-9 for m, _ in items]
@@ -187,7 +187,7 @@ class _KernelStack:
         self.miss_latency = np.array([pack.miss_latency for pack in packs])
         # The order/data multipliers only depend on the kernel, so they
         # stack once per batch composition; computed with the exact
-        # scalar helpers so each element carries the scalar's bits.
+        # power model's helpers so each element carries their bits.
         self.order_mult = np.array(
             [order_multiplier(pack.alternation) for pack in packs]
         )
@@ -219,11 +219,11 @@ class _KernelStack:
 
 
 def _sequential_row_sum(terms: np.ndarray) -> np.ndarray:
-    """Left-to-right row sums, replaying Python's ``sum()`` exactly.
+    """Left-to-right row sums starting from zero, one rounding per add.
 
     ``np.sum`` uses pairwise blocking, which re-associates the
-    floating-point adds; the scalar reference accumulates strictly left
-    to right starting from zero, so the vector plane must too.
+    floating-point adds; the energy and thread sums are defined
+    strictly left to right, so the plane accumulates column by column.
     """
     total = np.zeros(terms.shape[0])
     for column in range(terms.shape[1]):
@@ -236,14 +236,14 @@ def _sequential_row_sum(terms: np.ndarray) -> np.ndarray:
 # At fused-program throughput the dominant per-cell cost is no longer
 # arithmetic but *materializing* each cell's counter dict (16-odd
 # float boxings plus a dict build per hardware-thread view).  The
-# program instead hands每 measurement a lazy, read-only mapping over
+# program instead hands each measurement a lazy, read-only mapping over
 # its row of the counters matrix: construction is one tuple allocation
 # (matrix reference + row index), and values box to Python floats only
 # when a reader actually asks.  The view satisfies the Mapping
-# contract -- ``dict(view)``, ``items()``, ``get``, equality with the
-# scalar walk's plain dicts -- and pickles/deep-copies *as* a plain
-# dict, so worker-process results and serialized store records are
-# indistinguishable from scalar-plane output.
+# contract -- ``dict(view)``, ``items()``, ``get``, equality with
+# plain dicts -- and pickles/deep-copies *as* a plain dict, so
+# worker-process results and serialized store records carry plain
+# counter dicts.
 
 
 class _LazyReadings(tuple):
@@ -317,12 +317,12 @@ class _LazyReadings(tuple):
             return result
         return not result
 
-    # Mutable-mapping parity with the scalar walk's dicts: unhashable.
+    # Mutable-mapping parity with plain counter dicts: unhashable.
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):
-        # Pickle (worker pipes) and deepcopy materialize to the plain
-        # dict the scalar walk would have produced.
+        # Pickle (worker pipes) and deepcopy materialize to a plain
+        # dict.
         return (dict, (list(zip(self._names, self._values())),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -385,8 +385,8 @@ class _Lane:
         self.frequency = arch.chip.cycles_per_second
         self.energy_scale = arch.chip.energy_scale
         self.unit_names = tuple(arch.units)
-        # Fixed counter layout: exactly the key order
-        # ``counters_from_activity`` emits.
+        # Fixed counter layout: cycles, instructions, one counter per
+        # unit, L1 loads and stores, then one per deeper level.
         names = ["PM_RUN_CYC", "PM_RUN_INST_CMPL"]
         names.extend(unit.counter for unit in arch.units.values())
         names.extend(["PM_LD_REF_L1", "PM_ST_REF_L1"])
@@ -491,15 +491,8 @@ def _group_span(cells, span: Sequence[int]):
     return kernels, cell_rows, list(groups.values())
 
 
-def _sensor_buckets(groups, group_sizes, seeds):
-    """Per-window sensor tables: positions, draw constants, sigma.
-
-    Windows can differ across groups; draws are per-cell-seeded, so
-    bucketing by duration cannot change them.  Draw constants resolve
-    once at compile time through the sensor draw cache (vectorized
-    MT19937 seeding for wide fresh batches), leaving the program's
-    per-execution sensor stage pure elementwise arithmetic.
-    """
+def _group_durations(groups, group_sizes, seeds) -> dict:
+    """``{window: (positions, seeds)}`` of group-ordered cells."""
     by_duration: dict[float, tuple[list[int], list[int]]] = {}
     position = 0
     for group, count in zip(groups, group_sizes):
@@ -507,6 +500,18 @@ def _sensor_buckets(groups, group_sizes, seeds):
         bucket[0].extend(range(position, position + count))
         bucket[1].extend(seeds[position : position + count])
         position += count
+    return by_duration
+
+
+def _sensor_buckets(by_duration: dict) -> list[tuple]:
+    """Per-window sensor tables: positions, draw constants, sigma.
+
+    Windows can differ across cells; draws are per-cell-seeded, so
+    bucketing by duration cannot change them.  Draw constants resolve
+    once at compile time through the sensor draw cache (vectorized
+    MT19937 seeding for wide fresh batches), leaving the program's
+    per-execution sensor stage pure elementwise arithmetic.
+    """
     buckets = []
     for duration, (positions, bucket_seeds) in by_duration.items():
         sample_count = max(1, int(duration / SAMPLE_INTERVAL_S))
@@ -586,8 +591,8 @@ class _FusedSpan:
         machine_frequency = machine.frequency
 
         # Per-configuration scalars, computed once per group in plain
-        # Python (bit-for-bit the scalar walk's arithmetic) and
-        # repeated across the group's cell span: the broadcast tables.
+        # Python and repeated across the group's cell span: the
+        # broadcast tables.
         group_sizes = []
         share_g, fs_g, freq_eff_g, duration_g = [], [], [], []
         dyn_scale_g, static_g = [], []
@@ -665,9 +670,9 @@ class _FusedSpan:
         self.g_active = stack.active[krows]
         self.all_active = stack.all_active
 
-        # Sensor plane: per-cell stable_seed draws, exactly as the
-        # scalar walk salts them (workload name, configuration label,
-        # window, machine seed, kernel digest).
+        # Sensor plane: per-cell stable_seed draws salted by workload
+        # name, configuration label, window, machine seed and kernel
+        # digest.
         names = [kernel.name for kernel in kernels]
         digests = [kernel.digest() for kernel in kernels]
         span_rows_list = span_rows.tolist()
@@ -681,7 +686,9 @@ class _FusedSpan:
                     crc32(f"{names[row]}{mid}{digests[row]}".encode())
                 )
             position += count
-        self.sensor_buckets = _sensor_buckets(groups, group_sizes, seeds)
+        self.sensor_buckets = _sensor_buckets(
+            _group_durations(groups, group_sizes, seeds)
+        )
 
     def execute(self, out: list) -> None:
         """One fused pass: physics, sensors, assembly, in lane order."""
@@ -705,9 +712,8 @@ class _FusedSpan:
         ipc = size / period
 
         # Performance counters: a (cells x counters) matrix in the
-        # scalar synthesizer's exact column order and operand order
-        # (rate = (per-iteration count * iterations) * freq_scale, then
-        # * duration).
+        # lane's column order (rate = (per-iteration count *
+        # iterations) * freq_scale, then * duration).
         rate_scale = iterations[:, None]
         unit_block = (
             (self.g_unit_ops * rate_scale) * fs_col
@@ -737,13 +743,12 @@ class _FusedSpan:
         ) * core_joules + self.g_data_mult * level_joules
         # A machine whose *base* class declares a dynamic-energy scale
         # (running the eco definition directly, as per-cluster
-        # campaigns do) scales here exactly like the scalar walk's
-        # thread_dynamic_power.
+        # campaigns do) scales every thread's power by it.
         if lane.energy_scale != 1.0:
             thread_dynamic = thread_dynamic * lane.energy_scale
-        # The scalar walk sums the identical per-thread power once per
-        # hardware thread; replay that accumulation exactly (the thread
-        # count is constant per configuration segment).
+        # The chip sums the identical per-thread power once per
+        # hardware thread, sequentially (the thread count is constant
+        # per configuration segment).
         dynamic = np.empty(self.cell_count)
         for start, stop, threads in self.thread_segments:
             segment = thread_dynamic[start:stop]
@@ -796,13 +801,13 @@ class _FusedTopoSpan:
     """Fused program for the heterogeneous (ChipTopology) cells.
 
     Each (topology, window) group evaluates cluster by cluster through
-    the cluster core class's lane, replaying the scalar topology walk
-    exactly: static chip power accumulated in plain Python floats, each
-    cluster's per-thread dynamic power summed by sequential adds and
-    ``V^2``-scaled by its own operating point, counters synthesized at
-    each cluster's effective clock.  All grouping, stacking, gathers,
-    per-cluster scalars, seeds and draw constants resolve at compile
-    time; execution is one fused pass per (group, lane).
+    the cluster core class's lane: static chip power accumulated in
+    plain Python floats, each cluster's per-thread dynamic power summed
+    by sequential adds and ``V^2``-scaled by its own operating point,
+    counters synthesized at each cluster's effective clock.  All
+    grouping, stacking, gathers, per-cluster scalars, seeds and draw
+    constants resolve at compile time; execution is one fused pass per
+    (group, lane).
     """
 
     __slots__ = (
@@ -838,10 +843,10 @@ class _FusedTopoSpan:
             scatter.extend(group.cells)
             group_rows = rows[np.asarray(group.cells, dtype=np.intp)]
 
-            # Static chip power: plain-float accumulation in the exact
-            # order of power.topology_power (concave CMP part over the
-            # total core count, the linear per-core part per cluster
-            # scaled by its class's energy scale).
+            # Static chip power: plain-float accumulation (idle,
+            # uncore, concave CMP part over the total core count, then
+            # per cluster the linear per-core part scaled by its
+            # class's energy scale and the SMT logic).
             static = IDLE_POWER
             static += UNCORE_ACTIVE
             static += CMP_CONCAVE * topology.cores ** CMP_EXPONENT
@@ -906,7 +911,7 @@ class _FusedTopoSpan:
             )
 
             mid = f"|{topology.label}|{duration}|{machine_seed}|"
-            for row in krows_names_rows(group_rows):
+            for row in group_rows.tolist():
                 seeds.append(
                     crc32(f"{names[row]}{mid}{digests[row]}".encode())
                 )
@@ -916,7 +921,9 @@ class _FusedTopoSpan:
         self.targets = [span[index] for index in scatter]
         self.cell_names = cell_names
         self.group_runs = group_runs
-        self.sensor_buckets = _sensor_buckets(groups, group_sizes, seeds)
+        self.sensor_buckets = _sensor_buckets(
+            _group_durations(groups, group_sizes, seeds)
+        )
 
     def execute(self, out: list) -> None:
         power = np.empty(self.cell_count)
@@ -1025,52 +1032,570 @@ class _FusedTopoSpan:
                 out[targets[position]] = measurement
 
 
-def krows_names_rows(group_rows: np.ndarray) -> list[int]:
-    """Unique-kernel row per group cell, as Python ints."""
-    return group_rows.tolist()
+
+
+class _ActivityRow(NamedTuple):
+    """One nominal thread activity, packed for one lane.
+
+    ``core_terms`` are ``(nJ*1e-9, rate, bias)`` triples in the
+    activity's own dict order: per mnemonic when the activity knows its
+    mnemonics (bias 1.0, an exact identity multiply), else per unit
+    with the generic profile energies (0.5 nJ for a unit the table does
+    not know) and the workload's unit-energy bias.  ``level_terms`` are
+    ``(nJ*1e-9, rate)`` pairs of the levels with an access energy.
+    ``unit_rates`` and ``level_rates`` follow the lane's counter
+    columns.
+    """
+
+    ipc: float
+    unit_rates: list
+    level_rates: list
+    core_terms: list
+    level_terms: list
+    order_data: float
+    data: float
+    instruction_rates: list
+
+
+_ZERO_ROW = _ActivityRow(0.0, [], [], [], [], 0.0, 0.0, [])
+
+
+class _Segment(NamedTuple):
+    """One cluster of a cell's chip (the whole chip when homogeneous)."""
+
+    lane: "_Lane"
+    lane_index: int  # position in the span's counter tables
+    class_key: str | None
+    view: object  # what protocol workloads see as the machine
+    smt: int
+    cores: int
+    threads: int
+    freq_scale: float
+    dyn_scale: float  # V^2 factor, 1.0 at the nominal p-state
+
+
+def _pack_activity(activity, lane) -> _ActivityRow:
+    """One nominal thread activity as plain per-lane rows."""
+    if activity.insn_rates:
+        energy = lane.power.instruction_energy
+        core = [
+            (energy(mnemonic) * 1e-9, rate, 1.0)
+            for mnemonic, rate in activity.insn_rates.items()
+        ]
+        instruction_rates = list(activity.insn_rates.values())
+    else:
+        bias = activity.unit_energy_bias
+        core = [
+            (PROFILE_UNIT_ENERGY_NJ.get(unit, 0.5) * 1e-9, rate,
+             bias.get(unit, 1.0))
+            for unit, rate in activity.unit_op_rates.items()
+        ]
+        instruction_rates = list(activity.unit_op_rates.values())
+    level = [
+        (LEVEL_ENERGY_NJ[name] * 1e-9, rate)
+        for name, rate in activity.level_rates.items()
+        if name in LEVEL_ENERGY_NJ
+    ]
+    data = data_multiplier(activity.entropy)
+    return _ActivityRow(
+        activity.ipc,
+        [activity.unit_op_rates.get(name, 0.0) for name in lane.unit_names],
+        [
+            activity.level_rates.get(name, 0.0)
+            for name in lane.counter_level_names
+        ],
+        core,
+        level,
+        order_multiplier(activity.alternation) * data,
+        data,
+        instruction_rates,
+    )
+
+
+def _padded(rows: list, fields: int) -> list[np.ndarray]:
+    """Ragged term lists as ``fields`` zero-padded ``(rows x terms)``
+    matrices (a zero term adds exactly nothing to a sequential sum)."""
+    width = max(map(len, rows))
+    out = [np.zeros((len(rows), width)) for _ in range(fields)]
+    for row, terms in enumerate(rows):
+        for field, column in enumerate(zip(*terms)):
+            out[field][row, : len(column)] = column
+    return out
+
+
+class _CounterTable:
+    """One lane's counter rows: an (instance, window) pair each."""
+
+    __slots__ = ("lane", "ipc", "units", "levels", "fs", "window")
+
+    def __init__(self, lane, rows, scales, keys) -> None:
+        self.lane = lane
+        self.ipc = np.array([rows[inst].ipc for inst, _ in keys])
+        self.units = np.array(
+            [rows[inst].unit_rates for inst, _ in keys]
+        ).reshape(len(keys), len(lane.unit_names))
+        self.levels = np.array(
+            [rows[inst].level_rates for inst, _ in keys]
+        ).reshape(len(keys), len(lane.counter_level_names))
+        self.fs = np.array([scales[inst] for inst, _ in keys])
+        self.window = np.array([window for _, window in keys])
+
+    def counters(self) -> np.ndarray:
+        """The rows' readings, in the lane's counter column order.
+
+        Rates re-clock first, ``(rate * freq_scale) * window``; cycles
+        accrue at the effective clock.
+        """
+        lane = self.lane
+        fs = self.fs
+        window = self.window
+        frequency = lane.frequency * fs
+        units = len(lane.unit_names)
+        matrix = np.empty((fs.shape[0], len(lane.counter_names)))
+        matrix[:, 0] = frequency * window
+        matrix[:, 1] = (self.ipc * frequency) * window
+        matrix[:, 2 : 2 + units] = (
+            self.units * fs[:, None]
+        ) * window[:, None]
+        matrix[:, 2 + units :] = (
+            self.levels * fs[:, None]
+        ) * window[:, None]
+        return matrix
+
+
+class _FusedRowSpan:
+    """Fused program for protocol-workload and placement cells.
+
+    Each hardware thread of these cells runs a resolved nominal
+    activity (see the module docstring).  Compilation packs every
+    distinct (activity, core class lane, frequency scale) triple into
+    an *instance* row and every (instance, window) pair into a counter
+    row of its lane.  A cell is then a list of instances per cluster
+    segment in canonical slot order (one segment on a homogeneous
+    chip), a static chip power, and per-thread counter rows in
+    declaration order.  Execution evaluates the re-clocked per-thread
+    dynamic power once per instance, sums each segment's threads
+    column by column (padding slots hold the zero instance, which adds
+    exactly nothing), scales it by the segment's ``V^2`` term, and runs
+    the shared sensor stage.
+    """
+
+    __slots__ = (
+        "cell_count",
+        "targets",
+        "fields",
+        "runs",
+        "tables",
+        "i_fs",
+        "i_scale",
+        "i_od",
+        "i_data",
+        "i_core",
+        "i_level",
+        "static",
+        "segments",
+        "active",
+        "all_active",
+        "sensor_buckets",
+    )
+
+    def __init__(self, plane, cells, span: Sequence[int]) -> None:
+        machine = plane.machine
+        machine_seed = machine.seed
+        protocol: dict[tuple, object] = {}
+        core_memo: dict[tuple, list] = {}
+
+        def resolve(workload, smt, class_key, view):
+            if isinstance(workload, Kernel):
+                return machine._nominal_activity(
+                    workload, smt, class_key, view
+                )
+            key = (id(workload), smt, id(view))
+            activity = protocol.get(key)
+            if activity is None:
+                activity = machine._nominal_activity(
+                    workload, smt, class_key, view
+                )
+                protocol[key] = activity
+            return activity
+
+        # Instance 0 is the zero thread that pads ragged segments.
+        instance_of: dict[tuple, int] = {}
+        instances: list = [(None, None, 1.0)]
+
+        def instance(lane, activity, fs) -> int:
+            key = (id(activity), id(lane), fs)
+            found = instance_of.get(key)
+            if found is None:
+                found = instance_of[key] = len(instances)
+                instances.append((lane, activity, fs))
+            return found
+
+        lanes: list = []
+        lane_of: dict[int, int] = {}
+        row_of: list[dict] = []
+
+        def counter_row(lane_index: int, inst: int, duration) -> int:
+            rows = row_of[lane_index]
+            key = (inst, duration)
+            found = rows.get(key)
+            if found is None:
+                found = rows[key] = len(rows)
+            return found
+
+        slot_memo: dict[tuple, tuple] = {}
+
+        def core_rows(group, segment, duration) -> tuple[list, list]:
+            """``(instances, counter rows)`` of one placed core's slots.
+
+            Memoized on the co-runners' object identities (the batch
+            keeps them alive): their activities per core class and SMT
+            way, their instances and rows per segment and window.
+            """
+            ids = tuple(map(id, group))
+            key = (id(segment), duration, ids)
+            found = slot_memo.get(key)
+            if found is None:
+                solved = (
+                    segment.class_key, segment.smt, id(segment.view), ids
+                )
+                activities = core_memo.get(solved)
+                if activities is None:
+                    activities = core_memo[solved] = (
+                        machine._nominal_core_activities(
+                            group,
+                            segment.smt,
+                            segment.class_key,
+                            segment.view,
+                            resolve,
+                        )
+                    )
+                insts = [
+                    instance(segment.lane, activity, segment.freq_scale)
+                    for activity in activities
+                ]
+                found = slot_memo[key] = (
+                    insts,
+                    [
+                        counter_row(segment.lane_index, inst, duration)
+                        for inst in insts
+                    ],
+                )
+            return found
+
+        contexts: dict[int, tuple] = {}
+
+        def context(config) -> tuple:
+            """``(label, topology?, static power, segments)``."""
+            segments = []
+            if isinstance(config, ChipTopology):
+                static = IDLE_POWER
+                static += UNCORE_ACTIVE
+                static += CMP_CONCAVE * config.cores ** CMP_EXPONENT
+                clusters = config.clusters
+                for cluster in clusters:
+                    lane = plane._lane(cluster.core_class)
+                    static += CMP_LINEAR * cluster.cores * lane.energy_scale
+                    if cluster.smt_enabled:
+                        static += SMT_LOGIC * cluster.cores
+                for cluster in clusters:
+                    class_key = machine._class_key(cluster.core_class)
+                    segments.append(
+                        (cluster, class_key, machine._parts(class_key)[3])
+                    )
+            else:
+                static = IDLE_POWER
+                static += UNCORE_ACTIVE
+                static += cmp_effect(config.cores)
+                if config.smt_enabled:
+                    static += SMT_LOGIC * config.cores
+                segments.append((config, None, machine))
+            resolved = []
+            for part, class_key, view in segments:
+                lane = plane._lane(class_key)
+                index = lane_of.get(id(lane))
+                if index is None:
+                    index = lane_of[id(lane)] = len(lanes)
+                    lanes.append(lane)
+                    row_of.append({})
+                p_state = part.p_state
+                resolved.append(
+                    _Segment(
+                        lane,
+                        index,
+                        class_key,
+                        view,
+                        part.smt,
+                        part.cores,
+                        part.threads,
+                        p_state.freq_scale,
+                        1.0 if p_state.is_nominal else p_state.dynamic_scale,
+                    )
+                )
+            return (
+                config.label,
+                isinstance(config, ChipTopology),
+                static,
+                resolved,
+            )
+
+        targets: list[int] = []
+        fields: list[tuple] = []
+        runs: list[list] = []
+        static: list[float] = []
+        cell_slots: list[list] = []
+        cell_dyn: list[list] = []
+        by_duration: dict[float, tuple[list, list]] = {}
+        for index in span:
+            workload, config, duration = cells[index]
+            ctx = contexts.get(id(config))
+            if ctx is None:
+                ctx = contexts[id(config)] = context(config)
+            label, topology, chip_static, segments = ctx
+            cell_runs: list = []
+            slots: list = []
+            if isinstance(workload, Placement):
+                try:
+                    workload.validate_against(config)
+                except ValueError as exc:
+                    raise MeasurementError(str(exc)) from None
+                groups = workload.core_groups
+                offset = 0
+                for segment in segments:
+                    lane_index = segment.lane_index
+                    cores = segment.cores
+                    core_instances = []
+                    for group in groups[offset : offset + cores]:
+                        insts, rows = core_rows(group, segment, duration)
+                        core_instances.append(insts)
+                        for row in rows:
+                            last = cell_runs[-1] if cell_runs else None
+                            if last and last[0] == lane_index and last[1] == row:
+                                last[2] += 1
+                            else:
+                                cell_runs.append([lane_index, row, 1])
+                    order = (
+                        workload.segment_order(offset, offset + cores)
+                        if topology
+                        else workload.canonical_order()
+                    )
+                    slots.append(
+                        [
+                            core_instances[core - offset][slot]
+                            for core, slot in order
+                        ]
+                    )
+                    offset += cores
+                name = workload.name
+                salt = (
+                    workload.canonical_salt_for(config)
+                    if topology
+                    else workload.canonical_salt()
+                )
+                thread_workloads = workload.thread_names
+            else:
+                for segment in segments:
+                    activity = resolve(
+                        workload, segment.smt, segment.class_key, segment.view
+                    )
+                    inst = instance(segment.lane, activity, segment.freq_scale)
+                    row = counter_row(segment.lane_index, inst, duration)
+                    cell_runs.append([segment.lane_index, row, segment.threads])
+                    slots.append([inst] * segment.threads)
+                name = workload.name
+                salt = 0
+                thread_workloads = None
+            position = len(targets)
+            targets.append(index)
+            fields.append(
+                (
+                    name,
+                    config,
+                    duration,
+                    max(1, int(duration / SAMPLE_INTERVAL_S)),
+                    thread_workloads,
+                )
+            )
+            runs.append(cell_runs)
+            static.append(chip_static)
+            cell_slots.append(slots)
+            cell_dyn.append([segment.dyn_scale for segment in segments])
+            bucket = by_duration.get(duration)
+            if bucket is None:
+                bucket = by_duration[duration] = ([], [])
+            bucket[0].append(position)
+            bucket[1].append(
+                crc32(
+                    f"{name}|{label}|{duration}|{machine_seed}|{salt}".encode()
+                )
+            )
+
+        count = len(targets)
+        self.cell_count = count
+        self.targets = targets
+        self.fields = fields
+        self.runs = runs
+        self.static = np.asarray(static, dtype=np.float64)
+        self.sensor_buckets = _sensor_buckets(by_duration)
+
+        # Instance tables: one packed row per (activity, lane, scale);
+        # an activity runs when its re-clocked instruction rate is
+        # positive.
+        row_of_activity: dict[tuple, _ActivityRow] = {}
+        rows = [_ZERO_ROW]
+        for lane, activity, _ in instances[1:]:
+            key = (id(activity), id(lane))
+            row = row_of_activity.get(key)
+            if row is None:
+                row = row_of_activity[key] = _pack_activity(activity, lane)
+            rows.append(row)
+        scales = [fs for _, _, fs in instances]
+        active = [
+            sum([rate * fs for rate in row.instruction_rates]) > 0
+            for row, fs in zip(rows, scales)
+        ]
+        self.i_fs = np.array(scales)
+        self.i_scale = np.array(
+            [1.0] + [lane.energy_scale for lane, _, _ in instances[1:]]
+        )
+        self.i_od = np.array([row.order_data for row in rows])
+        self.i_data = np.array([row.data for row in rows])
+        self.i_core = _padded([row.core_terms for row in rows], 3)
+        self.i_level = _padded([row.level_terms for row in rows], 2)
+        self.tables = [
+            _CounterTable(lane, rows, scales, list(keys))
+            for lane, keys in zip(lanes, row_of)
+        ]
+
+        # Per segment position: a (slots x cells) instance matrix in
+        # canonical slot order, padded with the zero instance, plus
+        # the segment's V^2 factor (1.0 where a cell has no segment).
+        inst_active = np.asarray(active)
+        cell_active = np.zeros(count, dtype=bool)
+        self.segments = []
+        depth = max((len(slots) for slots in cell_slots), default=0)
+        for segment in range(depth):
+            lists = [
+                slots[segment] if segment < len(slots) else ()
+                for slots in cell_slots
+            ]
+            lengths = np.fromiter(map(len, lists), np.intp, count)
+            total = int(lengths.sum())
+            flat = np.fromiter(chain.from_iterable(lists), np.intp, total)
+            matrix = np.zeros((int(lengths.max()), count), dtype=np.intp)
+            starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            matrix[
+                np.arange(total) - starts,
+                np.repeat(np.arange(count), lengths),
+            ] = flat
+            dyn = np.array(
+                [
+                    factors[segment] if segment < len(factors) else 1.0
+                    for factors in cell_dyn
+                ]
+            )
+            cell_active |= inst_active[matrix].any(axis=0)
+            self.segments.append((matrix, dyn))
+        self.active = cell_active
+        self.all_active = bool(cell_active.all())
+
+    def execute(self, out: list) -> None:
+        fs = self.i_fs[:, None]
+        coef, rate, bias = self.i_core
+        core_joules = _sequential_row_sum((coef * (rate * fs)) * bias)
+        coef, rate = self.i_level
+        level_joules = _sequential_row_sum(coef * (rate * fs))
+        thread_power = (
+            (self.i_od * core_joules) + (self.i_data * level_joules)
+        ) * self.i_scale
+
+        power = self.static
+        for matrix, dyn in self.segments:
+            dynamic = np.zeros(self.cell_count)
+            for column in matrix:
+                dynamic = dynamic + thread_power[column]
+            power = power + dynamic * dyn
+        if not self.all_active:
+            power = np.where(self.active, power, IDLE_POWER)
+        means = _apply_sensor(power, self.sensor_buckets)
+
+        # One read-only view per counter row, shared by every thread
+        # (and cell) running that row's activity.
+        views = [
+            [
+                table.lane.readings_cls((matrix, row))
+                for row in range(matrix.shape[0])
+            ]
+            for table in self.tables
+            for matrix in (table.counters(),)
+        ]
+        new = object.__new__
+        targets = self.targets
+        runs = self.runs
+        for position, (name, config, duration, samples, thread_names) in (
+            enumerate(self.fields)
+        ):
+            thread_counters = ()
+            for lane_index, row, threads in runs[position]:
+                thread_counters += (views[lane_index][row],) * threads
+            measurement = new(Measurement)
+            measurement.__dict__.update(
+                workload_name=name,
+                config=config,
+                duration=duration,
+                thread_counters=thread_counters,
+                mean_power=means[position],
+                power_std=SAMPLE_NOISE_W,
+                sample_count=samples,
+                thread_workloads=thread_names,
+            )
+            out[targets[position]] = measurement
 
 
 class _FusedProgram:
-    """A whole cell batch compiled to fused spans plus passthrough.
+    """A whole cell batch compiled to fused spans.
 
-    Kernel cells -- homogeneous and topology spans alike -- execute as
-    fused tensor passes; placements and protocol workloads re-measure
-    through the scalar walk cell by cell (order preserved), exactly as
-    the pre-fusion plane routed them.
+    Plain kernel cells on homogeneous chips and on topologies compile
+    into the kernel spans; protocol workloads and placements compile
+    into the activity-row span.  Every cell of the batch belongs to
+    exactly one span, and each span writes its results straight into
+    the caller's cell order.
     """
 
-    __slots__ = ("machine", "size", "spans", "passthrough")
+    __slots__ = ("size", "spans")
 
-    def __init__(self, plane, cells, kernel_span, topo_span) -> None:
-        self.machine = plane.machine
+    def __init__(self, plane, cells) -> None:
         self.size = len(cells)
+        kernel_span: list[int] = []
+        topo_span: list[int] = []
+        row_span: list[int] = []
+        for index, (workload, config, duration) in enumerate(cells):
+            if duration <= 0:
+                raise ValueError("duration must be positive")
+            if isinstance(workload, Kernel):
+                if isinstance(config, ChipTopology):
+                    topo_span.append(index)
+                else:
+                    kernel_span.append(index)
+            else:
+                row_span.append(index)
         self.spans = []
-        covered: set[int] = set()
-        if kernel_span is not None:
+        if kernel_span:
             self.spans.append(_FusedSpan(plane, cells, kernel_span))
-            covered.update(kernel_span)
-        if topo_span is not None:
+        if topo_span:
             self.spans.append(_FusedTopoSpan(plane, cells, topo_span))
-            covered.update(topo_span)
-        self.passthrough = [
-            (index, cells[index])
-            for index in range(len(cells))
-            if index not in covered
-        ]
+        if row_span:
+            self.spans.append(_FusedRowSpan(plane, cells, row_span))
 
     def execute(self) -> list[Measurement]:
         out: list[Measurement] = [None] * self.size  # type: ignore[list-item]
         for span in self.spans:
             span.execute(out)
-        if self.passthrough:
-            measure = self.machine._measure
-            for index, (workload, config, duration) in self.passthrough:
-                out[index] = measure(workload, config, duration)
         return out
 
 
 class VectorPlane:
-    """Vectorized batch evaluator bound to one machine."""
+    """The fused measurement plane bound to one machine."""
 
     def __init__(self, machine) -> None:
         self.machine = machine
@@ -1121,44 +1646,27 @@ class VectorPlane:
 
     def try_measure_cells(
         self,
-        cells: Sequence[tuple[object, MachineConfig, float]],
+        cells: Sequence[tuple[object, MachineConfig | ChipTopology, float]],
         plan=None,
-    ) -> list[Measurement] | None:
-        """Measure ``(workload, config, duration)`` cells, or decline.
+    ) -> list[Measurement]:
+        """Measure ``(workload, config, duration)`` cells in one program.
 
-        Kernel cells -- across *all* configurations, heterogeneous
-        topologies and windows in the batch -- compile into a fused
-        tensor program and execute in one pass; placements and protocol
-        workloads fall back to the scalar walk cell by cell (order
-        preserved).  Batches with too few kernel cells to amortize the
-        tensor setup are declined entirely: the caller runs the scalar
-        walk, which is bit-identical anyway.  With ``plan`` given (the
-        immutable :class:`~repro.exec.plan.ExperimentPlan` these cells
-        came from, in plan-cell order), the compiled program is cached
-        weakly under the plan, so re-executions skip compilation.
+        Configurations must already be canonical and validated (the
+        machine's entry points do both).  Every cell kind -- kernels,
+        protocol workloads and placements, on homogeneous chips and
+        heterogeneous topologies, across all configurations and
+        windows in the batch -- compiles into one fused program that
+        executes in one pass.  With ``plan`` given (the immutable
+        :class:`~repro.exec.plan.ExperimentPlan` these cells came from,
+        in plan-cell order), the compiled program is cached weakly
+        under the plan, so re-executions skip compilation.
+
+        Raises:
+            MeasurementError: If a placement does not fit its
+                configuration or a workload is neither a kernel, a
+                placement nor a protocol workload.
         """
-        kernel_indices: list[int] = []
-        topo_indices: list[int] = []
-        for index, (workload, config, _) in enumerate(cells):
-            if isinstance(workload, Kernel):
-                if isinstance(config, ChipTopology):
-                    topo_indices.append(index)
-                else:
-                    kernel_indices.append(index)
-        # The threshold applies per homogeneity span: each span pays
-        # its own tensor setup, so a minority span below the crossover
-        # rides the scalar walk even when the other span vectorizes.
-        kernel_span = (
-            kernel_indices
-            if len(kernel_indices) >= MIN_VECTOR_BATCH
-            else None
-        )
-        topo_span = (
-            topo_indices if len(topo_indices) >= MIN_VECTOR_BATCH else None
-        )
-        if kernel_span is None and topo_span is None:
-            return None
-        program = _FusedProgram(self, cells, kernel_span, topo_span)
+        program = _FusedProgram(self, cells)
         if plan is not None:
             self._programs[plan] = program
         return program.execute()

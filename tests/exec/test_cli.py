@@ -103,26 +103,6 @@ class TestHeterogeneousSweepCommand:
         assert code == 0
         assert "2big" in out and "1big+1little" in out and "2little" in out
 
-    def test_no_vector_matches_vector(self, capsys):
-        base = [
-            "sweep",
-            "--workloads",
-            "daxpy",
-            "--topology",
-            "2big+2little,4little",
-            "--loop-size",
-            "96",
-            "--duration",
-            "1",
-        ]
-        assert main(base) == 0
-        fast = capsys.readouterr().out
-        assert main(base + ["--no-vector"]) == 0
-        scalar = capsys.readouterr().out
-        # --no-vector pins the scalar reference path; results must be
-        # bit-identical, so the report reads the same.
-        assert fast == scalar
-
     def test_cache_stats_reported(self, capsys):
         code = main(
             [
@@ -160,10 +140,8 @@ class TestHeterogeneousSweepCommand:
 
     def test_new_flags_available_on_every_subcommand(self):
         for command in ("sweep", "campaign", "stressmark"):
-            args = build_parser().parse_args(
-                [command, "--no-vector", "--cache-stats"]
-            )
-            assert args.no_vector and args.cache_stats
+            args = build_parser().parse_args([command, "--cache-stats"])
+            assert args.cache_stats
 
 
 class TestStoreCommand:

@@ -28,6 +28,7 @@ from repro.exec import faults
 from repro.exec.faults import FaultPlan
 from repro.exec.report import CellFailure, ExecutionReport
 from repro.sim import Machine, MachineConfig
+from tests.oracle import OracleMachine
 
 _DURATION = 1.0
 
@@ -134,13 +135,15 @@ class TestBitIdentityUnderFaults:
     def test_scalar_plane_recovers_identically(
         self, power7_arch, small_plan, baseline
     ):
-        scalar_baseline = SerialExecutor(
-            Machine(power7_arch, vector=False)
-        ).run(small_plan)
-        assert scalar_baseline == baseline  # planes agree fault-free
+        scalar_baseline = SerialExecutor(OracleMachine(power7_arch)).run(
+            small_plan
+        )
+        assert scalar_baseline == baseline  # oracle agrees fault-free
+        # Workers rebuild a plain machine; chunks degraded back into
+        # the parent measure on the oracle.  Both recover identically.
         with faults.injected(FaultPlan(seed=7).arm("crash")):
             with ParallelExecutor(
-                Machine(power7_arch, vector=False), workers=2, chunk_size=2
+                OracleMachine(power7_arch), workers=2, chunk_size=2
             ) as executor:
                 report = executor.execute(small_plan)
         assert report.ok

@@ -38,6 +38,7 @@ from repro.exec.serialize import plan_to_dict_v2
 from repro.sim import Machine, MachineConfig, Placement, get_pstate
 from repro.sim.topology import parse_topology
 from repro.workloads import spec_cpu2006
+from tests.oracle import OracleMachine
 
 _DURATION = 1.0
 
@@ -143,16 +144,19 @@ class TestServedEquivalence:
         self, served, power7_arch, small_kernel_factory
     ):
         """Property: for random plans, server responses equal one-shot
-        serial execution exactly, with the vector plane on and off."""
+        serial execution exactly, on the fused plane and on the scalar
+        oracle."""
         service, url = served
         rng = random.Random(20120212)
         for round_number in range(4):
             plan = _random_plan(rng, small_kernel_factory)
-            vector = round_number % 2 == 0
-            local = SerialExecutor(
-                Machine(power7_arch, vector=vector)
-            ).run(plan)
-            remote = RemoteExecutor(url, vector=vector).run(plan)
+            local_machine = (
+                Machine(power7_arch)
+                if round_number % 2 == 0
+                else OracleMachine(power7_arch)
+            )
+            local = SerialExecutor(local_machine).run(plan)
+            remote = RemoteExecutor(url).run(plan)
             assert remote == local, f"round {round_number} diverged"
 
     def test_streamed_lines_carry_store_keys(
@@ -240,7 +244,7 @@ class TestWarmAndSingleFlight:
         ]
         # Pre-create the engine so the measurement instrumentation is
         # in place before any client arrives.
-        engine = service._engine("POWER7", 0, None)
+        engine = service._engine("POWER7", 0)
         measured = _instrument(engine.machine)
 
         results: dict[int, list] = {}
@@ -296,7 +300,7 @@ class TestWarmAndSingleFlight:
                 [MachineConfig(1, 1), MachineConfig(2, 2)],
                 duration=_DURATION,
             )
-            engine = service._engine("POWER7", 0, None)
+            engine = service._engine("POWER7", 0)
             entered, release = threading.Event(), threading.Event()
             original = engine.machine.run_many
 

@@ -137,7 +137,7 @@ class TestRunRegistry:
                 plan_request(plan), lambda: lines.append
             )
             keys = [
-                service._engine("POWER7", 0, None).executor.key_of(cell)
+                service._engine("POWER7", 0).executor.key_of(cell)
                 for cell in plan.cells
             ]
             assert trailer["complete"] is True

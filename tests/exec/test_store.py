@@ -252,7 +252,7 @@ def _forbid_measurement(machine):
     machine.run = explode
     machine.run_many = explode
     machine.run_cells = explode
-    machine._measure = explode
+    machine._vector.try_measure_cells = explode
 
 
 class TestWarmRuns:

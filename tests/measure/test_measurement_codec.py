@@ -20,6 +20,7 @@ from repro.measure.measurement import Measurement
 from repro.sim import Machine, MachineConfig, Placement, parse_topology
 from repro.sim.config import standard_configurations
 from repro.stressmark.search import build_stressmark
+from tests.oracle import OracleMachine
 
 _DURATION = 1.0
 _SEQUENCES = (
@@ -76,7 +77,7 @@ def measured(power7_arch):
     """One measurement of every kind the machine produces."""
     arch = power7_arch
     kernels = _kernels(arch)
-    scalar = Machine(arch, vector=False)
+    scalar = OracleMachine(arch)
     topology = parse_topology("2big-2@p2+2little")
     fused_plan = ExperimentPlan.cross(
         kernels, standard_configurations(4, (1, 2, 4)), duration=_DURATION

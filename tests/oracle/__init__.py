@@ -1,0 +1,34 @@
+"""Differential test oracle for the measurement plane.
+
+The production machine measures every cell through the fused tensor
+programs of :mod:`repro.sim.vector`.  This package keeps their
+executable specification: the per-cell scalar walk
+(:class:`OracleMachine`), the scalar counter and ground-truth power
+arithmetic it calls (:mod:`.scalar`), and the per-instruction pipeline
+walk the kernel-summary engine replaced (:mod:`.pipeline`).  Tests and
+benches compare the production paths with it bit for bit.
+"""
+
+from .machine import OracleMachine
+from .pipeline import reference_activity, reference_alternation, reference_bounds
+from .scalar import (
+    at_frequency_scale,
+    chip_power,
+    counters_from_activity,
+    scaled,
+    thread_dynamic_power,
+    topology_power,
+)
+
+__all__ = [
+    "OracleMachine",
+    "at_frequency_scale",
+    "chip_power",
+    "counters_from_activity",
+    "reference_activity",
+    "reference_alternation",
+    "reference_bounds",
+    "scaled",
+    "thread_dynamic_power",
+    "topology_power",
+]

@@ -1,8 +1,8 @@
 """Invariance tests for the steady-state evaluation engine.
 
 The summary-based fast path (:meth:`CorePipelineModel.bounds` /
-``activity``) must reproduce the naive per-instruction reference walk
-(``reference_bounds`` / ``reference_activity``) to float precision on
+``activity``) must reproduce the naive per-instruction walk kept as
+the test oracle (``tests/oracle/pipeline.py``) to float precision on
 arbitrary kernels -- randomized aperiodic bodies, randomized periodic
 bodies with declared fingerprints, and the degenerate shapes the
 generators emit.  Replicating a periodic kernel must never change its
@@ -16,6 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import Kernel, KernelInstruction, Machine, MachineConfig
 from repro.sim.pipeline import CorePipelineModel
+from tests.oracle import (
+    reference_activity,
+    reference_alternation,
+    reference_bounds,
+)
 
 #: Mnemonic pool covering every usage shape: pure FXU, flexible
 #: FXU/LSU, pure LSU, pure VSU, cracked LSU+FXU, LSU+2FXU, the
@@ -88,7 +93,7 @@ def random_periodic_kernel(seed):
 
 def assert_bounds_match(pipeline, kernel, smt):
     fast = pipeline.bounds(kernel, smt)
-    reference = pipeline.reference_bounds(kernel, smt)
+    reference = reference_bounds(pipeline, kernel, smt)
     for bound in ("dispatch", "unit", "dependency", "memory"):
         assert getattr(fast, bound) == pytest.approx(
             getattr(reference, bound), rel=1e-9, abs=1e-9
@@ -97,7 +102,7 @@ def assert_bounds_match(pipeline, kernel, smt):
 
 def assert_activity_matches(pipeline, kernel, smt):
     fast = pipeline.activity(kernel, smt)
-    reference = pipeline.reference_activity(kernel, smt)
+    reference = reference_activity(pipeline, kernel, smt)
     assert fast.ipc == pytest.approx(reference.ipc, rel=1e-9)
     assert fast.alternation == pytest.approx(reference.alternation, rel=1e-9)
     assert fast.entropy == reference.entropy
@@ -151,7 +156,7 @@ class TestFastPathInvariance:
             period=3,
         )
         assert pipeline.alternation(kernel) == pytest.approx(
-            pipeline.reference_alternation(kernel), rel=1e-12
+            reference_alternation(pipeline, kernel), rel=1e-12
         )
 
 

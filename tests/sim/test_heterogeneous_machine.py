@@ -1,4 +1,4 @@
-"""Heterogeneous multi-cluster runs: scalar semantics + vector identity."""
+"""Heterogeneous multi-cluster runs: oracle semantics + plane identity."""
 
 import random
 
@@ -24,6 +24,7 @@ from repro.workloads.mixes import (
     vector_kernel,
 )
 from repro.workloads.spec import spec_cpu2006
+from tests.oracle import OracleMachine
 from tests.sim.test_topology_degeneracy import random_kernel
 
 _DURATION = 2.0
@@ -31,12 +32,12 @@ _DURATION = 2.0
 
 @pytest.fixture(scope="module")
 def scalar_machine(power7_arch):
-    return Machine(power7_arch, vector=False)
+    return OracleMachine(power7_arch)
 
 
 @pytest.fixture(scope="module")
 def vector_machine(power7_arch):
-    return Machine(power7_arch, vector=True)
+    return Machine(power7_arch)
 
 
 class TestScalarTopologyRuns:
@@ -258,7 +259,7 @@ class TestVectorTopologyIdentity:
             cells
         )
 
-    def test_small_topology_batches_decline_to_scalar(
+    def test_small_topology_batches_fuse(
         self, vector_machine, scalar_machine
     ):
         topology = parse_topology("1big+1little")
@@ -268,7 +269,7 @@ class TestVectorTopologyIdentity:
         ) == scalar_machine.run_many(kernels, topology, _DURATION)
 
     def test_cluster_lane_caches_reported(self, power7_arch):
-        machine = Machine(power7_arch, vector=True)
+        machine = Machine(power7_arch)
         kernels = [random_kernel(500 + index) for index in range(10)]
         machine.run_many(
             kernels, parse_topology("2big+2little"), _DURATION
@@ -281,7 +282,7 @@ class TestVectorTopologyIdentity:
         """A machine whose *base* class scales energy stays bit-exact.
 
         Regression: the homogeneous tensor path must apply the base
-        architecture's ``energy_scale`` exactly as the scalar walk's
+        architecture's ``energy_scale`` exactly as the oracle's
         ``thread_dynamic_power`` does (per-cluster campaigns run full
         plans on `Machine(POWER7_ECO)` directly).
         """
@@ -291,9 +292,9 @@ class TestVectorTopologyIdentity:
         assert eco.chip.energy_scale != 1.0
         kernels = [random_kernel(600 + index) for index in range(12)]
         config = MachineConfig(4, 2)
-        assert Machine(eco, vector=True).run_many(
+        assert Machine(eco).run_many(
             kernels, config, _DURATION
-        ) == Machine(eco, vector=False).run_many(kernels, config, _DURATION)
+        ) == OracleMachine(eco).run_many(kernels, config, _DURATION)
 
     def test_random_shapes_property(self, scalar_machine, vector_machine):
         rng = random.Random(4242)

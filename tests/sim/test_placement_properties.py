@@ -31,6 +31,7 @@ from repro.sim import (
 )
 from repro.sim.pipeline import CorePipelineModel
 from repro.sim.power import GroundTruthPowerModel
+from tests.oracle import chip_power, scaled, thread_dynamic_power
 
 POOL = (
     "addic", "mulldo", "add", "lwz", "xvmaddadp", "fadd", "stfd", "ld",
@@ -325,21 +326,24 @@ class TestPStateIdentity:
         kernel = random_kernel(800)
         activity = pipeline.activity(kernel, smt=1)
         config = MachineConfig(4, 1)
-        nominal = power_model.chip_power([activity] * 4, config)
-        dimmed = power_model.chip_power(
+        nominal = chip_power(power_model, [activity] * 4, config)
+        dimmed = chip_power(
+            power_model,
             [activity] * 4,
             config.with_p_state(PState("dim", 1.0, 0.9)),
         )
-        dynamic = 4 * power_model.thread_dynamic_power(activity)
+        dynamic = 4 * thread_dynamic_power(power_model, activity)
         assert dimmed == pytest.approx(
             nominal - dynamic * (1.0 - 0.9 ** 2)
         )
         # Static power never scales with the operating point: an idle
         # chip draws the same watts at any p-state.
-        idle_activities = [activity.scaled(0.0)] * 4
-        assert power_model.chip_power(
-            idle_activities, config.with_p_state(PState("dim", 0.5, 0.7))
-        ) == power_model.chip_power(idle_activities, config)
+        idle_activities = [scaled(activity, 0.0)] * 4
+        assert chip_power(
+            power_model,
+            idle_activities,
+            config.with_p_state(PState("dim", 0.5, 0.7)),
+        ) == chip_power(power_model, idle_activities, config)
 
     def test_mixed_smt4_placement_at_non_nominal_p_state_via_run_many(
         self, machine

@@ -3,7 +3,7 @@
 The refactor's acceptance bar: every pre-refactor ``MachineConfig`` run
 and its one-cluster ``ChipTopology`` spelling must agree *bit for bit*
 -- labels, noise seeds and draws, counter readings, plan identities and
-store keys -- with the vector plane on and off.  The suite is
+store keys -- on the fused plane and on the scalar oracle.  The suite is
 randomized (seeded) over kernels, placements, CMP-SMT modes and
 operating points.
 """
@@ -22,6 +22,7 @@ from repro.sim import (
     Placement,
 )
 from repro.sim.pstate import standard_pstates
+from tests.oracle import OracleMachine
 
 _DURATION = 2.0
 
@@ -70,18 +71,19 @@ def random_config(rng):
 
 @pytest.fixture(scope="module")
 def machines(power7_arch):
+    """The fused machine under ``True``, the scalar oracle under ``False``."""
     return {
-        True: Machine(power7_arch, vector=True),
-        False: Machine(power7_arch, vector=False),
+        True: Machine(power7_arch),
+        False: OracleMachine(power7_arch),
     }
 
 
 class TestRunDegeneracy:
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_randomized_run_bit_identity(self, machines, vector):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_randomized_run_bit_identity(self, machines, fused):
         """100 random (kernel, config) pairs, both spellings."""
         rng = random.Random(1234)
-        machine = machines[vector]
+        machine = machines[fused]
         for trial in range(100):
             kernel = random_kernel(rng.randint(0, 10_000))
             config = random_config(rng)
@@ -98,10 +100,10 @@ class TestRunDegeneracy:
                 via_topology.thread_counters == via_config.thread_counters
             )
 
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_batched_run_many_bit_identity(self, machines, vector):
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_batched_run_many_bit_identity(self, machines, fused):
         rng = random.Random(77)
-        machine = machines[vector]
+        machine = machines[fused]
         kernels = [random_kernel(5000 + index) for index in range(12)]
         config = random_config(rng)
         topology = ChipTopology.from_config(config)
@@ -109,9 +111,9 @@ class TestRunDegeneracy:
             kernels, config, _DURATION
         ) == machine.run_many(kernels, topology, _DURATION)
 
-    @pytest.mark.parametrize("vector", [True, False])
-    def test_placement_degeneracy(self, machines, vector):
-        machine = machines[vector]
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_placement_degeneracy(self, machines, fused):
+        machine = machines[fused]
         rng = random.Random(9)
         for trial in range(20):
             config = random_config(rng)

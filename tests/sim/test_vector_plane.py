@@ -1,18 +1,19 @@
-"""Vector plane == scalar reference: bit-exact equivalence properties.
+"""Fused plane == scalar oracle: bit-exact equivalence properties.
 
-The vectorized measurement plane (:mod:`repro.sim.vector`) must
-reproduce the scalar walk *bit for bit* -- Measurements, every counter
-reading, chip power and the sensor noise draws -- over arbitrary
-kernels, placements, configurations, operating points and windows.
-These tests drive both paths (``Machine(vector=True)`` vs
-``Machine(vector=False)``) over randomized inputs and assert strict
-equality (dataclass ``==`` on Measurement compares every float), plus
-a degenerate-batch edge-case suite and draw-level checks of the
-batched MT19937 sensor seeding.
+The measurement plane (:mod:`repro.sim.vector`) must reproduce the
+per-cell scalar walk kept in ``tests/oracle`` *bit for bit* --
+Measurements, every counter reading, chip power and the sensor noise
+draws -- over arbitrary kernels, placements, configurations, operating
+points and windows.  These tests drive both (``Machine`` vs
+``OracleMachine``) over randomized inputs and assert strict equality
+(dataclass ``==`` on Measurement compares every float), plus a
+degenerate-batch edge-case suite and draw-level checks of the batched
+MT19937 sensor seeding.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,11 +27,13 @@ from repro.sim import (
 )
 from repro.sim.pstate import get_pstate, standard_pstates
 from repro.sim.sensors import MT_BATCH_MIN, PowerSensor, _mt_first_uniform_pairs
-from repro.sim.vector import MIN_VECTOR_BATCH
 from repro.stressmark.search import build_stressmark
 from repro.workloads.spec import spec_cpu2006
+from tests.oracle import OracleMachine
 
 _DURATION = 1.0
+#: A batch wide enough to exercise the stacked kernel matrices.
+_BATCH = 8
 
 POOL = (
     "addic", "mulldo", "add", "nor", "lwz", "lxvw4x", "xvmaddadp",
@@ -73,7 +76,7 @@ def random_kernel(seed, size=None, name=None):
 
 @pytest.fixture(scope="module")
 def machines(power7_arch):
-    return Machine(power7_arch, vector=True), Machine(power7_arch, vector=False)
+    return Machine(power7_arch), OracleMachine(power7_arch)
 
 
 def assert_batch_identical(machines, workloads, config, duration=_DURATION):
@@ -92,7 +95,7 @@ class TestBitIdentity:
         rng = random.Random(seed)
         kernels = [
             random_kernel(seed * 100 + index)
-            for index in range(MIN_VECTOR_BATCH + rng.randint(0, 8))
+            for index in range(rng.randint(1, 16))
         ]
         config = MachineConfig(
             rng.randint(1, 8), rng.choice([1, 2, 4])
@@ -136,17 +139,15 @@ class TestBitIdentity:
         assert vector.run_cells(cells) == scalar.run_cells(cells)
 
     def test_executor_parity_with_scalar_machine(self, power7_arch):
-        """SerialExecutor over a vector machine == scalar machine."""
+        """SerialExecutor over the machine == over the scalar oracle."""
         kernels = [random_kernel(3000 + index) for index in range(16)]
         plan = ExperimentPlan.cross(
             kernels,
             [MachineConfig(8, smt) for smt in (1, 2, 4)],
             duration=_DURATION,
         )
-        fast = SerialExecutor(Machine(power7_arch, vector=True)).run(plan)
-        reference = SerialExecutor(
-            Machine(power7_arch, vector=False)
-        ).run(plan)
+        fast = SerialExecutor(Machine(power7_arch)).run(plan)
+        reference = SerialExecutor(OracleMachine(power7_arch)).run(plan)
         assert fast == reference
 
     def test_same_content_different_name_draws_distinct_noise(
@@ -158,7 +159,7 @@ class TestBitIdentity:
             instructions=base.instructions,
             operand_entropy=base.operand_entropy,
         )
-        batch = [base, renamed] * MIN_VECTOR_BATCH
+        batch = [base, renamed] * _BATCH
         measurements = assert_batch_identical(
             machines, batch, MachineConfig(2, 2)
         )
@@ -166,7 +167,7 @@ class TestBitIdentity:
 
     def test_duplicates_dedupe_to_equal_measurements(self, machines):
         kernel = random_kernel(77, size=24)
-        batch = [kernel] * (MIN_VECTOR_BATCH * 2)
+        batch = [kernel] * (_BATCH * 2)
         measurements = assert_batch_identical(
             machines, batch, MachineConfig(4, 2)
         )
@@ -177,8 +178,8 @@ class TestMixedAndDegenerateBatches:
     def test_mixed_kernel_placement_profile_batch(
         self, machines, small_kernel_factory
     ):
-        """Kernels ride the tensor pass; placements and SPEC proxies
-        fall back to the scalar walk in place, order preserved."""
+        """Kernels, a placement and a SPEC proxy fuse in one program,
+        each result in its cell's place."""
         mix = Placement(
             "mix",
             (
@@ -189,7 +190,7 @@ class TestMixedAndDegenerateBatches:
             ),
         )
         batch = (
-            [random_kernel(500 + index) for index in range(MIN_VECTOR_BATCH)]
+            [random_kernel(500 + index) for index in range(_BATCH)]
             + [spec_cpu2006()[0]]
             + [mix]
             + [random_kernel(600)]
@@ -207,8 +208,8 @@ class TestMixedAndDegenerateBatches:
         assert vector.run_plan(plan) == []
         assert SerialExecutor(vector).run(plan) == []
 
-    def test_single_cell_below_threshold_matches(self, machines):
-        """Tiny batches decline the tensor pass but stay identical."""
+    def test_single_cell_batch_matches(self, machines):
+        """A one-cell batch fuses like any other and stays identical."""
         kernel = random_kernel(321, size=16)
         assert_batch_identical(machines, [kernel], MachineConfig(8, 4))
 
@@ -219,7 +220,7 @@ class TestMixedAndDegenerateBatches:
         direct = vector.run(kernel, config, _DURATION)
         assert direct == scalar.run(kernel, config, _DURATION)
         batched = vector.run_many(
-            [kernel] * (MIN_VECTOR_BATCH + 1), config, _DURATION
+            [kernel] * (_BATCH + 1), config, _DURATION
         )
         assert all(m == direct for m in batched)
 
@@ -268,9 +269,67 @@ class TestBatchedSensorPlane:
             assert mean == sensor.measure(power, 10.0, seed).mean_power
 
 
+class TestDrawCache:
+    """The draw cache stores each seed's constants without rounding."""
+
+    @staticmethod
+    def _bits(values) -> list[int]:
+        return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+    def test_cached_constants_equal_fresh_bits_across_generation_swap(
+        self, monkeypatch
+    ):
+        from repro.sim import sensors
+
+        monkeypatch.setattr(sensors, "_DRAWS", sensors._DrawCache())
+        monkeypatch.setattr(sensors, "DRAW_CACHE_GENERATION", 64)
+        # Fill misses in batches wide enough for the vectorized seeding.
+        monkeypatch.setattr(sensors, "MT_BATCH_MIN", 8)
+        negative_zero = 12_345
+        exact = sensors._scalar_draw_constants
+
+        def with_signed_zeros(seed, rng):
+            if seed == negative_zero:
+                return -0.0, -0.0
+            return exact(seed, rng)
+
+        monkeypatch.setattr(
+            sensors, "_scalar_draw_constants", with_signed_zeros
+        )
+        rng = random.Random(2024)
+        seeds = [rng.randrange(2**32) for _ in range(200)]
+        fresh = {}
+        for seed in seeds + [negative_zero]:
+            sensors._DRAWS.clear()
+            zo1, z2 = sensors.draw_constants([seed])
+            fresh[seed] = (self._bits(zo1)[0], self._bits(z2)[0])
+        assert fresh[negative_zero] == tuple(self._bits([-0.0, -0.0]))
+
+        sensors._DRAWS.clear()
+        cache = sensors._DRAWS
+        sensors.draw_constants([negative_zero])
+        for start in range(0, 80, 16):
+            sensors.draw_constants(seeds[start : start + 16])
+        # The fifth miss batch rotated the sentinel's generation out.
+        assert negative_zero in cache.previous
+        zo1, z2 = sensors.draw_constants([negative_zero])
+        assert (self._bits(zo1)[0], self._bits(z2)[0]) == fresh[negative_zero]
+        assert negative_zero in cache.current
+        for start in range(80, len(seeds), 16):
+            sensors.draw_constants(seeds[start : start + 16])
+        # Served from the current generation, promoted from the
+        # previous one, or re-seeded after eviction: all bit-exact.
+        for query in (seeds, seeds[::-1]):
+            zo1, z2 = sensors.draw_constants(query)
+            assert list(zip(self._bits(zo1), self._bits(z2))) == [
+                fresh[seed] for seed in query
+            ]
+        assert cache.hits > 0
+
+
 class TestCacheAccounting:
     def test_cache_stats_exposes_bounded_lrus(self, power7_arch):
-        machine = Machine(power7_arch, vector=True)
+        machine = Machine(power7_arch)
         kernels = [random_kernel(800 + index) for index in range(12)]
         machine.run_many(kernels, MachineConfig(8, 2), _DURATION)
         machine.run_many(kernels, MachineConfig(8, 4), _DURATION)
@@ -304,8 +363,8 @@ class TestFusedProgramCaches:
     def test_canonical_stack_key_hits_on_permuted_batches(self, power7_arch):
         """Permuting a kernel batch re-uses the compiled stack (memo
         keys canonicalize to sorted content digests, not batch order)."""
-        machine = Machine(power7_arch, vector=True)
-        scalar = Machine(power7_arch, vector=False)
+        machine = Machine(power7_arch)
+        scalar = OracleMachine(power7_arch)
         kernels = [random_kernel(4200 + index) for index in range(10)]
         config = MachineConfig(4, 2)
         first = machine.run_many(kernels, config, _DURATION)
@@ -321,7 +380,7 @@ class TestFusedProgramCaches:
         """Re-measuring the same cells re-uses cached MT19937 draws."""
         from repro.sim.sensors import draw_cache_stats
 
-        machine = Machine(power7_arch, vector=True)
+        machine = Machine(power7_arch)
         kernels = [random_kernel(4400 + index) for index in range(12)]
         config = MachineConfig(8, 1)
         first = machine.run_many(kernels, config, _DURATION)
@@ -332,8 +391,8 @@ class TestFusedProgramCaches:
     def test_plan_program_cache_replays_bit_identically(self, power7_arch):
         """run_cells(plan=...) caches the fused program; the cached
         replay produces the same bytes as scalar and as compile-time."""
-        machine = Machine(power7_arch, vector=True)
-        scalar = Machine(power7_arch, vector=False)
+        machine = Machine(power7_arch)
+        scalar = OracleMachine(power7_arch)
         kernels = [random_kernel(4600 + index) for index in range(9)]
         plan = ExperimentPlan.cross(
             kernels,
@@ -351,7 +410,7 @@ class TestFusedProgramCaches:
 
     def test_program_cache_is_weak(self, power7_arch):
         """Dropping the plan drops its compiled program."""
-        machine = Machine(power7_arch, vector=True)
+        machine = Machine(power7_arch)
         plan = ExperimentPlan.cross(
             [random_kernel(4800 + index) for index in range(8)],
             [MachineConfig(4, 2)],
