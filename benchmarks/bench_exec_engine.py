@@ -29,7 +29,7 @@ The headline numbers (recorded in ``BENCH_results.json``):
 * the wire path: plan decode time per cell through a warm intern cache
   (asserted to rebuild nothing) and the pooled body size, plus the
   warm remote-serve rate over a real socket;
-* parallel-executor wall time on the same plan, reported for context.
+* the run ledger's cost per record and its replay time.
 
 Absolute rate floors hold on the nominal host: each is rescaled by the
 host-speed reference timed next to its measurement (see
@@ -51,12 +51,7 @@ from benchmarks.conftest import (
     record_rate,
     record_result,
 )
-from repro.exec import (
-    ExperimentPlan,
-    ParallelExecutor,
-    ResultStore,
-    SerialExecutor,
-)
+from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
 from repro.exec.plan import PlanCell, sweep_configs
 from repro.sim import Machine
 from repro.sim.config import standard_configurations
@@ -373,34 +368,37 @@ def test_warm_store_speedup(arch, tmp_path):
 
 
 def test_run_registry_overhead(tmp_path):
-    """The persistent run registry must stay invisible next to
-    measurement cost: flock'd appends in the tens-of-microseconds
-    range, full replay of a busy server's history well under a second.
+    """The run ledger must stay invisible next to measurement cost:
+    each run writes its manifest, a ``running`` record and a final
+    record (flock'd appends in the tens-of-microseconds range), and a
+    full replay of a busy store's history stays well under a second.
     Loose gates -- this documents the envelope, not a razor's edge."""
+    from repro.exec.journal import RunJournal
     from repro.exec.registry import RunRegistry
 
-    registry = RunRegistry(tmp_path)
+    ledger = RunRegistry(tmp_path)
     runs = 500
+    keys = [f"{index:032x}" for index in range(8)]
     start = time.perf_counter()
     for index in range(runs):
-        run = f"{index:024x}"
-        registry.record(run, "running", cells=8, plan="bench plan")
-        registry.record(run, "complete", measured=8, warm=0)
+        journal = RunJournal(ledger, f"{index:024x}")
+        journal.start(keys, "bench plan", arch="POWER7", seed=0)
+        journal.complete(8, warm=0)
     record_elapsed = time.perf_counter() - start
     per_record_us = record_elapsed / (2 * runs) * 1e6
 
     start = time.perf_counter()
     replayed = RunRegistry(tmp_path)
     replay_elapsed = time.perf_counter() - start
-    assert len(replayed) == runs
+    assert len(replayed) == runs and replayed.skipped == 0
 
     start = time.perf_counter()
-    dropped = registry.compact()
+    dropped = ledger.compact()
     compact_elapsed = time.perf_counter() - start
     assert dropped == runs  # two lines per run collapse to one
 
     print(
-        f"\nregistry: {per_record_us:.0f} us/record (append+flock), "
+        f"\nledger: {per_record_us:.0f} us/record (manifest, append+flock), "
         f"replay of {2 * runs} lines: {replay_elapsed * 1e3:.0f} ms, "
         f"compact: {compact_elapsed * 1e3:.0f} ms"
     )
@@ -411,24 +409,6 @@ def test_run_registry_overhead(tmp_path):
     )
     assert per_record_us < 5000  # 5 ms/record is already pathological
     assert replay_elapsed < 2.0
-
-
-def test_parallel_executor_wall_time(arch):
-    plan = _plan(arch)
-    start = time.perf_counter()
-    serial = SerialExecutor(Machine(arch)).run(plan)
-    serial_elapsed = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = ParallelExecutor(Machine(arch), workers=4).run(plan)
-    parallel_elapsed = time.perf_counter() - start
-
-    assert parallel == serial  # bit-identity at benchmark scale too
-    print(
-        f"\nserial: {serial_elapsed * 1e3:.0f} ms, "
-        f"parallel (4 workers, cold caches): {parallel_elapsed * 1e3:.0f} ms "
-        f"({plan.size} cells)"
-    )
 
 
 def _spawn_replica() -> tuple[subprocess.Popen, str]:
@@ -510,23 +490,16 @@ def test_remote_warm_throughput(arch):
     machine = Machine(arch)
     process, url = _spawn_replica()
     try:
-        cold = RemoteExecutor(url)
-        try:
-            start = time.perf_counter()
-            first = cold.run(plan)
-            cold_elapsed = time.perf_counter() - start
-        finally:
-            cold.close()
+        start = time.perf_counter()
+        first = RemoteExecutor(url).run(plan)
+        cold_elapsed = time.perf_counter() - start
         best = float("inf")
         before = host_reference()
         for _ in range(3):
             executor = RemoteExecutor(url)
-            try:
-                start = time.perf_counter()
-                warm = executor.run(plan)
-                best = min(best, time.perf_counter() - start)
-            finally:
-                executor.close()
+            start = time.perf_counter()
+            warm = executor.run(plan)
+            best = min(best, time.perf_counter() - start)
         reference = (before + host_reference()) / 2
         assert warm == first  # warm serves are bit-identical
     finally:

@@ -42,8 +42,7 @@ def test_fig9_stressmarks(benchmark, machine, arch, bootstrap_records):
     }
 
     # One engine executor for the whole figure (a warm REPRO_STORE
-    # serves everything without touching the machine; REPRO_PARALLEL
-    # reuses one worker pool across all five searches).
+    # serves everything without touching the machine).
     executor = default_executor(machine)
     baseline = spec_power_baseline(machine, executor=executor)
 

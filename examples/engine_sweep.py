@@ -1,9 +1,9 @@
-"""Execution-engine walkthrough: a parallel, store-backed SPEC sweep.
+"""Execution-engine walkthrough: a store-backed SPEC sweep.
 
 Demonstrates the plan -> executor -> store dataflow behind every
-campaign: declare the cross product once, execute it sharded across
-worker processes, persist every cell, then re-run the identical plan
-and watch the store serve it with zero machine invocations.
+campaign: declare the cross product once, execute it, persist every
+cell, then re-run the identical plan on a fresh machine and watch the
+store serve it with zero machine invocations.
 
 Run:  python examples/engine_sweep.py   (takes a few seconds)
 """
@@ -12,7 +12,7 @@ import logging
 import tempfile
 import time
 
-from repro.exec import ExperimentPlan, ParallelExecutor, ResultStore, SerialExecutor
+from repro.exec import ExperimentPlan, ResultStore, RunRegistry, SerialExecutor
 from repro.march import get_architecture
 from repro.sim import Machine
 from repro.sim.config import standard_configurations
@@ -35,24 +35,29 @@ print(f"plan: {plan.describe()}")
 with tempfile.TemporaryDirectory() as store_dir:
     store = ResultStore(store_dir)
 
-    # 2. Execute: sharded across 4 worker processes, persisted as it goes.
+    # 2. Execute: batched per configuration, persisted as it goes.
     start = time.perf_counter()
-    cold = ParallelExecutor(machine, workers=4, store=store).run(plan)
+    cold = SerialExecutor(machine, store=store).run(plan)
     print(
-        f"cold parallel run: {len(cold)} measurements in "
+        f"cold run: {len(cold)} measurements in "
         f"{time.perf_counter() - start:.2f}s ({len(store)} cells persisted)"
     )
 
-    # 3. Re-run: the serial executor finds every cell warm -- the
-    #    machine is never touched, and the results are bit-identical.
+    # 3. Re-run on a fresh machine: every cell is warm -- the machine
+    #    is never touched, and the results are bit-identical.
     start = time.perf_counter()
     warm = SerialExecutor(Machine(arch), store=store).run(plan)
     print(
-        f"warm serial run:  {len(warm)} measurements in "
+        f"warm run: {len(warm)} measurements in "
         f"{time.perf_counter() - start:.2f}s "
         f"({store.hits} served from the store)"
     )
     assert warm == cold, "store round trip must be bit-identical"
+
+    # 4. The store's run ledger recorded both executions as one run id
+    #    (the plan's content address): cold, then warm.
+    (run,) = RunRegistry(store_dir).runs()
+    print(f"ledger: run {run['run']} {run['state']}, {run['warm']} warm")
 
     hottest = max(cold, key=lambda measurement: measurement.mean_power)
     print(

@@ -29,19 +29,14 @@ Sub-packages:
 * :mod:`repro.workloads` -- SPEC CPU2006 proxies, extreme-activity
   cases, DAXPY kernels and random-benchmark policies
 * :mod:`repro.exec` -- the experiment execution engine: declarative
-  plans, serial/parallel executors, persistent result store (also the
+  plans, an in-process executor, persistent result store (also the
   ``python -m repro`` CLI entry point)
 """
 
 from repro import core as code
 from repro import march as arch
 from repro.core import Synthesizer
-from repro.exec import (
-    ExperimentPlan,
-    ParallelExecutor,
-    ResultStore,
-    SerialExecutor,
-)
+from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
 from repro.march import get_architecture
 from repro.sim import Machine, MachineConfig
 
@@ -51,7 +46,6 @@ __all__ = [
     "ExperimentPlan",
     "Machine",
     "MachineConfig",
-    "ParallelExecutor",
     "ResultStore",
     "SerialExecutor",
     "Synthesizer",

@@ -1,11 +1,11 @@
 """``python -m repro`` -- headless measurement campaigns.
 
 Every subcommand drives the experiment execution engine
-(:mod:`repro.exec`): it builds an experiment plan, executes it serially
-or sharded across worker processes (``--parallel N``), and optionally
-persists every measurement in an on-disk result store (``--store
-DIR``) so re-runs are served from disk without touching the machine
-substrate.
+(:mod:`repro.exec`): it builds an experiment plan, executes it
+in-process, and optionally persists every measurement in an on-disk
+result store (``--store DIR``) so re-runs are served from disk without
+touching the machine substrate; each store-backed run is recorded in
+the store's run ledger.
 
 Subcommands::
 
@@ -14,23 +14,24 @@ Subcommands::
     campaign    the full section-4 modeling campaign + PAAE report
     stressmark  the section-6 max-power stressmark hunt
     store       audit (verify) or repair/compact (scrub) a result store
+                and its run ledger
     serve       run the campaign service: a resident, multi-tenant
                 measurement server over HTTP/JSON
 
 Any measuring subcommand accepts ``--server URL`` to execute its plan
 on a running campaign service instead of in-process -- results are
-bit-identical either way, but the service keeps machines, caches, the
-worker pool and the store resident across clients and dedupes
-overlapping in-flight plans.
+bit-identical either way, but the service keeps machines, caches and
+the store resident across clients and dedupes overlapping in-flight
+plans.
 
 Examples::
 
-    python -m repro sweep --workloads spec --parallel 4 --store .store
+    python -m repro sweep --workloads spec --store .store
     python -m repro sweep --topology 8big,4big+4little,8little
     python -m repro campaign --scale 0.05 --loop-size 256 --store .store
-    python -m repro -v stressmark --loop-size 384 --parallel 4
+    python -m repro -v stressmark --loop-size 384
     python -m repro store verify --store .store
-    python -m repro serve --store .store --parallel 4 --port 8787
+    python -m repro serve --store .store --port 8787
     python -m repro sweep --workloads daxpy --server http://127.0.0.1:8787
 """
 
@@ -56,14 +57,6 @@ logger = logging.getLogger("repro.cli")
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard plan cells across N worker processes (default: the "
-        "REPRO_PARALLEL environment variable, else serial)",
-    )
     parser.add_argument(
         "--store",
         metavar="DIR",
@@ -106,13 +99,13 @@ def _build_machine(arch, args: argparse.Namespace) -> Machine:
 
 def _build_executor(machine: Machine, args: argparse.Namespace):
     # Explicit flags win; unset flags fall back to the documented
-    # REPRO_PARALLEL / REPRO_STORE / REPRO_SERVER environment knobs.
+    # REPRO_STORE / REPRO_SERVER environment knobs.
     server = getattr(args, "server", None) or os.environ.get("REPRO_SERVER")
     if server:
         from repro.exec.client import RemoteExecutor
 
         return RemoteExecutor(server, arch=args.arch, seed=args.seed)
-    return default_executor(machine, parallel=args.parallel, store=args.store)
+    return default_executor(machine, store=args.store)
 
 
 def _report_store(executor) -> None:
@@ -130,8 +123,8 @@ def _report_store(executor) -> None:
                     f"{name}={value}" for name, value in sorted(stats.items())
                 )
             )
-    # Surface any recovery work (retries, respawns, quarantines) the
-    # run needed; a clean run prints nothing extra.
+    # Surface any recovery work (retries, degraded cells, quarantines)
+    # the run needed; a clean run prints nothing extra.
     report = getattr(executor, "last_report", None)
     if report is not None and (report.failures or report.fault_counters):
         print(f"execution: {report.describe()}")
@@ -330,10 +323,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.exec.service import MeasurementService, build_server
 
-    parallel = args.parallel
-    if parallel is None:
-        raw = os.environ.get("REPRO_PARALLEL", "")
-        parallel = int(raw) if raw.strip() else None
     store = args.store or os.environ.get("REPRO_STORE")
     port = args.port
     if port is None:
@@ -341,7 +330,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     token = args.token or os.environ.get("REPRO_TOKEN")
     service = MeasurementService(
         store=store,
-        parallel=parallel,
         token=token,
         max_inflight_cells=args.max_inflight_cells,
         max_requests=args.max_requests,
@@ -352,7 +340,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"campaign service on {bound} "
         f"(store: {store or 'none'}, "
-        f"workers: {parallel or 'serial'}, "
         f"auth: {'token' if token else 'open'})",
         flush=True,
     )
@@ -362,7 +349,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     # SIGTERM drains: stop admitting (503 + Retry-After), let in-flight
-    # submissions finish streaming, flush the registry, exit 0.  The
+    # submissions finish streaming and record their ends, exit 0.  The
     # actual shutdown must run off-signal -- server.shutdown() blocks
     # until serve_forever returns.
     def _drain(signo, frame):  # pragma: no cover - signal path
@@ -396,7 +383,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.exec.journal import audit_journals, gc_journals
+    from repro.exec.journal import gc_journals
     from repro.exec.registry import RunRegistry
     from repro.exec.store import ResultStore
 
@@ -418,22 +405,26 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.action == "verify":
         report = store.verify()
         print(f"store {store.root}: {report.describe()}")
-        journals = audit_journals(store.root)
-        if journals["runs"]:
+        ledger = RunRegistry(store.root)
+        if len(ledger):
+            journals = ledger.journal_summary()
             print(
                 f"journals: {journals['runs']} run(s), "
                 f"{journals['complete']} complete, "
                 f"{journals['interrupted']} interrupted"
             )
-        registry = RunRegistry(store.root)
-        if len(registry):
-            summary = registry.summary()
+            summary = ledger.summary()
             print(
                 f"registry: {summary['runs']} run(s), "
                 f"{summary['complete']} complete, "
                 f"{summary['interrupted']} interrupted, "
                 f"{summary['quarantined']} quarantined, "
                 f"{summary['running']} running"
+            )
+        if ledger.skipped:
+            print(
+                f"registry: {ledger.skipped} line(s) skipped, not intact "
+                "run records (`store scrub` compacts them away)"
             )
         if not report.ok:
             print(
@@ -445,15 +436,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
     report = store.scrub()
     print(f"store {store.root}: {report.describe()}")
-    # Scrub is also the retention pass: journals of completed runs
-    # whose cells are durable carry nothing the store does not, and
-    # the run registry collapses to one line per run.
-    removed = gc_journals(store)
-    if removed:
-        print(f"journals: {removed} completed run journal(s) reclaimed")
-    registry = RunRegistry(store.root)
-    if len(registry):
-        dropped = registry.compact()
+    # Scrub is also the ledger's retention pass: manifests of runs that
+    # recorded their end carry nothing the store does not, and the
+    # ledger collapses to one line per run.
+    ledger = RunRegistry(store.root)
+    swept = gc_journals(ledger)
+    if swept:
+        print(f"journals: swept {swept} run manifest(s) left behind")
+    if len(ledger) or ledger.skipped:
+        dropped = ledger.compact()
         if dropped > 0:
             print(f"registry: compacted away {dropped} superseded line(s)")
     return 0
@@ -552,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("verify", "scrub", "index"),
         help="verify: read-only audit (checksums, torn tails, sidecar "
-        "indexes, run journals; exit 1 on damage); scrub: repair and "
-        "compact every shard in place; index: force-rebuild every "
+        "indexes, run ledger; exit 1 on damaged records); scrub: repair "
+        "and compact every shard in place, compact the run ledger and "
+        "sweep run manifests left behind; index: force-rebuild every "
         "shard's persistent sidecar index from a full scan",
     )
     store.add_argument(
@@ -580,14 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="port to bind; 0 picks an ephemeral port (default: the "
         "REPRO_SERVE_PORT environment variable, else 8787)",
-    )
-    serve.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard each plan across N resident worker processes "
-        "(default: REPRO_PARALLEL, else serial)",
     )
     serve.add_argument(
         "--store",

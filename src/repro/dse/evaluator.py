@@ -30,7 +30,7 @@ from repro.sim.machine import Machine
 from repro.sim.placement import Placement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.executors import _ExecutorBase
+    from repro.exec.executors import SerialExecutor
 
 logger = logging.getLogger("repro.dse")
 
@@ -115,15 +115,15 @@ class MeasurementEvaluator:
         config: MachineConfig,
         objective: Objective = mean_power_objective,
         duration: float = 10.0,
-        executor: "_ExecutorBase | None" = None,
+        executor: "SerialExecutor | None" = None,
     ) -> None:
         self.builder = builder
         self.machine = machine
         self.config = config
         self.objective = objective
         self.duration = duration
-        # Environment-resolved default: REPRO_PARALLEL/REPRO_STORE
-        # shard or persist every search this evaluator drives.
+        # Environment-resolved default: REPRO_STORE persists every
+        # search this evaluator drives.
         self.executor = (
             executor if executor is not None else default_executor(machine)
         )
@@ -151,7 +151,7 @@ class MeasurementEvaluator:
         duplicate genotypes deduplicate into one cell, the executor
         drives the misses through the machine's vectorized measurement
         plane (``Machine.run_cells``/``run_many`` -- one tensor pass
-        per batch, or sharded across workers), and a store-backed
+        per batch), and a store-backed
         executor serves revisited points from disk across processes.
         """
         workloads = [self.builder(point) for point in points]

@@ -37,7 +37,7 @@ from repro.sim.topology import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.executors import _ExecutorBase
+    from repro.exec.executors import SerialExecutor
 
 logger = logging.getLogger("repro.dse")
 
@@ -187,7 +187,7 @@ class TopologyEvaluator:
         machine: Machine,
         objective: TopologyObjective = efficiency_objective,
         duration: float = 10.0,
-        executor: "_ExecutorBase | None" = None,
+        executor: "SerialExecutor | None" = None,
         core_classes: Mapping[str, str | None] | None = None,
     ) -> None:
         self.workload = workload

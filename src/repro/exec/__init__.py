@@ -4,11 +4,12 @@ The automation layer behind every measurement campaign::
 
     plan      what to measure  -- a deduplicated cross product of
               workloads/placements x configurations x p-states x window
-    executor  how to measure   -- serially, across worker processes,
-              or on a campaign service (all bit-identical to serial)
+    executor  how to measure   -- in-process, or on a campaign
+              service (bit-identical either way)
     store     where results go -- checksummed JSON-line shard files
               keyed by content-addressed cell keys, so warm re-runs
-              never touch ``Machine.run``
+              never touch ``Machine.run``; next to them, one run
+              ledger records every store-backed run
 
 All measurement consumers (the runner, the section-4 modeling
 campaign, the DSE evaluators, the stressmark search, the figure
@@ -21,11 +22,7 @@ executor-shaped client for it, and plans travel in one wire format
 """
 
 from repro.exec.client import RemoteExecutor, ServiceClient
-from repro.exec.executors import (
-    ParallelExecutor,
-    SerialExecutor,
-    default_executor,
-)
+from repro.exec.executors import SerialExecutor, default_executor
 from repro.exec.faults import FaultPlan, parse_faults
 from repro.exec.journal import RunJournal, gc_journals, run_id
 from repro.exec.registry import RunRegistry
@@ -51,7 +48,6 @@ __all__ = [
     "ExperimentPlan",
     "FaultPlan",
     "MeasurementService",
-    "ParallelExecutor",
     "PlanCell",
     "RemoteExecutor",
     "ResultStore",

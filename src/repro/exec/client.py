@@ -279,7 +279,7 @@ class ServiceClient:
         return self._json("/runs")
 
     def run_status(self, run: str) -> Iterator[dict]:
-        """Stream the journal status and stored cells of one run."""
+        """Stream the ledger status and stored cells of one run."""
         return self._stream("GET", f"/runs/{run}")
 
     def submit(
@@ -417,6 +417,3 @@ class RemoteExecutor:
     def run(self, plan: ExperimentPlan) -> list[Measurement]:
         """Measurements in request order; raises if any cell failed."""
         return self.execute(plan).require_complete()
-
-    def close(self) -> None:  # executor-surface parity; nothing resident
-        return None

@@ -1,25 +1,21 @@
 """Deterministic fault injection for the execution engine.
 
 Long unattended campaigns treat partial failure as the normal case:
-workers crash, workers hang, store I/O hiccups, records tear.  Every
-recovery path in :mod:`repro.exec` is therefore exercised by *injected*
-faults rather than hoped-for ones -- and the injection is deterministic,
-so a failing chaos run reproduces from its seed alone.
+batches fail, store I/O hiccups, records tear, processes die mid-write.
+Every recovery path in :mod:`repro.exec` is therefore exercised by
+*injected* faults rather than hoped-for ones -- and the injection is
+deterministic, so a failing chaos run reproduces from its seed alone.
 
 A :class:`FaultPlan` holds per-site fault specs.  Whether a fault fires
 at a given site for a given key is a pure function of ``(seed, site,
 key)`` through the shared content hash -- never of wall clock, process
-id or call order -- so the same plan makes the same worker crash on the
-same chunk in every run, in every process.  A ``times`` cap per site
-bounds how many *attempts* of one key the fault hits, which is how
-transient faults (fail once, succeed on retry) are modeled.
+id or call order -- so the same plan poisons the same cell in every
+run, in every process.  A ``times`` cap per site bounds how many
+*attempts* of one key the fault hits, which is how transient faults
+(fail once, succeed on retry) are modeled.
 
 Sites:
 
-``crash``    the worker process hard-exits (``os._exit``) before
-             measuring a chunk -- a segfault/OOM-kill stand-in.
-``hang``     the worker sleeps ``hang_s`` seconds before measuring --
-             a wedged worker the watchdog must reap.
 ``slow``     a measured batch sleeps ``slow_s`` seconds first -- for
              pacing kill/resume tests; results are unaffected.
 ``io``       store reads/appends raise a transient ``OSError``.
@@ -28,8 +24,9 @@ Sites:
 ``torn``     a store append writes half its payload and hard-exits --
              a ``kill -9`` mid-write, leaving a torn shard tail.
 ``poison``   measuring a matching cell raises
-             :class:`FaultInjectedError` everywhere (worker *and*
-             in-process), so the cell ends up quarantined.
+             :class:`FaultInjectedError`, so its batch degrades to
+             cell-by-cell execution; a cell that fails on every
+             attempt ends up quarantined.
 ``reject``   the campaign service answers a plan submission with
              ``429 Too Many Requests`` (+ ``Retry-After``) before any
              work happens -- an admission-control rejection, for
@@ -41,15 +38,16 @@ Sites:
 
 Activation: :func:`active` returns the installed plan (tests inject one
 with :func:`injected`) or, failing that, parses the ``REPRO_FAULTS``
-environment variable -- which worker processes inherit, so one knob
-arms the whole execution tree.  The spec is comma-separated tokens::
+environment variable -- which child processes (a ``repro serve``
+server, a killed-and-resumed campaign) inherit, so one knob arms every
+process of a test.  The spec is comma-separated tokens::
 
-    REPRO_FAULTS="seed:42,crash:0.05,hang:0.01:2,io:0.1,slow:1.0"
+    REPRO_FAULTS="seed:42,poison:0.05:1,io:0.1,slow:1.0"
 
 ``site:probability[:times]`` arms a site (``times`` defaults to 1 for
-crash/hang/io/corrupt/torn/reject/stall -- transient -- and unbounded
-for slow/poison); ``seed:N`` seeds the draws;
-``hang_s:X``/``slow_s:X``/``stall_s:X`` set the sleep durations.  No variable, no installed plan: zero
+io/corrupt/torn/reject/stall -- transient -- and unbounded for
+slow/poison); ``seed:N`` seeds the draws; ``slow_s:X``/``stall_s:X``
+set the sleep durations.  No variable, no installed plan: zero
 overhead -- every hook starts with an ``active() is None`` check.
 """
 
@@ -59,7 +57,6 @@ import contextlib
 import logging
 import os
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import FaultInjectedError, MeasurementError
@@ -69,13 +66,9 @@ logger = logging.getLogger("repro.exec.faults")
 
 #: Sites that default to firing once per key (transient faults); the
 #: rest (slow, poison) default to firing on every attempt.
-_TRANSIENT_SITES = frozenset(
-    {"crash", "hang", "io", "corrupt", "torn", "reject", "stall"}
-)
+_TRANSIENT_SITES = frozenset({"io", "corrupt", "torn", "reject", "stall"})
 SITES = frozenset(
     {
-        "crash",
-        "hang",
         "io",
         "corrupt",
         "torn",
@@ -120,10 +113,9 @@ def _unit_draw(seed: int, site: str, key: str) -> float:
 class FaultPlan:
     """A seeded set of fault specs, deterministic per (site, key, attempt).
 
-    The plan is cheap, picklable state; the decision function
-    :meth:`fire` is pure given an explicit attempt number, so parent
-    and worker processes sharing a spec agree on every decision.  When
-    no attempt number is available (store-side sites), the plan counts
+    The plan is cheap state; the decision function :meth:`fire` is pure
+    given an explicit attempt number, so processes sharing a spec agree
+    on every decision.  Without an attempt number, the plan counts
     calls per (site, key) locally -- each process sees its *own*
     attempt sequence, which is exactly the transient-fault semantics
     retries need.
@@ -131,7 +123,6 @@ class FaultPlan:
 
     seed: int = 0
     specs: dict[str, FaultSpec] = field(default_factory=dict)
-    hang_s: float = 30.0
     slow_s: float = 0.05
     stall_s: float = 0.5
     _attempts: dict[tuple[str, str], int] = field(
@@ -170,16 +161,6 @@ class FaultPlan:
 
     # -- fault actions ---------------------------------------------------------
 
-    def maybe_crash(self, key: str, attempt: int) -> None:
-        """Hard-exit the current process (worker-side only)."""
-        if self.fire("crash", key, attempt):  # pragma: no cover - kills proc
-            logging.shutdown()
-            os._exit(113)
-
-    def maybe_hang(self, key: str, attempt: int) -> None:
-        if self.fire("hang", key, attempt):
-            time.sleep(self.hang_s)
-
     def maybe_slow(self, key: str) -> None:
         if self.fire("slow", key):
             time.sleep(self.slow_s)
@@ -211,8 +192,6 @@ class FaultPlan:
             if spec.times != default_times:
                 token += f":{spec.times}"
             tokens.append(token)
-        if self.specs.get("hang") and self.hang_s != 30.0:
-            tokens.append(f"hang_s:{self.hang_s:g}")
         if self.specs.get("slow") and self.slow_s != 0.05:
             tokens.append(f"slow_s:{self.slow_s:g}")
         if self.specs.get("stall") and self.stall_s != 0.5:
@@ -232,8 +211,6 @@ def parse_faults(spec: str) -> FaultPlan:
         try:
             if name == "seed":
                 plan.seed = int(parts[1])
-            elif name == "hang_s":
-                plan.hang_s = float(parts[1])
             elif name == "slow_s":
                 plan.slow_s = float(parts[1])
             elif name == "stall_s":
@@ -265,9 +242,9 @@ def install(plan: FaultPlan | None) -> None:
     """Install (or with ``None`` clear) the process-local fault plan.
 
     An installed plan wins over ``REPRO_FAULTS`` but does *not*
-    propagate to worker processes -- use the environment variable (or
+    propagate to child processes -- use the environment variable (or
     the :func:`injected` fixture-style context manager, which sets
-    both) when worker-side sites must fire.
+    both) when a child's sites must fire.
     """
     global _INSTALLED
     _INSTALLED = plan
@@ -290,11 +267,11 @@ def active() -> FaultPlan | None:
 @contextlib.contextmanager
 def injected(plan: FaultPlan):
     """Context manager arming ``plan`` in-process *and* in the
-    environment, so freshly spawned workers inherit it.
+    environment, so freshly spawned child processes inherit it.
 
     The test-suite idiom::
 
-        with faults.injected(FaultPlan(seed=7).arm("crash")):
+        with faults.injected(FaultPlan(seed=7).arm("poison", times=1)):
             report = executor.execute(plan)
     """
     previous_env = os.environ.get("REPRO_FAULTS")
@@ -317,9 +294,3 @@ def cell_key(cell) -> str:
     """Stable fault key of one plan cell (content identity, not order)."""
     return f"cell:{content_hash(str(cell.identity())):016x}"
 
-
-def chunk_key(cells: Sequence) -> str:
-    """Stable fault key of one executor chunk (its cells' identities)."""
-    return "chunk:" + format(
-        content_hash("|".join(str(cell.identity()) for cell in cells)), "016x"
-    )

@@ -1,40 +1,23 @@
-"""Per-run journals: crash-safe campaign manifests next to the store.
+"""Per-run handles on the run ledger, and the manifest sweep.
 
-A store-backed execution writes an append-only journal under
-``<store>/journal/<run_id>.jsonl``.  The run id is content-addressed
-from the plan's store keys (which already fold the architecture
-definition digest, machine seed, workload digests, configuration and
-window), so the *same* campaign always journals to the same file --
-a re-run of an interrupted campaign finds its own half-written journal
-and resumes.
+A store-backed execution records itself in the store's run ledger
+(:class:`~repro.exec.registry.RunRegistry`) through one
+:class:`RunJournal`, with the same writes however many batches it
+persists: :meth:`~RunJournal.start` writes the run's key manifest once
+(``<store>/journal/<run_id>.json``, the plan's store keys in order)
+and a ``running`` record; :meth:`~RunJournal.complete` writes one
+final record and drops the manifest if the run completed cleanly.
 
-The journal is a *manifest*, not a second store: the
-:class:`~repro.exec.store.ResultStore` remains the source of truth for
-which cells are done (every persisted batch is both appended to the
-store and journaled), and resume works by probing the store per key as
-always.  What the journal adds is run-level accounting that the store's
-flat key space cannot express:
+"Done" means present in the store.  A run killed mid-flight leaves its
+``running`` record and its manifest: ``store verify`` counts it
+interrupted, ``GET /runs/<id>`` lists which of its cells the store
+holds, and re-running the plan resumes from the store.  ``store
+scrub`` sweeps the manifests of runs that recorded their end
+(:func:`gc_journals`).
 
-* **interruption visibility** -- a header without a matching
-  ``complete`` line is a campaign that died mid-flight (``kill -9``,
-  OOM, power); the executor logs the resume with how many of the run's
-  cells were already journaled done, and ``python -m repro store
-  verify`` reports interrupted runs;
-* **quarantine memory** -- cells quarantined by a previous attempt are
-  recorded with their failure, so operators can distinguish "never
-  ran" from "ran and kept failing";
-* **fault counters per run** -- the ``complete`` line carries the
-  run's recovery counters, a durable chaos-observability record.
-
-Lines are JSON, one object each::
-
-    {"journal": "repro-run-v1", "run": ..., "cells": N, ...}   header
-    {"done": ["<key>", ...]}                                   per batch
-    {"quarantined": [{...CellFailure...}, ...]}                on failure
-    {"complete": true, "measured": N, "counters": {...}}       trailer
-
-Appends use the same ``flock`` discipline as the store shards; a torn
-journal tail is skipped on read (the store still has the batch).
+The run id is content-addressed from the plan's store keys, so the
+same campaign always records under the same id, and a re-run of an
+interrupted campaign is recorded as its resumption.
 """
 
 from __future__ import annotations
@@ -42,42 +25,15 @@ from __future__ import annotations
 import json
 import logging
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
+from repro.exec.registry import RunRegistry, UNFINISHED, plan_digest
 from repro.hashing import content_hex
 
 logger = logging.getLogger("repro.exec.journal")
 
-FORMAT = "repro-run-v1"
-
-
-def append_jsonl(path: Path, entry: dict) -> None:
-    """Append one JSON line to ``path`` under an exclusive ``flock``.
-
-    The shared crash-safe append discipline of the run journals and the
-    run registry: the parent directory is created on demand, the line
-    is written with a single ``write`` call and flushed, and the lock is
-    always released.  Raises ``OSError`` on failure -- callers decide
-    whether the line is load-bearing (the registry logs and continues;
-    results always live in the store).
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(entry, sort_keys=True).encode() + b"\n"
-    with path.open("ab") as handle:
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            handle.write(line)
-            handle.flush()
-        finally:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+FORMAT = "repro-run-v2"
 
 
 def run_id(cell_keys: Sequence[str]) -> str:
@@ -90,173 +46,136 @@ def run_id(cell_keys: Sequence[str]) -> str:
     return content_hex("run-v1|" + "|".join(cell_keys), size=12)
 
 
+def manifest_path(store_root: str | os.PathLike, run: str) -> Path:
+    """Where a run's key manifest lives."""
+    return Path(store_root) / "journal" / f"{run}.json"
+
+
+def read_manifest(store_root: str | os.PathLike, run: str) -> list[str] | None:
+    """The store keys of ``run``, or ``None`` without an intact manifest."""
+    try:
+        entry = json.loads(manifest_path(store_root, run).read_bytes())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(entry, dict) or entry.get("manifest") != FORMAT:
+        return None
+    keys = entry.get("keys") if entry.get("run") == run else None
+    if not isinstance(keys, list) or not all(
+        isinstance(key, str) for key in keys
+    ):
+        return None
+    return keys
+
+
 class RunJournal:
-    """Append-only manifest of one plan execution."""
+    """One run's handle on the ledger: manifest once, start, end.
 
-    def __init__(self, store_root: str | os.PathLike, run: str) -> None:
+    Between :meth:`start` and :meth:`complete` the journal accumulates
+    the fault counters and quarantined cells of every execution that is
+    part of the run (:meth:`absorb`), so its final record carries them.
+    """
+
+    def __init__(self, ledger: RunRegistry, run: str) -> None:
+        self.ledger = ledger
         self.run = run
-        self.directory = Path(store_root) / "journal"
-        self.path = self.directory / f"{run}.jsonl"
-        #: Keys journaled done by this or a previous attempt of the run.
-        self.done: set[str] = set()
-        #: CellFailure dicts quarantined by previous attempts.
-        self.prior_failures: list[dict] = []
-        #: Whether a previous attempt finished cleanly.
-        self.completed = False
-        #: Whether this run resumes an interrupted predecessor.
-        self.resumed = False
-        self._load()
+        self.path = manifest_path(ledger.root, run)
+        previous = ledger.get(run)
+        #: Whether this run resumes one that never recorded its end.
+        self.resumed = (
+            previous is not None and previous["state"] in UNFINISHED
+        )
+        self.counters: dict[str, int] = {}
+        self.failures: list = []
 
-    # -- reading ---------------------------------------------------------------
+    def start(self, keys: Sequence[str], description: str, **fields) -> None:
+        """Write the key manifest, then record the run ``running``.
 
-    def _load(self) -> None:
+        ``fields`` (architecture, seed) ride along on the record.  The
+        manifest lands atomically (a sibling, then ``os.replace``) and
+        is never load-bearing for results: a failed write is logged.
+        """
+        body = {"manifest": FORMAT, "run": self.run, "keys": list(keys)}
+        staging = self.path.with_name(f"{self.run}.{os.getpid()}.tmp")
         try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            staging.write_bytes(json.dumps(body).encode() + b"\n")
+            os.replace(staging, self.path)
         except OSError as exc:
-            logger.warning("cannot read run journal %s: %s", self.path, exc)
-            return
-        header_seen = False
-        for line in data.split(b"\n"):
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # A torn tail from a kill mid-append: the store still
-                # holds the batch; skip the remnant.
-                logger.warning(
-                    "skipping torn line in run journal %s", self.path
-                )
-                continue
-            if entry.get("journal") == FORMAT:
-                header_seen = True
-            elif "done" in entry:
-                self.done.update(entry["done"])
-            elif "quarantined" in entry:
-                self.prior_failures.extend(entry["quarantined"])
-            elif entry.get("complete"):
-                self.completed = True
-        self.resumed = header_seen and not self.completed
-
-    @property
-    def state(self) -> str:
-        """This run's lifecycle state, as the run registry spells it."""
-        if not self.completed:
-            return "interrupted"
-        return "quarantined" if self.prior_failures else "complete"
-
-    # -- writing ---------------------------------------------------------------
-
-    def _append(self, entry: dict) -> None:
-        try:
-            append_jsonl(self.path, entry)
-        except OSError as exc:
-            # The journal is observability, never load-bearing for
-            # results: losing a line degrades resume *reporting*, not
-            # resume correctness (the store is the source of truth).
-            logger.warning("cannot append to run journal %s: %s", self.path, exc)
-
-    def start(self, total_cells: int, description: str) -> None:
-        """Journal the run header (once per attempt)."""
-        self._append(
-            {
-                "journal": FORMAT,
-                "run": self.run,
-                "cells": total_cells,
-                "plan": description,
-                "resumed": self.resumed,
-            }
+            logger.warning("cannot write run manifest %s: %s", self.path, exc)
+        self.ledger.record(
+            self.run,
+            "running",
+            cells=len(keys),
+            plan=description,
+            plan_digest=plan_digest(keys),
+            resumed=self.resumed,
+            **fields,
         )
         if self.resumed:
             logger.info(
-                "resuming interrupted run %s: %d of %d cells journaled "
-                "done by the previous attempt",
-                self.run,
-                len(self.done),
-                total_cells,
+                "resuming interrupted run %s (%d cells)", self.run, len(keys)
             )
 
-    def mark_done(self, keys: Iterable[str]) -> None:
-        """Journal one persisted batch."""
-        fresh = [key for key in keys if key not in self.done]
-        if not fresh:
-            return
-        self.done.update(fresh)
-        self._append({"done": fresh})
+    def absorb(self, report) -> None:
+        """Fold one execution's fault counters and quarantines in."""
+        for name, value in report.fault_counters.items():
+            self.counters[name] = self.counters.get(name, 0) + value
+        self.failures.extend(report.failures)
 
-    def mark_quarantined(self, failures: Sequence) -> None:
-        """Journal quarantined cells (CellFailure instances)."""
-        if failures:
-            self._append(
-                {"quarantined": [failure.to_dict() for failure in failures]}
-            )
+    def complete(self, measured: int, **accounting) -> bool:
+        """Record the run's end; whether its manifest was dropped.
 
-    def complete(self, measured: int, counters: dict) -> None:
-        """Journal the clean end of the run."""
-        self.completed = True
-        self._append(
-            {"complete": True, "measured": measured, "counters": counters}
+        The final record's state is ``quarantined`` when any cell
+        failed, else ``complete``; ``accounting`` (warm, deduped cells)
+        rides along.  A clean run drops its manifest: everything it
+        named is in the store.
+        """
+        fields = dict(accounting)
+        if self.counters:
+            fields["counters"] = dict(self.counters)
+        if self.failures:
+            fields["quarantined"] = [f.to_dict() for f in self.failures]
+        self.ledger.record(
+            self.run,
+            "quarantined" if self.failures else "complete",
+            measured=measured,
+            **fields,
         )
+        if self.failures:
+            return False
+        try:
+            self.path.unlink()
+        except OSError:
+            return False
+        return True
 
 
-def gc_journals(store) -> int:
-    """Drop journals of completed runs whose cells are durable; count them.
+def gc_journals(ledger: RunRegistry) -> int:
+    """Sweep the manifests left behind next to ``ledger``; how many.
 
-    A long-lived process (the campaign service foremost) completes
-    thousands of runs against one store, and every run leaves a
-    ``<store>/journal/<run_id>.jsonl`` manifest behind -- without
-    retention the journal directory grows forever.  A journal is
-    reclaimable exactly when it has stopped carrying information the
-    store does not: the run completed cleanly, every cell it journaled
-    done is still present in the store (an abandoned append or an
-    external compaction would otherwise lose the resume record with
-    the journal), and nothing was quarantined (quarantine memory is
-    the journal's whole point -- operators must still be able to
-    distinguish "never ran" from "ran and kept failing").
-
-    Interrupted journals are always kept: they are the crash-resume
-    record.  ``store`` is a :class:`~repro.exec.store.ResultStore`;
-    unlinking failures are logged and skipped, never raised.
+    A manifest is kept exactly while its run is unfinished in the
+    ledger (``running`` or ``interrupted``): it is then the record of
+    which cells the run still owes.  Every other file in the manifest
+    directory -- the manifest of a finished or unknown run, a stale
+    staging file -- carries nothing the ledger and the store do not,
+    and is removed.  Unlinking failures are logged and skipped.
     """
-    directory = Path(store.root) / "journal"
+    directory = ledger.root / "journal"
     if not directory.is_dir():
         return 0
     removed = 0
-    for path in sorted(directory.glob("*.jsonl")):
-        journal = RunJournal(store.root, path.stem)
-        if not journal.completed or journal.prior_failures:
-            continue
-        if any(key not in store for key in journal.done):
+    for path in sorted(directory.iterdir()):
+        record = ledger.get(path.name.split(".")[0])
+        if (
+            path.suffix == ".json"
+            and record is not None
+            and record["state"] in UNFINISHED
+        ):
             continue
         try:
             path.unlink()
         except OSError as exc:
-            logger.warning("cannot drop run journal %s: %s", path, exc)
+            logger.warning("cannot drop run manifest %s: %s", path, exc)
             continue
         removed += 1
-    if removed:
-        logger.info(
-            "journal gc: dropped %d completed run journal(s) whose "
-            "cells are durable in %s",
-            removed,
-            store.root,
-        )
     return removed
-
-
-def audit_journals(store_root: str | os.PathLike) -> dict[str, int]:
-    """Run-journal summary for ``store verify``: total/complete/interrupted."""
-    directory = Path(store_root) / "journal"
-    totals = {"runs": 0, "complete": 0, "interrupted": 0}
-    if not directory.is_dir():
-        return totals
-    for path in sorted(directory.glob("*.jsonl")):
-        journal = RunJournal(store_root, path.stem)
-        totals["runs"] += 1
-        if journal.completed:
-            totals["complete"] += 1
-        else:
-            totals["interrupted"] += 1
-    return totals

@@ -1,39 +1,32 @@
-"""Persistent run registry: every run the service ever served, durably.
+"""The run ledger: every store-backed run, durably, in one file.
 
-The campaign service's ``GET /runs``/``GET /runs/<id>`` endpoints were
-originally backed by the per-run journals alone -- and journals of
-*completed* runs are garbage-collected once their cells are durable in
-the store, so a run's very existence was forgotten minutes after it
-finished.  The :class:`RunRegistry` fixes that: an append-only, flock'd
-``<store>/registry.jsonl`` records one line per run state transition
-(submitted, completed, interrupted, quarantined), is replayed on server
-start, and survives both journal GC and server restarts.
-
-Records are JSON lines; per run, the *last* record wins on replay::
+Every execution against a :class:`~repro.exec.store.ResultStore` -- a
+CLI campaign, a library ``SerialExecutor`` run, a request served by
+the campaign service -- is one run in ``<store>/registry.jsonl``.  A
+run appends two records through its
+:class:`~repro.exec.journal.RunJournal`: ``running`` when it starts,
+and one final record (state, accounting, fault counters, quarantined
+cells) when it ends.  Per run, the *last* record wins on replay, its
+fields merged over the earlier ones::
 
     {"registry": "repro-registry-v1", "run": ..., "state": "running",
-     "cells": N, "plan": ..., "plan_digest": ..., "arch": ..., "seed": ...}
-    {"run": ..., "state": "complete", "measured": N, "warm": N, ...}
+     "cells": N, "plan": ..., "plan_digest": ..., "sum": ...}
+    {"registry": "repro-registry-v1", "run": ..., "state": "complete",
+     "measured": N, "warm": N, "sum": ...}
 
-The registry is *accounting*, never a second store: losing a line
-degrades the run listing, not results (the store remains the source of
-truth for measurements, the journals for per-cell resume).  Appends
-therefore log-and-continue on ``OSError`` exactly like the journals,
-and a torn tail from a ``kill -9`` mid-append is skipped on replay.
+Each record carries a checksum of its canonical JSON, like a store
+record.  Replay skips and counts every line that is not an intact
+record -- a torn tail from a ``kill -9`` mid-append, a flipped byte,
+valid JSON that is not an object, a ``run`` or ``state`` of the wrong
+type -- so a damaged ledger never stops a server from starting nor
+invents a run.  The ledger is accounting, never a second store:
+appends log and continue on ``OSError``.
 
-Crash recovery: a registry entry still in state ``running`` when a
-server *starts* belongs to a run interrupted by the previous process's
-death -- nothing can be running before the first request.
-:meth:`RunRegistry.recover` reconciles those entries against the run's
-journal (a journal that says complete wins) and appends the corrected
-state, so ``GET /runs`` on a restarted server lists the interrupted
-run immediately; resubmitting its plan is the resume path, warm cells
-serving from the store with zero re-measurement.
-
-Retention: one line per state transition grows forever on a busy
-server; :meth:`RunRegistry.compact` rewrites the file to one line per
-run (newest state), called from ``python -m repro store scrub``
-alongside journal GC.
+A run still ``running`` when a server *starts* was interrupted by the
+previous process's death, so :meth:`RunRegistry.recover` records it
+``interrupted``; resubmitting its plan resumes from the store.
+:meth:`RunRegistry.compact` rewrites the file to one line per run
+(``python -m repro store scrub``).
 """
 
 from __future__ import annotations
@@ -45,7 +38,11 @@ import threading
 import time
 from pathlib import Path
 
-from repro.exec.journal import RunJournal, append_jsonl
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None  # type: ignore[assignment]
+
 from repro.hashing import content_hex
 
 logger = logging.getLogger("repro.exec.registry")
@@ -53,27 +50,90 @@ logger = logging.getLogger("repro.exec.registry")
 FORMAT = "repro-registry-v1"
 
 STATES = ("running", "complete", "interrupted", "quarantined")
+#: States of a run that has not recorded its end.
+UNFINISHED = ("running", "interrupted")
 
 
 def plan_digest(cell_keys) -> str:
     """Content digest of a plan as submitted: its store keys, in order.
 
     Distinct from the run id only in salt -- recorded separately so a
-    registry consumer can group resubmissions of the same plan without
+    ledger consumer can group resubmissions of the same plan without
     re-deriving key lists.
     """
     return content_hex("plan-v1|" + "|".join(cell_keys), size=12)
+
+
+def _checksum(entry: dict) -> str:
+    return content_hex(
+        "ledger-v1|" + json.dumps(entry, sort_keys=True), size=8
+    )
+
+
+def render_entry(record: dict) -> bytes:
+    """One checksummed ledger line (newline-terminated)."""
+    entry = {"registry": FORMAT, **record}
+    entry["sum"] = _checksum(entry)
+    return json.dumps(entry, sort_keys=True).encode() + b"\n"
+
+
+def _parse_entry(line: bytes) -> dict | None:
+    """The record one ledger line spells, or ``None`` if it is not one."""
+    try:
+        entry = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(entry, dict):
+        return None
+    recorded = entry.pop("sum", None)
+    if recorded != _checksum(entry):
+        return None
+    entry.pop("registry", None)
+    run, state = entry.get("run"), entry.get("state")
+    if not isinstance(run, str) or not run or state not in STATES:
+        return None
+    if any(
+        type(entry.get(name, 0)) is not int
+        for name in ("cells", "measured", "warm", "deduped")
+    ):
+        return None
+    failures = entry.get("quarantined", [])
+    if isinstance(failures, list) and all(type(f) is dict for f in failures):
+        return entry
+    return None
+
+
+def append_line(path: Path, line: bytes) -> None:
+    """Append one line to ``path`` under an exclusive ``flock``.
+
+    The parent directory is created on demand, the line is written
+    with a single ``write`` call and flushed, and the lock is always
+    released.  Raises ``OSError`` on failure.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("ab") as handle:
+        if fcntl is not None:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        try:
+            handle.write(line)
+            handle.flush()
+        finally:
+            if fcntl is not None:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 class RunRegistry:
     """Durable, replayable record of every run against one store."""
 
     def __init__(self, store_root: str | os.PathLike) -> None:
-        self.path = Path(store_root) / "registry.jsonl"
+        self.root = Path(store_root)
+        self.path = self.root / "registry.jsonl"
         self._lock = threading.Lock()
         #: run id -> merged record (last state wins), insertion-ordered
         #: by first sighting, so listings read oldest-first.
         self._runs: dict[str, dict] = {}
+        #: Lines replay skipped: torn, damaged or not a run record.
+        self.skipped = 0
         self._replay()
 
     # -- reading ---------------------------------------------------------------
@@ -84,30 +144,29 @@ class RunRegistry:
         except FileNotFoundError:
             return
         except OSError as exc:
-            logger.warning("cannot read run registry %s: %s", self.path, exc)
+            logger.warning("cannot read run ledger %s: %s", self.path, exc)
             return
         for line in data.split(b"\n"):
             if not line:
                 continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # A torn tail from a kill mid-append; later appends
-                # land on their own line (append_jsonl writes whole
-                # lines), so only the remnant is lost.
-                logger.warning(
-                    "skipping torn line in run registry %s", self.path
-                )
+            entry = _parse_entry(line)
+            if entry is None:
+                self.skipped += 1
                 continue
-            run = entry.get("run")
-            if not run:
-                continue
-            entry.pop("registry", None)
-            merged = self._runs.get(run)
+            merged = self._runs.get(entry["run"])
             if merged is None:
-                self._runs[run] = dict(entry)
+                self._runs[entry["run"]] = entry
             else:
                 merged.update(entry)
+        if self.skipped:
+            # Later appends land on their own line (whole-line writes),
+            # so a torn tail loses only its own remnant.
+            logger.warning(
+                "run ledger %s: skipped %d line(s) that are not intact "
+                "run records",
+                self.path,
+                self.skipped,
+            )
 
     def __len__(self) -> int:
         with self._lock:
@@ -134,19 +193,28 @@ class RunRegistry:
         with self._lock:
             for record in self._runs.values():
                 totals["runs"] += 1
-                state = record.get("state")
-                if state in totals:
-                    totals[state] += 1
+                totals[record["state"]] += 1
         return totals
+
+    def journal_summary(self) -> dict[str, int]:
+        """Runs that recorded their end (``complete``) and runs that did
+        not (``interrupted``): the ``journals`` view of the ledger."""
+        totals = self.summary()
+        unfinished = sum(totals[state] for state in UNFINISHED)
+        return {
+            "runs": totals["runs"],
+            "complete": totals["runs"] - unfinished,
+            "interrupted": unfinished,
+        }
 
     # -- writing ---------------------------------------------------------------
 
     def record(self, run: str, state: str, **fields) -> None:
-        """Append one state transition (and merge it in memory).
+        """Append one record (and merge it in memory).
 
         ``fields`` ride along on the record -- plan description and
-        digest on submission, accounting on completion.  Never raises:
-        the registry is observability, the store has the results.
+        digest when a run starts, accounting when it ends.  Never
+        raises: the ledger is accounting, the store has the results.
         """
         entry: dict = {"run": run, "state": state, **fields}
         with self._lock:
@@ -158,50 +226,36 @@ class RunRegistry:
                 merged.update(entry)
             entry["updated"] = self._runs[run]["updated"] = time.time()
         try:
-            append_jsonl(self.path, {"registry": FORMAT, **entry})
+            append_line(self.path, render_entry(entry))
         except OSError as exc:
-            logger.warning(
-                "cannot append to run registry %s: %s", self.path, exc
-            )
+            logger.warning("cannot append to run ledger %s: %s", self.path, exc)
 
-    def recover(self, store_root: str | os.PathLike | None = None) -> int:
-        """Reconcile stale ``running`` entries after a process death.
+    def recover(self) -> int:
+        """Record every run still ``running`` as ``interrupted``; how many.
 
-        Called once on server start, before any request: every entry
-        still ``running`` was interrupted by the previous process (a
-        fresh server runs nothing).  The run's journal gets the final
-        word -- a journal with a completion trailer means the run
-        finished and only the registry append was lost -- otherwise the
-        entry flips to ``interrupted``.  Returns how many entries were
-        corrected.
+        Called on server start, before any request: a fresh server runs
+        nothing, so every such run died with the previous process.
         """
-        root = Path(store_root) if store_root is not None else self.path.parent
         with self._lock:
             stale = [
                 run
                 for run, record in self._runs.items()
-                if record.get("state") == "running"
+                if record["state"] == "running"
             ]
-        corrected = 0
         for run in stale:
-            journal = RunJournal(root, run)
-            state = journal.state if journal.path.exists() else "interrupted"
-            self.record(run, state, recovered=True)
-            corrected += 1
+            self.record(run, "interrupted", recovered=True)
             logger.warning(
                 "run %s was in flight when the previous server died; "
-                "registry now records it %s",
+                "the ledger now records it interrupted",
                 run,
-                state,
             )
-        return corrected
+        return len(stale)
 
     def compact(self) -> int:
         """Rewrite the file to one line per run; lines dropped, or -1.
 
-        Uses the journals' atomic-enough discipline: write a sibling
-        then ``os.replace``.  Safe against concurrent *readers*; run it
-        from ``store scrub``, between campaigns, like shard compaction.
+        Writes a sibling then ``os.replace``, dropping the lines replay
+        skipped: run it from ``store scrub``, between campaigns.
         """
         with self._lock:
             records = [dict(record) for record in self._runs.values()]
@@ -210,17 +264,11 @@ class RunRegistry:
             before = sum(1 for line in raw.split(b"\n") if line)
             fresh = self.path.with_suffix(".jsonl.compact")
             with fresh.open("wb") as handle:
-                for record in records:
-                    handle.write(
-                        json.dumps(
-                            {"registry": FORMAT, **record}, sort_keys=True
-                        ).encode()
-                        + b"\n"
-                    )
+                handle.write(b"".join(render_entry(r) for r in records))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(fresh, self.path)
         except OSError as exc:
-            logger.warning("cannot compact run registry %s: %s", self.path, exc)
+            logger.warning("cannot compact run ledger %s: %s", self.path, exc)
             return -1
         return before - len(records)

@@ -1,13 +1,15 @@
 """Structured execution outcomes: measurements, failures, fault counters.
 
-Executors never abort a campaign because one cell kept failing: after
-bounded retries and the degraded in-process fallback, a failing cell is
-*quarantined* into a :class:`CellFailure` and the campaign carries on.
-:meth:`_ExecutorBase.execute` returns the full picture as an
-:class:`ExecutionReport`; the list-returning ``run()`` convenience
-keeps the historical contract by raising
+The executor never aborts a campaign because one cell kept failing:
+after the degraded cell-by-cell fallback and its bounded retries, a
+failing cell is *quarantined* into a :class:`CellFailure` and the
+campaign carries on.  :meth:`SerialExecutor.execute
+<repro.exec.executors.SerialExecutor.execute>` returns the full picture
+as an :class:`ExecutionReport`; the list-returning ``run()``
+convenience keeps the historical contract by raising
 :class:`~repro.errors.ExecutionError` (which carries the report) when
-anything was quarantined.
+anything was quarantined.  A store-backed run's ledger record carries
+the same counters and failures.
 """
 
 from __future__ import annotations
@@ -21,13 +23,9 @@ from repro.measure.measurement import Measurement
 #: counters are omitted; anything here being non-zero means a recovery
 #: path actually ran.
 COUNTER_NAMES = (
-    "retries",            # chunk/cell re-executions after a failure
-    "worker_respawns",    # pool teardowns after a dead/hung worker
-    "chunk_timeouts",     # per-chunk deadlines that expired
-    "worker_deaths",      # dead worker processes detected
-    "worker_errors",      # exceptions raised inside a worker
-    "batch_failures",     # serial batches that fell back to per-cell
-    "degraded_cells",     # cells re-executed serially in-process
+    "retries",            # cell re-executions after a failure
+    "batch_failures",     # batches that fell back to per-cell execution
+    "degraded_cells",     # cells re-executed one at a time
     "store_put_retries",  # store appends retried after an OSError
     "store_put_failures", # store appends abandoned (results kept)
 )
@@ -132,7 +130,7 @@ class ExecutionReport:
 
 
 class ReportBuilder:
-    """Mutable failure/counter accumulator the executors thread through."""
+    """Mutable failure/counter accumulator the executor threads through."""
 
     def __init__(self) -> None:
         self.failures: list[CellFailure] = []
@@ -153,10 +151,6 @@ class ReportBuilder:
         )
         self.failures.append(failure)
         return failure
-
-    def merge_counters(self, counters: dict) -> None:
-        for name, value in counters.items():
-            self.count(name, value)
 
     def build(self, measurements) -> ExecutionReport:
         return ExecutionReport(

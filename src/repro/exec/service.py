@@ -2,14 +2,14 @@
 
 ``python -m repro serve`` turns the execution engine into a
 long-running HTTP service.  Where every CLI invocation rebuilds hot
-machines, packed-kernel caches and worker pools from scratch, the
-service keeps them *resident*: one :class:`~repro.sim.machine.Machine`
-per (architecture, seed) with its summary/stack memos warm, one
-shared :class:`~repro.exec.executors.ParallelExecutor` worker pool, and
-one :class:`~repro.exec.store.ResultStore` that every client request
-reads and feeds.  Because measurements are pure functions of content,
-the service can dedupe and cache aggressively without changing a
-single bit of output: a response is always bit-identical to a one-shot
+machines and packed-kernel caches from scratch, the service keeps them
+*resident*: one :class:`~repro.sim.machine.Machine` and
+:class:`~repro.exec.executors.SerialExecutor` per (architecture, seed)
+with its summary/stack memos warm, and one
+:class:`~repro.exec.store.ResultStore` that every client request reads
+and feeds.  Because measurements are pure functions of content, the
+service can dedupe and cache aggressively without changing a single
+bit of output: a response is always bit-identical to a one-shot
 ``SerialExecutor.run`` of the same plan.
 
 Endpoints (all JSON; streamed bodies are chunked JSON Lines):
@@ -26,16 +26,16 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
     ``source`` (``store``/``measured``/``dedup``) and the full
     measurement.
 ``GET /runs``
-    The persistent :class:`~repro.exec.registry.RunRegistry` listing:
-    every run ever served against this store -- id, plan digest, state
+    The run ledger (:class:`~repro.exec.registry.RunRegistry`): every
+    run ever recorded against this store -- id, plan digest, state
     (``running``/``complete``/``interrupted``/``quarantined``) and
-    accounting -- surviving journal GC and server restarts.
+    accounting -- surviving server restarts.
 ``GET /runs/<id>``
-    Resume/status endpoint: the registry's durable record plus, while
-    the run's :class:`~repro.exec.journal.RunJournal` exists, the
-    stored measurement of every cell journaled done.  Resubmitting the
-    plan is always the resume path (warm cells serve from the store
-    with zero re-measurement).
+    Resume/status endpoint: the run's ledger record plus, while the
+    run's key manifest exists (an unfinished or quarantined run), the
+    stored measurement of every one of its cells the store holds.
+    Resubmitting the plan is always the resume path (warm cells serve
+    from the store with zero re-measurement).
 ``GET /stats``
     Cache / store / fault / dedup / admission / intern counters of the
     whole service.
@@ -44,44 +44,37 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
 
 Every other path answers 404.
 
-Hardening (this layer treats survivable restarts and bounded
-degradation as first-class):
+Hardening:
 
-* **run registry** -- every submission appends its state transitions
-  to a crash-safe, flock'd ``<store>/registry.jsonl``; a restarted
-  server replays it and reconciles runs that were in flight when the
-  previous process died, so ``kill -9`` loses no run history and
-  resumed plans re-measure nothing the store already holds.
+* **run ledger** -- every submission is one run in the store's ledger,
+  under the run id its stream header reports; the leader's sub-plan
+  and a follower's rescue are part of it.  A restarted server records
+  runs left in flight by the previous process ``interrupted``, so
+  ``kill -9`` loses no run history, and resubmitted plans re-measure
+  nothing the store already holds.
 * **admission control** -- optional bearer-token auth (``REPRO_TOKEN``
   / ``--token``; 401 without it), a bounded in-flight cell budget and
   request cap answering ``429 Too Many Requests`` with ``Retry-After``
-  (clients back off and resubmit; measurements are pure, so a retried
-  submission is bit-identical), and per-connection write deadlines so
-  one stalled reader can never wedge a flight other clients wait on.
-* **graceful drain** -- SIGTERM (``python -m repro serve``) stops
-  admission (503 + ``Retry-After``), lets in-flight flights finish
-  streaming, flushes the registry, and exits 0.
+  (measurements are pure, so a retried submission is bit-identical),
+  and per-connection write deadlines so one stalled reader can never
+  wedge a flight other clients wait on.
+* **graceful drain** -- SIGTERM stops admission (503 +
+  ``Retry-After``), lets in-flight submissions finish streaming, and
+  exits 0 with every run's final record written.
 
-Multi-tenant contracts:
+Multi-tenant contracts: a cell already in the store is served straight
+from disk (a fully warm plan performs zero ``Machine.run`` calls), and
+concurrent clients submitting overlapping plans trigger each distinct
+in-flight cell at most once (*single-flight*): the first client to
+claim a cell's key measures it (the *leader*), every other client
+waits on the same flight and receives the leader's bytes.  A follower
+whose leader fails rescues the cell itself, so one client's disconnect
+never loses another's results.
 
-* **warm serve** -- a cell already in the store is served straight
-  from disk; a fully warm plan performs zero ``Machine.run`` calls.
-* **single-flight** -- concurrent clients submitting overlapping plans
-  trigger each distinct in-flight cell at most once: the first client
-  to claim a cell's content-addressed key measures it (the *leader*),
-  every other client waits on the same flight and receives the
-  leader's bytes.  A follower whose leader fails rescues the cell
-  itself, so one client's disconnect never loses another's results.
-* **journal retention** -- every request journals under its
-  content-addressed run id; once a run completes with all cells
-  durable in the store, :func:`~repro.exec.journal.gc_journals`
-  reclaims the journal (interrupted and quarantined runs are kept).
-
-Executions serialize on one engine lock (plans queue; cells within a
-plan still shard across the worker pool), which keeps the resident
-machine's caches and the parallel pool single-writer.  Everything is
-stdlib -- :class:`http.server.ThreadingHTTPServer`, one thread per
-connected client -- so the service adds no dependencies.
+Executions serialize on one engine lock (plans queue), which keeps the
+resident machines' caches single-writer; classification (store probes,
+flight claims) stays concurrent.  Everything is stdlib --
+:class:`http.server.ThreadingHTTPServer`, one thread per client.
 """
 
 from __future__ import annotations
@@ -100,10 +93,10 @@ from repro.errors import (
     UnknownArchitectureError,
 )
 from repro.exec import faults
-from repro.exec.executors import ParallelExecutor, SerialExecutor
-from repro.exec.journal import RunJournal, audit_journals, gc_journals, run_id
+from repro.exec.executors import SerialExecutor
+from repro.exec.journal import RunJournal, read_manifest, run_id
 from repro.exec.plan import ExperimentPlan
-from repro.exec.registry import RunRegistry, plan_digest
+from repro.exec.registry import UNFINISHED, RunRegistry
 from repro.exec.serialize import WireInternCache, plan_from_dict
 from repro.exec.store import ResultStore
 from repro.measure.measurement import Measurement
@@ -189,21 +182,22 @@ class _FlightRegistry:
 # -- the service ---------------------------------------------------------------
 
 
-class _Engine:
-    """One resident measurement substrate: machine + executor."""
-
-    __slots__ = ("machine", "executor")
-
-    def __init__(self, machine: Machine, executor) -> None:
-        self.machine = machine
-        self.executor = executor
+def _cell_line(index: int, key: str, source: str, measurement) -> dict:
+    """One streamed cell line: plan index, store key, source, body."""
+    return {
+        "cell": index,
+        "key": key,
+        "source": source,
+        "measurement": measurement.to_dict(),
+    }
 
 
 class MeasurementService:
     """The resident measurement plane behind the HTTP handler.
 
-    Holds machines/executors per (architecture, seed), the
-    shared store, the single-flight registry and the service counters.
+    Holds one resident executor (and its machine) per (architecture,
+    seed), the shared store, the run ledger, the single-flight registry
+    and the service counters.
     Usable directly (tests drive :meth:`submit` without a socket) or
     through :func:`build_server`.
     """
@@ -211,11 +205,8 @@ class MeasurementService:
     def __init__(
         self,
         store: ResultStore | str | None = None,
-        parallel: int | None = None,
         retries: int | None = None,
-        timeout: float | None = None,
         flight_timeout: float = DEFAULT_FLIGHT_TIMEOUT_S,
-        journal_gc: bool = True,
         token: str | None = None,
         max_inflight_cells: int | None = None,
         max_requests: int | None = None,
@@ -227,11 +218,8 @@ class MeasurementService:
             if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__")
             else store
         )
-        self.parallel = parallel
         self.retries = retries
-        self.timeout = timeout
         self.flight_timeout = flight_timeout
-        self.journal_gc = journal_gc
         self.token = token or None
         self.max_inflight_cells = max_inflight_cells
         self.max_requests = max_requests
@@ -239,9 +227,9 @@ class MeasurementService:
         self.retry_after = retry_after
         #: Cross-request intern cache: wire digest -> rebuilt object.
         self.intern = WireInternCache()
-        self._engines: dict[tuple, _Engine] = {}
+        self._engines: dict[tuple, SerialExecutor] = {}
         #: Serializes executor.execute calls: the resident machines'
-        #: caches and the parallel worker pool are single-writer.
+        #: caches are single-writer.
         #: Classification (store probes, flight claims) stays
         #: concurrent, so overlapping clients dedupe while a plan runs.
         self._engine_lock = threading.Lock()
@@ -267,17 +255,17 @@ class MeasurementService:
             "auth_failures": 0,
             "broken_streams": 0,
         }
-        #: Durable run listing; replayed from ``<store>/registry.jsonl``
-        #: and reconciled against journals: nothing can be ``running``
-        #: before this process serves its first request.
+        #: The run ledger, replayed from ``<store>/registry.jsonl``:
+        #: nothing can be ``running`` before this process serves its
+        #: first request, so such runs are recorded interrupted.
         self.registry: RunRegistry | None = None
         if self.store is not None:
             self.registry = RunRegistry(self.store.root)
-            recovered = self.registry.recover(self.store.root)
+            recovered = self.registry.recover()
             if recovered:
                 logger.warning(
-                    "run registry: reconciled %d run(s) left in flight by "
-                    "the previous server process",
+                    "run ledger: %d run(s) left in flight by the previous "
+                    "server process recorded interrupted",
                     recovered,
                 )
 
@@ -382,48 +370,25 @@ class MeasurementService:
 
     # -- engines ---------------------------------------------------------------
 
-    def _engine(self, arch_name: str, seed: int) -> _Engine:
+    def _engine(self, arch_name: str, seed: int) -> SerialExecutor:
+        """The resident executor (and machine) of one tenant."""
         key = (arch_name.upper(), seed)
         with self._state_lock:
-            engine = self._engines.get(key)
-            if engine is not None:
-                return engine
-            from repro.march.definition import get_architecture
+            executor = self._engines.get(key)
+            if executor is None:
+                from repro.march.definition import get_architecture
 
-            machine = Machine(get_architecture(arch_name), seed=seed)
-            if self.parallel and self.parallel > 1:
-                executor = ParallelExecutor(
-                    machine,
-                    workers=self.parallel,
-                    store=self.store,
-                    retries=self.retries,
-                    timeout=self.timeout,
-                )
-            else:
                 executor = SerialExecutor(
-                    machine,
+                    Machine(get_architecture(arch_name), seed=seed),
                     store=self.store,
                     retries=self.retries,
-                    timeout=self.timeout,
                 )
-            engine = _Engine(machine, executor)
-            self._engines[key] = engine
-            logger.info(
-                "engine up: %s seed=%d executor=%s",
-                arch_name,
-                seed,
-                type(executor).__name__,
-            )
-            return engine
+                self._engines[key] = executor
+                logger.info("engine up: %s seed=%d", arch_name, seed)
+            return executor
 
     def close(self) -> None:
-        """Release worker pools and store handles."""
-        with self._state_lock:
-            engines = list(self._engines.values())
-        for engine in engines:
-            close = getattr(engine.executor, "close", None)
-            if close is not None:
-                close()
+        """Release the store's handles."""
         if self.store is not None:
             self.store.close()
 
@@ -445,13 +410,12 @@ class MeasurementService:
             raise ServiceError("plan request carries a non-integer seed")
         try:
             plan = plan_from_dict(request, intern=self.intern)
-            engine = self._engine(arch_name, seed)
-            plan.validate_against(engine.machine)
+            executor = self._engine(arch_name, seed)
+            plan.validate_against(executor.machine)
         except UnknownArchitectureError as exc:
             raise ServiceError(str(exc), status=404) from None
         except (PlanValidationError, MicroProbeError) as exc:
             raise ServiceError(str(exc)) from None
-        executor = engine.executor
         keys = [executor.key_of(cell) for cell in plan.cells]
         run = run_id(keys)
         self._admit(run, len(keys))
@@ -472,8 +436,8 @@ class MeasurementService:
         executor,
         start,
     ) -> dict:
-        """The admitted half of :meth:`submit`: journal, registry,
-        classification, execution, trailer."""
+        """The admitted half of :meth:`submit`: the run's ledger records
+        around classification, execution and the trailer."""
         self._count("requests")
         self._count("cells_requested", len(keys))
         logger.info(
@@ -483,16 +447,10 @@ class MeasurementService:
             seed,
             run,
         )
+        journal: RunJournal | None = None
         if self.registry is not None:
-            self.registry.record(
-                run,
-                "running",
-                cells=len(keys),
-                plan=plan.describe(),
-                plan_digest=plan_digest(keys),
-                arch=arch_name,
-                seed=seed,
-            )
+            journal = RunJournal(self.registry, run)
+            journal.start(keys, plan.describe(), arch=arch_name, seed=seed)
 
         emit = start()
         fault_plan = faults.active()
@@ -508,28 +466,22 @@ class MeasurementService:
             }
         )
         try:
-            trailer = self._execute(plan, keys, run, executor, emit)
+            trailer = self._execute(plan, keys, run, executor, journal, emit)
         except BaseException as exc:
             # The run died mid-flight (engine failure, shutdown): the
-            # registry must not keep saying "running" -- the journal
-            # and store already hold whatever landed, so a resubmit
-            # resumes warm.
-            if self.registry is not None:
-                self.registry.record(
-                    run,
-                    "interrupted",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            # ledger must not keep saying "running" -- the store holds
+            # whatever landed, so a resubmit resumes warm.
+            if journal is not None:
+                error = f"{type(exc).__name__}: {exc}"
+                self.registry.record(run, "interrupted", error=error)
             raise
-        if self.registry is not None:
-            self.registry.record(
-                run,
-                "quarantined" if trailer["failures"] else "complete",
-                measured=trailer["measured"],
-                warm=trailer["warm"],
-                deduped=trailer["deduped"],
-                failures=len(trailer["failures"]),
-            )
+        if journal is not None and journal.complete(
+            trailer["measured"],
+            warm=trailer["warm"],
+            deduped=trailer["deduped"],
+        ):
+            self._count("journals_gcd")
+        emit(trailer)
         return trailer
 
     def _execute(
@@ -538,43 +490,30 @@ class MeasurementService:
         keys: list[str],
         run: str,
         executor,
+        journal: RunJournal | None,
         emit,
     ) -> dict:
-        """Classify, measure and stream one admitted run; the trailer."""
-        journal: RunJournal | None = None
-        if self.store is not None:
-            journal = RunJournal(self.store.root, run)
-            journal.start(len(keys), plan.describe())
-
+        """Classify, measure and stream one admitted run; its trailer."""
         # Classification: warm cells stream immediately; cold cells are
         # either claimed (this request leads their measurement) or
         # followed (another request is already measuring them).
-        warm_keys: list[str] = []
+        warm = 0
         leaders: list[int] = []
         followers: list[tuple[int, str, _Flight]] = []
         for index, (cell, key) in enumerate(zip(plan.cells, keys)):
             found = self.store.get(key) if self.store is not None else None
             if found is not None:
-                warm_keys.append(key)
-                emit(
-                    {
-                        "cell": index,
-                        "key": key,
-                        "source": "store",
-                        "measurement": found.to_dict(),
-                    }
-                )
+                warm += 1
+                emit(_cell_line(index, key, "store", found))
                 continue
             flight, leading = self._flights.claim(key)
             if leading:
                 leaders.append(index)
             else:
                 followers.append((index, key, flight))
-        self._count("warm_cells", len(warm_keys))
+        self._count("warm_cells", warm)
         self._count("leader_cells", len(leaders))
         self._count("dedup_waits", len(followers))
-        if journal is not None and warm_keys:
-            journal.mark_done(warm_keys)
 
         measured = 0
         rescued = 0
@@ -594,24 +533,18 @@ class MeasurementService:
             elif isinstance(outcome, dict):
                 failures.append(outcome)
 
-        if journal is not None:
-            journal.complete(measured, {})
-            if self.journal_gc:
-                self._count("journals_gcd", gc_journals(self.store))
         self._count("measured_cells", measured)
         self._count("follower_rescues", rescued)
         self._count("quarantined_cells", len(failures))
-        trailer = {
+        return {
             "complete": True,
             "run": run,
             "cells": len(keys),
-            "warm": len(warm_keys),
+            "warm": warm,
             "measured": measured,
             "deduped": len(followers),
             "failures": failures,
         }
-        emit(trailer)
-        return trailer
 
     def _lead(
         self,
@@ -624,11 +557,11 @@ class MeasurementService:
     ) -> tuple[int, list[dict]]:
         """Measure the cells this request claimed; resolve their flights.
 
-        The sub-plan executes under the engine lock; the executor's
-        ``progress`` hook publishes every landed batch to the flight
-        registry *before* it is written to this client's stream, so
-        followers receive results even if this client's connection
-        breaks mid-response.
+        The sub-plan executes under the engine lock, as part of the
+        request's run; the executor's ``progress`` hook publishes every
+        landed batch to the flight registry *before* it is written to
+        this client's stream, so followers receive results even if this
+        client's connection breaks mid-response.
         """
         owned = {
             id(plan.cells[index]): (index, keys[index]) for index in leaders
@@ -638,30 +571,22 @@ class MeasurementService:
 
         def publish(batch_cells, batch_measurements, warm: bool) -> None:
             nonlocal measured
-            batch_keys = []
             for cell, measurement in zip(batch_cells, batch_measurements):
                 index, key = owned[id(cell)]
                 self._flights.resolve(key, measurement)
                 resolved.add(key)
-                batch_keys.append(key)
                 if not warm:
                     measured += 1
-                emit(
-                    {
-                        "cell": index,
-                        "key": key,
-                        "source": "store" if warm else "measured",
-                        "measurement": measurement.to_dict(),
-                    }
-                )
-            if journal is not None:
-                journal.mark_done(batch_keys)
+                source = "store" if warm else "measured"
+                emit(_cell_line(index, key, source, measurement))
 
         subplan = ExperimentPlan(plan.cells[index] for index in leaders)
         failures: list[dict] = []
         try:
             with self._engine_lock:
-                report = executor.execute(subplan, progress=publish)
+                report = executor.execute(
+                    subplan, progress=publish, journal=journal
+                )
         finally:
             # Whatever this leader could not resolve -- a quarantined
             # cell, or an unexpected abort -- must not strand followers.
@@ -688,8 +613,6 @@ class MeasurementService:
                 record = failure.to_dict() if failure is not None else {}
                 failures.append(record)
                 emit({"cell": index, "key": key, "failure": record})
-            if journal is not None:
-                journal.mark_quarantined(report.failures)
         return measured, failures
 
     def _follow(
@@ -708,55 +631,26 @@ class MeasurementService:
         """
         landed = flight.event.wait(self.flight_timeout)
         if landed and flight.measurement is not None:
-            if journal is not None:
-                journal.mark_done([key])
-            emit(
-                {
-                    "cell": index,
-                    "key": key,
-                    "source": "dedup",
-                    "measurement": flight.measurement.to_dict(),
-                }
-            )
+            emit(_cell_line(index, key, "dedup", flight.measurement))
             return "dedup"
         # The leader failed or timed out: the store may still have the
         # cell (leader persisted, then died); otherwise measure it
         # ourselves -- one client's death never loses another's cells.
         found = self.store.get(key) if self.store is not None else None
         if found is not None:
-            if journal is not None:
-                journal.mark_done([key])
-            emit(
-                {
-                    "cell": index,
-                    "key": key,
-                    "source": "store",
-                    "measurement": found.to_dict(),
-                }
-            )
+            emit(_cell_line(index, key, "store", found))
             return "dedup"
         logger.warning(
             "rescuing cell %s: its leader %s", key,
             "timed out" if not landed else "failed",
         )
         with self._engine_lock:
-            report = executor.execute(ExperimentPlan([cell]))
+            report = executor.execute(ExperimentPlan([cell]), journal=journal)
         measurement = report.measurements[0]
         if measurement is not None:
-            if journal is not None:
-                journal.mark_done([key])
-            emit(
-                {
-                    "cell": index,
-                    "key": key,
-                    "source": "measured",
-                    "measurement": measurement.to_dict(),
-                }
-            )
+            emit(_cell_line(index, key, "measured", measurement))
             return "rescued"
         record = report.failures[0].to_dict() if report.failures else {}
-        if journal is not None:
-            journal.mark_quarantined(report.failures)
         emit({"cell": index, "key": key, "failure": record})
         return record
 
@@ -786,18 +680,17 @@ class MeasurementService:
         if self.store is not None:
             payload["store"] = {
                 **self.store.snapshot_stats(),
-                "journals": audit_journals(self.store.root),
+                "journals": self.registry.journal_summary(),
             }
-        if self.registry is not None:
             payload["registry"] = self.registry.summary()
-        for (arch_name, seed), engine in engines.items():
-            report = engine.executor.last_report
+        for (arch_name, seed), executor in engines.items():
+            report = executor.last_report
             payload["engines"].append(
                 {
                     "arch": arch_name,
                     "seed": seed,
-                    "executor": type(engine.executor).__name__,
-                    "caches": engine.machine.cache_stats(),
+                    "executor": type(executor).__name__,
+                    "caches": executor.machine.cache_stats(),
                     "last_report": (
                         report.describe() if report is not None else None
                     ),
@@ -806,69 +699,54 @@ class MeasurementService:
         return payload
 
     def runs_listing(self) -> dict:
-        """The ``GET /runs`` payload: durable registry + live journals."""
-        if self.store is None:
+        """The ``GET /runs`` payload: every run in the ledger."""
+        if self.registry is None:
             raise ServiceError(
                 "the service has no result store attached; the run "
-                "registry needs --store", status=404,
+                "ledger needs --store", status=404,
             )
-        payload: dict = {"journals": audit_journals(self.store.root)}
-        if self.registry is not None:
-            payload["registry"] = self.registry.summary()
-            payload["runs"] = self.registry.runs()
-        return payload
+        return {
+            "journals": self.registry.journal_summary(),
+            "registry": self.registry.summary(),
+            "runs": self.registry.runs(),
+        }
 
     def run_status(self, run: str) -> tuple[dict, list[tuple[str, dict | None]]]:
-        """Status + stored results of one run, for ``GET /runs/<id>``."""
-        if self.store is None:
+        """Status + stored results of one run, for ``GET /runs/<id>``.
+
+        The status is the run's ledger record; the stored-cell lines
+        come from its key manifest, which a run keeps until it
+        completes cleanly.  Resubmitting the plan is the resume path.
+        """
+        if self.registry is None:
             raise ServiceError(
                 "the service has no result store attached; resume needs "
                 "--store", status=404,
             )
-        record = self.registry.get(run) if self.registry is not None else None
-        journal = RunJournal(self.store.root, run)
-        if not journal.path.exists():
-            if record is not None:
-                # Journal GC'd (or lost), registry remembers: report the
-                # durable record; resubmitting the plan is the resume
-                # path (warm cells serve with zero measurements).
-                return (
-                    {
-                        "run": run,
-                        "found": True,
-                        "state": record.get("state"),
-                        "registry": record,
-                        "note": "journal reclaimed; resubmit the plan -- "
-                        "warm cells serve from the store with zero "
-                        "measurements",
-                    },
-                    [],
-                )
-            return (
-                {
-                    "run": run,
-                    "found": False,
-                    "note": "unknown run (never served against this "
-                    "store); resubmit the plan -- warm cells serve from "
-                    "the store with zero measurements",
-                },
-                [],
-            )
+        record = self.registry.get(run)
+        if record is None:
+            note = "unknown run (never recorded against this store)"
+            return {"run": run, "found": False, "note": note}, []
         status = {
             "run": run,
             "found": True,
-            "state": journal.state,
-            "completed": journal.completed,
-            "resumed": journal.resumed,
-            "done": len(journal.done),
-            "quarantined": journal.prior_failures,
+            "state": record["state"],
+            "completed": record["state"] not in UNFINISHED,
+            "resumed": bool(record.get("resumed")),
+            "quarantined": record.get("quarantined", []),
+            "registry": record,
         }
-        if record is not None:
-            status["registry"] = record
+        keys = read_manifest(self.store.root, run)
+        if keys is None:
+            status["done"] = record.get("warm", 0) + record.get("measured", 0)
+            status["note"] = "manifest dropped on clean completion"
+            return status, []
         results = []
-        for key in sorted(journal.done):
+        for key in sorted(set(keys)):
             found = self.store.get(key)
-            results.append((key, found.to_dict() if found else None))
+            if found is not None:
+                results.append((key, found.to_dict()))
+        status["done"] = len(results)
         return status, results
 
 

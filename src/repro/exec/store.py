@@ -6,10 +6,10 @@ append-only sequence of JSON lines, one per persisted measurement
 cell.  Because keys are derived from the architecture, machine seed,
 workload content digest, configuration, operating point and window
 length (:meth:`~repro.exec.plan.PlanCell.key`), a store survives
-process restarts and is shared safely between serial and parallel
-executors: the same cell always lands under the same key with the
-same payload, and a warm re-run of any campaign skips ``Machine.run``
-entirely.
+process restarts and is shared safely between concurrent processes
+(campaigns, a campaign service): the same cell always lands under the
+same key with the same payload, and a warm re-run of any campaign
+skips ``Machine.run`` entirely.
 
 Writes are *append-style and batched*: persisting a measured batch
 groups its cells by shard and issues one locked append per touched

@@ -12,8 +12,8 @@ Since the execution-engine refactor the runner is a thin veneer over
 :mod:`repro.exec`: every entry point emits an
 :class:`~repro.exec.plan.ExperimentPlan` and hands it to an executor,
 so suites batch through ``Machine.run_many``, sweeps deduplicate
-repeated cells, and attaching a store-backed or parallel executor
-accelerates any caller without further changes here.
+repeated cells, and attaching a store-backed executor accelerates
+any caller's warm re-runs without further changes here.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.sim.config import MachineConfig, standard_configurations
 from repro.sim.pstate import PState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec.executors import _ExecutorBase
+    from repro.exec.executors import SerialExecutor
     from repro.sim.machine import Machine
 
 
@@ -34,11 +34,10 @@ class MeasurementRunner:
     """Runs measurement campaigns on one machine.
 
     ``executor`` defaults to the environment-resolved executor
-    (``REPRO_PARALLEL``/``REPRO_STORE``; a plain in-process
-    :class:`~repro.exec.executors.SerialExecutor` when neither is
-    set); pass a :class:`~repro.exec.executors.ParallelExecutor` or a
-    store-backed executor explicitly to shard or persist every
-    campaign this runner drives.  A service URL string (or a
+    (``REPRO_STORE``; a plain store-less
+    :class:`~repro.exec.executors.SerialExecutor` when it is not set);
+    pass a store-backed executor explicitly to persist every campaign
+    this runner drives.  A service URL string (or a
     :class:`~repro.exec.client.RemoteExecutor`) routes every campaign
     to a running ``python -m repro serve`` instead -- bit-identical
     results, resident caches and cross-client dedup on the server.
@@ -48,7 +47,7 @@ class MeasurementRunner:
         self,
         machine: "Machine",
         duration: float = DEFAULT_DURATION_S,
-        executor: "_ExecutorBase | str | None" = None,
+        executor: "SerialExecutor | str | None" = None,
     ) -> None:
         # Imported here, not at module level: repro.exec consumes
         # Measurement (and therefore this package), so the runner binds

@@ -10,10 +10,9 @@ consume this single entry point so the experiments stay consistent.
 All data gathering is expressed as
 :class:`~repro.exec.plan.ExperimentPlan` cross products and executed
 through the campaign's executor: the default (environment-resolved)
-executor keeps historical serial behaviour, while a parallel or
-store-backed executor shards the hundreds of suite x configuration
-cells across workers and/or serves warm re-runs from disk.  Under
-every executor, the suite's kernel cells evaluate through the
+executor measures in-process, and a store-backed one serves the
+hundreds of suite x configuration cells of a warm re-run from disk.
+Either way, the suite's kernel cells evaluate through the
 machine's vectorized measurement plane (:mod:`repro.sim.vector`) --
 whole sweeps as single tensor passes, bit-identical to the scalar
 walk.
@@ -41,7 +40,7 @@ from repro.sim.pstate import NOMINAL, PState
 from repro.workloads.spec import spec_cpu2006
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.executors import _ExecutorBase
+    from repro.exec.executors import SerialExecutor
 
 logger = logging.getLogger("repro.campaign")
 
@@ -70,7 +69,7 @@ class ModelingCampaign:
         duration: float = 10.0,
         seed: int = 0,
         p_states: tuple[PState, ...] = (NOMINAL,),
-        executor: "_ExecutorBase | None" = None,
+        executor: "SerialExecutor | None" = None,
     ) -> None:
         self.machine = machine if machine is not None else Machine()
         self.scale = scale
@@ -282,8 +281,8 @@ class HeterogeneousCampaign:
     of the topology gets models trained on its own silicon.
 
     ``executor_factory`` (machine -> executor) lets callers attach a
-    store-backed or parallel executor per class machine; the default
-    resolves the usual ``REPRO_PARALLEL``/``REPRO_STORE`` knobs.
+    store-backed executor per class machine; the default resolves the
+    usual ``REPRO_STORE`` knob.
     """
 
     def __init__(

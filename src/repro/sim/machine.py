@@ -242,7 +242,7 @@ class Machine:
         The plan's unique cells evaluate through :meth:`run_cells`
         (one tensor pass across every configuration), and results fan
         back out to the plan's requested order.  This is the
-        in-process fast path; executors add stores and worker sharding
+        in-process fast path; executors add stores and fault recovery
         on top.
         """
         return plan.expand(self.run_cells(plan.cells, plan=plan))

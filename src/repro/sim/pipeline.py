@@ -162,8 +162,8 @@ class CorePipelineModel:
             name: unit.pipes for name, unit in arch.units.items()
         }
         # Per-mnemonic rows compile lazily on first use (see _row):
-        # a model constructed for a handful of kernels -- cold executor
-        # machines, parallel workers -- never pays for the full ISA.
+        # a model constructed for a handful of kernels -- a cold
+        # executor machine -- never pays for the full ISA.
         self._rows: dict[str, _PropertyRow] = {}
         self._summaries: LRUCache[int, KernelSummary] = LRUCache(
             SUMMARY_CACHE_LIMIT, "pipeline.summaries"

@@ -241,9 +241,9 @@ def _sequential_row_sum(terms: np.ndarray) -> np.ndarray:
 # (matrix reference + row index), and values box to Python floats only
 # when a reader actually asks.  The view satisfies the Mapping
 # contract -- ``dict(view)``, ``items()``, ``get``, equality with
-# plain dicts -- and pickles/deep-copies *as* a plain dict, so
-# worker-process results and serialized store records carry plain
-# counter dicts.
+# plain dicts -- and pickles/deep-copies *as* a plain dict, so copied
+# measurements and serialized store records carry plain counter
+# dicts.
 
 
 class _LazyReadings(tuple):
@@ -321,8 +321,7 @@ class _LazyReadings(tuple):
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):
-        # Pickle (worker pipes) and deepcopy materialize to a plain
-        # dict.
+        # Pickle and deepcopy materialize to a plain dict.
         return (dict, (list(zip(self._names, self._values())),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

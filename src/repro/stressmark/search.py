@@ -194,9 +194,8 @@ def stressmark_search(
 
     The whole search is one experiment plan (sequences x SMT modes)
     handed to ``executor`` -- by default the environment-resolved
-    executor, so ``REPRO_PARALLEL``/``REPRO_STORE`` shard the search
-    across workers or serve a warm re-run from disk with zero machine
-    invocations.
+    executor, so ``REPRO_STORE`` serves a warm re-run from disk with
+    zero machine invocations.
     """
     from repro.exec.executors import default_executor
     from repro.exec.plan import ExperimentPlan

@@ -13,9 +13,8 @@ class TestParser:
     def test_engine_options_shared(self):
         for command in ("sweep", "campaign", "stressmark"):
             args = build_parser().parse_args(
-                [command, "--parallel", "2", "--store", "x", "--duration", "1"]
+                [command, "--store", "x", "--duration", "1"]
             )
-            assert args.parallel == 2
             assert args.store == "x"
             assert args.duration == 1.0
 
@@ -64,24 +63,6 @@ class TestSweepCommand:
         # Same numbers, zero fresh measurements.
         assert cold.splitlines()[1] == warm.splitlines()[1]
         assert "0 measured this run" in warm
-
-    def test_sweep_parallel_matches_serial(self, capsys, tmp_path):
-        base = [
-            "sweep",
-            "--workloads",
-            "daxpy",
-            "--configs",
-            "2-1,2-2,2-4",
-            "--loop-size",
-            "96",
-            "--duration",
-            "1",
-        ]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--parallel", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
 
 
 class TestHeterogeneousSweepCommand:

@@ -1,39 +1,14 @@
-"""Executor contracts: batching, deduplication, parallel bit-identity.
+"""Executor contracts: batching, deduplication, environment defaults.
 
-The headline property: a :class:`ParallelExecutor` sharding the full
-24-configuration CMP/SMT sweep across worker processes returns the
-exact byte-identical measurements -- counters, powers, noise draws --
-the :class:`SerialExecutor` produces in-process.
+The :class:`SerialExecutor` returns exactly the measurements direct
+``Machine`` runs produce -- counters, powers, noise draws -- while
+batching each configuration and measuring every distinct cell once.
 """
 
-import pytest
-
-from repro.exec import (
-    ExperimentPlan,
-    ParallelExecutor,
-    PlanCell,
-    SerialExecutor,
-    default_executor,
-)
-from repro.sim import Machine, MachineConfig, Placement, get_pstate
-from repro.sim.config import standard_configurations
-from repro.workloads import spec_cpu2006
+from repro.exec import ExperimentPlan, SerialExecutor, default_executor
+from repro.sim import Machine, MachineConfig, Placement
 
 _DURATION = 1.0
-
-
-@pytest.fixture(scope="module")
-def sweep_plan(small_kernel_factory):
-    """Kernels + a SPEC proxy across the paper's full 24-config sweep."""
-    workloads = [
-        small_kernel_factory("add", count=24),
-        small_kernel_factory("lxvw4x", count=24, level="L1"),
-        small_kernel_factory("xvnmsubmdp", count=24, dep=4),
-        spec_cpu2006()[5],  # mcf: a memory-bound profiled workload
-    ]
-    return ExperimentPlan.cross(
-        workloads, standard_configurations(), duration=_DURATION
-    )
 
 
 class TestSerialExecutor:
@@ -82,127 +57,21 @@ class TestSerialExecutor:
         assert via_engine == machine.run(mix, config, _DURATION)
 
 
-class TestParallelBitIdentity:
-    def test_full_sweep_bit_identical(self, power7_arch, sweep_plan):
-        """The acceptance property: 24-config sweep, counters, powers
-        and noise draws all exactly equal between executors."""
-        serial = SerialExecutor(Machine(power7_arch)).run(sweep_plan)
-        parallel = ParallelExecutor(
-            Machine(power7_arch), workers=3, chunk_size=7
-        ).run(sweep_plan)
-        assert len(serial) == len(parallel) == sweep_plan.requested
-        for left, right in zip(serial, parallel):
-            # Dataclass equality covers every field bit for bit: exact
-            # float equality on powers and every counter value.
-            assert left == right
-
-    def test_p_state_cells_bit_identical(self, power7_arch, small_kernel_factory):
-        kernel = small_kernel_factory("xvmaddadp", count=24)
-        plan = ExperimentPlan.cross(
-            [kernel],
-            [MachineConfig(4, 2), MachineConfig(8, 4)],
-            p_states=(get_pstate("turbo"), get_pstate("p3")),
-            duration=_DURATION,
-        )
-        serial = SerialExecutor(Machine(power7_arch)).run(plan)
-        parallel = ParallelExecutor(
-            Machine(power7_arch), workers=2, chunk_size=1
-        ).run(plan)
-        assert serial == parallel
-
-    def test_single_worker_falls_back_in_process(
-        self, power7_arch, small_kernel_factory
-    ):
-        machine = Machine(power7_arch)
-        executor = ParallelExecutor(machine, workers=1)
-        plan = ExperimentPlan.single(
-            small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
-        )
-        assert executor.run(plan)[0] == machine.run(
-            plan.cells[0].workload, MachineConfig(1, 1), _DURATION
-        )
-
-    def test_unregistered_arch_falls_back_to_serial(
-        self, power7_arch, small_kernel_factory
-    ):
-        unregistered = Machine(power7_arch)
-        unregistered.arch = __import__("copy").copy(power7_arch)
-        unregistered.arch.name = "NOT-IN-REGISTRY"
-        executor = ParallelExecutor(unregistered, workers=4)
-        plan = ExperimentPlan.single(
-            small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
-        )
-        results = executor.run(plan)  # must not raise, must not hang
-        assert len(results) == 1
-
-    def test_customized_registered_arch_falls_back_to_serial(
-        self, small_kernel_factory
-    ):
-        """A machine on a customized 'POWER7' must not be silently
-        measured on the bundled definition by the workers."""
-        import dataclasses
-
-        from repro.march import get_architecture
-
-        arch = get_architecture("POWER7")
-        prop = arch.properties.get("add")
-        arch.properties.add(dataclasses.replace(prop, latency=prop.latency + 2))
-        machine = Machine(arch)
-        executor = ParallelExecutor(machine, workers=4)
-        plan = ExperimentPlan.single(
-            small_kernel_factory("add", count=24, dep=1),
-            MachineConfig(1, 1),
-            _DURATION,
-        )
-        via_parallel = executor.run(plan)[0]
-        # Bit-identity held by the in-process fallback: the customized
-        # latency is visible in the measurement.
-        assert via_parallel == machine.run(
-            plan.cells[0].workload, MachineConfig(1, 1), _DURATION
-        )
-        assert executor._pool is None  # no pool was ever spun up
-
-    def test_pool_persists_across_runs(self, power7_arch, small_kernel_factory):
-        plan = ExperimentPlan.cross(
-            [
-                small_kernel_factory("add", count=24),
-                small_kernel_factory("mulld", count=24),
-            ],
-            [MachineConfig(1, 1), MachineConfig(2, 2)],
-            duration=_DURATION,
-        )
-        with ParallelExecutor(
-            Machine(power7_arch), workers=2, chunk_size=1
-        ) as executor:
-            first = executor.run(plan)
-            pool = executor._pool
-            assert pool is not None
-            second = executor.run(plan)
-            assert executor._pool is pool  # reused, not rebuilt
-            assert first == second
-        assert executor._pool is None  # released on exit
-
-
 class TestDefaultExecutor:
     def test_plain_environment_is_serial(self, machine, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         executor = default_executor(machine)
         assert isinstance(executor, SerialExecutor)
         assert executor.store is None
 
-    def test_environment_selects_parallel_and_store(
-        self, machine, monkeypatch, tmp_path
-    ):
+    def test_environment_selects_store(self, machine, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-        monkeypatch.setenv("REPRO_PARALLEL", "3")
         executor = default_executor(machine)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.workers == 3
-        assert executor.store is not None
+        assert isinstance(executor, SerialExecutor)
+        assert executor.store.root == tmp_path / "store"
 
     def test_arguments_override_environment(self, machine, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_PARALLEL", "8")
-        executor = default_executor(machine, parallel=1, store=str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "from-env"))
+        executor = default_executor(machine, store=str(tmp_path / "explicit"))
         assert isinstance(executor, SerialExecutor)
-        assert executor.store is not None
+        assert executor.store.root == tmp_path / "explicit"

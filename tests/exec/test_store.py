@@ -11,12 +11,7 @@ import json
 
 import pytest
 
-from repro.exec import (
-    ExperimentPlan,
-    ParallelExecutor,
-    ResultStore,
-    SerialExecutor,
-)
+from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
 from repro.measure.measurement import Measurement
 from repro.sim import (
     Kernel,
@@ -276,23 +271,6 @@ class TestWarmRuns:
         warm = SerialExecutor(warm_machine, store=store).run(plan)
         assert warm == cold
         assert store.hits == plan.size
-
-    def test_store_shared_between_serial_and_parallel(
-        self, power7_arch, small_kernel_factory, tmp_path
-    ):
-        plan = ExperimentPlan.cross(
-            [small_kernel_factory("add", count=24)],
-            [MachineConfig(2, 2), MachineConfig(4, 4)],
-            duration=_DURATION,
-        )
-        store = ResultStore(tmp_path / "store")
-        cold = ParallelExecutor(
-            Machine(power7_arch), workers=2, chunk_size=1, store=store
-        ).run(plan)
-        warm_machine = Machine(power7_arch)
-        _forbid_measurement(warm_machine)
-        warm = SerialExecutor(warm_machine, store=store).run(plan)
-        assert warm == cold
 
     def test_fig9_stressmark_warm_run_zero_machine_runs(
         self, power7_arch, tmp_path

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MeasurementError, PlanValidationError, ReproError
-from repro.exec.executors import ParallelExecutor, SerialExecutor
+from repro.exec.executors import SerialExecutor
 from repro.exec.plan import ExperimentPlan, PlanCell
 from repro.exec.store import ResultStore
 from repro.measure.measurement import Measurement
@@ -71,14 +71,6 @@ class TestTopologySerialization:
         rebuilt = Measurement.from_dict(measurement.to_dict())
         assert rebuilt == measurement
         assert rebuilt.config == topology
-
-    def test_parallel_matches_serial(self, power7_arch, kernels):
-        configs = list(topology_ladder(4, step=2)) + [MachineConfig(2, 2)]
-        plan = ExperimentPlan.cross(kernels, configs, duration=_DURATION)
-        serial = SerialExecutor(Machine(power7_arch)).run(plan)
-        with ParallelExecutor(Machine(power7_arch), workers=2) as executor:
-            parallel = executor.run(plan)
-        assert parallel == serial
 
 
 class TestPlanValidation:
