@@ -476,13 +476,14 @@ def test_wire_v2_deserialization(arch):
 
 
 def test_remote_warm_throughput(arch):
-    """Warm-serve ceiling over a real socket: store + sidecar + intern.
+    """Warm-serve ceiling over a real socket: store + intern.
 
     One ``repro serve`` subprocess; the first campaign populates its
-    store (and sidecar indexes), the timed re-runs are pure warm
-    serves -- wire v2 bodies, interned plan rebuild, store hits seeked
-    via the persistent index.  The floor is deliberately conservative
-    (CI runners are noisy); the recorded number is the one to watch.
+    store, the timed re-runs are pure warm serves -- wire v2 bodies,
+    interned plan rebuild, store hits seeked via the offsets the
+    server recorded as it appended them.  The floor is deliberately
+    conservative (CI runners are noisy); the recorded number is the
+    one to watch.
     """
     from repro.exec import RemoteExecutor
 

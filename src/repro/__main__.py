@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -54,6 +55,20 @@ from repro.sim import (
 from repro.sim.pstate import get_pstate
 
 logger = logging.getLogger("repro.cli")
+
+
+def _window_seconds(text: str) -> float:
+    """``--duration``: a finite, positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"measurement window must be a finite positive number of "
+            f"seconds, got {text!r}"
+        )
+    return value
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -72,7 +87,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--duration",
-        type=float,
+        type=_window_seconds,
         default=10.0,
         metavar="S",
         help="measurement window in seconds (default 10)",
@@ -395,13 +410,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         )
         return 2
     store = ResultStore(root)
-    if args.action == "index":
-        rebuilt = store.rebuild_index()
-        print(
-            f"store {store.root}: rebuilt {rebuilt} sidecar index(es), "
-            f"{len(store)} cell(s) indexed"
-        )
-        return 0
     if args.action == "verify":
         report = store.verify()
         print(f"store {store.root}: {report.describe()}")
@@ -541,12 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store.add_argument(
         "action",
-        choices=("verify", "scrub", "index"),
-        help="verify: read-only audit (checksums, torn tails, sidecar "
-        "indexes, run ledger; exit 1 on damaged records); scrub: repair "
-        "and compact every shard in place, compact the run ledger and "
-        "sweep run manifests left behind; index: force-rebuild every "
-        "shard's persistent sidecar index from a full scan",
+        choices=("verify", "scrub"),
+        help="verify: read-only audit (checksums, torn tails, run "
+        "ledger; exit 1 on damaged records); scrub: repair and compact "
+        "every shard in place, compact the run ledger and sweep run "
+        "manifests left behind",
     )
     store.add_argument(
         "--store",

@@ -25,6 +25,7 @@ store keys all agree between client and server.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import fields
 
@@ -60,9 +61,11 @@ def profile_to_dict(profile: ActivityProfile) -> dict:
 def profile_from_dict(data: dict) -> ActivityProfile:
     """Rebuild a profile serialized by :func:`profile_to_dict`."""
     kwargs = dict(data)
-    kwargs["smt_scaling"] = {
-        int(way): scale for way, scale in data["smt_scaling"].items()
-    }
+    scaling = data["smt_scaling"]
+    if isinstance(scaling, dict):  # anything else the profile rejects
+        kwargs["smt_scaling"] = {
+            int(way): scale for way, scale in scaling.items()
+        }
     return ActivityProfile(**kwargs)
 
 
@@ -370,11 +373,16 @@ def plan_from_dict(
             )
             config = intern.config(form["config"], configs.get(form["config"]))
             duration = float(form["duration"])
+            if not (math.isfinite(duration) and duration > 0):
+                raise ValueError(
+                    f"duration {form['duration']!r} is not a finite "
+                    "positive number of seconds"
+                )
         except MeasurementError as exc:
             raise MeasurementError(f"plan-v2 cell {index}: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MeasurementError(
-                f"plan-v2 cell {index}: malformed cell reference ({exc})"
+                f"plan-v2 cell {index}: malformed cell ({exc})"
             ) from None
         cells.append(
             PlanCell(workload=workload, config=config, duration=duration)

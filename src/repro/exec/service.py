@@ -406,7 +406,7 @@ class MeasurementService:
         arch_name = str(request.get("arch", "POWER7"))
         try:
             seed = int(request.get("seed", 0))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ServiceError("plan request carries a non-integer seed")
         try:
             plan = plan_from_dict(request, intern=self.intern)

@@ -38,24 +38,11 @@ touching a shard scans it once, later lookups seek straight to the
 line (verifying the key, so an externally rewritten shard is a miss,
 never a wrong entry).  A miss re-checks whether another process has
 grown the shard since it was scanned, so concurrent campaigns sharing
-one store see each other's results.  Shard files are the only layout:
-per-cell ``<xx>/<key>.json`` files of the pre-shard layout are ignored,
-so such a store simply re-measures.
-
-The offset index itself is *persistent*: every shard carries a sidecar
-``shards/<xx>.idx`` -- a header line, ``[key, offset, length]`` entry
-lines and per-batch commit lines ``{"commit": [base, upto]}`` appended
-under the same shard ``flock`` as the data they describe.  A fresh
-process (a warm server, ``store verify``, ``len(store)``)
-loads the sidecar instead of rescanning the shard body: commits are
-folded while they are contiguous from byte 0 and consistent with the
-current shard size (a full-coverage commit also pins the shard mtime,
-so a same-size shard replacement is detected); anything torn, gapped
-or stale degrades to the ordinary JSONL tail scan and the sidecar is
-rebuilt from it (``rebuild_index`` forces this for every shard).  The
-sidecar is an accelerator, never an authority -- reads still verify
-the key and checksum at the recorded offset, so a lying sidecar costs
-a re-measure, not a wrong result.
+one store see each other's results.  That scan is the only index:
+none is persisted, so a read never writes, and index files older
+releases kept beside the shards are ignored.  Shard files are the only
+layout: per-cell ``<xx>/<key>.json`` files of the pre-shard layout are
+ignored, so such a store simply re-measures.
 
 Shard locking uses POSIX ``flock``; on platforms without ``fcntl``
 (Windows) appends are lock-free and a store directory should have a
@@ -87,71 +74,6 @@ logger = logging.getLogger("repro.exec.store")
 
 #: Store layout version; bump when the payload format changes.
 FORMAT = "repro-result-v1"
-
-#: Sidecar index layout version; bump when the sidecar format changes.
-INDEX_FORMAT = "repro-idx-v1"
-
-
-def _parse_index(data: bytes, size: int, mtime_ns: int) -> tuple[dict, int]:
-    """``(offsets, covered)`` recovered from one sidecar's bytes.
-
-    Commit blocks are folded while they are contiguous from byte 0 of
-    the shard; the first gap, unparseable line or torn tail ends the
-    fold (everything already committed stays usable).  The whole
-    sidecar is distrusted -- ``({}, 0)`` -- when the header is missing
-    or foreign, a commit reaches past the current shard size (the
-    shard shrank or was replaced), or a full-coverage commit pins a
-    different mtime (a same-size replacement).
-    """
-    parts = data.split(b"\n")
-    if parts and parts[-1] == b"":
-        parts.pop()  # clean trailing newline; anything else is torn
-    offsets: dict[str, tuple[int, int]] = {}
-    staged: dict[str, tuple[int, int]] = {}
-    covered = 0
-    mtime_claim = None
-    saw_header = False
-    for raw in parts:
-        if not raw:
-            continue
-        try:
-            item = json.loads(raw)
-        except ValueError:
-            break
-        if isinstance(item, dict) and "format" in item:
-            if item.get("format") != INDEX_FORMAT or saw_header:
-                return {}, 0
-            saw_header = True
-            continue
-        if not saw_header:
-            return {}, 0
-        if isinstance(item, list) and len(item) == 3:
-            try:
-                staged[str(item[0])] = (int(item[1]), int(item[2]))
-            except (TypeError, ValueError):
-                break
-            continue
-        if isinstance(item, dict) and "commit" in item:
-            commit = item["commit"]
-            try:
-                base, upto = int(commit[0]), int(commit[1])
-            except (TypeError, ValueError, IndexError, KeyError):
-                break
-            if base != covered:
-                break  # gap (a writer crashed between data and sidecar)
-            if upto > size or upto < base:
-                return {}, 0
-            offsets.update(staged)
-            staged = {}
-            covered = upto
-            mtime_claim = item.get("mtime_ns")
-            continue
-        break
-    if covered == 0:
-        return {}, 0
-    if covered == size and mtime_claim is not None and mtime_claim != mtime_ns:
-        return {}, 0
-    return offsets, covered
 
 
 def record_checksum(key: str, measurement_dict: dict) -> str:
@@ -229,7 +151,7 @@ def _checksum_matches(
 class _Shard:
     """Offset index of one shard file."""
 
-    __slots__ = ("path", "offsets", "scanned", "handle", "index_checked")
+    __slots__ = ("path", "offsets", "scanned", "handle")
 
     def __init__(self, path: Path) -> None:
         self.path = path
@@ -242,9 +164,6 @@ class _Shard:
         #: read; :meth:`ResultStore.scrub` replaces shard files and
         #: invalidates these.
         self.handle = None
-        #: Whether the persistent sidecar index was consulted for this
-        #: shard's first in-process touch (tried at most once).
-        self.index_checked = False
 
     def reader(self):
         if self.handle is None:
@@ -258,7 +177,6 @@ class _Shard:
             self.handle = None
         self.offsets.clear()
         self.scanned = 0
-        self.index_checked = False
 
 
 @dataclass
@@ -280,10 +198,6 @@ class StoreReport:
     #: scrub only: invalid lines dropped / superseded duplicates removed.
     dropped: int = 0
     compacted: int = 0
-    #: persistent sidecar indexes found / found-but-unusable (stale
-    #: sidecars self-heal on the next read, so they never fail ``ok``).
-    index_sidecars: int = 0
-    index_stale: int = 0
     problems: list[str] = field(default_factory=list)
 
     @property
@@ -307,11 +221,6 @@ class StoreReport:
             text += (
                 f"; scrubbed: {self.dropped} invalid line(s) dropped, "
                 f"{self.compacted} superseded line(s) compacted"
-            )
-        if self.index_sidecars or self.index_stale:
-            text += (
-                f"; index: {self.index_sidecars} sidecar(s), "
-                f"{self.index_stale} stale"
             )
         return text
 
@@ -353,15 +262,6 @@ class ResultStore:
         self.checksum_failures = 0
         self.corrupt_records = 0
         self.torn_tails_repaired = 0
-        #: Persistent sidecar-index accounting: shard first-touches
-        #: served from the sidecar vs falling back to a JSONL scan,
-        #: commit blocks appended, snapshots (re)written, and sidecars
-        #: found but distrusted (see :meth:`snapshot_stats`).
-        self.index_hits = 0
-        self.index_misses = 0
-        self.index_appends = 0
-        self.index_rebuilds = 0
-        self.index_stale = 0
         self._io_warned: set[str] = set()
         self._shards: dict[str, _Shard] = {}
         # One store instance may be shared by many threads (the
@@ -407,13 +307,6 @@ class ResultStore:
                 "hits": self.hits,
                 "misses": self.misses,
                 "faults": self.fault_stats(),
-                "index": {
-                    "hits": self.index_hits,
-                    "misses": self.index_misses,
-                    "appends": self.index_appends,
-                    "rebuilds": self.index_rebuilds,
-                    "stale": self.index_stale,
-                },
             }
 
     def _count_io_error(self, path: Path, exc: OSError) -> None:
@@ -448,53 +341,13 @@ class ResultStore:
             )
         return shard
 
-    def _index_path(self, shard: _Shard) -> Path:
-        return shard.path.with_suffix(".idx")
-
-    def _load_index(self, shard: _Shard, size: int, mtime_ns: int) -> None:
-        """Seed a fresh shard's offsets from its persistent sidecar."""
-        path = self._index_path(shard)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            self.index_misses += 1
-            return
-        except OSError as exc:
-            self._count_io_error(path, exc)
-            self.index_misses += 1
-            return
-        offsets, covered = _parse_index(data, size, mtime_ns)
-        if covered == 0:
-            self.index_stale += 1
-            self.index_misses += 1
-            return
-        shard.offsets.update(offsets)
-        shard.scanned = covered
-        self.index_hits += 1
-
     def _refresh(self, shard: _Shard) -> None:
-        """Index any lines appended since the shard was last scanned.
-
-        The first in-process touch of a shard consults its persistent
-        sidecar index first; only the bytes the sidecar does not cover
-        (none, for a cleanly written store) are scanned from the JSONL
-        body.  A missing, stale or partial sidecar degrades to the
-        ordinary scan and is rebuilt from it.
-        """
+        """Index any lines appended since the shard was last scanned."""
         try:
-            stat = shard.path.stat()
+            if shard.path.stat().st_size <= shard.scanned:
+                return
         except OSError:
             return
-        size = stat.st_size
-        if size <= shard.scanned:
-            return
-        heal = False
-        if not shard.index_checked and shard.scanned == 0 and not shard.offsets:
-            shard.index_checked = True
-            self._load_index(shard, size, stat.st_mtime_ns)
-            if size <= shard.scanned:
-                return
-            heal = True  # sidecar absent/stale/partial: scan, then rewrite
         try:
             handle = shard.reader()
             handle.seek(shard.scanned)
@@ -513,92 +366,6 @@ class ResultStore:
             shard.scanned = offset
         except OSError as exc:
             self._count_io_error(shard.path, exc)
-            return
-        if heal and shard.scanned > 0:
-            self._write_index(shard)
-
-    def _write_index(self, shard: _Shard) -> bool:
-        """Atomically snapshot the shard's in-memory index to its sidecar.
-
-        Taken under the shard ``flock`` so concurrent appenders (which
-        extend both files under the same lock) never interleave with
-        the replace.  The commit claims exactly what this process has
-        scanned; a full-coverage commit also pins the shard mtime so a
-        later same-size replacement is detectable.  Best-effort: an
-        I/O failure is counted, never raised -- the sidecar is a pure
-        accelerator.
-        """
-        path = self._index_path(shard)
-        try:
-            with shard.path.open("rb") as lock_handle:
-                if fcntl is not None:
-                    fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX)
-                try:
-                    stat = os.fstat(lock_handle.fileno())
-                    lines = [json.dumps({"format": INDEX_FORMAT})]
-                    for key, (offset, length) in shard.offsets.items():
-                        lines.append(
-                            json.dumps(
-                                [key, offset, length], separators=(",", ":")
-                            )
-                        )
-                    commit: dict = {"commit": [0, shard.scanned]}
-                    if shard.scanned == stat.st_size:
-                        commit["mtime_ns"] = stat.st_mtime_ns
-                    lines.append(json.dumps(commit, separators=(",", ":")))
-                    temp = path.with_name(path.name + ".tmp")
-                    temp.write_bytes(
-                        b"\n".join(line.encode() for line in lines) + b"\n"
-                    )
-                    os.replace(temp, path)
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(lock_handle.fileno(), fcntl.LOCK_UN)
-        except OSError as exc:
-            self._count_io_error(path, exc)
-            return False
-        self.index_rebuilds += 1
-        return True
-
-    def _append_index(
-        self, shard: _Shard, base: int, rendered: list[tuple[str, int]]
-    ) -> None:
-        """Append one batch's entry block + commit to the sidecar.
-
-        Called under the shard ``flock``, immediately after the data
-        append it describes, so sidecar commits mirror data commits
-        exactly.  A sidecar that would have to *begin* mid-shard (an
-        old store's first append) is not created -- it could never
-        satisfy the loader's contiguity-from-zero rule; the read-path
-        heal snapshots the full index instead.  Best-effort on errors.
-        """
-        path = self._index_path(shard)
-        exists = path.exists()
-        if not exists and base > 0:
-            return
-        try:
-            lines = []
-            if not exists:
-                lines.append(json.dumps({"format": INDEX_FORMAT}))
-            offset = base
-            for key, length in rendered:
-                lines.append(
-                    json.dumps([key, offset, length], separators=(",", ":"))
-                )
-                offset += length
-            commit: dict = {"commit": [base, offset]}
-            try:
-                commit["mtime_ns"] = shard.path.stat().st_mtime_ns
-            except OSError:
-                pass
-            lines.append(json.dumps(commit, separators=(",", ":")))
-            with path.open("ab") as handle:
-                handle.write(
-                    b"\n".join(line.encode() for line in lines) + b"\n"
-                )
-            self.index_appends += 1
-        except OSError as exc:
-            self._count_io_error(path, exc)
 
     def _index_line(
         self, shard: _Shard, line: bytes, offset: int, length: int
@@ -808,10 +575,6 @@ class ResultStore:
                         os._exit(109)
                     handle.write(payload)
                     handle.flush()
-                    # The sidecar block lands under the same flock as
-                    # the data it describes, so its commits mirror the
-                    # shard byte-for-byte across processes.
-                    self._append_index(shard, end, rendered)
                 finally:
                     if fcntl is not None:
                         fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
@@ -826,55 +589,6 @@ class ResultStore:
 
     def _shard_paths(self) -> list[Path]:
         return sorted(self.shard_dir.glob("??.jsonl"))
-
-    def _write_scrub_index(self, path: Path, newest: dict[str, bytes]) -> None:
-        """Fresh sidecar for a just-scrubbed shard (under the scrub flock)."""
-        index_path = path.with_suffix(".idx")
-        try:
-            if not newest:
-                index_path.unlink(missing_ok=True)
-                return
-            stat = path.stat()
-            lines = [json.dumps({"format": INDEX_FORMAT})]
-            offset = 0
-            for key, line in newest.items():
-                lines.append(
-                    json.dumps([key, offset, len(line)], separators=(",", ":"))
-                )
-                offset += len(line)
-            lines.append(
-                json.dumps(
-                    {"commit": [0, offset], "mtime_ns": stat.st_mtime_ns},
-                    separators=(",", ":"),
-                )
-            )
-            temp = index_path.with_name(index_path.name + ".tmp")
-            temp.write_bytes(b"\n".join(line.encode() for line in lines) + b"\n")
-            os.replace(temp, index_path)
-            self.index_rebuilds += 1
-        except OSError as exc:
-            self._count_io_error(index_path, exc)
-
-    def rebuild_index(self) -> int:
-        """Force-rebuild every shard's sidecar from a full JSONL scan.
-
-        Drops each shard's in-memory state, rescans the body (so the
-        sidecar never launders a stale in-memory view) and snapshots
-        the result.  Returns the number of sidecars written.  Exposed
-        as ``python -m repro store index``.
-        """
-        rebuilt = 0
-        with self._lock:
-            for path in self._shard_paths():
-                shard = self._shards.get(path.stem)
-                if shard is None:
-                    shard = self._shards[path.stem] = _Shard(path)
-                shard.invalidate()
-                shard.index_checked = True  # scan the JSONL, not the sidecar
-                self._refresh(shard)
-                if self._write_index(shard):
-                    rebuilt += 1
-        return rebuilt
 
     def verify(self) -> StoreReport:
         """Audit every shard without modifying anything.
@@ -921,33 +635,6 @@ class ResultStore:
                 report.problems.append(
                     f"{path.name}: torn tail ({len(torn)} bytes, no "
                     "trailing newline)"
-                )
-            index_path = path.with_suffix(".idx")
-            try:
-                index_data = index_path.read_bytes()
-            except FileNotFoundError:
-                continue
-            except OSError as exc:
-                self._count_io_error(index_path, exc)
-                report.problems.append(
-                    f"{index_path.name}: unreadable sidecar ({exc})"
-                )
-                continue
-            report.index_sidecars += 1
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            _offsets, covered = _parse_index(
-                index_data, stat.st_size, stat.st_mtime_ns
-            )
-            if covered != stat.st_size:
-                # Not corruption -- a lagging or distrusted sidecar
-                # self-heals on the next read -- but worth surfacing.
-                report.index_stale += 1
-                report.problems.append(
-                    f"{index_path.name}: sidecar covers {covered} of "
-                    f"{stat.st_size} bytes (will rebuild on next read)"
                 )
         report.keys = len(keys)
         return report
@@ -1003,7 +690,6 @@ class ResultStore:
                         temp = path.with_name(path.name + ".scrub")
                         temp.write_bytes(replacement)
                         os.replace(temp, path)
-                        self._write_scrub_index(path, newest)
                         keys.update(newest)
                         report.checksummed += len(newest)
                     finally:

@@ -17,6 +17,14 @@ from repro.march.components import ChipGeometry
 from repro.sim.pstate import NOMINAL, PState, get_pstate
 
 
+def check_cmp_smt(cores: object, smt: object, what: str) -> None:
+    """Raise unless ``cores`` is an int >= 1 and ``smt`` 1, 2 or 4."""
+    if type(cores) is not int or cores < 1:
+        raise ValueError(f"{what} cores must be an int >= 1, got {cores!r}")
+    if type(smt) is not int or smt not in (1, 2, 4):
+        raise ValueError(f"{what} smt must be 1, 2 or 4, got {smt!r}")
+
+
 @dataclass(frozen=True, order=True)
 class MachineConfig:
     """One CMP-SMT run configuration at one operating point.
@@ -32,10 +40,7 @@ class MachineConfig:
     p_state: PState = NOMINAL
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ValueError("cores must be >= 1")
-        if self.smt not in (1, 2, 4):
-            raise ValueError("smt must be 1, 2 or 4")
+        check_cmp_smt(self.cores, self.smt, "configuration")
 
     @property
     def threads(self) -> int:

@@ -142,6 +142,8 @@ class Kernel:
     analytic_period: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"kernel name must be a string: {self.name!r}")
         if not self.instructions:
             raise ValueError(f"kernel {self.name!r} has an empty loop body")
         if not 0.0 <= self.operand_entropy <= 1.0:

@@ -80,8 +80,8 @@ class Placement:
     core_groups: tuple[tuple[object, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("placement needs a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"placement needs a name, got {self.name!r}")
         if not self.core_groups:
             raise ValueError(f"placement {self.name!r} has no cores")
         for index, group in enumerate(self.core_groups):

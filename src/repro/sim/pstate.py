@@ -22,7 +22,22 @@ measurement paths that carry it reproduce pre-DVFS results bit for bit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def finite_real(value: object) -> bool:
+    """Whether ``value`` is a finite ``int`` or ``float`` (not a bool).
+
+    The constructors of configurations and activity profiles check
+    their numbers with this: a NaN slips past every ``<``/``<=``
+    guard, and the wire decoders hand them whatever JSON held.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -45,12 +60,14 @@ class PState:
     volt_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("p-state needs a name")
-        if self.freq_scale <= 0 or self.volt_scale <= 0:
-            raise ValueError(
-                f"p-state {self.name!r}: scales must be positive"
-            )
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"p-state needs a name, got {self.name!r}")
+        for scale in (self.freq_scale, self.volt_scale):
+            if not finite_real(scale) or scale <= 0:
+                raise ValueError(
+                    f"p-state {self.name!r}: scales must be finite and "
+                    f"positive, got {scale!r}"
+                )
 
     @property
     def is_nominal(self) -> bool:

@@ -43,7 +43,7 @@ import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, check_cmp_smt
 from repro.sim.pstate import NOMINAL, PState, get_pstate
 
 #: Cluster-name -> core-class resolution used by :func:`parse_topology`.
@@ -80,12 +80,13 @@ class CoreCluster:
     core_class: str | None = None
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ValueError("cluster cores must be >= 1")
-        if self.smt not in (1, 2, 4):
-            raise ValueError("cluster smt must be 1, 2 or 4")
-        if self.name and not self.name.isidentifier():
+        check_cmp_smt(self.cores, self.smt, "cluster")
+        if not isinstance(self.name, str) or (
+            self.name and not self.name.isidentifier()
+        ):
             raise ValueError(f"bad cluster name {self.name!r}")
+        if not isinstance(self.core_class, (str, type(None))):
+            raise ValueError(f"bad core class {self.core_class!r}")
 
     @property
     def threads(self) -> int:
@@ -136,6 +137,8 @@ class CoreCluster:
     @classmethod
     def from_dict(cls, data: dict) -> "CoreCluster":
         """Rebuild a cluster serialized by :meth:`to_dict`."""
+        if not isinstance(data, dict):
+            raise ValueError(f"cluster must be an object, got {data!r}")
         p_state = data.get("p_state")
         return cls(
             name=data.get("name", ""),

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.sim.activity import ThreadActivity
+from repro.sim.pstate import finite_real
 from repro.sim.sensors import stable_seed
 
 #: Default core-throughput multipliers per SMT way (total core IPC
@@ -66,6 +67,27 @@ class ActivityProfile:
     )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"profile name must be a string: {self.name!r}")
+        mappings = (self.unit_mix, self.locality, self.smt_scaling)
+        if not all(isinstance(mapping, dict) for mapping in mappings):
+            raise ValueError(
+                f"{self.name}: unit_mix, locality and smt_scaling must be "
+                "dicts"
+            )
+        rates = [
+            self.ipc,
+            self.memory_per_insn,
+            self.store_fraction,
+            self.alternation,
+        ]
+        for mapping in mappings:
+            rates.extend(mapping.values())
+        bad = [rate for rate in rates if not (finite_real(rate) and rate >= 0)]
+        if bad:
+            raise ValueError(
+                f"{self.name}: rates must be finite and >= 0, got {bad[0]!r}"
+            )
         if self.ipc <= 0:
             raise ValueError(f"{self.name}: ipc must be positive")
         total = sum(self.locality.values())

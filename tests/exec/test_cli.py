@@ -18,6 +18,15 @@ class TestParser:
             assert args.store == "x"
             assert args.duration == 1.0
 
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf", "x"])
+    def test_bad_duration_exits_2_at_parse_time(self, duration, capsys):
+        # Before any machine is built: a bad window used to degrade,
+        # back off and quarantine every cell of the sweep.
+        with pytest.raises(SystemExit) as caught:
+            main(["sweep", "--workloads", "daxpy", "--duration", duration])
+        assert caught.value.code == 2
+        assert "finite positive" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_sweep_runs_and_reports(self, capsys, tmp_path):

@@ -85,7 +85,8 @@ def _exact(measurement) -> tuple:
 
 @pytest.fixture
 def legacy_store(tmp_path) -> Path:
-    # Reads may heal sidecar indexes: serve a copy, never the fixture.
+    # Reads never write, but a store-backed run records itself in the
+    # ledger and scrub rewrites shards: serve a copy, never the fixture.
     store_dir = tmp_path / "store"
     shutil.copytree(FIXTURE, store_dir)
     return store_dir

@@ -332,26 +332,103 @@ def test_store_quarantine_is_counted_as_corrupt(tmp_path, measurements):
     assert store.misses == 1
 
 
-def test_non_object_record_is_a_counted_miss(tmp_path, measurements):
-    # A lying sidecar index can point a key at any line of the shard;
-    # one that parses to a JSON array must read as a miss, not crash.
+#: Valid JSON that is not a record object.
+_NON_OBJECTS = [b"[1, 2]", b"null", b"5", b'"ab"', b"true", b"[]"]
+
+
+def _shard_lines(root, *lines: bytes) -> None:
+    (root / "shards").mkdir(parents=True)
+    (root / "shards" / "ab.jsonl").write_bytes(b"".join(lines))
+
+
+def test_non_object_lines_are_skipped_and_counted(tmp_path, measurements):
+    # The scan parses every line that does not open like a record: a
+    # non-object must be skipped and counted, never crash the scan or
+    # shadow the record before it.
     key = "ab" * 16
-    record = render_record(key, measurements[0].to_dict())
-    stray = b"[1, 2]\n"
-    (tmp_path / "shards").mkdir()
-    (tmp_path / "shards" / "ab.jsonl").write_bytes(record + stray)
-    size = len(record) + len(stray)
-    (tmp_path / "shards" / "ab.idx").write_text(
-        '{"format": "repro-idx-v1"}\n'
-        f'["{key}", {len(record)}, {len(stray)}]\n'
-        f'{{"commit": [0, {size}]}}\n'
+    _shard_lines(
+        tmp_path,
+        render_record(key, measurements[0].to_dict()),
+        *(line + b"\n" for line in _NON_OBJECTS),
     )
     store = ResultStore(tmp_path)
     found = store.get(key)
     store.close()
+    assert _exact(found, ordered=False) == _exact(
+        measurements[0], ordered=False
+    )
+    assert store.fault_stats() == {"corrupt_records": len(_NON_OBJECTS)}
+    assert store.hits == 1
+
+
+def test_non_object_shard_is_a_counted_miss(tmp_path):
+    _shard_lines(tmp_path, *(line + b"\n" for line in _NON_OBJECTS))
+    store = ResultStore(tmp_path)
+    found = store.get("ab" * 16)
+    store.close()
     assert found is None
-    assert store.fault_stats()["corrupt_records"] == 1
+    assert store.fault_stats() == {"corrupt_records": len(_NON_OBJECTS)}
     assert store.misses == 1
+
+
+def test_non_object_record_is_a_counted_miss(tmp_path, measurements):
+    # A long-lived store's offsets can outlive an external rewrite of
+    # the shard: a key can point at any line, and one that parses to a
+    # JSON array must read as a miss, not crash.
+    key = "ab" * 16
+    record = render_record(key, measurements[0].to_dict())
+    _shard_lines(tmp_path, record)
+    store = ResultStore(tmp_path)
+    assert key in store
+    stray = b"[1, 2]".ljust(len(record) - 1) + b"\n"
+    (tmp_path / "shards" / "ab.jsonl").write_bytes(stray)
+    found = store.get(key)
+    store.close()
+    assert found is None
+    assert store.fault_stats() == {"corrupt_records": 1}
+    assert store.misses == 1
+
+
+def test_garbage_index_files_are_ignored(tmp_path, plan, power7_arch):
+    # Older releases kept an index file beside each shard.  The store
+    # reads none: garbage ones change nothing, and reads never write.
+    root = tmp_path / "store"
+    cold = SerialExecutor(Machine(power7_arch), store=ResultStore(root)).run(
+        plan
+    )
+    rng = random.Random(_SEED + 2)
+    keys = ResultStore(root).keys()
+    shards = sorted(root.glob("shards/*.jsonl"))
+    for number, shard in enumerate(shards):
+        # Random bytes, a foreign header, and an old-style index that
+        # points every key at the wrong bytes yet claims the whole shard.
+        shard.with_suffix(".idx").write_bytes(
+            [
+                bytes(rng.randrange(256) for _ in range(64)),
+                b"not an index\n",
+                b'{"format": "repro-idx-v1"}\n'
+                + b"".join(b'["%s", 0, 7]\n' % key.encode() for key in keys)
+                + b'{"commit": [0, %d]}\n' % shard.stat().st_size,
+            ][number % 3]
+        )
+    planted = {path: path.read_bytes() for path in root.glob("shards/*")}
+    assert len(planted) == 2 * len(shards) >= 6
+
+    machine = Machine(power7_arch)
+
+    def forbid(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("machine invoked on a warm store")
+
+    machine.run = machine.run_many = machine.run_cells = forbid
+    store = ResultStore(root)
+    warm = SerialExecutor(machine, store=store).run(plan)
+    store.close()
+    assert warm == cold
+    assert store.hits == plan.size and store.misses == 0
+    assert store.fault_stats() == {}
+    assert ResultStore(root).verify().ok
+    after = {path: path.read_bytes() for path in root.glob("shards/*")}
+    assert after == planted
 
 
 # -- stream lines -------------------------------------------------------------

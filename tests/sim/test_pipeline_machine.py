@@ -4,6 +4,8 @@ Architecture, machine and the uniform-kernel builder come from the
 shared fixtures in ``tests/conftest.py``.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,8 @@ from repro.sim import (
     Kernel,
     KernelInstruction,
     MachineConfig,
+    PState,
+    get_pstate,
     parse_config,
     standard_configurations,
 )
@@ -37,6 +41,50 @@ class TestMachineConfig:
             MachineConfig(0, 1)
         with pytest.raises(ValueError):
             MachineConfig(1, 3)
+
+    @pytest.mark.parametrize(
+        "cores, smt",
+        [
+            (math.nan, 1),
+            (math.inf, 1),
+            (2.0, 1),
+            (True, 1),
+            ("2", 1),
+            (1, 2.0),
+            (1, True),
+        ],
+    )
+    def test_non_integer_cmp_smt_rejected(self, cores, smt):
+        # NaN compares false against every bound; floats and bools
+        # would render into the label, the store key and the noise seed.
+        with pytest.raises(ValueError):
+            MachineConfig(cores, smt)
+
+    @pytest.mark.parametrize(
+        "freq, volt",
+        [
+            (math.nan, 1.0),
+            (1.0, math.nan),
+            (math.inf, 1.0),
+            (1.0, -math.inf),
+            (0.0, 1.0),
+            (True, 1.0),
+            ("1", 1.0),
+            (None, 1.0),
+        ],
+    )
+    def test_bad_pstate_scales_rejected(self, freq, volt):
+        with pytest.raises(ValueError):
+            PState("odd", freq, volt)
+
+    @pytest.mark.parametrize("name", ["", None, 5, {"x": 1}])
+    def test_pstate_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError):
+            PState(name, 1.0, 1.0)
+
+    def test_valid_pstates_unaffected(self):
+        assert PState("half", 1, 0.5).dynamic_scale == 0.25
+        assert MachineConfig(2, 2, get_pstate("p2")).label == "2-2@p2"
 
     def test_standard_sweep(self):
         configs = standard_configurations(8, (1, 2, 4))

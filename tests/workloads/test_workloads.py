@@ -1,5 +1,8 @@
 """Tests for SPEC proxies, extreme cases, DAXPY and the random policy."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.sim import MachineConfig, get_pstate
@@ -98,6 +101,38 @@ class TestSpecSuite:
                 name="bad", ipc=1.0, unit_mix={}, memory_per_insn=0.1,
                 locality={"L1": 0.5},
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ipc", math.nan),
+            ("ipc", math.inf),
+            ("ipc", 0.0),
+            ("ipc", "1.2"),
+            ("memory_per_insn", math.nan),
+            ("memory_per_insn", -0.1),
+            ("alternation", math.nan),
+            ("store_fraction", math.nan),
+            ("unit_mix", {"FXU": math.inf}),
+            ("unit_mix", {"FXU": -1.0}),
+            ("locality", {"L1": math.nan, "MEM": 1.0}),
+            ("locality", [("L1", 1.0)]),
+            ("smt_scaling", {1: 1.0, 2: math.nan}),
+            ("smt_scaling", "1.45"),
+            ("unit_mix", None),
+            ("name", {"x": 1}),
+        ],
+    )
+    def test_profile_rejects_bad_values(self, field, value):
+        fields = dataclasses.asdict(spec_profile("gcc"))
+        fields[field] = value
+        with pytest.raises(ValueError):
+            ActivityProfile(**fields)
+
+    def test_every_spec_profile_still_validates(self):
+        for workload in spec_cpu2006():
+            profile = workload.profile
+            assert ActivityProfile(**dataclasses.asdict(profile)) == profile
 
 
 class TestExtremeCases:
