@@ -152,6 +152,11 @@ def config_from_dict(data: dict) -> MachineConfig | ChipTopology:
 
 PLAN_WIRE_V2 = "plan-v2"
 DEFAULT_INTERN_CAPACITY = 4096
+#: Loop-body slots one plan body may declare across its workload pool,
+#: bounding what a single request can make the server allocate.  About
+#: 4x the largest plan a repo flow sends: ``repro campaign --scale 1.0
+#: --loop-size 4096`` declares 583 kernels of 4,096 slots (2.4M).
+MAX_PLAN_SLOTS = 10_000_000
 
 
 def wire_digest(entry: dict) -> str:
@@ -287,6 +292,38 @@ def plan_to_dict_v2(plan: ExperimentPlan) -> dict:
     }
 
 
+def _kernel_slots(kernel: object) -> int:
+    """Loop slots a kernel entry declares, ``len(pattern) * repeats +
+    len(tail)``; a malformed part counts nothing (the decoder rejects
+    it)."""
+    if not isinstance(kernel, dict):
+        return 0
+    pattern, repeats, tail = (
+        kernel.get(key) for key in ("pattern", "repeats", "tail")
+    )
+    slots = len(tail) if isinstance(tail, list) else 0
+    if isinstance(pattern, list) and type(repeats) is int and repeats > 0:
+        slots += len(pattern) * repeats
+    return slots
+
+
+def _entry_slots(entry: dict) -> int:
+    """Loop slots of one workload pool entry, every placed kernel
+    counted."""
+    if entry.get("kind") == "kernel":
+        return _kernel_slots(entry.get("kernel"))
+    placement = entry.get("placement")
+    if entry.get("kind") != "placement" or not isinstance(placement, dict):
+        return 0
+    groups = placement.get("core_groups")
+    return sum(
+        _kernel_slots(kernel)
+        for group in (groups if isinstance(groups, list) else ())
+        if isinstance(group, list)
+        for kernel in group
+    )
+
+
 def _pool_entries(raw: object, label: str, cells: list, field: str) -> dict:
     """Validate one pool section into a digest -> entry mapping.
 
@@ -339,7 +376,9 @@ def plan_from_dict(
     """Rebuild a plan serialized by :func:`plan_to_dict_v2`.
 
     A body without the ``"wire": "plan-v2"`` marker (such as the
-    inline-cell v1 body older clients sent) is rejected.  ``intern``
+    inline-cell v1 body older clients sent) is rejected, and so is one
+    whose workload pool declares more than :data:`MAX_PLAN_SLOTS` loop
+    slots, before anything is built.  ``intern``
     (optional) is a cross-request :class:`WireInternCache`; with one
     attached, each distinct ingredient rebuilds at most once per cache
     lifetime.
@@ -358,6 +397,12 @@ def plan_from_dict(
     workloads = _pool_entries(
         pool.get("workloads"), "workloads", cell_forms, "workload"
     )
+    slots = sum(map(_entry_slots, workloads.values()))
+    if slots > MAX_PLAN_SLOTS:
+        raise MeasurementError(
+            f"plan-v2 workload pool declares {slots} loop slots, over the "
+            f"{MAX_PLAN_SLOTS}-slot request budget"
+        )
     configs = _pool_entries(pool.get("configs"), "configs", cell_forms, "config")
     if intern is None:
         # One-shot private intern: a standalone decode still deduplicates

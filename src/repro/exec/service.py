@@ -84,6 +84,7 @@ import json
 import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import attrgetter
 from urllib.parse import urlsplit
 
 from repro.errors import (
@@ -100,6 +101,7 @@ from repro.exec.registry import UNFINISHED, RunRegistry
 from repro.exec.serialize import WireInternCache, plan_from_dict
 from repro.exec.store import ResultStore
 from repro.measure.measurement import Measurement
+from repro.sim.kernel import Kernel
 from repro.sim.machine import Machine
 
 logger = logging.getLogger("repro.exec.service")
@@ -190,6 +192,44 @@ def _cell_line(index: int, key: str, source: str, measurement) -> dict:
         "source": source,
         "measurement": measurement.to_dict(),
     }
+
+
+def _check_mnemonics(plan: ExperimentPlan, machine: Machine) -> None:
+    """Refuse a kernel slot some core class of the plan cannot run.
+
+    A wire kernel may name any mnemonic, and the engine would retry and
+    quarantine such a cell.  Each distinct workload is checked once per
+    set of core classes its cells' configurations use, every kernel of a
+    placement included, against those classes' property tables.
+
+    Raises:
+        ServiceError: 400, naming the cell, the kernel and the mnemonic.
+    """
+    classes_of: dict[int, tuple] = {}
+    checked: set[tuple] = set()
+    for index, cell in enumerate(plan.cells):
+        config, workload = cell.config, cell.workload
+        classes = classes_of.get(id(config))
+        if classes is None:
+            clusters = getattr(config, "clusters", ())
+            classes = tuple(cluster.core_class for cluster in clusters)
+            classes = classes_of[id(config)] = classes or (None,)
+        if (id(workload), classes) in checked:
+            continue
+        checked.add((id(workload), classes))
+        placed = getattr(workload, "thread_workloads", (workload,))
+        for kernel in {id(kernel): kernel for kernel in placed}.values():
+            if not isinstance(kernel, Kernel):
+                continue
+            names = dict.fromkeys(map(attrgetter("mnemonic"), kernel.instructions))
+            for arch in map(machine.cluster_arch, classes):
+                for mnemonic in names:
+                    if mnemonic not in arch.properties:
+                        raise ServiceError(
+                            f"plan-v2 cell {index}: kernel {kernel.name!r} "
+                            f"names mnemonic {mnemonic!r}, which core class "
+                            f"{arch.name} has no properties for"
+                        )
 
 
 class MeasurementService:
@@ -416,6 +456,7 @@ class MeasurementService:
             raise ServiceError(str(exc), status=404) from None
         except (PlanValidationError, MicroProbeError) as exc:
             raise ServiceError(str(exc)) from None
+        _check_mnemonics(plan, executor.machine)
         keys = [executor.key_of(cell) for cell in plan.cells]
         run = run_id(keys)
         self._admit(run, len(keys))

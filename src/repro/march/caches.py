@@ -77,6 +77,8 @@ class CacheGeometry:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.line_bytes <= 0 or self.ways <= 0:
             raise ValueError(f"{self.name}: sizes and ways must be positive")
+        if self.latency < 0:
+            raise ValueError(f"{self.name}: latency must be non-negative")
         if self.size_bytes % (self.line_bytes * self.ways) != 0:
             raise ValueError(
                 f"{self.name}: size must be a multiple of line_bytes * ways"
@@ -121,3 +123,7 @@ class MemoryLevel:
     counter: str = ""
 
     name: str = "MEM"
+
+    def __post_init__(self) -> None:
+        if self.latency < 0:
+            raise ValueError(f"{self.name}: latency must be non-negative")

@@ -43,6 +43,9 @@ specific instructions.  Every ISA instruction must end up covered.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from repro.errors import DefinitionError
@@ -50,7 +53,12 @@ from repro.isa.instruction import InstructionType
 from repro.isa.registry import ISA
 from repro.march.caches import CacheGeometry, MemoryLevel
 from repro.march.components import ChipGeometry, ClusterSpec, FunctionalUnit
-from repro.march.counters import CounterDef, CounterFormula, check_counters_known
+from repro.march.counters import (
+    CounterDef,
+    CounterFormula,
+    FormulaError,
+    check_counters_known,
+)
 from repro.march.definition import MicroArchitecture
 from repro.march.properties import (
     InstructionProperties,
@@ -69,6 +77,7 @@ class _Section:
         self.name = name
         self.line_number = line_number
         self.pairs: dict[str, str] = {}
+        self.lines: dict[str, int] = {}
         self.records: list[tuple[int, str]] = []
 
 
@@ -78,12 +87,13 @@ def parse_march_text(
     """Parse micro-architecture definition text against an ISA.
 
     Raises:
-        DefinitionError: On malformed syntax, unknown references or
-            instructions left without properties.
+        DefinitionError: On malformed syntax or values, unknown
+            references or instructions left without properties, naming
+            ``origin`` and the offending line.
     """
     name, sections = _split_sections(text, origin)
     chip = _build_chip(_single(sections, "chip", origin), origin)
-    units = _build_units(sections)
+    units = _build_units(sections, origin)
     caches, memory = _build_hierarchy(sections, origin)
     counters = _build_counters(sections)
     formulas = _build_formulas(sections, counters, origin)
@@ -153,6 +163,7 @@ def _split_sections(
         elif "=" in line:
             key, _, value = line.partition("=")
             current.pairs[key.strip()] = value.strip()
+            current.lines[key.strip()] = line_number
         else:
             raise DefinitionError(
                 origin, line_number, f"cannot parse line {line!r}"
@@ -183,6 +194,41 @@ def _need(section: _Section, key: str, origin: str) -> str:
         ) from None
 
 
+def _parse_number(text: str, kind: type, origin: str, line: int, what: str):
+    """``kind(text)`` for a finite ``int``/``float`` field, else a
+    :class:`DefinitionError` at ``line``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise DefinitionError(
+            origin, line, f"{what} {text!r} is not {noun}"
+        ) from None
+    if not math.isfinite(value):
+        raise DefinitionError(origin, line, f"{what} {text!r} is not finite")
+    return value
+
+
+def _number(section: _Section, key: str, origin: str, kind=int, default=None):
+    """One numeric key of a section; ``default`` makes it optional."""
+    if default is None:
+        text = _need(section, key, origin)
+    else:
+        text = section.pairs.get(key, default)
+    what = f"[{section.kind} {section.name}".rstrip() + f"] {key}"
+    line = section.lines.get(key, section.line_number)
+    return _parse_number(text, kind, origin, line, what)
+
+
+@contextmanager
+def _section_errors(section: _Section, origin: str):
+    """Re-raise a component's range error at the section's line."""
+    try:
+        yield
+    except (ValueError, FormulaError) as exc:
+        raise DefinitionError(origin, section.line_number, str(exc)) from None
+
+
 # -- section builders ------------------------------------------------------------
 
 
@@ -193,16 +239,17 @@ def _build_chip(section: _Section, origin: str) -> ChipGeometry:
             origin, section.line_number,
             f"[chip] missing keys: {sorted(missing)}",
         )
-    return ChipGeometry(
-        max_cores=int(section.pairs["cores"]),
-        max_smt=int(section.pairs["smt"]),
-        frequency_ghz=float(section.pairs["frequency_ghz"]),
-        dispatch_width=int(section.pairs["dispatch_width"]),
-        issue_width=int(section.pairs["issue_width"]),
-        # Optional: low-power core classes declare a dynamic-energy
-        # discount the hidden ground-truth model applies.
-        energy_scale=float(section.pairs.get("energy_scale", "1.0")),
-    )
+    with _section_errors(section, origin):
+        return ChipGeometry(
+            max_cores=_number(section, "cores", origin),
+            max_smt=_number(section, "smt", origin),
+            frequency_ghz=_number(section, "frequency_ghz", origin, float),
+            dispatch_width=_number(section, "dispatch_width", origin),
+            issue_width=_number(section, "issue_width", origin),
+            # Optional: low-power core classes declare a dynamic-energy
+            # discount the hidden ground-truth model applies.
+            energy_scale=_number(section, "energy_scale", origin, float, "1.0"),
+        )
 
 
 def _build_clusters(
@@ -217,21 +264,15 @@ def _build_clusters(
             raise DefinitionError(
                 origin, section.line_number, "[cluster] needs a name"
             )
-        try:
-            clusters.append(
-                ClusterSpec(
-                    name=section.name,
-                    core_class=section.pairs.get("core_class", "self"),
-                    cores=int(_need(section, "cores", origin)),
-                    smt=int(_need(section, "smt", origin)),
-                    p_state=section.pairs.get("p_state", "nominal"),
-                )
+        with _section_errors(section, origin):
+            spec = ClusterSpec(
+                name=section.name,
+                core_class=section.pairs.get("core_class", "self"),
+                cores=_number(section, "cores", origin),
+                smt=_number(section, "smt", origin),
+                p_state=section.pairs.get("p_state", "nominal"),
             )
-        except ValueError as exc:
-            raise DefinitionError(
-                origin, section.line_number, str(exc)
-            ) from None
-        spec = clusters[-1]
+        clusters.append(spec)
         if spec.core_class == "self" and (
             spec.cores > chip.max_cores or spec.smt > chip.max_smt
         ):
@@ -249,17 +290,20 @@ def _build_clusters(
     return tuple(clusters)
 
 
-def _build_units(sections: list[_Section]) -> dict[str, FunctionalUnit]:
+def _build_units(
+    sections: list[_Section], origin: str
+) -> dict[str, FunctionalUnit]:
     units = {}
     for section in sections:
         if section.kind != "unit":
             continue
-        units[section.name] = FunctionalUnit(
-            name=section.name,
-            pipes=int(section.pairs.get("pipes", "1")),
-            counter=section.pairs.get("counter", ""),
-            description=section.pairs.get("description", ""),
-        )
+        with _section_errors(section, origin):
+            units[section.name] = FunctionalUnit(
+                name=section.name,
+                pipes=_number(section, "pipes", origin, int, "1"),
+                counter=section.pairs.get("counter", ""),
+                description=section.pairs.get("description", ""),
+            )
     return units
 
 
@@ -270,17 +314,18 @@ def _build_hierarchy(
     for section in sections:
         if section.kind != "cache":
             continue
-        caches.append(
-            CacheGeometry(
-                name=section.name,
-                level=int(_need(section, "level", origin)),
-                size_bytes=int(_need(section, "size_kb", origin)) * 1024,
-                line_bytes=int(_need(section, "line_bytes", origin)),
-                ways=int(_need(section, "ways", origin)),
-                latency=int(_need(section, "latency", origin)),
-                counter=section.pairs.get("counter", ""),
+        with _section_errors(section, origin):
+            caches.append(
+                CacheGeometry(
+                    name=section.name,
+                    level=_number(section, "level", origin),
+                    size_bytes=_number(section, "size_kb", origin) * 1024,
+                    line_bytes=_number(section, "line_bytes", origin),
+                    ways=_number(section, "ways", origin),
+                    latency=_number(section, "latency", origin),
+                    counter=section.pairs.get("counter", ""),
+                )
             )
-        )
     caches.sort(key=lambda cache: cache.level)
     levels = [cache.level for cache in caches]
     if levels != list(range(1, len(caches) + 1)):
@@ -288,10 +333,11 @@ def _build_hierarchy(
             origin, 0, f"cache levels must be contiguous from 1, got {levels}"
         )
     memory_section = _single(sections, "memory", origin)
-    memory = MemoryLevel(
-        latency=int(_need(memory_section, "latency", origin)),
-        counter=memory_section.pairs.get("counter", ""),
-    )
+    with _section_errors(memory_section, origin):
+        memory = MemoryLevel(
+            latency=_number(memory_section, "latency", origin),
+            counter=memory_section.pairs.get("counter", ""),
+        )
     return tuple(caches), memory
 
 
@@ -316,10 +362,11 @@ def _build_formulas(
     for section in sections:
         if section.kind != "formula":
             continue
-        formula = CounterFormula(
-            name=section.name,
-            expression=_need(section, "expr", origin),
-        )
+        with _section_errors(section, origin):
+            formula = CounterFormula(
+                name=section.name,
+                expression=_need(section, "expr", origin),
+            )
         check_counters_known(formula, counters, origin)
         formulas[section.name] = formula
     return formulas
@@ -331,8 +378,8 @@ def _build_properties(
     units: dict[str, FunctionalUnit],
     origin: str,
 ) -> PropertyDatabase:
-    defaults: dict[InstructionType, tuple] = {}
-    overrides: dict[str, tuple] = {}
+    defaults: dict[InstructionType, InstructionProperties] = {}
+    overrides: dict[str, InstructionProperties] = {}
 
     for line_number, record in section.records:
         fields = [field.strip() for field in record.split("|")]
@@ -344,13 +391,22 @@ def _build_properties(
             )
         selector, units_spec, latency_spec, thr_spec = fields
         try:
-            usages = parse_unit_usages(units_spec)
-            latency = float(latency_spec)
-            inv_throughput = float(thr_spec)
+            # A template under the selector's name: the properties'
+            # own range checks run once per record, at its line.
+            record = InstructionProperties(
+                mnemonic=selector,
+                usages=parse_unit_usages(units_spec),
+                latency=_parse_number(
+                    latency_spec, float, origin, line_number, "latency"
+                ),
+                inv_throughput=_parse_number(
+                    thr_spec, float, origin, line_number, "inv_throughput"
+                ),
+            )
         except ValueError as exc:
             raise DefinitionError(origin, line_number, str(exc)) from None
 
-        for usage in usages:
+        for usage in record.usages:
             for unit in usage.units:
                 if unit not in units:
                     raise DefinitionError(
@@ -365,7 +421,7 @@ def _build_properties(
                 raise DefinitionError(
                     origin, line_number, f"unknown type {type_name!r}"
                 ) from None
-            defaults[itype] = (usages, latency, inv_throughput)
+            defaults[itype] = record
         elif selector.startswith("ins "):
             mnemonic = selector[len("ins "):].strip()
             if mnemonic not in isa:
@@ -373,7 +429,7 @@ def _build_properties(
                     origin, line_number,
                     f"iproperties for unknown instruction {mnemonic!r}",
                 )
-            overrides[mnemonic] = (usages, latency, inv_throughput)
+            overrides[mnemonic] = record
         else:
             raise DefinitionError(
                 origin, line_number, f"bad iproperties selector {selector!r}"
@@ -388,15 +444,7 @@ def _build_properties(
         if record is None:
             uncovered.append(instruction.mnemonic)
             continue
-        usages, latency, inv_throughput = record
-        database.add(
-            InstructionProperties(
-                mnemonic=instruction.mnemonic,
-                usages=usages,
-                latency=latency,
-                inv_throughput=inv_throughput,
-            )
-        )
+        database.add(replace(record, mnemonic=instruction.mnemonic))
     if uncovered:
         raise DefinitionError(
             origin, 0,

@@ -38,8 +38,8 @@ class UnitUsage:
     def __post_init__(self) -> None:
         if not self.units:
             raise ValueError("unit usage needs at least one unit")
-        if self.ops <= 0:
-            raise ValueError("unit usage ops must be positive")
+        if not 0 < self.ops < float("inf"):
+            raise ValueError("unit usage ops must be positive and finite")
 
     @property
     def is_flexible(self) -> bool:

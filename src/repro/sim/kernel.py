@@ -65,6 +65,8 @@ class KernelInstruction:
     def from_list(cls, data: list) -> "KernelInstruction":
         """The interned slot serialized by :meth:`to_list`."""
         mnemonic, dep_distance, source_level, address = data
+        if type(mnemonic) is not str:
+            raise ValueError(f"slot mnemonic {mnemonic!r} is not a string")
         return intern_slot(mnemonic, dep_distance, source_level, address)
 
 
@@ -294,14 +296,20 @@ class Kernel:
         varied across repeats; those are analytically irrelevant (see
         :meth:`KernelInstruction.analytic_key`).  Aperiodic kernels
         round-trip byte-exactly.
+
+        Raises:
+            ValueError: If ``repeats`` is not an ``int`` of at least 1.
         """
+        repeats = data["repeats"]
+        if type(repeats) is not int or repeats < 1:
+            raise ValueError(f"kernel repeats {repeats!r} is not an int >= 1")
         pattern = tuple(
             KernelInstruction.from_list(item) for item in data["pattern"]
         )
         tail = tuple(KernelInstruction.from_list(item) for item in data["tail"])
         return cls(
             name=data["name"],
-            instructions=pattern * data["repeats"] + tail,
+            instructions=pattern * repeats + tail,
             operand_entropy=data["operand_entropy"],
             period=data["period"],
             analytic_period=data.get("analytic_period"),

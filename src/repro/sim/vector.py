@@ -1,49 +1,41 @@
 """The measurement plane: whole cell batches as fused tensor programs.
 
 Every measurement the machine takes runs here.  One batch of
-``(workload, configuration, window)`` cells -- spanning different
-configurations, heterogeneous
-:class:`~repro.sim.topology.ChipTopology` chips, windows and every
-workload kind -- compiles once into a fused program
+``(workload, configuration, window)`` cells -- any mix of
+configurations, heterogeneous :class:`~repro.sim.topology.ChipTopology`
+chips, windows and workload kinds -- compiles once into a fused program
 (:class:`_FusedProgram`) and executes as whole-array passes.
 
-Compilation resolves, once per batch,
+Every chip is a list of segments (:func:`_chip`, which also gives its
+static power): a ``MachineConfig`` is one segment on the base
+:class:`_Lane`, a topology one segment per cluster on the lane of that
+cluster's core class (its own index spaces, widths, unit mix, cache
+latencies, clock and energy scale).  Cells compile into two spans:
 
-* a **packed** form of :class:`~repro.sim.summary.KernelSummary` --
-  fixed unit/level/counter index spaces derived from the architecture,
-  with each kernel's occupancy/operation/level-count vectors stored as
-  small dense arrays (:class:`PackedKernel`, LRU-memoized by kernel
-  digest);
-* packed kernels stacked into ``(kernels x units)`` / ``(kernels x
-  levels)`` matrices, memoized under a **canonical (digest-sorted)
-  batch key** so permuted compositions of the same kernel set share
-  one stack, and gathered per cell by row index;
-* **activity rows** for every thread that does not run a plain kernel
-  replica: a protocol workload's ``thread_activity`` (once per
-  workload object, SMT way and core class), the cached steady state of
-  a kernel placed on a homogeneous core, or one slot of a mixed-kernel
-  core's contention solve (through the machine's mixed-core cache);
-* per-configuration scalar **broadcast tables** (SMT share, frequency
-  scale, effective clock, static power, dynamic V^2 scale), computed
-  in plain Python with the ground-truth model's operation order;
-* the per-cell ``stable_seed`` values and their sensor draw constants
-  (resolved through the sensor draw cache, see
-  :func:`repro.sim.sensors.draw_constants`), bucketed per window
-  length;
-* one :class:`_Lane` of index spaces *per core class*: heterogeneous
-  topology cells evaluate cluster by cluster through each cluster core
-  class's own lane (its own widths, unit mix, cache latencies, clock
-  and energy scale).
+* the **kernel span** (:class:`_FusedSpan`): plain kernel cells, one
+  row per (cell, segment) in its lane's table, gathered from the lane's
+  canonical stack -- :class:`PackedKernel` summaries (LRU by kernel
+  digest) stacked into ``(kernels x units)`` / ``(kernels x levels)``
+  matrices under a digest-sorted batch key, so permuted compositions
+  of one kernel set share one stack;
+* the **activity-row span** (:class:`_FusedRowSpan`): every other
+  thread runs a resolved nominal activity -- a protocol workload's
+  ``thread_activity`` (once per workload object, SMT way and core
+  class) or one slot of a placed core (through the machine's mixed-core
+  cache).
 
-Executing the program then runs the steady-state bounds, re-clock,
-performance-counter synthesis, per-thread dynamic power, the chip and
-per-cluster sums, the ``V^2`` scaling and the sensor stage as
-elementwise tensor arithmetic with no per-cell Python between stages,
-and assembles Measurements through a lazy counters view that defers
-per-cell dict materialization until a reader asks.
-``Machine.run_plan`` keys compiled programs weakly by plan object, so
-a resident campaign (service engines, perf-bench steady state, DSE
-loops) re-executes the same plan with zero recompilation.
+Compilation also resolves the per-row scalar tables (SMT share,
+frequency scale, window, ``V^2`` scale) and the per-cell
+``stable_seed`` values with their sensor draw constants (through the
+sensor draw cache, :func:`repro.sim.sensors.draw_constants`), bucketed
+per window.  Execution computes bounds, counters (one helper,
+:func:`_counter_matrix`, fills both spans' matrices) and per-thread
+watts once per lane, adds each segment's dynamic power into its chip in
+cluster order, runs the sensor stage, and assembles Measurements around
+lazy counter views that defer per-cell dict materialization until a
+reader asks.  ``Machine.run_plan`` keys compiled programs weakly by
+plan object, so a resident campaign (service engines, perf-bench steady
+state, DSE loops) re-executes the same plan with zero recompilation.
 
 **Bit-identity contract.**  Measurements are pure functions of cell
 content: the same floating-point operations on the same operands in
@@ -113,7 +105,6 @@ class PackedKernel:
         "miss_latency",
         "alternation",
         "entropy",
-        "active",
         "insn_e9",
         "insn_counts",
         "unit_ops",
@@ -130,10 +121,6 @@ class PackedKernel:
         self.miss_latency = summary.miss_latency
         self.alternation = summary.alternation
         self.entropy = summary.entropy
-        # Kernels always commit work (empty loop bodies are rejected at
-        # construction); the flag guards the idle-power degenerate case
-        # of a thread committing nothing.
-        self.active = bool(summary.mnemonic_counts)
         # Per-mnemonic energies and counts, in the summary's dict
         # insertion order: the energy sum is defined in that order,
         # and sequential column adds replay it term for term.
@@ -167,8 +154,6 @@ class _KernelStack:
         "miss_latency",
         "order_mult",
         "data_mult",
-        "all_active",
-        "active",
         "insn_e9",
         "insn_counts",
         "unit_ops",
@@ -194,8 +179,6 @@ class _KernelStack:
         self.data_mult = np.array(
             [data_multiplier(pack.entropy) for pack in packs]
         )
-        self.active = np.array([pack.active for pack in packs])
-        self.all_active = all(pack.active for pack in packs)
         # Ragged per-mnemonic/per-level vectors pad with trailing
         # zeros: a zero term adds exactly nothing to a non-negative
         # sequential sum, so padding never perturbs the accumulation.
@@ -490,18 +473,6 @@ def _group_span(cells, span: Sequence[int]):
     return kernels, cell_rows, list(groups.values())
 
 
-def _group_durations(groups, group_sizes, seeds) -> dict:
-    """``{window: (positions, seeds)}`` of group-ordered cells."""
-    by_duration: dict[float, tuple[list[int], list[int]]] = {}
-    position = 0
-    for group, count in zip(groups, group_sizes):
-        bucket = by_duration.setdefault(group.duration, ([], []))
-        bucket[0].extend(range(position, position + count))
-        bucket[1].extend(seeds[position : position + count])
-        position += count
-    return by_duration
-
-
 def _sensor_buckets(by_duration: dict) -> list[tuple]:
     """Per-window sensor tables: positions, draw constants, sigma.
 
@@ -537,242 +508,314 @@ def _apply_sensor(power, buckets) -> list[float]:
     return means.tolist()
 
 
-class _FusedSpan:
-    """Fused program for the homogeneous (MachineConfig) cells of a batch.
+class _Segment(NamedTuple):
+    """One cluster of a cell's chip (the whole chip when homogeneous)."""
 
-    Compilation precomputes every plan-constant table -- the canonical
-    kernel stack gathered per cell, the per-ladder config-scalar
-    broadcast tables, seeds and sensor draw constants -- so execution
-    is the physics stages (bounds, counters, hidden power), the fused
-    sensor pass and Measurement assembly, with no grouping, hashing,
-    seeding or stacking left on the hot path.
+    lane: "_Lane"
+    class_key: str | None
+    view: object  # what protocol workloads see as the machine
+    smt: int
+    cores: int
+    threads: int
+    freq_scale: float
+    dyn_scale: float  # V^2 factor, 1.0 at the nominal p-state
+
+
+def _chip(plane: "VectorPlane", config) -> tuple[float, list[_Segment]]:
+    """``(static power, segments)`` of one canonical configuration.
+
+    A ``MachineConfig`` is one segment on the base lane; a topology is
+    one segment per cluster, in cluster order, on the lane of the
+    cluster's core class.  Static power accumulates in plain floats in
+    the ground-truth model's order: idle, active uncore, the CMP effect
+    (on a topology, the concave part over the total core count, then
+    per cluster the linear part at its class's energy scale), and the
+    SMT logic of each SMT-enabled part.
+    """
+    machine = plane.machine
+    static = IDLE_POWER + UNCORE_ACTIVE
+    topology = isinstance(config, ChipTopology)
+    if topology:
+        static += CMP_CONCAVE * config.cores ** CMP_EXPONENT
+        parts = config.clusters
+    else:
+        static += cmp_effect(config.cores)
+        parts = (config,)
+    segments = []
+    for part in parts:
+        class_key = machine._class_key(part.core_class) if topology else None
+        lane = plane._lane(class_key)
+        if topology:
+            static += CMP_LINEAR * part.cores * lane.energy_scale
+        if part.smt_enabled:
+            static += SMT_LOGIC * part.cores
+        p_state = part.p_state
+        segments.append(
+            _Segment(
+                lane,
+                class_key,
+                machine._parts(class_key)[3] if topology else machine,
+                part.smt,
+                part.cores,
+                part.threads,
+                p_state.freq_scale,
+                1.0 if p_state.is_nominal else p_state.dynamic_scale,
+            )
+        )
+    return static, segments
+
+
+def _counter_matrix(lane, ipc, units, levels, fs, window) -> np.ndarray:
+    """Counter readings of a lane's rows, in its counter column order.
+
+    ``units`` and ``levels`` are nominal per-second rates.  They
+    re-clock first, ``(rate * freq_scale) * window``; cycles accrue at
+    the effective clock.
+    """
+    frequency = lane.frequency * fs
+    fs = fs[:, None]
+    window_col = window[:, None]
+    split = 2 + len(lane.unit_names)
+    matrix = np.empty((frequency.shape[0], len(lane.counter_names)))
+    matrix[:, 0] = frequency * window
+    matrix[:, 1] = (ipc * frequency) * window
+    matrix[:, 2:split] = (units * fs) * window_col
+    matrix[:, split:] = (levels * fs) * window_col
+    return matrix
+
+
+class _KernelTable:
+    """One lane's kernel rows: one (cell, segment) pair each.
+
+    Rows arrive one (group, segment) run at a time; :meth:`gather`
+    then stacks only the kernels these rows use and gathers the
+    canonical stack per row (fancy indexing copies, so LRU eviction of
+    the stack cannot alias the table).
     """
 
     __slots__ = (
         "lane",
-        "machine",
-        "cell_count",
-        "targets",
-        "cell_names",
+        "runs",
+        "count",
         "share",
         "fs",
-        "freq_eff",
         "window",
-        "dyn_scale",
-        "static_power",
-        "g_size",
-        "g_unit_bound",
-        "g_dep_bound",
-        "g_miss_latency",
-        "g_unit_ops",
-        "g_counter_levels",
-        "g_insn_e9",
-        "g_insn_counts",
-        "g_level_e9",
-        "g_level_counts",
-        "g_order_mult",
-        "g_data_mult",
-        "g_active",
-        "all_active",
-        "thread_segments",
+        "size",
+        "unit_bound",
+        "dep_bound",
+        "miss_latency",
+        "unit_ops",
+        "counter_levels",
+        "insn_e9",
+        "insn_counts",
+        "level_e9",
+        "level_counts",
+        "order_data",
+        "data",
+    )
+
+    def __init__(self, lane: _Lane) -> None:
+        self.lane = lane
+        self.runs: list[tuple] = []
+        self.count = 0
+
+    def add(self, kernel_rows, segment: _Segment, duration: float) -> int:
+        """Append one run of unique-kernel rows; returns its first row."""
+        first = self.count
+        share = segment.smt / (1.0 - SMT_OVERHEAD[segment.smt])
+        self.runs.append((kernel_rows, share, segment.freq_scale, duration))
+        self.count += len(kernel_rows)
+        return first
+
+    def gather(self, kernels: Sequence[Kernel], every: bool) -> None:
+        """``every``: each cell has rows here, so each kernel is used."""
+        runs, self.runs = self.runs, []
+        lengths = [len(run[0]) for run in runs]
+        rows = np.concatenate([run[0] for run in runs])
+        if every:
+            stack, remap = self.lane.stack(kernels)
+        else:
+            used = np.zeros(len(kernels), dtype=bool)
+            used[rows] = True
+            index = np.flatnonzero(used)
+            stack, local = self.lane.stack([kernels[i] for i in index.tolist()])
+            remap = np.zeros(len(kernels), dtype=np.intp)
+            remap[index] = local
+        krows = np.asarray(remap, dtype=np.intp)[rows]
+        self.share = np.array([run[1] for run in runs]).repeat(lengths)
+        self.fs = np.array([run[2] for run in runs]).repeat(lengths)
+        self.window = np.array([run[3] for run in runs]).repeat(lengths)
+        self.size = stack.size[krows]
+        self.unit_bound = stack.unit_bound[krows]
+        self.dep_bound = stack.dependency_bound[krows]
+        self.miss_latency = stack.miss_latency[krows]
+        self.unit_ops = stack.unit_ops[krows]
+        self.counter_levels = stack.counter_levels[krows]
+        self.insn_e9 = stack.insn_e9[krows]
+        self.insn_counts = stack.insn_counts[krows]
+        self.level_e9 = stack.level_e9[krows]
+        self.level_counts = stack.level_counts[krows]
+        self.data = stack.data_mult[krows]
+        self.order_data = stack.order_mult[krows] * self.data
+
+    def evaluate(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(counters, per-thread dynamic watts)`` of every row.
+
+        The bounds keep ``bounds_from_summary``'s operand order and the
+        watts the ground-truth model's.
+        """
+        lane = self.lane
+        share = self.share
+        size = self.size
+        period = np.maximum(
+            np.maximum((size / lane.width) * share, self.unit_bound * share),
+            np.maximum(
+                self.dep_bound,
+                (self.miss_latency / MSHRS_PER_THREAD) * share,
+            ),
+        )
+        iterations = (lane.frequency / period)[:, None]
+        fs = self.fs
+        unit_rates = self.unit_ops * iterations
+        level_rates = self.counter_levels * iterations
+        counters = _counter_matrix(
+            lane, size / period, unit_rates, level_rates, fs, self.window
+        )
+        fs = fs[:, None]
+        core_joules = _sequential_row_sum(
+            self.insn_e9 * ((self.insn_counts * iterations) * fs)
+        )
+        level_joules = _sequential_row_sum(
+            self.level_e9 * ((self.level_counts * iterations) * fs)
+        )
+        watts = self.order_data * core_joules + self.data * level_joules
+        # A core class with a dynamic-energy scale (the eco core, as a
+        # cluster or as the machine's own base class) scales every
+        # thread's power by it.
+        if lane.energy_scale != 1.0:
+            watts = watts * lane.energy_scale
+        return counters, watts
+
+
+class _FusedSpan:
+    """Fused program for the plain kernel cells of a batch.
+
+    Every chip is a list of segments (:func:`_chip`), and each (cell,
+    segment) pair is one row of its lane's :class:`_KernelTable`; one
+    (configuration, window) group's segment is one contiguous run of
+    rows.  Compilation resolves every plan-constant table -- gathers,
+    per-run scalars, static chip power, seeds and sensor draw
+    constants.  Execution computes bounds, counters and per-thread
+    watts once per lane over the rows of all groups, adds each
+    segment's dynamic power into its chip in cluster order, then runs
+    the sensor stage and assembles the measurements.
+    """
+
+    __slots__ = (
+        "targets",
+        "cell_names",
+        "static",
+        "tables",
+        "groups",
         "sensor_buckets",
-        "assembly",
     )
 
     def __init__(self, plane: "VectorPlane", cells, span: Sequence[int]) -> None:
-        lane = plane._base
-        machine = plane.machine
-        self.lane = lane
-        self.machine = machine
+        machine_seed = plane.machine.seed
         kernels, cell_rows, groups = _group_span(cells, span)
-        stack, remap = lane.stack(kernels)
-        machine_seed = machine.seed
-        machine_frequency = machine.frequency
-
-        # Per-configuration scalars, computed once per group in plain
-        # Python and repeated across the group's cell span: the
-        # broadcast tables.
-        group_sizes = []
-        share_g, fs_g, freq_eff_g, duration_g = [], [], [], []
-        dyn_scale_g, static_g = [], []
-        scatter: list[int] = []  # tensor position -> span cell position
-        assembly = []
-        thread_segments = []
-        position = 0
-        for group in groups:
-            config = group.config
-            p_state = config.p_state
-            count = len(group.cells)
-            group_sizes.append(count)
-            scatter.extend(group.cells)
-            share_g.append(config.smt / (1.0 - SMT_OVERHEAD[config.smt]))
-            fs_g.append(p_state.freq_scale)
-            freq_eff_g.append(machine_frequency * p_state.freq_scale)
-            duration_g.append(group.duration)
-            dyn_scale_g.append(
-                1.0 if p_state.is_nominal else p_state.dynamic_scale
-            )
-            static = IDLE_POWER
-            static += UNCORE_ACTIVE
-            static += cmp_effect(config.cores)
-            if config.smt_enabled:
-                static += SMT_LOGIC * config.cores
-            static_g.append(static)
-            sample_count = max(1, int(group.duration / SAMPLE_INTERVAL_S))
-            assembly.append(
-                (
-                    position,
-                    position + count,
-                    config,
-                    group.duration,
-                    config.threads,
-                    sample_count,
-                )
-            )
-            thread_segments.append(
-                (position, position + count, config.threads)
-            )
-            position += count
-
-        self.cell_count = len(cell_rows)
-        rows = np.asarray(cell_rows, dtype=np.intp)
-        order = np.asarray(scatter, dtype=np.intp)
-        span_rows = rows[order]  # tensor position -> unique kernel row
-        krows = np.asarray(remap, dtype=np.intp)[span_rows]
-        repeats = np.asarray(group_sizes)
-        self.share = np.repeat(np.asarray(share_g), repeats)
-        self.fs = np.repeat(np.asarray(fs_g), repeats)[:, None]
-        self.freq_eff = np.repeat(np.asarray(freq_eff_g), repeats)
-        self.window = np.repeat(np.asarray(duration_g), repeats)
-        self.dyn_scale = np.repeat(np.asarray(dyn_scale_g), repeats)
-        self.static_power = np.repeat(np.asarray(static_g), repeats)
-        self.thread_segments = thread_segments
-        self.assembly = assembly
-
-        # Tensor position -> caller batch index, for direct writes.
-        self.targets = [span[index] for index in scatter]
-
-        # Plan-constant gathers of the canonical stack (fancy indexing
-        # copies, so LRU eviction of the stack cannot alias us).
-        self.g_size = stack.size[krows]
-        self.g_unit_bound = stack.unit_bound[krows]
-        self.g_dep_bound = stack.dependency_bound[krows]
-        self.g_miss_latency = stack.miss_latency[krows]
-        self.g_unit_ops = stack.unit_ops[krows]
-        self.g_counter_levels = stack.counter_levels[krows]
-        self.g_insn_e9 = stack.insn_e9[krows]
-        self.g_insn_counts = stack.insn_counts[krows]
-        self.g_level_e9 = stack.level_e9[krows]
-        self.g_level_counts = stack.level_counts[krows]
-        self.g_order_mult = stack.order_mult[krows]
-        self.g_data_mult = stack.data_mult[krows]
-        self.g_active = stack.active[krows]
-        self.all_active = stack.all_active
-
-        # Sensor plane: per-cell stable_seed draws salted by workload
-        # name, configuration label, window, machine seed and kernel
-        # digest.
         names = [kernel.name for kernel in kernels]
         digests = [kernel.digest() for kernel in kernels]
-        span_rows_list = span_rows.tolist()
-        self.cell_names = [names[row] for row in span_rows_list]
-        seeds = []
-        position = 0
-        for group, count in zip(groups, group_sizes):
-            mid = f"|{group.config.label}|{group.duration}|{machine_seed}|"
-            for row in span_rows_list[position : position + count]:
+        scatter = list(chain.from_iterable(group.cells for group in groups))
+        span_rows = np.asarray(cell_rows, dtype=np.intp)[scatter]
+        rows = span_rows.tolist()
+        self.targets = [span[index] for index in scatter]
+        self.cell_names = [names[row] for row in rows]
+
+        tables: list[_KernelTable] = []
+        table_of: dict[int, int] = {}
+        static: list[float] = []
+        by_duration: dict[float, tuple[list, list]] = {}
+        self.groups = []
+        start = 0
+        for group in groups:
+            config, duration = group.config, group.duration
+            stop = start + len(group.cells)
+            chip_static, segments = _chip(plane, config)
+            runs = []
+            for segment in segments:
+                index = table_of.get(id(segment.lane))
+                if index is None:
+                    index = table_of[id(segment.lane)] = len(tables)
+                    tables.append(_KernelTable(segment.lane))
+                first = tables[index].add(
+                    span_rows[start:stop], segment, duration
+                )
+                runs.append((index, first, segment.threads, segment.dyn_scale))
+            sample_count = max(1, int(duration / SAMPLE_INTERVAL_S))
+            self.groups.append(
+                (start, stop, config, duration, sample_count, runs)
+            )
+            static.append(chip_static)
+            # Sensor plane: per-cell stable_seed draws salted by
+            # workload name, configuration label, window, machine seed
+            # and kernel digest.
+            positions, seeds = by_duration.setdefault(duration, ([], []))
+            positions.extend(range(start, stop))
+            mid = f"|{config.label}|{duration}|{machine_seed}|"
+            for row in rows[start:stop]:
                 seeds.append(
                     crc32(f"{names[row]}{mid}{digests[row]}".encode())
                 )
-            position += count
-        self.sensor_buckets = _sensor_buckets(
-            _group_durations(groups, group_sizes, seeds)
-        )
+            start = stop
+        for table in tables:
+            table.gather(kernels, every=len(tables) == 1)
+        self.tables = tables
+        self.static = np.array(static).repeat([len(g.cells) for g in groups])
+        self.sensor_buckets = _sensor_buckets(by_duration)
 
     def execute(self, out: list) -> None:
-        """One fused pass: physics, sensors, assembly, in lane order."""
-        lane = self.lane
-        share = self.share
-        fs_col = self.fs
-        window = self.window
-        window_col = window[:, None]
+        """One fused pass: physics, chip sums, sensors, assembly."""
+        results = [table.evaluate() for table in self.tables]
 
-        # Steady-state bounds and period (same operand order as
-        # bounds_from_summary), from the compile-time gathers.
-        size = self.g_size
-        dispatch = (size / lane.width) * share
-        unit = self.g_unit_bound * share
-        memory = (self.g_miss_latency / MSHRS_PER_THREAD) * share
-        period = np.maximum(
-            np.maximum(dispatch, unit),
-            np.maximum(self.g_dep_bound, memory),
-        )
-        iterations = lane.frequency / period
-        ipc = size / period
-
-        # Performance counters: a (cells x counters) matrix in the
-        # lane's column order (rate = (per-iteration count *
-        # iterations) * freq_scale, then * duration).
-        rate_scale = iterations[:, None]
-        unit_block = (
-            (self.g_unit_ops * rate_scale) * fs_col
-        ) * window_col
-        level_block = (
-            (self.g_counter_levels * rate_scale) * fs_col
-        ) * window_col
-        counter_names = lane.counter_names
-        counters = np.empty((self.cell_count, len(counter_names)))
-        counters[:, 0] = self.freq_eff * window
-        counters[:, 1] = (ipc * self.freq_eff) * window
-        units = len(lane.unit_names)
-        counters[:, 2 : 2 + units] = unit_block
-        counters[:, 2 + units :] = level_block
-
-        # Hidden power: per-thread dynamic watts, then the chip sum.
-        insn_terms = self.g_insn_e9 * (
-            (self.g_insn_counts * rate_scale) * fs_col
-        )
-        core_joules = _sequential_row_sum(insn_terms)
-        level_terms = self.g_level_e9 * (
-            (self.g_level_counts * rate_scale) * fs_col
-        )
-        level_joules = _sequential_row_sum(level_terms)
-        thread_dynamic = (
-            self.g_order_mult * self.g_data_mult
-        ) * core_joules + self.g_data_mult * level_joules
-        # A machine whose *base* class declares a dynamic-energy scale
-        # (running the eco definition directly, as per-cluster
-        # campaigns do) scales every thread's power by it.
-        if lane.energy_scale != 1.0:
-            thread_dynamic = thread_dynamic * lane.energy_scale
-        # The chip sums the identical per-thread power once per
-        # hardware thread, sequentially (the thread count is constant
-        # per configuration segment).
-        dynamic = np.empty(self.cell_count)
-        for start, stop, threads in self.thread_segments:
-            segment = thread_dynamic[start:stop]
-            acc = np.zeros(stop - start)
-            for _ in range(threads):
-                acc = acc + segment
-            dynamic[start:stop] = acc
-        dynamic = dynamic * self.dyn_scale
-        power = self.static_power + dynamic
-        if not self.all_active:
-            power = np.where(self.g_active, power, IDLE_POWER)
+        # Each segment sums its identical per-thread power once per
+        # hardware thread, sequentially, scales it by its V^2 term and
+        # adds it into the chip, in cluster order.
+        power = self.static.copy()
+        for start, stop, _, _, _, runs in self.groups:
+            for table, first, threads, dyn_scale in runs:
+                watts = results[table][1][first : first + stop - start]
+                dynamic = np.zeros(stop - start)
+                for _ in range(threads):
+                    dynamic = dynamic + watts
+                power[start:stop] += dynamic * dyn_scale
 
         # Fused sensor stage from the compile-time draw constants.
         means = _apply_sensor(power, self.sensor_buckets)
 
         # Assembly: validation-free Measurement construction (the
-        # plane guarantees the invariants) around lazy counter views.
+        # plane guarantees the invariants) around lazy counter views,
+        # built per segment and concatenated only on multi-segment
+        # chips.
         new = object.__new__
         measurement_cls = Measurement
-        readings_cls = lane.readings_cls
         names = self.cell_names
         targets = self.targets
-        for start, stop, config, duration, threads, sample_count in (
-            self.assembly
-        ):
+        for start, stop, config, duration, sample_count, runs in self.groups:
+            parts = []
+            for table, first, threads, _ in runs:
+                readings_cls = self.tables[table].lane.readings_cls
+                counters = results[table][0]
+                parts.append(
+                    [
+                        (readings_cls((counters, row)),) * threads
+                        for row in range(first, first + stop - start)
+                    ]
+                )
+            thread_counters = (
+                parts[0]
+                if len(parts) == 1
+                else [sum(views, ()) for views in zip(*parts)]
+            )
             prototype = {
                 "workload_name": None,
                 "config": config,
@@ -784,253 +827,14 @@ class _FusedSpan:
                 "thread_workloads": None,
             }
             fresh = prototype.copy
-            for position in range(start, stop):
+            for position, views in zip(range(start, stop), thread_counters):
                 fields = fresh()
                 fields["workload_name"] = names[position]
-                fields["thread_counters"] = (
-                    readings_cls((counters, position)),
-                ) * threads
+                fields["thread_counters"] = views
                 fields["mean_power"] = means[position]
                 measurement = new(measurement_cls)
                 measurement.__dict__.update(fields)
                 out[targets[position]] = measurement
-
-
-class _FusedTopoSpan:
-    """Fused program for the heterogeneous (ChipTopology) cells.
-
-    Each (topology, window) group evaluates cluster by cluster through
-    the cluster core class's lane: static chip power accumulated in
-    plain Python floats, each cluster's per-thread dynamic power summed
-    by sequential adds and ``V^2``-scaled by its own operating point,
-    counters synthesized at each cluster's effective clock.  All
-    grouping, stacking, gathers, per-cluster scalars, seeds and draw
-    constants resolve at compile time; execution is one fused pass per
-    (group, lane).
-    """
-
-    __slots__ = (
-        "machine",
-        "cell_count",
-        "targets",
-        "cell_names",
-        "group_runs",
-        "sensor_buckets",
-    )
-
-    def __init__(self, plane: "VectorPlane", cells, span: Sequence[int]) -> None:
-        machine = plane.machine
-        self.machine = machine
-        kernels, cell_rows, groups = _group_span(cells, span)
-        machine_seed = machine.seed
-        names = [kernel.name for kernel in kernels]
-        digests = [kernel.digest() for kernel in kernels]
-        rows = np.asarray(cell_rows, dtype=np.intp)
-
-        self.cell_count = len(cell_rows)
-        scatter: list[int] = []
-        group_sizes: list[int] = []
-        seeds: list[int] = []
-        cell_names: list[str] = []
-        group_runs = []
-        position = 0
-        for group in groups:
-            topology: ChipTopology = group.config
-            duration = group.duration
-            count = len(group.cells)
-            group_sizes.append(count)
-            scatter.extend(group.cells)
-            group_rows = rows[np.asarray(group.cells, dtype=np.intp)]
-
-            # Static chip power: plain-float accumulation (idle,
-            # uncore, concave CMP part over the total core count, then
-            # per cluster the linear per-core part scaled by its
-            # class's energy scale and the SMT logic).
-            static = IDLE_POWER
-            static += UNCORE_ACTIVE
-            static += CMP_CONCAVE * topology.cores ** CMP_EXPONENT
-            for cluster in topology.clusters:
-                lane = plane._lane(cluster.core_class)
-                static += CMP_LINEAR * cluster.cores * lane.energy_scale
-                if cluster.smt_enabled:
-                    static += SMT_LOGIC * cluster.cores
-
-            g_active = None
-            all_active = True
-            clusters = []
-            for cluster in topology.clusters:
-                lane = plane._lane(cluster.core_class)
-                stack, remap = lane.stack(kernels)
-                krows = np.asarray(remap, dtype=np.intp)[group_rows]
-                if g_active is None:
-                    g_active = stack.active[krows]
-                    all_active = stack.all_active
-                p_state = cluster.p_state
-                clusters.append(
-                    {
-                        "lane": lane,
-                        "share": cluster.smt
-                        / (1.0 - SMT_OVERHEAD[cluster.smt]),
-                        "fs": p_state.freq_scale,
-                        "freq_eff": lane.frequency * p_state.freq_scale,
-                        "threads": cluster.threads,
-                        "dyn_scale": (
-                            None
-                            if p_state.is_nominal
-                            else p_state.dynamic_scale
-                        ),
-                        "size": stack.size[krows],
-                        "unit_bound": stack.unit_bound[krows],
-                        "dep_bound": stack.dependency_bound[krows],
-                        "miss_latency": stack.miss_latency[krows],
-                        "unit_ops": stack.unit_ops[krows],
-                        "counter_levels": stack.counter_levels[krows],
-                        "insn_e9": stack.insn_e9[krows],
-                        "insn_counts": stack.insn_counts[krows],
-                        "level_e9": stack.level_e9[krows],
-                        "level_counts": stack.level_counts[krows],
-                        "order_mult": stack.order_mult[krows],
-                        "data_mult": stack.data_mult[krows],
-                    }
-                )
-
-            sample_count = max(1, int(duration / SAMPLE_INTERVAL_S))
-            group_runs.append(
-                {
-                    "start": position,
-                    "stop": position + count,
-                    "config": topology,
-                    "duration": duration,
-                    "static": static,
-                    "active": g_active,
-                    "all_active": all_active,
-                    "clusters": clusters,
-                    "sample_count": sample_count,
-                }
-            )
-
-            mid = f"|{topology.label}|{duration}|{machine_seed}|"
-            for row in group_rows.tolist():
-                seeds.append(
-                    crc32(f"{names[row]}{mid}{digests[row]}".encode())
-                )
-                cell_names.append(names[row])
-            position += count
-
-        self.targets = [span[index] for index in scatter]
-        self.cell_names = cell_names
-        self.group_runs = group_runs
-        self.sensor_buckets = _sensor_buckets(
-            _group_durations(groups, group_sizes, seeds)
-        )
-
-    def execute(self, out: list) -> None:
-        power = np.empty(self.cell_count)
-        per_group_state = []
-        for run in self.group_runs:
-            start, stop = run["start"], run["stop"]
-            count = stop - start
-            duration = run["duration"]
-            group_power = np.full(count, run["static"])
-            cluster_views = []
-            for cluster in run["clusters"]:
-                lane = cluster["lane"]
-                share = cluster["share"]
-                fs = cluster["fs"]
-                size = cluster["size"]
-                dispatch = (size / lane.width) * share
-                unit = cluster["unit_bound"] * share
-                memory = (
-                    cluster["miss_latency"] / MSHRS_PER_THREAD
-                ) * share
-                period = np.maximum(
-                    np.maximum(dispatch, unit),
-                    np.maximum(cluster["dep_bound"], memory),
-                )
-                iterations = lane.frequency / period
-                ipc = size / period
-                rate_scale = iterations[:, None]
-
-                # The cluster's counter block at its effective clock.
-                unit_block = (
-                    (cluster["unit_ops"] * rate_scale) * fs
-                ) * duration
-                level_block = (
-                    (cluster["counter_levels"] * rate_scale) * fs
-                ) * duration
-                counters = np.empty((count, len(lane.counter_names)))
-                counters[:, 0] = cluster["freq_eff"] * duration
-                counters[:, 1] = (ipc * cluster["freq_eff"]) * duration
-                units = len(lane.unit_names)
-                counters[:, 2 : 2 + units] = unit_block
-                counters[:, 2 + units :] = level_block
-                cluster_views.append(
-                    (lane.readings_cls, counters, cluster["threads"])
-                )
-
-                # The cluster's dynamic power.
-                insn_terms = cluster["insn_e9"] * (
-                    (cluster["insn_counts"] * rate_scale) * fs
-                )
-                core_joules = _sequential_row_sum(insn_terms)
-                level_terms = cluster["level_e9"] * (
-                    (cluster["level_counts"] * rate_scale) * fs
-                )
-                level_joules = _sequential_row_sum(level_terms)
-                thread_dynamic = (
-                    cluster["order_mult"] * cluster["data_mult"]
-                ) * core_joules + cluster["data_mult"] * level_joules
-                if lane.energy_scale != 1.0:
-                    thread_dynamic = thread_dynamic * lane.energy_scale
-                dynamic = np.zeros(count)
-                for _ in range(cluster["threads"]):
-                    dynamic = dynamic + thread_dynamic
-                if cluster["dyn_scale"] is not None:
-                    dynamic = dynamic * cluster["dyn_scale"]
-                group_power = group_power + dynamic
-
-            if not run["all_active"]:
-                group_power = np.where(
-                    run["active"], group_power, IDLE_POWER
-                )
-            power[start:stop] = group_power
-            per_group_state.append(cluster_views)
-
-        means = _apply_sensor(power, self.sensor_buckets)
-
-        new = object.__new__
-        measurement_cls = Measurement
-        names = self.cell_names
-        targets = self.targets
-        for run, cluster_views in zip(self.group_runs, per_group_state):
-            start, stop = run["start"], run["stop"]
-            prototype = {
-                "workload_name": None,
-                "config": run["config"],
-                "duration": run["duration"],
-                "thread_counters": None,
-                "mean_power": 0.0,
-                "power_std": SAMPLE_NOISE_W,
-                "sample_count": run["sample_count"],
-                "thread_workloads": None,
-            }
-            fresh = prototype.copy
-            for position in range(start, stop):
-                offset = position - start
-                thread_counters = ()
-                for readings_cls, counters, threads in cluster_views:
-                    thread_counters += (
-                        readings_cls((counters, offset)),
-                    ) * threads
-                fields = fresh()
-                fields["workload_name"] = names[position]
-                fields["thread_counters"] = thread_counters
-                fields["mean_power"] = means[position]
-                measurement = new(measurement_cls)
-                measurement.__dict__.update(fields)
-                out[targets[position]] = measurement
-
-
 
 
 class _ActivityRow(NamedTuple):
@@ -1057,20 +861,6 @@ class _ActivityRow(NamedTuple):
 
 
 _ZERO_ROW = _ActivityRow(0.0, [], [], [], [], 0.0, 0.0, [])
-
-
-class _Segment(NamedTuple):
-    """One cluster of a cell's chip (the whole chip when homogeneous)."""
-
-    lane: "_Lane"
-    lane_index: int  # position in the span's counter tables
-    class_key: str | None
-    view: object  # what protocol workloads see as the machine
-    smt: int
-    cores: int
-    threads: int
-    freq_scale: float
-    dyn_scale: float  # V^2 factor, 1.0 at the nominal p-state
 
 
 def _pack_activity(activity, lane) -> _ActivityRow:
@@ -1140,26 +930,9 @@ class _CounterTable:
         self.window = np.array([window for _, window in keys])
 
     def counters(self) -> np.ndarray:
-        """The rows' readings, in the lane's counter column order.
-
-        Rates re-clock first, ``(rate * freq_scale) * window``; cycles
-        accrue at the effective clock.
-        """
-        lane = self.lane
-        fs = self.fs
-        window = self.window
-        frequency = lane.frequency * fs
-        units = len(lane.unit_names)
-        matrix = np.empty((fs.shape[0], len(lane.counter_names)))
-        matrix[:, 0] = frequency * window
-        matrix[:, 1] = (self.ipc * frequency) * window
-        matrix[:, 2 : 2 + units] = (
-            self.units * fs[:, None]
-        ) * window[:, None]
-        matrix[:, 2 + units :] = (
-            self.levels * fs[:, None]
-        ) * window[:, None]
-        return matrix
+        return _counter_matrix(
+            self.lane, self.ipc, self.units, self.levels, self.fs, self.window
+        )
 
 
 class _FusedRowSpan:
@@ -1244,7 +1017,7 @@ class _FusedRowSpan:
 
         slot_memo: dict[tuple, tuple] = {}
 
-        def core_rows(group, segment, duration) -> tuple[list, list]:
+        def core_rows(group, segment, lane_index, duration) -> tuple:
             """``(instances, counter rows)`` of one placed core's slots.
 
             Memoized on the co-runners' object identities (the batch
@@ -1276,7 +1049,7 @@ class _FusedRowSpan:
                 found = slot_memo[key] = (
                     insts,
                     [
-                        counter_row(segment.lane_index, inst, duration)
+                        counter_row(lane_index, inst, duration)
                         for inst in insts
                     ],
                 )
@@ -1285,58 +1058,18 @@ class _FusedRowSpan:
         contexts: dict[int, tuple] = {}
 
         def context(config) -> tuple:
-            """``(label, topology?, static power, segments)``."""
-            segments = []
-            if isinstance(config, ChipTopology):
-                static = IDLE_POWER
-                static += UNCORE_ACTIVE
-                static += CMP_CONCAVE * config.cores ** CMP_EXPONENT
-                clusters = config.clusters
-                for cluster in clusters:
-                    lane = plane._lane(cluster.core_class)
-                    static += CMP_LINEAR * cluster.cores * lane.energy_scale
-                    if cluster.smt_enabled:
-                        static += SMT_LOGIC * cluster.cores
-                for cluster in clusters:
-                    class_key = machine._class_key(cluster.core_class)
-                    segments.append(
-                        (cluster, class_key, machine._parts(class_key)[3])
-                    )
-            else:
-                static = IDLE_POWER
-                static += UNCORE_ACTIVE
-                static += cmp_effect(config.cores)
-                if config.smt_enabled:
-                    static += SMT_LOGIC * config.cores
-                segments.append((config, None, machine))
-            resolved = []
-            for part, class_key, view in segments:
-                lane = plane._lane(class_key)
-                index = lane_of.get(id(lane))
+            """``(label, topology?, static power, segments, lanes)``."""
+            static, segments = _chip(plane, config)
+            indices = []
+            for segment in segments:
+                index = lane_of.get(id(segment.lane))
                 if index is None:
-                    index = lane_of[id(lane)] = len(lanes)
-                    lanes.append(lane)
+                    index = lane_of[id(segment.lane)] = len(lanes)
+                    lanes.append(segment.lane)
                     row_of.append({})
-                p_state = part.p_state
-                resolved.append(
-                    _Segment(
-                        lane,
-                        index,
-                        class_key,
-                        view,
-                        part.smt,
-                        part.cores,
-                        part.threads,
-                        p_state.freq_scale,
-                        1.0 if p_state.is_nominal else p_state.dynamic_scale,
-                    )
-                )
-            return (
-                config.label,
-                isinstance(config, ChipTopology),
-                static,
-                resolved,
-            )
+                indices.append(index)
+            topology = isinstance(config, ChipTopology)
+            return config.label, topology, static, segments, indices
 
         targets: list[int] = []
         fields: list[tuple] = []
@@ -1350,7 +1083,7 @@ class _FusedRowSpan:
             ctx = contexts.get(id(config))
             if ctx is None:
                 ctx = contexts[id(config)] = context(config)
-            label, topology, chip_static, segments = ctx
+            label, topology, chip_static, segments, indices = ctx
             cell_runs: list = []
             slots: list = []
             if isinstance(workload, Placement):
@@ -1360,12 +1093,13 @@ class _FusedRowSpan:
                     raise MeasurementError(str(exc)) from None
                 groups = workload.core_groups
                 offset = 0
-                for segment in segments:
-                    lane_index = segment.lane_index
+                for segment, lane_index in zip(segments, indices):
                     cores = segment.cores
                     core_instances = []
                     for group in groups[offset : offset + cores]:
-                        insts, rows = core_rows(group, segment, duration)
+                        insts, rows = core_rows(
+                            group, segment, lane_index, duration
+                        )
                         core_instances.append(insts)
                         for row in rows:
                             last = cell_runs[-1] if cell_runs else None
@@ -1393,13 +1127,13 @@ class _FusedRowSpan:
                 )
                 thread_workloads = workload.thread_names
             else:
-                for segment in segments:
+                for segment, lane_index in zip(segments, indices):
                     activity = resolve(
                         workload, segment.smt, segment.class_key, segment.view
                     )
                     inst = instance(segment.lane, activity, segment.freq_scale)
-                    row = counter_row(segment.lane_index, inst, duration)
-                    cell_runs.append([segment.lane_index, row, segment.threads])
+                    row = counter_row(lane_index, inst, duration)
+                    cell_runs.append([lane_index, row, segment.threads])
                     slots.append([inst] * segment.threads)
                 name = workload.name
                 salt = 0
@@ -1554,9 +1288,9 @@ class _FusedRowSpan:
 class _FusedProgram:
     """A whole cell batch compiled to fused spans.
 
-    Plain kernel cells on homogeneous chips and on topologies compile
-    into the kernel spans; protocol workloads and placements compile
-    into the activity-row span.  Every cell of the batch belongs to
+    Plain kernel cells, on homogeneous chips and topologies alike,
+    compile into the kernel span; protocol workloads and placements
+    compile into the activity-row span.  Every cell of the batch belongs to
     exactly one span, and each span writes its results straight into
     the caller's cell order.
     """
@@ -1566,23 +1300,17 @@ class _FusedProgram:
     def __init__(self, plane, cells) -> None:
         self.size = len(cells)
         kernel_span: list[int] = []
-        topo_span: list[int] = []
         row_span: list[int] = []
-        for index, (workload, config, duration) in enumerate(cells):
+        for index, (workload, _, duration) in enumerate(cells):
             if duration <= 0:
                 raise ValueError("duration must be positive")
             if isinstance(workload, Kernel):
-                if isinstance(config, ChipTopology):
-                    topo_span.append(index)
-                else:
-                    kernel_span.append(index)
+                kernel_span.append(index)
             else:
                 row_span.append(index)
         self.spans = []
         if kernel_span:
             self.spans.append(_FusedSpan(plane, cells, kernel_span))
-        if topo_span:
-            self.spans.append(_FusedTopoSpan(plane, cells, topo_span))
         if row_span:
             self.spans.append(_FusedRowSpan(plane, cells, row_span))
 

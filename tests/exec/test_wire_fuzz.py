@@ -13,18 +13,17 @@ two ways:
 * a stream in which every measurement has a finite ``mean_power``.
 
 Nothing else may escape :meth:`MeasurementService.submit` -- no
-``OverflowError``, ``AttributeError`` or unhashable ``TypeError`` --
-because the HTTP handler answers those with a 500.  Well-typed cells
-the machine cannot run, such as a kernel slot naming an unknown
-mnemonic, may still stream as quarantined failures: rejecting those
-up front needs a per-kernel ISA check.
+``OverflowError``, ``AttributeError``, unhashable ``TypeError`` or
+``MemoryError`` -- because the HTTP handler answers those with a 500.
+Well-typed cells the machine cannot run are 400s too: a kernel slot
+naming a mnemonic that some core class of the plan has no properties
+for, and a workload pool declaring more loop slots than the request
+budget (:data:`~repro.exec.serialize.MAX_PLAN_SLOTS`).
 
 Mutations are stdlib ``random`` only: one field of a cell, of the body
 or anywhere inside one pool entry is overwritten with a value from a
-fixed palette of wrong types, bad signs and non-finite numbers, or is
-deleted.  The palette's integers stay small: a kernel's ``repeats``
-sizes the loop body the server allocates, and no request size limit
-exists yet for this fuzzer to probe.
+fixed palette of wrong types, bad signs, huge and non-finite numbers,
+or is deleted.
 """
 
 import json
@@ -35,7 +34,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.exec import ExperimentPlan, ResultStore
-from repro.exec.serialize import plan_to_dict_v2, wire_digest
+from repro.exec.serialize import MAX_PLAN_SLOTS, plan_to_dict_v2, wire_digest
 from repro.exec.service import MeasurementService
 from repro.sim import MachineConfig, Placement, get_pstate, parse_topology
 from repro.stressmark.search import build_stressmark
@@ -53,6 +52,7 @@ _PALETTE = [
     0,
     -1,
     3,
+    2**40,
     1.5,
     -0.5,
     math.nan,
@@ -314,3 +314,56 @@ def test_malformed_config_is_a_400(body, services, path, value):
     request = _with_entry(body, "configs", "config", path, value)
     for service in services:
         assert "cell 0" in _rejected(service, request)
+
+
+@pytest.mark.parametrize("repeats", [2**40, 0, -1, 1.5, True])
+def test_bad_kernel_repeats_is_a_400(body, services, repeats):
+    request = _with_entry(
+        body, "workloads", "workload", ("kernel", "repeats"), repeats
+    )
+    for service in services:
+        message = _rejected(service, request)
+        assert "repeats" in message or "budget" in message, message
+
+
+def _pool_kernels(entry: dict) -> list[dict]:
+    """Every kernel form inside one workload pool entry."""
+    if "kernel" in entry:
+        return [entry["kernel"]]
+    groups = entry.get("placement", {}).get("core_groups", [])
+    return [kernel for group in groups for kernel in group]
+
+
+def test_pool_over_the_slot_budget_is_a_400(body, services):
+    """Kernels each under the budget still add up past it."""
+    request = json.loads(json.dumps(body))
+    pool = request["pool"]["workloads"]
+    count = sum(len(_pool_kernels(entry)) for _, entry in pool)
+    assert count >= 3
+    for index, (_, entry) in enumerate(pool):
+        for kernel in _pool_kernels(entry):
+            kernel["repeats"] = (
+                MAX_PLAN_SLOTS // (count - 1) // len(kernel["pattern"])
+            )
+            assert len(kernel["pattern"]) * kernel["repeats"] < MAX_PLAN_SLOTS
+        _resign(request, "workloads", "workload", index, entry)
+    for service in services:
+        assert "budget" in _rejected(service, request)
+
+
+@pytest.mark.parametrize(
+    "path, cell",
+    [
+        pytest.param(("kernel", "pattern", 0, 0), "cell 0", id="kernel"),
+        pytest.param(
+            ("placement", "core_groups", 1, 0, "pattern", 0, 0),
+            "cell 5",
+            id="placement",
+        ),
+    ],
+)
+def test_unknown_mnemonic_is_a_400(body, services, path, cell):
+    request = _with_entry(body, "workloads", "workload", path, "frobnicate")
+    for service in services:
+        message = _rejected(service, request)
+        assert cell in message and "'frobnicate'" in message, message

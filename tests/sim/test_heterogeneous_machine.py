@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import MeasurementError
-from repro.exec.plan import PlanCell
+from repro.exec.plan import ExperimentPlan, PlanCell
 from repro.sim import (
     CoreCluster,
     ChipTopology,
@@ -295,6 +295,41 @@ class TestVectorTopologyIdentity:
         assert Machine(eco).run_many(
             kernels, config, _DURATION
         ) == OracleMachine(eco).run_many(kernels, config, _DURATION)
+
+    def test_interleaved_lane_chip_sums(self, power7_arch, monkeypatch):
+        """Clusters whose core classes interleave, an eco cluster first.
+
+        Each lane's rows then sit at several segment positions of one
+        chip, so the plane must add every cluster's dynamic power into
+        its chip in cluster order.  The topologies mix with
+        MachineConfig cells in one shuffled batch over two windows,
+        and the plan-cached program replays the same bits.  A sensor
+        quantum of 2**-60 W makes quantization exact, so every bit of
+        chip power reaches the readings and a reordered sum shows.
+        """
+        monkeypatch.setattr("repro.sim.sensors.QUANTUM_W", 2.0**-60)
+        monkeypatch.setattr("repro.sim.vector.QUANTUM_W", 2.0**-60)
+        configs = [
+            parse_topology("2little+2big@p2+1big"),
+            parse_topology("1little-2+2big-4@turbo+2little@p3+1big"),
+            MachineConfig(4, 2),
+            MachineConfig(2, 1, get_pstate("p3")),
+        ]
+        kernels = [random_kernel(700 + index) for index in range(24)]
+        cells = [
+            PlanCell(kernel, config, duration)
+            for duration in (1.0, 2.5)
+            for config in configs
+            for kernel in kernels
+        ]
+        random.Random(19).shuffle(cells)
+        reference = OracleMachine(power7_arch).run_cells(cells)
+        machine = Machine(power7_arch)
+        assert machine.run_cells(cells) == reference
+        plan = ExperimentPlan(cells)
+        assert machine.run_plan(plan) == reference
+        assert machine._vector.cached_program(plan) is not None
+        assert machine.run_plan(plan) == reference
 
     def test_random_shapes_property(self, scalar_machine, vector_machine):
         rng = random.Random(4242)
