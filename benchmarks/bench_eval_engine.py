@@ -20,7 +20,11 @@ Four numbers are reported (and recorded in ``BENCH_results.json``):
   which exercises the O(loop) summarization with precompiled tables;
 * synthesis throughput: the pass pipeline building the Table-2 micro
   and random suites at ``REPRO_SCALE``/``REPRO_LOOP_SIZE``, in
-  microseconds per synthesized instruction and kernels per second.
+  microseconds per synthesized instruction and kernels per second;
+  then the same suite through a temporary store's kernel memo, cold
+  (synthesize and write) and warm (load), asserted >= 2.5x faster
+  warm.  Recorded under ``synthesis`` at the default scale and under
+  ``synthesis_scale<S>_loop<L>`` at any other.
 
 Absolute rate floors hold on the nominal host: each is rescaled by the
 host-speed reference timed next to its measurement (see
@@ -40,10 +44,11 @@ from benchmarks.conftest import (
     record_rate,
     record_result,
 )
-from repro.exec import ExperimentPlan, SerialExecutor
+from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
 from repro.power_model.training import (
     generate_micro_suite,
     generate_random_suite,
+    generate_training_suite,
 )
 from repro.sim import Machine, MachineConfig
 from repro.sim.pipeline import CorePipelineModel
@@ -217,8 +222,14 @@ def test_aperiodic_throughput(machine, arch):
     assert rate > host_floor(100, reference)
 
 
-def test_synthesis_throughput(arch):
-    """The pass pipeline building the Table-2 training suite."""
+def test_synthesis_throughput(arch, tmp_path):
+    """The pass pipeline building the Table-2 training suite.
+
+    Then the same suite twice through one temporary store, back to
+    back: cold, every kernel synthesized and written; warm, every
+    kernel loaded.  Neither side computes kernel digests (nothing in
+    the memo needs them).
+    """
     start = time.perf_counter()
     suite = generate_micro_suite(arch, LOOP_SIZE, SCALE) + (
         generate_random_suite(arch, LOOP_SIZE, SCALE)
@@ -233,11 +244,36 @@ def test_synthesis_throughput(arch):
         f"{kernels_per_second:,.1f} kernels/sec (scale {SCALE}, "
         f"loop {LOOP_SIZE})"
     )
+
+    timings = {}
+    for kind in ("cold", "warm"):
+        store = ResultStore(tmp_path)
+        start = time.perf_counter()
+        memoized = generate_training_suite(arch, LOOP_SIZE, SCALE, memo=store)
+        timings[kind] = time.perf_counter() - start
+        assert memoized == suite
+    assert (store.kernel_hits, store.kernel_misses) == (len(suite), 0)
+    speedup = timings["cold"] / timings["warm"]
+    print(
+        f"kernel memo: cold {timings['cold']:.2f} s (synthesize + write), "
+        f"warm {timings['warm']:.2f} s (load) -> {speedup:.1f}x"
+    )
+    name = "synthesis"
+    if (SCALE, LOOP_SIZE) != (0.3, 1024):
+        name = f"synthesis_scale{SCALE:g}_loop{LOOP_SIZE}"
     record_result(
-        "synthesis",
+        name,
         synthesis_us_per_instruction=round(us_per_instruction, 2),
         synthesis_kernels_per_sec=round(kernels_per_second, 1),
+        kernel_memo_us_per_instruction=round(
+            timings["warm"] / instructions * 1e6, 2
+        ),
+        kernel_memo_write_us_per_instruction=round(
+            timings["cold"] / instructions * 1e6, 2
+        ),
+        kernel_memo_speedup=round(speedup, 2),
     )
     # About 8 us/instruction on a 2-vCPU Xeon container, where the
     # per-slot operand walk this replaced took about 46.
     assert us_per_instruction < 20.0
+    assert speedup >= 2.5

@@ -126,10 +126,17 @@ def _build_executor(machine: Machine, args: argparse.Namespace):
 def _report_store(executor) -> None:
     store = executor.store
     if store is not None:
-        print(
+        line = (
             f"store {store.root}: {store.hits} cells warm, "
             f"{store.misses} measured this run, {len(store)} total"
         )
+        if store.kernel_hits or store.kernel_misses:
+            # Every kernel lookup that misses is synthesized.
+            line += (
+                f"; kernels: {store.kernel_hits} loaded, "
+                f"{store.kernel_misses} synthesized"
+            )
+        print(line)
         stats = store.fault_stats()
         if stats:
             print(

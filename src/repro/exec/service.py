@@ -56,8 +56,9 @@ Hardening:
   / ``--token``; 401 without it), a bounded in-flight cell budget and
   request cap answering ``429 Too Many Requests`` with ``Retry-After``
   (measurements are pure, so a retried submission is bit-identical),
-  and per-connection write deadlines so one stalled reader can never
-  wedge a flight other clients wait on.
+  per-connection write deadlines so one stalled reader can never
+  wedge a flight other clients wait on, and ``413 Payload Too Large``
+  for a body longer than :data:`MAX_BODY_BYTES`, before it is read.
 * **graceful drain** -- SIGTERM stops admission (503 +
   ``Retry-After``), lets in-flight submissions finish streaming, and
   exits 0 with every run's final record written.
@@ -124,6 +125,14 @@ DEFAULT_WRITE_DEADLINE_S = 60.0
 #: Deliberately short: clients own the capped exponential backoff, the
 #: header only keeps the first retry from landing instantly.
 DEFAULT_RETRY_AFTER_S = 0.25
+
+#: Largest ``POST /plans`` body the handler reads, bytes.  A longer
+#: ``Content-Length`` is answered 413 before any byte is read (reading
+#: it would allocate the claimed length up front).  About 4.7x the
+#: largest body a repo flow sends: the step plan of ``repro campaign
+#: --scale 1.0 --loop-size 4096 --server`` pools 583 aperiodic
+#: 4,096-slot kernels into 71.8 MB.
+MAX_BODY_BYTES = 320 * 1024 * 1024
 
 
 # -- single-flight registry ----------------------------------------------------
@@ -949,6 +958,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if length < 0:
                 # rfile.read(-1) would block until the client closes.
                 raise ValueError(f"negative Content-Length {length}")
+            if length > MAX_BODY_BYTES:
+                # The body stays unread: close rather than parse it as
+                # the connection's next request.
+                self.close_connection = True
+                self._send_json(
+                    413,
+                    {
+                        "error": f"request body of {length} bytes exceeds "
+                        f"the {MAX_BODY_BYTES}-byte limit"
+                    },
+                )
+                return
             request = json.loads(self.rfile.read(length))
             if not isinstance(request, dict):
                 raise ValueError("plan request must be a JSON object")

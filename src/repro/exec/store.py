@@ -3,7 +3,15 @@
 A :class:`ResultStore` is a directory of *shard* files --
 ``shards/<xx>.jsonl``, fanned out on the first key byte -- each an
 append-only sequence of JSON lines, one per persisted measurement
-cell.  Because keys are derived from the architecture, machine seed,
+cell.  A second record type shares every mechanism below: synthesized
+kernels (:meth:`ResultStore.get_kernel`/:meth:`~ResultStore.put_kernels`)
+live in ``kernels/<xx>.jsonl``, keyed by the content hash of their
+synthesis recipe (:meth:`repro.core.synthesizer.Synthesizer.recipe_key`),
+so a warm campaign loads its training suite instead of synthesizing it
+again.  Kernel records never count as cells: ``len``, :meth:`keys` and
+the ``hits``/``misses`` counters see cells only.
+
+Because cell keys are derived from the architecture, machine seed,
 workload content digest, configuration, operating point and window
 length (:meth:`~repro.exec.plan.PlanCell.key`), a store survives
 process restarts and is shared safely between concurrent processes
@@ -44,11 +52,11 @@ releases kept beside the shards are ignored.  Shard files are the only
 layout: per-cell ``<xx>/<key>.json`` files of the pre-shard layout are
 ignored, so such a store simply re-measures.
 
-Shard locking uses POSIX ``flock``; on platforms without ``fcntl``
-(Windows) appends are lock-free and a store directory should have a
-single writer at a time (readers are always safe).  :meth:`scrub`
-replaces shard files and must not race concurrent *writers* (readers
-are safe): run it between campaigns.
+Shard appends use POSIX ``flock`` and ``pread``; where ``fcntl`` is
+missing they are lock-free, and a store directory should have a single
+writer at a time (readers are always safe).  :meth:`scrub` replaces
+shard files and must not race concurrent *writers* (readers are safe):
+run it between campaigns.
 """
 
 from __future__ import annotations
@@ -56,8 +64,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,92 +78,222 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.exec import faults
 from repro.hashing import content_hex
 from repro.measure.measurement import Measurement
+from repro.sim.kernel import Kernel, KernelInstruction
 
 logger = logging.getLogger("repro.exec.store")
 
 #: Store layout version; bump when the payload format changes.
 FORMAT = "repro-result-v1"
+#: Kernel record version; bump when :func:`kernel_body` changes.
+KERNEL_FORMAT = "repro-kernel-v1"
 
 
-def record_checksum(key: str, measurement_dict: dict) -> str:
-    """Content checksum of one record: key + canonical measurement JSON.
+class RecordKind:
+    """One record type: its shard directory and how its lines read.
+
+    Every line is ``{"format": F, "key": K, "<field>": BODY, "sum": S}``
+    with ``S`` the checksum of the key and the canonical body text,
+    salted per kind.
+    """
+
+    __slots__ = ("directory", "format", "field", "salt", "prefix", "marker")
+
+    def __init__(self, directory: str, format: str, field: str, salt: str):
+        self.directory = directory
+        self.format = format
+        self.field = field
+        self.salt = salt
+        #: How every line this store writes opens; the key comes next.
+        self.prefix = b'{"format": "' + format.encode() + b'", "key": "'
+        #: What precedes the body text in a line.
+        self.marker = b'"' + field.encode() + b'": '
+
+
+#: Measurement cells, under ``shards/``.
+CELLS = RecordKind("shards", FORMAT, "measurement", "sum-v1")
+#: Synthesized kernels, under ``kernels/``.
+KERNELS = RecordKind("kernels", KERNEL_FORMAT, "kernel", "kernel-sum-v1")
+
+_SUM_FIELD = b', "sum": "'
+
+
+def _checksum(kind: RecordKind, key: str, body_text: str) -> str:
+    return content_hex(kind.salt + "|" + key + "|" + body_text, size=8)
+
+
+def _line(kind: RecordKind, key: str, body_text: str, digest: str) -> bytes:
+    return (
+        '{"format": "%s", "key": %s, "%s": %s, "sum": "%s"}\n'
+        % (kind.format, json.dumps(key), kind.field, body_text, digest)
+    ).encode()
+
+
+def record_checksum(key: str, body: dict, kind: RecordKind = CELLS) -> str:
+    """Content checksum of one record: key + canonical body JSON.
 
     JSON round-trips floats at shortest-repr precision, so re-dumping a
     parsed record reproduces the canonical text -- and therefore the
     checksum -- exactly; any torn or bit-flipped payload that still
     parses as JSON changes it.
     """
-    return content_hex(
-        "sum-v1|" + key + "|" + json.dumps(measurement_dict, sort_keys=True),
-        size=8,
-    )
+    return _checksum(kind, key, json.dumps(body, sort_keys=True))
 
 
-def render_record(key: str, measurement_dict: dict) -> bytes:
+def render_record(key: str, body: dict, kind: RecordKind = CELLS) -> bytes:
     """One checksummed store line (newline-terminated).
 
-    ``measurement_dict`` is :meth:`Measurement.to_dict`'s compact body:
+    A cell's ``body`` is :meth:`Measurement.to_dict`'s compact body:
     each distinct per-thread counter set once under ``counters``, plus
     one set index per hardware thread under ``threads``.  A measurement
     whose threads all ran one benchmark copy renders in about 0.8 KB
     instead of the 3.9 KB of one counter set per thread.  Records
     written before the compact body carry ``thread_counters`` instead;
     they verify and decode as before, and :meth:`ResultStore.scrub`
-    re-renders them byte for byte.
+    re-renders them byte for byte.  A kernel's body is
+    :func:`kernel_body`.
 
-    The measurement is serialized exactly once and the record assembled
+    The body is serialized exactly once and the record assembled
     around that canonical text -- byte-identical to dumping the whole
     record with ``sort_keys=True``, but half the serialization work,
-    and it guarantees the canonical measurement bytes appear verbatim
-    in the line so readers can verify the checksum with a slice and a
-    hash instead of a re-serialization (see :func:`_checksum_matches`).
+    and it guarantees the canonical body bytes appear verbatim in the
+    line so readers can verify the checksum with a slice and a hash
+    instead of a re-serialization (see :func:`_checksum_matches`).
+    Bodies hold no reference cycles, so the encoder skips its
+    circular-reference bookkeeping (same text, a fifth faster).
     """
-    body = json.dumps(measurement_dict, sort_keys=True)
-    digest = content_hex("sum-v1|" + key + "|" + body, size=8)
-    return (
-        '{"format": "%s", "key": %s, "measurement": %s, "sum": "%s"}\n'
-        % (FORMAT, json.dumps(key), body, digest)
-    ).encode()
-
-
-_MEASUREMENT_FIELD = b'"measurement": '
-_SUM_FIELD = b', "sum": "'
-_KEY_PREFIX = b'{"format": "' + FORMAT.encode() + b'", "key": "'
+    text = json.dumps(body, sort_keys=True, check_circular=False)
+    return _line(kind, key, text, _checksum(kind, key, text))
 
 
 def _checksum_matches(
-    key: str, recorded: str | None, raw: bytes, measurement_dict: dict
+    kind: RecordKind, key: str, recorded: str | None, raw: bytes, body
 ) -> bool:
     """Whether a record's checksum verifies, preferring the raw bytes.
 
     A record without one (``recorded`` is ``None``) never verifies.
 
-    Lines written by :func:`render_record` carry the canonical
-    measurement text verbatim between the ``measurement`` field and the
-    trailing ``sum`` field, so the common case is a slice and a hash.
-    ``rfind`` is safe: nothing after the *real* sum separator but the
-    checksum hex and the closing brace.  Foreign formatting (re-written
-    or hand-edited lines) falls back to the canonical recompute.
+    Lines written by :func:`render_record` carry the canonical body
+    text verbatim between the body field and the trailing ``sum``
+    field, so the common case is a slice and a hash.  ``rfind`` is
+    safe: nothing after the *real* sum separator but the checksum hex
+    and the closing brace.  Foreign formatting (re-written or
+    hand-edited lines) falls back to the canonical recompute.
     """
-    start = raw.find(_MEASUREMENT_FIELD)
+    start = raw.find(kind.marker)
     end = raw.rfind(_SUM_FIELD)
     if start != -1 and end > start:
-        body = raw[start + len(_MEASUREMENT_FIELD) : end]
-        if (
-            content_hex("sum-v1|" + key + "|" + body.decode(), size=8)
-            == recorded
-        ):
+        text = raw[start + len(kind.marker) : end]
+        if _checksum(kind, key, text.decode()) == recorded:
             return True
-    return recorded == record_checksum(key, measurement_dict)
+    return recorded == record_checksum(key, body, kind)
+
+
+# -- kernel records -----------------------------------------------------------
+
+_INT_OR_NONE = (int, type(None))
+_STR_OR_NONE = (str, type(None))
+
+
+def kernel_body(kernel: Kernel) -> dict:
+    """The exact body of a kernel record.
+
+    A slot table plus one table index per loop slot: each distinct
+    slot object is written once, as ``[mnemonic, dep_distance,
+    source_level, address]``.  A 1,024-slot training kernel holds a few
+    hundred distinct slots, so its record is about 20 KB where one list
+    per slot would take 31 KB.  Unlike :meth:`Kernel.to_dict`, nothing
+    is folded by period: the body is the whole loop, so a decoded
+    kernel ``==`` the written one.
+    """
+    instructions = kernel.instructions
+    # Distinct slot objects in first-use order, then each one's position.
+    ids = list(map(id, instructions))
+    distinct = dict(zip(ids, instructions))
+    positions = dict(zip(distinct, range(len(distinct))))
+    return {
+        "name": kernel.name,
+        "operand_entropy": kernel.operand_entropy,
+        "period": kernel.period,
+        "analytic_period": kernel.analytic_period,
+        "slots": [
+            [slot.mnemonic, slot.dep_distance, slot.source_level, slot.address]
+            for slot in distinct.values()
+        ],
+        "index": list(map(positions.__getitem__, ids)),
+    }
+
+
+def kernel_from_body(body: dict) -> Kernel:
+    """The kernel a :func:`kernel_body` spells, exactly.
+
+    Loop slots that share a table entry share one (immutable) slot
+    object, as :meth:`repro.core.ir.Program.to_kernel` shares equal
+    slots, and mnemonic and level strings are interned, so a decoded
+    suite holds each string once.  Nothing is trusted: the digest is
+    left for :meth:`Kernel.digest` to compute.
+
+    Raises:
+        ValueError, TypeError, KeyError: If the body is not shaped like
+            one (a slot that is not a list of four canonically typed
+            fields, an index that is not an in-range int, a wrong-typed
+            scalar).
+    """
+    intern = sys.intern
+    table = []
+    for slot in body["slots"]:
+        if type(slot) is not list or len(slot) != 4:
+            raise ValueError(f"kernel slot {slot!r} is not a list of 4")
+        mnemonic, distance, level, address = slot
+        if not (
+            type(mnemonic) is str
+            and type(distance) in _INT_OR_NONE
+            and type(level) in _STR_OR_NONE
+            and type(address) in _INT_OR_NONE
+        ):
+            raise ValueError(f"kernel slot {slot!r} has a wrong-typed field")
+        table.append(
+            KernelInstruction(
+                intern(mnemonic),
+                distance,
+                level if level is None else intern(level),
+                address,
+            )
+        )
+    index = body["index"]
+    if type(index) is not list or not set(map(type, index)) <= {int}:
+        raise ValueError("kernel slot index is not a list of ints")
+    if index and (min(index) < 0 or max(index) >= len(table)):
+        raise ValueError("kernel slot index out of range")
+    if type(body["operand_entropy"]) is not float or not all(
+        type(body[name]) in _INT_OR_NONE
+        for name in ("period", "analytic_period")
+    ):
+        raise ValueError("kernel scalar field of the wrong type")
+    return Kernel(
+        name=body["name"],
+        instructions=tuple(map(table.__getitem__, index)),
+        operand_entropy=body["operand_entropy"],
+        period=body["period"],
+        analytic_period=body["analytic_period"],
+    )
+
+
+def _tampered_cell(body: dict) -> dict:
+    return dict(body, mean_power=body["mean_power"] + 1.0)
+
+
+def _tampered_kernel(body: dict) -> dict:
+    return dict(body, name=body["name"] + "~")
 
 
 class _Shard:
     """Offset index of one shard file."""
 
-    __slots__ = ("path", "offsets", "scanned", "handle")
+    __slots__ = ("path", "kind", "offsets", "scanned", "handle")
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, kind: RecordKind) -> None:
         self.path = path
+        self.kind = kind
         #: key -> (byte offset, byte length) of the newest line.
         self.offsets: dict[str, tuple[int, int]] = {}
         #: How far into the file the index has scanned.
@@ -183,15 +322,19 @@ class _Shard:
 class StoreReport:
     """What :meth:`ResultStore.verify`/:meth:`~ResultStore.scrub` found.
 
-    ``records`` counts parsed lines (superseded duplicates included);
-    ``keys`` distinct newest keys.  A store is :attr:`ok` when nothing
-    is corrupt, mismatched or torn.
+    ``records`` counts parsed cell lines (superseded duplicates
+    included); ``keys`` distinct newest cell keys.  Kernel records are
+    counted apart, in ``kernel_records`` and ``kernel_keys``; the damage
+    counters cover both record types.  A store is :attr:`ok` when
+    nothing is corrupt, mismatched or torn.
     """
 
     shards: int = 0
     records: int = 0
     keys: int = 0
     checksummed: int = 0
+    kernel_records: int = 0
+    kernel_keys: int = 0
     corrupt_lines: int = 0
     checksum_mismatches: int = 0
     torn_tails: int = 0
@@ -211,6 +354,11 @@ class StoreReport:
             f"{self.shards} shard(s), {self.records} record(s), "
             f"{self.keys} key(s): {self.checksummed} checksummed"
         )
+        if self.kernel_records:
+            text += (
+                f"; {self.kernel_keys} kernel(s) in "
+                f"{self.kernel_records} kernel record(s)"
+            )
         if not self.ok:
             text += (
                 f"; CORRUPTION: {self.corrupt_lines} unparseable, "
@@ -225,7 +373,9 @@ class StoreReport:
         return text
 
 
-def _classify_line(line: bytes) -> tuple[str, str | None, dict | None]:
+def _classify_line(
+    line: bytes, kind: RecordKind
+) -> tuple[str, str | None, dict | None]:
     """(status, key, payload) of one shard line.
 
     Status is ``ok`` (checksummed and verified), ``mismatch`` (checksum
@@ -234,14 +384,12 @@ def _classify_line(line: bytes) -> tuple[str, str | None, dict | None]:
     try:
         payload = json.loads(line)
         key = str(payload["key"])
-        measurement = payload["measurement"]
-        if payload.get("format") != FORMAT or not isinstance(
-            measurement, dict
-        ):
+        body = payload[kind.field]
+        if payload.get("format") != kind.format or not isinstance(body, dict):
             return ("corrupt", None, None)
     except (ValueError, KeyError, TypeError):
         return ("corrupt", None, None)
-    if not _checksum_matches(key, payload.get("sum"), line, measurement):
+    if not _checksum_matches(kind, key, payload.get("sum"), line, body):
         return ("mismatch", key, payload)
     return ("ok", key, payload)
 
@@ -251,11 +399,14 @@ class ResultStore:
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.shard_dir = self.root / "shards"
+        self.shard_dir = self.root / CELLS.directory
         self.shard_dir.mkdir(parents=True, exist_ok=True)
         #: Cells served from disk / missed since construction.
         self.hits = 0
         self.misses = 0
+        #: Kernels loaded / looked up in vain (and so synthesized).
+        self.kernel_hits = 0
+        self.kernel_misses = 0
         #: Fault visibility: swallowed I/O errors, quarantined corrupt
         #: records, repaired torn tails (see :meth:`fault_stats`).
         self.io_errors = 0
@@ -264,6 +415,7 @@ class ResultStore:
         self.torn_tails_repaired = 0
         self._io_warned: set[str] = set()
         self._shards: dict[str, _Shard] = {}
+        self._kernel_shards: dict[str, _Shard] = {}
         # One store instance may be shared by many threads (the
         # campaign service probes and persists from concurrent client
         # handlers).  The lock guards the shard index/handle state and
@@ -281,7 +433,7 @@ class ResultStore:
         store re-measures loudly, not quietly); ``checksum_failures``
         and ``corrupt_records`` are quarantined records;
         ``torn_tails_repaired`` counts crashed-writer remnants appends
-        healed.
+        healed.  Kernel records count here too.
         """
         counters = {
             "io_errors": self.io_errors,
@@ -325,19 +477,21 @@ class ResultStore:
     def close(self) -> None:
         """Release cached shard read handles (indexes are kept)."""
         with self._lock:
-            for shard in self._shards.values():
+            shards = (*self._shards.values(), *self._kernel_shards.values())
+            for shard in shards:
                 if shard.handle is not None:
                     shard.handle.close()
                     shard.handle = None
 
     # -- shard plumbing --------------------------------------------------------
 
-    def _shard(self, key: str) -> _Shard:
+    def _shard(self, key: str, kind: RecordKind = CELLS) -> _Shard:
+        shards = self._shards if kind is CELLS else self._kernel_shards
         name = key[:2]
-        shard = self._shards.get(name)
+        shard = shards.get(name)
         if shard is None:
-            shard = self._shards[name] = _Shard(
-                self.shard_dir / f"{name}.jsonl"
+            shard = shards[name] = _Shard(
+                self.root / kind.directory / f"{name}.jsonl", kind
             )
         return shard
 
@@ -371,16 +525,16 @@ class ResultStore:
         self, shard: _Shard, line: bytes, offset: int, length: int
     ) -> None:
         # Only the key is needed for the index; the payload is parsed
-        # on ``get``.  Lines this store wrote (both generations render
-        # with ``sort_keys``) open with a fixed prefix, so the key is a
-        # slice -- no JSON parse per line while scanning a shard.
-        # Foreign formatting falls back to a full parse; unparseable
-        # lines are skipped (a miss at worst).
-        if line.startswith(_KEY_PREFIX):
-            end = line.find(b'"', len(_KEY_PREFIX))
+        # on ``get``.  Lines this store wrote open with a fixed prefix,
+        # so the key is a slice -- no JSON parse per line while
+        # scanning a shard.  Foreign formatting falls back to a full
+        # parse; unparseable lines are skipped (a miss at worst).
+        prefix = shard.kind.prefix
+        if line.startswith(prefix):
+            end = line.find(b'"', len(prefix))
             if end != -1:
                 try:
-                    key = line[len(_KEY_PREFIX) : end].decode()
+                    key = line[len(prefix) : end].decode()
                 except UnicodeDecodeError:
                     pass  # a flipped key byte: the parse below skips it
                 else:
@@ -404,6 +558,71 @@ class ResultStore:
         handle.seek(offset)
         return handle.read(length)
 
+    def _read(self, key: str, kind: RecordKind, decode: Callable):
+        """The decoded, verified record of ``key``, or ``None``.
+
+        Unreadable, corrupt (checksum-mismatched) or format-mismatched
+        records are quarantined: counted in :meth:`fault_stats`, logged
+        and read as ``None``, so the caller re-measures (or
+        re-synthesizes) and overwrites them.  Never raises.
+        """
+        shard = self._shard(key, kind)
+        location = shard.offsets.get(key)
+        if location is None:
+            # Another process may have appended since the last scan.
+            self._refresh(shard)
+            location = shard.offsets.get(key)
+        if location is None:
+            return None
+        try:
+            fault_plan = faults.active()
+            if fault_plan is not None:
+                fault_plan.maybe_io_error(f"get:{key}")
+            raw = self._read_at(shard, *location)
+        except OSError as exc:
+            self._count_io_error(shard.path, exc)
+            return None
+        try:
+            # Parsing is inside the quarantine block: the key-slice
+            # index never parsed this line, so it may be a crashed
+            # writer's torn remnant.
+            payload = json.loads(raw)
+            if not isinstance(payload, dict):
+                raise ValueError("store record is not a JSON object")
+            if payload.get("format") != kind.format:
+                raise ValueError(
+                    f"unknown store format {payload.get('format')!r}"
+                )
+            if payload.get("key") != key:
+                # The shard was rewritten out from under a long-lived
+                # index (external compaction/cleanup): never serve
+                # whatever entry now occupies the stale offset.
+                raise ValueError(
+                    f"stale shard index: found {payload.get('key')!r}"
+                )
+            body = payload[kind.field]
+            if not _checksum_matches(kind, key, payload.get("sum"), raw, body):
+                self.checksum_failures += 1
+                logger.warning(
+                    "quarantining corrupt store record %s[%s]: "
+                    "checksum missing or mismatched (served as a miss; "
+                    "run `python -m repro store scrub` to repair the "
+                    "shard)",
+                    shard.path,
+                    key,
+                )
+                return None
+            return decode(body)
+        except (ValueError, KeyError, TypeError) as exc:
+            self.corrupt_records += 1
+            logger.warning(
+                "discarding unreadable store entry %s[%s]: %s",
+                shard.path,
+                key,
+                exc,
+            )
+            return None
+
     # -- public API -------------------------------------------------------------
 
     def get(self, key: str) -> Measurement | None:
@@ -416,71 +635,28 @@ class ResultStore:
         lock (they share per-shard file handles).
         """
         with self._lock:
-            return self._get(key)
-
-    def _get(self, key: str) -> Measurement | None:
-        shard = self._shard(key)
-        location = shard.offsets.get(key)
-        if location is None:
-            # Another process may have appended since the last scan.
-            self._refresh(shard)
-            location = shard.offsets.get(key)
-        if location is None:
-            self.misses += 1
-            return None
-        try:
-            fault_plan = faults.active()
-            if fault_plan is not None:
-                fault_plan.maybe_io_error(f"get:{key}")
-            raw = self._read_at(shard, *location)
-        except OSError as exc:
-            self._count_io_error(shard.path, exc)
-            self.misses += 1
-            return None
-        try:
-            # Parsing is inside the quarantine block: the key-slice
-            # index never parsed this line, so it may be a crashed
-            # writer's torn remnant.
-            payload = json.loads(raw)
-            if not isinstance(payload, dict):
-                raise ValueError("store record is not a JSON object")
-            if payload.get("format") != FORMAT:
-                raise ValueError(
-                    f"unknown store format {payload.get('format')!r}"
-                )
-            if payload.get("key") != key:
-                # The shard was rewritten out from under a long-lived
-                # index (external compaction/cleanup): never serve
-                # whatever entry now occupies the stale offset.
-                raise ValueError(
-                    f"stale shard index: found {payload.get('key')!r}"
-                )
-            if not _checksum_matches(
-                key, payload.get("sum"), raw, payload["measurement"]
-            ):
-                self.checksum_failures += 1
-                logger.warning(
-                    "quarantining corrupt store record %s[%s]: "
-                    "checksum missing or mismatched (re-measuring; run "
-                    "`python -m repro store scrub` to repair the shard)",
-                    shard.path,
-                    key,
-                )
+            measurement = self._read(key, CELLS, Measurement.from_dict)
+            if measurement is None:
                 self.misses += 1
-                return None
-            measurement = Measurement.from_dict(payload["measurement"])
-        except (ValueError, KeyError, TypeError) as exc:
-            self.corrupt_records += 1
-            logger.warning(
-                "discarding unreadable store entry %s[%s]: %s",
-                shard.path,
-                key,
-                exc,
-            )
-            self.misses += 1
-            return None
-        self.hits += 1
-        return measurement
+            else:
+                self.hits += 1
+            return measurement
+
+    def get_kernel(self, key: str) -> Kernel | None:
+        """The stored kernel under recipe ``key``, or ``None``.
+
+        Quarantines like :meth:`get` -- an I/O error, checksum failure,
+        bad shape or wrong key is a counted fault and a miss, so the
+        caller synthesizes the kernel and writes it again -- and moves
+        ``kernel_hits``/``kernel_misses``, never the cell counters.
+        """
+        with self._lock:
+            kernel = self._read(key, KERNELS, kernel_from_body)
+            if kernel is None:
+                self.kernel_misses += 1
+            else:
+                self.kernel_hits += 1
+            return kernel
 
     def put(self, key: str, measurement: Measurement) -> None:
         """Persist one measurement under ``key``."""
@@ -501,97 +677,118 @@ class ResultStore:
         at worst the cells re-measure next run).
         """
         with self._lock:
-            self._put_many(entries)
+            for shard, batch in self._by_shard(CELLS, entries):
+                self._append(shard, batch, Measurement.to_dict, _tampered_cell)
 
-    def _put_many(
-        self, entries: Sequence[tuple[str, Measurement]]
-    ) -> None:
-        fault_plan = faults.active()
-        by_shard: dict[str, list[tuple[str, Measurement]]] = {}
-        for key, measurement in entries:
-            by_shard.setdefault(key[:2], []).append((key, measurement))
-        for name, batch in by_shard.items():
-            shard = self._shard(batch[0][0])
-            if fault_plan is not None:
-                fault_plan.maybe_io_error(f"put:{name}")
-            lines = []
-            rendered = []
-            for key, measurement in batch:
-                payload_dict = measurement.to_dict()
-                if fault_plan is not None and fault_plan.fire(
-                    "corrupt", f"put:{key}"
-                ):
-                    # Tamper *after* the checksum is computed: the
-                    # written record lies, and only the read-side
-                    # verification can catch it.
-                    digest = record_checksum(key, payload_dict)
-                    payload_dict = dict(
-                        payload_dict, mean_power=payload_dict["mean_power"] + 1.0
-                    )
-                    line = (
-                        json.dumps(
-                            {
-                                "format": FORMAT,
-                                "key": key,
-                                "measurement": payload_dict,
-                                "sum": digest,
-                            },
-                            sort_keys=True,
-                        ).encode()
-                        + b"\n"
-                    )
-                else:
-                    line = render_record(key, payload_dict)
-                lines.append(line)
-                rendered.append((key, len(line)))
-            payload = b"".join(lines)
-            with shard.path.open("ab") as handle:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+    def put_kernels(self, entries: Sequence[tuple[str, Kernel]]) -> None:
+        """Persist synthesized kernels: one locked append per shard.
+
+        Best effort, never raising: a shard whose append fails is
+        counted as an I/O error, and its kernels simply synthesize
+        again on the next run.
+        """
+        with self._lock:
+            for shard, batch in self._by_shard(KERNELS, entries):
                 try:
-                    # Repair a crashed writer's torn tail so our first
-                    # line starts on a fresh line boundary.
-                    end = handle.seek(0, os.SEEK_END)
-                    if end > 0:
-                        with shard.path.open("rb") as reader:
-                            reader.seek(end - 1)
-                            if reader.read(1) != b"\n":
-                                handle.write(b"\n")
-                                end += 1
-                                self.torn_tails_repaired += 1
-                                logger.warning(
-                                    "repaired torn tail in store shard %s "
-                                    "(a previous writer crashed mid-append)",
-                                    shard.path,
-                                )
-                    if fault_plan is not None and fault_plan.fire(
-                        "torn", f"put:{name}"
-                    ):  # pragma: no cover - kills the process
-                        # Simulate `kill -9` mid-write: half the payload
-                        # lands, then the process is gone.
-                        handle.write(payload[: max(1, len(payload) // 2)])
-                        handle.flush()
-                        logging.shutdown()
-                        os._exit(109)
-                    handle.write(payload)
+                    shard.path.parent.mkdir(exist_ok=True)
+                    self._append(shard, batch, kernel_body, _tampered_kernel)
+                except OSError as exc:
+                    self._count_io_error(shard.path, exc)
+
+    def _by_shard(self, kind: RecordKind, entries) -> list:
+        """``(shard, [(key, value), ...])`` for each shard touched."""
+        by_shard: dict[str, list] = {}
+        for key, value in entries:
+            by_shard.setdefault(key[:2], []).append((key, value))
+        return [
+            (self._shard(name, kind), batch)
+            for name, batch in by_shard.items()
+        ]
+
+    def _append(
+        self,
+        shard: _Shard,
+        batch: Sequence[tuple[str, object]],
+        encode: Callable,
+        tamper: Callable,
+    ) -> None:
+        """Render one shard's batch and append it under the shard flock.
+
+        One open (``a+b``) serves the write and the torn-tail check: the
+        last byte is read with ``pread`` on the same descriptor, so the
+        check reads the very inode being appended to.
+        """
+        kind = shard.kind
+        site = shard.path.stem
+        if kind is not CELLS:
+            site = f"{kind.directory}/{site}"
+        fault_plan = faults.active()
+        if fault_plan is not None:
+            fault_plan.maybe_io_error(f"put:{site}")
+        lines = []
+        for key, value in batch:
+            body = encode(value)
+            if fault_plan is not None and fault_plan.fire(
+                "corrupt", f"put:{key}"
+            ):
+                # Tamper *after* the checksum is computed: the written
+                # record lies, and only the read-side verification can
+                # catch it.
+                digest = record_checksum(key, body, kind)
+                text = json.dumps(tamper(body), sort_keys=True)
+                lines.append(_line(kind, key, text, digest))
+            else:
+                lines.append(render_record(key, body, kind))
+        payload = b"".join(lines)
+        with shard.path.open("a+b") as handle:
+            descriptor = handle.fileno()
+            if fcntl is not None:
+                fcntl.flock(descriptor, fcntl.LOCK_EX)
+            try:
+                # Repair a crashed writer's torn tail so our first
+                # line starts on a fresh line boundary.
+                end = handle.seek(0, os.SEEK_END)
+                if end > 0 and os.pread(descriptor, 1, end - 1) != b"\n":
+                    handle.write(b"\n")
+                    end += 1
+                    self.torn_tails_repaired += 1
+                    logger.warning(
+                        "repaired torn tail in store shard %s "
+                        "(a previous writer crashed mid-append)",
+                        shard.path,
+                    )
+                if fault_plan is not None and fault_plan.fire(
+                    "torn", f"put:{site}"
+                ):  # pragma: no cover - kills the process
+                    # Simulate `kill -9` mid-write: half the payload
+                    # lands, then the process is gone.
+                    handle.write(payload[: max(1, len(payload) // 2)])
                     handle.flush()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            offset = end
-            for key, length in rendered:
-                shard.offsets[key] = (offset, length)
-                offset += length
-            if shard.scanned == end:
-                shard.scanned = offset
+                    logging.shutdown()
+                    os._exit(109)
+                handle.write(payload)
+                handle.flush()
+            finally:
+                if fcntl is not None:
+                    fcntl.flock(descriptor, fcntl.LOCK_UN)
+        offset = end
+        for (key, _), line in zip(batch, lines):
+            shard.offsets[key] = (offset, len(line))
+            offset += len(line)
+        if shard.scanned == end:
+            shard.scanned = offset
 
     # -- integrity audit / repair ----------------------------------------------
 
-    def _shard_paths(self) -> list[Path]:
-        return sorted(self.shard_dir.glob("??.jsonl"))
+    def _shard_paths(self) -> list[tuple[RecordKind, Path]]:
+        return [
+            (kind, path)
+            for kind in (CELLS, KERNELS)
+            for path in sorted((self.root / kind.directory).glob("??.jsonl"))
+        ]
 
     def verify(self) -> StoreReport:
-        """Audit every shard without modifying anything.
+        """Audit every shard of both record types, modifying nothing.
 
         Counts parseable records, checksummed lines, corrupt lines,
         checksum mismatches (a missing checksum included) and torn
@@ -599,61 +796,65 @@ class ResultStore:
         the clean-store verdict.
         """
         report = StoreReport()
-        keys: set[str] = set()
-        for path in self._shard_paths():
+        keys: dict[RecordKind, set[str]] = {CELLS: set(), KERNELS: set()}
+        for kind, path in self._shard_paths():
             report.shards += 1
+            name = f"{kind.directory}/{path.name}"
             try:
                 data = path.read_bytes()
             except OSError as exc:
                 self._count_io_error(path, exc)
-                report.problems.append(f"{path.name}: unreadable ({exc})")
+                report.problems.append(f"{name}: unreadable ({exc})")
                 continue
             lines = data.split(b"\n")
             torn = lines.pop() if lines and lines[-1] else None
             for number, raw in enumerate(lines):
                 if not raw:
                     continue
-                status, key, _payload = _classify_line(raw)
+                status, key, _payload = _classify_line(raw, kind)
                 if status == "corrupt":
                     report.corrupt_lines += 1
                     report.problems.append(
-                        f"{path.name}:{number + 1}: unparseable record"
+                        f"{name}:{number + 1}: unparseable record"
                     )
                     continue
-                report.records += 1
-                keys.add(key)
+                keys[kind].add(key)
+                if kind is CELLS:
+                    report.records += 1
+                else:
+                    report.kernel_records += 1
                 if status == "mismatch":
                     report.checksum_mismatches += 1
                     report.problems.append(
-                        f"{path.name}:{number + 1}: checksum mismatch "
-                        f"on {key}"
+                        f"{name}:{number + 1}: checksum mismatch on {key}"
                     )
-                else:
+                elif kind is CELLS:
                     report.checksummed += 1
             if torn is not None:
                 report.torn_tails += 1
                 report.problems.append(
-                    f"{path.name}: torn tail ({len(torn)} bytes, no "
+                    f"{name}: torn tail ({len(torn)} bytes, no "
                     "trailing newline)"
                 )
-        report.keys = len(keys)
+        report.keys = len(keys[CELLS])
+        report.kernel_keys = len(keys[KERNELS])
         return report
 
     def scrub(self) -> StoreReport:
-        """Repair and compact every shard in place.
+        """Repair and compact every shard of both record types in place.
 
         Each shard is rewritten -- under its exclusive ``flock``, via an
         atomic replace -- keeping only the newest *valid* record per
         key: corrupt lines, checksum mismatches (sum-less lines
         included) and torn tails are dropped (their cells simply
-        re-measure next run), and superseded duplicates are compacted
-        away.  Concurrent *readers* stay
-        safe throughout (their stale offsets fail the key check and
-        re-scan); do not scrub under concurrent writers.
+        re-measure, their kernels re-synthesize, next run), and
+        superseded duplicates are compacted away.  Concurrent *readers*
+        stay safe throughout (their stale offsets fail the key check
+        and re-scan); do not scrub under concurrent writers.
         """
         report = StoreReport()
-        keys: set[str] = set()
-        for path in self._shard_paths():
+        keys: dict[RecordKind, set[str]] = {CELLS: set(), KERNELS: set()}
+        for kind, path in self._shard_paths():
             report.shards += 1
             try:
                 with path.open("r+b") as handle:
@@ -667,7 +868,7 @@ class ResultStore:
                         for raw in lines:
                             if not raw:
                                 continue
-                            status, key, payload = _classify_line(raw)
+                            status, key, payload = _classify_line(raw, kind)
                             if status in ("corrupt", "mismatch"):
                                 report.dropped += 1
                                 if status == "mismatch":
@@ -675,13 +876,16 @@ class ResultStore:
                                 else:
                                     report.corrupt_lines += 1
                                 continue
-                            report.records += 1
+                            if kind is CELLS:
+                                report.records += 1
+                            else:
+                                report.kernel_records += 1
                             if key in newest:
                                 report.compacted += 1
                             # A verified line re-renders to the bytes
                             # this store writes.
                             newest[key] = render_record(
-                                key, payload["measurement"]
+                                key, payload[kind.field], kind
                             )
                         if torn is not None:
                             report.torn_tails += 1
@@ -690,22 +894,27 @@ class ResultStore:
                         temp = path.with_name(path.name + ".scrub")
                         temp.write_bytes(replacement)
                         os.replace(temp, path)
-                        keys.update(newest)
-                        report.checksummed += len(newest)
+                        keys[kind].update(newest)
+                        if kind is CELLS:
+                            report.checksummed += len(newest)
                     finally:
                         if fcntl is not None:
                             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
             except OSError as exc:
                 self._count_io_error(path, exc)
-                report.problems.append(f"{path.name}: unreadable ({exc})")
+                report.problems.append(
+                    f"{kind.directory}/{path.name}: unreadable ({exc})"
+                )
                 continue
             # The rewritten shard invalidates this process's offsets
             # and cached read handle; the next lookup rescans.
             with self._lock:
-                stale = self._shards.pop(path.stem, None)
+                shards = self._shards if kind is CELLS else self._kernel_shards
+                stale = shards.pop(path.stem, None)
                 if stale is not None:
                     stale.invalidate()
-        report.keys = len(keys)
+        report.keys = len(keys[CELLS])
+        report.kernel_keys = len(keys[KERNELS])
         return report
 
     # -- enumeration -----------------------------------------------------------

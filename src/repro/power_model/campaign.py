@@ -93,11 +93,14 @@ class ModelingCampaign:
     def gather(self) -> dict:
         """Generate the suite and run every measurement the steps need."""
         arch = self.machine.arch
+        # A store-backed executor's store doubles as the kernel memo:
+        # a warm re-run loads the suite instead of synthesizing it.
+        store = getattr(self.executor, "store", None)
         micro = generate_micro_suite(
-            arch, self.loop_size, self.scale, self.seed
+            arch, self.loop_size, self.scale, self.seed, store
         )
         randoms = generate_random_suite(
-            arch, self.loop_size, self.scale, self.seed
+            arch, self.loop_size, self.scale, self.seed, store
         )
         suite = micro + randoms
         logger.info(

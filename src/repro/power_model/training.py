@@ -10,6 +10,10 @@ and the 331-strong random family that calibrates the model intercept.
 The ``scale`` parameter shrinks every family proportionally (and the
 loop size) for fast test runs; ``scale=1.0`` reproduces the paper's
 ~580-benchmark suite.
+
+Every generator takes an optional ``memo``: a result store whose kernel
+records serve each benchmark built before from the same recipe, so
+only new recipes are synthesized (and then written to it).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from repro.core.passes.ilp import DependencyDistance
 from repro.core.passes.init_values import InitImmediates, InitRegisters
 from repro.core.passes.memory import MemoryModel
 from repro.core.passes.skeleton import EndlessLoopSkeleton
-from repro.core.synthesizer import Synthesizer
+from repro.core.synthesizer import Synthesizer, kernel_memo
 from repro.march.definition import MicroArchitecture
 from repro.sim.kernel import Kernel
 from repro.workloads.random_gen import RandomBenchmarkPolicy
@@ -111,43 +115,40 @@ def generate_micro_suite(
     loop_size: int = 4096,
     scale: float = 1.0,
     seed: int = 0,
+    memo=None,
 ) -> list[TrainingBenchmark]:
     """The micro-architecture aware families (everything but Random)."""
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
     benchmarks: list[TrainingBenchmark] = []
-
-    for family, (pool, first, last, step) in IPC_FAMILIES.items():
-        targets = _ipc_targets(first, last, step)
-        targets = _scaled_subset(targets, scale)
-        for index, target in enumerate(targets):
-            synth = _family_synthesizer(arch, family, seed, index)
-            synth.add_pass(EndlessLoopSkeleton(loop_size))
-            synth.add_pass(InstructionDistribution(list(pool)))
-            synth.add_pass(InitRegisters("random"))
-            synth.add_pass(InitImmediates("random"))
-            synth.add_pass(
-                DependencyDistance(
-                    "mean",
-                    mean_distance=solve_dependency_mean(arch, pool, target),
+    with kernel_memo(memo, arch) as kernels:
+        for family, (pool, first, last, step) in IPC_FAMILIES.items():
+            targets = _ipc_targets(first, last, step)
+            targets = _scaled_subset(targets, scale)
+            for index, target in enumerate(targets):
+                synth = _family_synthesizer(arch, family, seed, index)
+                synth.add_pass(EndlessLoopSkeleton(loop_size))
+                synth.add_pass(InstructionDistribution(list(pool)))
+                synth.add_pass(InitRegisters("random"))
+                synth.add_pass(InitImmediates("random"))
+                mean = solve_dependency_mean(arch, pool, target)
+                synth.add_pass(DependencyDistance("mean", mean_distance=mean))
+                benchmarks.append(
+                    TrainingBenchmark(family, synth.kernel(kernels))
                 )
-            )
-            benchmarks.append(
-                TrainingBenchmark(family, synth.synthesize().to_kernel())
-            )
 
-    for family, (pool, weights, count) in MEMORY_FAMILIES.items():
-        for index in range(_scaled_count(count, scale)):
-            synth = _family_synthesizer(arch, family, seed, index)
-            synth.add_pass(EndlessLoopSkeleton(loop_size))
-            synth.add_pass(InstructionDistribution(list(pool)))
-            synth.add_pass(MemoryModel(weights))
-            synth.add_pass(InitRegisters("random"))
-            synth.add_pass(InitImmediates("random"))
-            synth.add_pass(DependencyDistance("none"))
-            benchmarks.append(
-                TrainingBenchmark(family, synth.synthesize().to_kernel())
-            )
+        for family, (pool, weights, count) in MEMORY_FAMILIES.items():
+            for index in range(_scaled_count(count, scale)):
+                synth = _family_synthesizer(arch, family, seed, index)
+                synth.add_pass(EndlessLoopSkeleton(loop_size))
+                synth.add_pass(InstructionDistribution(list(pool)))
+                synth.add_pass(MemoryModel(weights))
+                synth.add_pass(InitRegisters("random"))
+                synth.add_pass(InitImmediates("random"))
+                synth.add_pass(DependencyDistance("none"))
+                benchmarks.append(
+                    TrainingBenchmark(family, synth.kernel(kernels))
+                )
     return benchmarks
 
 
@@ -156,12 +157,14 @@ def generate_random_suite(
     loop_size: int = 4096,
     scale: float = 1.0,
     seed: int = 0,
+    memo=None,
 ) -> list[TrainingBenchmark]:
     """The Random calibration family (331 benchmarks at full scale)."""
     policy = RandomBenchmarkPolicy(arch, loop_size=loop_size, seed=seed)
     count = _scaled_count(RANDOM_FAMILY_SIZE, scale)
     return [
-        TrainingBenchmark("Random", kernel) for kernel in policy.build(count)
+        TrainingBenchmark("Random", kernel)
+        for kernel in policy.build(count, memo)
     ]
 
 
@@ -170,10 +173,11 @@ def generate_training_suite(
     loop_size: int = 4096,
     scale: float = 1.0,
     seed: int = 0,
+    memo=None,
 ) -> list[TrainingBenchmark]:
     """The full Table 2 suite: targeted families plus Random."""
-    return generate_micro_suite(arch, loop_size, scale, seed) + (
-        generate_random_suite(arch, loop_size, scale, seed)
+    return generate_micro_suite(arch, loop_size, scale, seed, memo) + (
+        generate_random_suite(arch, loop_size, scale, seed, memo)
     )
 
 

@@ -16,7 +16,7 @@ from repro.core.passes.ilp import DependencyDistance
 from repro.core.passes.init_values import InitImmediates, InitRegisters
 from repro.core.passes.memory import MemoryModel
 from repro.core.passes.skeleton import EndlessLoopSkeleton
-from repro.core.synthesizer import Synthesizer
+from repro.core.synthesizer import KernelMemo, Synthesizer, kernel_memo
 from repro.march.definition import MicroArchitecture
 from repro.sim.kernel import Kernel
 
@@ -39,15 +39,21 @@ class RandomBenchmarkPolicy:
             and not ins.is_privileged and not ins.is_prefetch
         ]
 
-    def build(self, count: int) -> list[Kernel]:
-        """Generate ``count`` random micro-benchmarks."""
-        rng = random.Random(f"random-policy:{self.seed}")
-        kernels = []
-        for index in range(count):
-            kernels.append(self._build_one(rng, index))
-        return kernels
+    def build(self, count: int, memo=None) -> list[Kernel]:
+        """Generate ``count`` random micro-benchmarks.
 
-    def _build_one(self, rng: random.Random, index: int) -> Kernel:
+        ``memo`` is an optional result store: benchmarks whose recipe
+        it holds load from it, the rest are synthesized and written.
+        """
+        rng = random.Random(f"random-policy:{self.seed}")
+        with kernel_memo(memo, self.arch) as kernels:
+            return [
+                self._build_one(rng, index, kernels) for index in range(count)
+            ]
+
+    def _build_one(
+        self, rng: random.Random, index: int, memo: KernelMemo | None
+    ) -> Kernel:
         # Random mixes draw a broad pool: like the random test cases of
         # prior synthetic-benchmark work, they blend many instruction
         # types, so per-unit activities are correlated (never the pure
@@ -90,7 +96,7 @@ class RandomBenchmarkPolicy:
             )
         else:
             synth.add_pass(DependencyDistance("none"))
-        return synth.synthesize().to_kernel()
+        return synth.kernel(memo)
 
     def _random_memory_mix(
         self, rng: random.Random, memory_slots: int

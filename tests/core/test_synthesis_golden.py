@@ -17,6 +17,7 @@ value-initialisation modes, non-exact distribution, a relocated
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.core.passes import (
     MemoryModel,
     SequenceOrder,
 )
-from repro.core.synthesizer import Synthesizer
+from repro.core.synthesizer import SYNTHESIS_VERSION, Synthesizer
 from repro.march.bootstrap import Bootstrapper
 from repro.power_model.training import (
     generate_micro_suite,
@@ -179,3 +180,19 @@ def test_synthesis_corpus_is_byte_identical(power7_arch, captured, golden):
     record("modes", captured)
 
     golden("synthesis_corpus.json", corpus)
+
+
+#: ``SYNTHESIS_VERSION`` and the blake2b-128 of the corpus file it was
+#: released with.  Stores key synthesized kernels by that version.
+PINNED_SYNTHESIS = (1, "3093ca09b6893343224cf540a96a498c")
+
+
+def test_synthesis_version_pins_the_corpus():
+    corpus = Path(__file__).parents[1] / "golden" / "synthesis_corpus.json"
+    digest = hashlib.blake2b(corpus.read_bytes(), digest_size=16).hexdigest()
+    assert (SYNTHESIS_VERSION, digest) == PINNED_SYNTHESIS, (
+        "tests/golden/synthesis_corpus.json was re-recorded: synthesis "
+        "output moved, so result stores hold stale kernels under the old "
+        "recipe keys.  Bump SYNTHESIS_VERSION in repro/core/synthesizer.py "
+        "and pin the new (version, corpus digest) pair here."
+    )

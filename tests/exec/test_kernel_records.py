@@ -1,0 +1,212 @@
+"""Kernel records beside cell records, after a store-backed campaign.
+
+A store-backed :class:`ModelingCampaign` writes its training kernels as
+a second record type.  They must stay out of the cell accounting, pass
+``verify``, compact under ``scrub``, and -- under injected I/O faults
+and tampered records -- never change the campaign's result.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.exec import ResultStore, SerialExecutor, executors, faults
+from repro.exec.faults import FaultPlan
+from repro.exec.store import KERNELS, render_record
+from repro.power_model.campaign import ModelingCampaign
+from repro.sim import Machine
+
+SCALE = 0.05
+LOOP = 128
+DURATION = 1.0
+
+
+class _KeyedExecutor(SerialExecutor):
+    """A store-backed executor that remembers every cell key it ran."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.cell_keys: set[str] = set()
+
+    def execute(self, plan, progress=None):
+        report = super().execute(plan, progress)
+        self.cell_keys.update(self.key_of(cell) for cell in plan.cells)
+        return report
+
+
+def _campaign(arch, root=None, executor_class=SerialExecutor):
+    machine = Machine(arch)
+    store = ResultStore(root) if root is not None else None
+    executor = executor_class(machine, store=store)
+    result = ModelingCampaign(
+        machine, scale=SCALE, loop_size=LOOP, duration=DURATION,
+        executor=executor,
+    ).run()
+    return result, executor
+
+
+def _fingerprint(result) -> str:
+    """Digest of every fitted number and measurement, floats by repr.
+
+    Store reads list counters by name, so measurements render with
+    sorted keys.
+    """
+    bottom_up = result.bottom_up
+    text = repr(
+        (
+            sorted(bottom_up.weights.items()),
+            bottom_up.smt_effect,
+            bottom_up.cmp_effect,
+            bottom_up.uncore,
+            bottom_up.workload_independent,
+            [
+                (name, list(model.coefficients), model.intercept)
+                for name, model in sorted(result.top_down.items())
+            ],
+            [
+                json.dumps(measurement.to_dict(), sort_keys=True)
+                for measurements in result.spec_by_config.values()
+                for measurement in measurements
+            ],
+            json.dumps(result.idle.to_dict(), sort_keys=True),
+        )
+    )
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def clean(power7_arch):
+    """The store-less campaign: the result every store run must match."""
+    return _fingerprint(_campaign(power7_arch)[0])
+
+
+@pytest.fixture(scope="module")
+def campaign_store(power7_arch, tmp_path_factory):
+    root = tmp_path_factory.mktemp("campaign-store")
+    result, executor = _campaign(power7_arch, root, _KeyedExecutor)
+    return root, result, executor
+
+
+def _kernel_lines(root) -> list[bytes]:
+    return [
+        line
+        for path in sorted((root / "kernels").glob("??.jsonl"))
+        for line in path.read_bytes().splitlines(keepends=True)
+    ]
+
+
+def test_store_counts_cells_only(campaign_store, clean):
+    root, result, executor = campaign_store
+    assert _fingerprint(result) == clean
+    store = ResultStore(root)
+    assert len(store) == len(executor.cell_keys)
+    assert set(store.keys()) == executor.cell_keys
+    assert store.snapshot_stats()["cells"] == len(executor.cell_keys)
+    # Each distinct cell missed once; kernel lookups are counted apart.
+    assert executor.store.misses == len(executor.cell_keys)
+    assert executor.store.kernel_misses == len(_kernel_lines(root)) > 0
+    assert executor.store.kernel_hits == 0
+
+
+def test_verify_counts_kernel_records_apart(campaign_store):
+    root, _, executor = campaign_store
+    report = ResultStore(root).verify()
+    assert report.ok, report.problems
+    assert report.keys == report.records == len(executor.cell_keys)
+    assert report.checksummed == report.records
+    assert report.kernel_keys == report.kernel_records
+    assert report.kernel_records == executor.store.kernel_misses
+    assert f"{report.kernel_keys} kernel(s)" in report.describe()
+
+
+def test_warm_campaign_loads_every_kernel(campaign_store, clean, power7_arch):
+    root, _, executor = campaign_store
+    result, warm = _campaign(power7_arch, root)
+    assert _fingerprint(result) == clean
+    assert warm.store.kernel_hits == executor.store.kernel_misses
+    assert warm.store.kernel_misses == 0
+    assert warm.store.misses == 0
+    assert warm.store.fault_stats() == {}
+
+
+def test_scrub_keeps_the_newest_valid_kernel_record(
+    campaign_store, tmp_path
+):
+    source, _, _ = campaign_store
+    lines = _kernel_lines(source)[:2]
+    first, second = (json.loads(line) for line in lines)
+    superseded = render_record(
+        first["key"], dict(first["kernel"], name="superseded"), KERNELS
+    )
+    tampered = dict(second, kernel=dict(second["kernel"], name="tampered"))
+    shards = {}
+    for record, line in (
+        (first, superseded),
+        (first, lines[0]),
+        (second, lines[1]),
+        (second, json.dumps(tampered).encode() + b"\n"),
+    ):
+        shards.setdefault(record["key"][:2], []).append(line)
+    (tmp_path / "kernels").mkdir()
+    for name, shard_lines in shards.items():
+        (tmp_path / "kernels" / f"{name}.jsonl").write_bytes(
+            b"".join(shard_lines)
+        )
+    torn_shard = tmp_path / "kernels" / f"{second['key'][:2]}.jsonl"
+    with torn_shard.open("ab") as handle:
+        handle.write(b'{"format": "repro-kernel-v1", "key": "')
+
+    report = ResultStore(tmp_path).verify()
+    assert not report.ok
+    assert (report.kernel_records, report.kernel_keys) == (4, 2)
+    assert (report.checksum_mismatches, report.torn_tails) == (1, 1)
+    assert (report.records, report.keys) == (0, 0)
+
+    report = ResultStore(tmp_path).scrub()
+    assert (report.dropped, report.compacted) == (2, 1)
+    assert _kernel_lines(tmp_path) == sorted(
+        lines, key=lambda line: json.loads(line)["key"][:2]
+    )
+    report = ResultStore(tmp_path).verify()
+    assert report.ok and (report.kernel_records, report.kernel_keys) == (2, 2)
+    store = ResultStore(tmp_path)
+    names = [
+        store.get_kernel(record["key"]).name for record in (first, second)
+    ]
+    assert names == [first["kernel"]["name"], second["kernel"]["name"]]
+    assert store.fault_stats() == {}
+
+
+def test_faulted_kernel_reads_and_writes_keep_the_result(
+    power7_arch, clean, tmp_path, monkeypatch
+):
+    """Injected I/O errors and tampered records on kernel (and cell)
+    gets and puts cost re-synthesis, never a different result."""
+    # Retried cell appends need no wall-clock backoff here.
+    monkeypatch.setattr(executors, "_backoff_sleep", lambda attempt: None)
+    plan = FaultPlan(seed=5).arm("io", 0.1).arm("corrupt", 0.3)
+    with faults.injected(plan):
+        cold_result, cold = _campaign(power7_arch, tmp_path)
+    assert _fingerprint(cold_result) == clean
+    assert cold.store.fault_stats().get("io_errors", 0) > 0
+    verified = ResultStore(tmp_path).verify()
+    assert verified.checksum_mismatches > 0
+    written = verified.kernel_keys
+    assert 0 < written < cold.store.kernel_misses  # some appends failed
+
+    with faults.injected(FaultPlan(seed=6).arm("io", 0.1).arm("corrupt", 0.3)):
+        warm_result, warm = _campaign(power7_arch, tmp_path)
+    assert _fingerprint(warm_result) == clean
+    # Tampered and unreadable kernel records were misses, synthesized
+    # again; the rest loaded.
+    assert 0 < warm.store.kernel_hits < cold.store.kernel_misses
+    assert warm.store.kernel_misses > 0
+    stats = warm.store.fault_stats()
+    assert stats.get("checksum_failures", 0) > 0
+    assert stats.get("io_errors", 0) > 0
+
+    # Fault-free, the repaired store serves the same result again.
+    final_result, final = _campaign(power7_arch, tmp_path)
+    assert _fingerprint(final_result) == clean
+    assert final.store.kernel_misses <= warm.store.kernel_misses

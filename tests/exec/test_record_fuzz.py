@@ -6,6 +6,11 @@ Every mutated input has one of three acceptable outcomes:
 * a counted store miss (the record is quarantined and re-measured);
 * a :class:`~repro.errors.ServiceError` from :class:`RemoteExecutor`.
 
+Kernel records, the store's second record type, admit two: the
+original kernel, or a counted miss whose re-synthesized kernel equals
+fresh synthesis output -- so either way the memo serves exactly the
+kernel synthesis builds.
+
 Nothing else may escape -- no ``IndexError``, no ``AttributeError``,
 no stray ``UnicodeDecodeError`` -- and a store read never returns a
 measurement other than the one written: every record carries a
@@ -17,9 +22,10 @@ expansion of the line.
 
 Mutations are stdlib ``random`` only: single-byte XOR flips, truncations
 (with and without the trailing newline), and structural edits to the
-compact ``threads``/``counters`` section and to the older
-``thread_counters`` body.  Structural edits are applied twice: keeping
-the stale checksum, and re-signed so they reach the decoder.
+compact ``threads``/``counters`` section, to the older
+``thread_counters`` body and to a kernel record's slot table and index.
+Structural edits are applied twice: keeping the stale checksum, and
+re-signed so they reach the decoder.
 """
 
 import io
@@ -29,12 +35,23 @@ import struct
 
 import pytest
 
+from repro.core.passes import (
+    DependencyDistance,
+    EndlessLoopSkeleton,
+    InitImmediates,
+    InitRegisters,
+    InstructionDistribution,
+    MemoryModel,
+)
+from repro.core.synthesizer import KernelMemo, Synthesizer
 from repro.errors import ServiceError
-from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
+from repro.exec import ExperimentPlan, ResultStore, SerialExecutor, faults
 from repro.exec.client import RemoteExecutor, ServiceClient
 from repro.exec.serialize import plan_to_dict_v2
 from repro.exec.service import MeasurementService
-from repro.exec.store import render_record
+from repro.exec.faults import FaultPlan
+from repro.exec.store import KERNELS, kernel_body, render_record
+from repro.march import get_architecture
 from repro.sim import Machine, MachineConfig, Placement, parse_topology
 from repro.stressmark.search import build_stressmark
 
@@ -429,6 +446,183 @@ def test_garbage_index_files_are_ignored(tmp_path, plan, power7_arch):
     assert ResultStore(root).verify().ok
     after = {path: path.read_bytes() for path in root.glob("shards/*")}
     assert after == planted
+
+
+# -- kernel records -----------------------------------------------------------
+
+#: Malformed edits of a kernel record body: each must be rejected.
+_KERNEL_EDITS = [
+    # A slot that is not a list of 4.
+    _set(("slots", 0), ["add", None, None]),
+    _set(("slots", 0), ["add", None, None, None, None]),
+    _set(("slots", 0), "add"),
+    _set(("slots", 0), None),
+    _set(("slots", 0), {"mnemonic": "add"}),
+    _call("slots", "append", 7),
+    _set(("slots",), "slots"),
+    _set(("slots",), None),
+    _delete("slots"),
+    # A non-string mnemonic, or another field of the wrong type.
+    _set(("slots", 0, 0), 7),
+    _set(("slots", 0, 0), None),
+    _set(("slots", 0, 0), ["add"]),
+    _set(("slots", 0, 1), "3"),
+    _set(("slots", 0, 1), 1.0),
+    _set(("slots", 0, 1), True),
+    _set(("slots", 0, 2), 1),
+    _set(("slots", 0, 3), "0x10"),
+    # An index out of range or not an int.
+    _set(("index", 0), 10**6),
+    _set(("index", 0), -1),
+    _set(("index", 0), 0.0),
+    _set(("index", 0), "0"),
+    _set(("index", 0), True),
+    _set(("index", 0), None),
+    _set(("index", 0), [0]),
+    _set(("index",), "0,1"),
+    _set(("index",), {}),
+    _set(("index",), []),
+    _delete("index"),
+    # Scalars.
+    _set(("operand_entropy",), 1),
+    _set(("operand_entropy",), "1.0"),
+    _set(("operand_entropy",), 2.0),
+    _set(("period",), 0),
+    _set(("period",), 1.5),
+    _set(("analytic_period",), "2"),
+    _set(("name",), 7),
+    _delete("name"),
+    _delete("period"),
+]
+
+
+def _kernel_recipes(arch):
+    """Synthesizer factories of two small recipes, one with memory."""
+
+    def plain():
+        synth = Synthesizer(arch, seed=3, name_prefix="fuzz-plain")
+        synth.add_pass(EndlessLoopSkeleton(24))
+        synth.add_pass(InstructionDistribution(["add", "mulld", "fmadd"]))
+        synth.add_pass(InitRegisters("pattern"))
+        synth.add_pass(DependencyDistance("random", max_distance=6))
+        return synth
+
+    def memory():
+        synth = Synthesizer(arch, seed="4", name_prefix="fuzz-memory")
+        synth.add_pass(EndlessLoopSkeleton(96))
+        synth.add_pass(InstructionDistribution(["lwz", "stw", "add"]))
+        synth.add_pass(MemoryModel({"L1": 0.5, "L2": 0.5}))
+        synth.add_pass(InitImmediates("random"))
+        synth.add_pass(DependencyDistance("fixed", distance=2))
+        return synth
+
+    return [plain, memory]
+
+
+@pytest.fixture(scope="module")
+def memo_arch():
+    """POWER7 with its content digest computed once: the fuzzer opens
+    hundreds of memos, each asking for it."""
+    arch = get_architecture("POWER7")
+    digest = arch.content_digest()
+    arch.content_digest = lambda: digest
+    return arch
+
+
+def _kernel_read(root, arch, recipe, fresh, line: bytes, stale=None) -> str:
+    """Load ``recipe``'s kernel through a memo over a one-line shard.
+
+    Whatever the line holds, the memo hands back exactly the freshly
+    synthesized kernel ``fresh``: loaded on a hit, synthesized again on
+    a miss.  ``stale`` is a valid line the store indexes first; ``line``
+    then replaces it under the same offsets.
+    """
+    key = recipe().recipe_key(arch.content_digest())
+    shard = root / "kernels" / f"{key[:2]}.jsonl"
+    shard.parent.mkdir(parents=True)
+    store = ResultStore(root)
+    if stale is not None:
+        shard.write_bytes(stale)
+        assert store.get_kernel(key) == fresh
+        store.kernel_hits = 0
+    shard.write_bytes(line)
+    try:
+        with KernelMemo(store, arch) as memo:
+            served = recipe().kernel(memo)
+            assert memo.pending == ([] if store.kernel_hits else [(key, fresh)])
+    finally:
+        store.close()
+    assert served == fresh
+    assert served.digest() == fresh.digest()
+    assert store.kernel_hits + store.kernel_misses == 1
+    assert (store.hits, store.misses) == (0, 0)
+    if store.kernel_hits:
+        assert store.fault_stats() == {}
+        return "original"
+    return "miss"
+
+
+def test_kernel_records(tmp_path, memo_arch):
+    rng = random.Random(_SEED + 3)
+    outcomes = {"original": 0, "miss": 0}
+    trial = 0
+
+    def read(line, **kwargs):
+        nonlocal trial
+        trial += 1
+        root = tmp_path / str(trial)
+        return _kernel_read(root, memo_arch, recipe, fresh, line, **kwargs)
+
+    for recipe in _kernel_recipes(memo_arch):
+        key = recipe().recipe_key(memo_arch.content_digest())
+        fresh = recipe().kernel()
+        body = kernel_body(fresh)
+        line = render_record(key, body, KERNELS)
+        assert read(line) == "original"
+        mutated = [_flip(rng, line) for _ in range(60)]
+        mutated += [_truncate(rng, line) for _ in range(20)]
+        for edit in _KERNEL_EDITS:
+            resigned = render_record(key, _edited(body, edit), KERNELS)
+            mutated.append(_with_sum(resigned, _sum_of(line)))
+            # Re-signed, the edit reaches the decoder: a counted
+            # corrupt record.
+            assert read(resigned) == "miss"
+        # A record of another key where the index expects this one.
+        other = "0" * 32 if key[0] != "0" else "f" * 32
+        wrong_key = render_record(other, body, KERNELS)
+        assert len(wrong_key) == len(line)
+        assert read(wrong_key, stale=line) == "miss"
+        for candidate in mutated:
+            outcomes[read(candidate)] += 1
+    assert outcomes["miss"] > 0.9 * sum(outcomes.values())
+
+
+def test_kernel_record_faults_are_counted(tmp_path, power7_arch):
+    plain = _kernel_recipes(power7_arch)[0]
+    key = plain().recipe_key(power7_arch.content_digest())
+    body = kernel_body(plain().kernel())
+    counted = {
+        "checksum_failures": _with_sum(
+            render_record(key, dict(body, name="renamed"), KERNELS),
+            _sum_of(render_record(key, body, KERNELS)),
+        ),
+        "corrupt_records": render_record(
+            key, _edited(body, _set(("index", 0), -1)), KERNELS
+        ),
+    }
+    for number, (counter, line) in enumerate(counted.items()):
+        root = tmp_path / str(number)
+        (root / "kernels").mkdir(parents=True)
+        (root / "kernels" / f"{key[:2]}.jsonl").write_bytes(line)
+        store = ResultStore(root)
+        assert store.get_kernel(key) is None
+        assert store.fault_stats() == {counter: 1}
+        assert (store.kernel_misses, store.misses) == (1, 0)
+    with faults.injected(FaultPlan(seed=1).arm("io")):
+        store = ResultStore(root)
+        assert store.get_kernel(key) is None
+        store.put_kernels([(key, plain().kernel())])  # never raises
+        assert store.fault_stats() == {"io_errors": 2}
 
 
 # -- stream lines -------------------------------------------------------------

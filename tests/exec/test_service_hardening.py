@@ -13,7 +13,8 @@ The robustness properties layered onto the campaign service:
   run, because measurements are pure and the store dedupes;
 * **bounded reads** -- a malformed request body, a negative
   ``Content-Length`` included, is a prompt 400, never a handler
-  blocked until its socket deadline.
+  blocked until its socket deadline, and a ``Content-Length`` above
+  the service's cap is a 413 before any byte of the body is read.
 """
 
 import json
@@ -38,6 +39,7 @@ from repro.exec import (
     build_server,
 )
 from repro.exec import faults
+from repro.exec import service as service_module
 from repro.exec.faults import FaultPlan
 from repro.exec.journal import run_id
 from repro.exec.registry import plan_digest
@@ -371,6 +373,25 @@ class TestClientRetries:
         assert calls["n"] == 1
 
 
+def _raw_post(server, length_header: bytes, body: bytes):
+    """(whole reply, seconds to it) of one raw ``POST /plans``."""
+    with socket.create_connection(
+        ("127.0.0.1", server.server_port), timeout=10
+    ) as sock:
+        start = time.monotonic()
+        sock.sendall(
+            b"POST /plans HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Type: application/json\r\n"
+            + length_header
+            + b"\r\n"
+            + body
+        )
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        return reply, time.monotonic() - start
+
+
 class TestMalformedRequests:
     def test_negative_content_length_is_a_prompt_400(self):
         """``rfile.read(-1)`` would block until the client hangs up; the
@@ -378,19 +399,7 @@ class TestMalformedRequests:
         service = MeasurementService(write_deadline=3.0)
         server, _url = _start(service)
         try:
-            with socket.create_connection(
-                ("127.0.0.1", server.server_port), timeout=10
-            ) as sock:
-                start = time.monotonic()
-                sock.sendall(
-                    b"POST /plans HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                    b"Content-Type: application/json\r\n"
-                    b"Content-Length: -1\r\n\r\n"
-                )
-                reply = b""
-                while chunk := sock.recv(4096):
-                    reply += chunk
-                elapsed = time.monotonic() - start
+            reply, elapsed = _raw_post(server, b"Content-Length: -1\r\n", b"")
         finally:
             server.shutdown()
             server.server_close()
@@ -398,6 +407,46 @@ class TestMalformedRequests:
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert b"malformed request body" in reply
         assert elapsed < 1.5  # the write deadline is 3 s
+
+    def test_oversized_content_length_is_a_prompt_413(self):
+        """A claimed length the server cannot hold is refused unread:
+        ``rfile.read`` would allocate all of it up front."""
+        service = MeasurementService(write_deadline=3.0)
+        server, url = _start(service)
+        try:
+            reply, elapsed = _raw_post(
+                server, b"Content-Length: %d\r\n" % 10**15, b'{"wire": "plan-v2"}'
+            )
+            # The server keeps serving.
+            health = ServiceClient(url, retries=0).health()
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"exceeds the" in reply
+        assert elapsed < 1.0
+        assert health["ok"] is True
+
+    def test_body_cap_is_inclusive(self, monkeypatch, small_kernel_factory):
+        body = plan_to_dict_v2(_plan(small_kernel_factory, count=12))
+        body.update(arch="POWER7", seed=0)
+        data = json.dumps(body).encode()
+        monkeypatch.setattr(service_module, "MAX_BODY_BYTES", len(data))
+        service = MeasurementService(write_deadline=3.0)
+        server, _url = _start(service)
+        try:
+            length = b"Content-Length: %d\r\n" % len(data)
+            accepted, _ = _raw_post(server, length, data)
+            longer = b"Content-Length: %d\r\n" % (len(data) + 1)
+            refused, _ = _raw_post(server, longer, data + b" ")
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert accepted.startswith(b"HTTP/1.1 200 ")
+        assert b'"measurement"' in accepted
+        assert refused.startswith(b"HTTP/1.1 413 ")
 
     def test_non_numeric_port_is_a_service_error(self):
         for url in ("http://127.0.0.1:notaport", "127.0.0.1:99999"):
