@@ -232,7 +232,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.power_model.campaign import ModelingCampaign
-    from repro.power_model.metrics import max_error, paae
+    from repro.power_model.metrics import prediction_errors
 
     arch = get_architecture(args.arch)
     machine = _build_machine(arch, args)
@@ -259,9 +259,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"{len(validation)} SPEC validation measurements ==="
     )
     for name, model in models.items():
+        # One scoring pass: PAAE and the worst case of one error list.
+        errors = prediction_errors(model.predict, validation)
         print(
-            f"{name:>10s}  PAAE {paae(model.predict, validation):5.2f} %  "
-            f"max error {max_error(model.predict, validation):5.2f} %"
+            f"{name:>10s}  PAAE {sum(errors) / len(errors):5.2f} %  "
+            f"max error {max(errors):5.2f} %"
         )
     _report_store(executor)
     _report_cache_stats(machine, args)

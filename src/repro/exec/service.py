@@ -128,10 +128,10 @@ DEFAULT_RETRY_AFTER_S = 0.25
 
 #: Largest ``POST /plans`` body the handler reads, bytes.  A longer
 #: ``Content-Length`` is answered 413 before any byte is read (reading
-#: it would allocate the claimed length up front).  About 4.7x the
-#: largest body a repo flow sends: the step plan of ``repro campaign
-#: --scale 1.0 --loop-size 4096 --server`` pools 583 aperiodic
-#: 4,096-slot kernels into 71.8 MB.
+#: it would allocate the claimed length up front).  About 4.6x the
+#: largest body a repo flow sends: the gathering plan of ``repro
+#: campaign --scale 1.0 --loop-size 4096 --server`` pools 583 aperiodic
+#: 4,096-slot kernels into 73.2 MB.
 MAX_BODY_BYTES = 320 * 1024 * 1024
 
 

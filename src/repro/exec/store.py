@@ -230,7 +230,8 @@ def kernel_from_body(body: dict) -> Kernel:
     object, as :meth:`repro.core.ir.Program.to_kernel` shares equal
     slots, and mnemonic and level strings are interned, so a decoded
     suite holds each string once.  Nothing is trusted: the digest is
-    left for :meth:`Kernel.digest` to compute.
+    left for :meth:`Kernel.digest` to compute, from slot text rendered
+    here from the loaded fields.
 
     Raises:
         ValueError, TypeError, KeyError: If the body is not shaped like
@@ -239,6 +240,7 @@ def kernel_from_body(body: dict) -> Kernel:
             scalar).
     """
     intern = sys.intern
+    new = object.__new__
     table = []
     for slot in body["slots"]:
         if type(slot) is not list or len(slot) != 4:
@@ -251,14 +253,19 @@ def kernel_from_body(body: dict) -> Kernel:
             and type(address) in _INT_OR_NONE
         ):
             raise ValueError(f"kernel slot {slot!r} has a wrong-typed field")
-        table.append(
-            KernelInstruction(
-                intern(mnemonic),
-                distance,
-                level if level is None else intern(level),
-                address,
-            )
+        # The frozen dataclass's fields without its __init__, plus the
+        # digest text ``Kernel.digest`` renders from them and caches on
+        # the slot.  One dict update is the fast path; it costs memory,
+        # as each slot gets its own dict, not the class's shared-key one.
+        instruction = new(KernelInstruction)
+        instruction.__dict__.update(
+            mnemonic=intern(mnemonic),
+            dep_distance=distance,
+            source_level=level if level is None else intern(level),
+            address=address,
+            _content=f"{mnemonic},{distance},{level},{address}",
         )
+        table.append(instruction)
     index = body["index"]
     if type(index) is not list or not set(map(type, index)) <= {int}:
         raise ValueError("kernel slot index is not a list of ints")

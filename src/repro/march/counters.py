@@ -5,8 +5,9 @@ performance counter-based formula" defining IPC, the per-component rate
 formulas of the power model).  We implement a small, safe arithmetic
 expression language over counter names: ``+``, ``-``, ``*``, ``/``,
 unary minus, parentheses and numeric literals.  Expressions are parsed
-with :mod:`ast` and evaluated against a mapping of counter readings; no
-other Python syntax is accepted.
+with :mod:`ast` and evaluated against a mapping of counter readings --
+scalars, or numpy columns holding one reading per row; no other Python
+syntax is accepted.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import ast
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import DefinitionError, MicroProbeError
 
@@ -72,6 +75,10 @@ def _evaluate_node(node: ast.AST, variables: Mapping[str, float]) -> float:
             return left * right
         # Division: counters read zero when idle; treat 0/0 as 0 so rate
         # formulas degrade gracefully on empty measurement windows.
+        if isinstance(right, np.ndarray):
+            return np.divide(
+                left, right, out=np.zeros(right.shape), where=right != 0
+            )
         if right == 0:
             return 0.0
         return left / right
@@ -80,9 +87,10 @@ def _evaluate_node(node: ast.AST, variables: Mapping[str, float]) -> float:
         return -value if isinstance(node.op, ast.USub) else value
     if isinstance(node, ast.Name):
         try:
-            return float(variables[node.id])
+            value = variables[node.id]
         except KeyError:
             raise FormulaError(f"unknown counter {node.id!r}") from None
+        return value if isinstance(value, np.ndarray) else float(value)
     if isinstance(node, ast.Constant):
         return float(node.value)
     raise FormulaError(f"unexpected node {type(node).__name__}")
@@ -124,6 +132,10 @@ class CounterFormula:
 
     def evaluate(self, readings: Mapping[str, float]) -> float:
         """Evaluate against counter readings.
+
+        Readings that are numpy columns evaluate row-wise in the same
+        operation order, so each row of the result equals the scalar
+        evaluation of that row's readings bit for bit.
 
         Raises:
             FormulaError: If a referenced counter is missing.

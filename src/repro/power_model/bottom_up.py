@@ -25,8 +25,9 @@ the per-component powers behind Figures 5a and 8.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -36,14 +37,10 @@ from repro.power_model.features import (
     MEMORY_COMPONENTS,
     POWER_COMPONENTS,
     UNIT_COMPONENTS,
+    component_matrix,
     component_rates,
-    memory_rate,
 )
 from repro.power_model.linreg import nnls_ols
-
-#: Memory-traffic rate (events/s) under which a benchmark counts as
-#: compute-only for the joint unit fit.
-_COMPUTE_ONLY_THRESHOLD = 1e3
 
 #: The sequential fitting protocol for the execution units: each
 #: unit's weight comes from the training families designed to stress
@@ -109,7 +106,15 @@ class BottomUpModel:
 
 
 class BottomUpTrainer:
-    """Fits :class:`BottomUpModel` from measurement campaigns."""
+    """Fits :class:`BottomUpModel` from measurement campaigns.
+
+    Each step fits from a counter-rate matrix, one row per measurement
+    (:func:`~repro.power_model.features.component_matrix`).  Residuals,
+    intercepts and the CMP design are column expressions in the
+    per-measurement arithmetic's order and the weighted rate sums keep
+    the builtin ``sum`` (:func:`_dynamic`), so every fitted number is
+    the one a row-by-row fit gives, bit for bit.
+    """
 
     def __init__(self, sequential: bool = True) -> None:
         #: Sequential grouped fitting (the paper's method); joint OLS
@@ -137,23 +142,37 @@ class BottomUpTrainer:
         """
         workload_independent = idle.mean_power
 
-        # Step 1: single hardware context.
-        weights, intercept_smt1 = self._fit_weights(
-            suite_smt1, workload_independent
+        # Step 1: single hardware context.  The intercept is calibrated
+        # on the random family (all rows if the suite has none).
+        families = np.array([family for family, _ in suite_smt1], dtype=str)
+        rates, targets = _rates_and_targets(
+            [measurement for _, measurement in suite_smt1],
+            workload_independent,
         )
+        fit = self._fit_sequential if self.sequential else self._fit_joint
+        weights = fit(families, rates, targets)
+        random = families == "Random"
+        if not random.any():
+            random[:] = True
+        intercept_smt1 = _mean_residual(rates[random], targets[random], weights)
 
         # Step 2: SMT effect from the SMT-on intercepts.  The intercept
         # grows by one SMT-logic constant per core running with SMT
         # enabled, so the delta is normalized by the core count of the
-        # SMT measurements.
+        # SMT measurements.  A core class without SMT has no SMT-on
+        # measurements and no SMT effect.
         smt_measurements = list(suite_smt2) + list(suite_smt4)
-        intercept_smt24 = self._intercept(
-            smt_measurements, weights, workload_independent
-        )
-        smt_cores = smt_measurements[0].config.cores if smt_measurements else 1
-        smt_effect = max(
-            0.0, (intercept_smt24 - intercept_smt1) / smt_cores
-        )
+        smt_effect = 0.0
+        if smt_measurements:
+            rates, targets = _rates_and_targets(
+                smt_measurements, workload_independent
+            )
+            intercept_smt24 = _mean_residual(rates, targets, weights)
+            smt_effect = max(
+                0.0,
+                (intercept_smt24 - intercept_smt1)
+                / smt_measurements[0].config.cores,
+            )
 
         # Step 3: CMP effect and uncore from all-config residuals.
         cmp_effect, uncore = self._fit_cmp(
@@ -171,24 +190,8 @@ class BottomUpTrainer:
 
     # -- step 1 internals ---------------------------------------------------
 
-    def _fit_weights(
-        self,
-        suite: Sequence[tuple[str, Measurement]],
-        workload_independent: float,
-    ) -> tuple[dict[str, float], float]:
-        rows = [
-            (family, component_rates(m), m.mean_power - workload_independent)
-            for family, m in suite
-        ]
-        if self.sequential:
-            weights = self._fit_sequential(rows)
-        else:
-            weights = self._fit_joint(rows)
-        intercept = self._calibrate_intercept(rows, weights)
-        return weights, intercept
-
     def _fit_sequential(
-        self, rows: list[tuple[str, dict[str, float], float]]
+        self, families: np.ndarray, rates: np.ndarray, targets: np.ndarray
     ) -> dict[str, float]:
         """The paper's sequence of regressions.
 
@@ -199,100 +202,40 @@ class BottomUpTrainer:
         clamped at zero.
         """
         weights: dict[str, float] = {name: 0.0 for name in POWER_COMPONENTS}
-        for component, families in _UNIT_PROTOCOL:
-            selected = [
-                (rates, target) for family, rates, target in rows
-                if family in families and rates[component] > 0
-            ]
-            if len(selected) < 3:
+        for component, group in _UNIT_PROTOCOL:
+            column = POWER_COMPONENTS.index(component)
+            selected = np.isin(families, group) & (rates[:, column] > 0)
+            if selected.sum() < 3:
                 raise ModelingError(
                     f"component {component}: need at least 3 training rows "
-                    f"from families {families}, got {len(selected)}"
+                    f"from families {group}, got {selected.sum()}"
                 )
-            feature = np.array(
-                [[rates[component]] for rates, _ in selected]
+            others = [name for name in POWER_COMPONENTS if name != component]
+            residual = targets[selected] - _dynamic(
+                rates[selected], weights, others
             )
-            residual = np.array(
-                [
-                    target - sum(
-                        weights[other] * rates[other]
-                        for other in POWER_COMPONENTS
-                        if other != component
-                    )
-                    for rates, target in selected
-                ]
-            )
-            slope, _ = nnls_ols(feature, residual)
+            slope, _ = nnls_ols(rates[selected, column : column + 1], residual)
             weights[component] = float(slope[0])
 
-        memory_rows = [
-            (rates, target) for family, rates, target in rows
-            if family in _MEMORY_FAMILIES
-        ]
-        if len(memory_rows) < len(MEMORY_COMPONENTS) + 2:
+        memory = np.isin(families, _MEMORY_FAMILIES)
+        if memory.sum() < len(MEMORY_COMPONENTS) + 2:
             raise ModelingError("too few memory-family training rows")
-        matrix = np.array(
-            [[rates[c] for c in MEMORY_COMPONENTS] for rates, _ in memory_rows]
+        residual = targets[memory] - _dynamic(
+            rates[memory], weights, UNIT_COMPONENTS
         )
-        residual = np.array(
-            [
-                target - sum(
-                    weights[unit] * rates[unit] for unit in UNIT_COMPONENTS
-                )
-                for rates, target in memory_rows
-            ]
+        memory_weights, _ = nnls_ols(
+            rates[memory][:, _columns_of(MEMORY_COMPONENTS)], residual
         )
-        memory_weights, _ = nnls_ols(matrix, residual)
         weights.update(dict(zip(MEMORY_COMPONENTS, memory_weights)))
         return weights
 
     def _fit_joint(
-        self, rows: list[tuple[str, dict[str, float], float]]
+        self, families: np.ndarray, rates: np.ndarray, targets: np.ndarray
     ) -> dict[str, float]:
-        matrix = np.array(
-            [[rates[c] for c in POWER_COMPONENTS] for _, rates, _ in rows]
-        )
-        targets = np.array([target for _, _, target in rows])
-        coefficients, _ = nnls_ols(matrix, targets)
+        coefficients, _ = nnls_ols(rates, targets)
         return dict(zip(POWER_COMPONENTS, coefficients))
 
-    def _calibrate_intercept(
-        self,
-        rows: list[tuple[str, dict[str, float], float]],
-        weights: dict[str, float],
-    ) -> float:
-        random_rows = [
-            (rates, target) for family, rates, target in rows
-            if family == "Random"
-        ]
-        if not random_rows:
-            random_rows = [(rates, target) for _, rates, target in rows]
-        residuals = [
-            target - sum(weights[c] * rates[c] for c in POWER_COMPONENTS)
-            for rates, target in random_rows
-        ]
-        return float(np.mean(residuals))
-
-    # -- steps 2 and 3 internals ------------------------------------------------
-
-    def _intercept(
-        self,
-        measurements: Iterable[Measurement],
-        weights: dict[str, float],
-        workload_independent: float,
-    ) -> float:
-        residuals = []
-        for measurement in measurements:
-            rates = component_rates(measurement)
-            dynamic = sum(
-                weights[c] * rates[c] for c in POWER_COMPONENTS
-            )
-            residuals.append(
-                measurement.mean_power - workload_independent - dynamic
-            )
-        if not residuals:
-            raise ModelingError("no measurements for intercept estimation")
-        return float(np.mean(residuals))
+    # -- step 3 internals -----------------------------------------------------
 
     def _fit_cmp(
         self,
@@ -303,26 +246,51 @@ class BottomUpTrainer:
     ) -> tuple[float, float]:
         if len(measurements) < 4:
             raise ModelingError("too few all-config measurements for step 3")
-        cores = []
-        residuals = []
-        for measurement in measurements:
-            rates = component_rates(measurement)
-            dynamic = sum(weights[c] * rates[c] for c in POWER_COMPONENTS)
-            smt = (
-                smt_effect * measurement.config.cores
-                if measurement.config.smt_enabled
-                else 0.0
-            )
-            cores.append(measurement.config.cores)
-            residuals.append(
-                measurement.mean_power
-                - workload_independent
-                - dynamic
-                - smt
-            )
-        design = np.vstack([cores, np.ones(len(cores))]).T
-        solution, *_ = np.linalg.lstsq(
-            design, np.array(residuals), rcond=None
+        rates, targets = _rates_and_targets(measurements, workload_independent)
+        cores = np.array([m.config.cores for m in measurements], dtype=float)
+        smt = np.array([m.config.smt_enabled for m in measurements], dtype=bool)
+        residuals = (
+            targets
+            - _dynamic(rates, weights)
+            - np.where(smt, smt_effect * cores, 0.0)
         )
+        design = np.vstack([cores, np.ones(len(cores))]).T
+        solution, *_ = np.linalg.lstsq(design, residuals, rcond=None)
         cmp_effect, uncore = float(solution[0]), float(solution[1])
         return max(0.0, cmp_effect), uncore
+
+
+def _columns_of(components: Sequence[str]) -> list[int]:
+    return [POWER_COMPONENTS.index(name) for name in components]
+
+
+def _rates_and_targets(
+    measurements: Sequence[Measurement], workload_independent: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rate matrix and dynamic-power targets (mean power minus idle)."""
+    powers = np.array([m.mean_power for m in measurements], dtype=float)
+    return component_matrix(measurements), powers - workload_independent
+
+
+def _dynamic(
+    rates: np.ndarray,
+    weights: dict[str, float],
+    components: Sequence[str] = POWER_COMPONENTS,
+) -> np.ndarray:
+    """``sum(weights[c] * rate_c for c in components)`` of each row.
+
+    Summed row by row by the builtin ``sum`` over the scalars the model
+    multiplies (Python floats for the unit weights, numpy floats for
+    the memory levels'): from Python 3.12 ``sum`` compensates runs of
+    exact floats, which a plain column add does not reproduce.
+    """
+    factors = [weights[name] for name in components]
+    rows = rates[:, _columns_of(components)].tolist()
+    return np.array([sum(map(mul, factors, row)) for row in rows], dtype=float)
+
+
+def _mean_residual(
+    rates: np.ndarray, targets: np.ndarray, weights: dict[str, float]
+) -> float:
+    """Mean power the weighted rates leave unexplained (an intercept)."""
+    return float(np.mean(targets - _dynamic(rates, weights)))

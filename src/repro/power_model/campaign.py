@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.exec.executors import default_executor
-from repro.exec.plan import ExperimentPlan
+from repro.exec.plan import ExperimentPlan, PlanCell
 from repro.measure.measurement import Measurement
 from repro.power_model.bottom_up import BottomUpModel, BottomUpTrainer
 from repro.power_model.top_down import TopDownModel, TopDownTrainer
@@ -124,48 +124,45 @@ class ModelingCampaign:
         smt_modes = arch.chip.smt_modes()
         step_configs = [MachineConfig(cores, smt) for smt in smt_modes]
 
-        # One plan per gathering stage; the executor batches each
-        # configuration through run_many (and, when store-backed,
-        # serves warm cells without touching the machine at all).
-        suite_kernels = [bench.kernel for bench in suite]
-        logger.info("gathering step-1/2 SMT measurements")
-        by_smt = self.executor.run(
-            ExperimentPlan.cross(suite_kernels, step_configs, duration=self.duration)
+        # One plan for every gathering stage, requested stage by stage
+        # (the step configurations, then the Random and micro sweeps),
+        # each configuration-major.  The step configurations are also
+        # sweep configurations; the plan measures, or serves from a
+        # store, each shared cell once.  The executor batches the plan
+        # through the machine's measurement plane.
+        stages = (
+            ([bench.kernel for bench in suite], step_configs),
+            ([bench.kernel for bench in randoms], self.configs),
+            ([bench.kernel for bench in micro], self.configs),
         )
-        count = len(suite_kernels)
-        by_mode = {
-            smt: by_smt[index * count : (index + 1) * count]
-            for index, smt in enumerate(smt_modes)
-        }
-        data = {
+        plan = ExperimentPlan(
+            PlanCell(kernel, config, self.duration)
+            for kernels, configs in stages
+            for config in configs
+            for kernel in kernels
+        )
+        logger.info(
+            "gathering step-1/2 and sweep measurements: %s", plan.describe()
+        )
+        measured = iter(self.executor.run(plan))
+        # Per stage, one row of measurements per configuration.
+        by_smt, random_grid, micro_grid = [
+            [[next(measured) for _ in kernels] for _ in configs]
+            for kernels, configs in stages
+        ]
+        by_mode = dict(zip(smt_modes, by_smt))
+        return {
             "suite": suite,
             "suite_smt1": list(
                 zip([bench.family for bench in suite], by_mode.get(1, []))
             ),
             "suite_smt2": by_mode.get(2, []),
             "suite_smt4": by_mode.get(4, []),
-            "random_all": self._run_sweep([b.kernel for b in randoms]),
-            "micro_all": self._run_sweep([b.kernel for b in micro]),
+            # The sweeps kernel-major: each kernel's configurations in turn.
+            "random_all": [m for row in zip(*random_grid) for m in row],
+            "micro_all": [m for row in zip(*micro_grid) for m in row],
             "idle": self.machine.run_idle(duration=self.duration),
         }
-        return data
-
-    def _run_sweep(self, kernels) -> list[Measurement]:
-        """Every kernel on every configuration, kernel-major order."""
-        logger.info(
-            "sweeping %d kernels across %d configurations",
-            len(kernels),
-            len(self.configs),
-        )
-        by_config = self.executor.run(
-            ExperimentPlan.cross(kernels, self.configs, duration=self.duration)
-        )
-        count = len(kernels)
-        return [
-            by_config[config_index * count + kernel_index]
-            for kernel_index in range(count)
-            for config_index in range(len(self.configs))
-        ]
 
     def gather_spec(self) -> dict[MachineConfig, list[Measurement]]:
         """SPEC proxy measurements across the full sweep."""

@@ -19,7 +19,11 @@ import numpy as np
 
 from repro.errors import ModelingError
 from repro.measure.measurement import Measurement
-from repro.power_model.features import POWER_COMPONENTS, component_rates
+from repro.power_model.features import (
+    POWER_COMPONENTS,
+    component_matrix,
+    component_rates,
+)
 from repro.power_model.linreg import ols
 
 #: Feature order: component rates, then cores, then the SMT flag.
@@ -56,7 +60,12 @@ class TopDownModel:
 
 
 class TopDownTrainer:
-    """Fits :class:`TopDownModel` via one multiple linear regression."""
+    """Fits :class:`TopDownModel` via one multiple linear regression.
+
+    The design matrix is built from columns
+    (:func:`~repro.power_model.features.component_matrix`), equal bit
+    for bit to stacking each measurement's feature vector.
+    """
 
     def train(
         self, name: str, measurements: Sequence[Measurement]
@@ -65,8 +74,15 @@ class TopDownTrainer:
             raise ModelingError(
                 f"top-down model {name!r} needs more training measurements"
             )
-        matrix = np.array(
-            [_feature_vector(measurement) for measurement in measurements]
+        configs = [measurement.config for measurement in measurements]
+        matrix = np.column_stack(
+            [
+                component_matrix(measurements),
+                np.array([config.cores for config in configs], dtype=float),
+                np.array(
+                    [config.smt_enabled for config in configs], dtype=float
+                ),
+            ]
         )
         targets = np.array(
             [measurement.mean_power for measurement in measurements]

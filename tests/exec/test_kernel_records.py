@@ -107,6 +107,8 @@ def test_store_counts_cells_only(campaign_store, clean):
     assert executor.store.misses == len(executor.cell_keys)
     assert executor.store.kernel_misses == len(_kernel_lines(root)) > 0
     assert executor.store.kernel_hits == 0
+    # The campaign's stages share one plan: no cell is read back.
+    assert executor.store.hits == 0
 
 
 def test_verify_counts_kernel_records_apart(campaign_store):

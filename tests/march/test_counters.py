@@ -1,7 +1,9 @@
 """Tests for counter definitions and the formula language."""
 
 import ast
+import random
 
+import numpy as np
 import pytest
 
 from repro.march.counters import (
@@ -31,6 +33,23 @@ class TestFormulaEvaluation:
     def test_zero_denominator_degrades_to_zero(self):
         # Idle windows read zero counters; rates degrade gracefully.
         assert evaluate_formula("A / B", {"A": 0, "B": 0}) == 0.0
+
+    def test_columns_evaluate_like_each_row(self):
+        # Numpy columns of readings evaluate element-wise in the scalar
+        # operation order: every row bit-identical, x / 0 reading 0.
+        rng = random.Random(3)
+        formula = CounterFormula("mixed", "(A + B) / C - -D * 0.5 + 2 / (C - C)")
+        rows = [
+            {
+                name: rng.choice((0.0, -0.0, 7.0, rng.uniform(-1e9, 1e9)))
+                for name in "ABCD"
+            }
+            for _ in range(300)
+        ]
+        columns = {name: np.array([row[name] for row in rows]) for name in "ABCD"}
+        assert [value.hex() for value in formula.evaluate(columns).tolist()] == [
+            formula.evaluate(row).hex() for row in rows
+        ]
 
     def test_missing_counter_raises(self):
         with pytest.raises(FormulaError, match="unknown counter"):

@@ -4,9 +4,10 @@ The production machine measures every cell through the fused tensor
 programs of :mod:`repro.sim.vector`.  This package keeps their
 executable specification: the per-cell scalar walk
 (:class:`OracleMachine`), the scalar counter and ground-truth power
-arithmetic it calls (:mod:`.scalar`), and the per-instruction pipeline
-walk the kernel-summary engine replaced (:mod:`.pipeline`).  Tests and
-benches compare the production paths with it bit for bit.
+arithmetic it calls (:mod:`.scalar`), the per-instruction pipeline
+walk the kernel-summary engine replaced (:mod:`.pipeline`) and the
+per-measurement model fits the matrix fits replaced (:mod:`.fits`).
+Tests and benches compare the production paths with it bit for bit.
 """
 
 from .machine import OracleMachine
