@@ -28,7 +28,10 @@ The headline numbers (recorded in ``BENCH_results.json``):
   record size per cell, asserted <= 1,500 bytes;
 * the wire path: plan decode time per cell through a warm intern cache
   (asserted to rebuild nothing) and the pooled body size, plus the
-  warm remote-serve rate over a real socket;
+  warm remote-serve rate over a real socket, served from the replica's
+  store;
+* two concurrent clients on overlapping plans: the pair's median wall,
+  store-backed and store-less, at half and full overlap;
 * the run ledger's cost per record and its replay time.
 
 Absolute rate floors hold on the nominal host: each is rescaled by the
@@ -40,8 +43,10 @@ from __future__ import annotations
 
 import os
 import re
+import statistics
 import subprocess
 import sys
+import threading
 import time
 
 from benchmarks.conftest import (
@@ -70,8 +75,8 @@ _PLAN_KERNELS = 192
 _DURATION = 1.0
 
 
-def _plan(arch, kernels: int = _KERNELS) -> ExperimentPlan:
-    sequences = covering_sequences(_CANDIDATES)[:kernels]
+def _plan(arch, kernels: int = _KERNELS, first: int = 0) -> ExperimentPlan:
+    sequences = covering_sequences(_CANDIDATES)[first : first + kernels]
     built = [
         build_stressmark(arch, sequence, LOOP_SIZE) for sequence in sequences
     ]
@@ -411,10 +416,12 @@ def test_run_registry_overhead(tmp_path):
     assert replay_elapsed < 2.0
 
 
-def _spawn_replica() -> tuple[subprocess.Popen, str]:
-    """One ``repro serve`` subprocess on an ephemeral port."""
+def _spawn_replica(store=None) -> tuple[subprocess.Popen, str]:
+    """One ``repro serve`` subprocess on an ephemeral port, over
+    ``store`` if given."""
+    store_args = ["--store", str(store)] if store is not None else []
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *store_args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -475,25 +482,25 @@ def test_wire_v2_deserialization(arch):
     assert misses(intern) == cold_misses  # the warm rounds rebuilt nothing
 
 
-def test_remote_warm_throughput(arch):
+def test_remote_warm_throughput(arch, tmp_path):
     """Warm-serve ceiling over a real socket: store + intern.
 
-    One ``repro serve`` subprocess; the first campaign populates its
-    store, the timed re-runs are pure warm serves -- wire v2 bodies,
-    interned plan rebuild, store hits seeked via the offsets the
-    server recorded as it appended them.  The floor is deliberately
-    conservative (CI runners are noisy); the recorded number is the
-    one to watch.
+    One ``repro serve`` subprocess over a store; the first campaign
+    populates it, the timed re-runs are pure warm serves -- wire v2
+    bodies, interned plan rebuild, store hits -- and ``/stats`` shows
+    they measured nothing.  The floor is deliberately conservative (CI
+    runners are noisy); the recorded number is the one to watch.
     """
-    from repro.exec import RemoteExecutor
+    from repro.exec import RemoteExecutor, ServiceClient
 
     plan = _plan(arch, kernels=96)
-    machine = Machine(arch)
-    process, url = _spawn_replica()
+    process, url = _spawn_replica(tmp_path / "store")
     try:
         start = time.perf_counter()
         first = RemoteExecutor(url).run(plan)
         cold_elapsed = time.perf_counter() - start
+        client = ServiceClient(url)
+        measured = client.stats()["service"]["measured_cells"]
         best = float("inf")
         before = host_reference()
         for _ in range(3):
@@ -503,6 +510,8 @@ def test_remote_warm_throughput(arch):
             best = min(best, time.perf_counter() - start)
         reference = (before + host_reference()) / 2
         assert warm == first  # warm serves are bit-identical
+        # The timed rounds were served from the store.
+        assert client.stats()["service"]["measured_cells"] == measured
     finally:
         process.kill()
         process.wait()
@@ -519,3 +528,87 @@ def test_remote_warm_throughput(arch):
     )
     # Conservative floor on the nominal host; see BENCH_results.json.
     assert rate >= host_floor(500, reference)
+
+
+#: Two-client bench: kernels per client plan, timed rounds per case.
+_PAIR_KERNELS = 8
+_PAIR_ROUNDS = 5
+
+
+def test_two_clients_on_overlapping_plans(arch, tmp_path):
+    """Two concurrent clients on overlapping plans: the pair's wall.
+
+    Each client submits 8 stressmark kernels x the 24 standard
+    configurations through its own ``RemoteExecutor``, both at once.
+    At half overlap the two plans share 4 kernels, at full overlap all
+    8; each case runs against one replica, with a store and without.
+    Every round sends kernels no earlier request named, so each round
+    starts cold.  Each client must equal a one-shot ``SerialExecutor``
+    and, with a store, the service must measure each distinct cell
+    once.  Records each case's median wall (no floor).  It drives only
+    the public client API, so it times any version of the service.
+    """
+    from repro.exec import RemoteExecutor, ServiceClient
+
+    first = 0  # the next stressmark sequence no request has named
+    walls: dict[str, float] = {}
+    for stored in (True, False):
+        for overlap, shift in (("half", _PAIR_KERNELS // 2), ("full", 0)):
+            case = f"{'store' if stored else 'storeless'}_{overlap}"
+            process, url = _spawn_replica(
+                tmp_path / case if stored else None
+            )
+            try:
+                client = ServiceClient(url)
+                # Engine build and first-request costs stay untimed.
+                RemoteExecutor(url).run(_plan(arch, 1, first))
+                first += 1
+                samples, measured = [], []
+                for _ in range(_PAIR_ROUNDS):
+                    plans = [
+                        _plan(arch, _PAIR_KERNELS, first),
+                        _plan(arch, _PAIR_KERNELS, first + shift),
+                    ]
+                    first += _PAIR_KERNELS + shift
+                    results: list = [None, None]
+
+                    def submit(number: int) -> None:
+                        results[number] = RemoteExecutor(url).run(
+                            plans[number]
+                        )
+
+                    threads = [
+                        threading.Thread(target=submit, args=(number,))
+                        for number in range(2)
+                    ]
+                    before = client.stats()["service"]["measured_cells"]
+                    start = time.perf_counter()
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                    samples.append(time.perf_counter() - start)
+                    after = client.stats()["service"]["measured_cells"]
+                    measured.append(after - before)
+                    for plan, result in zip(plans, results):
+                        local = SerialExecutor(Machine(arch)).run(plan)
+                        assert result == local
+                    if stored:
+                        distinct = {c for plan in plans for c in plan.cells}
+                        assert measured[-1] == len(distinct)
+            finally:
+                process.kill()
+                process.wait()
+            walls[case] = statistics.median(samples)
+            print(
+                f"\ntwo clients, {case}: median wall "
+                f"{walls[case] * 1e3:.0f} ms over {_PAIR_ROUNDS} rounds, "
+                f"cells measured per round {measured}"
+            )
+    record_result(
+        "exec_engine",
+        **{
+            f"two_client_{case}_wall_s": round(wall, 4)
+            for case, wall in walls.items()
+        },
+    )

@@ -1,4 +1,4 @@
-"""Campaign-service walkthrough: resident server, dedup, warm serving.
+"""Campaign-service walkthrough: resident server, shared store, warm serving.
 
 Starts an in-process campaign service (the same code path as
 ``python -m repro serve``), then drives it the three ways a client
@@ -7,9 +7,10 @@ can:
 1. ``ServiceClient`` -- raw streamed JSON lines, cell by cell;
 2. ``RemoteExecutor`` -- the executor-shaped adapter (bit-identical
    to local execution, asserted);
-3. two concurrent clients submitting *overlapping* plans -- the
-   single-flight registry measures each distinct cell once, and the
-   ``/stats`` counters prove it.
+3. two concurrent clients submitting *overlapping* plans -- with a
+   store, each distinct cell is measured once (a request queued behind
+   another is served what that one persisted), and the ``/stats``
+   counters prove it.
 
 Underneath all three, the client ships wire-v2 plan bodies (each
 distinct workload/config pooled once, referenced by digest), and the
@@ -62,7 +63,7 @@ with tempfile.TemporaryDirectory() as store_dir:
         elif line.get("complete"):
             print(
                 f"  run {line['run']}: {line['measured']} measured, "
-                f"{line['warm']} warm, {line['deduped']} deduped"
+                f"{line['warm']} warm"
             )
 
     # 3. The executor-shaped client: bit-identical to local execution.
@@ -72,8 +73,8 @@ with tempfile.TemporaryDirectory() as store_dir:
     assert served == local, "served results must be bit-identical"
     print("\nRemoteExecutor results == one-shot SerialExecutor: OK")
 
-    # 4. Two concurrent clients, overlapping plans: the shared cells
-    #    are measured once (single-flight) or served warm (store).
+    # 4. Two concurrent clients, overlapping plans: each shared cell is
+    #    measured once and served warm from the store to the other.
     big = ExperimentPlan.cross(suite[:4], configs, duration=2.0)
     overlapping = ExperimentPlan.cross(suite[2:6], configs, duration=2.0)
     outputs = {}
@@ -97,17 +98,20 @@ with tempfile.TemporaryDirectory() as store_dir:
         thread.join()
 
     counters = client.stats()["service"]
+    distinct = len(suite[:6]) * len(configs)
     print(
         f"service counters: measured={counters['measured_cells']} "
-        f"warm={counters['warm_cells']} deduped={counters['dedup_waits']} "
-        f"(each distinct cell measured exactly once)"
+        f"warm={counters['warm_cells']} "
+        f"(each of the {distinct} distinct cells measured exactly once)"
     )
+    assert counters["measured_cells"] == distinct
 
     # 5. Warm re-query: everything from the store, nothing measured.
     before = counters["measured_cells"]
     RemoteExecutor(url).run(big)
     after = client.stats()["service"]["measured_cells"]
     print(f"warm re-query measured {after - before} cells (expected 0)")
+    assert after == before
 
     server.shutdown()
     server.server_close()

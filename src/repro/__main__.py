@@ -21,8 +21,8 @@ Subcommands::
 Any measuring subcommand accepts ``--server URL`` to execute its plan
 on a running campaign service instead of in-process -- results are
 bit-identical either way, but the service keeps machines, caches and
-the store resident across clients and dedupes overlapping in-flight
-plans.
+the store resident across clients; with a store, it measures each
+distinct cell once however many clients ask for it.
 
 Examples::
 
@@ -293,7 +293,9 @@ def _cmd_stressmark(args: argparse.Namespace) -> int:
 
     logger.info("bootstrapping per-instruction EPI/IPC records")
     # The bootstrap routes through the same executor, so a warm store
-    # serves the whole-ISA probe -- the command's dominant cost -- too.
+    # serves the whole-ISA probe's cells too.  It does not skip
+    # synthesizing the probe's kernels, which then dominates the
+    # command's wall.
     # Paper-standard 10 s windows for the bootstrap regardless of
     # --duration: the EPI/latency records are reference data.
     records = Bootstrapper(

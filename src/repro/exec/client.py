@@ -29,9 +29,9 @@ GETs (``/health``, ``/stats``, ``/runs``) through connection resets;
 :class:`RemoteExecutor` retries whole plan submissions on transport
 deaths and on the service's admission-control ``429``/``503`` answers,
 honoring their ``Retry-After``.  Retrying a submission is always safe:
-measurements are pure functions of content and the server dedupes
-against its store, so the retried response is bit-identical and no
-cell is ever re-measured warm.
+measurements are pure functions of content, so the retried response is
+bit-identical, and a server with a store serves every cell an earlier
+attempt persisted instead of measuring it again.
 """
 
 from __future__ import annotations
@@ -316,10 +316,10 @@ class RemoteExecutor:
     answering ``429``/``503`` backpressure -- are retried by
     resubmitting the whole plan up to ``retries`` times with capped
     deterministic backoff (``Retry-After`` honored).  Purity makes the
-    resubmission free of side effects: every cell the first attempt
-    landed is warm in the server's store, so the retry re-measures
-    nothing and the assembled report is bit-identical.  ``progress``
-    fires once per unique cell across all attempts.
+    resubmission free of side effects: the assembled report is
+    bit-identical, and on a server with a store every cell the first
+    attempt landed is warm, so the retry re-measures none of them.
+    ``progress`` fires once per unique cell across all attempts.
     """
 
     def __init__(

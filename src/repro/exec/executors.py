@@ -77,6 +77,7 @@ def _measure_on(
     cells: Sequence[PlanCell],
     persist=None,
     plan: ExperimentPlan | None = None,
+    out: list | None = None,
 ) -> list[Measurement]:
     """Measure ``cells`` on ``machine``; the output is in ``cells`` order.
 
@@ -86,9 +87,12 @@ def _measure_on(
     the plane also caches its fused program under the plan.  With
     ``persist(cells, measurements)`` -- called after each group so
     progress stays durable mid-campaign -- the cells evaluate group by
-    group through ``run_many``.  Groups are keyed by label as well as
-    configuration: configuration equality ignores the p-state *name*,
-    but the label seeds sensor noise.
+    group through ``run_many``, and each group's measurements land in
+    ``out`` (``None`` per cell until then) once ``persist`` has taken
+    them, so a caller whose later group raises knows which cells
+    landed.  Groups are keyed by label as well as configuration:
+    configuration equality ignores the p-state *name*, but the label
+    seeds sensor noise.
     """
     fault_plan = faults.active()
     if fault_plan is not None and fault_plan.wants("poison"):
@@ -101,17 +105,18 @@ def _measure_on(
         groups.setdefault(
             (cell.config, cell.config.label, cell.duration), []
         ).append(index)
-    out: list[Measurement | None] = [None] * len(cells)
+    if out is None:
+        out = [None] * len(cells)
     for (config, label, duration), indices in groups.items():
         if fault_plan is not None and fault_plan.wants("slow"):
             fault_plan.maybe_slow(f"batch:{label}:{duration}")
         measurements = machine.run_many(
             [cells[index].workload for index in indices], config, duration
         )
+        persist([cells[index] for index in indices], measurements)
         for index, measurement in zip(indices, measurements):
             out[index] = measurement
-        persist([cells[index] for index in indices], measurements)
-    return out  # type: ignore[return-value]
+    return out
 
 
 class SerialExecutor:
@@ -196,9 +201,9 @@ class SerialExecutor:
         """The content-addressed store key of ``cell`` on this machine.
 
         The public spelling of the key the executor persists and the
-        store serves -- the campaign service uses it for its
-        single-flight dedup registry, so service-side identity can
-        never drift from store identity.
+        store serves -- the campaign service probes the store and names
+        streamed cells and run ids with it, so service-side identity
+        can never drift from store identity.
         """
         self._refresh_arch_digest()
         return self._key(cell)
@@ -388,20 +393,35 @@ class SerialExecutor:
         builder: ReportBuilder,
         plan: ExperimentPlan | None = None,
     ) -> list[Measurement | None]:
-        """Measure ``cells``; a failing batch degrades to cell by cell."""
+        """Measure ``cells``; a failing batch degrades to cell by cell.
+
+        Only the cells that have not landed degrade: groups ``persist``
+        already took keep their measurements, so no cell is persisted
+        or reported to ``progress`` twice.
+        """
         logger.info("measuring %d cells", len(cells))
+        out: list[Measurement | None] = [None] * len(cells)
         try:
-            return _measure_on(self.machine, cells, persist, plan=plan)
+            return _measure_on(
+                self.machine, cells, persist, plan=plan, out=out
+            )
         except Exception as exc:
             builder.count("batch_failures")
+            pending = [index for index, m in enumerate(out) if m is None]
             logger.warning(
                 "batch of %d cells failed in-process (%s: %s); "
-                "re-executing cell by cell",
+                "re-executing %d cell by cell",
                 len(cells),
                 type(exc).__name__,
                 exc,
+                len(pending),
             )
-            return self._degraded(cells, persist, builder)
+            redone = self._degraded(
+                [cells[index] for index in pending], persist, builder
+            )
+            for index, measurement in zip(pending, redone):
+                out[index] = measurement
+            return out
 
     def _degraded(
         self,

@@ -33,8 +33,8 @@ Sites:
              exercising client retry/backoff deterministically.
 ``stall``    the campaign service sleeps ``stall_s`` seconds mid-plan
              (after the stream header, before any cell) -- a slow
-             server, for exercising client stream reads and follower
-             timeouts; results are unaffected.
+             server, for exercising client stream reads; results are
+             unaffected.
 
 Activation: :func:`active` returns the installed plan (tests inject one
 with :func:`injected`) or, failing that, parses the ``REPRO_FAULTS``

@@ -122,15 +122,15 @@ class RunJournal:
             self.counters[name] = self.counters.get(name, 0) + value
         self.failures.extend(report.failures)
 
-    def complete(self, measured: int, **accounting) -> bool:
+    def complete(self, measured: int, *, warm: int = 0) -> bool:
         """Record the run's end; whether its manifest was dropped.
 
         The final record's state is ``quarantined`` when any cell
-        failed, else ``complete``; ``accounting`` (warm, deduped cells)
-        rides along.  A clean run drops its manifest: everything it
-        named is in the store.
+        failed, else ``complete``; it counts the ``measured`` cells and
+        the ``warm`` ones the store served.  A clean run drops its
+        manifest: everything it named is in the store.
         """
-        fields = dict(accounting)
+        fields: dict = {}
         if self.counters:
             fields["counters"] = dict(self.counters)
         if self.failures:
@@ -139,6 +139,7 @@ class RunJournal:
             self.run,
             "quarantined" if self.failures else "complete",
             measured=measured,
+            warm=warm,
             **fields,
         )
         if self.failures:

@@ -92,6 +92,7 @@ def _parse_entry(line: bytes) -> dict | None:
     run, state = entry.get("run"), entry.get("state")
     if not isinstance(run, str) or not run or state not in STATES:
         return None
+    # The last name occurs in records written by older servers.
     if any(
         type(entry.get(name, 0)) is not int
         for name in ("cells", "measured", "warm", "deduped")

@@ -5,11 +5,12 @@ long-running HTTP service.  Where every CLI invocation rebuilds hot
 machines and packed-kernel caches from scratch, the service keeps them
 *resident*: one :class:`~repro.sim.machine.Machine` and
 :class:`~repro.exec.executors.SerialExecutor` per (architecture, seed)
-with its summary/stack memos warm, and one
+with its summary/stack memos warm (at most :data:`MAX_ENGINES`, the
+least recently used evicted first), and one
 :class:`~repro.exec.store.ResultStore` that every client request reads
 and feeds.  Because measurements are pure functions of content, the
-service can dedupe and cache aggressively without changing a single
-bit of output: a response is always bit-identical to a one-shot
+service can cache aggressively without changing a single bit of
+output: a response is always bit-identical to a one-shot
 ``SerialExecutor.run`` of the same plan.
 
 Endpoints (all JSON; streamed bodies are chunked JSON Lines):
@@ -23,8 +24,8 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
     completion* -- warm cells first, measured batches as they land --
     and a trailer with the run's accounting.  Each cell line carries
     the cell's index in the submitted plan, its store key, its
-    ``source`` (``store``/``measured``/``dedup``) and the full
-    measurement.
+    ``source`` (``store``/``measured``) and the full measurement; a
+    quarantined cell gets a ``failure`` line at its index instead.
 ``GET /runs``
     The run ledger (:class:`~repro.exec.registry.RunRegistry`): every
     run ever recorded against this store -- id, plan digest, state
@@ -37,8 +38,8 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
     Resubmitting the plan is always the resume path (warm cells serve
     from the store with zero re-measurement).
 ``GET /stats``
-    Cache / store / fault / dedup / admission / intern counters of the
-    whole service.
+    Cache / store / fault / admission / intern counters of the whole
+    service.
 ``GET /health``
     Liveness probe (the only endpoint exempt from token auth).
 
@@ -47,34 +48,35 @@ Every other path answers 404.
 Hardening:
 
 * **run ledger** -- every submission is one run in the store's ledger,
-  under the run id its stream header reports; the leader's sub-plan
-  and a follower's rescue are part of it.  A restarted server records
-  runs left in flight by the previous process ``interrupted``, so
-  ``kill -9`` loses no run history, and resubmitted plans re-measure
-  nothing the store already holds.
+  under the run id its stream header reports; the sub-plan of its
+  cold cells is part of it.  A restarted server records runs left in
+  flight by the previous process ``interrupted``, so ``kill -9`` loses
+  no run history, and resubmitted plans re-measure nothing the store
+  already holds.
 * **admission control** -- optional bearer-token auth (``REPRO_TOKEN``
   / ``--token``; 401 without it), a bounded in-flight cell budget and
   request cap answering ``429 Too Many Requests`` with ``Retry-After``
   (measurements are pure, so a retried submission is bit-identical),
   per-connection write deadlines so one stalled reader can never
-  wedge a flight other clients wait on, and ``413 Payload Too Large``
-  for a body longer than :data:`MAX_BODY_BYTES`, before it is read.
+  wedge the engine queue other requests wait in, and ``413 Payload
+  Too Large`` for a body longer than :data:`MAX_BODY_BYTES`, before it
+  is read.
 * **graceful drain** -- SIGTERM stops admission (503 +
   ``Retry-After``), lets in-flight submissions finish streaming, and
   exits 0 with every run's final record written.
 
 Multi-tenant contracts: a cell already in the store is served straight
-from disk (a fully warm plan performs zero ``Machine.run`` calls), and
-concurrent clients submitting overlapping plans trigger each distinct
-in-flight cell at most once (*single-flight*): the first client to
-claim a cell's key measures it (the *leader*), every other client
-waits on the same flight and receives the leader's bytes.  A follower
-whose leader fails rescues the cell itself, so one client's disconnect
-never loses another's results.
+from disk (a fully warm plan performs zero ``Machine.run`` calls).  A
+request streams its warm cells before it queues for the engine lock,
+then runs its cold cells as one sub-plan under the lock; that
+sub-plan's own store probe serves every cell a concurrent request
+persisted meanwhile.  So with a store, concurrent clients submitting
+overlapping plans measure each distinct cell once; without one,
+overlapping requests re-measure the cells they share, bit-identically.
 
 Executions serialize on one engine lock (plans queue), which keeps the
-resident machines' caches single-writer; classification (store probes,
-flight claims) stays concurrent.  Everything is stdlib --
+resident machines' caches single-writer; warm serving stays
+concurrent.  Everything is stdlib --
 :class:`http.server.ThreadingHTTPServer`, one thread per client.
 """
 
@@ -101,7 +103,6 @@ from repro.exec.plan import ExperimentPlan
 from repro.exec.registry import UNFINISHED, RunRegistry
 from repro.exec.serialize import WireInternCache, plan_from_dict
 from repro.exec.store import ResultStore
-from repro.measure.measurement import Measurement
 from repro.sim.kernel import Kernel
 from repro.sim.machine import Machine
 
@@ -109,15 +110,11 @@ logger = logging.getLogger("repro.exec.service")
 
 FORMAT = "repro-serve-v1"
 
-#: How long a follower waits on another client's in-flight cell before
-#: rescuing it (re-probing the store, then measuring it itself).
-DEFAULT_FLIGHT_TIMEOUT_S = 600.0
-
 #: Per-connection socket deadline: the longest one blocking read or
-#: write against a client may stall.  Leaders emit while holding the
-#: engine lock, so without a deadline one reader that stops draining
-#: its socket wedges every queued plan; with it, the write raises and
-#: the run completes server-side (followers and the store still get
+#: write against a client may stall.  Measured cells stream while their
+#: request holds the engine lock, so without a deadline one reader that
+#: stops draining its socket wedges every queued plan; with it, the
+#: write raises and the run completes server-side (the store still gets
 #: every cell).
 DEFAULT_WRITE_DEADLINE_S = 60.0
 
@@ -134,60 +131,11 @@ DEFAULT_RETRY_AFTER_S = 0.25
 #: 4,096-slot kernels into 73.2 MB.
 MAX_BODY_BYTES = 320 * 1024 * 1024
 
-
-# -- single-flight registry ----------------------------------------------------
-
-
-class _Flight:
-    """One in-flight cell: the leader resolves, followers wait."""
-
-    __slots__ = ("event", "measurement", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.measurement: Measurement | None = None
-        self.error: str | None = None
-
-
-class _FlightRegistry:
-    """Single-flight map: content-addressed cell key -> in-flight cell.
-
-    ``claim`` either registers a new flight (the caller becomes the
-    leader and *must* eventually resolve or fail it) or returns the
-    existing one (the caller is a follower).  Resolution removes the
-    flight, so later requests fall through to the store.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
-
-    def claim(self, key: str) -> tuple[_Flight, bool]:
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is not None:
-                return flight, False
-            flight = _Flight()
-            self._flights[key] = flight
-            return flight, True
-
-    def resolve(self, key: str, measurement: Measurement) -> None:
-        with self._lock:
-            flight = self._flights.pop(key, None)
-        if flight is not None:
-            flight.measurement = measurement
-            flight.event.set()
-
-    def fail(self, key: str, error: str) -> None:
-        with self._lock:
-            flight = self._flights.pop(key, None)
-        if flight is not None:
-            flight.error = error
-            flight.event.set()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._flights)
+#: Most resident engines (a machine and its executor per architecture
+#: and seed) the service keeps; past it the least recently used one is
+#: dropped.  Each holds its machine's caches, and the seed comes from
+#: the request body.  No repo flow uses more than two.
+MAX_ENGINES = 8
 
 
 # -- the service ---------------------------------------------------------------
@@ -244,9 +192,8 @@ def _check_mnemonics(plan: ExperimentPlan, machine: Machine) -> None:
 class MeasurementService:
     """The resident measurement plane behind the HTTP handler.
 
-    Holds one resident executor (and its machine) per (architecture,
-    seed), the shared store, the run ledger, the single-flight registry
-    and the service counters.
+    Holds the resident executors (and their machines), the shared
+    store, the run ledger and the service counters.
     Usable directly (tests drive :meth:`submit` without a socket) or
     through :func:`build_server`.
     """
@@ -255,7 +202,6 @@ class MeasurementService:
         self,
         store: ResultStore | str | None = None,
         retries: int | None = None,
-        flight_timeout: float = DEFAULT_FLIGHT_TIMEOUT_S,
         token: str | None = None,
         max_inflight_cells: int | None = None,
         max_requests: int | None = None,
@@ -268,7 +214,6 @@ class MeasurementService:
             else store
         )
         self.retries = retries
-        self.flight_timeout = flight_timeout
         self.token = token or None
         self.max_inflight_cells = max_inflight_cells
         self.max_requests = max_requests
@@ -276,14 +221,13 @@ class MeasurementService:
         self.retry_after = retry_after
         #: Cross-request intern cache: wire digest -> rebuilt object.
         self.intern = WireInternCache()
+        #: (arch, seed) -> resident executor, least recently used first.
         self._engines: dict[tuple, SerialExecutor] = {}
         #: Serializes executor.execute calls: the resident machines'
-        #: caches are single-writer.
-        #: Classification (store probes, flight claims) stays
-        #: concurrent, so overlapping clients dedupe while a plan runs.
+        #: caches are single-writer.  Warm serving (store probes) stays
+        #: concurrent.
         self._engine_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._flights = _FlightRegistry()
         #: Admitted-but-unfinished work, bounded by the budgets above.
         self._inflight_requests = 0
         self._inflight_cells = 0
@@ -293,10 +237,7 @@ class MeasurementService:
             "requests": 0,
             "cells_requested": 0,
             "warm_cells": 0,
-            "leader_cells": 0,
             "measured_cells": 0,
-            "dedup_waits": 0,
-            "follower_rescues": 0,
             "quarantined_cells": 0,
             "journals_gcd": 0,
             "rejected_requests": 0,
@@ -342,7 +283,7 @@ class MeasurementService:
         """Admit one plan submission or raise the backpressure error.
 
         Rejections are cheap and honest: they happen before the stream
-        header, before the journal, before any flight claim -- the
+        header, before the journal, before any store probe -- the
         client sees a clean 429/503 with ``Retry-After`` and resubmits,
         and because measurements are pure the retried submission is
         bit-identical to one that was admitted first try.
@@ -420,10 +361,14 @@ class MeasurementService:
     # -- engines ---------------------------------------------------------------
 
     def _engine(self, arch_name: str, seed: int) -> SerialExecutor:
-        """The resident executor (and machine) of one tenant."""
+        """The resident executor (and machine) of one tenant.
+
+        Past :data:`MAX_ENGINES` the least recently used engine is
+        dropped; a request already holding it finishes on it.
+        """
         key = (arch_name.upper(), seed)
         with self._state_lock:
-            executor = self._engines.get(key)
+            executor = self._engines.pop(key, None)
             if executor is None:
                 from repro.march.definition import get_architecture
 
@@ -432,8 +377,12 @@ class MeasurementService:
                     store=self.store,
                     retries=self.retries,
                 )
-                self._engines[key] = executor
                 logger.info("engine up: %s seed=%d", arch_name, seed)
+            self._engines[key] = executor
+            if len(self._engines) > MAX_ENGINES:
+                evicted = next(iter(self._engines))
+                del self._engines[evicted]
+                logger.info("engine dropped: %s seed=%d", *evicted)
             return executor
 
     def close(self) -> None:
@@ -487,7 +436,7 @@ class MeasurementService:
         start,
     ) -> dict:
         """The admitted half of :meth:`submit`: the run's ledger records
-        around classification, execution and the trailer."""
+        around execution and the trailer."""
         self._count("requests")
         self._count("cells_requested", len(keys))
         logger.info(
@@ -526,9 +475,7 @@ class MeasurementService:
                 self.registry.record(run, "interrupted", error=error)
             raise
         if journal is not None and journal.complete(
-            trailer["measured"],
-            warm=trailer["warm"],
-            deduped=trailer["deduped"],
+            trailer["measured"], warm=trailer["warm"]
         ):
             self._count("journals_gcd")
         emit(trailer)
@@ -543,48 +490,59 @@ class MeasurementService:
         journal: RunJournal | None,
         emit,
     ) -> dict:
-        """Classify, measure and stream one admitted run; its trailer."""
-        # Classification: warm cells stream immediately; cold cells are
-        # either claimed (this request leads their measurement) or
-        # followed (another request is already measuring them).
+        """Stream one admitted run; its trailer.
+
+        Warm cells stream from the store before the engine lock.  The
+        cold ones run as one sub-plan under it, as part of the
+        request's run; that execution's own store probe serves every
+        cell a concurrent request persisted while this one queued, and
+        those stream as ``store`` lines and count as warm.
+        """
         warm = 0
-        leaders: list[int] = []
-        followers: list[tuple[int, str, _Flight]] = []
-        for index, (cell, key) in enumerate(zip(plan.cells, keys)):
+        cold: list[int] = []
+        for index, key in enumerate(keys):
             found = self.store.get(key) if self.store is not None else None
-            if found is not None:
+            if found is None:
+                cold.append(index)
+            else:
                 warm += 1
                 emit(_cell_line(index, key, "store", found))
-                continue
-            flight, leading = self._flights.claim(key)
-            if leading:
-                leaders.append(index)
-            else:
-                followers.append((index, key, flight))
-        self._count("warm_cells", warm)
-        self._count("leader_cells", len(leaders))
-        self._count("dedup_waits", len(followers))
 
         measured = 0
-        rescued = 0
         failures: list[dict] = []
-        if leaders:
-            measured, leader_failures = self._lead(
-                plan, keys, leaders, executor, journal, emit
-            )
-            failures.extend(leader_failures)
-        for index, key, flight in followers:
-            outcome = self._follow(
-                plan.cells[index], index, key, flight, executor, journal, emit
-            )
-            if outcome == "rescued":
-                rescued += 1
-                measured += 1
-            elif isinstance(outcome, dict):
-                failures.append(outcome)
+        if cold:
+            index_of = {id(plan.cells[index]): index for index in cold}
 
+            def stream(batch_cells, batch_measurements, stored: bool) -> None:
+                nonlocal warm, measured
+                if stored:
+                    warm += len(batch_cells)
+                else:
+                    measured += len(batch_cells)
+                source = "store" if stored else "measured"
+                for cell, measurement in zip(batch_cells, batch_measurements):
+                    index = index_of[id(cell)]
+                    emit(_cell_line(index, keys[index], source, measurement))
+
+            subplan = ExperimentPlan(plan.cells[index] for index in cold)
+            with self._engine_lock:
+                report = executor.execute(
+                    subplan, progress=stream, journal=journal
+                )
+            # The executor quarantines in sub-plan order, so the cells
+            # left without a measurement pair with its failures in order.
+            missing = [
+                index
+                for index, measurement in zip(cold, report.measurements)
+                if measurement is None
+            ]
+            for index, failure in zip(missing, report.failures):
+                record = failure.to_dict()
+                failures.append(record)
+                emit({"cell": index, "key": keys[index], "failure": record})
+
+        self._count("warm_cells", warm)
         self._count("measured_cells", measured)
-        self._count("follower_rescues", rescued)
         self._count("quarantined_cells", len(failures))
         return {
             "complete": True,
@@ -592,128 +550,18 @@ class MeasurementService:
             "cells": len(keys),
             "warm": warm,
             "measured": measured,
-            "deduped": len(followers),
             "failures": failures,
         }
-
-    def _lead(
-        self,
-        plan: ExperimentPlan,
-        keys: list[str],
-        leaders: list[int],
-        executor,
-        journal: RunJournal | None,
-        emit,
-    ) -> tuple[int, list[dict]]:
-        """Measure the cells this request claimed; resolve their flights.
-
-        The sub-plan executes under the engine lock, as part of the
-        request's run; the executor's ``progress`` hook publishes every
-        landed batch to the flight registry *before* it is written to
-        this client's stream, so followers receive results even if this
-        client's connection breaks mid-response.
-        """
-        owned = {
-            id(plan.cells[index]): (index, keys[index]) for index in leaders
-        }
-        resolved: set[str] = set()
-        measured = 0
-
-        def publish(batch_cells, batch_measurements, warm: bool) -> None:
-            nonlocal measured
-            for cell, measurement in zip(batch_cells, batch_measurements):
-                index, key = owned[id(cell)]
-                self._flights.resolve(key, measurement)
-                resolved.add(key)
-                if not warm:
-                    measured += 1
-                source = "store" if warm else "measured"
-                emit(_cell_line(index, key, source, measurement))
-
-        subplan = ExperimentPlan(plan.cells[index] for index in leaders)
-        failures: list[dict] = []
-        try:
-            with self._engine_lock:
-                report = executor.execute(
-                    subplan, progress=publish, journal=journal
-                )
-        finally:
-            # Whatever this leader could not resolve -- a quarantined
-            # cell, or an unexpected abort -- must not strand followers.
-            for index, key in owned.values():
-                if key not in resolved:
-                    self._flights.fail(key, "leader did not produce the cell")
-
-        if not report.ok:
-            failures_by_key = {
-                failure.key: failure
-                for failure in report.failures
-                if failure.key
-            }
-            unmatched = [
-                failure for failure in report.failures if not failure.key
-            ]
-            for position, measurement in enumerate(report.measurements):
-                if measurement is not None:
-                    continue
-                index, key = owned[id(subplan.cells[position])]
-                failure = failures_by_key.get(key)
-                if failure is None and unmatched:
-                    failure = unmatched.pop(0)
-                record = failure.to_dict() if failure is not None else {}
-                failures.append(record)
-                emit({"cell": index, "key": key, "failure": record})
-        return measured, failures
-
-    def _follow(
-        self,
-        cell,
-        index: int,
-        key: str,
-        flight: _Flight,
-        executor,
-        journal: RunJournal | None,
-        emit,
-    ):
-        """Wait on another request's flight; rescue the cell if it fails.
-
-        Returns ``"dedup"``, ``"rescued"`` or a failure dict.
-        """
-        landed = flight.event.wait(self.flight_timeout)
-        if landed and flight.measurement is not None:
-            emit(_cell_line(index, key, "dedup", flight.measurement))
-            return "dedup"
-        # The leader failed or timed out: the store may still have the
-        # cell (leader persisted, then died); otherwise measure it
-        # ourselves -- one client's death never loses another's cells.
-        found = self.store.get(key) if self.store is not None else None
-        if found is not None:
-            emit(_cell_line(index, key, "store", found))
-            return "dedup"
-        logger.warning(
-            "rescuing cell %s: its leader %s", key,
-            "timed out" if not landed else "failed",
-        )
-        with self._engine_lock:
-            report = executor.execute(ExperimentPlan([cell]), journal=journal)
-        measurement = report.measurements[0]
-        if measurement is not None:
-            emit(_cell_line(index, key, "measured", measurement))
-            return "rescued"
-        record = report.failures[0].to_dict() if report.failures else {}
-        emit({"cell": index, "key": key, "failure": record})
-        return record
 
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict:
-        """Cache / store / fault / dedup counters, JSON-able."""
+        """Cache / store / fault / admission counters, JSON-able."""
         with self._state_lock:
             counters = dict(self._counters)
             engines = dict(self._engines)
         payload: dict = {
             "service": counters,
-            "inflight_cells": len(self._flights),
             "admission": {
                 "draining": self.draining,
                 "inflight_requests": self._inflight_requests,
@@ -822,8 +670,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # The write deadline doubles as the read deadline: a client
         # that stops draining its response -- or never finishes sending
         # its request -- gets its socket operations timed out instead
-        # of holding a handler thread (and, for leaders, the engine
-        # lock's queue) hostage.
+        # of holding a handler thread (and, while its request holds the
+        # engine lock, every queued plan) hostage.
         self.timeout = self.service.write_deadline
         super().setup()
 
@@ -866,8 +714,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         """Send stream headers; the returned emit never raises.
 
         A client that disconnects mid-stream must not abort the
-        server-side execution (followers may be waiting on the cells
-        this request leads), so write failures flip a flag and further
+        server-side execution (its cells still land in the store for
+        the next request), so write failures flip a flag and further
         lines are dropped.
         """
         self.send_response(200)
@@ -889,8 +737,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self.service._count("broken_streams")
                 logger.warning(
                     "client %s went away or stalled past the %.0fs write "
-                    "deadline mid-stream; continuing the run for its "
-                    "followers and the store",
+                    "deadline mid-stream; continuing the run for the "
+                    "store",
                     self.address_string(),
                     self.service.write_deadline,
                 )

@@ -8,14 +8,23 @@ failing on every attempt (an unbounded ``poison``) is quarantined into
 a structured :class:`CellFailure` instead of aborting the campaign.
 """
 
+import itertools
+
 import pytest
 
 from repro.errors import ExecutionError
-from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
+from repro.exec import (
+    ExperimentPlan,
+    MeasurementService,
+    ResultStore,
+    SerialExecutor,
+)
 from repro.exec import faults
 from repro.exec.faults import FaultPlan
 from repro.exec.report import CellFailure, ExecutionReport
+from repro.exec.serialize import plan_to_dict_v2
 from repro.sim import Machine, MachineConfig
+from repro.workloads import spec_cpu2006
 from tests.oracle import OracleMachine
 
 _DURATION = 1.0
@@ -203,6 +212,77 @@ class TestQuarantine:
         text = report.describe()
         assert f"{small_plan.size}/{small_plan.size} cells measured" in text
         assert f"degraded_cells={small_plan.size}" in text
+
+
+def _second_batch_fails_once(machine: Machine) -> Machine:
+    """Make the second ``run_many`` call on ``machine`` raise, once."""
+    calls = itertools.count(1)
+    original = machine.run_many
+
+    def run_many(workloads, config, duration=10.0):
+        if next(calls) == 2:
+            raise RuntimeError("injected failure of the second batch")
+        return original(workloads, config, duration)
+
+    machine.run_many = run_many
+    return machine
+
+
+class TestDegradedFallbackKeepsLandedCells:
+    """A batch that fails after earlier batches landed degrades only the
+    cells still owed: every cell is measured, persisted and reported
+    once, and the results equal the fault-free run."""
+
+    @pytest.fixture()
+    def spec_plan(self):
+        return ExperimentPlan.cross(
+            spec_cpu2006()[:2],
+            [MachineConfig(1, 1), MachineConfig(2, 2), MachineConfig(4, 2)],
+            duration=_DURATION,
+        )
+
+    def test_local_store_backed_run(self, power7_arch, spec_plan, tmp_path):
+        baseline = SerialExecutor(Machine(power7_arch)).run(spec_plan)
+        store = ResultStore(tmp_path / "store")
+        executor = SerialExecutor(
+            _second_batch_fails_once(Machine(power7_arch)), store=store
+        )
+        reported = []
+        report = executor.execute(
+            spec_plan,
+            progress=lambda cells, measurements, warm: reported.extend(cells),
+        )
+        assert report.ok and list(report) == baseline
+        assert sorted(map(spec_plan.cells.index, reported)) == list(range(6))
+        assert store.verify().records == 6
+        # The first batch (2 cells) landed; only the other 4 re-ran.
+        assert report.fault_counters["degraded_cells"] == 4
+
+    @pytest.mark.parametrize(
+        "stored", [False, True], ids=["storeless", "store"]
+    )
+    def test_served_run(self, power7_arch, spec_plan, tmp_path, stored):
+        baseline = SerialExecutor(Machine(power7_arch)).run(spec_plan)
+        service = MeasurementService(
+            store=tmp_path / "store" if stored else None
+        )
+        lines: list[dict] = []
+        try:
+            _second_batch_fails_once(service._engine("POWER7", 0).machine)
+            trailer = service.submit(
+                plan_to_dict_v2(spec_plan), lambda: lines.append
+            )
+            if stored:
+                assert service.store.verify().records == 6
+        finally:
+            service.close()
+        cells = [line for line in lines if "measurement" in line]
+        assert sorted(line["cell"] for line in cells) == list(range(6))
+        assert trailer["measured"] == 6 and trailer["failures"] == []
+        assert {line["cell"]: line["measurement"] for line in cells} == {
+            index: measurement.to_dict()
+            for index, measurement in enumerate(baseline)
+        }
 
 
 class TestEvaluatorQuarantineScoring:

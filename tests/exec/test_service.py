@@ -1,4 +1,4 @@
-"""Campaign service: equivalence, single-flight dedup, warm serving, chaos.
+"""Campaign service: equivalence, at-most-once, warm serving, chaos.
 
 The acceptance properties of ``python -m repro serve``:
 
@@ -7,9 +7,10 @@ The acceptance properties of ``python -m repro serve``:
   keys) to a one-shot in-process ``SerialExecutor.run``, on both the
   vectorized and the scalar measurement plane, across randomized
   topology/placement/p-state plans;
-* **at-most-once** -- concurrent clients submitting overlapping plans
-  trigger each distinct cell's measurement exactly once (single-flight
-  dedup), every client still receives complete results;
+* **at-most-once** -- with a store, concurrent clients submitting
+  overlapping plans trigger each distinct cell's measurement exactly
+  once (a request queued behind another is served what that one
+  persisted), and every client still receives complete results;
 * **warm serving** -- a re-submitted plan is answered entirely from
   the result store with *zero* ``Machine`` measurement calls;
 * **chaos** -- transient store I/O faults under the server leave the
@@ -58,7 +59,7 @@ def _start(service):
 @pytest.fixture()
 def served(tmp_path):
     """A store-backed serial service listening on localhost."""
-    service = MeasurementService(store=tmp_path / "store", flight_timeout=60.0)
+    service = MeasurementService(store=tmp_path / "store")
     server, url = _start(service)
     yield service, url
     server.shutdown()
@@ -197,7 +198,7 @@ class TestServedEquivalence:
         assert seed0 != seed7
 
 
-# -- warm serving and dedup ----------------------------------------------------
+# -- warm serving and concurrent clients ---------------------------------------
 
 
 class TestWarmAndSingleFlight:
@@ -280,22 +281,17 @@ class TestWarmAndSingleFlight:
         assert len(measured) == len(set(measured)) == len(distinct)
         counters = ServiceClient(url).stats()["service"]
         assert counters["measured_cells"] == len(distinct)
-        assert (
-            counters["warm_cells"]
-            + counters["measured_cells"]
-            + counters["dedup_waits"]
-            >= sum(plan.size for plan in plans)
+        assert counters["warm_cells"] + counters["measured_cells"] == sum(
+            plan.size for plan in plans
         )
 
-    def test_single_flight_followers_reuse_the_leaders_bytes(
+    def test_queued_duplicate_is_served_from_the_store(
         self, tmp_path, small_kernel_factory
     ):
-        """Deterministic dedup: while a leader measures, a second
-        identical submission classifies every cell as in-flight and
-        receives the leader's measurements without measuring."""
-        service = MeasurementService(
-            store=tmp_path / "store", flight_timeout=60.0
-        )
+        """While one request measures, an identical one queues for the
+        engine; once it runs, its own store probe serves every cell
+        the first persisted -- the same bytes, nothing re-measured."""
+        service = MeasurementService(store=tmp_path / "store")
         try:
             plan = ExperimentPlan.cross(
                 [small_kernel_factory("add", count=24)],
@@ -312,37 +308,37 @@ class TestWarmAndSingleFlight:
                 return original(workloads, config, duration)
 
             engine.machine.run_many = gated
-            outputs: dict[str, list] = {"leader": [], "follower": []}
+            outputs: dict[str, list] = {"first": [], "duplicate": []}
 
             def submit(label: str) -> None:
                 service.submit(plan_to_dict_v2(plan), lambda: outputs[label].append)
 
-            leader = threading.Thread(target=submit, args=("leader",))
-            leader.start()
-            assert entered.wait(30)  # leader is inside the measurement
-            follower = threading.Thread(target=submit, args=("follower",))
-            follower.start()
-            # Give the follower time to classify against the in-flight
-            # cells, then let the leader's measurement finish.
-            deadline = threading.Event()
-            deadline.wait(0.3)
+            first = threading.Thread(target=submit, args=("first",))
+            first.start()
+            assert entered.wait(30)  # the first is inside the measurement
+            duplicate = threading.Thread(target=submit, args=("duplicate",))
+            duplicate.start()
+            # Give the duplicate time to probe the store (every cell is
+            # still cold) and queue for the engine, then let the first
+            # request's measurement finish.
+            threading.Event().wait(0.3)
             release.set()
-            leader.join(timeout=60)
-            follower.join(timeout=60)
+            first.join(timeout=60)
+            duplicate.join(timeout=60)
+            assert not first.is_alive() and not duplicate.is_alive()
             counters = service.stats()["service"]
             assert counters["measured_cells"] == plan.size
-            assert counters["dedup_waits"] >= 1
-            leader_cells = {
-                line["key"]: line["measurement"]
-                for line in outputs["leader"]
-                if "measurement" in line
+            assert counters["warm_cells"] == plan.size
+            cells = {
+                label: [line for line in lines if "measurement" in line]
+                for label, lines in outputs.items()
             }
-            follower_cells = {
-                line["key"]: line["measurement"]
-                for line in outputs["follower"]
-                if "measurement" in line
-            }
-            assert follower_cells == leader_cells
+            assert {line["source"] for line in cells["first"]} == {"measured"}
+            assert {line["source"] for line in cells["duplicate"]} == {"store"}
+            assert len(cells["duplicate"]) == plan.size
+            assert {
+                line["key"]: line["measurement"] for line in cells["duplicate"]
+            } == {line["key"]: line["measurement"] for line in cells["first"]}
         finally:
             service.close()
 
@@ -371,6 +367,70 @@ class TestServedChaos:
                 service.close()
         assert report.ok
         assert list(report.measurements) == baseline
+
+    @pytest.mark.parametrize(
+        "stored", [False, True], ids=["storeless", "store"]
+    )
+    def test_quarantined_cells_stream_failure_lines(
+        self, tmp_path, power7_arch, stored
+    ):
+        """Cells that fail every attempt stream one ``failure`` line at
+        their own index; every other cell matches the local run."""
+        plan = ExperimentPlan.cross(
+            spec_cpu2006()[:4],
+            [MachineConfig(1, 1), MachineConfig(2, 2)],
+            duration=_DURATION,
+        )
+
+        def poison() -> FaultPlan:
+            return FaultPlan(seed=4).arm("poison", probability=0.4)
+
+        with faults.injected(poison()):
+            local = SerialExecutor(Machine(power7_arch), retries=0).execute(
+                plan
+            )
+        quarantined = [
+            index
+            for index, measurement in enumerate(local.measurements)
+            if measurement is None
+        ]
+        assert quarantined == [0, 1, 7]
+        service = MeasurementService(
+            store=tmp_path / "store" if stored else None, retries=0
+        )
+        server, url = _start(service)
+        try:
+            with faults.injected(poison()):
+                lines = list(ServiceClient(url).submit(plan))
+            counters = service.stats()["service"]
+            trailer = lines[-1]
+            if stored:
+                record = service.registry.get(trailer["run"])
+                assert record["state"] == "quarantined"
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        failed = {
+            line["cell"]: line["failure"] for line in lines if "failure" in line
+        }
+        assert sorted(failed) == quarantined
+        assert len(failed) == sum(1 for line in lines if "failure" in line)
+        for index in quarantined:
+            cell = plan.cells[index]
+            assert failed[index]["workload_name"] == cell.workload.name
+            assert failed[index]["config_label"] == cell.config.label
+        assert trailer["failures"] == [failed[index] for index in quarantined]
+        assert {
+            line["cell"]: line["measurement"]
+            for line in lines
+            if "measurement" in line
+        } == {
+            index: measurement.to_dict()
+            for index, measurement in enumerate(local.measurements)
+            if measurement is not None
+        }
+        assert counters["quarantined_cells"] == 3
 
 
 # -- endpoints and error paths -------------------------------------------------
@@ -433,7 +493,7 @@ class TestEndpoints:
     def test_cold_request_with_warm_cells_is_one_run(
         self, served, small_kernel_factory
     ):
-        """Warm cells, a leader sub-plan and the request around them:
+        """Warm cells, a cold sub-plan and the request around them:
         exactly one run in ``GET /runs``, under the header's run id."""
         service, url = served
         client = ServiceClient(url)

@@ -11,6 +11,8 @@ The robustness properties layered onto the campaign service:
   answers 503, and the client layers retry transparently with capped
   deterministic backoff -- always byte-identical to an un-throttled
   run, because measurements are pure and the store dedupes;
+* **bounded engines** -- each seed a request names builds a resident
+  engine, and past ``MAX_ENGINES`` the least recently used is dropped;
 * **bounded reads** -- a malformed request body, a negative
   ``Content-Length`` included, is a prompt 400, never a handler
   blocked until its socket deadline, and a ``Content-Length`` above
@@ -315,6 +317,40 @@ class TestAdmissionControl:
                 service.close()
         assert report.ok
         assert list(report.measurements) == baseline
+
+
+class TestResidentEngines:
+    def test_engines_are_bounded_least_recently_used_first(
+        self, small_kernel_factory, power7_arch
+    ):
+        """Seeds come from request bodies: past ``MAX_ENGINES`` the
+        least recently used engine is dropped, and a returning seed
+        gets a fresh engine that measures the same bytes."""
+        limit = service_module.MAX_ENGINES
+        plan = ExperimentPlan.single(
+            small_kernel_factory("add", count=24),
+            MachineConfig(2, 2),
+            _DURATION,
+        )
+        body = plan_to_dict_v2(plan)
+        service = MeasurementService()
+        lines: list[dict] = []
+        try:
+            for seed in range(limit + 2):
+                service.submit({**body, "seed": seed}, lambda: lines.append)
+            seeds = [engine["seed"] for engine in service.stats()["engines"]]
+            assert seeds == list(range(2, limit + 2))
+            # A hit makes seed 2 the most recently used, so seed 3 goes.
+            service.submit({**body, "seed": 2}, lambda: lines.append)
+            lines.clear()
+            service.submit({**body, "seed": 0}, lambda: lines.append)
+            seeds = [engine["seed"] for engine in service.stats()["engines"]]
+            assert seeds == [*range(4, limit + 2), 2, 0]
+        finally:
+            service.close()
+        (cell,) = [line for line in lines if "measurement" in line]
+        expected = SerialExecutor(Machine(power7_arch, seed=0)).run(plan)
+        assert cell["measurement"] == expected[0].to_dict()
 
 
 class TestClientRetries:

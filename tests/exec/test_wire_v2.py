@@ -248,7 +248,7 @@ def _post(url: str, path: str, body: dict) -> tuple:
 @pytest.fixture()
 def served(tmp_path):
     """One store-backed service on an ephemeral port."""
-    service = MeasurementService(store=tmp_path / "store", flight_timeout=60.0)
+    service = MeasurementService(store=tmp_path / "store")
     server, url = _start(service)
     yield service, url
     server.shutdown()
