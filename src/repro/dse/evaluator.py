@@ -150,9 +150,9 @@ class MeasurementEvaluator:
         The batch becomes one single-configuration experiment plan:
         duplicate genotypes deduplicate into one cell, the executor
         drives the misses through the machine's vectorized measurement
-        plane (``Machine.run_cells``/``run_many`` -- one tensor pass
-        per batch), and a store-backed
-        executor serves revisited points from disk across processes.
+        plane (``Machine.run_cells`` -- one tensor pass per batch), and
+        a store-backed executor serves revisited points from disk
+        across processes.
         """
         workloads = [self.builder(point) for point in points]
         plan = ExperimentPlan.cross(
@@ -247,7 +247,7 @@ def evaluate_batch(
     Search drivers call this instead of a per-point loop, so any
     evaluator exposing ``evaluate_many`` (the measurement evaluators
     above, user-supplied batched objectives) gets the whole population
-    at once and can route it through :meth:`Machine.run_many`.
+    at once and can measure it as one plan.
     """
     batch = getattr(evaluator, "evaluate_many", None)
     if batch is not None:

@@ -1,9 +1,10 @@
 """Plan execution: one in-process executor with fault recovery.
 
 :class:`SerialExecutor` takes an :class:`~repro.exec.plan.ExperimentPlan`
-and returns measurements in the plan's requested order, batched per
-(configuration, window) through :meth:`Machine.run_many` so every
-distinct kernel is summarized once.  Every measurement is a
+and returns measurements in the plan's requested order.  The cells an
+execution has to measure run as one :meth:`Machine.run_cells` pass --
+a single fused tensor program across every configuration and window --
+so every distinct kernel is summarized once.  Every measurement is a
 deterministic pure function of the architecture definition, the
 machine seed and the cell content (sensor noise is seeded from content
 digests, never from run order or wall clock), so a retried or degraded
@@ -11,12 +12,14 @@ cell reproduces the fault-free bytes: recovery never perturbs results.
 
 With a :class:`~repro.exec.store.ResultStore` attached, warm cells are
 served from disk and only the misses are measured; a fully warm plan
-never touches ``Machine.run``.  Store-backed executions are recorded in
-the store's run ledger (:class:`~repro.exec.journal.RunJournal`), so a
-campaign killed mid-batch (``kill -9``) is visible as such, and
-re-running it measures only the cells the store lacks.
+never touches ``Machine.run``.  The measured cells land after the pass,
+one locked append per touched shard.  Store-backed executions are
+recorded in the store's run ledger
+(:class:`~repro.exec.journal.RunJournal`), so a campaign killed before
+its appends finish (``kill -9``) is visible as such, and re-running it
+measures only the cells the store lacks.
 
-Fault tolerance: a batch that raises re-executes *in-process, cell by
+Fault tolerance: a pass that raises re-executes *in-process, cell by
 cell* (degraded mode); each cell retries with bounded, deterministic
 exponential backoff (``REPRO_RETRIES``, default 2), and only a cell
 that still fails is quarantined into a
@@ -75,52 +78,22 @@ def _backoff_sleep(attempt: int) -> None:
 def _measure_on(
     machine: Machine,
     cells: Sequence[PlanCell],
-    persist=None,
     plan: ExperimentPlan | None = None,
-    out: list | None = None,
 ) -> list[Measurement]:
-    """Measure ``cells`` on ``machine``; the output is in ``cells`` order.
+    """Measure ``cells`` as one :meth:`Machine.run_cells` pass, in order.
 
-    Without a ``persist`` callback the cells evaluate as one
-    :meth:`Machine.run_cells` batch, a single tensor pass; with
-    ``plan`` given (the whole plan measured cold, in plan-cell order),
-    the plane also caches its fused program under the plan.  With
-    ``persist(cells, measurements)`` -- called after each group so
-    progress stays durable mid-campaign -- the cells evaluate group by
-    group through ``run_many``, and each group's measurements land in
-    ``out`` (``None`` per cell until then) once ``persist`` has taken
-    them, so a caller whose later group raises knows which cells
-    landed.  Groups are keyed by label as well as configuration:
-    configuration equality ignores the p-state *name*, but the label
-    seeds sensor noise.
+    With ``plan`` given (the whole plan measured cold, in plan-cell
+    order), the plane also caches its fused program under the plan.
     """
     fault_plan = faults.active()
     if fault_plan is not None and fault_plan.wants("poison"):
         for cell in cells:
             fault_plan.maybe_poison(faults.cell_key(cell))
-    if persist is None:
-        return machine.run_cells(cells, plan=plan)
-    groups: dict[tuple, list[int]] = {}
-    for index, cell in enumerate(cells):
-        groups.setdefault(
-            (cell.config, cell.config.label, cell.duration), []
-        ).append(index)
-    if out is None:
-        out = [None] * len(cells)
-    for (config, label, duration), indices in groups.items():
-        if fault_plan is not None and fault_plan.wants("slow"):
-            fault_plan.maybe_slow(f"batch:{label}:{duration}")
-        measurements = machine.run_many(
-            [cells[index].workload for index in indices], config, duration
-        )
-        persist([cells[index] for index in indices], measurements)
-        for index, measurement in zip(indices, measurements):
-            out[index] = measurement
-    return out
+    return machine.run_cells(cells, plan=plan)
 
 
 class SerialExecutor:
-    """In-process plan execution, batched per configuration."""
+    """In-process plan execution, one measurement pass per execution."""
 
     def __init__(
         self,
@@ -238,23 +211,21 @@ class SerialExecutor:
         execution's fault counters and quarantined cells.
 
         ``progress``, if given, is called as ``progress(cells,
-        measurements, warm)`` whenever a batch of unique cells lands:
-        once with ``warm=True`` for the store-served cells (if any),
-        then per measured batch with ``warm=False`` as results arrive
-        -- the streaming hook the campaign service fans results out on.
-        Quarantined cells never reach ``progress``.  A ``progress``
-        callback forces per-batch evaluation on store-less plans.
+        measurements, warm)`` at most twice: with ``warm=True`` for the
+        store-served cells (if any), then with ``warm=False`` for the
+        measured ones once the store holds them -- the streaming hook
+        the campaign service fans results out on.  Quarantined cells
+        never reach ``progress``; an exception it raises ends the
+        execution.
         """
         plan.validate_against(self.machine)
         cells = plan.cells
         builder = ReportBuilder()
-        results: list[Measurement | None] = [None] * len(cells)
+        results: list[Measurement | None] | None = None
+        misses: Sequence[int] = range(len(cells))
         own_journal: RunJournal | None = None
-        persist = None
         store_faults_before: dict[str, int] = {}
-        if self.store is None:
-            misses = list(range(len(cells)))
-        else:
+        if self.store is not None:
             store_faults_before = dict(self.store.fault_stats())
             # Cell keys must reflect the architecture definition *as
             # measured*; the digest is memoized per architecture object
@@ -271,13 +242,10 @@ class SerialExecutor:
                     arch=self.machine.arch.name,
                     seed=self.machine.seed,
                 )
-            misses = []
-            for index, key in enumerate(keys):
-                found = self.store.get(key)
-                if found is None:
-                    misses.append(index)
-                else:
-                    results[index] = found
+            results = [self.store.get(key) for key in keys]
+            misses = [
+                index for index, found in enumerate(results) if found is None
+            ]
             logger.info(
                 "plan %s: %d warm from %s, %d to measure",
                 plan.describe(),
@@ -285,44 +253,48 @@ class SerialExecutor:
                 self.store,
                 len(misses),
             )
-
-            def persist(batch_cells, batch_measurements):
-                self._persist(batch_cells, batch_measurements, builder)
-
-        if progress is not None:
-            missed = set(misses)
-            warm_indices = [
-                index for index in range(len(cells)) if index not in missed
-            ]
-            if warm_indices:
+            if progress is not None and len(misses) < len(cells):
+                warm = [
+                    index
+                    for index, found in enumerate(results)
+                    if found is not None
+                ]
                 progress(
-                    [cells[index] for index in warm_indices],
-                    [results[index] for index in warm_indices],
+                    [cells[index] for index in warm],
+                    [results[index] for index in warm],
                     True,
                 )
-            store_persist = persist
 
-            def persist(batch_cells, batch_measurements):
-                if store_persist is not None:
-                    store_persist(batch_cells, batch_measurements)
-                progress(batch_cells, batch_measurements, False)
-
+        measured: list[Measurement | None] = []
         if misses:
-            # Persistence happens per batch, so an interrupted campaign
-            # keeps everything measured so far.  Without a callback the
-            # whole miss set is one tensor pass, and a fully cold
-            # store-less run passes the plan along as the vector
-            # plane's program-cache key, so re-executions of the same
-            # plan object skip compilation.
-            plan_hint = (
-                plan if persist is None and len(misses) == len(cells) else None
-            )
+            # A fully cold execution passes the plan along as the
+            # vector plane's program-cache key, so re-executions of the
+            # same plan object skip compilation.
+            whole = len(misses) == len(cells)
             measured = self._measure(
-                [cells[index] for index in misses], persist, builder,
-                plan=plan_hint,
+                cells if whole else [cells[index] for index in misses],
+                builder,
+                plan if whole else None,
             )
+        if results is None:
+            results = measured
+        else:
             for index, measurement in zip(misses, measured):
                 results[index] = measurement
+        landed: list[int] = []
+        if misses and (self.store is not None or progress is not None):
+            landed = [index for index in misses if results[index] is not None]
+            if self.store is not None:
+                self._persist(
+                    [(keys[index], results[index]) for index in landed],
+                    builder,
+                )
+            if progress is not None and landed:
+                progress(
+                    [cells[index] for index in landed],
+                    [results[index] for index in landed],
+                    False,
+                )
         if self.store is not None:
             for name, value in self.store.fault_stats().items():
                 delta = value - store_faults_before.get(name, 0)
@@ -331,10 +303,7 @@ class SerialExecutor:
         if journal is not None:
             journal.absorb(report)
         if own_journal is not None:
-            own_journal.complete(
-                sum(1 for index in misses if results[index] is not None),
-                warm=len(cells) - len(misses),
-            )
+            own_journal.complete(len(landed), warm=len(cells) - len(misses))
         self.last_report = report
         if not report.ok:
             logger.error("plan finished degraded: %s", report.describe())
@@ -346,27 +315,30 @@ class SerialExecutor:
 
     def _persist(
         self,
-        cells: Sequence[PlanCell],
-        measurements: Sequence[Measurement],
+        entries: Sequence[tuple[str, Measurement]],
         builder: ReportBuilder,
     ) -> None:
-        """Persist one measured batch, one locked write per touched shard.
+        """Persist measured ``(key, measurement)`` pairs, one locked
+        append per touched shard.
 
-        Each shard group carries its own bounded ``OSError`` retry
-        budget, so already-appended groups are never re-written by a
-        later group's retry.  A group abandoned after the budget is
+        Each shard's append carries its own bounded ``OSError`` retry
+        budget, so shards already appended are never re-written by a
+        later shard's retry.  An append abandoned after the budget is
         logged and counted, never raised -- the measurements are
-        already in memory and at worst re-measure next run.
+        already in memory and at worst re-measure next run.  The
+        ``slow`` fault paces each shard's append.
         """
         by_shard: dict[str, list[tuple[str, Measurement]]] = {}
-        for cell, measurement in zip(cells, measurements):
-            key = self._key(cell)
-            by_shard.setdefault(key[:2], []).append((key, measurement))
-        for name, entries in by_shard.items():
+        for entry in entries:
+            by_shard.setdefault(entry[0][:2], []).append(entry)
+        fault_plan = faults.active()
+        for name, shard_entries in by_shard.items():
+            if fault_plan is not None:
+                fault_plan.maybe_slow(f"append:{name}")
             attempt = 0
             while True:
                 try:
-                    self.store.put_many(entries)
+                    self.store.put_many(shard_entries)
                     break
                 except OSError as exc:
                     if attempt >= self.retries:
@@ -376,7 +348,7 @@ class SerialExecutor:
                             "shard %s after %d attempts (%s); results "
                             "kept in memory, cells will re-measure "
                             "next run",
-                            len(entries),
+                            len(shard_entries),
                             name,
                             attempt + 1,
                             exc,
@@ -389,51 +361,33 @@ class SerialExecutor:
     def _measure(
         self,
         cells: Sequence[PlanCell],
-        persist,
         builder: ReportBuilder,
-        plan: ExperimentPlan | None = None,
+        plan: ExperimentPlan | None,
     ) -> list[Measurement | None]:
-        """Measure ``cells``; a failing batch degrades to cell by cell.
-
-        Only the cells that have not landed degrade: groups ``persist``
-        already took keep their measurements, so no cell is persisted
-        or reported to ``progress`` twice.
-        """
+        """Measure ``cells`` in one pass; a failing pass degrades to
+        cell by cell."""
         logger.info("measuring %d cells", len(cells))
-        out: list[Measurement | None] = [None] * len(cells)
         try:
-            return _measure_on(
-                self.machine, cells, persist, plan=plan, out=out
-            )
+            return _measure_on(self.machine, cells, plan)
         except Exception as exc:
             builder.count("batch_failures")
-            pending = [index for index, m in enumerate(out) if m is None]
             logger.warning(
-                "batch of %d cells failed in-process (%s: %s); "
-                "re-executing %d cell by cell",
+                "pass of %d cells failed in-process (%s: %s); "
+                "re-executing cell by cell",
                 len(cells),
                 type(exc).__name__,
                 exc,
-                len(pending),
             )
-            redone = self._degraded(
-                [cells[index] for index in pending], persist, builder
-            )
-            for index, measurement in zip(pending, redone):
-                out[index] = measurement
-            return out
+            return self._degraded(cells, builder)
 
     def _degraded(
-        self,
-        cells: Sequence[PlanCell],
-        persist,
-        builder: ReportBuilder,
+        self, cells: Sequence[PlanCell], builder: ReportBuilder
     ) -> list[Measurement | None]:
         """Last-resort re-execution, one cell at a time.
 
         Each cell gets its own bounded retry budget; a cell that still
         fails is quarantined into a CellFailure (``None`` in the result
-        slot) instead of poisoning its whole batch.  Measurement is
+        slot) instead of poisoning the whole pass.  Measurement is
         pure, so cells that *do* succeed here are bit-identical to a
         fault-free run.
         """
@@ -467,8 +421,6 @@ class SerialExecutor:
                     builder.count("retries")
                     _backoff_sleep(attempt)
                     attempt += 1
-            if measurement is not None and persist is not None:
-                persist([cell], [measurement])
             out.append(measurement)
         return out
 

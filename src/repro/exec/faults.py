@@ -1,10 +1,11 @@
 """Deterministic fault injection for the execution engine.
 
 Long unattended campaigns treat partial failure as the normal case:
-batches fail, store I/O hiccups, records tear, processes die mid-write.
-Every recovery path in :mod:`repro.exec` is therefore exercised by
-*injected* faults rather than hoped-for ones -- and the injection is
-deterministic, so a failing chaos run reproduces from its seed alone.
+measurement passes fail, store I/O hiccups, records tear, processes die
+mid-write.  Every recovery path in :mod:`repro.exec` is therefore
+exercised by *injected* faults rather than hoped-for ones -- and the
+injection is deterministic, so a failing chaos run reproduces from its
+seed alone.
 
 A :class:`FaultPlan` holds per-site fault specs.  Whether a fault fires
 at a given site for a given key is a pure function of ``(seed, site,
@@ -16,15 +17,16 @@ run, in every process.  A ``times`` cap per site bounds how many
 
 Sites:
 
-``slow``     a measured batch sleeps ``slow_s`` seconds first -- for
-             pacing kill/resume tests; results are unaffected.
+``slow``     each shard append of measured cells sleeps ``slow_s``
+             seconds first -- for pacing kill/resume tests; results
+             are unaffected.
 ``io``       store reads/appends raise a transient ``OSError``.
 ``corrupt``  a persisted record's payload is tampered *after* its
              checksum is computed, so reads must detect it.
 ``torn``     a store append writes half its payload and hard-exits --
              a ``kill -9`` mid-write, leaving a torn shard tail.
 ``poison``   measuring a matching cell raises
-             :class:`FaultInjectedError`, so its batch degrades to
+             :class:`FaultInjectedError`, so its pass degrades to
              cell-by-cell execution; a cell that fails on every
              attempt ends up quarantined.
 ``reject``   the campaign service answers a plan submission with

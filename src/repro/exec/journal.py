@@ -2,8 +2,8 @@
 
 A store-backed execution records itself in the store's run ledger
 (:class:`~repro.exec.registry.RunRegistry`) through one
-:class:`RunJournal`, with the same writes however many batches it
-persists: :meth:`~RunJournal.start` writes the run's key manifest once
+:class:`RunJournal`, with the same writes however many shards it
+appends to: :meth:`~RunJournal.start` writes the run's key manifest once
 (``<store>/journal/<run_id>.json``, the plan's store keys in order)
 and a ``running`` record; :meth:`~RunJournal.complete` writes one
 final record and drops the manifest if the run completed cleanly.

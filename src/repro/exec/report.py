@@ -24,7 +24,7 @@ from repro.measure.measurement import Measurement
 #: path actually ran.
 COUNTER_NAMES = (
     "retries",            # cell re-executions after a failure
-    "batch_failures",     # batches that fell back to per-cell execution
+    "batch_failures",     # passes that fell back to per-cell execution
     "degraded_cells",     # cells re-executed one at a time
     "store_put_retries",  # store appends retried after an OSError
     "store_put_failures", # store appends abandoned (results kept)

@@ -21,11 +21,12 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
     ``"wire": "plan-v2"`` marker is answered 400 before the stream
     header, measuring nothing).  The response streams one
     header line, then one line per unique cell *ordered by
-    completion* -- warm cells first, measured batches as they land --
-    and a trailer with the run's accounting.  Each cell line carries
-    the cell's index in the submitted plan, its store key, its
-    ``source`` (``store``/``measured``) and the full measurement; a
-    quarantined cell gets a ``failure`` line at its index instead.
+    completion* -- warm cells first, then the measured ones once the
+    store holds them -- and a trailer with the run's accounting.  Each
+    cell line carries the cell's index in the submitted plan, its
+    store key, its ``source`` (``store``/``measured``) and the full
+    measurement; a quarantined cell gets a ``failure`` line at its
+    index instead.
 ``GET /runs``
     The run ledger (:class:`~repro.exec.registry.RunRegistry`): every
     run ever recorded against this store -- id, plan digest, state

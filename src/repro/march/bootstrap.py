@@ -80,11 +80,11 @@ class Bootstrapper:
         )
         self.duration = duration
         self.seed = seed
-        # Optional execution-engine routing: with a store-backed
-        # executor a warm re-run of the whole-ISA bootstrap is served
-        # from disk.  The default (None) keeps the generator-fed
-        # run_many path, which never materializes more than one kernel
-        # at a time -- preferable at paper loop sizes.
+        # Every measurement routes through the execution engine, so a
+        # store-backed executor serves a warm re-run of the whole-ISA
+        # bootstrap from disk.  None resolves the environment's
+        # executor (``REPRO_STORE``) on first use: a bootstrapper that
+        # only builds kernels needs no machine.
         self.executor = executor
         self._reference_power: float | None = None
 
@@ -113,16 +113,16 @@ class Bootstrapper:
         return synth.synthesize().to_kernel()
 
     def _measure_batch(self, kernels) -> list[Measurement]:
-        """Measure bootstrap kernels, through the executor when set."""
-        if self.executor is None:
-            return self.machine.run_many(kernels, self.config, self.duration)
+        """Measure bootstrap kernels on the taxonomy configuration."""
+        from repro.exec.executors import default_executor
         from repro.exec.plan import ExperimentPlan
 
-        return self.executor.run(
-            ExperimentPlan.cross(
-                list(kernels), [self.config], duration=self.duration
-            )
+        if self.executor is None:
+            self.executor = default_executor(self.machine)
+        plan = ExperimentPlan.cross(
+            kernels, [self.config], duration=self.duration
         )
+        return self.executor.run(plan)
 
     def _reference(self) -> float:
         """Mean power of the nop reference loop (cancels statics)."""
@@ -208,10 +208,9 @@ class Bootstrapper:
         partial text-file definition automatically.
 
         The two benchmarks of every instruction are generated up front
-        and measured through :meth:`Machine.run_many`, one batched
-        sweep per benchmark kind, so the whole-ISA bootstrap drives the
-        machine's evaluation engine instead of several hundred
-        independent ``run`` round-trips.
+        and measured as one plan per benchmark kind, so the whole-ISA
+        bootstrap drives the machine's evaluation engine instead of
+        several hundred independent ``run`` round-trips.
         """
         if mnemonics is None:
             mnemonics = [
@@ -220,14 +219,11 @@ class Bootstrapper:
             ]
         for mnemonic in mnemonics:
             self._require_probeable(mnemonic)
-        # Generators keep at most one kernel alive at a time on the
-        # default path; an attached executor materializes the batch
-        # into a plan instead (acceptable at bootstrap loop sizes).
         chained_batch = self._measure_batch(
-            self._build(m, chained=True) for m in mnemonics
+            [self._build(m, chained=True) for m in mnemonics]
         )
         free_batch = self._measure_batch(
-            self._build(m, chained=False) for m in mnemonics
+            [self._build(m, chained=False) for m in mnemonics]
         )
         records = {}
         for mnemonic, chained, free in zip(

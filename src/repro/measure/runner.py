@@ -11,9 +11,9 @@ training and validation datasets of Section 4 are gathered.
 Since the execution-engine refactor the runner is a thin veneer over
 :mod:`repro.exec`: every entry point emits an
 :class:`~repro.exec.plan.ExperimentPlan` and hands it to an executor,
-so suites batch through ``Machine.run_many``, sweeps deduplicate
-repeated cells, and attaching a store-backed executor accelerates
-any caller's warm re-runs without further changes here.
+so each campaign measures as one ``Machine.run_cells`` pass, sweeps
+deduplicate repeated cells, and attaching a store-backed executor
+accelerates any caller's warm re-runs without further changes here.
 """
 
 from __future__ import annotations

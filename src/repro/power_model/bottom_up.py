@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from repro.power_model.features import (
     component_rates,
 )
 from repro.power_model.linreg import nnls_ols
+from repro.power_model.metrics import ordered_sum
 
 #: The sequential fitting protocol for the execution units: each
 #: unit's weight comes from the training families designed to stress
@@ -80,13 +80,13 @@ class BottomUpModel:
     def dynamic_power(self, measurement: Measurement) -> float:
         """Counter-driven component of the prediction."""
         rates = component_rates(measurement)
-        return sum(
+        return ordered_sum(
             self.weights[name] * rates[name] for name in POWER_COMPONENTS
         )
 
     def predict(self, measurement: Measurement) -> float:
         """Full chip power prediction for one measurement window."""
-        return sum(self.breakdown(measurement).values())
+        return ordered_sum(self.breakdown(measurement).values())
 
     # Allow the model object itself to be used as a Predictor.
     __call__ = predict
@@ -111,9 +111,9 @@ class BottomUpTrainer:
     Each step fits from a counter-rate matrix, one row per measurement
     (:func:`~repro.power_model.features.component_matrix`).  Residuals,
     intercepts and the CMP design are column expressions in the
-    per-measurement arithmetic's order and the weighted rate sums keep
-    the builtin ``sum`` (:func:`_dynamic`), so every fitted number is
-    the one a row-by-row fit gives, bit for bit.
+    per-measurement arithmetic's order, and the weighted rate sums add
+    left to right (:func:`_dynamic`), so every fitted number is the one
+    a row-by-row fit gives, bit for bit, on any Python version.
     """
 
     def __init__(self, sequential: bool = True) -> None:
@@ -277,16 +277,15 @@ def _dynamic(
     weights: dict[str, float],
     components: Sequence[str] = POWER_COMPONENTS,
 ) -> np.ndarray:
-    """``sum(weights[c] * rate_c for c in components)`` of each row.
+    """``weights[c] * rate_c`` summed over ``components``, per row.
 
-    Summed row by row by the builtin ``sum`` over the scalars the model
-    multiplies (Python floats for the unit weights, numpy floats for
-    the memory levels'): from Python 3.12 ``sum`` compensates runs of
-    exact floats, which a plain column add does not reproduce.
+    Plain column adds, left to right from zero, as
+    :func:`~repro.power_model.metrics.ordered_sum` adds one row.
     """
-    factors = [weights[name] for name in components]
-    rows = rates[:, _columns_of(components)].tolist()
-    return np.array([sum(map(mul, factors, row)) for row in rows], dtype=float)
+    total = np.zeros(len(rates))
+    for column, name in zip(_columns_of(components), components):
+        total = total + weights[name] * rates[:, column]
+    return total
 
 
 def _mean_residual(

@@ -28,6 +28,7 @@ from repro.exec.executors import default_executor
 from repro.exec.plan import ExperimentPlan, PlanCell
 from repro.measure.measurement import Measurement
 from repro.power_model.bottom_up import BottomUpModel, BottomUpTrainer
+from repro.power_model.metrics import ordered_sum
 from repro.power_model.top_down import TopDownModel, TopDownTrainer
 from repro.power_model.training import (
     TrainingBenchmark,
@@ -265,7 +266,7 @@ class HeterogeneousCampaignResult:
             if index > 0:
                 breakdown.pop("Workload_Independent", None)
                 breakdown.pop("Uncore", None)
-            total += sum(breakdown.values())
+            total += ordered_sum(breakdown.values())
         return total
 
     __call__ = predict

@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from functools import reduce
+from operator import add
 
 from repro.errors import ModelingError
 from repro.measure.measurement import Measurement
 
 #: A fitted power model's prediction interface.
 Predictor = Callable[[Measurement], float]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum from zero, one rounding per add.
+
+    The builtin ``sum`` compensates runs of exact floats from Python
+    3.12, so fits and predictions added with it would differ in the
+    last bit between interpreters.  The measurement plane's sums run
+    strictly left to right too.
+    """
+    return reduce(add, values, 0)
 
 
 def prediction_errors(
@@ -33,7 +46,7 @@ def paae(model: Predictor, measurements: Iterable[Measurement]) -> float:
     errors = prediction_errors(model, measurements)
     if not errors:
         raise ModelingError("PAAE needs at least one measurement")
-    return sum(errors) / len(errors)
+    return ordered_sum(errors) / len(errors)
 
 
 def max_error(model: Predictor, measurements: Iterable[Measurement]) -> float:

@@ -169,8 +169,10 @@ class Machine:
         Semantically identical to ``[run(w, config, duration) for w in
         workloads]`` -- same measurements, same sensor noise draws --
         but validates the configuration once and measures the whole
-        batch as one fused program, which is the fast path for
-        design-space exploration and training-suite campaigns.
+        batch as one fused program.  Plans run through
+        :meth:`run_cells` instead, whose batches may span
+        configurations and windows; this is the single-configuration
+        spelling for direct callers.
         Placements and protocol workloads batch the same way: every
         distinct kernel appearing in the batch is summarized once
         regardless of how many placements (or threads) carry it, and

@@ -1,7 +1,7 @@
 """Fault tolerance: recovery is invisible in the measurement bytes.
 
-The acceptance property of the hardened engine: under injected batch
-failures, slow batches and transient store I/O errors, a full sweep
+The acceptance property of the hardened engine: under injected
+measurement-pass failures and transient store I/O errors, a full sweep
 completes *bit-identical* to the fault-free run -- on the measurement
 plane and on the scalar oracle alike -- and only a cell that keeps
 failing on every attempt (an unbounded ``poison``) is quarantined into
@@ -59,7 +59,7 @@ def _faulted_run(machine, plan, fault_plan, **kwargs):
 
 def _transient_faults() -> FaultPlan:
     """Transient store I/O plus a poison that fails every cell once:
-    each batch fails, degrades to cell by cell, and every cell's retry
+    the pass fails, degrades to cell by cell, and every cell's retry
     succeeds."""
     return FaultPlan(seed=11).arm("io").arm("poison", times=1)
 
@@ -99,9 +99,9 @@ class TestBitIdentityUnderFaults:
     def test_exhausted_retries_degrade_to_serial_not_abort(
         self, power7_arch, small_plan, baseline
     ):
-        # A transient poison fails every batch once: the batch degrades
-        # to cell-by-cell execution, where each cell's retry succeeds
-        # -- still bit-identical, nothing quarantined.
+        # A transient poison fails the pass once: the pass degrades to
+        # cell-by-cell execution, where each cell's retry succeeds --
+        # still bit-identical, nothing quarantined.
         report = _faulted_run(
             Machine(power7_arch),
             small_plan,
@@ -151,7 +151,7 @@ class TestQuarantine:
     def test_poisoned_cells_quarantine_instead_of_aborting(
         self, power7_arch, small_plan
     ):
-        # An unbounded poison fires on every attempt, batch and
+        # An unbounded poison fires on every attempt, pass and
         # degraded cell alike, so these cells cannot be measured at all
         # -- the campaign must finish anyway, reporting them.
         report = _faulted_run(
@@ -214,24 +214,24 @@ class TestQuarantine:
         assert f"degraded_cells={small_plan.size}" in text
 
 
-def _second_batch_fails_once(machine: Machine) -> Machine:
-    """Make the second ``run_many`` call on ``machine`` raise, once."""
+def _pass_fails_once(machine: Machine) -> Machine:
+    """Make the first ``run_cells`` call on ``machine`` raise, once."""
     calls = itertools.count(1)
-    original = machine.run_many
+    original = machine.run_cells
 
-    def run_many(workloads, config, duration=10.0):
-        if next(calls) == 2:
-            raise RuntimeError("injected failure of the second batch")
-        return original(workloads, config, duration)
+    def run_cells(cells, plan=None):
+        if next(calls) == 1:
+            raise RuntimeError("injected failure of the measurement pass")
+        return original(cells, plan=plan)
 
-    machine.run_many = run_many
+    machine.run_cells = run_cells
     return machine
 
 
 class TestDegradedFallbackKeepsLandedCells:
-    """A batch that fails after earlier batches landed degrades only the
-    cells still owed: every cell is measured, persisted and reported
-    once, and the results equal the fault-free run."""
+    """A measurement pass that fails degrades every cell it owed: each
+    cell is then measured, persisted and reported once, and the results
+    equal the fault-free run."""
 
     @pytest.fixture()
     def spec_plan(self):
@@ -244,19 +244,39 @@ class TestDegradedFallbackKeepsLandedCells:
     def test_local_store_backed_run(self, power7_arch, spec_plan, tmp_path):
         baseline = SerialExecutor(Machine(power7_arch)).run(spec_plan)
         store = ResultStore(tmp_path / "store")
-        executor = SerialExecutor(
-            _second_batch_fails_once(Machine(power7_arch)), store=store
-        )
+        machine = _pass_fails_once(Machine(power7_arch))
+        measured = []
+        run_cells = machine.run_cells
+
+        def counted(cells, plan=None):
+            measured.extend(cells)
+            return run_cells(cells, plan=plan)
+
+        machine.run_cells = counted
+        appended = []
+        put_many = store.put_many
+
+        def counted_put(entries):
+            appended.extend(key for key, _ in entries)
+            return put_many(entries)
+
+        store.put_many = counted_put
         reported = []
-        report = executor.execute(
+        report = SerialExecutor(machine, store=store).execute(
             spec_plan,
             progress=lambda cells, measurements, warm: reported.extend(cells),
         )
         assert report.ok and list(report) == baseline
+        # The failed pass (6 cells), then each cell once on its own.
+        assert len(measured) == 12
+        assert sorted(map(spec_plan.cells.index, measured[6:])) == list(
+            range(6)
+        )
         assert sorted(map(spec_plan.cells.index, reported)) == list(range(6))
+        assert len(appended) == len(set(appended)) == 6
         assert store.verify().records == 6
-        # The first batch (2 cells) landed; only the other 4 re-ran.
-        assert report.fault_counters["degraded_cells"] == 4
+        assert report.fault_counters["batch_failures"] == 1
+        assert report.fault_counters["degraded_cells"] == 6
 
     @pytest.mark.parametrize(
         "stored", [False, True], ids=["storeless", "store"]
@@ -268,7 +288,7 @@ class TestDegradedFallbackKeepsLandedCells:
         )
         lines: list[dict] = []
         try:
-            _second_batch_fails_once(service._engine("POWER7", 0).machine)
+            _pass_fails_once(service._engine("POWER7", 0).machine)
             trailer = service.submit(
                 plan_to_dict_v2(spec_plan), lambda: lines.append
             )

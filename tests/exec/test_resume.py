@@ -1,7 +1,7 @@
 """Crash-safe resume and the run ledger.
 
 A store-backed run writes a fixed number of ledger records however
-many batches it persists: its key manifest once, a ``running`` record
+many shards it appends to: its key manifest once, a ``running`` record
 and one final record.  The acceptance test uses a *real* SIGKILL
 against a real store-backed campaign subprocess -- no cooperative
 shutdown, no mocked signals -- then asserts the rerun serves every
@@ -157,15 +157,16 @@ class TestRunLedger:
     def test_ledger_writes_are_fixed_per_run(
         self, power7_arch, small_kernel_factory, tmp_path, monkeypatch
     ):
-        """A plan persisting in six configuration batches and one
-        persisting in a single batch write the same ledger and
-        manifest lines: nothing is appended per batch."""
+        """A plan spanning six configurations and one of a single
+        configuration write the same ledger and manifest lines, and
+        each measures in one ``run_cells`` pass: nothing is appended
+        per configuration."""
         import repro.exec.registry as registry_module
 
-        written = {"ledger": 0, "manifest": 0, "batches": 0}
+        written = {"ledger": 0, "manifest": 0, "passes": 0}
         append_line = registry_module.append_line
         write_bytes = pathlib.Path.write_bytes
-        run_many = Machine.run_many
+        run_cells = Machine.run_cells
 
         def counted_append(path, line):
             written["ledger"] += line.count(b"\n")
@@ -176,13 +177,13 @@ class TestRunLedger:
                 written["manifest"] += data.count(b"\n")
             return write_bytes(self, data)
 
-        def counted_batch(self, *args, **kwargs):
-            written["batches"] += 1
-            return run_many(self, *args, **kwargs)
+        def counted_pass(self, *args, **kwargs):
+            written["passes"] += 1
+            return run_cells(self, *args, **kwargs)
 
         monkeypatch.setattr(registry_module, "append_line", counted_append)
         monkeypatch.setattr(pathlib.Path, "write_bytes", counted_write)
-        monkeypatch.setattr(Machine, "run_many", counted_batch)
+        monkeypatch.setattr(Machine, "run_cells", counted_pass)
         kernels = [
             small_kernel_factory(name, count=24)
             for name in ("add", "mulld", "subf", "and", "or", "xor")
@@ -192,25 +193,20 @@ class TestRunLedger:
             MachineConfig(4, 1), MachineConfig(4, 2), MachineConfig(4, 4),
         ]
         plans = {
-            "six batches": ExperimentPlan.cross(
+            "six configurations": ExperimentPlan.cross(
                 kernels[:1], configs, duration=_DURATION
             ),
-            "one batch": ExperimentPlan.cross(
+            "one configuration": ExperimentPlan.cross(
                 kernels, configs[:1], duration=_DURATION
             ),
         }
-        seen = {}
         for name, plan in plans.items():
-            written.update(ledger=0, manifest=0, batches=0)
+            written.update(ledger=0, manifest=0, passes=0)
             store = ResultStore(tmp_path / name)
             assert SerialExecutor(Machine(power7_arch), store=store).execute(
                 plan
             ).ok
-            seen[name] = dict(written)
-        assert seen["six batches"]["batches"] == 6
-        assert seen["one batch"]["batches"] == 1
-        for counts in seen.values():
-            assert (counts["ledger"], counts["manifest"]) == (2, 1)
+            assert written == {"ledger": 2, "manifest": 1, "passes": 1}, name
 
 
 class TestJournalGC:
@@ -345,8 +341,8 @@ def _subprocess_env(fault_spec: str | None = None) -> dict:
 class TestKillNineResume:
     def test_sigkilled_campaign_resumes_from_store(self, tmp_path):
         store_dir = tmp_path / "store"
-        # Each configuration batch sleeps 0.5 s before measuring, so
-        # the campaign is killable between durable batches.
+        # Each shard append sleeps 0.5 s first, so the campaign is
+        # killable between durable appends.
         process = subprocess.Popen(
             [sys.executable, "-c", _campaign_script(str(store_dir))],
             stdout=subprocess.PIPE,

@@ -70,33 +70,26 @@ def served(tmp_path):
 def _instrument(machine):
     """Count every measurement entering ``machine``, by cell identity.
 
-    ``run_many`` and ``run_cells`` are the only executor entry points
-    and are independent (neither calls the other), so wrapping both
-    observes every physical measurement the service performs.
+    ``run_cells`` is the executor's one measurement entry point, so
+    wrapping it observes every physical measurement the service
+    performs.
     """
     measured: list[tuple] = []
     lock = threading.Lock()
-    original_many, original_cells = machine.run_many, machine.run_cells
+    original = machine.run_cells
 
-    def counting_many(workloads, config, duration=10.0):
-        workloads = list(workloads)
+    def counting_cells(cells, plan=None):
         with lock:
             measured.extend(
-                (workload_fingerprint(w), config.label, duration)
-                for w in workloads
+                (
+                    workload_fingerprint(cell.workload),
+                    cell.config.label,
+                    cell.duration,
+                )
+                for cell in cells
             )
-        return original_many(workloads, config, duration)
+        return original(cells, plan=plan)
 
-    def counting_cells(cells):
-        cells = list(cells)
-        with lock:
-            measured.extend(
-                (workload_fingerprint(w), config.label, duration)
-                for w, config, duration in cells
-            )
-        return original_cells(cells)
-
-    machine.run_many = counting_many
     machine.run_cells = counting_cells
     return measured
 
@@ -300,14 +293,14 @@ class TestWarmAndSingleFlight:
             )
             engine = service._engine("POWER7", 0)
             entered, release = threading.Event(), threading.Event()
-            original = engine.machine.run_many
+            original = engine.machine.run_cells
 
-            def gated(workloads, config, duration=10.0):
+            def gated(cells, plan=None):
                 entered.set()
                 assert release.wait(30)
-                return original(workloads, config, duration)
+                return original(cells, plan=plan)
 
-            engine.machine.run_many = gated
+            engine.machine.run_cells = gated
             outputs: dict[str, list] = {"first": [], "duplicate": []}
 
             def submit(label: str) -> None:

@@ -559,8 +559,8 @@ class TestServerKillNineRestart:
         ]
         run = run_id(keys)
 
-        # First server: paced (each measured batch sleeps 0.5 s) so it
-        # is killable between durable batches.
+        # First server: paced (each shard append sleeps 0.5 s) so it
+        # is killable between durable appends.
         process, url = _spawn_server(store_dir, "slow:1,slow_s:0.5")
         failure: list = []
 

@@ -4,7 +4,7 @@ Covers the serialization satellite (serialize -> JSON -> deserialize
 -> *identical* objects for PState, MachineConfig, Kernel, Placement and
 Measurement) and the acceptance property that a warm store serves a
 whole campaign -- including the Figure-9 stressmark search -- with
-zero ``Machine.run``/``run_many`` invocations.
+zero ``Machine`` measurement calls.
 """
 
 import json
@@ -307,32 +307,37 @@ class TestInterruptedRuns:
     def test_progress_is_durable_mid_campaign(
         self, power7_arch, small_kernel_factory, tmp_path
     ):
-        """A campaign killed partway keeps everything measured so far:
-        persistence happens per batch, not after the whole miss set."""
+        """A campaign interrupted between its shard appends keeps every
+        shard it appended: a re-run serves those cells warm and
+        measures only the rest."""
         machine = Machine(power7_arch)
-        kernel = small_kernel_factory("add", count=24)
         plan = ExperimentPlan.cross(
-            [kernel],
+            [
+                small_kernel_factory(mnemonic, count=24)
+                for mnemonic in ("add", "mulld")
+            ],
             [MachineConfig(1, 1), MachineConfig(2, 2)],
             duration=_DURATION,
         )
         store = ResultStore(tmp_path / "store")
-        original = machine.run_many
+        appended: list[int] = []
+        put_many = store.put_many
 
-        def dies_on_second_config(workloads, config, duration):
-            if config == MachineConfig(2, 2):
+        def dies_on_second_append(entries):
+            if appended:
                 raise KeyboardInterrupt
-            return original(workloads, config, duration)
+            put_many(entries)
+            appended.append(len(entries))
 
-        machine.run_many = dies_on_second_config
+        store.put_many = dies_on_second_append
         with pytest.raises(KeyboardInterrupt):
             SerialExecutor(machine, store=store).run(plan)
-        # The first configuration's cell survived the interruption...
-        assert len(store) == 1
-        # ...and a re-run only measures the missing one.
-        machine.run_many = original
+        # The first shard's cells survived the interruption...
+        assert len(store) == appended[0] < plan.size
+        # ...and a re-run only measures the missing ones.
+        del store.put_many
         SerialExecutor(machine, store=store).run(plan)
-        assert store.hits == 1 and len(store) == 2
+        assert store.hits == appended[0] and len(store) == plan.size
 
 
 class TestArchDigestKeys:
@@ -477,6 +482,29 @@ class TestBootstrapThroughEngine:
             executor=SerialExecutor(machine_b),
         ).run(["add"])
         assert engine_path == default_path
+
+    def test_default_bootstrap_reruns_warm_from_repro_store(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.march import get_architecture
+        from repro.march.bootstrap import Bootstrapper
+
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        mnemonics = ["add", "mulld"]
+        cold_arch = get_architecture("POWER7")
+        cold = Bootstrapper(
+            cold_arch, Machine(cold_arch), loop_size=64, duration=_DURATION
+        ).run(mnemonics)
+
+        warm_arch = get_architecture("POWER7")
+        warm_machine = Machine(warm_arch)
+        _forbid_measurement(warm_machine)
+        warm = Bootstrapper(
+            warm_arch, warm_machine, loop_size=64, duration=_DURATION
+        ).run(mnemonics)
+        assert warm == cold
+        # The nop reference plus two benchmarks per mnemonic.
+        assert len(ResultStore(tmp_path / "store")) == 1 + 2 * len(mnemonics)
 
 
 class TestRunnerBaselineMemoization:

@@ -2,16 +2,16 @@
 
 :class:`BottomUpTrainer` and :class:`TopDownTrainer` here are the
 row-by-row fits as they stood before the trainers moved onto counter
-matrices (:func:`repro.power_model.features.component_matrix`), kept
-verbatim: every rate comes from one :func:`component_rates` call per
-measurement and every residual from one builtin ``sum`` per row.
-Tests fit the same campaign data both ways and compare every fitted
-number bit for bit.
+matrices (:func:`repro.power_model.features.component_matrix`): every
+rate comes from one :func:`component_rates` call per measurement and
+every residual from one left-to-right sum per row (:func:`seq_sum`, as
+the production fits add).  Tests fit the same campaign data both ways
+and compare every fitted number bit for bit.
 
-The builtin ``sum`` those rows go through is not one function: from
-Python 3.12 it compensates runs of exact floats.  :func:`compensated_sum`
-models that version's ``sum``, so the comparison also runs under it on
-interpreters that still add plainly.
+The builtin ``sum`` is not one function: from Python 3.12 it
+compensates runs of exact floats.  :func:`compensated_sum` models that
+version's ``sum``, so tests can check on any interpreter that no fit or
+prediction adds with the builtin.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from repro.power_model.features import (
 )
 from repro.power_model.linreg import nnls_ols, ols
 from repro.power_model.top_down import _EXTRA_FEATURES, TopDownModel
+
+from .scalar import seq_sum
 
 
 def compensated_sum(iterable, start=0):
@@ -177,7 +179,7 @@ class BottomUpTrainer:
             )
             residual = np.array(
                 [
-                    target - sum(
+                    target - seq_sum(
                         weights[other] * rates[other]
                         for other in POWER_COMPONENTS
                         if other != component
@@ -199,7 +201,7 @@ class BottomUpTrainer:
         )
         residual = np.array(
             [
-                target - sum(
+                target - seq_sum(
                     weights[unit] * rates[unit] for unit in UNIT_COMPONENTS
                 )
                 for rates, target in memory_rows
@@ -231,7 +233,7 @@ class BottomUpTrainer:
         if not random_rows:
             random_rows = [(rates, target) for _, rates, target in rows]
         residuals = [
-            target - sum(weights[c] * rates[c] for c in POWER_COMPONENTS)
+            target - seq_sum(weights[c] * rates[c] for c in POWER_COMPONENTS)
             for rates, target in random_rows
         ]
         return float(np.mean(residuals))
@@ -247,7 +249,7 @@ class BottomUpTrainer:
         residuals = []
         for measurement in measurements:
             rates = component_rates(measurement)
-            dynamic = sum(
+            dynamic = seq_sum(
                 weights[c] * rates[c] for c in POWER_COMPONENTS
             )
             residuals.append(
@@ -270,7 +272,7 @@ class BottomUpTrainer:
         residuals = []
         for measurement in measurements:
             rates = component_rates(measurement)
-            dynamic = sum(weights[c] * rates[c] for c in POWER_COMPONENTS)
+            dynamic = seq_sum(weights[c] * rates[c] for c in POWER_COMPONENTS)
             smt = (
                 smt_effect * measurement.config.cores
                 if measurement.config.smt_enabled
