@@ -19,6 +19,10 @@ The headline numbers (recorded in ``BENCH_results.json``):
   cells: the 28 SPEC proxies and the 4 mix placements across the 96
   configuration x p-state points (SPEC gated at >= 5x; placements,
   bounded by their shared contention solves, at >= 1.25x);
+* plan building: a 180-kernel x 96-point stressmark cross and a
+  campaign-shaped union of three crosses, built as columns and through
+  the row builder they replaced (``tests/oracle/plans.py``), microseconds
+  per cell (the cross gated at >= 10x);
 * the warm sensor-batch crossover: with the draw-constant cache warm,
   the batch size at which ``measure_batch`` beats the scalar
   ``measure`` loop, gated at <= 2 (it was ~800 before the per-seed
@@ -58,13 +62,14 @@ from benchmarks.conftest import (
 )
 from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
 from repro.exec.plan import PlanCell, sweep_configs
-from repro.sim import Machine
+from repro.sim import Machine, MachineConfig
 from repro.sim.config import standard_configurations
 from repro.sim.pstate import standard_pstates
 from repro.stressmark.search import build_stressmark, covering_sequences
 from repro.workloads import spec_cpu2006
 from repro.workloads.mixes import mix_scenarios
 from tests.oracle import OracleMachine
+from tests.oracle import plans as oracle_plans
 
 _CANDIDATES = ("mulldo", "lxvw4x", "xvnmsubmdp")
 _KERNELS = 40
@@ -263,6 +268,83 @@ def test_protocol_and_placement_throughput(arch):
     # solves of about 1 ms for this plan); that shared fixed cost caps
     # the placement ratio well below the SPEC one (1.7-2.2x measured).
     assert ratios["placement"] >= 1.25
+
+
+def test_plan_build_throughput(arch):
+    """Columnar plan building vs the row builder it replaced.
+
+    On the same inputs, times building the 180-kernel x 96-point
+    stressmark cross (24 configurations x 4 p-states, the perfbench
+    sweep's kernel plan) and a campaign-shaped union of three crosses
+    (every kernel on the three step configurations, then each half of
+    the kernels across the 24 configurations, so the step cells repeat)
+    through :class:`ExperimentPlan` and through the row builder kept
+    in ``tests/oracle/plans.py``.  The cross must build at least 10x
+    faster per cell.
+    """
+    chip = arch.chip
+    kernels = [
+        build_stressmark(arch, sequence, LOOP_SIZE)
+        for sequence in covering_sequences(_CANDIDATES)[:180]
+    ]
+    configs = standard_configurations(chip.max_cores, chip.smt_modes())
+    swept = sweep_configs(configs, standard_pstates()[:4])
+    steps = [MachineConfig(chip.max_cores, smt) for smt in chip.smt_modes()]
+    blocks = [(kernels, steps), (kernels[:90], configs), (kernels[90:], configs)]
+    builders = {
+        "cross": (
+            lambda: ExperimentPlan.cross(kernels, swept, duration=_DURATION),
+            lambda: oracle_plans.ExperimentPlan.cross(
+                kernels, swept, duration=_DURATION
+            ),
+        ),
+        "union": (
+            lambda: ExperimentPlan.crosses(blocks, _DURATION),
+            lambda: oracle_plans.ExperimentPlan(
+                oracle_plans.PlanCell(kernel, config, _DURATION)
+                for block_kernels, block_configs in blocks
+                for config in block_configs
+                for kernel in block_kernels
+            ),
+        ),
+    }
+
+    def best_us_per_cell(build, rounds: int) -> float:
+        elapsed = float("inf")
+        for _ in range(rounds):
+            start = time.perf_counter()
+            plan = build()
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return elapsed * 1e6 / plan.requested
+
+    lines = []
+    ratios = {}
+    for kind, (columnar, rows) in builders.items():
+        plan, reference = columnar(), rows()
+        assert plan.describe() == reference.describe()
+        assert plan.expand(range(plan.size)) == reference.expand(
+            range(reference.size)
+        )
+        fast = best_us_per_cell(columnar, 7)
+        slow = best_us_per_cell(rows, 3)
+        ratios[kind] = slow / fast
+        lines.append(
+            f"{kind:>5} ({plan.requested} cells, {plan.size} unique): "
+            f"{fast:.3f} us/cell, row builder {slow:.3f} us/cell -> "
+            f"{ratios[kind]:.1f}x"
+        )
+        prefix = "plan_build" if kind == "cross" else "plan_union"
+        record_result(
+            "exec_engine",
+            **{
+                f"{prefix}_us_per_cell": round(fast, 4),
+                f"{prefix}_row_builder_us_per_cell": round(slow, 3),
+                f"{prefix}_speedup": round(ratios[kind], 1),
+            },
+        )
+    print("\n=== Plan building ===\n" + "\n".join(lines))
+    # ROADMAP item 3's gate: at least 10x per cell on the cross.
+    assert ratios["cross"] >= 10.0
 
 
 def test_sensor_batch_crossover(arch):

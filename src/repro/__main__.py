@@ -174,6 +174,7 @@ def _report_cache_stats(machine: Machine, args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.measure.runner import MeasurementRunner
+    from repro.power_model.metrics import ordered_sum
     from repro.workloads import daxpy_kernels, extreme_kernels, spec_cpu2006
 
     arch = get_architecture(args.arch)
@@ -219,7 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         hottest = max(measurements, key=lambda m: m.mean_power)
         print(
             f"{config.label:>{max(8, width)}s}  "
-            f"mean {sum(powers) / len(powers):7.1f} W  "
+            f"mean {ordered_sum(powers) / len(powers):7.1f} W  "
             f"max {hottest.mean_power:7.1f} W ({hottest.workload_name})"
         )
     _report_store(executor)
@@ -232,7 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.power_model.campaign import ModelingCampaign
-    from repro.power_model.metrics import prediction_errors
+    from repro.power_model.metrics import ordered_sum, prediction_errors
 
     arch = get_architecture(args.arch)
     machine = _build_machine(arch, args)
@@ -262,7 +263,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # One scoring pass: PAAE and the worst case of one error list.
         errors = prediction_errors(model.predict, validation)
         print(
-            f"{name:>10s}  PAAE {sum(errors) / len(errors):5.2f} %  "
+            f"{name:>10s}  PAAE {ordered_sum(errors) / len(errors):5.2f} %  "
             f"max error {max(errors):5.2f} %"
         )
     _report_store(executor)

@@ -342,7 +342,7 @@ class RemoteExecutor:
         self.transport_retries = 0
 
     def execute(self, plan: ExperimentPlan, progress=None) -> ExecutionReport:
-        unique: list[Measurement | None] = [None] * len(plan.cells)
+        unique: list[Measurement | None] = [None] * plan.size
         counters: dict[str, int] = {}
         #: Cell indices already handed to ``progress`` -- a retried
         #: submission re-streams cells the dead attempt delivered, and

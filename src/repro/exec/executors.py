@@ -4,11 +4,14 @@
 and returns measurements in the plan's requested order.  The cells an
 execution has to measure run as one :meth:`Machine.run_cells` pass --
 a single fused tensor program across every configuration and window --
-so every distinct kernel is summarized once.  Every measurement is a
-deterministic pure function of the architecture definition, the
-machine seed and the cell content (sensor noise is seeded from content
-digests, never from run order or wall clock), so a retried or degraded
-cell reproduces the fault-free bytes: recovery never perturbs results.
+so every distinct kernel is summarized once.  The pass reads the plan's
+columns; :class:`~repro.exec.plan.PlanCell` rows are built only for a
+``progress`` callback, the degraded fallback and fault hooks.  Every
+measurement is a deterministic pure function of the architecture
+definition, the machine seed and the cell content (sensor noise is
+seeded from content digests, never from run order or wall clock), so a
+retried or degraded cell reproduces the fault-free bytes: recovery
+never perturbs results.
 
 With a :class:`~repro.exec.store.ResultStore` attached, warm cells are
 served from disk and only the misses are measured; a fully warm plan
@@ -16,8 +19,9 @@ never touches ``Machine.run``.  The measured cells land after the pass,
 one locked append per touched shard.  Store-backed executions are
 recorded in the store's run ledger
 (:class:`~repro.exec.journal.RunJournal`), so a campaign killed before
-its appends finish (``kill -9``) is visible as such, and re-running it
-measures only the cells the store lacks.
+its appends finish (``kill -9``) is visible as such -- one that raises
+records itself ``interrupted`` -- and re-running it measures only the
+cells the store lacks.
 
 Fault tolerance: a pass that raises re-executes *in-process, cell by
 cell* (degraded mode); each cell retries with bounded, deterministic
@@ -75,21 +79,12 @@ def _backoff_sleep(attempt: int) -> None:
     time.sleep(min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2.0 ** attempt)))
 
 
-def _measure_on(
-    machine: Machine,
-    cells: Sequence[PlanCell],
-    plan: ExperimentPlan | None = None,
-) -> list[Measurement]:
-    """Measure ``cells`` as one :meth:`Machine.run_cells` pass, in order.
-
-    With ``plan`` given (the whole plan measured cold, in plan-cell
-    order), the plane also caches its fused program under the plan.
-    """
+def _poison(cells) -> None:
+    """Fire the armed ``poison`` fault at the plan cells it targets."""
     fault_plan = faults.active()
     if fault_plan is not None and fault_plan.wants("poison"):
         for cell in cells:
             fault_plan.maybe_poison(faults.cell_key(cell))
-    return machine.run_cells(cells, plan=plan)
 
 
 class SerialExecutor:
@@ -157,7 +152,14 @@ class SerialExecutor:
             digests[core_class] = found
         return digests
 
-    def _key(self, cell: PlanCell) -> str:
+    def key_of(self, cell: PlanCell) -> str:
+        """The content-addressed store key of ``cell`` on this machine.
+
+        The public spelling of the key the executor persists and the
+        store serves, so service-side identity can never drift from
+        store identity.
+        """
+        self._refresh_arch_digest()
         cluster_digests = (
             self._cluster_digests(cell.config)
             if isinstance(cell.config, ChipTopology)
@@ -170,16 +172,20 @@ class SerialExecutor:
             cluster_digests,
         )
 
-    def key_of(self, cell: PlanCell) -> str:
-        """The content-addressed store key of ``cell`` on this machine.
+    def keys_of(self, plan: ExperimentPlan) -> list[str]:
+        """The store keys of ``plan``'s unique cells on this machine, in
+        plan order (:meth:`ExperimentPlan.keys`).
 
-        The public spelling of the key the executor persists and the
-        store serves -- the campaign service probes the store and names
-        streamed cells and run ids with it, so service-side identity
-        can never drift from store identity.
+        The campaign service probes the store and names streamed cells
+        and run ids with them.
         """
         self._refresh_arch_digest()
-        return self._key(cell)
+        return plan.keys(
+            self.machine.arch.name,
+            self.machine.seed,
+            self._arch_digest,
+            self._cluster_digests,
+        )
 
     def run(self, plan: ExperimentPlan) -> list[Measurement]:
         """Execute the plan; measurements in requested order.
@@ -211,18 +217,21 @@ class SerialExecutor:
         execution's fault counters and quarantined cells.
 
         ``progress``, if given, is called as ``progress(cells,
-        measurements, warm)`` at most twice: with ``warm=True`` for the
+        measurements, warm)`` at most twice, ``cells`` being rows of
+        :attr:`ExperimentPlan.cells`: with ``warm=True`` for the
         store-served cells (if any), then with ``warm=False`` for the
         measured ones once the store holds them -- the streaming hook
         the campaign service fans results out on.  Quarantined cells
         never reach ``progress``; an exception it raises ends the
-        execution.
+        execution, and a run the execution owns is then recorded
+        ``interrupted`` with that error.
         """
         plan.validate_against(self.machine)
-        cells = plan.cells
+        size = plan.size
         builder = ReportBuilder()
         results: list[Measurement | None] | None = None
-        misses: Sequence[int] = range(len(cells))
+        misses: Sequence[int] = range(size)
+        keys: list[str] | None = None
         own_journal: RunJournal | None = None
         store_faults_before: dict[str, int] = {}
         if self.store is not None:
@@ -230,8 +239,7 @@ class SerialExecutor:
             # Cell keys must reflect the architecture definition *as
             # measured*; the digest is memoized per architecture object
             # (see __init__) so warm single-cell runs stay cheap.
-            self._refresh_arch_digest()
-            keys = [self._key(cell) for cell in cells]
+            keys = self.keys_of(plan)
             if journal is None:
                 if self._ledger is None:
                     self._ledger = RunRegistry(self.store.root)
@@ -242,68 +250,72 @@ class SerialExecutor:
                     arch=self.machine.arch.name,
                     seed=self.machine.seed,
                 )
-            results = [self.store.get(key) for key in keys]
-            misses = [
-                index for index, found in enumerate(results) if found is None
-            ]
-            logger.info(
-                "plan %s: %d warm from %s, %d to measure",
-                plan.describe(),
-                len(cells) - len(misses),
-                self.store,
-                len(misses),
-            )
-            if progress is not None and len(misses) < len(cells):
-                warm = [
+        try:
+            if self.store is not None:
+                results = [self.store.get(key) for key in keys]
+                misses = [
                     index
                     for index, found in enumerate(results)
-                    if found is not None
+                    if found is None
                 ]
-                progress(
-                    [cells[index] for index in warm],
-                    [results[index] for index in warm],
-                    True,
+                logger.info(
+                    "plan %s: %d warm from %s, %d to measure",
+                    plan.describe(),
+                    size - len(misses),
+                    self.store,
+                    len(misses),
                 )
+                if progress is not None and len(misses) < size:
+                    warm = [
+                        index
+                        for index, found in enumerate(results)
+                        if found is not None
+                    ]
+                    progress(
+                        [plan.cells[index] for index in warm],
+                        [results[index] for index in warm],
+                        True,
+                    )
 
-        measured: list[Measurement | None] = []
-        if misses:
-            # A fully cold execution passes the plan along as the
-            # vector plane's program-cache key, so re-executions of the
-            # same plan object skip compilation.
-            whole = len(misses) == len(cells)
-            measured = self._measure(
-                cells if whole else [cells[index] for index in misses],
-                builder,
-                plan if whole else None,
-            )
-        if results is None:
-            results = measured
-        else:
-            for index, measurement in zip(misses, measured):
-                results[index] = measurement
-        landed: list[int] = []
-        if misses and (self.store is not None or progress is not None):
-            landed = [index for index in misses if results[index] is not None]
+            measured: list[Measurement | None] = []
+            if misses:
+                measured = self._measure(plan, misses, keys, builder)
+            if results is None:
+                results = measured
+            else:
+                for index, measurement in zip(misses, measured):
+                    results[index] = measurement
+            landed: list[int] = []
+            if misses and (self.store is not None or progress is not None):
+                landed = [
+                    index for index in misses if results[index] is not None
+                ]
+                if self.store is not None:
+                    self._persist(
+                        [(keys[index], results[index]) for index in landed],
+                        builder,
+                    )
+                if progress is not None and landed:
+                    progress(
+                        [plan.cells[index] for index in landed],
+                        [results[index] for index in landed],
+                        False,
+                    )
             if self.store is not None:
-                self._persist(
-                    [(keys[index], results[index]) for index in landed],
-                    builder,
-                )
-            if progress is not None and landed:
-                progress(
-                    [cells[index] for index in landed],
-                    [results[index] for index in landed],
-                    False,
-                )
-        if self.store is not None:
-            for name, value in self.store.fault_stats().items():
-                delta = value - store_faults_before.get(name, 0)
-                builder.count(f"store_{name}", delta)
-        report = builder.build(plan.expand(results))
-        if journal is not None:
-            journal.absorb(report)
-        if own_journal is not None:
-            own_journal.complete(len(landed), warm=len(cells) - len(misses))
+                for name, value in self.store.fault_stats().items():
+                    delta = value - store_faults_before.get(name, 0)
+                    builder.count(f"store_{name}", delta)
+            report = builder.build(plan.expand(results))
+            if journal is not None:
+                journal.absorb(report)
+            if own_journal is not None:
+                own_journal.complete(len(landed), warm=size - len(misses))
+        except BaseException as exc:
+            # A run this execution owns must not keep saying "running":
+            # the store holds whatever landed, so a re-run resumes warm.
+            if own_journal is not None:
+                own_journal.interrupt(exc)
+            raise
         self.last_report = report
         if not report.ok:
             logger.error("plan finished degraded: %s", report.describe())
@@ -360,28 +372,43 @@ class SerialExecutor:
 
     def _measure(
         self,
-        cells: Sequence[PlanCell],
+        plan: ExperimentPlan,
+        positions: Sequence[int],
+        keys: list[str] | None,
         builder: ReportBuilder,
-        plan: ExperimentPlan | None,
     ) -> list[Measurement | None]:
-        """Measure ``cells`` in one pass; a failing pass degrades to
-        cell by cell."""
-        logger.info("measuring %d cells", len(cells))
+        """Measure the plan cells at ``positions`` in one pass; a failing
+        pass degrades to cell by cell.
+
+        A whole-plan pass hands the plan to the plane as its
+        program-cache key, so re-executions of the same plan object
+        skip compilation.
+        """
+        logger.info("measuring %d cells", len(positions))
+        whole = len(positions) == plan.size
         try:
-            return _measure_on(self.machine, cells, plan)
+            _poison(plan.cells[index] for index in positions)
+            return self.machine.run_cells(
+                plan.columns if whole else plan.columns.take(positions),
+                plan=plan if whole else None,
+            )
         except Exception as exc:
             builder.count("batch_failures")
             logger.warning(
                 "pass of %d cells failed in-process (%s: %s); "
                 "re-executing cell by cell",
-                len(cells),
+                len(positions),
                 type(exc).__name__,
                 exc,
             )
-            return self._degraded(cells, builder)
+            return self._degraded(plan, positions, keys, builder)
 
     def _degraded(
-        self, cells: Sequence[PlanCell], builder: ReportBuilder
+        self,
+        plan: ExperimentPlan,
+        positions: Sequence[int],
+        keys: list[str] | None,
+        builder: ReportBuilder,
     ) -> list[Measurement | None]:
         """Last-resort re-execution, one cell at a time.
 
@@ -391,14 +418,16 @@ class SerialExecutor:
         pure, so cells that *do* succeed here are bit-identical to a
         fault-free run.
         """
-        builder.count("degraded_cells", len(cells))
+        builder.count("degraded_cells", len(positions))
         out: list[Measurement | None] = []
-        for cell in cells:
+        for index in positions:
+            cell = plan.cells[index]
             measurement: Measurement | None = None
             attempt = 0
             while True:
                 try:
-                    measurement = _measure_on(self.machine, [cell])[0]
+                    _poison([cell])
+                    measurement = self.machine.run_cells([cell])[0]
                     break
                 except Exception as exc:
                     if attempt >= self.retries:
@@ -406,7 +435,7 @@ class SerialExecutor:
                             cell,
                             attempt + 1,
                             exc,
-                            self._key(cell) if self.store is not None else None,
+                            keys[index] if keys is not None else None,
                         )
                         logger.error(
                             "quarantining cell %s on %s after %d attempts: "

@@ -122,6 +122,13 @@ class RunJournal:
             self.counters[name] = self.counters.get(name, 0) + value
         self.failures.extend(report.failures)
 
+    def interrupt(self, exc: BaseException) -> None:
+        """Record the run ``interrupted`` by ``exc``; its manifest stays,
+        naming the cells a re-run still owes."""
+        self.ledger.record(
+            self.run, "interrupted", error=f"{type(exc).__name__}: {exc}"
+        )
+
     def complete(self, measured: int, *, warm: int = 0) -> bool:
         """Record the run's end; whether its manifest was dropped.
 

@@ -11,20 +11,28 @@ key derived from the same kernel digests the evaluation engine's
 summary memoization uses.  Executors (:mod:`repro.exec.executors`)
 consume plans; the :class:`~repro.exec.store.ResultStore` persists
 results under the cell keys.
+
+A plan is columnar (:class:`~repro.sim.cells.CellColumns`): a workload
+table, a configuration table and a window table, each entry
+fingerprinted once, and one int index column per axis over the unique
+cells.  :class:`PlanCell` is the row view for callers that iterate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import MeasurementError, PlanValidationError
 from repro.hashing import content_hash, content_hex
 from repro.measure.measurement import DEFAULT_DURATION_S
+from repro.sim.cells import CellColumns, first_seen
 from repro.sim.config import MachineConfig
 from repro.sim.placement import Placement, workload_key
 from repro.sim.pstate import PState
-from repro.sim.topology import ChipTopology
+from repro.sim.topology import ChipTopology, canonical_config
 
 
 def workload_fingerprint(workload: object) -> tuple:
@@ -54,13 +62,17 @@ def workload_fingerprint(workload: object) -> tuple:
         # request.
         cached = workload.__dict__.get("_fingerprint")
         if cached is None:
+            threads = workload.thread_workloads
+            distinct = {id(thread): thread for thread in threads}
+            prints = {
+                key: workload_fingerprint(thread)
+                for key, thread in distinct.items()
+            }
             cached = (
                 "placement",
                 workload.name,
                 workload.canonical_salt(),
-                tuple(
-                    workload_fingerprint(w) for w in workload.thread_workloads
-                ),
+                tuple(prints[id(thread)] for thread in threads),
             )
             object.__setattr__(workload, "_fingerprint", cached)
         return cached
@@ -103,6 +115,55 @@ def sweep_configs(
     return swept
 
 
+def _key_parts(
+    config,
+    duration: float,
+    arch_name: str,
+    machine_seed: int,
+    arch_digest: int,
+    cluster_digests: "dict[str | None, int] | None",
+) -> tuple[str, str]:
+    """The text of a cell key before and after its workload fingerprint
+    (see :meth:`PlanCell.key`)."""
+    if isinstance(config, ChipTopology):
+        digests = cluster_digests or {}
+        head = [
+            "cell-topo-v1", arch_name, arch_digest, machine_seed, duration
+        ]
+        tail = [
+            (
+                cluster.name,
+                cluster.core_class or "",
+                digests.get(cluster.core_class, 0),
+                cluster.cores,
+                cluster.smt,
+                cluster.p_state.name,
+                cluster.p_state.freq_scale,
+                cluster.p_state.volt_scale,
+            )
+            for cluster in config.clusters
+        ]
+    else:
+        p_state: PState = config.p_state
+        head = [
+            "cell-v1",
+            arch_name,
+            arch_digest,
+            machine_seed,
+            config.cores,
+            config.smt,
+            p_state.name,
+            p_state.freq_scale,
+            p_state.volt_scale,
+            duration,
+        ]
+        tail = []
+    return (
+        "".join(f"{part}|" for part in map(str, head)),
+        "".join(f"|{part}" for part in map(str, tail)),
+    )
+
+
 @dataclass(frozen=True)
 class PlanCell:
     """One measurement: one workload on one configuration for one window.
@@ -120,10 +181,9 @@ class PlanCell:
     duration: float = DEFAULT_DURATION_S
 
     def __post_init__(self) -> None:
-        if isinstance(self.config, ChipTopology):
-            degenerate = self.config.degenerate_config()
-            if degenerate is not None:
-                object.__setattr__(self, "config", degenerate)
+        canonical = canonical_config(self.config)
+        if canonical is not self.config:
+            object.__setattr__(self, "config", canonical)
 
     def identity(self) -> tuple:
         """Machine-independent identity, used for in-plan deduplication.
@@ -170,75 +230,114 @@ class PlanCell:
         topologies were collapsed at construction and produce the
         historical ``cell-v1`` key bit for bit.
         """
-        if isinstance(self.config, ChipTopology):
-            digests = cluster_digests or {}
-            parts = [
-                "cell-topo-v1",
-                arch_name,
-                arch_digest,
-                machine_seed,
-                self.duration,
-                workload_fingerprint(self.workload),
-            ]
-            for cluster in self.config.clusters:
-                p_state = cluster.p_state
-                parts.append(
-                    (
-                        cluster.name,
-                        cluster.core_class or "",
-                        digests.get(cluster.core_class, 0),
-                        cluster.cores,
-                        cluster.smt,
-                        p_state.name,
-                        p_state.freq_scale,
-                        p_state.volt_scale,
-                    )
-                )
-            return content_hex("|".join(str(part) for part in parts))
-        p_state: PState = self.config.p_state
-        parts = (
-            "cell-v1",
-            arch_name,
-            arch_digest,
-            machine_seed,
-            self.config.cores,
-            self.config.smt,
-            p_state.name,
-            p_state.freq_scale,
-            p_state.volt_scale,
+        head, tail = _key_parts(
+            self.config,
             self.duration,
-            workload_fingerprint(self.workload),
+            arch_name,
+            machine_seed,
+            arch_digest,
+            cluster_digests,
         )
-        return content_hex("|".join(str(part) for part in parts))
+        return content_hex(
+            head + str(workload_fingerprint(self.workload)) + tail
+        )
+
+
+def _classes(identities: Iterable) -> np.ndarray:
+    """Identity class of each table entry, numbered in first-seen order."""
+    number: dict = {}
+    return np.fromiter(
+        (number.setdefault(identity, len(number)) for identity in identities),
+        dtype=np.intp,
+    )
+
+
+def _compact(table: Sequence, column: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The entries ``column`` references, in first-reference order, and
+    ``column`` re-indexed onto them."""
+    if len(column):
+        running = np.maximum.accumulate(column)
+        if (
+            column[0] == 0
+            and running[-1] == len(table) - 1
+            and (np.diff(running) <= 1).all()
+        ):
+            return tuple(table), column  # already compact, in order
+    firsts, ranks = first_seen(column)
+    return tuple(table[index] for index in column[firsts].tolist()), ranks
 
 
 class ExperimentPlan:
     """A deduplicated, ordered collection of measurement cells.
 
     The plan remembers every *requested* cell but holds each distinct
-    physical measurement once: :attr:`cells` is the unique sequence an
-    executor measures, and :meth:`expand` fans unique results back out
-    to the requested order.  Construction order is preserved, so an
-    executor that walks :attr:`cells` front to back reproduces the
+    physical measurement once: :attr:`columns` holds the unique cells
+    an executor measures, and :meth:`expand` fans unique results back
+    out to the requested order.  Construction order is preserved, so an
+    executor that walks the unique cells front to back reproduces the
     historical serial measurement order.
+
+    ``cells`` is any iterable of :class:`PlanCell` or, as the
+    constructors below and the wire decoder build it, a
+    :class:`~repro.sim.cells.CellColumns` of the requested cells.  Each
+    table entry is fingerprinted once; a unique cell keeps the
+    identity of (workload fingerprint, configuration, configuration
+    label, window) and the objects of the first requested cell with
+    that identity.
     """
 
-    def __init__(self, cells: Iterable[PlanCell]) -> None:
-        unique: list[PlanCell] = []
-        index_of: dict[tuple, int] = {}
-        expansion: list[int] = []
-        for cell in cells:
-            identity = cell.identity()
-            index = index_of.get(identity)
-            if index is None:
-                index = len(unique)
-                index_of[identity] = index
-                unique.append(cell)
-            expansion.append(index)
-        # An empty plan is valid and executes to an empty result list,
-        # matching the historical behaviour of running zero workloads.
-        self.cells: tuple[PlanCell, ...] = tuple(unique)
-        self._expansion: tuple[int, ...] = tuple(expansion)
+    def __init__(self, cells: Iterable[PlanCell] | CellColumns) -> None:
+        requested = (
+            cells
+            if isinstance(cells, CellColumns)
+            else CellColumns.from_rows(cells)
+        )
+        configs = [canonical_config(config) for config in requested.configs]
+        tables = (requested.workloads, configs, requested.durations)
+        classes = (
+            _classes(map(workload_fingerprint, requested.workloads)),
+            _classes((config, config.label) for config in configs),
+            _classes(requested.durations),
+        )
+        columns = [
+            requested.workload_index,
+            requested.config_index,
+            requested.duration_index,
+        ]
+        # One int code per requested cell, equal exactly when the
+        # identities are.
+        codes = np.zeros(len(columns[0]), dtype=np.int64)
+        span = 1
+        for table_classes, column in zip(classes, columns):
+            count = int(table_classes.max(initial=-1)) + 1
+            if span * count >= 2**62:  # re-rank before the codes overflow
+                firsts, codes = first_seen(codes)
+                span = len(firsts)
+            codes = codes * count + table_classes[column]
+            span *= count
+        self._expansion: np.ndarray | None = None
+        # All distinct (a cross of distinct workloads and configurations
+        # always is) unless a code repeats.
+        if not (
+            span <= 8 * len(codes) + 1024
+            and np.bincount(codes).max(initial=0) <= 1
+        ):
+            positions, expansion = first_seen(codes)
+            if len(positions) < len(codes):
+                self._expansion = expansion
+                columns = [column[positions] for column in columns]
+        compact = [
+            _compact(table, column) for table, column in zip(tables, columns)
+        ]
+        self.columns = CellColumns(
+            *(table for table, _ in compact),
+            *(column for _, column in compact),
+        )
+        #: Distinct physical measurements the plan requires.
+        self.size = len(self.columns)
+        #: Cells as requested, duplicates included.
+        self.requested = len(codes)
+        self._cells: tuple[PlanCell, ...] | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -261,11 +360,49 @@ class ExperimentPlan:
         len(workloads), (i + 1) * len(workloads))`` of the expanded
         results.
         """
-        swept = sweep_configs(configs, p_states)
+        return cls.crosses(
+            [(workloads, sweep_configs(configs, p_states))], duration
+        )
+
+    @classmethod
+    def crosses(
+        cls,
+        blocks: Iterable[tuple[Sequence[object], Sequence[MachineConfig]]],
+        duration: float = DEFAULT_DURATION_S,
+    ) -> "ExperimentPlan":
+        """The union of ``(workloads, configs)`` crosses, block by block.
+
+        Requested order is each block's :meth:`cross` order in turn; a
+        cell two blocks share is measured once.  Built as columns: the
+        blocks' workloads and configurations are fingerprinted once
+        each, never once per cell.
+        """
+        workloads: list = []
+        configs: list = []
+        by_workload = []
+        by_config = []
+        for block_workloads, block_configs in blocks:
+            first_workload, first_config = len(workloads), len(configs)
+            workloads.extend(block_workloads)
+            configs.extend(block_configs)
+            width = len(workloads) - first_workload
+            height = len(configs) - first_config
+            by_workload.append(
+                np.tile(np.arange(first_workload, len(workloads)), height)
+            )
+            by_config.append(
+                np.repeat(np.arange(first_config, len(configs)), width)
+            )
+        count = sum(map(len, by_workload))
         return cls(
-            PlanCell(workload, config, duration)
-            for config in swept
-            for workload in workloads
+            CellColumns(
+                workloads,
+                configs,
+                [duration],
+                np.concatenate(by_workload) if by_workload else (),
+                np.concatenate(by_config) if by_config else (),
+                np.zeros(count, dtype=np.intp),
+            )
         )
 
     @classmethod
@@ -276,19 +413,63 @@ class ExperimentPlan:
         duration: float = DEFAULT_DURATION_S,
     ) -> "ExperimentPlan":
         """A one-cell plan."""
-        return cls([PlanCell(workload, config, duration)])
+        return cls.crosses([([workload], [config])], duration)
 
     # -- shape -----------------------------------------------------------------
 
     @property
-    def size(self) -> int:
-        """Distinct physical measurements the plan requires."""
-        return len(self.cells)
+    def cells(self) -> tuple[PlanCell, ...]:
+        """The unique cells as :class:`PlanCell` rows, in plan order.
 
-    @property
-    def requested(self) -> int:
-        """Cells as requested, duplicates included."""
-        return len(self._expansion)
+        Built on first use and cached, so repeated reads return the
+        same row objects.
+        """
+        if self._cells is None:
+            self._cells = tuple(PlanCell(*cell) for cell in self.columns)
+        return self._cells
+
+    def keys(
+        self,
+        arch_name: str,
+        machine_seed: int,
+        arch_digest: int = 0,
+        cluster_digests: "Callable[[ChipTopology], dict] | None" = None,
+    ) -> list[str]:
+        """Every unique cell's :meth:`PlanCell.key`, in plan order.
+
+        The key text is joined from parts computed once: one per
+        (configuration, window) pair, one per workload.
+        ``cluster_digests(topology)`` gives a topology's per-class
+        definition digests.
+        """
+        columns = self.columns
+        windows = len(columns.durations)
+        parts = [
+            _key_parts(
+                config,
+                duration,
+                arch_name,
+                machine_seed,
+                arch_digest,
+                cluster_digests(config)
+                if cluster_digests is not None
+                and isinstance(config, ChipTopology)
+                else None,
+            )
+            for config in columns.configs
+            for duration in columns.durations
+        ]
+        prints = [
+            str(workload_fingerprint(workload))
+            for workload in columns.workloads
+        ]
+        pairs = columns.config_index * windows + columns.duration_index
+        return [
+            content_hex(parts[pair][0] + prints[workload] + parts[pair][1])
+            for pair, workload in zip(
+                pairs.tolist(), columns.workload_index.tolist()
+            )
+        ]
 
     def validate_against(self, machine) -> "ExperimentPlan":
         """Fail fast if some cell's configuration cannot run on ``machine``.
@@ -301,14 +482,9 @@ class ExperimentPlan:
         at plan-build time instead of a deep failure mid-campaign.
         Returns the plan for call chaining.
         """
-        seen: set[int] = set()
-        for cell in self.cells:
-            marker = id(cell.config)
-            if marker in seen:
-                continue
-            seen.add(marker)
+        for config in self.columns.configs:
             try:
-                machine.validate_config(cell.config)
+                machine.validate_config(config)
             except MeasurementError as exc:
                 raise PlanValidationError(
                     f"plan cell cannot run on {machine.arch.name}: {exc}"
@@ -317,16 +493,18 @@ class ExperimentPlan:
 
     def expand(self, unique_results: Sequence) -> list:
         """Fan per-unique-cell results back out to requested order."""
-        if len(unique_results) != len(self.cells):
+        if len(unique_results) != self.size:
             raise ValueError(
-                f"expected {len(self.cells)} unique results, "
+                f"expected {self.size} unique results, "
                 f"got {len(unique_results)}"
             )
-        return [unique_results[index] for index in self._expansion]
+        if self._expansion is None:
+            return list(unique_results)
+        return [unique_results[index] for index in self._expansion.tolist()]
 
     def describe(self) -> str:
         """One-line summary for logs."""
-        configs = {cell.config.label for cell in self.cells}
+        configs = {config.label for config in self.columns.configs}
         return (
             f"{self.size} unique cells ({self.requested} requested) "
             f"across {len(configs)} configuration(s)"

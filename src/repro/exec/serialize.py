@@ -31,8 +31,9 @@ from dataclasses import fields
 
 from repro.caching import LRUCache
 from repro.errors import MeasurementError
-from repro.exec.plan import ExperimentPlan, PlanCell, workload_fingerprint
+from repro.exec.plan import ExperimentPlan, workload_fingerprint
 from repro.hashing import content_hex
+from repro.sim.cells import CellColumns
 from repro.sim.config import MachineConfig
 from repro.sim.kernel import Kernel
 from repro.sim.placement import Placement
@@ -252,43 +253,41 @@ def plan_to_dict_v2(plan: ExperimentPlan) -> dict:
     Only the plan's *unique* cells travel, in construction order:
     duplicate requested cells are a client-side concern (the client
     keeps its plan and fans unique results back out with
-    :meth:`~repro.exec.plan.ExperimentPlan.expand`).  Each distinct
-    workload/config serializes once; repeated objects
-    (the common case -- ``ExperimentPlan.cross`` shares instances) are
-    recognized by identity before falling back to content digest, so a
+    :meth:`~repro.exec.plan.ExperimentPlan.expand`).  Each entry of the
+    plan's workload and configuration tables serializes and hashes
+    once, and entries with equal content share one pool entry, so a
     stressmark x 24-config sweep hashes the kernel once, not 24 times.
     """
-    workload_pool: list[list] = []
-    config_pool: list[list] = []
-    workload_by_id: dict[int, str] = {}
-    config_by_id: dict[int, str] = {}
-    workload_digests: set[str] = set()
-    config_digests: set[str] = set()
-    cells = []
-    for cell in plan.cells:
-        wdigest = workload_by_id.get(id(cell.workload))
-        if wdigest is None:
-            entry = workload_to_dict(cell.workload)
-            wdigest = wire_digest(entry)
-            if wdigest not in workload_digests:
-                workload_digests.add(wdigest)
-                workload_pool.append([wdigest, entry])
-            workload_by_id[id(cell.workload)] = wdigest
-        cdigest = config_by_id.get(id(cell.config))
-        if cdigest is None:
-            entry = config_to_dict(cell.config)
-            cdigest = wire_digest(entry)
-            if cdigest not in config_digests:
-                config_digests.add(cdigest)
-                config_pool.append([cdigest, entry])
-            config_by_id[id(cell.config)] = cdigest
-        cells.append(
-            {"workload": wdigest, "config": cdigest, "duration": cell.duration}
-        )
+    columns = plan.columns
+
+    def pool(table, to_dict) -> tuple[list[list], list[str]]:
+        entries: dict[str, dict] = {}
+        digests: list[str] = []
+        for item in table:
+            entry = to_dict(item)
+            digest = wire_digest(entry)
+            entries.setdefault(digest, entry)
+            digests.append(digest)
+        return [list(pair) for pair in entries.items()], digests
+
+    workload_pool, workload_digests = pool(columns.workloads, workload_to_dict)
+    config_pool, config_digests = pool(columns.configs, config_to_dict)
+    durations = columns.durations
     return {
         "wire": PLAN_WIRE_V2,
         "pool": {"workloads": workload_pool, "configs": config_pool},
-        "cells": cells,
+        "cells": [
+            {
+                "workload": workload_digests[workload],
+                "config": config_digests[config],
+                "duration": durations[duration],
+            }
+            for workload, config, duration in zip(
+                columns.workload_index.tolist(),
+                columns.config_index.tolist(),
+                columns.duration_index.tolist(),
+            )
+        ],
     }
 
 
@@ -410,13 +409,31 @@ def plan_from_dict(
         intern = WireInternCache(
             capacity=max(1, len(workloads) + len(configs))
         )
-    cells = []
+    # The requested cells as columns over the objects the pools build:
+    # each referenced digest interns once, each window value once.
+    built_workloads: list = []
+    built_configs: list = []
+    windows: list[float] = []
+    workload_of: dict[str, int] = {}
+    config_of: dict[str, int] = {}
+    window_of: dict[float, int] = {}
+    by_workload: list[int] = []
+    by_config: list[int] = []
+    by_window: list[int] = []
     for index, form in enumerate(cell_forms):
         try:
-            workload = intern.workload(
-                form["workload"], workloads.get(form["workload"])
-            )
-            config = intern.config(form["config"], configs.get(form["config"]))
+            digest = form["workload"]
+            workload = workload_of.get(digest)
+            if workload is None:
+                workload = workload_of[digest] = len(built_workloads)
+                built_workloads.append(
+                    intern.workload(digest, workloads.get(digest))
+                )
+            digest = form["config"]
+            config = config_of.get(digest)
+            if config is None:
+                config = config_of[digest] = len(built_configs)
+                built_configs.append(intern.config(digest, configs.get(digest)))
             duration = float(form["duration"])
             if not (math.isfinite(duration) and duration > 0):
                 raise ValueError(
@@ -429,7 +446,20 @@ def plan_from_dict(
             raise MeasurementError(
                 f"plan-v2 cell {index}: malformed cell ({exc})"
             ) from None
-        cells.append(
-            PlanCell(workload=workload, config=config, duration=duration)
+        window = window_of.get(duration)
+        if window is None:
+            window = window_of[duration] = len(windows)
+            windows.append(duration)
+        by_workload.append(workload)
+        by_config.append(config)
+        by_window.append(window)
+    return ExperimentPlan(
+        CellColumns(
+            built_workloads,
+            built_configs,
+            windows,
+            by_workload,
+            by_config,
+            by_window,
         )
-    return ExperimentPlan(cells)
+    )

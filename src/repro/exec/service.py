@@ -91,6 +91,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
 from urllib.parse import urlsplit
 
+import numpy as np
+
 from repro.errors import (
     MicroProbeError,
     PlanValidationError,
@@ -104,6 +106,7 @@ from repro.exec.plan import ExperimentPlan
 from repro.exec.registry import UNFINISHED, RunRegistry
 from repro.exec.serialize import WireInternCache, plan_from_dict
 from repro.exec.store import ResultStore
+from repro.sim.cells import first_seen
 from repro.sim.kernel import Kernel
 from repro.sim.machine import Machine
 
@@ -163,18 +166,21 @@ def _check_mnemonics(plan: ExperimentPlan, machine: Machine) -> None:
     Raises:
         ServiceError: 400, naming the cell, the kernel and the mnemonic.
     """
-    classes_of: dict[int, tuple] = {}
-    checked: set[tuple] = set()
-    for index, cell in enumerate(plan.cells):
-        config, workload = cell.config, cell.workload
-        classes = classes_of.get(id(config))
-        if classes is None:
-            clusters = getattr(config, "clusters", ())
-            classes = tuple(cluster.core_class for cluster in clusters)
-            classes = classes_of[id(config)] = classes or (None,)
-        if (id(workload), classes) in checked:
-            continue
-        checked.add((id(workload), classes))
+    columns = plan.columns
+    class_sets: dict[tuple, int] = {}
+    set_of_config = []
+    for config in columns.configs:
+        clusters = getattr(config, "clusters", ())
+        classes = tuple(cluster.core_class for cluster in clusters) or (None,)
+        set_of_config.append(class_sets.setdefault(classes, len(class_sets)))
+    sets = list(class_sets)
+    # Each (workload, class set) pair once, at its first cell.
+    pairs = columns.workload_index * len(sets) + np.asarray(
+        set_of_config, dtype=np.intp
+    )[columns.config_index]
+    for index in first_seen(pairs)[0].tolist():
+        workload = columns.workloads[columns.workload_index[index]]
+        classes = sets[set_of_config[columns.config_index[index]]]
         placed = getattr(workload, "thread_workloads", (workload,))
         for kernel in {id(kernel): kernel for kernel in placed}.values():
             if not isinstance(kernel, Kernel):
@@ -416,7 +422,7 @@ class MeasurementService:
         except (PlanValidationError, MicroProbeError) as exc:
             raise ServiceError(str(exc)) from None
         _check_mnemonics(plan, executor.machine)
-        keys = [executor.key_of(cell) for cell in plan.cells]
+        keys = executor.keys_of(plan)
         run = run_id(keys)
         self._admit(run, len(keys))
         try:
@@ -472,8 +478,7 @@ class MeasurementService:
             # ledger must not keep saying "running" -- the store holds
             # whatever landed, so a resubmit resumes warm.
             if journal is not None:
-                error = f"{type(exc).__name__}: {exc}"
-                self.registry.record(run, "interrupted", error=error)
+                journal.interrupt(exc)
             raise
         if journal is not None and journal.complete(
             trailer["measured"], warm=trailer["warm"]
@@ -512,7 +517,13 @@ class MeasurementService:
         measured = 0
         failures: list[dict] = []
         if cold:
-            index_of = {id(plan.cells[index]): index for index in cold}
+            # The sub-plan's unique cells are the cold cells in order
+            # (the plan's unique cells are pairwise distinct), and
+            # ``progress`` hands back rows of its ``cells``.
+            subplan = ExperimentPlan(plan.columns.take(cold))
+            index_of = {
+                id(cell): index for cell, index in zip(subplan.cells, cold)
+            }
 
             def stream(batch_cells, batch_measurements, stored: bool) -> None:
                 nonlocal warm, measured
@@ -525,7 +536,6 @@ class MeasurementService:
                     index = index_of[id(cell)]
                     emit(_cell_line(index, keys[index], source, measurement))
 
-            subplan = ExperimentPlan(plan.cells[index] for index in cold)
             with self._engine_lock:
                 report = executor.execute(
                     subplan, progress=stream, journal=journal

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.exec.executors import default_executor
-from repro.exec.plan import ExperimentPlan, PlanCell
+from repro.exec.plan import ExperimentPlan
 from repro.measure.measurement import Measurement
 from repro.power_model.bottom_up import BottomUpModel, BottomUpTrainer
 from repro.power_model.metrics import ordered_sum
@@ -136,12 +136,7 @@ class ModelingCampaign:
             ([bench.kernel for bench in randoms], self.configs),
             ([bench.kernel for bench in micro], self.configs),
         )
-        plan = ExperimentPlan(
-            PlanCell(kernel, config, self.duration)
-            for kernels, configs in stages
-            for config in configs
-            for kernel in kernels
-        )
+        plan = ExperimentPlan.crosses(stages, self.duration)
         logger.info(
             "gathering step-1/2 and sweep measurements: %s", plan.describe()
         )

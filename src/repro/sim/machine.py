@@ -30,13 +30,14 @@ from repro.errors import MeasurementError, MicroProbeError
 from repro.march.definition import MicroArchitecture, get_architecture
 from repro.measure.measurement import DEFAULT_DURATION_S, Measurement
 from repro.sim.activity import ThreadActivity
+from repro.sim.cells import CellColumns
 from repro.sim.config import MachineConfig
 from repro.sim.kernel import Kernel
 from repro.sim.placement import Placement, strict_workload_key, workload_key
 from repro.sim.pipeline import CorePipelineModel
 from repro.sim.power import GroundTruthPowerModel
 from repro.sim.sensors import PowerSensor, stable_seed
-from repro.sim.topology import ChipTopology
+from repro.sim.topology import ChipTopology, canonical_config
 from repro.sim.vector import VectorPlane
 
 #: Activity vectors retained per machine (LRU eviction past this);
@@ -155,7 +156,7 @@ class Machine:
         config = self._canonical(config)
         self._validate(config)
         return self._vector.try_measure_cells(
-            [(workload, config, duration)]
+            CellColumns([workload], [config], [duration], [0], [0], [0])
         )[0]
 
     def run_many(
@@ -184,15 +185,25 @@ class Machine:
         """
         config = self._canonical(config)
         self._validate(config)
+        workloads = list(workloads)
+        count = len(workloads)
         return self._vector.try_measure_cells(
-            [(workload, config, duration) for workload in workloads]
+            CellColumns(
+                workloads,
+                [config],
+                [duration],
+                range(count),
+                [0] * count,
+                [0] * count,
+            )
         )
 
     def run_cells(self, cells, plan=None) -> list[Measurement]:
         """Measure a heterogeneous batch of plan cells in one pass.
 
-        ``cells`` is any sequence of objects with ``workload``,
-        ``config`` and ``duration`` attributes (e.g.
+        ``cells`` is a :class:`~repro.sim.cells.CellColumns` (a plan's
+        ``columns``, or a ``take`` of them) or any sequence of objects
+        with ``workload``, ``config`` and ``duration`` attributes (e.g.
         :class:`~repro.exec.plan.PlanCell`).  Unlike :meth:`run_many`,
         the batch may span many configurations and windows: the
         measurement plane evaluates every cell of the whole batch as
@@ -202,8 +213,8 @@ class Machine:
         cell order, bit-identical to per-cell :meth:`run` calls.
 
         With ``plan`` given (the immutable
-        :class:`~repro.exec.plan.ExperimentPlan` whose ``plan.cells``
-        *is* ``cells``), the vector plane compiles the batch into a
+        :class:`~repro.exec.plan.ExperimentPlan` whose unique cells
+        ``cells`` are), the vector plane compiles the batch into a
         fused tensor program cached weakly under the plan: the first
         run pays canonicalization, validation and compilation once,
         and every re-execution of the same plan object (resident
@@ -221,22 +232,25 @@ class Machine:
             program = self._vector.cached_program(plan)
             if program is not None:
                 return program.execute()
-        # Deduplicate by object identity: plans reuse config objects
-        # across cells, and hashing a MachineConfig per cell is more
-        # expensive than the validation itself.  Degenerate topologies
-        # collapse to their MachineConfig spelling here (plan cells
-        # already arrive collapsed; this covers hand-built cells), so
-        # the whole downstream batch machinery sees canonical configs.
-        distinct = {
-            id(cell.config): self._canonical(cell.config) for cell in cells
-        }
-        for config in distinct.values():
+        if not isinstance(cells, CellColumns):
+            cells = CellColumns.from_rows(cells)
+        # Each configuration table entry is validated once.  Degenerate
+        # topologies collapse to their MachineConfig spelling here
+        # (plans already hold them collapsed; this covers hand-built
+        # cells), so the whole downstream batch machinery sees
+        # canonical configs.
+        configs = [self._canonical(config) for config in cells.configs]
+        for config in configs:
             self._validate(config)
-        triples = [
-            (cell.workload, distinct[id(cell.config)], cell.duration)
-            for cell in cells
-        ]
-        return self._vector.try_measure_cells(triples, plan=plan)
+        cells = CellColumns(
+            cells.workloads,
+            configs,
+            cells.durations,
+            cells.workload_index,
+            cells.config_index,
+            cells.duration_index,
+        )
+        return self._vector.try_measure_cells(cells, plan=plan)
 
     def run_plan(self, plan) -> list[Measurement]:
         """Execute a whole :class:`~repro.exec.plan.ExperimentPlan`.
@@ -247,7 +261,7 @@ class Machine:
         in-process fast path; executors add stores and fault recovery
         on top.
         """
-        return plan.expand(self.run_cells(plan.cells, plan=plan))
+        return plan.expand(self.run_cells(plan.columns, plan=plan))
 
     def cache_stats(self) -> dict:
         """Hit/miss/size counters of every memo cache in the substrate.
@@ -338,22 +352,7 @@ class Machine:
 
     # -- internals -------------------------------------------------------------
 
-    @staticmethod
-    def _canonical(
-        config: MachineConfig | ChipTopology,
-    ) -> MachineConfig | ChipTopology:
-        """Collapse degenerate topologies to their MachineConfig.
-
-        The collapse is the refactor's invariance mechanism: a
-        single-cluster base-class topology takes the *same code path*
-        (and therefore the same labels, seeds, counters and noise
-        draws) as the configuration it degenerates to.
-        """
-        if isinstance(config, ChipTopology):
-            degenerate = config.degenerate_config()
-            if degenerate is not None:
-                return degenerate
-        return config
+    _canonical = staticmethod(canonical_config)
 
     def _validate(self, config: MachineConfig | ChipTopology) -> None:
         if isinstance(config, ChipTopology):

@@ -296,6 +296,23 @@ class ChipTopology:
         )
 
 
+def canonical_config(
+    config: MachineConfig | ChipTopology,
+) -> MachineConfig | ChipTopology:
+    """Collapse a degenerate topology to its :class:`MachineConfig`.
+
+    The collapse is the invariance mechanism of heterogeneous chips: a
+    single-cluster base-class topology takes the *same code path* (and
+    therefore the same labels, seeds, counters, store keys and noise
+    draws) as the configuration it degenerates to.
+    """
+    if isinstance(config, ChipTopology):
+        degenerate = config.degenerate_config()
+        if degenerate is not None:
+            return degenerate
+    return config
+
+
 def parse_topology(
     spec: str,
     core_classes: Mapping[str, str | None] | None = None,

@@ -62,7 +62,7 @@ import numpy as np
 from repro.caching import LRUCache
 from repro.errors import MeasurementError
 from repro.measure.measurement import Measurement
-from repro.sim.config import MachineConfig
+from repro.sim.cells import CellColumns, first_seen
 from repro.sim.kernel import Kernel
 from repro.sim.pipeline import MSHRS_PER_THREAD, SMT_OVERHEAD
 from repro.sim.placement import Placement
@@ -427,50 +427,27 @@ class _Lane:
         return stack, remap
 
 
-class _Group:
-    """One (configuration, window) span of a cell batch."""
+def _runs(keys: np.ndarray) -> tuple[np.ndarray | None, list[int], list]:
+    """Group positions by key, groups in first-seen order.
 
-    __slots__ = ("config", "duration", "cells")
-
-    def __init__(self, config, duration: float) -> None:
-        self.config = config
-        self.duration = duration
-        self.cells: list[int] = []  # positions in the kernel-cell order
-
-
-def _group_span(cells, span: Sequence[int]):
-    """Group one homogeneity class of kernel cells for compilation.
-
-    Returns ``(kernels, cell_rows, groups)``: unique kernels by
-    measurement identity (the noise seed folds in the workload *name*
-    and content digest, so two equal-content kernels under different
-    names stay distinct), each span cell's unique-kernel row, and the
-    (configuration, window) groups in first-seen order.  Grouping is
-    purely an evaluation-shape choice -- every cell's result is an
-    independent pure function of its own content -- so object-identity
-    grouping (plans reuse config objects, and hashing a MachineConfig
-    per cell is costly) is always sound; equal configs arriving as
-    distinct objects just form separate, identically-evaluated spans.
+    Returns ``(order, bounds, heads)``: ``order`` (``None`` when the
+    keys already come in runs, as a configuration-major cross does)
+    lists the positions group by group, each group keeping position
+    order; group ``g`` is ``order[bounds[g]:bounds[g + 1]]`` and has
+    key ``heads[g]``.
     """
-    groups: dict[tuple, _Group] = {}
-    unique_of: dict[tuple, int] = {}
-    kernels: list[Kernel] = []
-    cell_rows: list[int] = []
-    for index in span:
-        workload, config, duration = cells[index]
-        group_key = (id(config), duration)
-        group = groups.get(group_key)
-        if group is None:
-            group = groups[group_key] = _Group(config, duration)
-        key = (workload.name, workload.digest())
-        row = unique_of.get(key)
-        if row is None:
-            row = len(kernels)
-            unique_of[key] = row
-            kernels.append(workload)
-        group.cells.append(len(cell_rows))
-        cell_rows.append(row)
-    return kernels, cell_rows, list(groups.values())
+    if not len(keys):
+        return None, [0], []
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    starts = np.concatenate(([0], starts))
+    heads = keys[starts]
+    order = None
+    if len(set(heads.tolist())) < len(heads):
+        firsts, groups = first_seen(keys)
+        order = np.argsort(groups, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(np.bincount(groups))[:-1]))
+        heads = keys[firsts]
+    return order, [*starts.tolist(), len(keys)], heads.tolist()
 
 
 def _sensor_buckets(by_duration: dict) -> list[tuple]:
@@ -720,26 +697,59 @@ class _FusedSpan:
         "sensor_buckets",
     )
 
-    def __init__(self, plane: "VectorPlane", cells, span: Sequence[int]) -> None:
+    def __init__(self, plane: "VectorPlane", cells, span: np.ndarray) -> None:
         machine_seed = plane.machine.seed
-        kernels, cell_rows, groups = _group_span(cells, span)
-        names = [kernel.name for kernel in kernels]
-        digests = [kernel.digest() for kernel in kernels]
-        scatter = list(chain.from_iterable(group.cells for group in groups))
-        span_rows = np.asarray(cell_rows, dtype=np.intp)[scatter]
+        configs, durations = cells.configs, cells.durations
+        # Groups: runs of (configuration, window) index pairs.  Grouping
+        # is an evaluation-shape choice only -- every cell's result is a
+        # pure function of its own content -- so equal configurations
+        # under two table entries just form two identical groups.
+        order, bounds, heads = _runs(
+            cells.config_index[span] * len(durations)
+            + cells.duration_index[span]
+        )
+        if order is not None:
+            span = span[order]
+        entries = cells.workload_index[span]
+
+        # Unique kernels by measurement identity (the noise seed folds
+        # in the workload *name* and content digest, so two
+        # equal-content kernels under different names stay distinct),
+        # one lookup per workload table entry the span uses.
+        workloads = cells.workloads
+        used = np.zeros(len(workloads), dtype=bool)
+        used[entries] = True
+        row_of = np.zeros(len(workloads), dtype=np.intp)
+        unique_of: dict[tuple, int] = {}
+        kernels: list[Kernel] = []
+        for entry in np.flatnonzero(used).tolist():
+            kernel = workloads[entry]
+            key = (kernel.name, kernel.digest())
+            row = unique_of.get(key)
+            if row is None:
+                row = unique_of[key] = len(kernels)
+                kernels.append(kernel)
+            row_of[entry] = row
+        span_rows = row_of[entries]
         rows = span_rows.tolist()
-        self.targets = [span[index] for index in scatter]
+        names = [kernel.name for kernel in kernels]
+        self.targets = span.tolist()
         self.cell_names = [names[row] for row in rows]
+        # Sensor seeds are crc32(name | label | window | seed | digest),
+        # continued from each kernel's name crc through the group's
+        # middle part and the kernel's digest.
+        name_crcs = [crc32(name.encode()) for name in names]
+        digest_texts = [str(kernel.digest()).encode() for kernel in kernels]
 
         tables: list[_KernelTable] = []
         table_of: dict[int, int] = {}
         static: list[float] = []
         by_duration: dict[float, tuple[list, list]] = {}
         self.groups = []
-        start = 0
-        for group in groups:
-            config, duration = group.config, group.duration
-            stop = start + len(group.cells)
+        for group, head in enumerate(heads):
+            config = configs[head // len(durations)]
+            duration = durations[head % len(durations)]
+            start, stop = bounds[group], bounds[group + 1]
             chip_static, segments = _chip(plane, config)
             runs = []
             for segment in segments:
@@ -756,21 +766,19 @@ class _FusedSpan:
                 (start, stop, config, duration, sample_count, runs)
             )
             static.append(chip_static)
-            # Sensor plane: per-cell stable_seed draws salted by
-            # workload name, configuration label, window, machine seed
-            # and kernel digest.
             positions, seeds = by_duration.setdefault(duration, ([], []))
             positions.extend(range(start, stop))
-            mid = f"|{config.label}|{duration}|{machine_seed}|"
-            for row in rows[start:stop]:
-                seeds.append(
-                    crc32(f"{names[row]}{mid}{digests[row]}".encode())
-                )
-            start = stop
+            mid = f"|{config.label}|{duration}|{machine_seed}|".encode()
+            seeds.extend(
+                [
+                    crc32(digest_texts[row], crc32(mid, name_crcs[row]))
+                    for row in rows[start:stop]
+                ]
+            )
         for table in tables:
             table.gather(kernels, every=len(tables) == 1)
         self.tables = tables
-        self.static = np.array(static).repeat([len(g.cells) for g in groups])
+        self.static = np.array(static).repeat(np.diff(bounds))
         self.sensor_buckets = _sensor_buckets(by_duration)
 
     def execute(self, out: list) -> None:
@@ -971,7 +979,7 @@ class _FusedRowSpan:
         "sensor_buckets",
     )
 
-    def __init__(self, plane, cells, span: Sequence[int]) -> None:
+    def __init__(self, plane, cells, span: np.ndarray) -> None:
         machine = plane.machine
         machine_seed = machine.seed
         protocol: dict[tuple, object] = {}
@@ -1078,11 +1086,21 @@ class _FusedRowSpan:
         cell_slots: list[list] = []
         cell_dyn: list[list] = []
         by_duration: dict[float, tuple[list, list]] = {}
-        for index in span:
-            workload, config, duration = cells[index]
-            ctx = contexts.get(id(config))
+        workloads, configs, durations = (
+            cells.workloads, cells.configs, cells.durations
+        )
+        for index, entry, config_entry, duration_entry in zip(
+            span.tolist(),
+            cells.workload_index[span].tolist(),
+            cells.config_index[span].tolist(),
+            cells.duration_index[span].tolist(),
+        ):
+            workload = workloads[entry]
+            config = configs[config_entry]
+            duration = durations[duration_entry]
+            ctx = contexts.get(config_entry)
             if ctx is None:
-                ctx = contexts[id(config)] = context(config)
+                ctx = contexts[config_entry] = context(config)
             label, topology, chip_static, segments, indices = ctx
             cell_runs: list = []
             slots: list = []
@@ -1299,20 +1317,26 @@ class _FusedProgram:
 
     def __init__(self, plane, cells) -> None:
         self.size = len(cells)
-        kernel_span: list[int] = []
-        row_span: list[int] = []
-        for index, (workload, _, duration) in enumerate(cells):
-            if duration <= 0:
+        durations = cells.durations
+        used = np.bincount(cells.duration_index, minlength=len(durations))
+        for entry in np.flatnonzero(used).tolist():
+            if durations[entry] <= 0:
                 raise ValueError("duration must be positive")
-            if isinstance(workload, Kernel):
-                kernel_span.append(index)
-            else:
-                row_span.append(index)
+        kinds = np.fromiter(
+            (isinstance(workload, Kernel) for workload in cells.workloads),
+            dtype=bool,
+            count=len(cells.workloads),
+        )
+        kernel = kinds[cells.workload_index]
         self.spans = []
-        if kernel_span:
-            self.spans.append(_FusedSpan(plane, cells, kernel_span))
-        if row_span:
-            self.spans.append(_FusedRowSpan(plane, cells, row_span))
+        if kernel.any():
+            self.spans.append(
+                _FusedSpan(plane, cells, np.flatnonzero(kernel))
+            )
+        if not kernel.all():
+            self.spans.append(
+                _FusedRowSpan(plane, cells, np.flatnonzero(~kernel))
+            )
 
     def execute(self) -> list[Measurement]:
         out: list[Measurement] = [None] * self.size  # type: ignore[list-item]
@@ -1372,11 +1396,9 @@ class VectorPlane:
         return self._programs.get(plan)
 
     def try_measure_cells(
-        self,
-        cells: Sequence[tuple[object, MachineConfig | ChipTopology, float]],
-        plan=None,
+        self, cells: CellColumns, plan=None
     ) -> list[Measurement]:
-        """Measure ``(workload, config, duration)`` cells in one program.
+        """Measure a batch of cells (as columns) in one program.
 
         Configurations must already be canonical and validated (the
         machine's entry points do both).  Every cell kind -- kernels,

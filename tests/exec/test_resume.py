@@ -208,6 +208,38 @@ class TestRunLedger:
             ).ok
             assert written == {"ledger": 2, "manifest": 1, "passes": 1}, name
 
+    def test_owned_run_that_raises_reads_interrupted(
+        self, power7_arch, small_kernel_factory, tmp_path
+    ):
+        """An execution that owns its run records it ``interrupted``,
+        with the error, before re-raising -- as the campaign service
+        does for its requests -- and a re-run completes warm."""
+        plan = ExperimentPlan.cross(
+            [small_kernel_factory("add", count=24)],
+            [MachineConfig(1, 1), MachineConfig(2, 2)],
+            duration=_DURATION,
+        )
+        root = tmp_path / "store"
+
+        def progress(cells, measurements, warm):
+            raise RuntimeError("client went away")
+
+        executor = SerialExecutor(Machine(power7_arch), store=ResultStore(root))
+        with pytest.raises(RuntimeError, match="client went away"):
+            executor.execute(plan, progress=progress)
+        [record] = RunRegistry(root).runs()
+        assert record["state"] == "interrupted"
+        assert record["error"] == "RuntimeError: client went away"
+        assert read_manifest(root, record["run"]) is not None
+
+        report = SerialExecutor(
+            Machine(power7_arch), store=ResultStore(root)
+        ).execute(plan)
+        assert report.ok
+        [record] = RunRegistry(root).runs()
+        assert record["state"] == "complete"
+        assert (record["warm"], record["measured"]) == (plan.size, 0)
+
 
 class TestJournalGC:
     """Retention: run manifests must not accumulate forever.

@@ -5,8 +5,9 @@ programs of :mod:`repro.sim.vector`.  This package keeps their
 executable specification: the per-cell scalar walk
 (:class:`OracleMachine`), the scalar counter and ground-truth power
 arithmetic it calls (:mod:`.scalar`), the per-instruction pipeline
-walk the kernel-summary engine replaced (:mod:`.pipeline`) and the
-per-measurement model fits the matrix fits replaced (:mod:`.fits`).
+walk the kernel-summary engine replaced (:mod:`.pipeline`), the
+per-measurement model fits the matrix fits replaced (:mod:`.fits`) and
+the row plan builder the columnar plans replaced (:mod:`.plans`).
 Tests and benches compare the production paths with it bit for bit.
 """
 
