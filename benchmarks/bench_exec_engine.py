@@ -203,15 +203,20 @@ def test_vector_plan_throughput(arch):
     assert fused_rate >= host_floor(500_000, fused_host)
 
 
-def _best_cells_rate(plan, arch, machine_cls, rounds: int = 5) -> float:
-    """Best-of-N ``run_cells`` passes on cold machines, cells/second."""
-    best = float("inf")
+def _best_cells_rates(plan, arch, machine_classes, rounds: int = 5) -> list:
+    """Best-of-N ``run_cells`` passes on cold machines, cells/second,
+    one rate per machine class.  The classes take turns within every
+    round, so a host phase slows both sides of a ratio alike."""
+    best = [float("inf")] * len(machine_classes)
     for _ in range(rounds):
-        machine = machine_cls(arch)
-        start = time.perf_counter()
-        machine.run_cells(plan.cells)
-        best = min(best, time.perf_counter() - start)
-    return plan.size / best
+        for position, machine_cls in enumerate(machine_classes):
+            machine = machine_cls(arch)
+            start = time.perf_counter()
+            machine.run_cells(plan.cells)
+            best[position] = min(
+                best[position], time.perf_counter() - start
+            )
+    return [plan.size / elapsed for elapsed in best]
 
 
 def test_protocol_and_placement_throughput(arch):
@@ -220,9 +225,9 @@ def test_protocol_and_placement_throughput(arch):
     ``repro sweep`` measures the 28 SPEC proxies (protocol workloads)
     and the 4 mix placements across every configuration x p-state
     point.  Each plan runs through ``Machine.run_cells`` on cold
-    machines, fused and on the scalar oracle; results must agree bit
-    for bit.  Mixed-kernel cores pay their contention solve once per
-    cold machine on both paths.
+    machines, fused and on the scalar oracle in alternating rounds;
+    results must agree bit for bit.  Mixed-kernel cores pay their
+    contention solve once per cold machine on both paths.
     """
     chip = arch.chip
     swept = sweep_configs(
@@ -245,8 +250,9 @@ def test_protocol_and_placement_throughput(arch):
     for kind, plan in plans.items():
         fused = Machine(arch).run_cells(plan.cells)
         assert fused == OracleMachine(arch).run_cells(plan.cells)
-        fused_rate = _best_cells_rate(plan, arch, Machine)
-        oracle_rate = _best_cells_rate(plan, arch, OracleMachine)
+        fused_rate, oracle_rate = _best_cells_rates(
+            plan, arch, (Machine, OracleMachine)
+        )
         ratios[kind] = fused_rate / oracle_rate
         lines.append(
             f"{kind:>9} ({plan.size} cells): fused {fused_rate:,.0f} "

@@ -294,9 +294,8 @@ def _cmd_stressmark(args: argparse.Namespace) -> int:
 
     logger.info("bootstrapping per-instruction EPI/IPC records")
     # The bootstrap routes through the same executor, so a warm store
-    # serves the whole-ISA probe's cells too.  It does not skip
-    # synthesizing the probe's kernels, which then dominates the
-    # command's wall.
+    # serves the whole-ISA probe's cells and, from its kernel memo, the
+    # probe's 315 kernels: a warm run synthesizes none of them.
     # Paper-standard 10 s windows for the bootstrap regardless of
     # --duration: the EPI/latency records are reference data.
     records = Bootstrapper(

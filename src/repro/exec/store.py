@@ -7,9 +7,9 @@ cell.  A second record type shares every mechanism below: synthesized
 kernels (:meth:`ResultStore.get_kernel`/:meth:`~ResultStore.put_kernels`)
 live in ``kernels/<xx>.jsonl``, keyed by the content hash of their
 synthesis recipe (:meth:`repro.core.synthesizer.Synthesizer.recipe_key`),
-so a warm campaign loads its training suite instead of synthesizing it
-again.  Kernel records never count as cells: ``len``, :meth:`keys` and
-the ``hits``/``misses`` counters see cells only.
+so a warm campaign or bootstrap loads its kernels instead of
+synthesizing them again.  Kernel records never count as cells: ``len``,
+:meth:`keys` and the ``hits``/``misses`` counters see cells only.
 
 Because cell keys are derived from the architecture, machine seed,
 workload content digest, configuration, operating point and window
@@ -64,7 +64,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import sys
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -78,14 +77,14 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.exec import faults
 from repro.hashing import content_hex
 from repro.measure.measurement import Measurement
-from repro.sim.kernel import Kernel, KernelInstruction
+from repro.sim.kernel import Kernel
 
 logger = logging.getLogger("repro.exec.store")
 
 #: Store layout version; bump when the payload format changes.
 FORMAT = "repro-result-v1"
 #: Kernel record version; bump when :func:`kernel_body` changes.
-KERNEL_FORMAT = "repro-kernel-v1"
+KERNEL_FORMAT = "repro-kernel-v2"
 
 
 class RecordKind:
@@ -93,26 +92,46 @@ class RecordKind:
 
     Every line is ``{"format": F, "key": K, "<field>": BODY, "sum": S}``
     with ``S`` the checksum of the key and the canonical body text,
-    salted per kind.
+    salted per kind.  ``retired`` formats are ones earlier releases
+    wrote: their lines verify like current ones, but read as plain
+    misses (no fault) and :meth:`ResultStore.scrub` compacts them away.
     """
 
-    __slots__ = ("directory", "format", "field", "salt", "prefix", "marker")
+    __slots__ = (
+        "directory", "format", "retired", "field", "salt", "prefixes",
+        "marker",
+    )
 
-    def __init__(self, directory: str, format: str, field: str, salt: str):
+    def __init__(
+        self,
+        directory: str,
+        format: str,
+        field: str,
+        salt: str,
+        retired: tuple[str, ...] = (),
+    ):
         self.directory = directory
         self.format = format
+        self.retired = retired
         self.field = field
         self.salt = salt
-        #: How every line this store writes opens; the key comes next.
-        self.prefix = b'{"format": "' + format.encode() + b'", "key": "'
+        #: How every line of a known format opens; the key comes next.
+        self.prefixes = tuple(
+            b'{"format": "' + name.encode() + b'", "key": "'
+            for name in (format, *retired)
+        )
         #: What precedes the body text in a line.
         self.marker = b'"' + field.encode() + b'": '
 
 
 #: Measurement cells, under ``shards/``.
 CELLS = RecordKind("shards", FORMAT, "measurement", "sum-v1")
-#: Synthesized kernels, under ``kernels/``.
-KERNELS = RecordKind("kernels", KERNEL_FORMAT, "kernel", "kernel-sum-v1")
+#: Synthesized kernels, under ``kernels/``.  Version 1 bodies held the
+#: slot table as nested lists.
+KERNELS = RecordKind(
+    "kernels", KERNEL_FORMAT, "kernel", "kernel-sum-v1",
+    retired=("repro-kernel-v1",),
+)
 
 _SUM_FIELD = b', "sum": "'
 
@@ -190,98 +209,49 @@ def _checksum_matches(
 
 # -- kernel records -----------------------------------------------------------
 
-_INT_OR_NONE = (int, type(None))
-_STR_OR_NONE = (str, type(None))
 
+def kernel_body(kernel: Kernel) -> dict | None:
+    """The exact body of a kernel record, or ``None`` if it has none.
 
-def kernel_body(kernel: Kernel) -> dict:
-    """The exact body of a kernel record.
-
-    A slot table plus one table index per loop slot: each distinct
-    slot object is written once, as ``[mnemonic, dep_distance,
-    source_level, address]``.  A 1,024-slot training kernel holds a few
-    hundred distinct slots, so its record is about 20 KB where one list
-    per slot would take 31 KB.  Unlike :meth:`Kernel.to_dict`, nothing
-    is folded by period: the body is the whole loop, so a decoded
-    kernel ``==`` the written one.
+    The kernel's slot table (:meth:`Kernel.slot_table`: each distinct
+    slot's digest text once, joined by ``|``, and one table index per
+    loop slot) beside its name, operand entropy and declared periods.
+    A 1,024-slot training kernel holds a few hundred distinct slots.
+    Unlike :meth:`Kernel.to_dict`, nothing is folded by period: the body
+    is the whole loop, so a decoded kernel ``==`` the written one.
     """
-    instructions = kernel.instructions
-    # Distinct slot objects in first-use order, then each one's position.
-    ids = list(map(id, instructions))
-    distinct = dict(zip(ids, instructions))
-    positions = dict(zip(distinct, range(len(distinct))))
+    table = kernel.slot_table()
+    if table is None:
+        return None
     return {
         "name": kernel.name,
         "operand_entropy": kernel.operand_entropy,
         "period": kernel.period,
         "analytic_period": kernel.analytic_period,
-        "slots": [
-            [slot.mnemonic, slot.dep_distance, slot.source_level, slot.address]
-            for slot in distinct.values()
-        ],
-        "index": list(map(positions.__getitem__, ids)),
+        "slots": table[0],
+        "index": table[1],
     }
 
 
 def kernel_from_body(body: dict) -> Kernel:
-    """The kernel a :func:`kernel_body` spells, exactly.
+    """The kernel a :func:`kernel_body` spells, checked at load.
 
-    Loop slots that share a table entry share one (immutable) slot
-    object, as :meth:`repro.core.ir.Program.to_kernel` shares equal
-    slots, and mnemonic and level strings are interned, so a decoded
-    suite holds each string once.  Nothing is trusted: the digest is
-    left for :meth:`Kernel.digest` to compute, from slot text rendered
-    here from the loaded fields.
+    :meth:`Kernel.from_slot_table` checks the grammar, the index range
+    and every kernel condition, and computes the digest from the slot
+    text; nothing stored is trusted.  The slot objects are built when
+    something first reads the kernel's instructions.
 
     Raises:
         ValueError, TypeError, KeyError: If the body is not shaped like
-            one (a slot that is not a list of four canonically typed
-            fields, an index that is not an in-range int, a wrong-typed
-            scalar).
+            one.
     """
-    intern = sys.intern
-    new = object.__new__
-    table = []
-    for slot in body["slots"]:
-        if type(slot) is not list or len(slot) != 4:
-            raise ValueError(f"kernel slot {slot!r} is not a list of 4")
-        mnemonic, distance, level, address = slot
-        if not (
-            type(mnemonic) is str
-            and type(distance) in _INT_OR_NONE
-            and type(level) in _STR_OR_NONE
-            and type(address) in _INT_OR_NONE
-        ):
-            raise ValueError(f"kernel slot {slot!r} has a wrong-typed field")
-        # The frozen dataclass's fields without its __init__, plus the
-        # digest text ``Kernel.digest`` renders from them and caches on
-        # the slot.  One dict update is the fast path; it costs memory,
-        # as each slot gets its own dict, not the class's shared-key one.
-        instruction = new(KernelInstruction)
-        instruction.__dict__.update(
-            mnemonic=intern(mnemonic),
-            dep_distance=distance,
-            source_level=level if level is None else intern(level),
-            address=address,
-            _content=f"{mnemonic},{distance},{level},{address}",
-        )
-        table.append(instruction)
-    index = body["index"]
-    if type(index) is not list or not set(map(type, index)) <= {int}:
-        raise ValueError("kernel slot index is not a list of ints")
-    if index and (min(index) < 0 or max(index) >= len(table)):
-        raise ValueError("kernel slot index out of range")
-    if type(body["operand_entropy"]) is not float or not all(
-        type(body[name]) in _INT_OR_NONE
-        for name in ("period", "analytic_period")
-    ):
-        raise ValueError("kernel scalar field of the wrong type")
-    return Kernel(
-        name=body["name"],
-        instructions=tuple(map(table.__getitem__, index)),
-        operand_entropy=body["operand_entropy"],
-        period=body["period"],
-        analytic_period=body["analytic_period"],
+    return Kernel.from_slot_table(
+        body["name"],
+        body["slots"],
+        body["index"],
+        body["operand_entropy"],
+        body["period"],
+        body["analytic_period"],
     )
 
 
@@ -331,7 +301,8 @@ class StoreReport:
 
     ``records`` counts parsed cell lines (superseded duplicates
     included); ``keys`` distinct newest cell keys.  Kernel records are
-    counted apart, in ``kernel_records`` and ``kernel_keys``; the damage
+    counted apart, in ``kernel_records`` and ``kernel_keys``, those of a
+    retired format included (scrub compacts them away); the damage
     counters cover both record types.  A store is :attr:`ok` when
     nothing is corrupt, mismatched or torn.
     """
@@ -385,19 +356,25 @@ def _classify_line(
 ) -> tuple[str, str | None, dict | None]:
     """(status, key, payload) of one shard line.
 
-    Status is ``ok`` (checksummed and verified), ``mismatch`` (checksum
+    Status is ``ok`` (checksummed and verified), ``retired`` (verified,
+    in a format the kind no longer reads), ``mismatch`` (checksum
     missing or wrong) or ``corrupt`` (unparseable / wrong shape).
     """
     try:
         payload = json.loads(line)
         key = str(payload["key"])
         body = payload[kind.field]
-        if payload.get("format") != kind.format or not isinstance(body, dict):
+        layout = payload.get("format")
+        if not isinstance(body, dict) or (
+            layout != kind.format and layout not in kind.retired
+        ):
             return ("corrupt", None, None)
     except (ValueError, KeyError, TypeError):
         return ("corrupt", None, None)
     if not _checksum_matches(kind, key, payload.get("sum"), line, body):
         return ("mismatch", key, payload)
+    if layout != kind.format:
+        return ("retired", key, payload)
     return ("ok", key, payload)
 
 
@@ -532,21 +509,22 @@ class ResultStore:
         self, shard: _Shard, line: bytes, offset: int, length: int
     ) -> None:
         # Only the key is needed for the index; the payload is parsed
-        # on ``get``.  Lines this store wrote open with a fixed prefix,
-        # so the key is a slice -- no JSON parse per line while
+        # on ``get``.  Lines of each known format open with a fixed
+        # prefix, so the key is a slice -- no JSON parse per line while
         # scanning a shard.  Foreign formatting falls back to a full
         # parse; unparseable lines are skipped (a miss at worst).
-        prefix = shard.kind.prefix
-        if line.startswith(prefix):
-            end = line.find(b'"', len(prefix))
-            if end != -1:
-                try:
-                    key = line[len(prefix) : end].decode()
-                except UnicodeDecodeError:
-                    pass  # a flipped key byte: the parse below skips it
-                else:
-                    shard.offsets[key] = (offset, length)
-                    return
+        for prefix in shard.kind.prefixes:
+            if line.startswith(prefix):
+                end = line.find(b'"', len(prefix))
+                if end != -1:
+                    try:
+                        key = line[len(prefix) : end].decode()
+                    except UnicodeDecodeError:
+                        pass  # a flipped key byte: the parse below skips it
+                    else:
+                        shard.offsets[key] = (offset, length)
+                        return
+                break
         try:
             payload = json.loads(line)
             key = payload["key"]
@@ -596,10 +574,9 @@ class ResultStore:
             payload = json.loads(raw)
             if not isinstance(payload, dict):
                 raise ValueError("store record is not a JSON object")
-            if payload.get("format") != kind.format:
-                raise ValueError(
-                    f"unknown store format {payload.get('format')!r}"
-                )
+            layout = payload.get("format")
+            if layout != kind.format and layout not in kind.retired:
+                raise ValueError(f"unknown store format {layout!r}")
             if payload.get("key") != key:
                 # The shard was rewritten out from under a long-lived
                 # index (external compaction/cleanup): never serve
@@ -607,6 +584,10 @@ class ResultStore:
                 raise ValueError(
                     f"stale shard index: found {payload.get('key')!r}"
                 )
+            if layout != kind.format:
+                # An earlier release's record: a plain miss, which the
+                # caller's rewrite in the current format supersedes.
+                return None
             body = payload[kind.field]
             if not _checksum_matches(kind, key, payload.get("sum"), raw, body):
                 self.checksum_failures += 1
@@ -655,7 +636,10 @@ class ResultStore:
         Quarantines like :meth:`get` -- an I/O error, checksum failure,
         bad shape or wrong key is a counted fault and a miss, so the
         caller synthesizes the kernel and writes it again -- and moves
-        ``kernel_hits``/``kernel_misses``, never the cell counters.
+        ``kernel_hits``/``kernel_misses``, never the cell counters.  A
+        record in a retired format is a plain miss, no fault.  A hit is
+        checked and digested at load; its slots are built on first
+        read (:meth:`Kernel.from_slot_table`).
         """
         with self._lock:
             kernel = self._read(key, KERNELS, kernel_from_body)
@@ -692,13 +676,17 @@ class ResultStore:
 
         Best effort, never raising: a shard whose append fails is
         counted as an I/O error, and its kernels simply synthesize
-        again on the next run.
+        again on the next run.  A kernel without a record body (a
+        mnemonic that is not identifier-like) is not written: it could
+        only read back as a miss.
         """
+        bodies = [(key, kernel_body(kernel)) for key, kernel in entries]
+        bodies = [(key, body) for key, body in bodies if body is not None]
         with self._lock:
-            for shard, batch in self._by_shard(KERNELS, entries):
+            for shard, batch in self._by_shard(KERNELS, bodies):
                 try:
                     shard.path.parent.mkdir(exist_ok=True)
-                    self._append(shard, batch, kernel_body, _tampered_kernel)
+                    self._append(shard, batch, dict, _tampered_kernel)
                 except OSError as exc:
                     self._count_io_error(shard.path, exc)
 
@@ -887,6 +875,11 @@ class ResultStore:
                                 report.records += 1
                             else:
                                 report.kernel_records += 1
+                            if status == "retired":
+                                # Superseded by the current format: it
+                                # never serves, so it is compacted away.
+                                report.compacted += 1
+                                continue
                             if key in newest:
                                 report.compacted += 1
                             # A verified line re-renders to the bytes

@@ -24,6 +24,12 @@ are unaffected, matching how the paper's measured EPIs should be read.
 Register, immediate and memory values are randomized, minimizing data
 switching effects so instructions compare fairly; memory instructions
 run L1-resident (paper section 5 measures EPI at full locality).
+
+The benchmarks build through the kernel memo of the executor's store
+(:meth:`~repro.core.synthesizer.Synthesizer.kernel`): they depend on
+the architecture, loop size and synthesis seed, not on the machine, so
+a warm store serves a re-run -- or a run on another machine seed --
+without synthesizing any of them.
 """
 
 from __future__ import annotations
@@ -35,11 +41,12 @@ from repro.core.passes.ilp import DependencyDistance
 from repro.core.passes.init_values import InitImmediates, InitRegisters
 from repro.core.passes.memory import MemoryModel
 from repro.core.passes.skeleton import EndlessLoopSkeleton
-from repro.core.synthesizer import Synthesizer
+from repro.core.synthesizer import KernelMemo, Synthesizer, kernel_memo
 from repro.errors import MicroProbeError
 from repro.march.definition import MicroArchitecture
 from repro.measure.measurement import Measurement
 from repro.sim.config import MachineConfig
+from repro.sim.kernel import Kernel
 
 #: Fraction of per-instruction unit ops below which a unit does not
 #: count as "stressed" (filters counter noise).
@@ -80,11 +87,12 @@ class Bootstrapper:
         )
         self.duration = duration
         self.seed = seed
-        # Every measurement routes through the execution engine, so a
-        # store-backed executor serves a warm re-run of the whole-ISA
-        # bootstrap from disk.  None resolves the environment's
-        # executor (``REPRO_STORE``) on first use: a bootstrapper that
-        # only builds kernels needs no machine.
+        # Every measurement routes through the execution engine, and
+        # every build through its store's kernel memo, so a store-backed
+        # executor serves a warm re-run of the whole-ISA bootstrap from
+        # disk.  None resolves the environment's executor
+        # (``REPRO_STORE``) before the first build: ``_build`` alone
+        # needs no machine.
         self.executor = executor
         self._reference_power: float | None = None
 
@@ -95,7 +103,9 @@ class Bootstrapper:
             self.arch, seed=self.seed, name_prefix=prefix, validate=True
         )
 
-    def _build(self, mnemonic: str, chained: bool):
+    def _build(
+        self, mnemonic: str, chained: bool, memo: KernelMemo | None = None
+    ) -> Kernel:
         """One of the two bootstrap benchmarks for ``mnemonic``."""
         synth = self._synthesizer(
             f"boot-{mnemonic}-{'chain' if chained else 'free'}"
@@ -110,26 +120,39 @@ class Bootstrapper:
         synth.add_pass(
             DependencyDistance("chain" if chained else "none")
         )
-        return synth.synthesize().to_kernel()
+        return synth.kernel(memo)
+
+    def _executor(self):
+        """The measuring executor, resolved on first use."""
+        if self.executor is None:
+            from repro.exec.executors import default_executor
+
+            self.executor = default_executor(self.machine)
+        return self.executor
+
+    def _kernels(self, specs: list[tuple[str, bool]]) -> list[Kernel]:
+        """``(mnemonic, chained)`` benchmarks, through the store's memo."""
+        store = getattr(self._executor(), "store", None)
+        with kernel_memo(store, self.arch) as memo:
+            return [
+                self._build(mnemonic, chained, memo)
+                for mnemonic, chained in specs
+            ]
 
     def _measure_batch(self, kernels) -> list[Measurement]:
         """Measure bootstrap kernels on the taxonomy configuration."""
-        from repro.exec.executors import default_executor
         from repro.exec.plan import ExperimentPlan
 
-        if self.executor is None:
-            self.executor = default_executor(self.machine)
         plan = ExperimentPlan.cross(
             kernels, [self.config], duration=self.duration
         )
-        return self.executor.run(plan)
+        return self._executor().run(plan)
 
     def _reference(self) -> float:
         """Mean power of the nop reference loop (cancels statics)."""
         if self._reference_power is None:
-            kernel = self._build("nop", chained=False)
-            measurement = self._measure_batch([kernel])[0]
-            self._reference_power = measurement.mean_power
+            kernels = self._kernels([("nop", False)])
+            self._reference_power = self._measure_batch(kernels)[0].mean_power
         return self._reference_power
 
     # -- derivations ----------------------------------------------------------
@@ -167,9 +190,12 @@ class Bootstrapper:
                 reference itself).
         """
         self._require_probeable(mnemonic)
-        chained = self._measure_batch([self._build(mnemonic, chained=True)])[0]
-        free = self._measure_batch([self._build(mnemonic, chained=False)])[0]
-        return self._derive(mnemonic, chained, free)
+        chained, free = self._kernels([(mnemonic, True), (mnemonic, False)])
+        return self._derive(
+            mnemonic,
+            self._measure_batch([chained])[0],
+            self._measure_batch([free])[0],
+        )
 
     def _derive(
         self, mnemonic: str, chained: Measurement, free: Measurement
@@ -207,10 +233,10 @@ class Bootstrapper:
         into the architecture's property database, completing the
         partial text-file definition automatically.
 
-        The two benchmarks of every instruction are generated up front
-        and measured as one plan per benchmark kind, so the whole-ISA
-        bootstrap drives the machine's evaluation engine instead of
-        several hundred independent ``run`` round-trips.
+        The two benchmarks of every instruction are built (or loaded)
+        up front and measured as one plan per benchmark kind, so the
+        whole-ISA bootstrap drives the machine's evaluation engine
+        instead of several hundred independent ``run`` round-trips.
         """
         if mnemonics is None:
             mnemonics = [
@@ -219,12 +245,11 @@ class Bootstrapper:
             ]
         for mnemonic in mnemonics:
             self._require_probeable(mnemonic)
-        chained_batch = self._measure_batch(
-            [self._build(m, chained=True) for m in mnemonics]
+        kernels = self._kernels(
+            [(m, True) for m in mnemonics] + [(m, False) for m in mnemonics]
         )
-        free_batch = self._measure_batch(
-            [self._build(m, chained=False) for m in mnemonics]
-        )
+        chained_batch = self._measure_batch(kernels[: len(mnemonics)])
+        free_batch = self._measure_batch(kernels[len(mnemonics) :])
         records = {}
         for mnemonic, chained, free in zip(
             mnemonics, chained_batch, free_batch

@@ -14,10 +14,16 @@ addresses may differ) for every slot below the last full period; any
 trailing remainder (typically the loop-closing branch) is arbitrary.
 The steady-state evaluation engine exploits the fingerprint to
 summarize a kernel in O(period) instead of O(loop size) work.
+
+A kernel loaded from a store record (:meth:`Kernel.from_slot_table`)
+is checked and digested from the record's slot text at load, and builds
+its loop body only when something reads it.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -109,6 +115,114 @@ def intern_slot(
     return slot
 
 
+#: One loop slot as :meth:`Kernel.digest` renders it:
+#: ``mnemonic,dep_distance,source_level,address``, with ``None`` for an
+#: absent optional field.  The grammar admits exactly the texts that
+#: parse to canonical fields and render back unchanged: identifier-like
+#: mnemonics and levels (a mnemonic is never ``None``), dependency
+#: distances of at least 1 and non-negative addresses, integers without
+#: leading zeros or signs.
+_SLOT = (
+    r"(?!None,)[A-Za-z_][A-Za-z0-9_.+-]*"
+    r",(?:None|[1-9][0-9]*)"
+    r",(?:None|[A-Za-z_][A-Za-z0-9_]*)"
+    r",(?:None|0|[1-9][0-9]*)"
+)
+#: A slot table: one or more slot texts joined by ``|``.  Compiled on
+#: first use (``re`` caches it), so importing costs nothing.
+_SLOT_TABLE = rf"{_SLOT}(?:\|{_SLOT})*"
+
+
+def _slot_text(instruction: KernelInstruction) -> str:
+    """The digest text of one slot, cached on the (immutable) slot."""
+    text = instruction.__dict__.get("_content")
+    if text is None:
+        text = (
+            f"{instruction.mnemonic},{instruction.dep_distance},"
+            f"{instruction.source_level},{instruction.address}"
+        )
+        object.__setattr__(instruction, "_content", text)
+    return text
+
+
+def _periodic_split(body, period: int | None):
+    """``(pattern, repeats, tail)`` of a loop body sequence.
+
+    The decomposition :meth:`Kernel.periodic_parts` names, for any
+    sliceable sequence of slots (a kernel's instructions or a record's
+    slot indices).
+    """
+    if period is None or period >= len(body):
+        return body, 1, body[:0]
+    repeats = len(body) // period
+    return body[:period], repeats, body[repeats * period:]
+
+
+def _body_digest(
+    operand_entropy: float, pattern: list[str], repeats: int, tail: list[str]
+) -> int:
+    """:meth:`Kernel.digest` of a body given its pattern and tail slot texts."""
+    return content_hash(
+        f"{operand_entropy}:{len(pattern)}:{repeats}:"
+        f"{'|'.join(pattern)}#{'|'.join(tail)}"
+    )
+
+
+def _check_header(
+    name: object,
+    length: int,
+    operand_entropy: float,
+    period: int | None,
+    analytic_period: int | None,
+) -> None:
+    """Every :class:`Kernel` condition that does not read a slot."""
+    if not isinstance(name, str):
+        raise ValueError(f"kernel name must be a string: {name!r}")
+    if not length:
+        raise ValueError(f"kernel {name!r} has an empty loop body")
+    if not 0.0 <= operand_entropy <= 1.0:
+        raise ValueError("operand_entropy must be within [0, 1]")
+    if period is not None and period < 1:
+        raise ValueError(f"kernel {name!r}: period must be >= 1")
+    pattern = length if period is None else min(period, length)
+    if analytic_period is not None and (
+        analytic_period < 1 or pattern % analytic_period
+    ):
+        raise ValueError(
+            f"kernel {name!r}: analytic_period {analytic_period} must "
+            f"divide the pattern length {pattern}"
+        )
+
+
+def _slots_of(table: list[str], index: list[int]):
+    """The loop body a checked slot table and index spell.
+
+    Slots that share a table entry share one (immutable) slot object,
+    as :meth:`repro.core.ir.Program.to_kernel` shares equal slots, and
+    mnemonic and level strings are interned.  The table passed the
+    grammar and the index its range check, so this cannot fail.
+    """
+    intern = sys.intern
+    new = object.__new__
+    slots = []
+    for text in table:
+        mnemonic, distance, level, address = text.split(",")
+        # The frozen dataclass's fields without its __init__, plus the
+        # digest text.  One dict update is the fast path; it costs
+        # memory, as each slot gets its own dict, not the class's
+        # shared-key one.
+        slot = new(KernelInstruction)
+        slot.__dict__.update(
+            mnemonic=intern(mnemonic),
+            dep_distance=None if distance == "None" else int(distance),
+            source_level=None if level == "None" else intern(level),
+            address=None if address == "None" else int(address),
+            _content=text,
+        )
+        slots.append(slot)
+    return tuple(map(slots.__getitem__, index))
+
+
 @dataclass(frozen=True)
 class Kernel:
     """An endless-loop micro-benchmark ready to run on the machine.
@@ -144,25 +258,16 @@ class Kernel:
     analytic_period: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise ValueError(f"kernel name must be a string: {self.name!r}")
-        if not self.instructions:
-            raise ValueError(f"kernel {self.name!r} has an empty loop body")
-        if not 0.0 <= self.operand_entropy <= 1.0:
-            raise ValueError("operand_entropy must be within [0, 1]")
-        if self.period is not None and self.period < 1:
-            raise ValueError(f"kernel {self.name!r}: period must be >= 1")
+        _check_header(
+            self.name,
+            len(self.instructions),
+            self.operand_entropy,
+            self.period,
+            self.analytic_period,
+        )
         # With a declared period, the fingerprint contract makes one
         # period plus the tail representative -- validate O(period).
         pattern, repeats, tail = self.periodic_parts()
-        if self.analytic_period is not None and (
-            self.analytic_period < 1 or len(pattern) % self.analytic_period
-        ):
-            raise ValueError(
-                f"kernel {self.name!r}: analytic_period "
-                f"{self.analytic_period} must divide the pattern "
-                f"length {len(pattern)}"
-            )
         for base, slots in ((0, pattern), (repeats * len(pattern), tail)):
             for index, instruction in enumerate(slots):
                 distance = instruction.dep_distance
@@ -171,6 +276,101 @@ class Kernel:
                         f"kernel {self.name!r} slot {base + index}: "
                         f"dependency distance must be >= 1, got {distance}"
                     )
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: a kernel from
+        # :meth:`from_slot_table` builds its loop body on first read.
+        if name == "instructions":
+            state = self.__dict__.get("_slot_table")
+            if state is not None:
+                instructions = _slots_of(*state)
+                object.__setattr__(self, "instructions", instructions)
+                self.__dict__.pop("_slot_table", None)
+                return instructions
+            if "instructions" in self.__dict__:  # built by another thread
+                return self.__dict__["instructions"]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    @classmethod
+    def from_slot_table(
+        cls,
+        name: str,
+        slots: str,
+        index: list[int],
+        operand_entropy: float,
+        period: int | None,
+        analytic_period: int | None,
+    ) -> "Kernel":
+        """The kernel a slot table spells, checked now and built lazily.
+
+        ``slots`` joins each distinct slot's digest text with ``|``
+        (:meth:`slot_table`); ``index`` holds one table position per
+        loop slot.  Everything :meth:`__post_init__` would reject is
+        rejected here, and the digest is computed from the text --
+        exactly the value :meth:`digest` computes from the built slots.
+        The slot objects and the ``instructions`` tuple are built on
+        the first read of ``instructions`` (``len``, ``==``,
+        :meth:`periodic_parts`), which cannot fail.
+
+        Raises:
+            ValueError: If a field has the wrong type, the table breaks
+                the grammar, an index is out of range, or the header
+                breaks a kernel condition.
+        """
+        if (
+            type(slots) is not str
+            or type(index) is not list
+            or not set(map(type, index)) <= {int}
+            or type(operand_entropy) is not float
+            or type(period) not in _INT_OR_NONE
+            or type(analytic_period) not in _INT_OR_NONE
+        ):
+            raise ValueError(f"kernel {name!r}: a field of the wrong type")
+        if re.fullmatch(_SLOT_TABLE, slots) is None:
+            raise ValueError(f"kernel {name!r}: malformed slot table")
+        table = slots.split("|")
+        if index and (min(index) < 0 or max(index) >= len(table)):
+            raise ValueError(f"kernel {name!r}: slot index out of range")
+        _check_header(name, len(index), operand_entropy, period, analytic_period)
+        pattern, repeats, tail = _periodic_split(index, period)
+        text = table.__getitem__
+        kernel = object.__new__(cls)
+        kernel.__dict__.update(
+            name=name,
+            operand_entropy=operand_entropy,
+            period=period,
+            analytic_period=analytic_period,
+            _digest=_body_digest(
+                operand_entropy,
+                list(map(text, pattern)),
+                repeats,
+                list(map(text, tail)),
+            ),
+            _slot_table=(table, index),
+        )
+        return kernel
+
+    def slot_table(self) -> tuple[str, list[int]] | None:
+        """``(slots, index)`` as :meth:`from_slot_table` reads them.
+
+        Each distinct slot object is written once, in first-use order,
+        as the text :meth:`digest` hashes
+        (``mnemonic,dep_distance,source_level,address``), and the texts
+        are joined by ``|``; ``index`` holds each loop slot's table
+        position.  ``None`` when some slot's text falls outside the
+        grammar, which no kernel of identifier-like mnemonics and
+        levels and non-negative addresses does.
+        """
+        instructions = self.instructions
+        ids = list(map(id, instructions))
+        distinct = dict(zip(ids, instructions))
+        slots = "|".join(map(_slot_text, distinct.values()))
+        if re.fullmatch(_SLOT_TABLE, slots) is None:
+            return None
+        positions = dict(zip(distinct, range(len(distinct))))
+        return slots, list(map(positions.__getitem__, ids))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -188,15 +388,7 @@ class Kernel:
         by the period contract).  Aperiodic kernels decompose trivially
         as one repeat of the whole body.
         """
-        period = self.period
-        if period is None or period >= len(self.instructions):
-            return self.instructions, 1, ()
-        repeats = len(self.instructions) // period
-        return (
-            self.instructions[:period],
-            repeats,
-            self.instructions[repeats * period:],
-        )
+        return _periodic_split(self.instructions, self.period)
 
     def validate_period(self) -> None:
         """Assert the declared period contract (O(loop size); tests only).
@@ -244,11 +436,9 @@ class Kernel:
         if cached is not None:
             return cached
         pattern, repeats, tail = self.periodic_parts()
-        text = (
-            f"{self.operand_entropy}:{len(pattern)}:{repeats}:"
-            f"{_content_text(pattern)}#{_content_text(tail)}"
+        value = _body_digest(
+            self.operand_entropy, _slot_texts(pattern), repeats, _slot_texts(tail)
         )
-        value = content_hash(text)
         object.__setattr__(self, "_digest", value)
         return value
 
@@ -323,25 +513,12 @@ class Kernel:
         ]
 
 
-def _content_text(instructions: tuple[KernelInstruction, ...]) -> str:
+def _slot_texts(instructions: tuple[KernelInstruction, ...]) -> list[str]:
     # The rendered slot text is cached on the instruction objects:
     # builders intern slot instances, so a batch of generated kernels
     # renders each distinct slot once instead of once per digest, and
     # the warm path is a bare dict-lookup comprehension.
     try:
-        return "|".join(
-            [ins.__dict__["_content"] for ins in instructions]
-        )
+        return [ins.__dict__["_content"] for ins in instructions]
     except KeyError:
-        pass
-    parts = []
-    for ins in instructions:
-        text = ins.__dict__.get("_content")
-        if text is None:
-            text = (
-                f"{ins.mnemonic},{ins.dep_distance},"
-                f"{ins.source_level},{ins.address}"
-            )
-            object.__setattr__(ins, "_content", text)
-        parts.append(text)
-    return "|".join(parts)
+        return list(map(_slot_text, instructions))

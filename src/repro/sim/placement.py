@@ -136,12 +136,31 @@ class Placement:
 
     @property
     def is_homogeneous(self) -> bool:
-        """Whether every thread runs the same workload."""
-        keys = {
-            strict_workload_key(workload)
-            for workload in self.thread_workloads
-        }
-        return len(keys) == 1
+        """Whether every thread runs the same workload.
+
+        Keys each distinct placed object once; computed once per
+        (frozen) instance.
+        """
+        cached = self.__dict__.get("_homogeneous")
+        if cached is None:
+            distinct = {id(w): w for w in self.thread_workloads}
+            cached = len(set(map(strict_workload_key, distinct.values()))) == 1
+            object.__setattr__(self, "_homogeneous", cached)
+        return cached
+
+    def _workload_keys(self) -> dict[int, tuple]:
+        """:func:`workload_key` of each distinct placed object, by ``id``.
+
+        A mix places two or three distinct kernels on dozens of threads,
+        so each is keyed once.  The placement holds every object it
+        keys, so no ``id`` is reused while the cache lives.
+        """
+        cached = self.__dict__.get("_keys")
+        if cached is None:
+            distinct = {id(w): w for w in self.thread_workloads}
+            cached = dict(zip(distinct, map(workload_key, distinct.values())))
+            object.__setattr__(self, "_keys", cached)
+        return cached
 
     def validate_against(self, config) -> None:
         """Raise ``ValueError`` if the placement does not fit ``config``.
@@ -195,15 +214,10 @@ class Placement:
         across clusters, so power and noise salts canonicalize per
         segment.
         """
-        key_of: dict[int, tuple] = {}
+        key_of = self._workload_keys()
         per_core = {}
         for core in range(start, stop):
-            keys = []
-            for workload in self.core_groups[core]:
-                key = key_of.get(id(workload))
-                if key is None:
-                    key = key_of[id(workload)] = workload_key(workload)
-                keys.append(key)
+            keys = [key_of[id(workload)] for workload in self.core_groups[core]]
             order = sorted(range(len(keys)), key=keys.__getitem__)
             per_core[core] = (order, tuple(keys[slot] for slot in order))
         core_order = sorted(
@@ -241,14 +255,14 @@ class Placement:
         cached = self.__dict__.get("_canonical_salt")
         if cached is not None:
             return cached
-        workloads = self.thread_workloads
         if self.is_homogeneous:
-            first = workloads[0]
+            first = self.thread_workloads[0]
             cached = first.digest() if isinstance(first, Kernel) else 0
         else:
+            key_of = self._workload_keys()
             cached = stable_seed(
                 *(
-                    workload_key(self.core_groups[core][slot])
+                    key_of[id(self.core_groups[core][slot])]
                     for core, slot in self.canonical_order()
                 )
             )
@@ -268,6 +282,7 @@ class Placement:
         if self.is_homogeneous:
             first = self.thread_workloads[0]
             return first.digest() if isinstance(first, Kernel) else 0
+        key_of = self._workload_keys()
         parts: list[object] = []
         offset = 0
         for index, cluster in enumerate(topology.clusters):
@@ -275,7 +290,7 @@ class Placement:
             for core, slot in self.segment_order(
                 offset, offset + cluster.cores
             ):
-                parts.append(workload_key(self.core_groups[core][slot]))
+                parts.append(key_of[id(self.core_groups[core][slot])])
             offset += cluster.cores
         return stable_seed(*parts)
 

@@ -3,7 +3,8 @@
 A memo-served kernel must ``==`` the kernel synthesis builds (dataclass
 equality, not only an equal digest), its recipe key must move with
 everything synthesis reads, and a recipe the key cannot describe
-exactly is never memoized.
+exactly is never memoized.  The Table-2 training suite and the
+whole-ISA bootstrap both build through the memo.
 """
 
 import math
@@ -22,9 +23,11 @@ from repro.core.passes import (
     MemoryModel,
 )
 from repro.core.synthesizer import KernelMemo, Synthesizer
-from repro.exec import ResultStore
+from repro.exec import ResultStore, SerialExecutor
 from repro.march import get_architecture
+from repro.march.bootstrap import Bootstrapper
 from repro.power_model.training import generate_training_suite
+from repro.sim import Kernel, KernelInstruction, Machine
 
 SCALE = 0.05
 LOOP = 128
@@ -72,6 +75,12 @@ def test_memo_served_suite_equals_fresh_synthesis(power7_arch, tmp_path, seed):
     warm = generate_training_suite(power7_arch, LOOP, SCALE, seed, store)
     assert store.kernel_hits == len(fresh) and store.kernel_misses == 0
     assert cold == fresh
+    # A hit carries the digest computed from its record's slot text at
+    # load -- the value synthesis output hashes to -- and has built no
+    # slot yet.
+    for bench, reference in zip(warm, fresh):
+        assert "instructions" not in vars(bench.kernel)
+        assert vars(bench.kernel)["_digest"] == reference.kernel.digest()
     assert warm == fresh
     for bench in warm:
         kernel = bench.kernel
@@ -84,10 +93,9 @@ def test_memo_served_suite_equals_fresh_synthesis(power7_arch, tmp_path, seed):
             )
             for slot in kernel.instructions
         )
-        # Nothing is carried over but content: the digest is computed
-        # from the loaded slots.
-        assert "_digest" not in vars(kernel)
-    assert [b.kernel.digest() for b in warm] == [
+        assert "_slot_table" not in vars(kernel)
+    # Rebuilt from the loaded slots, each kernel digests alike.
+    assert [replace(b.kernel).digest() for b in warm] == [
         b.kernel.digest() for b in fresh
     ]
 
@@ -241,3 +249,75 @@ def test_synthesis_reads_nothing_the_arch_digest_excludes(power7_arch):
     assert generate_training_suite(edited, LOOP, SCALE, 2) == (
         generate_training_suite(power7_arch, LOOP, SCALE, 2)
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_memo_served_bootstrap_equals_fresh(
+    tmp_path, seed, synthesize_calls, monkeypatch
+):
+    """The whole-ISA bootstrap loads its kernels from a warm store.
+
+    Loaded kernels equal the ones synthesis wrote, and a machine of
+    another seed -- whose cells all miss -- measures the loaded kernels
+    into the records a store-less bootstrap derives.
+    """
+    written = []
+    put_kernels = ResultStore.put_kernels
+
+    def recording(self, entries):
+        written.extend(kernel for _, kernel in entries)
+        put_kernels(self, entries)
+
+    monkeypatch.setattr(ResultStore, "put_kernels", recording)
+
+    def bootstrapper(store=None, machine_seed=seed):
+        arch = get_architecture("POWER7")
+        machine = Machine(arch, seed=machine_seed)
+        return Bootstrapper(
+            arch,
+            machine,
+            loop_size=32,
+            duration=1.0,
+            seed=seed,
+            executor=SerialExecutor(machine, store=store),
+        )
+
+    cold_store = ResultStore(tmp_path)
+    cold = bootstrapper(cold_store).run()
+    built = len(synthesize_calls)
+    # Two benchmarks per probeable instruction plus the nop reference.
+    assert built == cold_store.kernel_misses == len(written)
+    assert built == 2 * len(cold) + 1 > 300
+    warm_store = ResultStore(tmp_path)
+    warm = bootstrapper(warm_store)
+    assert warm.run() == cold
+    assert (warm_store.kernel_hits, warm_store.kernel_misses) == (built, 0)
+    assert warm_store.misses == 0
+    assert len(synthesize_calls) == built
+
+    specs = [(m, chained) for chained in (True, False) for m in cold]
+    loaded = warm._kernels(specs + [("nop", False)])
+    assert [k.digest() for k in loaded] == [k.digest() for k in written]
+    assert loaded == written
+
+    other_store = ResultStore(tmp_path)
+    other = bootstrapper(other_store, machine_seed=seed + 7).run()
+    assert (other_store.kernel_hits, other_store.kernel_misses) == (built, 0)
+    assert other_store.misses == built
+    assert len(synthesize_calls) == built
+    assert other == bootstrapper(machine_seed=seed + 7).run()
+
+
+def test_a_kernel_outside_the_record_grammar_is_not_written(tmp_path):
+    """A slot text the record grammar rejects could only read back as a
+    miss, so the kernel is not written at all."""
+    odd = Kernel("odd", (KernelInstruction("ld,x"), KernelInstruction("b")))
+    plain = Kernel("plain", (KernelInstruction("ld"), KernelInstruction("b")))
+    assert odd.slot_table() is None
+    assert plain.slot_table() == ("ld,None,None,None|b,None,None,None", [0, 1])
+    store = ResultStore(tmp_path)
+    store.put_kernels([("ab" * 16, odd), ("cd" * 16, plain)])
+    assert store.get_kernel("ab" * 16) is None
+    assert store.get_kernel("cd" * 16) == plain
+    assert store.fault_stats() == {}
+    assert ResultStore(tmp_path).verify().kernel_records == 1

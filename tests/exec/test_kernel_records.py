@@ -3,11 +3,14 @@
 A store-backed :class:`ModelingCampaign` writes its training kernels as
 a second record type.  They must stay out of the cell accounting, pass
 ``verify``, compact under ``scrub``, and -- under injected I/O faults
-and tampered records -- never change the campaign's result.
+and tampered records -- never change the campaign's result.  A loaded
+kernel builds its slots only when read: a fully warm campaign builds
+none, and one whose cells all miss builds each kernel's once.
 """
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -16,6 +19,8 @@ from repro.exec.faults import FaultPlan
 from repro.exec.store import KERNELS, render_record
 from repro.power_model.campaign import ModelingCampaign
 from repro.sim import Machine
+from repro.sim import kernel as kernel_module
+from repro.sim.kernel import KernelInstruction
 
 SCALE = 0.05
 LOOP = 128
@@ -132,6 +137,56 @@ def test_warm_campaign_loads_every_kernel(campaign_store, clean, power7_arch):
     assert warm.store.fault_stats() == {}
 
 
+@pytest.fixture
+def slot_builds(monkeypatch):
+    """Slot tables built by loaded kernels (each one kept alive, so
+    ``id``s stay distinct) and :class:`KernelInstruction` objects
+    constructed, by a loaded kernel or by the dataclass constructor."""
+    built = {"tables": [], "instructions": 0}
+    build = kernel_module._slots_of
+    construct = KernelInstruction.__init__
+
+    def counting_build(table, index):
+        built["tables"].append(table)
+        built["instructions"] += len(table)
+        return build(table, index)
+
+    def counting_construct(self, *args, **kwargs):
+        built["instructions"] += 1
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel_module, "_slots_of", counting_build)
+    monkeypatch.setattr(KernelInstruction, "__init__", counting_construct)
+    return built
+
+
+def test_fully_warm_campaign_builds_no_slot(
+    campaign_store, clean, power7_arch, slot_builds
+):
+    root, _, executor = campaign_store
+    result, warm = _campaign(power7_arch, root)
+    assert _fingerprint(result) == clean
+    assert warm.store.kernel_hits == executor.store.kernel_misses > 0
+    assert warm.store.misses == 0
+    assert slot_builds == {"tables": [], "instructions": 0}
+
+
+def test_cold_cells_over_a_warm_memo_build_each_kernel_once(
+    campaign_store, clean, power7_arch, tmp_path, slot_builds
+):
+    root, _, executor = campaign_store
+    shutil.copytree(root / "kernels", tmp_path / "kernels")
+    result, run = _campaign(power7_arch, tmp_path)
+    assert _fingerprint(result) == clean
+    loaded = executor.store.kernel_misses
+    assert (run.store.kernel_hits, run.store.kernel_misses) == (loaded, 0)
+    assert (run.store.hits, run.store.misses) == (
+        0, len(executor.cell_keys)
+    )
+    tables = slot_builds["tables"]
+    assert len(tables) == len({id(table) for table in tables}) == loaded
+
+
 def test_scrub_keeps_the_newest_valid_kernel_record(
     campaign_store, tmp_path
 ):
@@ -157,7 +212,7 @@ def test_scrub_keeps_the_newest_valid_kernel_record(
         )
     torn_shard = tmp_path / "kernels" / f"{second['key'][:2]}.jsonl"
     with torn_shard.open("ab") as handle:
-        handle.write(b'{"format": "repro-kernel-v1", "key": "')
+        handle.write(KERNELS.prefixes[0])
 
     report = ResultStore(tmp_path).verify()
     assert not report.ok

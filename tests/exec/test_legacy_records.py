@@ -1,4 +1,4 @@
-"""Stores written before the compact measurement body keep serving warm.
+"""Stores written by earlier releases keep working.
 
 ``tests/golden/legacy_store`` is a result store recorded by the release
 before ``Measurement.to_dict`` wrote counters compactly: every record
@@ -8,9 +8,17 @@ store must verify clean, serve the whole plan below with zero machine
 invocations, and return measurements equal bit for bit to a one-shot
 run.  Regenerate the fixture only from a release that writes the old
 body: ``legacy_plan`` is the plan it holds.
+
+``tests/golden/legacy_kernels`` holds kernel records in the v1 layout
+(``repro-kernel-v1``, the slot table as one list per slot), written by
+the release before the v2 record through a :class:`KernelMemo` from
+the three kernels of ``legacy_recipe``.  They verify clean, read as
+plain misses -- no fault, no warning -- and are superseded by the v2
+records the memo then writes; scrub compacts them away as undamaged.
 """
 
 import json
+import logging
 import shutil
 import struct
 from pathlib import Path
@@ -18,7 +26,17 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.core.passes import (
+    DependencyDistance,
+    EndlessLoopSkeleton,
+    InitImmediates,
+    InitRegisters,
+    InstructionDistribution,
+    MemoryModel,
+)
+from repro.core.synthesizer import KernelMemo, Synthesizer
 from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
+from repro.exec.store import KERNELS
 from repro.sim import (
     Machine,
     MachineConfig,
@@ -29,6 +47,7 @@ from repro.sim import (
 from repro.stressmark.search import build_stressmark
 
 FIXTURE = Path(__file__).parent.parent / "golden" / "legacy_store"
+KERNEL_FIXTURE = Path(__file__).parent.parent / "golden" / "legacy_kernels"
 
 _DURATION = 1.0
 
@@ -148,3 +167,110 @@ class TestPreChangeStore:
             for path in (legacy_store / "shards").glob("*.jsonl")
         }
         assert after == before
+
+
+# -- v1 kernel records -----------------------------------------------------------
+
+
+def legacy_recipe(arch) -> Synthesizer:
+    """The recipe whose ordinals 0-2 the kernel fixture holds."""
+    synth = Synthesizer(arch, seed=11, name_prefix="legacy")
+    synth.add_pass(EndlessLoopSkeleton(64))
+    synth.add_pass(InstructionDistribution(["add", "lwz", "stw", "fmadd"]))
+    synth.add_pass(MemoryModel({"L1": 0.5, "L2": 0.5}))
+    synth.add_pass(InitRegisters("random"))
+    synth.add_pass(InitImmediates("random"))
+    synth.add_pass(DependencyDistance("mean", mean_distance=2.5))
+    return synth
+
+
+_LEGACY_KERNELS = 3
+
+
+@pytest.fixture
+def legacy_kernels(tmp_path) -> Path:
+    store_dir = tmp_path / "store"
+    shutil.copytree(KERNEL_FIXTURE, store_dir)
+    return store_dir
+
+
+def _kernel_formats(store_dir: Path) -> dict[str, list[str]]:
+    """Each kernel shard's record formats, in file order."""
+    return {
+        shard.name: [
+            json.loads(line)["format"]
+            for line in shard.read_bytes().splitlines()
+        ]
+        for shard in sorted((store_dir / "kernels").glob("*.jsonl"))
+    }
+
+
+def _load(store_dir: Path, arch) -> tuple[list, ResultStore]:
+    store = ResultStore(store_dir)
+    with KernelMemo(store, arch) as memo:
+        synth = legacy_recipe(arch)
+        kernels = [synth.kernel(memo) for _ in range(_LEGACY_KERNELS)]
+    store.close()
+    return kernels, store
+
+
+class TestV1KernelRecords:
+    def test_fixture_holds_v1_records(self, legacy_kernels):
+        formats = _kernel_formats(legacy_kernels)
+        assert sum(map(len, formats.values())) == _LEGACY_KERNELS
+        assert {f for shard in formats.values() for f in shard} == {
+            "repro-kernel-v1"
+        }
+        for shard in (legacy_kernels / "kernels").glob("*.jsonl"):
+            body = json.loads(shard.read_bytes())["kernel"]
+            assert isinstance(body["slots"], list)
+
+    def test_verifies_clean(self, legacy_kernels):
+        report = ResultStore(legacy_kernels).verify()
+        assert report.ok, report.problems
+        assert report.kernel_records == report.kernel_keys == _LEGACY_KERNELS
+        assert main(["store", "verify", "--store", str(legacy_kernels)]) == 0
+
+    def test_read_as_plain_misses_then_rewritten_as_v2(
+        self, legacy_kernels, power7_arch, caplog
+    ):
+        synth = legacy_recipe(power7_arch)
+        fresh = [synth.kernel() for _ in range(_LEGACY_KERNELS)]
+        with caplog.at_level(logging.WARNING, logger="repro.exec.store"):
+            cold, store = _load(legacy_kernels, power7_arch)
+        assert cold == fresh
+        assert (store.kernel_hits, store.kernel_misses) == (0, _LEGACY_KERNELS)
+        assert store.fault_stats() == {}
+        assert caplog.records == []
+        # Each shard gains the v2 record after its v1 one; the newest wins.
+        assert set(map(tuple, _kernel_formats(legacy_kernels).values())) == {
+            ("repro-kernel-v1", KERNELS.format)
+        }
+        warm, store = _load(legacy_kernels, power7_arch)
+        assert (store.kernel_hits, store.kernel_misses) == (_LEGACY_KERNELS, 0)
+        assert store.fault_stats() == {}
+        assert [kernel.digest() for kernel in warm] == [
+            kernel.digest() for kernel in fresh
+        ]
+        assert warm == fresh
+        report = ResultStore(legacy_kernels).verify()
+        assert report.ok
+        assert report.kernel_records == 2 * _LEGACY_KERNELS
+        assert report.kernel_keys == _LEGACY_KERNELS
+
+    @pytest.mark.parametrize("rewritten", [False, True])
+    def test_scrub_compacts_v1_records_as_undamaged(
+        self, legacy_kernels, power7_arch, rewritten
+    ):
+        if rewritten:
+            _load(legacy_kernels, power7_arch)
+        report = ResultStore(legacy_kernels).scrub()
+        assert report.ok
+        assert (report.dropped, report.compacted) == (0, _LEGACY_KERNELS)
+        remaining = [KERNELS.format] * rewritten
+        assert set(map(tuple, _kernel_formats(legacy_kernels).values())) == {
+            tuple(remaining)
+        }
+        _, store = _load(legacy_kernels, power7_arch)
+        assert store.kernel_hits == _LEGACY_KERNELS * rewritten
+        assert store.fault_stats() == {}

@@ -53,6 +53,7 @@ from repro.exec.faults import FaultPlan
 from repro.exec.store import KERNELS, kernel_body, render_record
 from repro.march import get_architecture
 from repro.sim import Machine, MachineConfig, Placement, parse_topology
+from repro.sim.kernel import Kernel, KernelInstruction
 from repro.stressmark.search import build_stressmark
 
 _SEED = 20121201
@@ -450,30 +451,90 @@ def test_garbage_index_files_are_ignored(tmp_path, plan, power7_arch):
 
 # -- kernel records -----------------------------------------------------------
 
-#: Malformed edits of a kernel record body: each must be rejected.
+
+def _slots(edit):
+    """An edit of a kernel body's slot table text."""
+
+    def apply(body):
+        body["slots"] = edit(body["slots"])
+
+    return apply
+
+
+def _set_slot(text: str):
+    """Replace the table's first slot with ``text``."""
+    return _slots(lambda slots: "|".join([text, *slots.split("|")[1:]]))
+
+
+def _set_field(field: int, text: str):
+    """Replace one field of the table's first slot with ``text``."""
+
+    def edit(slots):
+        first, *rest = slots.split("|")
+        fields = first.split(",")
+        fields[field] = text
+        return "|".join([",".join(fields), *rest])
+
+    return _slots(edit)
+
+
+def _index_past_the_table(body):
+    body["index"][0] = body["slots"].count("|") + 1
+
+
+#: Malformed edits of a kernel record body: each must be rejected.  The
+#: slot table is one text (``mnemonic,dep,level,address`` per slot,
+#: joined by ``|``), so the edits of a slot's shape and field types
+#: are edits of that text.
 _KERNEL_EDITS = [
-    # A slot that is not a list of 4.
-    _set(("slots", 0), ["add", None, None]),
-    _set(("slots", 0), ["add", None, None, None, None]),
-    _set(("slots", 0), "add"),
-    _set(("slots", 0), None),
-    _set(("slots", 0), {"mnemonic": "add"}),
-    _call("slots", "append", 7),
+    # A slot with a missing or extra field, or no slot at all.
+    _set_slot("add,None,None"),
+    _set_slot("add,None,None,None,None"),
+    _set_slot("add"),
+    _set_slot(""),
+    _set_slot('{"mnemonic": "add"}'),
+    _slots(lambda slots: slots + "|7"),
+    _slots(lambda slots: slots + "|"),
+    _slots(lambda slots: "|" + slots),
     _set(("slots",), "slots"),
+    _set(("slots",), ""),
     _set(("slots",), None),
+    _set(("slots",), [["add", None, None, None]]),
+    _set(("slots",), {"0": "add,None,None,None"}),
     _delete("slots"),
-    # A non-string mnemonic, or another field of the wrong type.
-    _set(("slots", 0, 0), 7),
-    _set(("slots", 0, 0), None),
-    _set(("slots", 0, 0), ["add"]),
-    _set(("slots", 0, 1), "3"),
-    _set(("slots", 0, 1), 1.0),
-    _set(("slots", 0, 1), True),
-    _set(("slots", 0, 2), 1),
-    _set(("slots", 0, 3), "0x10"),
+    # A mnemonic that is not one: a number, None, a list, empty, a
+    # separator inside it, padding.
+    _set_field(0, "7"),
+    _set_field(0, "None"),
+    _set_field(0, '["add"]'),
+    _set_field(0, ""),
+    _set_field(0, "ad,d"),
+    _set_field(0, "ad|d"),
+    _set_field(0, " add"),
+    # A dependency distance that is not a canonical int >= 1.
+    _set_field(1, '"3"'),
+    _set_field(1, "1.0"),
+    _set_field(1, "True"),
+    _set_field(1, "0"),
+    _set_field(1, "-0"),
+    _set_field(1, "-1"),
+    _set_field(1, "03"),
+    _set_field(1, "null"),
+    _set_field(1, ""),
+    # A level that is not a name, an address that is not a canonical
+    # int >= 0.
+    _set_field(2, "1"),
+    _set_field(2, ""),
+    _set_field(3, "0x10"),
+    _set_field(3, "010"),
+    _set_field(3, "-0"),
+    _set_field(3, "-16"),
+    _set_field(3, "1.0"),
+    _set_field(3, "True"),
     # An index out of range or not an int.
     _set(("index", 0), 10**6),
     _set(("index", 0), -1),
+    _index_past_the_table,
     _set(("index", 0), 0.0),
     _set(("index", 0), "0"),
     _set(("index", 0), True),
@@ -490,6 +551,7 @@ _KERNEL_EDITS = [
     _set(("period",), 0),
     _set(("period",), 1.5),
     _set(("analytic_period",), "2"),
+    _set(("analytic_period",), 7),
     _set(("name",), 7),
     _delete("name"),
     _delete("period"),
@@ -529,13 +591,16 @@ def memo_arch():
     return arch
 
 
-def _kernel_read(root, arch, recipe, fresh, line: bytes, stale=None) -> str:
+def _kernel_read(
+    root, arch, recipe, fresh, line: bytes, stale=None, counted=None
+) -> str:
     """Load ``recipe``'s kernel through a memo over a one-line shard.
 
     Whatever the line holds, the memo hands back exactly the freshly
     synthesized kernel ``fresh``: loaded on a hit, synthesized again on
     a miss.  ``stale`` is a valid line the store indexes first; ``line``
-    then replaces it under the same offsets.
+    then replaces it under the same offsets.  ``counted``, if given, is
+    the fault count a miss must leave.
     """
     key = recipe().recipe_key(arch.content_digest())
     shard = root / "kernels" / f"{key[:2]}.jsonl"
@@ -559,6 +624,8 @@ def _kernel_read(root, arch, recipe, fresh, line: bytes, stale=None) -> str:
     if store.kernel_hits:
         assert store.fault_stats() == {}
         return "original"
+    if counted is not None:
+        assert store.fault_stats() == counted
     return "miss"
 
 
@@ -586,15 +653,139 @@ def test_kernel_records(tmp_path, memo_arch):
             mutated.append(_with_sum(resigned, _sum_of(line)))
             # Re-signed, the edit reaches the decoder: a counted
             # corrupt record.
-            assert read(resigned) == "miss"
+            assert read(resigned, counted={"corrupt_records": 1}) == "miss"
         # A record of another key where the index expects this one.
         other = "0" * 32 if key[0] != "0" else "f" * 32
         wrong_key = render_record(other, body, KERNELS)
         assert len(wrong_key) == len(line)
         assert read(wrong_key, stale=line) == "miss"
+        # The same body in the retired v1 layout: a plain miss.
+        retired = render_record(key, _v1_body(fresh), KERNELS).replace(
+            KERNELS.format.encode(), b"repro-kernel-v1", 1
+        )
+        assert read(retired, counted={}) == "miss"
         for candidate in mutated:
             outcomes[read(candidate)] += 1
     assert outcomes["miss"] > 0.9 * sum(outcomes.values())
+
+
+def _v1_body(kernel) -> dict:
+    """A kernel's body as the v1 record wrote it: the slot table as one
+    ``[mnemonic, dep_distance, source_level, address]`` list per slot."""
+    body = kernel_body(kernel)
+    body["slots"] = [
+        [
+            mnemonic,
+            None if distance == "None" else int(distance),
+            None if level == "None" else level,
+            None if address == "None" else int(address),
+        ]
+        for mnemonic, distance, level, address in (
+            slot.split(",") for slot in body["slots"].split("|")
+        )
+    ]
+    return body
+
+
+#: Field texts a mutated slot may take: canonical ones the grammar
+#: admits beside near misses it must reject.
+_TOKENS = [
+    "None", "0", "1", "2", "7", "16", "4096", "01", "-0", "-1", "1.0",
+    "True", "false", "add", "lwz", "fmadd", "add.", "L1", "L2", "MEM",
+    "Nonee", "_x", "a-b", "", " ", "x y",
+]
+_CHARACTERS = "0123456789Nonaddlwz.,|_-+ L"
+
+
+def _mutated_body(rng: random.Random, body: dict) -> dict:
+    """``body`` after one to three random edits of its slot table text,
+    index or period fields; many stay inside the grammar."""
+    body = json.loads(json.dumps(body))
+    for _ in range(rng.randint(1, 3)):
+        table = body["slots"].split("|")
+        slot = rng.randrange(len(table))
+        choice = rng.random()
+        if choice < 0.45:
+            fields = table[slot].split(",")
+            fields[rng.randrange(len(fields))] = rng.choice(_TOKENS)
+            table[slot] = ",".join(fields)
+            body["slots"] = "|".join(table)
+        elif choice < 0.65:
+            text = body["slots"]
+            at = rng.randrange(len(text) + 1)
+            cut = rng.choice([0, 1])
+            body["slots"] = (
+                text[:at] + rng.choice(["", *_CHARACTERS]) + text[at + cut:]
+            )
+        elif choice < 0.75:
+            table[slot] = table[rng.randrange(len(table))]
+            body["slots"] = "|".join(table)
+        elif choice < 0.9:
+            index = body["index"]
+            index[rng.randrange(len(index))] = rng.randint(-1, len(table))
+        else:
+            name = rng.choice(["period", "analytic_period"])
+            body[name] = rng.choice([None, 0, 1, 2, 3, 5, 64, 10**6])
+    return body
+
+
+def test_accepted_kernel_records_materialize_as_loaded(tmp_path, memo_arch):
+    """Every re-signed record the loader accepts builds its slots
+    without raising, each slot renders back to its table text, and the
+    digest computed at load is the one the built slots hash to."""
+    rng = random.Random(_SEED + 4)
+    accepted = 0
+    records = []
+    for recipe in _kernel_recipes(memo_arch):
+        body = kernel_body(recipe().kernel())
+        records += [
+            (f"{rng.getrandbits(128):032x}", _mutated_body(rng, body))
+            for _ in range(300)
+        ]
+    (tmp_path / "kernels").mkdir()
+    for key, body in records:
+        shard = tmp_path / "kernels" / f"{key[:2]}.jsonl"
+        with shard.open("ab") as handle:
+            handle.write(render_record(key, body, KERNELS))
+    store = ResultStore(tmp_path)
+    for key, body in records:
+        kernel = store.get_kernel(key)
+        if kernel is None:
+            continue
+        accepted += 1
+        loaded_digest = vars(kernel)["_digest"]
+        assert "instructions" not in vars(kernel)
+        instructions = kernel.instructions
+        table = body["slots"].split("|")
+        assert len(instructions) == len(kernel) == len(body["index"])
+        for slot, position in zip(instructions, body["index"]):
+            rendered = (
+                f"{slot.mnemonic},{slot.dep_distance},"
+                f"{slot.source_level},{slot.address}"
+            )
+            assert rendered == table[position]
+        # Fresh slot objects (no cached text) through the checking
+        # constructor: every kernel condition holds, and the digest
+        # recomputed from the fields is the one computed at load.
+        rebuilt = Kernel(
+            kernel.name,
+            tuple(
+                KernelInstruction(
+                    slot.mnemonic, slot.dep_distance, slot.source_level,
+                    slot.address,
+                )
+                for slot in instructions
+            ),
+            kernel.operand_entropy,
+            kernel.period,
+            kernel.analytic_period,
+        )
+        assert rebuilt.digest() == loaded_digest == kernel.digest()
+    store.close()
+    # Rejections are counted misses, never anything else.
+    assert store.kernel_misses == len(records) - accepted
+    assert store.fault_stats() == {"corrupt_records": store.kernel_misses}
+    assert 0.2 * len(records) < accepted < 0.9 * len(records)
 
 
 def test_kernel_record_faults_are_counted(tmp_path, power7_arch):

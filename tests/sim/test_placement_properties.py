@@ -123,6 +123,70 @@ class TestHomogeneousDegeneracy:
         assert_identical(plain, placed)
 
 
+class TestPlacementIdentity:
+    def test_each_distinct_workload_is_keyed_once(self, monkeypatch):
+        """A 32-thread mix of two kernels keys each kernel once, yet its
+        salts and orders are the per-thread ones, bit for bit."""
+        from repro.sim import parse_topology
+        from repro.sim import placement as placement_module
+        from repro.sim.sensors import stable_seed
+
+        a, b = random_kernel(501), random_kernel(502)
+        config = MachineConfig(8, 4)
+        mix = Placement.round_robin((a, b, b), config, "mix")
+        assert mix.threads == 32
+        topology = parse_topology("4big+4little")
+        calls = {"workload_key": [], "strict_workload_key": []}
+        for name, calls_of in calls.items():
+            original = getattr(placement_module, name)
+
+            def counting(workload, original=original, calls_of=calls_of):
+                calls_of.append(workload)
+                return original(workload)
+
+            monkeypatch.setattr(placement_module, name, counting)
+        assert not mix.is_homogeneous
+        order = mix.canonical_order()
+        salt = mix.canonical_salt()
+        topology_salt = mix.canonical_salt_for(topology)
+        segment = mix.segment_order(2, 6)
+        assert not mix.is_homogeneous
+        for calls_of in calls.values():
+            assert sorted(map(id, calls_of)) == sorted([id(a), id(b)])
+        monkeypatch.undo()
+
+        key = placement_module.workload_key
+        workloads = mix.core_groups
+        assert salt == stable_seed(
+            *(key(workloads[core][slot]) for core, slot in order)
+        )
+        per_core = {
+            core: sorted(range(4), key=lambda slot: key(workloads[core][slot]))
+            for core in range(8)
+        }
+
+        def core_key(core):
+            return tuple(key(workloads[core][slot]) for slot in per_core[core])
+
+        def expected_order(start, stop):
+            return [
+                (core, slot)
+                for core in sorted(range(start, stop), key=core_key)
+                for slot in per_core[core]
+            ]
+
+        assert list(order) == expected_order(0, 8)
+        assert segment == expected_order(2, 6)
+        parts = []
+        for index, (start, stop) in enumerate(((0, 4), (4, 8))):
+            parts.append(("cluster", index))
+            parts += [
+                key(workloads[core][slot])
+                for core, slot in expected_order(start, stop)
+            ]
+        assert topology_salt == stable_seed(*parts)
+
+
 class TestPermutationInvariance:
     def test_within_core_permutation_leaves_power_unchanged(self, machine):
         for seed in range(6):
