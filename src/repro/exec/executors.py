@@ -214,7 +214,9 @@ class SerialExecutor:
         ledger -- or, given ``journal``, part of that run, whose owner
         writes its records (the campaign service passes each request's
         run).  Either way the run's final record carries this
-        execution's fault counters and quarantined cells.
+        execution's fault counters and quarantined cells.  A run of its
+        own probes the store before it starts, and writes its key
+        manifest only if some cell is cold.
 
         ``progress``, if given, is called as ``progress(cells,
         measurements, warm)`` at most twice, ``cells`` being rows of
@@ -240,6 +242,12 @@ class SerialExecutor:
             # measured*; the digest is memoized per architecture object
             # (see __init__) so warm single-cell runs stay cheap.
             keys = self.keys_of(plan)
+            # The probe comes first: a run that owes no cells writes
+            # no key manifest.
+            results = [self.store.get(key) for key in keys]
+            misses = [
+                index for index, found in enumerate(results) if found is None
+            ]
             if journal is None:
                 if self._ledger is None:
                     self._ledger = RunRegistry(self.store.root)
@@ -247,17 +255,12 @@ class SerialExecutor:
                 own_journal.start(
                     keys,
                     plan.describe(),
+                    owes=bool(misses),
                     arch=self.machine.arch.name,
                     seed=self.machine.seed,
                 )
         try:
             if self.store is not None:
-                results = [self.store.get(key) for key in keys]
-                misses = [
-                    index
-                    for index, found in enumerate(results)
-                    if found is None
-                ]
                 logger.info(
                     "plan %s: %d warm from %s, %d to measure",
                     plan.describe(),

@@ -6,7 +6,9 @@ A store-backed execution records itself in the store's run ledger
 appends to: :meth:`~RunJournal.start` writes the run's key manifest once
 (``<store>/journal/<run_id>.json``, the plan's store keys in order)
 and a ``running`` record; :meth:`~RunJournal.complete` writes one
-final record and drops the manifest if the run completed cleanly.
+final record and drops the manifest if the run completed cleanly.  A
+run that owes no cells when it starts (the store holds every one)
+writes no manifest at all.
 
 "Done" means present in the store.  A run killed mid-flight leaves its
 ``running`` record and its manifest: ``store verify`` counts it
@@ -87,21 +89,33 @@ class RunJournal:
         self.counters: dict[str, int] = {}
         self.failures: list = []
 
-    def start(self, keys: Sequence[str], description: str, **fields) -> None:
+    def start(
+        self,
+        keys: Sequence[str],
+        description: str,
+        owes: bool = True,
+        **fields,
+    ) -> None:
         """Write the key manifest, then record the run ``running``.
 
-        ``fields`` (architecture, seed) ride along on the record.  The
-        manifest lands atomically (a sibling, then ``os.replace``) and
-        is never load-bearing for results: a failed write is logged.
+        A run that ``owes`` no cells -- the store already holds every
+        one -- writes no manifest: there is nothing a re-run would
+        resume.  ``fields`` (architecture, seed) ride along on the
+        record.  The manifest lands atomically (a sibling, then
+        ``os.replace``) and is never load-bearing for results: a failed
+        write is logged.
         """
-        body = {"manifest": FORMAT, "run": self.run, "keys": list(keys)}
-        staging = self.path.with_name(f"{self.run}.{os.getpid()}.tmp")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            staging.write_bytes(json.dumps(body).encode() + b"\n")
-            os.replace(staging, self.path)
-        except OSError as exc:
-            logger.warning("cannot write run manifest %s: %s", self.path, exc)
+        if owes:
+            body = {"manifest": FORMAT, "run": self.run, "keys": list(keys)}
+            staging = self.path.with_name(f"{self.run}.{os.getpid()}.tmp")
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                staging.write_bytes(json.dumps(body).encode() + b"\n")
+                os.replace(staging, self.path)
+            except OSError as exc:
+                logger.warning(
+                    "cannot write run manifest %s: %s", self.path, exc
+                )
         self.ledger.record(
             self.run,
             "running",
@@ -135,7 +149,8 @@ class RunJournal:
         The final record's state is ``quarantined`` when any cell
         failed, else ``complete``; it counts the ``measured`` cells and
         the ``warm`` ones the store served.  A clean run drops its
-        manifest: everything it named is in the store.
+        manifest -- everything it named is in the store -- or the one
+        an earlier attempt left if it wrote none.
         """
         fields: dict = {}
         if self.counters:

@@ -26,7 +26,13 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
     cell line carries the cell's index in the submitted plan, its
     store key, its ``source`` (``store``/``measured``) and the full
     measurement; a quarantined cell gets a ``failure`` line at its
-    index instead.
+    index instead.  A warm line carries the stored record's verified
+    body bytes verbatim (:meth:`ResultStore.get_body`), never decoded
+    on the server, so a checksum-valid body that does not decode
+    reaches the client, whose :class:`RemoteExecutor` raises
+    ``ServiceError`` naming the cell.  The header and all warm lines go
+    out as one chunk; measured lines go out one chunk each, so the
+    client decodes one while the server encodes the next.
 ``GET /runs``
     The run ledger (:class:`~repro.exec.registry.RunRegistry`): every
     run ever recorded against this store -- id, plan digest, state
@@ -34,8 +40,9 @@ Endpoints (all JSON; streamed bodies are chunked JSON Lines):
     accounting -- surviving server restarts.
 ``GET /runs/<id>``
     Resume/status endpoint: the run's ledger record plus, while the
-    run's key manifest exists (an unfinished or quarantined run), the
-    stored measurement of every one of its cells the store holds.
+    run's key manifest exists (an unfinished or quarantined run that
+    owed cells), the stored body of every one of its cells the store
+    holds, as stored, in one chunk.
     Resubmitting the plan is always the resume path (warm cells serve
     from the store with zero re-measurement).
 ``GET /stats``
@@ -67,8 +74,9 @@ Hardening:
   exits 0 with every run's final record written.
 
 Multi-tenant contracts: a cell already in the store is served straight
-from disk (a fully warm plan performs zero ``Machine.run`` calls).  A
-request streams its warm cells before it queues for the engine lock,
+from disk (a fully warm plan performs zero ``Machine.run`` calls and
+writes no key manifest).  A request probes the store before it starts
+its run, streams its warm cells before it queues for the engine lock,
 then runs its cold cells as one sub-plan under the lock; that
 sub-plan's own store probe serves every cell a concurrent request
 persisted meanwhile.  So with a store, concurrent clients submitting
@@ -145,14 +153,20 @@ MAX_ENGINES = 8
 # -- the service ---------------------------------------------------------------
 
 
-def _cell_line(index: int, key: str, source: str, measurement) -> dict:
-    """One streamed cell line: plan index, store key, source, body."""
-    return {
-        "cell": index,
-        "key": key,
-        "source": source,
-        "measurement": measurement.to_dict(),
-    }
+def _json_line(payload: dict) -> bytes:
+    """One stream line of ``payload``."""
+    return json.dumps(payload).encode() + b"\n"
+
+
+def _store_line(index: int, key: str, body: bytes) -> bytes:
+    """One warm cell line: plan index, store key and the stored body
+    text, spliced in as stored.  Keys come from
+    :meth:`SerialExecutor.keys_of`, content hex, so they need no
+    escaping."""
+    return (
+        b'{"cell": %d, "key": "%s", "source": "store", "measurement": %s}\n'
+        % (index, key.encode(), body)
+    )
 
 
 def _check_mnemonics(plan: ExperimentPlan, machine: Machine) -> None:
@@ -403,10 +417,11 @@ class MeasurementService:
         """Serve one ``POST /plans`` request.
 
         ``request`` is the parsed JSON body; ``start`` is a callable
-        returning the line-emit function -- it is only invoked once the
-        request has validated, so malformed plans surface as a clean
-        HTTP error instead of a half-streamed response.  Returns the
-        trailer summary (also emitted as the final line).
+        returning the emit function, which takes bytes -- one or more
+        whole JSON lines, sent as one chunk.  ``start`` is only invoked
+        once the request has validated, so malformed plans surface as
+        a clean HTTP error instead of a half-streamed response.
+        Returns the trailer summary (also emitted as the final line).
         """
         arch_name = str(request.get("arch", "POWER7"))
         try:
@@ -442,8 +457,8 @@ class MeasurementService:
         executor,
         start,
     ) -> dict:
-        """The admitted half of :meth:`submit`: the run's ledger records
-        around execution and the trailer."""
+        """The admitted half of :meth:`submit`: the store probe, the
+        run's ledger records around execution and the trailer."""
         self._count("requests")
         self._count("cells_requested", len(keys))
         logger.info(
@@ -453,26 +468,46 @@ class MeasurementService:
             seed,
             run,
         )
+        # The probe comes first: a run that owes no cells writes no key
+        # manifest.  Warm cells stay stored body bytes, never decoded.
+        bodies = (
+            [self.store.get_body(key) for key in keys]
+            if self.store is not None
+            else [None] * len(keys)
+        )
+        cold = [index for index, body in enumerate(bodies) if body is None]
         journal: RunJournal | None = None
         if self.registry is not None:
             journal = RunJournal(self.registry, run)
-            journal.start(keys, plan.describe(), arch=arch_name, seed=seed)
+            journal.start(
+                keys, plan.describe(), owes=bool(cold), arch=arch_name,
+                seed=seed,
+            )
 
         emit = start()
         fault_plan = faults.active()
         if fault_plan is not None:
             fault_plan.maybe_stall(f"serve:{run}")
+        # The header and every warm line go out as one chunk.
+        header = {
+            "service": FORMAT,
+            "run": run,
+            "cells": len(keys),
+            "arch": arch_name,
+            "seed": seed,
+        }
         emit(
-            {
-                "service": FORMAT,
-                "run": run,
-                "cells": len(keys),
-                "arch": arch_name,
-                "seed": seed,
-            }
+            _json_line(header)
+            + b"".join(
+                _store_line(index, keys[index], body)
+                for index, body in enumerate(bodies)
+                if body is not None
+            )
         )
         try:
-            trailer = self._execute(plan, keys, run, executor, journal, emit)
+            trailer = self._execute(
+                plan, keys, run, executor, journal, emit, cold
+            )
         except BaseException as exc:
             # The run died mid-flight (engine failure, shutdown): the
             # ledger must not keep saying "running" -- the store holds
@@ -484,7 +519,7 @@ class MeasurementService:
             trailer["measured"], warm=trailer["warm"]
         ):
             self._count("journals_gcd")
-        emit(trailer)
+        emit(_json_line(trailer))
         return trailer
 
     def _execute(
@@ -495,25 +530,17 @@ class MeasurementService:
         executor,
         journal: RunJournal | None,
         emit,
+        cold: list[int],
     ) -> dict:
-        """Stream one admitted run; its trailer.
+        """Run the ``cold`` cells of one admitted run; its trailer.
 
-        Warm cells stream from the store before the engine lock.  The
-        cold ones run as one sub-plan under it, as part of the
-        request's run; that execution's own store probe serves every
-        cell a concurrent request persisted while this one queued, and
-        those stream as ``store`` lines and count as warm.
+        The warm cells have streamed already.  The cold ones run as one
+        sub-plan under the engine lock, as part of the request's run;
+        that execution's own store probe serves every cell a concurrent
+        request persisted while this one queued, and those stream as
+        ``store`` lines and count as warm.
         """
-        warm = 0
-        cold: list[int] = []
-        for index, key in enumerate(keys):
-            found = self.store.get(key) if self.store is not None else None
-            if found is None:
-                cold.append(index)
-            else:
-                warm += 1
-                emit(_cell_line(index, key, "store", found))
-
+        warm = len(keys) - len(cold)
         measured = 0
         failures: list[dict] = []
         if cold:
@@ -532,9 +559,18 @@ class MeasurementService:
                 else:
                     measured += len(batch_cells)
                 source = "store" if stored else "measured"
+                # One chunk per line: the client decodes each line while
+                # the next one is encoded.  Batched into one chunk, these
+                # lines cost perfbench serve about a tenth of its cold_s.
                 for cell, measurement in zip(batch_cells, batch_measurements):
                     index = index_of[id(cell)]
-                    emit(_cell_line(index, keys[index], source, measurement))
+                    line = {
+                        "cell": index,
+                        "key": keys[index],
+                        "source": source,
+                        "measurement": measurement.to_dict(),
+                    }
+                    emit(_json_line(line))
 
             with self._engine_lock:
                 report = executor.execute(
@@ -550,7 +586,8 @@ class MeasurementService:
             for index, failure in zip(missing, report.failures):
                 record = failure.to_dict()
                 failures.append(record)
-                emit({"cell": index, "key": keys[index], "failure": record})
+                line = {"cell": index, "key": keys[index], "failure": record}
+                emit(_json_line(line))
 
         self._count("warm_cells", warm)
         self._count("measured_cells", measured)
@@ -620,12 +657,14 @@ class MeasurementService:
             "runs": self.registry.runs(),
         }
 
-    def run_status(self, run: str) -> tuple[dict, list[tuple[str, dict | None]]]:
-        """Status + stored results of one run, for ``GET /runs/<id>``.
+    def run_status(self, run: str) -> tuple[dict, list[bytes]]:
+        """Status + stored cell lines of one run, for ``GET /runs/<id>``.
 
         The status is the run's ledger record; the stored-cell lines
-        come from its key manifest, which a run keeps until it
-        completes cleanly.  Resubmitting the plan is the resume path.
+        (``{"key": ..., "measurement": ...}``, the body as stored) come
+        from its key manifest, which a run keeps until it completes
+        cleanly and a run that owed no cells never writes.
+        Resubmitting the plan is the resume path.
         """
         if self.registry is None:
             raise ServiceError(
@@ -648,15 +687,24 @@ class MeasurementService:
         keys = read_manifest(self.store.root, run)
         if keys is None:
             status["done"] = record.get("warm", 0) + record.get("measured", 0)
-            status["note"] = "manifest dropped on clean completion"
+            status["note"] = (
+                "no key manifest: the run owed no cells when it started, "
+                "or its manifest was lost"
+                if record["state"] in UNFINISHED
+                else "run finished: no key manifest is kept"
+            )
             return status, []
-        results = []
+        lines = []
         for key in sorted(set(keys)):
-            found = self.store.get(key)
-            if found is not None:
-                results.append((key, found.to_dict()))
-        status["done"] = len(results)
-        return status, results
+            body = self.store.get_body(key)
+            if body is not None:
+                # Manifest keys are read from disk: escape them.
+                lines.append(
+                    b'{"key": %s, "measurement": %s}\n'
+                    % (json.dumps(key).encode(), body)
+                )
+        status["done"] = len(lines)
+        return status, lines
 
 
 # -- HTTP plumbing -------------------------------------------------------------
@@ -665,9 +713,10 @@ class MeasurementService:
 class ServiceHandler(BaseHTTPRequestHandler):
     """Thin HTTP adapter over :class:`MeasurementService`.
 
-    Streamed responses use chunked transfer encoding, one JSON line
-    per chunk, flushed as results land -- ``http.client`` (and any
-    HTTP/1.1 client) reassembles them transparently.
+    Streamed responses use chunked transfer encoding: each chunk is
+    one or more whole JSON lines, flushed as results land --
+    ``http.client`` (and any HTTP/1.1 client) reassembles them
+    transparently.
     """
 
     server_version = "repro-serve/1"
@@ -694,7 +743,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict, retry_after: float | None = None
     ) -> None:
-        body = json.dumps(payload).encode() + b"\n"
+        body = _json_line(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -736,10 +785,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         state = {"broken": False}
 
-        def emit(line: dict) -> None:
+        def emit(data: bytes) -> None:
             if state["broken"]:
                 return
-            data = json.dumps(line).encode() + b"\n"
             try:
                 self.wfile.write(b"%x\r\n" % len(data) + data + b"\r\n")
                 self.wfile.flush()
@@ -795,14 +843,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _get_run(self, run: str) -> None:
         try:
-            status, results = self.service.run_status(run)
+            status, lines = self.service.run_status(run)
         except ServiceError as exc:
             self._send_error(exc)
             return
         emit, state = self._start_stream()
-        emit(status)
-        for key, measurement in results:
-            emit({"key": key, "measurement": measurement})
+        emit(_json_line(status) + b"".join(lines))
         self._end_stream(state)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server contract
@@ -852,13 +898,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if state is None:
                 self._send_error(exc)
                 return
-            state["emit"]({"error": str(exc)})
+            state["emit"](_json_line({"error": str(exc)}))
         except Exception as exc:  # pragma: no cover - defensive
             logger.exception("request failed")
             if state is None:
                 self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
                 return
-            state["emit"]({"error": f"{type(exc).__name__}: {exc}"})
+            error = f"{type(exc).__name__}: {exc}"
+            state["emit"](_json_line({"error": error}))
         if state is not None:
             self._end_stream(state)
 

@@ -41,6 +41,17 @@ I/O errors are counted too (:meth:`fault_stats`, warn-once per shard),
 so a half-unreadable store is visible instead of quietly re-measuring
 everything.
 
+There is one read path: :meth:`ResultStore.get_body` returns a
+record's verified canonical body text.  A line laid out exactly as
+:func:`render_record` writes it is checked by slicing -- current
+format, key, body text and the checksum over key and body text -- with
+no JSON parse; any other line (foreign formatting, a retired format,
+damage) is parsed and its checksum recomputed over the canonical
+re-dump.  :meth:`~ResultStore.get` and :meth:`~ResultStore.get_kernel`
+decode on top of it, quarantining a checksum-valid body that does not
+decode; the campaign service streams the body text itself, so a warm
+cell is never decoded on the server.
+
 Reads are served from a lazy per-shard offset index: the first lookup
 touching a shard scans it once, later lookups seek straight to the
 line (verifying the key, so an externally rewritten shard is a miss,
@@ -134,6 +145,7 @@ KERNELS = RecordKind(
 )
 
 _SUM_FIELD = b', "sum": "'
+_TAIL = b'"}\n'
 
 
 def _checksum(kind: RecordKind, key: str, body_text: str) -> str:
@@ -176,7 +188,7 @@ def render_record(key: str, body: dict, kind: RecordKind = CELLS) -> bytes:
     record with ``sort_keys=True``, but half the serialization work,
     and it guarantees the canonical body bytes appear verbatim in the
     line so readers can verify the checksum with a slice and a hash
-    instead of a re-serialization (see :func:`_checksum_matches`).
+    instead of a re-serialization (see :func:`_sliced_body`).
     Bodies hold no reference cycles, so the encoder skips its
     circular-reference bookkeeping (same text, a fifth faster).
     """
@@ -205,6 +217,30 @@ def _checksum_matches(
         if _checksum(kind, key, text.decode()) == recorded:
             return True
     return recorded == record_checksum(key, body, kind)
+
+
+def _sliced_body(kind: RecordKind, key: str, raw: bytes) -> bytes | None:
+    """The body text of ``raw`` if it is laid out exactly as
+    :func:`render_record` writes ``key``'s record in the current format
+    and its checksum verifies; ``None`` for any other line.
+
+    No JSON parse: the head (format, key, body field), the tail (the sum
+    field, its hex and the closing brace) and the checksum over the key
+    and the body text between them.  ``rfind`` is safe for the same
+    reason as in :func:`_checksum_matches`.
+    """
+    head = kind.prefixes[0] + key.encode() + b'", ' + kind.marker
+    end = raw.rfind(_SUM_FIELD)
+    if end < len(head) or not raw.startswith(head) or not raw.endswith(_TAIL):
+        return None
+    text = raw[len(head) : end]
+    try:
+        digest = _checksum(kind, key, text.decode())
+    except UnicodeDecodeError:
+        return None
+    if digest.encode() != raw[end + len(_SUM_FIELD) : -len(_TAIL)]:
+        return None
+    return text
 
 
 # -- kernel records -----------------------------------------------------------
@@ -543,13 +579,14 @@ class ResultStore:
         handle.seek(offset)
         return handle.read(length)
 
-    def _read(self, key: str, kind: RecordKind, decode: Callable):
-        """The decoded, verified record of ``key``, or ``None``.
+    def _read(self, key: str, kind: RecordKind) -> bytes | None:
+        """The verified canonical body text of ``key``, or ``None``.
 
         Unreadable, corrupt (checksum-mismatched) or format-mismatched
         records are quarantined: counted in :meth:`fault_stats`, logged
         and read as ``None``, so the caller re-measures (or
-        re-synthesizes) and overwrites them.  Never raises.
+        re-synthesizes) and overwrites them.  A record in a retired
+        format is a plain miss.  Never raises.
         """
         shard = self._shard(key, kind)
         location = shard.offsets.get(key)
@@ -568,6 +605,9 @@ class ResultStore:
             self._count_io_error(shard.path, exc)
             return None
         try:
+            text = _sliced_body(kind, key, raw)
+            if text is not None:
+                return text
             # Parsing is inside the quarantine block: the key-slice
             # index never parsed this line, so it may be a crashed
             # writer's torn remnant.
@@ -600,18 +640,52 @@ class ResultStore:
                     key,
                 )
                 return None
-            return decode(body)
+            # Foreign formatting verified against the canonical text:
+            # serve that text, the bytes this store would have written.
+            return json.dumps(body, sort_keys=True).encode()
         except (ValueError, KeyError, TypeError) as exc:
-            self.corrupt_records += 1
-            logger.warning(
-                "discarding unreadable store entry %s[%s]: %s",
-                shard.path,
-                key,
-                exc,
-            )
+            self._discard(shard, key, exc)
+            return None
+
+    def _discard(self, shard: _Shard, key: str, exc: Exception) -> None:
+        self.corrupt_records += 1
+        logger.warning(
+            "discarding unreadable store entry %s[%s]: %s",
+            shard.path,
+            key,
+            exc,
+        )
+
+    def _decoded(self, key: str, kind: RecordKind, decode: Callable):
+        """:meth:`_read`, decoded; a body that does not decode is
+        quarantined as a corrupt record and read as ``None``."""
+        text = self._read(key, kind)
+        if text is None:
+            return None
+        try:
+            return decode(json.loads(text))
+        except (ValueError, KeyError, TypeError) as exc:
+            self._discard(self._shard(key, kind), key, exc)
             return None
 
     # -- public API -------------------------------------------------------------
+
+    def get_body(self, key: str) -> bytes | None:
+        """The verified canonical body text of ``key``'s cell record,
+        or ``None`` on a miss: the bytes :meth:`get` decodes.
+
+        Quarantines like :meth:`get` and moves ``hits``/``misses`` the
+        same way, but decodes nothing, so a checksum-valid body that
+        does not decode is a hit here (the campaign service streams it
+        as stored and its client names the cell).  Thread-safe.
+        """
+        with self._lock:
+            text = self._read(key, CELLS)
+            if text is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            return text
 
     def get(self, key: str) -> Measurement | None:
         """The stored measurement for ``key``, or ``None`` on a miss.
@@ -623,7 +697,7 @@ class ResultStore:
         lock (they share per-shard file handles).
         """
         with self._lock:
-            measurement = self._read(key, CELLS, Measurement.from_dict)
+            measurement = self._decoded(key, CELLS, Measurement.from_dict)
             if measurement is None:
                 self.misses += 1
             else:
@@ -642,7 +716,7 @@ class ResultStore:
         read (:meth:`Kernel.from_slot_table`).
         """
         with self._lock:
-            kernel = self._read(key, KERNELS, kernel_from_body)
+            kernel = self._decoded(key, KERNELS, kernel_from_body)
             if kernel is None:
                 self.kernel_misses += 1
             else:

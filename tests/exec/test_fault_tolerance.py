@@ -9,6 +9,7 @@ a structured :class:`CellFailure` instead of aborting the campaign.
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -290,7 +291,11 @@ class TestDegradedFallbackKeepsLandedCells:
         try:
             _pass_fails_once(service._engine("POWER7", 0).machine)
             trailer = service.submit(
-                plan_to_dict_v2(spec_plan), lambda: lines.append
+                plan_to_dict_v2(spec_plan),
+                # The emit takes byte chunks of whole JSON lines.
+                lambda: lambda data: lines.extend(
+                    map(json.loads, data.splitlines())
+                ),
             )
             if stored:
                 assert service.store.verify().records == 6

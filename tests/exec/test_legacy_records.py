@@ -5,8 +5,9 @@ before ``Measurement.to_dict`` wrote counters compactly: every record
 carries one ``thread_counters`` entry per hardware thread.  Store keys,
 the record envelope and the checksum scheme did not change, so this
 store must verify clean, serve the whole plan below with zero machine
-invocations, and return measurements equal bit for bit to a one-shot
-run.  Regenerate the fixture only from a release that writes the old
+invocations -- locally and through the campaign service, which streams
+the old bodies as stored -- and return measurements equal bit for bit
+to a one-shot run.  Regenerate the fixture only from a release that writes the old
 body: ``legacy_plan`` is the plan it holds.
 
 ``tests/golden/legacy_kernels`` holds kernel records in the v1 layout
@@ -21,6 +22,7 @@ import json
 import logging
 import shutil
 import struct
+import threading
 from pathlib import Path
 
 import pytest
@@ -35,7 +37,15 @@ from repro.core.passes import (
     MemoryModel,
 )
 from repro.core.synthesizer import KernelMemo, Synthesizer
-from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
+from repro.exec import (
+    ExperimentPlan,
+    MeasurementService,
+    RemoteExecutor,
+    ResultStore,
+    SerialExecutor,
+    ServiceClient,
+    build_server,
+)
 from repro.exec.store import KERNELS
 from repro.sim import (
     Machine,
@@ -154,6 +164,41 @@ class TestPreChangeStore:
         one_shot = SerialExecutor(Machine(power7_arch)).run(plan)
         assert warm == one_shot
         assert [_exact(m) for m in warm] == [_exact(m) for m in one_shot]
+
+    def test_serves_warm_through_the_service(self, legacy_store, power7_arch):
+        """Served over HTTP, the old bodies stream as stored and decode
+        on the client to the one-shot run, bit for bit, with zero
+        measurements on the server."""
+        plan = legacy_plan(power7_arch)
+        service = MeasurementService(store=legacy_store)
+        calls = []
+
+        def forbid(*args, **kwargs):  # pragma: no cover - failure path
+            calls.append(args)
+            raise AssertionError("machine invoked on a warm legacy store")
+
+        service._engine("POWER7", 0).machine.run_cells = forbid
+        server = build_server(service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_port}"
+        try:
+            lines = list(ServiceClient(url).submit(plan))
+            served = RemoteExecutor(url, retries=0).run(plan)
+            counters = service.stats()["service"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert not calls
+        assert counters["warm_cells"] == 2 * plan.size
+        assert counters["measured_cells"] == 0
+        bodies = [line["measurement"] for line in lines if "cell" in line]
+        assert len(bodies) == plan.size
+        assert all("thread_counters" in body for body in bodies)
+
+        one_shot = SerialExecutor(Machine(power7_arch)).run(plan)
+        assert served == one_shot
+        assert [_exact(m) for m in served] == [_exact(m) for m in one_shot]
 
     def test_scrub_keeps_old_records_byte_for_byte(self, legacy_store):
         before = {

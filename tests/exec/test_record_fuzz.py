@@ -6,6 +6,15 @@ Every mutated input has one of three acceptable outcomes:
 * a counted store miss (the record is quarantined and re-measured);
 * a :class:`~repro.errors.ServiceError` from :class:`RemoteExecutor`.
 
+The same store-line mutants are also served warm by a store-backed
+:class:`MeasurementService`, which streams a record's verified body
+bytes without decoding them; each served outcome is what
+:meth:`ResultStore.get` does with the line.  The original comes back
+bit for bit, a miss is re-measured to the original, and a record whose
+checksum verifies but whose body does not decode reaches the client,
+whose :class:`RemoteExecutor` raises a :class:`ServiceError` naming the
+cell.
+
 Kernel records, the store's second record type, admit two: the
 original kernel, or a counted miss whose re-synthesized kernel equals
 fresh synthesis output -- so either way the memo serves exactly the
@@ -241,8 +250,8 @@ def stream(plan):
     """The real service's stream lines for ``plan``, as sent on the wire."""
     lines: list[bytes] = []
 
-    def emit(line: dict) -> None:
-        lines.append(json.dumps(line).encode() + b"\n")
+    def emit(data: bytes) -> None:
+        lines.extend(data.splitlines(keepends=True))
 
     service = MeasurementService()
     try:
@@ -296,45 +305,128 @@ def _store_read(root, key: str, line: bytes, original) -> tuple:
     return "original", store
 
 
+def _store_mutants(rng: random.Random, key: str, measurement):
+    """``(kind, line)`` of every store-line mutant of ``measurement``'s
+    record under ``key``, compact and pre-compact body alike: the clean
+    line, each structural edit re-signed (``resigned``), then flips,
+    truncations and the edits under the stale checksum (``mutant``)."""
+    compact = measurement.to_dict()
+    for body, edits in (
+        (compact, _COMPACT_EDITS),
+        (_legacy_body(compact), _LEGACY_EDITS),
+    ):
+        line = render_record(key, body)
+        yield "clean", line
+        mutated = [_flip(rng, line) for _ in range(30)]
+        mutated += [_truncate(rng, line) for _ in range(10)]
+        for edit in edits:
+            resigned = render_record(key, _edited(body, edit))
+            mutated.append(_with_sum(resigned, _sum_of(line)))
+            yield "resigned", resigned
+        for candidate in mutated:
+            yield "mutant", candidate
+
+
 def test_store_lines(tmp_path, measurements):
     rng = random.Random(_SEED)
     outcomes = {"original": 0, "miss": 0}
     trial = 0
     for number, measurement in enumerate(measurements):
         key = f"{number:02x}" + "5e" * 15
-        compact = measurement.to_dict()
-        for body, edits in (
-            (compact, _COMPACT_EDITS),
-            (_legacy_body(compact), _LEGACY_EDITS),
-        ):
-            line = render_record(key, body)
-            clean, _ = _store_read(
-                tmp_path / str(trial), key, line, measurement
-            )
-            assert clean == "original"
+        for kind, line in _store_mutants(rng, key, measurement):
+            root = tmp_path / str(trial)
             trial += 1
-            mutated = [_flip(rng, line) for _ in range(30)]
-            mutated += [_truncate(rng, line) for _ in range(10)]
-            for edit in edits:
-                resigned = render_record(key, _edited(body, edit))
-                mutated.append(_with_sum(resigned, _sum_of(line)))
+            outcome, store = _store_read(root, key, line, measurement)
+            if kind == "clean":
+                assert outcome == "original"
+            elif kind == "resigned":
                 # Re-signed, the edit reaches the decoder: it must be
                 # rejected there, as a counted corrupt record.
-                root = tmp_path / str(trial)
-                trial += 1
-                outcome, store = _store_read(root, key, resigned, measurement)
                 assert outcome == "miss"
                 assert store.fault_stats() == {"corrupt_records": 1}
                 assert ResultStore(root).verify().ok  # checksum is valid
-            for candidate in mutated:
-                outcome, _ = _store_read(
-                    tmp_path / str(trial), key, candidate, measurement
-                )
-                trial += 1
+            else:
                 outcomes[outcome] += 1
     # Nearly every flip breaks the checksum; the rare survivors (a
     # space flipped to a tab) must have read back as the original.
     assert outcomes["miss"] > 0.9 * sum(outcomes.values())
+
+
+@pytest.fixture(scope="module")
+def served_machine(memo_arch):
+    """One machine for every served trial, so each measures warm."""
+    return Machine(memo_arch, seed=0)
+
+
+def _served(root, machine, request, plan) -> tuple:
+    """``(outcome, service counters)`` of serving ``plan`` warm from the
+    store at ``root`` and reading the stream with :class:`RemoteExecutor`:
+    its measurements, or the :class:`ServiceError` it raised."""
+    service = MeasurementService(store=root, retries=0)
+    service._engines[("POWER7", 0)] = SerialExecutor(
+        machine, store=service.store, retries=0
+    )
+    chunks: list[bytes] = []
+    try:
+        service.submit(request, lambda: chunks.append)
+        counters = service.stats()["service"]
+    finally:
+        service.close()
+    executor = RemoteExecutor(_client(b"".join(chunks)), retries=0)
+    try:
+        return executor.execute(plan).require_complete(), counters
+    except ServiceError as exc:
+        return exc, counters
+
+
+def test_served_store_lines(tmp_path, plan, measurements, served_machine):
+    """The store-line mutants above, served warm by a store-backed
+    service: each served outcome is what :meth:`ResultStore.get` does
+    with the line.  The original comes back bit for bit; a miss is
+    re-measured to the original; a checksum-valid body that does not
+    decode reaches the client, whose executor names the cell."""
+    rng = random.Random(_SEED)
+    outcomes = {"original": 0, "miss": 0, "undecodable": 0}
+    keys = SerialExecutor(served_machine).keys_of(plan)
+    trial = 0
+    for number, measurement in enumerate(measurements):
+        single = ExperimentPlan([plan.cells[number]])
+        request = plan_to_dict_v2(single)
+        request.update(arch="POWER7", seed=0)
+        key = keys[number]
+        for kind, line in _store_mutants(rng, key, measurement):
+            root = tmp_path / str(trial)
+            trial += 1
+            expected, store = _store_read(root, key, line, measurement)
+            if expected == "miss" and store.fault_stats() == {
+                "corrupt_records": 1
+            }:
+                report = ResultStore(root).verify()
+                if report.ok and report.checksummed == 1:
+                    expected = "undecodable"
+            assert expected == {
+                "clean": "original", "resigned": "undecodable"
+            }.get(kind, expected)
+            outcomes[expected] += 1
+            served, counters = _served(
+                root, served_machine, request, single
+            )
+            if expected == "undecodable":
+                assert isinstance(served, ServiceError)
+                assert "for cell 0:" in str(served)
+                assert counters["measured_cells"] == 0
+                continue
+            assert not isinstance(served, ServiceError), served
+            (found,) = served
+            if expected == "original":
+                assert _exact(found, ordered=False) == _exact(
+                    measurement, ordered=False
+                )
+                assert counters["measured_cells"] == 0
+            else:
+                assert _exact(found) == _exact(measurement)
+                assert counters["measured_cells"] == 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_store_quarantine_is_counted_as_corrupt(tmp_path, measurements):
@@ -405,6 +497,22 @@ def test_non_object_record_is_a_counted_miss(tmp_path, measurements):
     assert found is None
     assert store.fault_stats() == {"corrupt_records": 1}
     assert store.misses == 1
+
+
+def test_unencodable_key_is_a_counted_miss(tmp_path):
+    # A foreign line (its key first, so the scan parses it) may spell
+    # its key with an escaped lone surrogate, which no checksum can
+    # encode: a counted corrupt miss on both read paths, never an
+    # escaping UnicodeEncodeError.
+    key = "ab\ud800" + "0" * 29
+    record = {"key": key, "format": "repro-result-v1", "measurement": {}}
+    _shard_lines(tmp_path, json.dumps(dict(record, sum="0")).encode() + b"\n")
+    store = ResultStore(tmp_path)
+    assert store.get(key) is None
+    assert store.get_body(key) is None
+    store.close()
+    assert store.fault_stats() == {"corrupt_records": 2}
+    assert store.misses == 2
 
 
 def test_garbage_index_files_are_ignored(tmp_path, plan, power7_arch):

@@ -240,6 +240,52 @@ class TestRunLedger:
         assert record["state"] == "complete"
         assert (record["warm"], record["measured"]) == (plan.size, 0)
 
+    def test_fully_warm_run_writes_no_manifest(
+        self, power7_arch, small_kernel_factory, tmp_path
+    ):
+        """A run that owes no cells writes no key manifest: nothing is
+        under ``journal/`` while a fully warm execution runs.  The cold
+        run before it writes its manifest and drops it; the ledger
+        records both runs' start and end, and the store verifies."""
+        plan = ExperimentPlan.cross(
+            [small_kernel_factory("add", count=24)],
+            [MachineConfig(1, 1), MachineConfig(2, 2)],
+            duration=_DURATION,
+        )
+        root = tmp_path / "store"
+        seen: list[list[str]] = []
+
+        def progress(cells, measurements, warm):
+            journal = root / "journal"
+            seen.append(
+                sorted(path.name for path in journal.iterdir())
+                if journal.is_dir()
+                else []
+            )
+
+        runs = [
+            SerialExecutor(Machine(power7_arch), store=ResultStore(root))
+            .execute(plan, progress=progress)
+            .measurements
+            for _ in range(2)
+        ]
+        assert runs[0] == runs[1]
+        run = run_id(SerialExecutor(Machine(power7_arch)).keys_of(plan))
+        assert seen == [[f"{run}.json"], []]
+        assert list((root / "journal").iterdir()) == []
+        entries = [
+            json.loads(line)
+            for line in (root / "registry.jsonl").read_bytes().splitlines()
+        ]
+        assert [(e["run"], e["state"]) for e in entries] == [
+            (run, "running"), (run, "complete"),
+        ] * 2
+        assert (entries[-1]["warm"], entries[-1]["measured"]) == (
+            plan.size, 0,
+        )
+        assert ResultStore(root).verify().ok
+        assert gc_journals(RunRegistry(root)) == 0
+
 
 class TestJournalGC:
     """Retention: run manifests must not accumulate forever.

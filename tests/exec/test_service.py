@@ -19,6 +19,7 @@ The acceptance properties of ``python -m repro serve``:
   the ledger, under the id its stream header reports.
 """
 
+import json
 import random
 import threading
 
@@ -36,8 +37,10 @@ from repro.exec import (
 )
 from repro.exec import faults
 from repro.exec.faults import FaultPlan
+from repro.exec.journal import RunJournal
 from repro.exec.plan import workload_fingerprint
 from repro.exec.serialize import plan_to_dict_v2
+from repro.measure.measurement import Measurement
 from repro.sim import Machine, MachineConfig, Placement, get_pstate
 from repro.sim.topology import parse_topology
 from repro.workloads import spec_cpu2006
@@ -54,6 +57,12 @@ def _start(service):
     server = build_server(service)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server, f"http://127.0.0.1:{server.server_port}"
+
+
+def _collect(lines: list):
+    """An emit for driving :meth:`MeasurementService.submit` directly:
+    it decodes each streamed chunk's JSON lines into ``lines``."""
+    return lambda data: lines.extend(map(json.loads, data.splitlines()))
 
 
 @pytest.fixture()
@@ -304,7 +313,9 @@ class TestWarmAndSingleFlight:
             outputs: dict[str, list] = {"first": [], "duplicate": []}
 
             def submit(label: str) -> None:
-                service.submit(plan_to_dict_v2(plan), lambda: outputs[label].append)
+                service.submit(
+                    plan_to_dict_v2(plan), lambda: _collect(outputs[label])
+                )
 
             first = threading.Thread(target=submit, args=("first",))
             first.start()
@@ -334,6 +345,69 @@ class TestWarmAndSingleFlight:
             } == {line["key"]: line["measurement"] for line in cells["first"]}
         finally:
             service.close()
+
+
+# -- serving from bytes --------------------------------------------------------
+
+
+def _stored_bodies(root) -> dict[bytes, bytes]:
+    """Store key -> the body bytes of its record, as in the shard file."""
+    bodies = {}
+    for shard in sorted((root / "shards").glob("*.jsonl")):
+        for line in shard.read_bytes().splitlines():
+            start = line.index(b'"measurement": ') + len(b'"measurement": ')
+            key = json.loads(line)["key"].encode()
+            bodies[key] = line[start : line.rindex(b', "sum": "')]
+    return bodies
+
+
+class TestServeFromBytes:
+    def test_warm_serving_does_no_codec_work(
+        self, tmp_path, small_kernel_factory, monkeypatch
+    ):
+        """A fully warm ``POST /plans`` and ``GET /runs/<id>`` decode and
+        encode no measurement on the server: each warm line carries the
+        cell's stored body bytes verbatim."""
+        service = MeasurementService(store=tmp_path / "store")
+        plan = ExperimentPlan.cross(
+            [
+                small_kernel_factory("add", count=24),
+                small_kernel_factory("lxvw4x", count=24, level="L1"),
+            ],
+            [MachineConfig(1, 1), MachineConfig(4, 4)],
+            duration=_DURATION,
+        )
+        request = plan_to_dict_v2(plan)
+        chunks: list[bytes] = []
+        try:
+            service.submit(request, lambda: _collect([]))
+            stored = _stored_bodies(service.store.root)
+
+            def forbid(*args, **kwargs):  # pragma: no cover - failure path
+                raise AssertionError("measurement codec on a warm serve")
+
+            monkeypatch.setattr(Measurement, "from_dict", forbid)
+            monkeypatch.setattr(Measurement, "to_dict", forbid)
+            trailer = service.submit(request, lambda: chunks.append)
+            # An unfinished attempt of the run keeps a manifest, so
+            # ``GET /runs/<id>`` streams the cells the store holds.
+            keys = service._engine("POWER7", 0).keys_of(plan)
+            RunJournal(service.registry, trailer["run"]).start(
+                keys, plan.describe()
+            )
+            status, lines = service.run_status(trailer["run"])
+            monkeypatch.undo()
+        finally:
+            service.close()
+        header, *cells, end = b"".join(chunks).splitlines(keepends=True)
+        assert json.loads(header)["run"] == trailer["run"]
+        assert json.loads(end)["warm"] == plan.size == len(cells)
+        assert status["done"] == plan.size == len(lines)
+        for line in cells + lines:
+            record = json.loads(line)
+            assert record.get("source", "store") == "store"
+            body = stored[record["key"].encode()]
+            assert line.endswith(b'"measurement": ' + body + b"}\n")
 
 
 # -- chaos ---------------------------------------------------------------------
@@ -507,6 +581,56 @@ class TestEndpoints:
         (record,) = [r for r in runs if r["run"] == header["run"]]
         assert record["state"] == "complete"
         assert (record["warm"], record["measured"]) == (2, 2)
+
+    def test_fully_warm_request_writes_no_manifest(
+        self, tmp_path, small_kernel_factory
+    ):
+        """A served run that owes no cells writes no key manifest: while
+        it streams, ``journal/`` is empty and ``GET /runs/<id>`` does not
+        claim a dropped manifest.  The cold request before it writes and
+        drops one, which ``journals_gcd`` counts; the warm one is not."""
+        service = MeasurementService(store=tmp_path / "store")
+        journal = service.store.root / "journal"
+        plan = ExperimentPlan.cross(
+            [small_kernel_factory("add", count=24)],
+            [MachineConfig(1, 1), MachineConfig(2, 2)],
+            duration=_DURATION,
+        )
+        seen: list[tuple] = []
+
+        def emit(data: bytes) -> None:
+            header = json.loads(data.splitlines()[0])
+            if "service" in header:  # streamed while the run is running
+                status, _ = service.run_status(header["run"])
+                names = (
+                    sorted(path.name for path in journal.iterdir())
+                    if journal.is_dir()
+                    else []
+                )
+                seen.append((names, status["state"], status.get("note", "")))
+
+        try:
+            trailers = [
+                service.submit(plan_to_dict_v2(plan), lambda: emit)
+                for _ in range(2)
+            ]
+            gcd = service.stats()["service"]["journals_gcd"]
+            record = service.registry.get(trailers[0]["run"])
+            assert service.store.verify().ok
+        finally:
+            service.close()
+        run = trailers[0]["run"]
+        assert [(t["warm"], t["measured"]) for t in trailers] == [
+            (0, plan.size), (plan.size, 0),
+        ]
+        (cold, warm) = seen
+        assert cold == ([f"{run}.json"], "running", "")
+        assert warm[:2] == ([], "running")
+        assert "dropped on clean completion" not in warm[2]
+        assert list(journal.iterdir()) == []
+        assert gcd == 1
+        assert record["state"] == "complete"
+        assert (record["warm"], record["measured"]) == (plan.size, 0)
 
     def test_malformed_and_unknown_requests_are_clean_errors(self, served):
         service, url = served

@@ -136,7 +136,7 @@ class TestRunRegistry:
         try:
             lines = []
             trailer = service.submit(
-                plan_request(plan), lambda: lines.append
+                plan_request(plan), lambda: _collect(lines)
             )
             keys = [
                 service._engine("POWER7", 0).key_of(cell)
@@ -165,6 +165,12 @@ def plan_request(plan, **extra):
     request = plan_to_dict_v2(plan)
     request.update(extra)
     return request
+
+
+def _collect(lines: list):
+    """An emit for driving :meth:`MeasurementService.submit` directly:
+    it decodes each streamed chunk's JSON lines into ``lines``."""
+    return lambda data: lines.extend(map(json.loads, data.splitlines()))
 
 
 # -- admission control ---------------------------------------------------------
@@ -337,13 +343,13 @@ class TestResidentEngines:
         lines: list[dict] = []
         try:
             for seed in range(limit + 2):
-                service.submit({**body, "seed": seed}, lambda: lines.append)
+                service.submit({**body, "seed": seed}, lambda: _collect(lines))
             seeds = [engine["seed"] for engine in service.stats()["engines"]]
             assert seeds == list(range(2, limit + 2))
             # A hit makes seed 2 the most recently used, so seed 3 goes.
-            service.submit({**body, "seed": 2}, lambda: lines.append)
+            service.submit({**body, "seed": 2}, lambda: _collect(lines))
             lines.clear()
-            service.submit({**body, "seed": 0}, lambda: lines.append)
+            service.submit({**body, "seed": 0}, lambda: _collect(lines))
             seeds = [engine["seed"] for engine in service.stats()["engines"]]
             assert seeds == [*range(4, limit + 2), 2, 0]
         finally:

@@ -53,6 +53,28 @@ class TestChecksums:
         reparsed = json.loads(json.dumps(original))
         assert record_checksum("k", reparsed) == record_checksum("k", original)
 
+    def test_foreign_formatting_reads_as_the_canonical_body(
+        self, measurement, tmp_path
+    ):
+        """A valid record in foreign formatting -- its fields reordered,
+        no spaces -- fails the sliced check, verifies by recomputation,
+        and reads as the body text the store itself would have written;
+        ``get`` decodes that text to the original measurement."""
+        key = "ab" * 16
+        canonical = render_record(key, measurement.to_dict())
+        payload = json.loads(canonical)
+        foreign = json.dumps(
+            dict(reversed(list(payload.items()))), separators=(",", ":")
+        )
+        (tmp_path / "shards").mkdir()
+        (tmp_path / "shards" / "ab.jsonl").write_text(foreign + "\n")
+        store = ResultStore(tmp_path)
+        body = store.get_body(key)
+        assert b'"measurement": ' + body + b', "sum": ' in canonical
+        assert store.get(key) == measurement
+        assert (store.hits, store.misses) == (2, 0)
+        assert store.fault_stats() == {}
+
     def test_tampered_record_is_a_counted_miss(self, measurement, tmp_path):
         writer = ResultStore(tmp_path)
         writer.put("ab" * 16, measurement)

@@ -125,7 +125,8 @@ def _submit(service, request) -> str:
 
     def start():
         started.append(True)
-        return lines.append
+        # The emit takes byte chunks of whole JSON lines.
+        return lambda data: lines.extend(map(json.loads, data.splitlines()))
 
     before = _measured(service)
     try:
