@@ -21,10 +21,13 @@ Four numbers are reported (and recorded in ``BENCH_results.json``):
 * synthesis throughput: the pass pipeline building the Table-2 micro
   and random suites at ``REPRO_SCALE``/``REPRO_LOOP_SIZE``, in
   microseconds per synthesized instruction and kernels per second;
-  then the same suite through a temporary store's kernel memo, cold
-  (synthesize and write) and warm (load), asserted >= 2.5x faster
-  warm.  Recorded under ``synthesis`` at the default scale and under
-  ``synthesis_scale<S>_loop<L>`` at any other.
+  the same recipes through the column pipeline and through the
+  per-slot pipeline kept as its oracle (``tests/oracle/synthesis.py``),
+  asserted >= 1.4x faster on columns; then the suite through a
+  temporary store's kernel memo, cold (synthesize and write) and warm
+  (load), asserted >= 2.5x faster warm.  Recorded under ``synthesis``
+  at the default scale and under ``synthesis_scale<S>_loop<L>`` at
+  any other.
 
 Absolute rate floors hold on the nominal host: each is rescaled by the
 host-speed reference timed next to its measurement (see
@@ -44,6 +47,7 @@ from benchmarks.conftest import (
     record_rate,
     record_result,
 )
+from repro.core.synthesizer import Synthesizer
 from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
 from repro.power_model.training import (
     generate_micro_suite,
@@ -54,6 +58,7 @@ from repro.sim import Machine, MachineConfig
 from repro.sim.pipeline import CorePipelineModel
 from repro.stressmark.search import build_stressmark, covering_sequences
 from tests.oracle import OracleMachine, reference_activity, reference_bounds
+from tests.oracle import synthesis as oracle_synthesis
 
 #: Stressmark candidates; the 540-point covering space is the workload.
 _CANDIDATES = ("mulldo", "lxvw4x", "xvnmsubmdp")
@@ -248,6 +253,21 @@ def test_synthesis_throughput(arch, tmp_path):
         f"loop {LOOP_SIZE})"
     )
 
+    recipes = _suite_recipes(arch)
+    rounds = {"columns": [], "oracle": []}
+    for _ in range(3):
+        # Alternate the two pipelines so a host phase moves both.
+        rounds["columns"].append(_replay(recipes, _column_synthesis))
+        rounds["oracle"].append(_replay(recipes, _oracle_synthesis))
+    synthesis_speedup = min(rounds["oracle"]) / min(rounds["columns"])
+    oracle_us_per_instruction = min(rounds["oracle"]) / instructions * 1e6
+    print(
+        f"same recipes, best of 3: columns {min(rounds['columns']):.2f} s, "
+        f"per-slot oracle {min(rounds['oracle']):.2f} s "
+        f"({oracle_us_per_instruction:.2f} us/instruction) -> "
+        f"{synthesis_speedup:.2f}x"
+    )
+
     timings = {}
     for kind in ("cold", "warm"):
         store = ResultStore(tmp_path)
@@ -276,6 +296,10 @@ def test_synthesis_throughput(arch, tmp_path):
         name,
         synthesis_us_per_instruction=round(us_per_instruction, 2),
         synthesis_kernels_per_sec=round(kernels_per_second, 1),
+        synthesis_oracle_us_per_instruction=round(
+            oracle_us_per_instruction, 2
+        ),
+        synthesis_speedup=round(synthesis_speedup, 2),
         kernel_memo_us_per_instruction=round(
             timings["warm"] / instructions * 1e6, 2
         ),
@@ -288,7 +312,42 @@ def test_synthesis_throughput(arch, tmp_path):
         ),
         kernel_memo_speedup=round(speedup, 2),
     )
-    # About 8 us/instruction on a 2-vCPU Xeon container, where the
-    # per-slot operand walk this replaced took about 46.
+    # About 4.8 us/instruction on a 2-vCPU Xeon container, where the
+    # per-slot pipeline kept as the oracle takes about 7.9 (1.6x).
     assert us_per_instruction < 20.0
+    assert synthesis_speedup >= 1.4
     assert speedup >= 2.5
+
+
+def _suite_recipes(arch) -> list[tuple[Synthesizer, int, str | None]]:
+    """(synthesizer, ordinal, name) of every synthesis of the suite."""
+    recipes = []
+    synthesize = Synthesizer.synthesize
+
+    def recording(self, name=None):
+        recipes.append((self, self._counter, name))
+        return synthesize(self, name)
+
+    Synthesizer.synthesize = recording
+    try:
+        generate_training_suite(arch, LOOP_SIZE, SCALE)
+    finally:
+        Synthesizer.synthesize = synthesize
+    return recipes
+
+
+def _replay(recipes, synthesis) -> float:
+    """Seconds to synthesize every recipe and build its kernel."""
+    start = time.perf_counter()
+    for recipe in recipes:
+        synthesis(*recipe).to_kernel()
+    return time.perf_counter() - start
+
+
+def _column_synthesis(synth: Synthesizer, ordinal: int, name):
+    synth._counter = ordinal  # replay call ``ordinal`` of the recipe
+    return synth.synthesize(name)
+
+
+def _oracle_synthesis(synth: Synthesizer, ordinal: int, name):
+    return oracle_synthesis.synthesize(synth, ordinal, name)[0]

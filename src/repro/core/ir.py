@@ -1,16 +1,19 @@
 """Internal representation of a micro-benchmark under construction.
 
-A :class:`Program` is an endless loop: a body of :class:`IRInstruction`
-slots plus a closing backward branch.  Passes transform the program in
-place; emission and simulation read it.  The IR keeps both the static
-side (mnemonics, register assignments, immediates) and the dynamic
+A :class:`Program` is an endless loop: a body of slots plus a closing
+backward branch.  Passes transform the program in place; emission and
+simulation read it.  The IR keeps both the static side (instruction
+definitions, register assignments, immediates) and the dynamic
 annotations the machine model needs (dependency distances, planned
-memory levels and addresses, operand entropy).
+memory levels and addresses, operand entropy).  The body is held as
+per-slot columns; :attr:`Program.body` spells them as rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import and_, attrgetter, not_
 from pathlib import Path
 
 from repro.errors import SynthesisError
@@ -22,10 +25,12 @@ from repro.sim.kernel import Kernel, KernelInstruction
 #: Value-initialisation policies and the operand-data entropy they induce.
 DATA_ENTROPY = {"zero": 0.0, "pattern": 0.5, "random": 1.0}
 
+_mnemonic = attrgetter("mnemonic")
+
 
 @dataclass
 class IRInstruction:
-    """One slot of the loop body.
+    """One slot of the loop body, as :attr:`Program.body` spells it.
 
     Attributes:
         definition: The ISA instruction occupying this slot.
@@ -56,37 +61,45 @@ class IRInstruction:
     def mnemonic(self) -> str:
         return self.definition.mnemonic
 
-    def target_register(self) -> tuple[str, OperandKind, int] | None:
-        """(operand name, kind, number) of the primary written register."""
-        registers = self.registers
-        for name, kind in self.definition.write_slots:
-            number = registers.get(name)
-            if number is not None:
-                return name, kind, number
-        return None
-
 
 @dataclass
 class Program:
     """A micro-benchmark: an endless loop over a fixed body.
 
-    Built by the skeleton pass, refined by the remaining passes.
+    Built by the skeleton pass, refined by the remaining passes.  Slot
+    ``i`` is entry ``i`` of each per-slot column, ``definitions``
+    through ``immediate_bases``.  Its register numbers sit in the flat
+    ``registers`` column from ``register_bases[i]`` on, one per entry
+    of its definition's ``register_slots``, and its immediates in
+    ``immediates`` from ``immediate_bases[i]`` on, one per entry of the
+    definition's ``immediates``; ``None`` marks an unassigned operand.
+    Giving a slot a new definition appends fresh regions.
     """
 
     name: str
     arch: MicroArchitecture
-    body: list[IRInstruction] = field(default_factory=list)
     loop_label: str = "loop"
     register_init: str = "random"
     immediate_init: str = "random"
     init_pattern: int = 0
     memory_base: int = 0
     metadata: dict[str, object] = field(default_factory=dict)
+    definitions: list[InstructionDef] = field(default_factory=list)
+    dep_distances: list[int | None] = field(default_factory=list)
+    dep_operands: list[str | None] = field(default_factory=list)
+    addresses: list[int | None] = field(default_factory=list)
+    source_levels: list[str | None] = field(default_factory=list)
+    structural: list[bool] = field(default_factory=list)
+    comments: list[str] = field(default_factory=list)
+    register_bases: list[int] = field(default_factory=list)
+    immediate_bases: list[int] = field(default_factory=list)
+    registers: list[int | None] = field(default_factory=list)
+    immediates: list[int | None] = field(default_factory=list)
 
     @property
     def size(self) -> int:
         """Body slots, excluding structural slots."""
-        return sum(1 for ins in self.body if not ins.structural)
+        return self.structural.count(False)
 
     @property
     def operand_entropy(self) -> float:
@@ -97,18 +110,82 @@ class Program:
         # feed a slice of the operand bits.
         return 0.8 * register_entropy + 0.2 * immediate_entropy
 
+    @property
+    def body(self) -> list[IRInstruction]:
+        """The slots as rows, built from the columns on every read.
+
+        Rows are copies: editing one leaves the program unchanged.
+        """
+        rows = []
+        for index, definition in enumerate(self.definitions):
+            rows.append(IRInstruction(
+                definition,
+                _named(definition.register_index, self.registers,
+                       self.register_bases[index]),
+                _named(definition.immediate_index, self.immediates,
+                       self.immediate_bases[index]),
+                self.dep_distances[index], self.dep_operands[index],
+                self.addresses[index], self.source_levels[index],
+                self.structural[index], self.comments[index],
+            ))
+        return rows
+
     def workload_slots(self) -> list[int]:
         """Indices of non-structural slots, in program order."""
-        return [
-            index for index, ins in enumerate(self.body) if not ins.structural
-        ]
+        return list(compress(range(len(self.structural)),
+                             map(not_, self.structural)))
 
-    def memory_instructions(self) -> list[IRInstruction]:
-        """Memory-op slots (loads and stores), program order."""
-        return [
-            ins for ins in self.body
-            if ins.definition.accesses_memory and not ins.structural
-        ]
+    def memory_slots(self) -> list[int]:
+        """Indices of the memory-op slots (loads and stores), in order."""
+        return list(compress(range(len(self.definitions)), map(
+            and_, map(attrgetter("accesses_memory"), self.definitions),
+            map(not_, self.structural),
+        )))
+
+    def targets(self, slots) -> list[tuple[OperandKind, int] | None]:
+        """(kind, number) of the register each of ``slots`` writes: its
+        first write operand with an assigned register, else ``None``."""
+        registers, found = self.registers, []
+        for index in slots:
+            definition = self.definitions[index]
+            at, positions = self.register_bases[index], definition.register_index
+            for name, kind in definition.write_slots:
+                number = registers[at + positions[name]]
+                if number is not None:
+                    found.append((kind, number))
+                    break
+            else:
+                found.append(None)
+        return found
+
+    def define(
+        self,
+        slots: list[int],
+        choices: list[int],
+        definitions: list[InstructionDef],
+        registers: list[int] | None = None,
+        comment: str = "",
+    ) -> None:
+        """Make slot ``slots[k]`` (increasing) a fresh
+        ``definitions[choices[k]]``: new operand regions, registers taken
+        in order from ``registers`` (else unassigned), no immediates,
+        dependency distance, address or level, and ``comment``."""
+        scatter(self.definitions, slots,
+                list(map(definitions.__getitem__, choices)))
+        for column, bases, widths, values in (
+            (self.registers, self.register_bases,
+             [len(d.register_slots) for d in definitions], registers),
+            (self.immediates, self.immediate_bases,
+             [len(d.immediates) for d in definitions], None),
+        ):
+            starts = list(accumulate(map(widths.__getitem__, choices),
+                                     initial=len(column)))
+            column += values or [None] * (starts[-1] - starts[0])
+            scatter(bases, slots, starts[:-1])
+        unset = [None] * len(slots)
+        for column in (self.dep_distances, self.addresses, self.source_levels):
+            scatter(column, slots, unset)
+        scatter(self.comments, slots, [comment] * len(slots))
 
     # -- downstream views ------------------------------------------------------
 
@@ -121,23 +198,19 @@ class Program:
         with a period fingerprint so the steady-state evaluation engine
         summarizes them in O(period) work.
         """
-        if not self.body:
+        if not self.definitions:
             raise SynthesisError(
                 f"program {self.name!r} has no body; run a skeleton pass"
             )
+        keys = list(zip(
+            map(_mnemonic, self.definitions), self.dep_distances,
+            self.source_levels, self.addresses,
+        ))
         # Slots with equal content share one (immutable) kernel slot.
-        shared: dict[tuple, KernelInstruction] = {}
-        slots = []
-        for ins in self.body:
-            key = (
-                ins.definition.mnemonic, ins.dep_distance,
-                ins.source_level, ins.address,
-            )
-            slot = shared.get(key)
-            if slot is None:
-                slot = shared[key] = KernelInstruction(*key)
-            slots.append(slot)
-        instructions = tuple(slots)
+        shared = dict.fromkeys(keys)
+        for key in shared:
+            shared[key] = KernelInstruction(*key)
+        instructions = tuple(map(shared.__getitem__, keys))
         return Kernel(
             name=self.name,
             instructions=instructions,
@@ -155,14 +228,17 @@ class Program:
         must divide the workload length while leaving the tail short of
         one full period; the smallest such divisor is returned.
         """
+        structural = self.structural
         tail = 0
-        while tail < len(self.body) and self.body[-1 - tail].structural:
+        while tail < len(structural) and structural[-1 - tail]:
             tail += 1
-        workload = len(self.body) - tail
-        if workload < 2 or any(
-            ins.structural for ins in self.body[:workload]
-        ):
+        workload = len(structural) - tail
+        if workload < 2 or any(structural[:workload]):
             return None
+        # Read the slots, not the columns: caching the first slot's key
+        # before any digest text sizes CPython's shared-key dict of every
+        # later slot for both (112 bytes a slot, else 272: +12 MB over
+        # the Table-2 suite's 78k slots).
         key = instructions[0].analytic_key()
         if any(
             instructions[index].analytic_key() != key
@@ -194,6 +270,25 @@ class Program:
 
     def mnemonic_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for ins in self.body:
-            counts[ins.mnemonic] = counts.get(ins.mnemonic, 0) + 1
+        for mnemonic in map(_mnemonic, self.definitions):
+            counts[mnemonic] = counts.get(mnemonic, 0) + 1
         return counts
+
+
+def scatter(column: list, slots: list[int], values: list) -> None:
+    """``column[slots[k]] = values[k]`` for increasing ``slots``."""
+    count = len(slots)
+    if count == len(values) and count and slots[-1] == count - 1:
+        column[:count] = values
+        return
+    for slot, value in zip(slots, values):
+        column[slot] = value
+
+
+def _named(index: dict[str, int], column: list, at: int) -> dict[str, int]:
+    """The assigned values of one slot's operand region, by name."""
+    return {
+        name: column[at + position]
+        for name, position in index.items()
+        if column[at + position] is not None
+    }

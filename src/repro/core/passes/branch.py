@@ -44,12 +44,10 @@ class BranchBehavior(Pass):
         if not definition.is_branch:
             raise PassError(f"{self.mnemonic!r} is not a branch")
         count = round(self.fraction * len(slots))
-        for index in context.rng.sample(slots, count):
-            instruction = program.body[index]
-            instruction.definition = definition
-            instruction.registers = {}
-            instruction.immediates = {}
-            instruction.dep_distance = None
-            instruction.address = None
-            instruction.source_level = None
-            instruction.comment = "planted branch (fall-through)"
+        planted = sorted(context.rng.sample(slots, count))
+        # A planted branch keeps its dependency operand and structural
+        # flag; everything else starts afresh.
+        program.define(
+            planted, [0] * count, [definition],
+            comment="planted branch (fall-through)",
+        )

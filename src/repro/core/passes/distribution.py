@@ -10,12 +10,16 @@ default assignments; memory operands are left for the memory pass.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain, repeat
 
-from repro.core.ir import IRInstruction, Program
+from repro.core.ir import Program, scatter
 from repro.core.passes.base import Pass, PassContext
 from repro.core.registers import MEMORY_BASE_REGISTER
 from repro.errors import PassError
 from repro.isa.instruction import InstructionDef
+
+#: The register stream of a load or store's base register.
+_MEMORY_BASE = repeat(MEMORY_BASE_REGISTER)
 
 
 class InstructionDistribution(Pass):
@@ -61,37 +65,40 @@ class InstructionDistribution(Pass):
             else context.arch.isa.instruction(entry)
             for entry in self.pool
         ]
-        # Each definition with its register template: operand names and
-        # pool kinds, ``None`` for the base register of a load or store
-        # (it points at the benchmark's memory region; the memory pass
-        # plans the rest of the address).
-        entries = [
-            (definition, tuple(
-                (name, None if definition.is_memory and name == "RA" else kind)
+        # One register stream per register operand; the base register of
+        # a load or store points at the benchmark's memory region (the
+        # memory pass plans the rest of the address).
+        take = context.pools.cycle
+        streams = [
+            tuple(
+                _MEMORY_BASE if definition.is_memory and name == "RA"
+                else take(kind)
                 for name, kind in definition.register_slots
-            ))
+            )
             for definition in definitions
         ]
         if self.exact:
-            choices = self._exact_mix(entries, len(slots), context)
+            choices = self._exact_mix(len(definitions), len(slots), context)
         else:
-            weights = self.weights or [1.0] * len(entries)
-            choices = context.rng.choices(entries, weights, k=len(slots))
-
-        take = context.pools.take
-        for slot, (definition, template) in zip(slots, choices):
-            program.body[slot] = IRInstruction(definition, registers={
-                name: MEMORY_BASE_REGISTER if kind is None else take(kind)
-                for name, kind in template
-            })
+            weights = self.weights or [1.0] * len(definitions)
+            choices = context.rng.choices(
+                range(len(definitions)), weights, k=len(slots)
+            )
+        # Registers are taken slot by slot, operand by operand.
+        registers = list(map(
+            next, chain.from_iterable(map(streams.__getitem__, choices))
+        ))
+        program.define(slots, choices, definitions, registers)
+        scatter(program.dep_operands, slots, [None] * len(slots))
 
     def _exact_mix(
         self,
-        entries: list[tuple],
+        entries: int,
         count: int,
         context: PassContext,
-    ) -> list[tuple]:
-        weights = self.weights or [1.0] * len(entries)
+    ) -> list[int]:
+        """A shuffled multiset of ``count`` entry indices."""
+        weights = self.weights or [1.0] * entries
         total = sum(weights)
         raw = [weight / total * count for weight in weights]
         counts = [int(value) for value in raw]
@@ -101,8 +108,8 @@ class InstructionDistribution(Pass):
         )
         for index in order[:remainder]:
             counts[index] += 1
-        mix: list[tuple] = []
-        for entry, amount in zip(entries, counts):
+        mix: list[int] = []
+        for entry, amount in enumerate(counts):
             mix.extend([entry] * amount)
         context.rng.shuffle(mix)
         return mix

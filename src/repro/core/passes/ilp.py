@@ -28,10 +28,11 @@ address inputs yield the planned region offsets).
 
 from __future__ import annotations
 
-from repro.core.ir import IRInstruction, Program
+from itertools import compress
+
+from repro.core.ir import Program, scatter
 from repro.core.passes.base import Pass, PassContext
 from repro.errors import PassError
-from repro.isa.operand import OperandKind
 
 _MODES = ("none", "chain", "fixed", "random", "mean")
 #: How far around the requested distance to search for a compatible producer.
@@ -80,32 +81,54 @@ class DependencyDistance(Pass):
         if not slots:
             raise PassError(f"{program.name}: no instructions to link")
 
+        distances, operands = program.dep_distances, program.dep_operands
         if self.mode == "none":
-            for index in slots:
-                program.body[index].dep_distance = None
-                program.body[index].dep_operand = None
+            scatter(distances, slots, [None] * len(slots))
+            scatter(operands, slots, [None] * len(slots))
             return
 
-        body = program.body
-        # Index table of each slot's (name, kind, number) target, ``None``
-        # where no dependency can start (structural or writing nothing).
-        targets = [
-            None if ins.structural else ins.target_register() for ins in body
-        ]
+        definitions, registers = program.definitions, program.registers
+        size = len(definitions)
+        # Each slot's (kind, number) target, ``None`` where no
+        # dependency can start (structural or writing nothing).
+        targets = program.targets(range(size))
+        for index in compress(range(size), program.structural):
+            targets[index] = None
         candidates: dict[int, list[int]] = {}
-        for index in slots:
-            wanted = self._wanted_distance(context)
+        wanted_distances = self._wanted_distances(len(slots), context)
+        for index, wanted in zip(slots, wanted_distances):
             order = candidates.get(wanted)
             if order is None:
-                order = candidates[wanted] = _candidates(wanted, len(body))
-            self._link(body, targets, index, order)
+                order = candidates[wanted] = _candidates(wanted, size)
+            definition = definitions[index]
+            groups = definition.dependency_sources
+            if not groups:
+                distances[index] = None
+                continue
+            link = _link(groups, targets, index, order)
+            if link is None:
+                distances[index] = None
+                operands[index] = None
+                continue
+            distance, name, number = link
+            at = program.register_bases[index]
+            registers[at + definition.register_index[name]] = number
+            distances[index] = distance
+            operands[index] = name
+            for written, _ in definition.write_slots:
+                if written == name:
+                    # A read-write source renames the consumer's own
+                    # target (``XT`` of the VSX FMAs).
+                    targets[index] = program.targets((index,))[0]
+                    break
 
-    def _wanted_distance(self, context: PassContext) -> int:
+    def _wanted_distances(self, count, context: PassContext) -> list[int]:
+        """The distance each of ``count`` slots asks for, in order."""
         if self.mode == "chain":
-            return 1
+            return [1] * count
         if self.mode == "fixed":
             assert self.distance is not None
-            return self.distance
+            return [self.distance] * count
         if self.mode == "mean":
             # Bernoulli mix of floor/ceil realizes a fractional mean
             # distance; random assignment mixes the distances within
@@ -113,50 +136,36 @@ class DependencyDistance(Pass):
             assert self.mean_distance is not None
             low = int(self.mean_distance)
             fraction = self.mean_distance - low
-            if context.rng.random() < fraction:
-                return low + 1
-            return low
-        return context.rng.randint(self.min_distance, self.max_distance)
+            draw = context.rng.random
+            return [low + 1 if draw() < fraction else low for _ in range(count)]
+        draw = context.rng.randint
+        low, high = self.min_distance, self.max_distance
+        return [draw(low, high) for _ in range(count)]
 
-    @staticmethod
-    def _link(
-        body: list[IRInstruction],
-        targets: list[tuple[str, OperandKind, int] | None],
-        index: int,
-        candidates: list[int],
-    ) -> None:
-        """Try body distances around the wanted one until kinds match.
 
-        Distances are expressed in *body* positions (the same space the
-        machine substrate and the validation pass use); structural
-        slots are never selected as producers.  Data-register sources
-        are preferred across the whole search window before any
-        address-register (pointer-chase) link is considered, so memory
-        operations keep their planned addressing whenever a data
-        dependency can realize the distance.
-        """
-        consumer = body[index]
-        groups = consumer.definition.dependency_sources
-        if not groups:
-            consumer.dep_distance = None
-            return
-        for sources in groups:
-            for candidate in candidates:
-                target = targets[index - candidate]  # wraps like the loop
-                if target is None:
-                    continue
-                __, kind, number = target
-                for source_name, source_kind in sources:
-                    if source_kind is kind:
-                        consumer.registers[source_name] = number
-                        consumer.dep_distance = candidate
-                        consumer.dep_operand = source_name
-                        # A read-write source renames the consumer's
-                        # own target (``XT`` of the VSX FMAs).
-                        targets[index] = consumer.target_register()
-                        return
-        consumer.dep_distance = None
-        consumer.dep_operand = None
+def _link(groups, targets, index: int, candidates: list[int]):
+    """(distance, source name, register) of the consumer at ``index``.
+
+    Tries body distances around the wanted one until kinds match.
+    Distances are expressed in *body* positions (the same space the
+    machine substrate and the validation pass use); structural slots
+    are never selected as producers.  Data-register sources are
+    preferred across the whole search window before any
+    address-register (pointer-chase) link is considered, so memory
+    operations keep their planned addressing whenever a data
+    dependency can realize the distance.  ``None`` when no candidate
+    matches.
+    """
+    for sources in groups:
+        for candidate in candidates:
+            target = targets[index - candidate]  # wraps like the loop
+            if target is None:
+                continue
+            kind, number = target
+            for source_name, source_kind in sources:
+                if source_kind is kind:
+                    return candidate, source_name, number
+    return None
 
 
 def _candidates(wanted: int, size: int) -> list[int]:

@@ -65,12 +65,14 @@ class InitImmediates(Pass):
         return f"InitImmediates({self.mode})"
 
     def apply(self, program: Program, context: PassContext) -> None:
-        if not program.body:
+        if not program.definitions:
             raise PassError(f"{program.name}: nothing to initialize")
         program.immediate_init = self.mode
-        for instruction in program.body:
-            for name, width in instruction.definition.immediate_fields:
-                instruction.immediates[name] = self._value(width, context)
+        immediates, bases = program.immediates, program.immediate_bases
+        for definition, base in zip(program.definitions, bases):
+            for name, width in definition.immediate_fields:
+                position = base + definition.immediate_index[name]
+                immediates[position] = self._value(width, context)
 
     def _value(self, width: int, context: PassContext) -> int:
         # Immediates are encoded as signed fields; stay within the

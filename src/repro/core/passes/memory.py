@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.ir import Program
+from repro.core.ir import Program, scatter
 from repro.core.passes.base import Pass, PassContext
 from repro.errors import PassError
 from repro.march.cache_model import SetAssociativeCacheModel
@@ -44,8 +44,8 @@ class MemoryModel(Pass):
         return f"MemoryModel({spec})"
 
     def apply(self, program: Program, context: PassContext) -> None:
-        memory_instructions = program.memory_instructions()
-        if not memory_instructions:
+        slots = program.memory_slots()
+        if not slots:
             raise PassError(
                 f"{program.name}: memory model applied but the body has "
                 "no memory instructions; order the distribution pass first"
@@ -61,22 +61,23 @@ class MemoryModel(Pass):
 
         plan = model.plan(
             self.weights,
-            slot_count=len(memory_instructions),
+            slot_count=len(slots),
             seed=context.rng.randrange(2 ** 31),
         )
         program.memory_base = model.base_address
         program.metadata["memory_plan"] = plan
+        scatter(program.addresses, slots, plan.slots)
+        scatter(program.source_levels, slots, plan.slot_levels)
 
+        definitions, immediates = program.definitions, program.immediates
         fits_dform = 0
-        for instruction, address, level in zip(
-            memory_instructions, plan.slots, plan.slot_levels
-        ):
-            instruction.address = address
-            instruction.source_level = level
+        for index, address in zip(slots, plan.slots):
             offset = address - model.base_address
-            displacement = instruction.definition.displacement
+            definition = definitions[index]
+            displacement = definition.displacement
             if displacement is not None:
-                instruction.immediates[displacement] = offset
+                at = program.immediate_bases[index]
+                immediates[at + definition.immediate_index[displacement]] = offset
                 if -32768 <= offset <= 32767:
                     fits_dform += 1
         program.metadata["dform_offsets_in_range"] = fits_dform

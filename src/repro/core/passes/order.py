@@ -13,7 +13,7 @@ ordering.
 
 from __future__ import annotations
 
-from repro.core.ir import Program
+from repro.core.ir import Program, scatter
 from repro.core.passes.base import Pass, PassContext
 from repro.errors import PassError
 
@@ -48,35 +48,37 @@ class SequenceOrder(Pass):
         slots = program.workload_slots()
         if not slots:
             raise PassError(f"{program.name}: nothing to reorder")
-        instructions = [program.body[index] for index in slots]
+        # The slot each position of the new order takes its row from.
+        order = list(slots)
 
         if self.mode == "shuffle":
-            context.rng.shuffle(instructions)
+            context.rng.shuffle(order)
         elif self.mode == "rotate":
-            shift = self.amount % len(instructions)
-            instructions = instructions[shift:] + instructions[:shift]
+            shift = self.amount % len(order)
+            order = order[shift:] + order[:shift]
         else:
-            groups: dict[str, list] = {}
-            for instruction in instructions:
-                props = context.arch.props(instruction.mnemonic)
+            definitions = program.definitions
+            groups: dict[str, list[int]] = {}
+            for slot in order:
+                props = context.arch.props(definitions[slot].mnemonic)
                 unit = props.usages[0].units[0] if props.usages else "-"
-                groups.setdefault(unit, []).append(instruction)
+                groups.setdefault(unit, []).append(slot)
             if self.mode == "blocked":
-                instructions = [
-                    instruction
-                    for unit in sorted(groups)
-                    for instruction in groups[unit]
-                ]
+                order = [slot for unit in sorted(groups) for slot in groups[unit]]
             else:  # interleave
-                instructions = []
+                order = []
                 queues = [groups[unit] for unit in sorted(groups)]
                 cursors = [0] * len(queues)
                 while any(c < len(q) for c, q in zip(cursors, queues)):
                     for position, queue in enumerate(queues):
                         if cursors[position] < len(queue):
-                            instructions.append(queue[cursors[position]])
+                            order.append(queue[cursors[position]])
                             cursors[position] += 1
 
-        for index, instruction in zip(slots, instructions):
-            program.body[index] = instruction
-            instruction.dep_distance = None
+        for column in (
+            program.definitions, program.dep_operands, program.addresses,
+            program.source_levels, program.structural, program.comments,
+            program.register_bases, program.immediate_bases,
+        ):
+            scatter(column, slots, list(map(column.__getitem__, order)))
+        scatter(program.dep_distances, slots, [None] * len(slots))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.ir import IRInstruction, Program
+from repro.core.ir import Program
 from repro.core.passes.base import Pass, PassContext
 from repro.errors import PassError
 
@@ -26,20 +26,20 @@ class EndlessLoopSkeleton(Pass):
         return f"EndlessLoopSkeleton({self.size})"
 
     def apply(self, program: Program, context: PassContext) -> None:
-        if program.body:
+        if program.definitions:
             raise PassError(
                 f"{program.name}: skeleton applied to a non-empty program"
             )
         isa = context.arch.isa
         nop = isa.instruction("nop")
         branch = isa.instruction("b")
-        program.body = [
-            IRInstruction(definition=nop) for _ in range(self.size)
-        ]
-        closing = IRInstruction(
-            definition=branch,
-            structural=True,
-            comment="loop-closing branch",
-        )
-        program.body.append(closing)
+        size = self.size
+        for column in (
+            "definitions", "dep_distances", "dep_operands", "addresses",
+            "source_levels", "comments", "register_bases", "immediate_bases",
+        ):
+            setattr(program, column, [None] * (size + 1))
+        program.define(list(range(size + 1)), [0] * size + [1], [nop, branch])
+        program.structural = [False] * size + [True]
+        program.comments[size] = "loop-closing branch"
         program.loop_label = "loop"

@@ -40,17 +40,15 @@ class RegisterPools:
 
     _cycles: dict[OperandKind, Iterator[int]] = field(default_factory=dict)
 
-    def take(self, kind: OperandKind) -> int:
-        """Next register in round-robin order for ``kind``."""
+    def cycle(self, kind: OperandKind) -> Iterator[int]:
+        """The round-robin register stream of ``kind``: ``next`` on it
+        takes the next register, whichever pass asks."""
         cycle = self._cycles.get(kind)
         if cycle is None:
             if kind not in _POOLS:
                 raise ValueError(f"no register pool for {kind}")
             cycle = self._cycles[kind] = itertools.cycle(_POOLS[kind])
-        return next(cycle)
-
-    def reset(self) -> None:
-        self._cycles.clear()
+        return cycle
 
 
 def register_prefix(kind: OperandKind) -> str:

@@ -243,8 +243,9 @@ class SerialExecutor:
             # (see __init__) so warm single-cell runs stay cheap.
             keys = self.keys_of(plan)
             # The probe comes first: a run that owes no cells writes
-            # no key manifest.
-            results = [self.store.get(key) for key in keys]
+            # no key manifest.  One fault-plan lookup serves every key.
+            fault_plan = faults.active()
+            results = [self.store.get(key, fault_plan) for key in keys]
             misses = [
                 index for index, found in enumerate(results) if found is None
             ]

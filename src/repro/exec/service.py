@@ -469,9 +469,11 @@ class MeasurementService:
             run,
         )
         # The probe comes first: a run that owes no cells writes no key
-        # manifest.  Warm cells stay stored body bytes, never decoded.
+        # manifest.  Warm cells stay stored body bytes, never decoded;
+        # one fault-plan lookup serves every key.
+        fault_plan = faults.active()
         bodies = (
-            [self.store.get_body(key) for key in keys]
+            [self.store.get_body(key, fault_plan) for key in keys]
             if self.store is not None
             else [None] * len(keys)
         )

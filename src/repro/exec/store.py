@@ -146,6 +146,8 @@ KERNELS = RecordKind(
 
 _SUM_FIELD = b', "sum": "'
 _TAIL = b'"}\n'
+#: A read's default ``fault_plan``: look the plan in effect up.
+_RESOLVE = object()
 
 
 def _checksum(kind: RecordKind, key: str, body_text: str) -> str:
@@ -579,7 +581,7 @@ class ResultStore:
         handle.seek(offset)
         return handle.read(length)
 
-    def _read(self, key: str, kind: RecordKind) -> bytes | None:
+    def _read(self, key: str, kind: RecordKind, fault_plan=_RESOLVE):
         """The verified canonical body text of ``key``, or ``None``.
 
         Unreadable, corrupt (checksum-mismatched) or format-mismatched
@@ -597,7 +599,8 @@ class ResultStore:
         if location is None:
             return None
         try:
-            fault_plan = faults.active()
+            if fault_plan is _RESOLVE:
+                fault_plan = faults.active()
             if fault_plan is not None:
                 fault_plan.maybe_io_error(f"get:{key}")
             raw = self._read_at(shard, *location)
@@ -656,10 +659,10 @@ class ResultStore:
             exc,
         )
 
-    def _decoded(self, key: str, kind: RecordKind, decode: Callable):
+    def _decoded(self, key, kind, decode: Callable, fault_plan=_RESOLVE):
         """:meth:`_read`, decoded; a body that does not decode is
         quarantined as a corrupt record and read as ``None``."""
-        text = self._read(key, kind)
+        text = self._read(key, kind, fault_plan)
         if text is None:
             return None
         try:
@@ -670,34 +673,39 @@ class ResultStore:
 
     # -- public API -------------------------------------------------------------
 
-    def get_body(self, key: str) -> bytes | None:
+    def get_body(self, key: str, fault_plan=_RESOLVE) -> bytes | None:
         """The verified canonical body text of ``key``'s cell record,
         or ``None`` on a miss: the bytes :meth:`get` decodes.
 
         Quarantines like :meth:`get` and moves ``hits``/``misses`` the
         same way, but decodes nothing, so a checksum-valid body that
         does not decode is a hit here (the campaign service streams it
-        as stored and its client names the cell).  Thread-safe.
+        as stored and its client names the cell).  ``fault_plan`` as
+        for :meth:`get`.  Thread-safe.
         """
         with self._lock:
-            text = self._read(key, CELLS)
+            text = self._read(key, CELLS, fault_plan)
             if text is None:
                 self.misses += 1
             else:
                 self.hits += 1
             return text
 
-    def get(self, key: str) -> Measurement | None:
+    def get(self, key: str, fault_plan=_RESOLVE) -> Measurement | None:
         """The stored measurement for ``key``, or ``None`` on a miss.
 
         Unreadable, corrupt (checksum-mismatched) or format-mismatched
         entries are quarantined: counted in :meth:`fault_stats`, logged,
         and served as misses so the executor re-measures and overwrites
+        them.  A caller probing many keys passes the plan in effect
+        (:func:`repro.exec.faults.active`), looked up once for all of
         them.  Thread-safe: concurrent readers serialize on the store
         lock (they share per-shard file handles).
         """
         with self._lock:
-            measurement = self._decoded(key, CELLS, Measurement.from_dict)
+            measurement = self._decoded(
+                key, CELLS, Measurement.from_dict, fault_plan
+            )
             if measurement is None:
                 self.misses += 1
             else:

@@ -270,6 +270,16 @@ class InstructionDef:
             if kind is not OperandKind.SPR
         )
 
+    @cached_property
+    def register_index(self) -> dict[str, int]:
+        """Position of each register operand name in :attr:`register_slots`."""
+        return {name: at for at, (name, _) in enumerate(self.register_slots)}
+
+    @cached_property
+    def immediate_index(self) -> dict[str, int]:
+        """Position of each immediate operand name in :attr:`immediates`."""
+        return {op.name: at for at, op in enumerate(self.immediates)}
+
     @property
     def target_kind(self) -> OperandKind | None:
         """Register kind of the primary destination, if any."""

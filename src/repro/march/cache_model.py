@@ -433,9 +433,5 @@ class SetAssociativeCacheModel:
         for name, slots in stream_slots.items():
             tickets.extend([name] * len(slots))
         rng.shuffle(tickets)
-        cursors = {name: 0 for name in stream_slots}
-        addresses = []
-        for name in tickets:
-            addresses.append(stream_slots[name][cursors[name]])
-            cursors[name] += 1
-        return addresses, tickets
+        streams = {name: iter(slots) for name, slots in stream_slots.items()}
+        return list(map(next, map(streams.__getitem__, tickets))), tickets

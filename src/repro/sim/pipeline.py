@@ -649,6 +649,11 @@ class CorePipelineModel:
         """
         instructions = kernel.instructions
         size = len(instructions)
+        # Each distinct slot's latency, resolved once per kernel.
+        latency = {id(slot): slot for slot in instructions}
+        for key, slot in latency.items():
+            latency[key] = self._effective_latency(slot)
+        latencies = list(map(latency.__getitem__, map(id, instructions)))
         state = [0] * size  # 0 unvisited, 1 in current walk, 2 done
         best = 0.0
 
@@ -679,7 +684,7 @@ class CorePipelineModel:
                 producer_index = node - distance
                 crossings.append(-(producer_index // size) if producer_index < 0 else 0)
                 producer = producer_index % size
-                weights.append(self._effective_latency(instructions[producer]))
+                weights.append(latencies[producer])
                 node = producer
             for visited in path:
                 state[visited] = 2

@@ -33,6 +33,11 @@ def context(arch, seed=0):
     return PassContext(arch=arch, rng=random.Random(seed), pools=RegisterPools())
 
 
+def memory_rows(program):
+    body = program.body
+    return [body[index] for index in program.memory_slots()]
+
+
 def fresh(arch, *passes, seed=0):
     program = Program(name="t", arch=arch)
     ctx = context(arch, seed)
@@ -110,10 +115,10 @@ class TestMemoryModel:
             InstructionDistribution(["lwz", "ld"]),
             MemoryModel({"L1": 0.5, "L2": 0.5}),
         )
-        for ins in program.memory_instructions():
+        for ins in memory_rows(program):
             assert ins.address is not None
             assert ins.source_level in ("L1", "L2")
-        levels = [i.source_level for i in program.memory_instructions()]
+        levels = [i.source_level for i in memory_rows(program)]
         assert levels.count("L2") == 64
 
     def test_requires_memory_instructions(self, arch):
@@ -132,7 +137,7 @@ class TestMemoryModel:
             InstructionDistribution(["lwz"]),
             MemoryModel({"L1": 1.0}),
         )
-        for ins in program.memory_instructions():
+        for ins in memory_rows(program):
             assert "D" in ins.immediates
 
 
@@ -184,10 +189,10 @@ class TestDependencyDistance:
         for index, ins in enumerate(body):
             if ins.structural or ins.dep_distance is None:
                 continue
-            producer = body[(index - ins.dep_distance) % len(body)]
-            target = producer.target_register()
+            producer = (index - ins.dep_distance) % len(body)
+            target = program.targets((producer,))[0]
             assert target is not None
-            assert ins.registers[ins.dep_operand] == target[2]
+            assert ins.registers[ins.dep_operand] == target[1]
 
     def test_mean_mode_interpolates(self, arch):
         from repro.sim.pipeline import CorePipelineModel
@@ -264,12 +269,17 @@ class TestValidateProgram:
             DependencyDistance("chain"),
         )
 
+    @staticmethod
+    def _unassign(program, slot, name):
+        position = program.definitions[slot].register_index[name]
+        program.registers[program.register_bases[slot] + position] = None
+
     def test_well_formed_program_passes(self, arch):
         ValidateProgram().apply(self._linked(arch), context(arch))
 
     def test_unassigned_register_operand(self, arch):
         program = self._linked(arch)
-        del program.body[3].registers["RB"]
+        self._unassign(program, 3, "RB")
         with pytest.raises(
             PassError, match=r"^t slot 3 \(add\): operand RB unassigned$"
         ):
@@ -277,7 +287,7 @@ class TestValidateProgram:
 
     def test_dependency_distance_out_of_range(self, arch):
         program = self._linked(arch)
-        program.body[5].dep_distance = len(program.body)
+        program.dep_distances[5] = len(program.definitions)
         with pytest.raises(
             PassError,
             match=r"^t slot 5 \(add\): dependency distance 9 out of range$",
@@ -286,7 +296,7 @@ class TestValidateProgram:
 
     def test_zero_dependency_distance_out_of_range(self, arch):
         program = self._linked(arch)
-        program.body[2].dep_distance = 0
+        program.dep_distances[2] = 0
         with pytest.raises(
             PassError,
             match=r"^t slot 2 \(add\): dependency distance 0 out of range$",
@@ -296,7 +306,7 @@ class TestValidateProgram:
     def test_producer_writes_no_register(self, arch):
         program = self._linked(arch)
         # Distance 1 from slot 0 wraps onto the loop-closing branch.
-        program.body[0].dep_distance = 1
+        program.dep_distances[0] = 1
         with pytest.raises(
             PassError,
             match=r"^t slot 0 \(add\): producer at distance 1 \(b\) "
@@ -306,8 +316,8 @@ class TestValidateProgram:
 
     def test_first_broken_slot_is_reported(self, arch):
         program = self._linked(arch)
-        program.body[6].dep_distance = 0
-        del program.body[4].registers["RT"]
+        program.dep_distances[6] = 0
+        self._unassign(program, 4, "RT")
         with pytest.raises(PassError, match=r"slot 4 \(add\): operand RT"):
             ValidateProgram().apply(program, context(arch))
 

@@ -6,13 +6,20 @@ executable specification: the per-cell scalar walk
 (:class:`OracleMachine`), the scalar counter and ground-truth power
 arithmetic it calls (:mod:`.scalar`), the per-instruction pipeline
 walk the kernel-summary engine replaced (:mod:`.pipeline`), the
-per-measurement model fits the matrix fits replaced (:mod:`.fits`) and
-the row plan builder the columnar plans replaced (:mod:`.plans`).
+per-measurement model fits the matrix fits replaced (:mod:`.fits`),
+the row plan builder the columnar plans replaced (:mod:`.plans`) and
+the per-slot synthesis pipeline the column passes replaced
+(:mod:`.synthesis`).
 Tests and benches compare the production paths with it bit for bit.
 """
 
 from .machine import OracleMachine
-from .pipeline import reference_activity, reference_alternation, reference_bounds
+from .pipeline import (
+    reference_activity,
+    reference_alternation,
+    reference_bounds,
+    reference_dependency_bound,
+)
 from .scalar import (
     at_frequency_scale,
     chip_power,
@@ -30,6 +37,7 @@ __all__ = [
     "reference_activity",
     "reference_alternation",
     "reference_bounds",
+    "reference_dependency_bound",
     "scaled",
     "thread_dynamic_power",
     "topology_power",

@@ -7,7 +7,9 @@ walk that engine replaced -- every slot's properties looked up again,
 occupancies accumulated instruction by instruction -- so tests can
 assert the fast path reproduces it on arbitrary kernels, periodic or
 not.  Each takes the model whose architecture, water-fill and
-dependency walk it shares.
+per-slot latency lookup it shares; the dependency walk is the model's
+walk as it was before it resolved each distinct slot's latency once
+per kernel (:func:`reference_dependency_bound`).
 """
 
 from __future__ import annotations
@@ -29,11 +31,59 @@ def reference_bounds(
     share = model._share(smt)
     dispatch = len(kernel) / model.arch.chip.dispatch_width * share
     unit = _unit_bound(model, kernel) * share
-    dependency = model._dependency_bound(kernel)
+    dependency = reference_dependency_bound(model, kernel)
     memory = _memory_bound(model, kernel) * share
     return PipelineBounds(
         dispatch=dispatch, unit=unit, dependency=dependency, memory=memory
     )
+
+
+def reference_dependency_bound(
+    model: CorePipelineModel, kernel: Kernel
+) -> float:
+    """Exact maximum cycle mean of the (functional) dependence graph.
+
+    Each slot has at most one producer edge, so every dependence
+    cycle is discovered by walking producer chains once, tracking
+    accumulated latency and iteration-boundary crossings.
+    """
+    instructions = kernel.instructions
+    size = len(instructions)
+    state = [0] * size  # 0 unvisited, 1 in current walk, 2 done
+    best = 0.0
+
+    for start in range(size):
+        if state[start] != 0:
+            continue
+        path: list[int] = []
+        position: dict[int, int] = {}
+        weights: list[float] = []
+        crossings: list[int] = []
+        node = start
+        while True:
+            if state[node] == 2:
+                break
+            if node in position:
+                # Found a cycle: slice the walk from its first visit.
+                cycle_start = position[node]
+                weight = sum(weights[cycle_start:])
+                crossing = sum(crossings[cycle_start:])
+                if crossing > 0:
+                    best = max(best, weight / crossing)
+                break
+            position[node] = len(path)
+            path.append(node)
+            distance = instructions[node].dep_distance
+            if distance is None:
+                break
+            producer_index = node - distance
+            crossings.append(-(producer_index // size) if producer_index < 0 else 0)
+            producer = producer_index % size
+            weights.append(model._effective_latency(instructions[producer]))
+            node = producer
+        for visited in path:
+            state[visited] = 2
+    return best
 
 
 def reference_activity(

@@ -20,6 +20,7 @@ from tests.oracle import (
     reference_activity,
     reference_alternation,
     reference_bounds,
+    reference_dependency_bound,
 )
 
 #: Mnemonic pool covering every usage shape: pure FXU, flexible
@@ -145,6 +146,36 @@ class TestFastPathInvariance:
             )
             assert_bounds_match(pipeline, kernel, 1)
             assert_activity_matches(pipeline, kernel, 1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_dependency_walk_on_linked_aperiodic_kernels(self, pipeline, seed):
+        """The walk resolving each distinct slot's latency once equals
+        the walk resolving it per node, bit for bit: on bodies of
+        private slots and on bodies sharing a few linked slot objects
+        (as synthesized and loaded kernels share equal slots)."""
+        rng = random.Random(seed)
+        size = rng.randint(2, 300)
+        palette = [random_instruction(rng, size) for _ in range(6)]
+        palette.append(KernelInstruction("fadd", dep_distance=1))
+        shared = Kernel(
+            name=f"shared-{seed}",
+            instructions=tuple(rng.choice(palette) for _ in range(size)),
+        )
+        for kernel in (random_kernel(seed), shared):
+            assert pipeline._dependency_bound(kernel) == (
+                reference_dependency_bound(pipeline, kernel)
+            )
+
+    def test_dependency_walk_on_the_table2_suites(self, pipeline, power7_arch):
+        from repro.power_model.training import generate_training_suite
+
+        suite = generate_training_suite(power7_arch, 1024, 0.3)
+        linked = 0
+        for entry in suite:
+            bound = pipeline._dependency_bound(entry.kernel)
+            assert bound == reference_dependency_bound(pipeline, entry.kernel)
+            linked += bound > 0
+        assert linked >= 50
 
     def test_alternation_matches_on_periodic_blocks(self, pipeline):
         pattern = tuple(
