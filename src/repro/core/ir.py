@@ -12,7 +12,7 @@ per-slot columns; :attr:`Program.body` spells them as rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import and_, attrgetter, not_
 from pathlib import Path
 
@@ -215,12 +215,10 @@ class Program:
             name=self.name,
             instructions=instructions,
             operand_entropy=self.operand_entropy,
-            period=self._analytic_period(instructions),
+            period=self._analytic_period(),
         )
 
-    def _analytic_period(
-        self, instructions: tuple[KernelInstruction, ...]
-    ) -> int | None:
+    def _analytic_period(self) -> int | None:
         """Period fingerprint of a uniform body, or ``None``.
 
         The fingerprint contract places the trailing structural slots
@@ -235,15 +233,12 @@ class Program:
         workload = len(structural) - tail
         if workload < 2 or any(structural[:workload]):
             return None
-        # Read the slots, not the columns: caching the first slot's key
-        # before any digest text sizes CPython's shared-key dict of every
-        # later slot for both (112 bytes a slot, else 272: +12 MB over
-        # the Table-2 suite's 78k slots).
-        key = instructions[0].analytic_key()
-        if any(
-            instructions[index].analytic_key() != key
-            for index in range(1, workload)
-        ):
+        keys = zip(
+            map(_mnemonic, self.definitions), self.dep_distances,
+            self.source_levels,
+        )
+        first = next(keys)
+        if any(key != first for key in islice(keys, workload - 1)):
             return None
         for divisor in (2, 3, 5, 7, 11, 13):
             if tail < divisor and workload % divisor == 0:

@@ -61,39 +61,6 @@ class Measurement:
                 f"names, got {len(self.thread_workloads)}"
             )
 
-    @classmethod
-    def unchecked(
-        cls,
-        workload_name: str,
-        config: MachineConfig,
-        duration: float,
-        thread_counters: tuple,
-        mean_power: float,
-        power_std: float,
-        sample_count: int,
-        thread_workloads: tuple | None = None,
-    ) -> "Measurement":
-        """Construct without ``__post_init__`` validation.
-
-        The vectorized measurement plane builds tens of thousands of
-        measurements per second whose invariants hold by construction;
-        this bypasses the dataclass ``__init__`` while living next to
-        the field list, so a schema change updates both in one place.
-        The result is indistinguishable from a normally built instance.
-        """
-        measurement = object.__new__(cls)
-        measurement.__dict__.update(
-            workload_name=workload_name,
-            config=config,
-            duration=duration,
-            thread_counters=thread_counters,
-            mean_power=mean_power,
-            power_std=power_std,
-            sample_count=sample_count,
-            thread_workloads=thread_workloads,
-        )
-        return measurement
-
     @property
     def threads(self) -> int:
         return self.config.threads

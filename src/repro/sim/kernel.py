@@ -25,15 +25,20 @@ from __future__ import annotations
 import re
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.caching import LRUCache
 from repro.hashing import content_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KernelInstruction:
-    """One slot of the loop body.
+    """One slot of the loop body: an immutable value of fixed layout.
+
+    Besides its four fields a slot holds its analytic key and its
+    digest text, both set once, by the constructor; it has no instance
+    ``__dict__``.  Equality, hashing and ``repr`` cover the four fields.
 
     Attributes:
         mnemonic: ISA mnemonic.
@@ -49,19 +54,41 @@ class KernelInstruction:
     dep_distance: int | None = None
     source_level: str | None = None
     address: int | None = None
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __init__(
+        self,
+        mnemonic: str,
+        dep_distance: int | None = None,
+        source_level: str | None = None,
+        address: int | None = None,
+        text: str | None = None,
+        key: tuple | None = None,
+    ) -> None:
+        """``text`` and ``key`` are the slot's digest text and analytic
+        key when the caller already holds them, as a store record's
+        slot table does; each must equal what the fields give."""
+        if text is None:
+            text = f"{mnemonic},{dep_distance},{source_level},{address}"
+        if key is None:
+            key = (mnemonic, dep_distance, source_level)
+        _set_mnemonic(self, mnemonic)
+        _set_dep_distance(self, dep_distance)
+        _set_source_level(self, source_level)
+        _set_address(self, address)
+        _set_key(self, key)
+        _set_text(self, text)
+
+    def __reduce__(self):
+        # Copies and unpickled slots are built by the constructor.
+        return type(self), (
+            self.mnemonic, self.dep_distance, self.source_level, self.address
+        )
 
     def analytic_key(self) -> tuple:
-        """The fields steady-state analytics depend on (no address).
-
-        Cached on the instance: builders intern slot objects, so the
-        periodicity checks over large generated bodies reduce to dict
-        lookups.  (Benign if raced -- the tuple is deterministic.)
-        """
-        key = self.__dict__.get("_akey")
-        if key is None:
-            key = (self.mnemonic, self.dep_distance, self.source_level)
-            object.__setattr__(self, "_akey", key)
-        return key
+        """The fields steady-state analytics depend on (no address)."""
+        return self._key
 
     def to_list(self) -> list:
         """Compact JSON-able form, round-tripped by :meth:`from_list`."""
@@ -76,11 +103,27 @@ class KernelInstruction:
         return intern_slot(mnemonic, dep_distance, source_level, address)
 
 
+# The constructor writes the fields through the slots' own descriptors,
+# since the frozen ``__setattr__`` refuses every write.
+(
+    _set_mnemonic,
+    _set_dep_distance,
+    _set_source_level,
+    _set_address,
+    _set_key,
+    _set_text,
+) = (
+    vars(KernelInstruction)[name].__set__
+    for name in KernelInstruction.__slots__
+)
+#: A slot's digest text, as :meth:`Kernel.digest` hashes it.
+_slot_text = attrgetter("_text")
+
+
 #: Interned loop-body slots, shared by every kernel decoder and builder.
-#: Slots are frozen and their cached ``_content``/``_akey`` are
-#: deterministic, so sharing one instance across kernels changes no
-#: digest; a server that keeps thousands of decoded kernels holds each
-#: distinct slot once.
+#: Slots are immutable, so sharing one instance across kernels changes
+#: no digest; a server that keeps thousands of decoded kernels holds
+#: each distinct slot once.
 _SLOTS: LRUCache = LRUCache(65_536, "kernel.slots")
 _SLOTS_LOCK = threading.Lock()
 _INT_OR_NONE = (int, type(None))
@@ -131,18 +174,6 @@ _SLOT = (
 #: A slot table: one or more slot texts joined by ``|``.  Compiled on
 #: first use (``re`` caches it), so importing costs nothing.
 _SLOT_TABLE = rf"{_SLOT}(?:\|{_SLOT})*"
-
-
-def _slot_text(instruction: KernelInstruction) -> str:
-    """The digest text of one slot, cached on the (immutable) slot."""
-    text = instruction.__dict__.get("_content")
-    if text is None:
-        text = (
-            f"{instruction.mnemonic},{instruction.dep_distance},"
-            f"{instruction.source_level},{instruction.address}"
-        )
-        object.__setattr__(instruction, "_content", text)
-    return text
 
 
 def _periodic_split(body, period: int | None):
@@ -197,29 +228,35 @@ def _check_header(
 def _slots_of(table: list[str], index: list[int]):
     """The loop body a checked slot table and index spell.
 
-    Slots that share a table entry share one (immutable) slot object,
-    as :meth:`repro.core.ir.Program.to_kernel` shares equal slots, and
-    mnemonic and level strings are interned.  The table passed the
-    grammar and the index its range check, so this cannot fail.
+    Slots that share a table entry share one slot object, as
+    :meth:`repro.core.ir.Program.to_kernel` shares equal slots.  Each
+    keeps its table entry as its digest text, and slots that differ
+    only in address share one analytic key; mnemonic and level strings
+    are interned.  The table passed the grammar and the index its range
+    check, so this cannot fail.
     """
     intern = sys.intern
-    new = object.__new__
+    keys: dict[str, tuple] = {}
     slots = []
     for text in table:
-        mnemonic, distance, level, address = text.split(",")
-        # The frozen dataclass's fields without its __init__, plus the
-        # digest text.  One dict update is the fast path; it costs
-        # memory, as each slot gets its own dict, not the class's
-        # shared-key one.
-        slot = new(KernelInstruction)
-        slot.__dict__.update(
-            mnemonic=intern(mnemonic),
-            dep_distance=None if distance == "None" else int(distance),
-            source_level=None if level == "None" else intern(level),
-            address=None if address == "None" else int(address),
-            _content=text,
-        )
-        slots.append(slot)
+        head, _, address = text.rpartition(",")
+        key = keys.get(head)
+        if key is None:
+            mnemonic, distance, level = head.split(",")
+            key = keys[head] = (
+                intern(mnemonic),
+                None if distance == "None" else int(distance),
+                None if level == "None" else intern(level),
+            )
+        mnemonic, distance, level = key
+        slots.append(KernelInstruction(
+            mnemonic,
+            distance,
+            level,
+            None if address == "None" else int(address),
+            text,
+            key,
+        ))
     return tuple(map(slots.__getitem__, index))
 
 
@@ -437,7 +474,10 @@ class Kernel:
             return cached
         pattern, repeats, tail = self.periodic_parts()
         value = _body_digest(
-            self.operand_entropy, _slot_texts(pattern), repeats, _slot_texts(tail)
+            self.operand_entropy,
+            list(map(_slot_text, pattern)),
+            repeats,
+            list(map(_slot_text, tail)),
         )
         object.__setattr__(self, "_digest", value)
         return value
@@ -511,14 +551,3 @@ class Kernel:
             index for index, instruction in enumerate(self.instructions)
             if instruction.source_level is not None
         ]
-
-
-def _slot_texts(instructions: tuple[KernelInstruction, ...]) -> list[str]:
-    # The rendered slot text is cached on the instruction objects:
-    # builders intern slot instances, so a batch of generated kernels
-    # renders each distinct slot once instead of once per digest, and
-    # the warm path is a bare dict-lookup comprehension.
-    try:
-        return [ins.__dict__["_content"] for ins in instructions]
-    except KeyError:
-        return list(map(_slot_text, instructions))

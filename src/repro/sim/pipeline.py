@@ -405,17 +405,9 @@ class CorePipelineModel:
             return pattern, repeats, tail
         if declared is not None and 0 < declared <= length and not length % declared:
             q = declared
-            # Inline the analytic-key cache lookup (the tuple is never
-            # falsy); builders intern slots, so these are dict gets.
-            keys = [
-                ins.__dict__.get("_akey") or ins.analytic_key()
-                for ins in pattern[:q]
-            ]
+            keys = [ins.analytic_key() for ins in pattern[:q]]
         else:
-            keys = [
-                ins.__dict__.get("_akey") or ins.analytic_key()
-                for ins in pattern
-            ]
+            keys = [ins.analytic_key() for ins in pattern]
             for q in range(1, length // 2 + 1):
                 if length % q:
                     continue
@@ -430,9 +422,7 @@ class CorePipelineModel:
         # analytically interchangeable with their pattern images).
         follows = 0
         for index, ins in enumerate(tail):
-            if (
-                ins.__dict__.get("_akey") or ins.analytic_key()
-            ) != keys[index % q]:
+            if ins.analytic_key() != keys[index % q]:
                 break
             follows += 1
         leftover = follows % q
