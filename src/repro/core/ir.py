@@ -6,13 +6,15 @@ simulation read it.  The IR keeps both the static side (instruction
 definitions, register assignments, immediates) and the dynamic
 annotations the machine model needs (dependency distances, planned
 memory levels and addresses, operand entropy).  The body is held as
-per-slot columns; :attr:`Program.body` spells them as rows.
+per-slot columns; :attr:`Program.body` spells them as rows, and
+:meth:`Program.to_kernel` as a kernel slot table, with no slot objects.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, count, islice
 from operator import and_, attrgetter, not_
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from repro.errors import SynthesisError
 from repro.isa.instruction import InstructionDef
 from repro.isa.operand import OperandKind
 from repro.march.definition import MicroArchitecture
-from repro.sim.kernel import Kernel, KernelInstruction
+from repro.sim.kernel import Kernel
 
 #: Value-initialisation policies and the operand-data entropy they induce.
 DATA_ENTROPY = {"zero": 0.0, "pattern": 0.5, "random": 1.0}
@@ -190,7 +192,8 @@ class Program:
     # -- downstream views ------------------------------------------------------
 
     def to_kernel(self) -> Kernel:
-        """The simulator-facing view of this program.
+        """The simulator-facing view of this program, as a slot table
+        (:meth:`Kernel.from_fields`): no slot object is built.
 
         Bodies the pass pipeline left analytically uniform (every
         workload slot shares mnemonic, dependency link and memory
@@ -202,20 +205,18 @@ class Program:
             raise SynthesisError(
                 f"program {self.name!r} has no body; run a skeleton pass"
             )
-        keys = list(zip(
+        # Each distinct slot's fields become the next table entry.
+        entries: defaultdict[tuple, int] = defaultdict(count().__next__)
+        index = list(map(entries.__getitem__, zip(
             map(_mnemonic, self.definitions), self.dep_distances,
             self.source_levels, self.addresses,
-        ))
-        # Slots with equal content share one (immutable) kernel slot.
-        shared = dict.fromkeys(keys)
-        for key in shared:
-            shared[key] = KernelInstruction(*key)
-        instructions = tuple(map(shared.__getitem__, keys))
-        return Kernel(
-            name=self.name,
-            instructions=instructions,
-            operand_entropy=self.operand_entropy,
-            period=self._analytic_period(),
+        )))
+        return Kernel.from_fields(
+            self.name,
+            list(entries),
+            index,
+            self.operand_entropy,
+            self._analytic_period(),
         )
 
     def _analytic_period(self) -> int | None:

@@ -96,7 +96,6 @@ import json
 import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from operator import attrgetter
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -175,7 +174,8 @@ def _check_mnemonics(plan: ExperimentPlan, machine: Machine) -> None:
     A wire kernel may name any mnemonic, and the engine would retry and
     quarantine such a cell.  Each distinct workload is checked once per
     set of core classes its cells' configurations use, every kernel of a
-    placement included, against those classes' property tables.
+    placement included, against those classes' property tables, each
+    kernel's mnemonics read from its table (O(period) for a wire kernel).
 
     Raises:
         ServiceError: 400, naming the cell, the kernel and the mnemonic.
@@ -199,7 +199,7 @@ def _check_mnemonics(plan: ExperimentPlan, machine: Machine) -> None:
         for kernel in {id(kernel): kernel for kernel in placed}.values():
             if not isinstance(kernel, Kernel):
                 continue
-            names = dict.fromkeys(map(attrgetter("mnemonic"), kernel.instructions))
+            names = dict.fromkeys(field[0] for field in kernel.slot_parts()[0])
             for arch in map(machine.cluster_arch, classes):
                 for mnemonic in names:
                     if mnemonic not in arch.properties:

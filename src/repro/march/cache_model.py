@@ -270,12 +270,10 @@ class SetAssociativeCacheModel:
 
         if index == 0:
             pool_size = max(1, min(self._L1_LINES_PER_SET * len(group), slot_count))
-            pool = []
             tags = self._random_tags(pool_size, 16, rng)
-            for position, tag in enumerate(tags):
-                home = group[position % len(group)]
-                pool.append(self.base_address + l1.fields.compose(tag, home))
-            return tuple(pool)
+            return tuple(l1.fields.compose_lines(
+                tags, group[:pool_size], self.base_address
+            ))
 
         return self._deep_pool(level, index, group, slot_count, rng)
 
@@ -361,10 +359,7 @@ class SetAssociativeCacheModel:
             last = self.caches[-1]
             home = self._alias_chain(len(self.caches) - 1, l1_home, rng)
             tags = self._random_tags(count, 20, rng)
-            return [
-                self.base_address + last.fields.compose(tag, home)
-                for tag in tags
-            ]
+            return last.fields.compose_lines(tags, (home,), self.base_address)
         cache = self.caches[index]
         previous = self.caches[index - 1]
         sets_needed = -(-count // cache.ways)
@@ -376,10 +371,10 @@ class SetAssociativeCacheModel:
         remaining = count
         for target_set in chosen_sets:
             here = min(cache.ways, remaining)
-            for tag in self._random_tags(here, 18, rng):
-                lines.append(
-                    self.base_address + cache.fields.compose(tag, target_set)
-                )
+            lines += cache.fields.compose_lines(
+                self._random_tags(here, 18, rng), (target_set,),
+                self.base_address,
+            )
             remaining -= here
         return lines
 

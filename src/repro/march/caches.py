@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -49,6 +50,13 @@ class AddressFields:
         if not 0 <= offset < (1 << self.offset_bits):
             raise ValueError(f"offset {offset} out of range")
         return (tag << self.tag_shift) | (set_index << self.offset_bits) | offset
+
+    def compose_lines(self, tags, set_indices, base: int) -> list[int]:
+        """``base + compose(tag, set_index)`` for each of ``tags``, set
+        indices taken in turn (cycled) and each checked once."""
+        shift = self.tag_shift
+        sets = [self.compose(0, set_index) for set_index in set_indices]
+        return [base + ((tag << shift) | low) for tag, low in zip(tags, cycle(sets))]
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ trailing remainder (typically the loop-closing branch) is arbitrary.
 The steady-state evaluation engine exploits the fingerprint to
 summarize a kernel in O(period) instead of O(loop size) work.
 
-A kernel loaded from a store record (:meth:`Kernel.from_slot_table`)
-is checked and digested from the record's slot text at load, and builds
-its loop body only when something reads it.
+A kernel synthesis builds (:meth:`Kernel.from_fields`) or a store
+record spells (:meth:`Kernel.from_slot_table`) is a slot table: each
+distinct slot once, as its digest text and fields, and one index per
+loop slot.  It is checked and digested from the texts when built; its
+digest, length, counts, wire and record forms and its summary read the
+table, and its loop body is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from __future__ import annotations
 import re
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from repro.caching import LRUCache
 from repro.hashing import content_hash
@@ -118,6 +122,9 @@ class KernelInstruction:
 )
 #: A slot's digest text, as :meth:`Kernel.digest` hashes it.
 _slot_text = attrgetter("_text")
+#: A slot's analytic key, and a table entry's.
+_slot_key = attrgetter("_key")
+_entry_key = itemgetter(0, 1, 2)
 
 
 #: Interned loop-body slots, shared by every kernel decoder and builder.
@@ -180,8 +187,8 @@ def _periodic_split(body, period: int | None):
     """``(pattern, repeats, tail)`` of a loop body sequence.
 
     The decomposition :meth:`Kernel.periodic_parts` names, for any
-    sliceable sequence of slots (a kernel's instructions or a record's
-    slot indices).
+    sliceable sequence of slots (a kernel's instructions or a slot
+    table's index).
     """
     if period is None or period >= len(body):
         return body, 1, body[:0]
@@ -189,13 +196,11 @@ def _periodic_split(body, period: int | None):
     return body[:period], repeats, body[repeats * period:]
 
 
-def _body_digest(
-    operand_entropy: float, pattern: list[str], repeats: int, tail: list[str]
-) -> int:
-    """:meth:`Kernel.digest` of a body given its pattern and tail slot texts."""
+def _body_digest(operand_entropy: float, text, pattern, repeats, tail) -> int:
+    """:meth:`Kernel.digest` of a body, ``text`` rendering its slots."""
     return content_hash(
         f"{operand_entropy}:{len(pattern)}:{repeats}:"
-        f"{'|'.join(pattern)}#{'|'.join(tail)}"
+        f"{'|'.join(map(text, pattern))}#{'|'.join(map(text, tail))}"
     )
 
 
@@ -225,38 +230,50 @@ def _check_header(
         )
 
 
-def _slots_of(table: list[str], index: list[int]):
-    """The loop body a checked slot table and index spell.
+def _distance_error(name: str, slot: int, distance: int) -> ValueError:
+    return ValueError(f"kernel {name!r} slot {slot}: "
+                      f"dependency distance must be >= 1, got {distance}")
 
-    Slots that share a table entry share one slot object, as
-    :meth:`repro.core.ir.Program.to_kernel` shares equal slots.  Each
-    keeps its table entry as its digest text, and slots that differ
-    only in address share one analytic key; mnemonic and level strings
-    are interned.  The table passed the grammar and the index its range
-    check, so this cannot fail.
-    """
+
+#: A slot object's table entry.
+_slot_fields = attrgetter("mnemonic", "dep_distance", "source_level", "address")
+
+
+def _coded(values: list) -> tuple[list, list[int]]:
+    """The distinct ``values`` by first use, and each value's position."""
+    distinct = list(dict.fromkeys(values))
+    position = dict(zip(distinct, range(len(distinct))))
+    return distinct, list(map(position.__getitem__, values))
+
+
+def _parse_fields(texts: list[str]) -> list[tuple]:
+    """Each slot text's fields, mnemonic and level strings interned;
+    the texts passed the grammar, so this cannot fail."""
     intern = sys.intern
-    keys: dict[str, tuple] = {}
-    slots = []
-    for text in table:
+    heads: dict[str, tuple] = {}
+    fields = []
+    for text in texts:
         head, _, address = text.rpartition(",")
-        key = keys.get(head)
+        key = heads.get(head)
         if key is None:
             mnemonic, distance, level = head.split(",")
-            key = keys[head] = (
+            key = heads[head] = (
                 intern(mnemonic),
                 None if distance == "None" else int(distance),
                 None if level == "None" else intern(level),
             )
-        mnemonic, distance, level = key
-        slots.append(KernelInstruction(
-            mnemonic,
-            distance,
-            level,
-            None if address == "None" else int(address),
-            text,
-            key,
-        ))
+        fields.append((*key, None if address == "None" else int(address)))
+    return fields
+
+
+def _slots_of(texts: list[str], fields: list[tuple], index: list[int]):
+    """The loop body a slot table spells: one slot object per entry,
+    keeping its text; entries differing only in address share a key."""
+    keys: dict[tuple, tuple] = {}
+    slots = [
+        KernelInstruction(*field, text, keys.setdefault(field[:3], field[:3]))
+        for field, text in zip(fields, texts)
+    ]
     return tuple(map(slots.__getitem__, index))
 
 
@@ -309,26 +326,68 @@ class Kernel:
             for index, instruction in enumerate(slots):
                 distance = instruction.dep_distance
                 if distance is not None and distance < 1:
-                    raise ValueError(
-                        f"kernel {self.name!r} slot {base + index}: "
-                        f"dependency distance must be >= 1, got {distance}"
-                    )
+                    raise _distance_error(self.name, base + index, distance)
 
     def __getattr__(self, name: str):
-        # Reached only for attributes the instance lacks: a kernel from
-        # :meth:`from_slot_table` builds its loop body on first read.
-        if name == "instructions":
-            state = self.__dict__.get("_slot_table")
-            if state is not None:
-                instructions = _slots_of(*state)
-                object.__setattr__(self, "instructions", instructions)
-                self.__dict__.pop("_slot_table", None)
-                return instructions
-            if "instructions" in self.__dict__:  # built by another thread
-                return self.__dict__["instructions"]
+        # Reached only for attributes the instance lacks: a table
+        # kernel builds its loop body on first read.
+        state = self.__dict__
+        if name == "instructions" and "_index" in state:
+            instructions = _slots_of(
+                state["_texts"], self.slot_parts()[0], state["_index"]
+            )
+            return state.setdefault("instructions", instructions)
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
+
+    @classmethod
+    def _of_table(cls, name, texts, index, *header) -> "Kernel":
+        """The checked table kernel; its digest read from ``texts``."""
+        _check_header(name, len(index), *header)
+        operand_entropy, period, analytic_period = header
+        kernel = object.__new__(cls)
+        kernel.__dict__.update(
+            name=name,
+            operand_entropy=operand_entropy,
+            period=period,
+            analytic_period=analytic_period,
+            _digest=_body_digest(
+                operand_entropy,
+                texts.__getitem__,
+                *_periodic_split(index, period),
+            ),
+            _texts=texts,
+            _index=index,
+        )
+        return kernel
+
+    @classmethod
+    def from_fields(
+        cls,
+        name: str,
+        fields: list[tuple],
+        index: list[int],
+        operand_entropy: float,
+        period: int | None,
+    ) -> "Kernel":
+        """The kernel whose loop slot ``i`` is ``fields[index[i]]``.
+
+        ``fields`` holds each distinct slot's ``(mnemonic,
+        dep_distance, source_level, address)`` once, in first-use
+        order.  Each entry's distance is checked and its digest text
+        rendered once; no slot object is built.
+
+        Raises:
+            ValueError: If the kernel breaks a kernel condition.
+        """
+        for position, (_, distance, _, _) in enumerate(fields):
+            if distance is not None and distance < 1:
+                raise _distance_error(name, index.index(position), distance)
+        texts = [f"{m},{d},{l},{a}" for m, d, l, a in fields]
+        kernel = cls._of_table(name, texts, index, operand_entropy, period, None)
+        kernel.__dict__["_fields"] = fields
+        return kernel
 
     @classmethod
     def from_slot_table(
@@ -347,9 +406,9 @@ class Kernel:
         loop slot.  Everything :meth:`__post_init__` would reject is
         rejected here, and the digest is computed from the text --
         exactly the value :meth:`digest` computes from the built slots.
-        The slot objects and the ``instructions`` tuple are built on
-        the first read of ``instructions`` (``len``, ``==``,
-        :meth:`periodic_parts`), which cannot fail.
+        The slots' fields are parsed from the text when a reader first
+        needs them (:meth:`slot_parts`), and the slot objects built on
+        the first read of ``instructions``, neither of which can fail.
 
         Raises:
             ValueError: If a field has the wrong type, the table breaks
@@ -370,47 +429,36 @@ class Kernel:
         table = slots.split("|")
         if index and (min(index) < 0 or max(index) >= len(table)):
             raise ValueError(f"kernel {name!r}: slot index out of range")
-        _check_header(name, len(index), operand_entropy, period, analytic_period)
-        pattern, repeats, tail = _periodic_split(index, period)
-        text = table.__getitem__
-        kernel = object.__new__(cls)
-        kernel.__dict__.update(
-            name=name,
-            operand_entropy=operand_entropy,
-            period=period,
-            analytic_period=analytic_period,
-            _digest=_body_digest(
-                operand_entropy,
-                list(map(text, pattern)),
-                repeats,
-                list(map(text, tail)),
-            ),
-            _slot_table=(table, index),
+        return cls._of_table(
+            name, table, index, operand_entropy, period, analytic_period
         )
-        return kernel
 
     def slot_table(self) -> tuple[str, list[int]] | None:
         """``(slots, index)`` as :meth:`from_slot_table` reads them.
 
-        Each distinct slot object is written once, in first-use order,
-        as the text :meth:`digest` hashes
-        (``mnemonic,dep_distance,source_level,address``), and the texts
-        are joined by ``|``; ``index`` holds each loop slot's table
-        position.  ``None`` when some slot's text falls outside the
-        grammar, which no kernel of identifier-like mnemonics and
+        Each distinct slot (slot object, for a kernel built from them)
+        is written once, in first-use order, as the text :meth:`digest`
+        hashes (``mnemonic,dep_distance,source_level,address``), and the
+        texts are joined by ``|``; ``index`` holds each loop slot's
+        table position.  ``None`` when some slot's text falls outside
+        the grammar, which no kernel of identifier-like mnemonics and
         levels and non-negative addresses does.
         """
-        instructions = self.instructions
-        ids = list(map(id, instructions))
-        distinct = dict(zip(ids, instructions))
-        slots = "|".join(map(_slot_text, distinct.values()))
+        index = self.__dict__.get("_index")
+        if index is None:
+            slots = {id(slot): slot for slot in self.instructions}
+            ids, index = _coded(list(map(id, self.instructions)))
+            texts = map(_slot_text, map(slots.__getitem__, ids))
+        else:
+            texts = self.__dict__["_texts"]
+        slots = "|".join(texts)
         if re.fullmatch(_SLOT_TABLE, slots) is None:
             return None
-        positions = dict(zip(distinct, range(len(distinct))))
-        return slots, list(map(positions.__getitem__, ids))
+        return slots, list(index)
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        index = self.__dict__.get("_index")
+        return len(self.instructions if index is None else index)
 
     # -- periodic structure ----------------------------------------------------
 
@@ -426,6 +474,47 @@ class Kernel:
         as one repeat of the whole body.
         """
         return _periodic_split(self.instructions, self.period)
+
+    def slot_parts(self) -> tuple[list[tuple], list[int], int, list[int]]:
+        """``(fields, pattern, repeats, tail)``: :meth:`periodic_parts`
+        as runs of positions in ``fields``, each table entry's
+        ``(mnemonic, dep_distance, source_level, address)``.  A kernel
+        built from slot objects has one entry per pattern and tail
+        slot, in O(period).
+        """
+        state = self.__dict__
+        if "_index" not in state:
+            pattern, repeats, tail = self.periodic_parts()
+            fields = list(map(_slot_fields, pattern + tail))
+            runs = list(range(len(fields)))
+            return fields, runs[:len(pattern)], repeats, runs[len(pattern):]
+        fields = state.get("_fields")
+        if fields is None:  # parsed from the texts on first use
+            fields = state.setdefault("_fields", _parse_fields(state["_texts"]))
+        return (fields, *_periodic_split(state["_index"], self.period))
+
+    def analytic_parts(self) -> tuple[list[tuple], list[int], int, list[int]]:
+        """``(keys, pattern, repeats, tail)``: :meth:`periodic_parts` as
+        runs of positions in ``keys``, distinct analytic keys
+        ``(mnemonic, dep_distance, source_level)``, with the pattern cut
+        to a declared ``analytic_period``.  A table kernel keys each
+        entry once; one built from slot objects reads its pattern and
+        tail slots' keys, in O(analytic period + tail).
+        """
+        tabled = "_index" in self.__dict__
+        if tabled:
+            fields, pattern, repeats, tail = self.slot_parts()
+            keys, code = _coded(list(map(_entry_key, fields)))
+        else:
+            pattern, repeats, tail = self.periodic_parts()
+        if self.analytic_period is not None:
+            repeats *= len(pattern) // self.analytic_period
+            pattern = pattern[:self.analytic_period]
+        if tabled:
+            key = code.__getitem__
+            return keys, list(map(key, pattern)), repeats, list(map(key, tail))
+        keys, code = _coded(list(map(_slot_key, pattern + tail)))
+        return keys, code[:len(pattern)], repeats, code[len(pattern):]
 
     def validate_period(self) -> None:
         """Assert the declared period contract (O(loop size); tests only).
@@ -467,31 +556,25 @@ class Kernel:
         salts sensor seeds so two kernels that share a name can never
         produce identical noise draws.  For kernels with a declared
         period the digest covers one period plus the repeat count and
-        tail, making it O(period) to compute.
+        tail, making it O(period) to compute (from the texts, when a
+        table kernel is built).
         """
         cached = self.__dict__.get("_digest")
-        if cached is not None:
-            return cached
-        pattern, repeats, tail = self.periodic_parts()
-        value = _body_digest(
-            self.operand_entropy,
-            list(map(_slot_text, pattern)),
-            repeats,
-            list(map(_slot_text, tail)),
-        )
-        object.__setattr__(self, "_digest", value)
-        return value
+        if cached is None:
+            cached = _body_digest(
+                self.operand_entropy, _slot_text, *self.periodic_parts()
+            )
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def mnemonic_counts(self) -> dict[str, int]:
-        """Occurrences of each mnemonic in the loop body."""
+        """Occurrences of each mnemonic in the loop body, by first use."""
+        fields, pattern, repeats, tail = self.slot_parts()
         counts: dict[str, int] = {}
-        pattern, repeats, tail = self.periodic_parts()
-        for instruction in pattern:
-            counts[instruction.mnemonic] = (
-                counts.get(instruction.mnemonic, 0) + repeats
-            )
-        for instruction in tail:
-            counts[instruction.mnemonic] = counts.get(instruction.mnemonic, 0) + 1
+        for run, times in ((pattern, repeats), (tail, 1)):
+            for position, count in Counter(run).items():
+                mnemonic = fields[position][0]
+                counts[mnemonic] = counts.get(mnemonic, 0) + count * times
         return counts
 
     # -- serialization -----------------------------------------------------------
@@ -503,15 +586,15 @@ class Kernel:
         tail (the same decomposition :meth:`digest` hashes), so a
         4096-instruction stressmark stores as its 6-slot pattern.
         """
-        pattern, repeats, tail = self.periodic_parts()
+        fields, pattern, repeats, tail = self.slot_parts()
         return {
             "name": self.name,
             "operand_entropy": self.operand_entropy,
             "period": self.period,
             "analytic_period": self.analytic_period,
-            "pattern": [instruction.to_list() for instruction in pattern],
+            "pattern": [list(fields[position]) for position in pattern],
             "repeats": repeats,
-            "tail": [instruction.to_list() for instruction in tail],
+            "tail": [list(fields[position]) for position in tail],
         }
 
     @classmethod
@@ -544,10 +627,3 @@ class Kernel:
             period=data["period"],
             analytic_period=data.get("analytic_period"),
         )
-
-    def memory_slots(self) -> list[int]:
-        """Indices of slots carrying a planned memory access."""
-        return [
-            index for index, instruction in enumerate(self.instructions)
-            if instruction.source_level is not None
-        ]

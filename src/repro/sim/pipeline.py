@@ -34,12 +34,16 @@ memoized by analytic digest: per-mnemonic
 precompiled into flat occupancy rows at model construction, one
 water-fill result is shared between the unit bound and the per-unit
 operation split, and kernels declaring a periodic structure are
-summarized in O(period) work.  The resulting per-thread activities
-feed the measurement plane (:mod:`repro.sim.vector`), which re-clocks
-them, synthesizes their counters and evaluates their power.  The
-pre-engine per-instruction walk lives on as the test oracle
-(``tests/oracle/pipeline.py``); property tests assert the two paths
-agree to float precision on arbitrary kernels.
+summarized in O(period) work.  A summary reads the kernel's table
+(:meth:`~repro.sim.kernel.Kernel.analytic_parts`: distinct analytic
+keys, and the pattern and tail as runs of key positions), resolving
+each key's latency and primary unit once; no slot object is read.  The
+resulting per-thread activities feed the measurement plane
+(:mod:`repro.sim.vector`), which re-clocks them, synthesizes their
+counters and evaluates their power.  The pre-engine per-instruction
+walk lives on as the test oracle (``tests/oracle/pipeline.py``), and
+the slot-object summary as ``tests/oracle/kernels.py``; tests assert
+the paths agree on arbitrary kernels.
 """
 
 from __future__ import annotations
@@ -47,13 +51,16 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import cycle
+from operator import is_not, ne
 
 from repro.caching import LRUCache
 from repro.errors import MicroProbeError, UnknownInstructionError
 from repro.march.definition import MicroArchitecture
 from repro.march.properties import InstructionProperties
 from repro.sim.activity import ThreadActivity
-from repro.sim.kernel import Kernel, KernelInstruction
+from repro.sim.kernel import Kernel
 from repro.sim.summary import KernelSummary
 
 #: Outstanding-miss registers per hardware thread context.
@@ -64,6 +71,9 @@ SMT_OVERHEAD = {1: 0.0, 2: 0.04, 4: 0.09}
 
 #: Secondary unit usages occupy one pipe-cycle per injected operation.
 SECONDARY_OCCUPANCY = 1.0
+
+#: Whether a primary unit is present (``None`` marks no unit usage).
+_is_unit = partial(is_not, None)
 
 #: Summaries retained per model; exhaustive sweeps over huge design
 #: spaces never revisit a kernel, so the cache evicts LRU past this.
@@ -370,13 +380,8 @@ class CorePipelineModel:
 
     @staticmethod
     def _reduce_parts(
-        pattern: tuple[KernelInstruction, ...],
-        repeats: int,
-        tail: tuple[KernelInstruction, ...],
-        declared: int | None = None,
-    ) -> tuple[
-        tuple[KernelInstruction, ...], int, tuple[KernelInstruction, ...]
-    ]:
+        pattern: list[int], repeats: int, tail: list[int]
+    ) -> tuple[list[int], int, list[int]]:
         """Shrink a declared decomposition to its minimal analytic period.
 
         The period contract only promises analytic equivalence
@@ -393,69 +398,51 @@ class CorePipelineModel:
         bit-identical to the declared one -- just O(q + reduced tail)
         instead of O(declared period + tail) to accumulate.
         (Stressmark builders declare the lcm of sequence length and
-        address round-robin as their period; the analytic period is
-        usually the bare sequence length.)
-
-        A ``declared`` analytic period (``Kernel.analytic_period``) is
-        trusted like the period fingerprint itself and skips the
-        periodicity search entirely.
+        address round-robin as their period and the bare sequence
+        length as ``analytic_period``, to which
+        :meth:`Kernel.analytic_parts` already cut the pattern.)
+        ``pattern`` and ``tail`` are runs of analytic-key positions.
         """
         length = len(pattern)
         if length < 2 or repeats < 1:
             return pattern, repeats, tail
-        if declared is not None and 0 < declared <= length and not length % declared:
-            q = declared
-            keys = [ins.analytic_key() for ins in pattern[:q]]
+        for q in range(1, length // 2 + 1):
+            if not length % q and pattern[q:] == pattern[: length - q]:
+                break
         else:
-            keys = [ins.analytic_key() for ins in pattern]
-            for q in range(1, length // 2 + 1):
-                if length % q:
-                    continue
-                if keys[q:] == keys[: length - q]:
-                    break
-            else:
-                return pattern, repeats, tail
+            q = length
         repeats = repeats * (length // q)
         # Fold the tail prefix that continues the q-periodicity into
         # whole extra repeats; the sub-period remainder it ends on goes
         # back to the front of the reduced tail (those slots are
         # analytically interchangeable with their pattern images).
-        follows = 0
-        for index, ins in enumerate(tail):
-            if ins.analytic_key() != keys[index % q]:
-                break
-            follows += 1
+        follows = [*map(ne, tail, cycle(pattern[:q])), True].index(True)
         leftover = follows % q
         repeats += (follows - leftover) // q
         return pattern[:q], repeats, tail[follows - leftover:]
 
     def _build_summary(self, kernel: Kernel, digest: int) -> KernelSummary:
-        pattern, repeats, tail = kernel.periodic_parts()
-        pattern, repeats, tail = self._reduce_parts(
-            pattern, repeats, tail, kernel.analytic_period
-        )
+        # Slots that differ only in address share one analytic key, so
+        # every per-key quantity below is resolved once per key.
+        keys, pattern, repeats, tail = kernel.analytic_parts()
+        pattern, repeats, tail = self._reduce_parts(pattern, repeats, tail)
 
-        # Per-mnemonic counts: one Counter pass over the period, scaled.
-        counts: Counter[str] = Counter()
-        for mnemonic, count in Counter(
-            ins.mnemonic for ins in pattern
-        ).items():
-            counts[mnemonic] += count * repeats
-        counts.update(ins.mnemonic for ins in tail)
-
-        # Memory accesses per (mnemonic, level); O(period) again.
-        memory_counts: Counter[tuple[str, str]] = Counter()
-        for key, count in Counter(
-            (ins.mnemonic, ins.source_level)
-            for ins in pattern
-            if ins.source_level is not None
-        ).items():
-            memory_counts[key] += count * repeats
-        memory_counts.update(
-            (ins.mnemonic, ins.source_level)
-            for ins in tail
-            if ins.source_level is not None
-        )
+        # Per-mnemonic counts and memory accesses per (mnemonic, level):
+        # one count per analytic key of the period and of the tail, the
+        # period's scaled by its repeats; keys in first-use order.
+        counts: dict[str, int] = {}
+        memory_counts: dict[tuple[str, str], int] = {}
+        has_deps = False
+        for run, times in ((pattern, repeats), (tail, 1)):
+            for key, count in Counter(run).items():
+                mnemonic, distance, level = keys[key]
+                count *= times
+                counts[mnemonic] = counts.get(mnemonic, 0) + count
+                if level is not None:
+                    memory_counts[mnemonic, level] = (
+                        memory_counts.get((mnemonic, level), 0) + count
+                    )
+                has_deps = has_deps or distance is not None
 
         level_counts: dict[str, float] = {}
         miss_latency = 0.0
@@ -504,23 +491,26 @@ class CorePipelineModel:
 
         # Dependency cycles only exist when some slot carries a link;
         # by the period contract, checking one period plus the tail
-        # decides that for the whole body.
-        has_deps = any(
-            ins.dep_distance is not None for ins in pattern
-        ) or any(ins.dep_distance is not None for ins in tail)
-        dependency = self._dependency_bound(kernel) if has_deps else 0.0
+        # decides that for the whole body, which the reduced parts
+        # spell slot for slot.
+        dependency = (
+            self._dependency_bound(keys, pattern * repeats + tail)
+            if has_deps else 0.0
+        )
 
         return KernelSummary(
             digest=digest,
             size=len(kernel),
-            mnemonic_counts=dict(counts),
+            mnemonic_counts=counts,
             level_counts=level_counts,
             miss_latency=miss_latency,
             dependency_bound=dependency,
             unit_loads=unit_loads,
             unit_bound=unit_bound,
             unit_ops=unit_ops,
-            alternation=self._periodic_alternation(pattern, repeats, tail),
+            alternation=self._periodic_alternation(
+                keys, pattern, repeats, tail
+            ),
             entropy=kernel.operand_entropy,
             fixed_occupancy=fixed_occ,
             flexible_occupancy=flexible_occ,
@@ -552,41 +542,28 @@ class CorePipelineModel:
 
     def _periodic_alternation(
         self,
-        pattern: tuple[KernelInstruction, ...],
+        keys: list[tuple],
+        pattern: list[int],
         repeats: int,
-        tail: tuple[KernelInstruction, ...],
+        tail: list[int],
     ) -> float:
         """Unit-alternation of ``pattern * repeats + tail``, O(period).
 
         Matches the reference definition exactly: primary units of all
         slots (slots with no unit usage excluded), circular adjacent
-        pairs, fraction that differ.
+        pairs, fraction that differ.  Each analytic key's unit is
+        resolved once.
         """
-        pattern_units = [
-            unit
-            for unit in (
-                self._row(ins.mnemonic).primary_unit for ins in pattern
-            )
-            if unit is not None
-        ]
-        tail_units = [
-            unit
-            for unit in (
-                self._row(ins.mnemonic).primary_unit for ins in tail
-            )
-            if unit is not None
-        ]
+        unit = [self._row(mnemonic).primary_unit for mnemonic, _, _ in keys]
+        pattern_units = list(filter(_is_unit, map(unit.__getitem__, pattern)))
+        tail_units = list(filter(_is_unit, map(unit.__getitem__, tail)))
         total = len(pattern_units) * repeats + len(tail_units)
         if total < 2:
             return 0.0
 
         changes = 0
         if pattern_units:
-            internal = sum(
-                1
-                for index in range(len(pattern_units) - 1)
-                if pattern_units[index] != pattern_units[index + 1]
-            )
+            internal = sum(map(ne, pattern_units, pattern_units[1:]))
             junction = int(pattern_units[-1] != pattern_units[0])
             changes += internal * repeats
             if tail_units:
@@ -596,11 +573,7 @@ class CorePipelineModel:
             else:
                 changes += junction * repeats
         if tail_units:
-            changes += sum(
-                1
-                for index in range(len(tail_units) - 1)
-                if tail_units[index] != tail_units[index + 1]
-            )
+            changes += sum(map(ne, tail_units, tail_units[1:]))
             if not pattern_units:
                 changes += int(tail_units[-1] != tail_units[0])
         return changes / total
@@ -630,62 +603,63 @@ class CorePipelineModel:
                     remaining -= add
         return loads
 
-    def _dependency_bound(self, kernel: Kernel) -> float:
+    def _dependency_bound(self, keys: list[tuple], body: list[int]) -> float:
         """Exact maximum cycle mean of the (functional) dependence graph.
 
         Each slot has at most one producer edge, so every dependence
         cycle is discovered by walking producer chains once, tracking
-        accumulated latency and iteration-boundary crossings.
+        accumulated latency and iteration-boundary crossings.  ``body``
+        holds each slot's position in ``keys``, the analytic keys,
+        whose distances and latencies are resolved once.
         """
-        instructions = kernel.instructions
-        size = len(instructions)
-        # Each distinct slot's latency, resolved once per kernel.
-        latency = {id(slot): slot for slot in instructions}
-        for key, slot in latency.items():
-            latency[key] = self._effective_latency(slot)
-        latencies = list(map(latency.__getitem__, map(id, instructions)))
-        state = [0] * size  # 0 unvisited, 1 in current walk, 2 done
+        size = len(body)
+        distance = [key[1] for key in keys]
+        latency = [
+            self._effective_latency(mnemonic, level)
+            for mnemonic, _, level in keys
+        ]
+        distances = list(map(distance.__getitem__, body))
+        latencies = list(map(latency.__getitem__, body))
+        walked = [0] * size  # 0 unvisited, else 1 + the walk's start
+        order = [0] * size  # a walked slot's position in its walk
         best = 0.0
 
         for start in range(size):
-            if state[start] != 0:
+            if walked[start]:
                 continue
+            walk = start + 1
             path: list[int] = []
-            position: dict[int, int] = {}
-            weights: list[float] = []
-            crossings: list[int] = []
             node = start
-            while True:
-                if state[node] == 2:
+            while not walked[node]:
+                walked[node] = walk
+                order[node] = len(path)
+                path.append(node)
+                link = distances[node]
+                if link is None:
                     break
-                if node in position:
-                    # Found a cycle: slice the walk from its first visit.
-                    cycle_start = position[node]
-                    weight = sum(weights[cycle_start:])
-                    crossing = sum(crossings[cycle_start:])
+                node = (node - link) % size
+            else:
+                if walked[node] == walk:
+                    # A cycle: the walk from its first visit, each step
+                    # weighted by its producer's latency.
+                    cycle = path[order[node]:]
+                    weight = sum(
+                        map(latencies.__getitem__, cycle[1:] + cycle[:1])
+                    )
+                    crossing = sum(
+                        -((slot - distances[slot]) // size)
+                        if slot < distances[slot] else 0
+                        for slot in cycle
+                    )
                     if crossing > 0:
                         best = max(best, weight / crossing)
-                    break
-                position[node] = len(path)
-                path.append(node)
-                distance = instructions[node].dep_distance
-                if distance is None:
-                    break
-                producer_index = node - distance
-                crossings.append(-(producer_index // size) if producer_index < 0 else 0)
-                producer = producer_index % size
-                weights.append(latencies[producer])
-                node = producer
-            for visited in path:
-                state[visited] = 2
         return best
 
-    def _effective_latency(self, instruction: KernelInstruction) -> float:
+    def _effective_latency(self, mnemonic: str, level: str | None) -> float:
         """Producer latency including the memory-level residency."""
-        latency = self._row(instruction.mnemonic).latency
-        source = instruction.source_level
-        if source is not None and source != self._l1_name:
+        latency = self._row(mnemonic).latency
+        if level is not None and level != self._l1_name:
             latency += (
-                self._level_latency[source] - self._level_latency[self._l1_name]
+                self._level_latency[level] - self._level_latency[self._l1_name]
             )
         return latency

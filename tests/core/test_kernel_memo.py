@@ -93,7 +93,8 @@ def test_memo_served_suite_equals_fresh_synthesis(power7_arch, tmp_path, seed):
             )
             for slot in kernel.instructions
         )
-        assert "_slot_table" not in vars(kernel)
+        # The rows are built once and kept beside the table they came from.
+        assert {"instructions", "_index"} <= vars(kernel).keys()
     # Rebuilt from the loaded slots, each kernel digests alike.
     assert [replace(b.kernel).digest() for b in warm] == [
         b.kernel.digest() for b in fresh

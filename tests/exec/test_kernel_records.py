@@ -3,9 +3,11 @@
 A store-backed :class:`ModelingCampaign` writes its training kernels as
 a second record type.  They must stay out of the cell accounting, pass
 ``verify``, compact under ``scrub``, and -- under injected I/O faults
-and tampered records -- never change the campaign's result.  A loaded
-kernel builds its slots only when read: a fully warm campaign builds
-none, and one whose cells all miss builds each kernel's once.
+and tampered records -- never change the campaign's result.  A kernel
+builds its slot objects only when its ``instructions`` are read, and a
+campaign reads none: synthesis, digests, kernel records and summaries
+all read slot tables, so a store-backed campaign builds no slot --
+cold, fully warm, or with every cell missing over a warm memo.
 """
 
 import hashlib
@@ -139,17 +141,17 @@ def test_warm_campaign_loads_every_kernel(campaign_store, clean, power7_arch):
 
 @pytest.fixture
 def slot_builds(monkeypatch):
-    """Slot tables built by loaded kernels (each one kept alive, so
-    ``id``s stay distinct) and :class:`KernelInstruction` objects
-    constructed, by a loaded kernel or by the dataclass constructor."""
+    """Slot tables turned into slot objects by table kernels (each one
+    kept alive, so ``id``s stay distinct) and :class:`KernelInstruction`
+    objects constructed, by a table kernel or by the constructor."""
     built = {"tables": [], "instructions": 0}
     build = kernel_module._slots_of
     construct = KernelInstruction.__init__
 
-    def counting_build(table, index):
-        built["tables"].append(table)
-        built["instructions"] += len(table)
-        return build(table, index)
+    def counting_build(texts, fields, index):
+        built["tables"].append(texts)
+        built["instructions"] += len(texts)
+        return build(texts, fields, index)
 
     def counting_construct(self, *args, **kwargs):
         built["instructions"] += 1
@@ -171,7 +173,17 @@ def test_fully_warm_campaign_builds_no_slot(
     assert slot_builds == {"tables": [], "instructions": 0}
 
 
-def test_cold_cells_over_a_warm_memo_build_each_kernel_once(
+def test_fully_cold_campaign_builds_no_slot(
+    power7_arch, clean, tmp_path, slot_builds
+):
+    result, cold = _campaign(power7_arch, tmp_path)
+    assert _fingerprint(result) == clean
+    assert cold.store.kernel_misses == len(_kernel_lines(tmp_path)) > 0
+    assert (cold.store.kernel_hits, cold.store.hits) == (0, 0)
+    assert slot_builds == {"tables": [], "instructions": 0}
+
+
+def test_cold_cells_over_a_warm_memo_build_no_slot(
     campaign_store, clean, power7_arch, tmp_path, slot_builds
 ):
     root, _, executor = campaign_store
@@ -183,8 +195,9 @@ def test_cold_cells_over_a_warm_memo_build_each_kernel_once(
     assert (run.store.hits, run.store.misses) == (
         0, len(executor.cell_keys)
     )
-    tables = slot_builds["tables"]
-    assert len(tables) == len({id(table) for table in tables}) == loaded
+    # Every cell is measured, so every loaded kernel is summarized --
+    # from its slot table.
+    assert slot_builds == {"tables": [], "instructions": 0}
 
 
 def test_scrub_keeps_the_newest_valid_kernel_record(

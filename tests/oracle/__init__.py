@@ -7,9 +7,10 @@ executable specification: the per-cell scalar walk
 arithmetic it calls (:mod:`.scalar`), the per-instruction pipeline
 walk the kernel-summary engine replaced (:mod:`.pipeline`), the
 per-measurement model fits the matrix fits replaced (:mod:`.fits`),
-the row plan builder the columnar plans replaced (:mod:`.plans`) and
-the per-slot synthesis pipeline the column passes replaced
-(:mod:`.synthesis`).
+the row plan builder the columnar plans replaced (:mod:`.plans`), the
+per-slot synthesis pipeline the column passes replaced
+(:mod:`.synthesis`) and the slot-object kernel path and summary family
+the slot tables replaced (:mod:`.kernels`).
 Tests and benches compare the production paths with it bit for bit.
 """
 

@@ -6,8 +6,9 @@ digest in O(period) work.  These functions are the naive O(loop size)
 walk that engine replaced -- every slot's properties looked up again,
 occupancies accumulated instruction by instruction -- so tests can
 assert the fast path reproduces it on arbitrary kernels, periodic or
-not.  Each takes the model whose architecture, water-fill and
-per-slot latency lookup it shares; the dependency walk is the model's
+not.  Each takes the model whose architecture and water-fill it
+shares, with the per-slot latency lookup of the slot-object summary
+family (:mod:`.kernels`); the dependency walk is the model's
 walk as it was before it resolved each distinct slot's latency once
 per kernel (:func:`reference_dependency_bound`).
 """
@@ -22,6 +23,11 @@ from repro.sim.pipeline import (
     CorePipelineModel,
     PipelineBounds,
 )
+
+from .kernels import OraclePipelineModel
+
+#: The per-slot latency lookup, from the slot-object summary family.
+_effective_latency = OraclePipelineModel._effective_latency
 
 
 def reference_bounds(
@@ -79,7 +85,7 @@ def reference_dependency_bound(
             producer_index = node - distance
             crossings.append(-(producer_index // size) if producer_index < 0 else 0)
             producer = producer_index % size
-            weights.append(model._effective_latency(instructions[producer]))
+            weights.append(_effective_latency(model, instructions[producer]))
             node = producer
         for visited in path:
             state[visited] = 2

@@ -162,7 +162,7 @@ class TestFastPathInvariance:
             instructions=tuple(rng.choice(palette) for _ in range(size)),
         )
         for kernel in (random_kernel(seed), shared):
-            assert pipeline._dependency_bound(kernel) == (
+            assert pipeline.summarize(kernel).dependency_bound == (
                 reference_dependency_bound(pipeline, kernel)
             )
 
@@ -172,7 +172,7 @@ class TestFastPathInvariance:
         suite = generate_training_suite(power7_arch, 1024, 0.3)
         linked = 0
         for entry in suite:
-            bound = pipeline._dependency_bound(entry.kernel)
+            bound = pipeline.summarize(entry.kernel).dependency_bound
             assert bound == reference_dependency_bound(pipeline, entry.kernel)
             linked += bound > 0
         assert linked >= 50
