@@ -19,9 +19,9 @@ Four numbers are reported (and recorded in ``BENCH_results.json``):
 * aperiodic-kernel evaluation throughput (the Table-2 suite shape),
   which exercises the O(loop) summarization with precompiled tables;
 * synthesis throughput: the pass pipeline building the Table-2 micro
-  and random suites at ``REPRO_SCALE``/``REPRO_LOOP_SIZE``, in
-  microseconds per synthesized instruction and kernels per second;
-  the same recipes through the column pipeline and through the
+  and random suites at ``REPRO_SCALE``/``REPRO_LOOP_SIZE``, in one
+  process, in microseconds per synthesized instruction and kernels per
+  second; the same recipes through the column pipeline and through the
   per-slot pipeline kept as its oracle (``tests/oracle/synthesis.py``),
   best of 5 alternating rounds, asserted >= 1.4x faster on columns;
   the suite's programs turned into kernels (``to_kernel`` plus the
@@ -52,6 +52,7 @@ from benchmarks.conftest import (
     record_rate,
     record_result,
 )
+from repro.core import synthesizer as synthesizer_module
 from repro.core.ir import Program
 from repro.core.synthesizer import Synthesizer
 from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
@@ -234,8 +235,13 @@ def test_aperiodic_throughput(machine, arch):
     assert rate > host_floor(100, reference)
 
 
-def test_synthesis_throughput(arch, tmp_path):
+def test_synthesis_throughput(arch, tmp_path, monkeypatch):
     """The pass pipeline building the Table-2 training suite.
+
+    Every build runs in one process, as the recipe recording needs (a
+    forked child's syntheses never reach its patch), so the figures
+    and the memo's cold/warm ratio do not move with the host's CPU
+    count.  perfbench's ``campaign`` times forked suite builds.
 
     Then the same suite twice through one temporary store, back to
     back: cold, every kernel synthesized and written; warm, every
@@ -246,6 +252,7 @@ def test_synthesis_throughput(arch, tmp_path):
     frozen so the full collections the earlier phases leave due do not
     land in it.  The cold side digests its kernels as it builds them.
     """
+    monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: 1)
     start = time.perf_counter()
     suite = generate_micro_suite(arch, LOOP_SIZE, SCALE) + (
         generate_random_suite(arch, LOOP_SIZE, SCALE)

@@ -10,19 +10,28 @@ the paper's Figure-2 example.
 Synthesis is a pure function of its *recipe*: the architecture, the
 seed, the name prefix, the validate flag, the ordinal and every pass
 with its constructor parameters.  :meth:`Synthesizer.recipe_key` hashes
-that recipe, and :meth:`Synthesizer.kernel` looks the key up in a
-:class:`KernelMemo` over a result store before synthesizing, so a
-training suite built once loads from disk on every later run.
+that recipe, and :func:`build_kernels` (:meth:`Synthesizer.kernel` is
+its batch of one) looks the key up in a :class:`KernelMemo` over a
+result store before synthesizing, so a training suite built once loads
+from disk on every later run.  Recipes draw only from their own
+streams, so it splits a batch's misses across forked processes, which
+in-process patches of :meth:`Synthesizer.synthesize` never see: tests
+that patch it pin :func:`_usable_cpus` to 1.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import inspect
 import json
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 
 from repro.core.ir import Program
 from repro.core.passes.base import Pass, PassContext
@@ -181,25 +190,104 @@ class Synthesizer:
         return content_hex("kernel-recipe-v1|" + text)
 
     def kernel(self, memo: KernelMemo | None = None) -> Kernel:
-        """The next micro-benchmark as a :class:`Kernel`.
+        """The next micro-benchmark as a :class:`Kernel`: the batch of
+        one, ``build_kernels([self], memo)[0]``."""
+        return build_kernels([self], memo)[0]
 
-        ``synthesize().to_kernel()``, unless ``memo``'s store holds the
-        kernel of this exact recipe (:meth:`recipe_key`): then it is
-        loaded instead.  A loaded kernel ``==`` the one synthesis
-        builds, and the ordinal advances just as a synthesis advances
-        it (kernel names embed it).  A synthesized kernel of a
-        canonical recipe is queued on the memo for writing.
-        """
-        key = None if memo is None else self.recipe_key(memo.arch_digest)
-        if key is not None:
-            found = memo.store.get_kernel(key)
-            if found is not None:
-                self._counter += 1
-                return found
-        kernel = self.synthesize().to_kernel()
-        if key is not None:
-            memo.pending.append((key, kernel))
-        return kernel
+
+def build_kernels(
+    synthesizers: list[Synthesizer], memo: KernelMemo | None = None
+) -> list[Kernel]:
+    """Each synthesizer's next micro-benchmark as a :class:`Kernel`.
+
+    Every recipe is looked up in ``memo``'s store, in order.  The misses
+    are synthesized round-robin by this process and one forked child
+    per further usable CPU (none for one miss, beside a second live
+    thread or without ``os.fork``); a child sends its kernels back as
+    one pickle and leaves through ``os._exit``.  In order, the kernels
+    are then queued on the memo and every ordinal advances by one, hit
+    or miss.  A synthesizer appears at most once.  The first recipe to
+    fail is synthesized again here, so its own error propagates, with
+    the kernels ahead of it queued; a child that exits without its
+    kernels raises :class:`SynthesisError`.
+    """
+    keys, kernels = [], []
+    for synth in synthesizers:
+        key = None if memo is None else synth.recipe_key(memo.arch_digest)
+        kernels.append(None if key is None else memo.store.get_kernel(key))
+        keys.append(key)
+        synth._counter += kernels[-1] is not None
+    misses = [i for i, kernel in enumerate(kernels) if kernel is None]
+    workers = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = max(1, min(len(misses), _usable_cpus()))
+    children, statuses = [], []
+    try:
+        for worker in range(1, workers):
+            children.append(_fork(synthesizers, misses[worker::workers]))
+        delivered = _synthesized(synthesizers, misses[::workers])
+        sent = [received.read() for _, received in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, received in children:
+            received.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for status, data in zip(statuses, sent):
+        if status:
+            message = f"a forked synthesis child exited with status {status}"
+            raise SynthesisError(message)
+        delivered.update(pickle.loads(data))
+    for position in misses:
+        synth = synthesizers[position]
+        kernel = delivered.get(position)
+        if kernel is None:  # its recipe failed: it raises here, in order
+            kernel = synth.synthesize().to_kernel()
+        else:
+            synth._counter += 1
+        kernels[position] = kernel
+        if keys[position] is not None:
+            memo.pending.append((keys[position], kernel))
+    return kernels
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (1 if it cannot tell)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return 1 if getaffinity is None else len(getaffinity(0))
+
+
+def _synthesized(synthesizers: list[Synthesizer], positions) -> dict:
+    """``{position: kernel}`` of ``positions``, in order, up to the
+    first recipe that fails; each synthesizes on a copy, so no ordinal
+    moves."""
+    kernels = {}
+    for position in positions:
+        try:
+            synth = copy.copy(synthesizers[position])
+            kernels[position] = synth.synthesize().to_kernel()
+        except Exception:  # build_kernels reruns it to raise, in order
+            break
+    return kernels
+
+
+def _fork(synthesizers: list[Synthesizer], positions):
+    """The pid of a forked child pickling :func:`_synthesized` into a
+    pipe, and the pipe's read end."""
+    reader, writer = os.pipe()
+    received, sending = open(reader, "rb"), open(writer, "wb")
+    with sending:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                pickle.dump(_synthesized(synthesizers, positions), sending)
+                sending.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+    return pid, received
 
 
 def _pass_recipe(pass_: Pass) -> list | None:

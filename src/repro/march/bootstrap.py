@@ -41,7 +41,7 @@ from repro.core.passes.ilp import DependencyDistance
 from repro.core.passes.init_values import InitImmediates, InitRegisters
 from repro.core.passes.memory import MemoryModel
 from repro.core.passes.skeleton import EndlessLoopSkeleton
-from repro.core.synthesizer import KernelMemo, Synthesizer, kernel_memo
+from repro.core.synthesizer import Synthesizer, build_kernels, kernel_memo
 from repro.errors import MicroProbeError
 from repro.march.definition import MicroArchitecture
 from repro.measure.measurement import Measurement
@@ -103,10 +103,8 @@ class Bootstrapper:
             self.arch, seed=self.seed, name_prefix=prefix, validate=True
         )
 
-    def _build(
-        self, mnemonic: str, chained: bool, memo: KernelMemo | None = None
-    ) -> Kernel:
-        """One of the two bootstrap benchmarks for ``mnemonic``."""
+    def _build(self, mnemonic: str, chained: bool) -> Synthesizer:
+        """The synthesizer of one of ``mnemonic``'s two benchmarks."""
         synth = self._synthesizer(
             f"boot-{mnemonic}-{'chain' if chained else 'free'}"
         )
@@ -120,7 +118,7 @@ class Bootstrapper:
         synth.add_pass(
             DependencyDistance("chain" if chained else "none")
         )
-        return synth.kernel(memo)
+        return synth
 
     def _executor(self):
         """The measuring executor, resolved on first use."""
@@ -134,10 +132,7 @@ class Bootstrapper:
         """``(mnemonic, chained)`` benchmarks, through the store's memo."""
         store = getattr(self._executor(), "store", None)
         with kernel_memo(store, self.arch) as memo:
-            return [
-                self._build(mnemonic, chained, memo)
-                for mnemonic, chained in specs
-            ]
+            return build_kernels([self._build(*spec) for spec in specs], memo)
 
     def _measure_batch(self, kernels) -> list[Measurement]:
         """Measure bootstrap kernels on the taxonomy configuration."""

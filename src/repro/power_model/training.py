@@ -25,7 +25,7 @@ from repro.core.passes.ilp import DependencyDistance
 from repro.core.passes.init_values import InitImmediates, InitRegisters
 from repro.core.passes.memory import MemoryModel
 from repro.core.passes.skeleton import EndlessLoopSkeleton
-from repro.core.synthesizer import Synthesizer, kernel_memo
+from repro.core.synthesizer import Synthesizer, build_kernels, kernel_memo
 from repro.march.definition import MicroArchitecture
 from repro.sim.kernel import Kernel
 from repro.workloads.random_gen import RandomBenchmarkPolicy
@@ -120,36 +120,34 @@ def generate_micro_suite(
     """The micro-architecture aware families (everything but Random)."""
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must be in (0, 1]")
-    benchmarks: list[TrainingBenchmark] = []
-    with kernel_memo(memo, arch) as kernels:
-        for family, (pool, first, last, step) in IPC_FAMILIES.items():
-            targets = _ipc_targets(first, last, step)
-            targets = _scaled_subset(targets, scale)
-            for index, target in enumerate(targets):
-                synth = _family_synthesizer(arch, family, seed, index)
-                synth.add_pass(EndlessLoopSkeleton(loop_size))
-                synth.add_pass(InstructionDistribution(list(pool)))
-                synth.add_pass(InitRegisters("random"))
-                synth.add_pass(InitImmediates("random"))
-                mean = solve_dependency_mean(arch, pool, target)
-                synth.add_pass(DependencyDistance("mean", mean_distance=mean))
-                benchmarks.append(
-                    TrainingBenchmark(family, synth.kernel(kernels))
-                )
+    recipes: list[tuple[str, Synthesizer]] = []
+    for family, (pool, first, last, step) in IPC_FAMILIES.items():
+        targets = _ipc_targets(first, last, step)
+        targets = _scaled_subset(targets, scale)
+        for index, target in enumerate(targets):
+            synth = _family_synthesizer(arch, family, seed, index)
+            synth.add_pass(EndlessLoopSkeleton(loop_size))
+            synth.add_pass(InstructionDistribution(list(pool)))
+            synth.add_pass(InitRegisters("random"))
+            synth.add_pass(InitImmediates("random"))
+            mean = solve_dependency_mean(arch, pool, target)
+            synth.add_pass(DependencyDistance("mean", mean_distance=mean))
+            recipes.append((family, synth))
 
-        for family, (pool, weights, count) in MEMORY_FAMILIES.items():
-            for index in range(_scaled_count(count, scale)):
-                synth = _family_synthesizer(arch, family, seed, index)
-                synth.add_pass(EndlessLoopSkeleton(loop_size))
-                synth.add_pass(InstructionDistribution(list(pool)))
-                synth.add_pass(MemoryModel(weights))
-                synth.add_pass(InitRegisters("random"))
-                synth.add_pass(InitImmediates("random"))
-                synth.add_pass(DependencyDistance("none"))
-                benchmarks.append(
-                    TrainingBenchmark(family, synth.kernel(kernels))
-                )
-    return benchmarks
+    for family, (pool, weights, count) in MEMORY_FAMILIES.items():
+        for index in range(_scaled_count(count, scale)):
+            synth = _family_synthesizer(arch, family, seed, index)
+            synth.add_pass(EndlessLoopSkeleton(loop_size))
+            synth.add_pass(InstructionDistribution(list(pool)))
+            synth.add_pass(MemoryModel(weights))
+            synth.add_pass(InitRegisters("random"))
+            synth.add_pass(InitImmediates("random"))
+            synth.add_pass(DependencyDistance("none"))
+            recipes.append((family, synth))
+    families, synthesizers = zip(*recipes)
+    with kernel_memo(memo, arch) as kernels:
+        built = build_kernels(list(synthesizers), kernels)
+    return list(map(TrainingBenchmark, families, built))
 
 
 def generate_random_suite(

@@ -28,8 +28,9 @@ from __future__ import annotations
 import re
 import sys
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from operator import attrgetter, itemgetter
 
 from repro.caching import LRUCache
@@ -239,11 +240,12 @@ def _distance_error(name: str, slot: int, distance: int) -> ValueError:
 _slot_fields = attrgetter("mnemonic", "dep_distance", "source_level", "address")
 
 
-def _coded(values: list) -> tuple[list, list[int]]:
-    """The distinct ``values`` by first use, and each value's position."""
-    distinct = list(dict.fromkeys(values))
-    position = dict(zip(distinct, range(len(distinct))))
-    return distinct, list(map(position.__getitem__, values))
+def _coded(values) -> tuple[list, list[int]]:
+    """The distinct ``values`` by first use, and each value's position;
+    one hash per value."""
+    position = defaultdict(count().__next__)
+    code = list(map(position.__getitem__, values))
+    return list(position), code
 
 
 def _parse_fields(texts: list[str]) -> list[tuple]:
@@ -447,7 +449,7 @@ class Kernel:
         index = self.__dict__.get("_index")
         if index is None:
             slots = {id(slot): slot for slot in self.instructions}
-            ids, index = _coded(list(map(id, self.instructions)))
+            ids, index = _coded(map(id, self.instructions))
             texts = map(_slot_text, map(slots.__getitem__, ids))
         else:
             texts = self.__dict__["_texts"]
@@ -504,7 +506,7 @@ class Kernel:
         tabled = "_index" in self.__dict__
         if tabled:
             fields, pattern, repeats, tail = self.slot_parts()
-            keys, code = _coded(list(map(_entry_key, fields)))
+            keys, code = _coded(map(_entry_key, fields))
         else:
             pattern, repeats, tail = self.periodic_parts()
         if self.analytic_period is not None:
@@ -513,7 +515,7 @@ class Kernel:
         if tabled:
             key = code.__getitem__
             return keys, list(map(key, pattern)), repeats, list(map(key, tail))
-        keys, code = _coded(list(map(_slot_key, pattern + tail)))
+        keys, code = _coded(map(_slot_key, pattern + tail))
         return keys, code[:len(pattern)], repeats, code[len(pattern):]
 
     def validate_period(self) -> None:

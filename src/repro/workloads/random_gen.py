@@ -16,7 +16,7 @@ from repro.core.passes.ilp import DependencyDistance
 from repro.core.passes.init_values import InitImmediates, InitRegisters
 from repro.core.passes.memory import MemoryModel
 from repro.core.passes.skeleton import EndlessLoopSkeleton
-from repro.core.synthesizer import KernelMemo, Synthesizer, kernel_memo
+from repro.core.synthesizer import Synthesizer, build_kernels, kernel_memo
 from repro.march.definition import MicroArchitecture
 from repro.sim.kernel import Kernel
 
@@ -46,14 +46,11 @@ class RandomBenchmarkPolicy:
         it holds load from it, the rest are synthesized and written.
         """
         rng = random.Random(f"random-policy:{self.seed}")
+        synthesizers = [self._build_one(rng, index) for index in range(count)]
         with kernel_memo(memo, self.arch) as kernels:
-            return [
-                self._build_one(rng, index, kernels) for index in range(count)
-            ]
+            return build_kernels(synthesizers, kernels)
 
-    def _build_one(
-        self, rng: random.Random, index: int, memo: KernelMemo | None
-    ) -> Kernel:
+    def _build_one(self, rng: random.Random, index: int) -> Synthesizer:
         # Random mixes draw a broad pool: like the random test cases of
         # prior synthetic-benchmark work, they blend many instruction
         # types, so per-unit activities are correlated (never the pure
@@ -96,7 +93,7 @@ class RandomBenchmarkPolicy:
             )
         else:
             synth.add_pass(DependencyDistance("none"))
-        return synth.kernel(memo)
+        return synth
 
     def _random_memory_mix(
         self, rng: random.Random, memory_slots: int

@@ -35,7 +35,8 @@ LOOP = 128
 
 @pytest.fixture
 def synthesize_calls(monkeypatch):
-    """How many programs the pass pipeline has built."""
+    """How many programs the pass pipeline has built, in one process
+    (a forked child's syntheses never reach the patch)."""
     calls = []
     synthesize = Synthesizer.synthesize
 
@@ -44,6 +45,7 @@ def synthesize_calls(monkeypatch):
         return synthesize(self, name)
 
     monkeypatch.setattr(Synthesizer, "synthesize", counting)
+    monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: 1)
     return calls
 
 

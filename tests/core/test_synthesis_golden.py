@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import synthesizer as synthesizer_module
 from repro.core.emit import emit_assembly, emit_c
 from repro.core.passes import (
     BranchBehavior,
@@ -63,7 +64,11 @@ def program_digest(program) -> str:
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Programs synthesized by library builders that return kernels."""
+    """Programs synthesized by library builders that return kernels.
+
+    A forked child's syntheses never reach this process's patch, so the
+    builders run in one process.
+    """
     programs = []
     synthesize = Synthesizer.synthesize
 
@@ -73,6 +78,7 @@ def captured(monkeypatch):
         return program
 
     monkeypatch.setattr(Synthesizer, "synthesize", recording)
+    monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: 1)
     return programs
 
 
@@ -170,8 +176,8 @@ def test_synthesis_corpus_is_byte_identical(power7_arch, captured, golden):
     bootstrapper = Bootstrapper(arch, machine=None, loop_size=BOOTSTRAP_LOOP)
     for ins in arch.isa:
         if not ins.is_branch:
-            bootstrapper._build(ins.mnemonic, chained=True)
-            bootstrapper._build(ins.mnemonic, chained=False)
+            bootstrapper._build(ins.mnemonic, chained=True).kernel()
+            bootstrapper._build(ins.mnemonic, chained=False).kernel()
     record("bootstrap", captured)
 
     for synth in _mode_pipelines(arch).values():

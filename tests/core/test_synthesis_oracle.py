@@ -54,7 +54,8 @@ _LOOPS = (12, 13, 16, 24, 30, 48, 64, 100, 128, 200, 256) * 2 + (1024,)
 
 @pytest.fixture
 def contexts(monkeypatch):
-    """Every production ``PassContext``, in creation order."""
+    """Every production ``PassContext``, in creation order (builds
+    run in one process: a forked child's contexts never show here)."""
     made = []
 
     def recording(**fields):
@@ -63,6 +64,7 @@ def contexts(monkeypatch):
         return context
 
     monkeypatch.setattr(synthesizer_module, "PassContext", recording)
+    monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: 1)
     return made
 
 

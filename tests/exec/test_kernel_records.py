@@ -12,13 +12,16 @@ cold, fully warm, or with every cell missing over a warm memo.
 
 import hashlib
 import json
+import os
 import shutil
 
 import pytest
 
+from repro.core import synthesizer as synthesizer_module
 from repro.exec import ResultStore, SerialExecutor, executors, faults
 from repro.exec.faults import FaultPlan
 from repro.exec.store import KERNELS, render_record
+from repro.power_model import campaign as campaign_module
 from repro.power_model.campaign import ModelingCampaign
 from repro.sim import Machine
 from repro.sim import kernel as kernel_module
@@ -143,7 +146,9 @@ def test_warm_campaign_loads_every_kernel(campaign_store, clean, power7_arch):
 def slot_builds(monkeypatch):
     """Slot tables turned into slot objects by table kernels (each one
     kept alive, so ``id``s stay distinct) and :class:`KernelInstruction`
-    objects constructed, by a table kernel or by the constructor."""
+    objects constructed, by a table kernel or by the constructor.  The
+    count sees this process only, so kernels are built in it; a test
+    may still fork the build (see :func:`suite_kernels`)."""
     built = {"tables": [], "instructions": 0}
     build = kernel_module._slots_of
     construct = KernelInstruction.__init__
@@ -159,11 +164,35 @@ def slot_builds(monkeypatch):
 
     monkeypatch.setattr(kernel_module, "_slots_of", counting_build)
     monkeypatch.setattr(KernelInstruction, "__init__", counting_construct)
+    monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: 1)
     return built
 
 
+@pytest.fixture
+def suite_kernels(monkeypatch):
+    """Every kernel the campaign's suite builders return.  One built in
+    a forked child would carry slots built there as ``instructions``
+    in its ``vars()``."""
+    kernels = []
+    for name in ("generate_micro_suite", "generate_random_suite"):
+
+        def recording(*args, _generate=getattr(campaign_module, name), **kw):
+            suite = _generate(*args, **kw)
+            kernels.extend(bench.kernel for bench in suite)
+            return suite
+
+        monkeypatch.setattr(campaign_module, name, recording)
+    return kernels
+
+
+def _built_no_slot(kernels) -> bool:
+    return bool(kernels) and not any(
+        "instructions" in vars(kernel) for kernel in kernels
+    )
+
+
 def test_fully_warm_campaign_builds_no_slot(
-    campaign_store, clean, power7_arch, slot_builds
+    campaign_store, clean, power7_arch, slot_builds, suite_kernels
 ):
     root, _, executor = campaign_store
     result, warm = _campaign(power7_arch, root)
@@ -171,20 +200,35 @@ def test_fully_warm_campaign_builds_no_slot(
     assert warm.store.kernel_hits == executor.store.kernel_misses > 0
     assert warm.store.misses == 0
     assert slot_builds == {"tables": [], "instructions": 0}
+    assert _built_no_slot(suite_kernels)
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-process", "forked"])
 def test_fully_cold_campaign_builds_no_slot(
-    power7_arch, clean, tmp_path, slot_builds
+    power7_arch, clean, tmp_path, slot_builds, suite_kernels, monkeypatch,
+    cpus,
 ):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting_fork)
     result, cold = _campaign(power7_arch, tmp_path)
+    assert bool(forks) == (cpus > 1)
     assert _fingerprint(result) == clean
     assert cold.store.kernel_misses == len(_kernel_lines(tmp_path)) > 0
     assert (cold.store.kernel_hits, cold.store.hits) == (0, 0)
     assert slot_builds == {"tables": [], "instructions": 0}
+    assert _built_no_slot(suite_kernels)
 
 
 def test_cold_cells_over_a_warm_memo_build_no_slot(
-    campaign_store, clean, power7_arch, tmp_path, slot_builds
+    campaign_store, clean, power7_arch, tmp_path, slot_builds, suite_kernels
 ):
     root, _, executor = campaign_store
     shutil.copytree(root / "kernels", tmp_path / "kernels")
@@ -198,6 +242,7 @@ def test_cold_cells_over_a_warm_memo_build_no_slot(
     # Every cell is measured, so every loaded kernel is summarized --
     # from its slot table.
     assert slot_builds == {"tables": [], "instructions": 0}
+    assert _built_no_slot(suite_kernels)
 
 
 def test_scrub_keeps_the_newest_valid_kernel_record(

@@ -284,7 +284,8 @@ class TestEngineBookkeeping:
         bootstrapper = Bootstrapper(power7_arch, machine, loop_size=96)
         for mnemonic in ("addic", "lwz", "stfd", "xvmaddadp"):
             for chained in (False, True):
-                kernel = bootstrapper._build(mnemonic, chained=chained)
+                synth = bootstrapper._build(mnemonic, chained=chained)
+                kernel = synth.kernel()
                 kernel.validate_period()
         for loop_size in (12, 64, 500, 4096):
             kernel = build_stressmark(

@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.core import synthesizer as synthesizer_module
 from repro.core.synthesizer import Synthesizer
 from repro.exec.store import KERNELS, kernel_body, kernel_from_body, render_record
 from repro.march.bootstrap import Bootstrapper
@@ -133,7 +134,8 @@ def test_random_recipes_match_the_oracle(power7_arch, models):
 
 @pytest.fixture
 def programs(monkeypatch):
-    """Every program the pass pipeline builds, in order."""
+    """Every program the pass pipeline builds, in order, in one
+    process (a forked child's programs never reach the patch)."""
     built = []
     synthesize = Synthesizer.synthesize
 
@@ -143,6 +145,7 @@ def programs(monkeypatch):
         return program
 
     monkeypatch.setattr(Synthesizer, "synthesize", recording)
+    monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: 1)
     return built
 
 
@@ -157,7 +160,7 @@ def test_bootstrap_kernels_match_the_oracle(power7_arch, models, programs):
     bootstrapper = Bootstrapper(power7_arch, None)
     for mnemonic in rng.sample(mnemonics, 24):
         bootstrapper.loop_size = rng.choice([12, 255, 256, 1023, 4096])
-        bootstrapper._build(mnemonic, rng.random() < 0.5)
+        bootstrapper._build(mnemonic, rng.random() < 0.5).kernel()
     assert len(programs) == 24
     periodic = 0
     for program in programs:
