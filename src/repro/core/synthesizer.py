@@ -10,13 +10,11 @@ the paper's Figure-2 example.
 Synthesis is a pure function of its *recipe*: the architecture, the
 seed, the name prefix, the validate flag, the ordinal and every pass
 with its constructor parameters.  :meth:`Synthesizer.recipe_key` hashes
-that recipe, and :func:`build_kernels` (:meth:`Synthesizer.kernel` is
-its batch of one) looks the key up in a :class:`KernelMemo` over a
-result store before synthesizing, so a training suite built once loads
-from disk on every later run.  Recipes draw only from their own
-streams, so it splits a batch's misses across forked processes, which
-in-process patches of :meth:`Synthesizer.synthesize` never see: tests
-that patch it pin :func:`_usable_cpus` to 1.
+that recipe, and :func:`build_kernels` looks the key up in a
+:class:`KernelMemo` over a result store before synthesizing, so a
+training suite built once loads from disk on every later run.  Recipes
+draw only from their own streams, so a forked child may build part of
+a batch, unseen by in-process patches (tests pin :func:`_usable_cpus`).
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import threading
 
 from repro.core.ir import Program
 from repro.core.passes.base import Pass, PassContext
+from repro.core.passes.skeleton import EndlessLoopSkeleton
 from repro.core.passes.verify import ValidateProgram
 from repro.core.registers import RegisterPools
 from repro.errors import SynthesisError
@@ -47,6 +46,11 @@ from repro.sim.kernel import Kernel
 #: re-records ``tests/golden/synthesis_corpus.json`` -- so stores
 #: written before the change miss instead of serving stale kernels.
 SYNTHESIS_VERSION = 1
+
+#: Loop instructions a forked child's share must hold: smaller shares
+#: cost more to fork, pickle and reap than they save (break-even near
+#: 2,000 beside a 73 MB parent and 4,500 beside a 273 MB one).
+FORK_MIN_INSTRUCTIONS = 4096
 
 
 class KernelMemo:
@@ -200,56 +204,27 @@ def build_kernels(
 ) -> list[Kernel]:
     """Each synthesizer's next micro-benchmark as a :class:`Kernel`.
 
-    Every recipe is looked up in ``memo``'s store, in order.  The misses
-    are synthesized round-robin by this process and one forked child
-    per further usable CPU (none for one miss, beside a second live
-    thread or without ``os.fork``); a child sends its kernels back as
-    one pickle and leaves through ``os._exit``.  In order, the kernels
-    are then queued on the memo and every ordinal advances by one, hit
-    or miss.  A synthesizer appears at most once.  The first recipe to
-    fail is synthesized again here, so its own error propagates, with
-    the kernels ahead of it queued; a child that exits without its
-    kernels raises :class:`SynthesisError`.
+    Every recipe is looked up in ``memo``'s store first (each lookup
+    counts, even past a recipe that fails); the misses are synthesized
+    here and in a forked child when that pays (:func:`_split`).  Then,
+    in order, kernels are queued on the memo and ordinals advance up to
+    the first recipe that fails, which is synthesized again here to
+    raise its own error.  A synthesizer appears at most once.
     """
-    keys, kernels = [], []
-    for synth in synthesizers:
-        key = None if memo is None else synth.recipe_key(memo.arch_digest)
-        kernels.append(None if key is None else memo.store.get_kernel(key))
-        keys.append(key)
-        synth._counter += kernels[-1] is not None
+    keys = [memo and s.recipe_key(memo.arch_digest) for s in synthesizers]
+    kernels = [None if k is None else memo.store.get_kernel(k) for k in keys]
     misses = [i for i, kernel in enumerate(kernels) if kernel is None]
-    workers = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = max(1, min(len(misses), _usable_cpus()))
-    children, statuses = [], []
-    try:
-        for worker in range(1, workers):
-            children.append(_fork(synthesizers, misses[worker::workers]))
-        delivered = _synthesized(synthesizers, misses[::workers])
-        sent = [received.read() for _, received in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, received in children:
-            received.close()
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for status, data in zip(statuses, sent):
-        if status:
-            message = f"a forked synthesis child exited with status {status}"
-            raise SynthesisError(message)
-        delivered.update(pickle.loads(data))
-    for position in misses:
-        synth = synthesizers[position]
-        kernel = delivered.get(position)
-        if kernel is None:  # its recipe failed: it raises here, in order
-            kernel = synth.synthesize().to_kernel()
+    delivered = _split(synthesizers, misses)
+    for position, synth in enumerate(synthesizers):
+        hit = kernels[position] is not None
+        kernel = kernels[position] if hit else delivered.get(position)
+        if kernel is None:  # its share stopped short of it: a failing
+            kernel = synth.synthesize().to_kernel()  # recipe raises here
         else:
             synth._counter += 1
-        kernels[position] = kernel
-        if keys[position] is not None:
+        if not hit and keys[position] is not None:
             memo.pending.append((keys[position], kernel))
+        kernels[position] = kernel
     return kernels
 
 
@@ -261,8 +236,7 @@ def _usable_cpus() -> int:
 
 def _synthesized(synthesizers: list[Synthesizer], positions) -> dict:
     """``{position: kernel}`` of ``positions``, in order, up to the
-    first recipe that fails; each synthesizes on a copy, so no ordinal
-    moves."""
+    first recipe that fails; built on copies, so no ordinal moves."""
     kernels = {}
     for position in positions:
         try:
@@ -273,21 +247,47 @@ def _synthesized(synthesizers: list[Synthesizer], positions) -> dict:
     return kernels
 
 
-def _fork(synthesizers: list[Synthesizer], positions):
-    """The pid of a forked child pickling :func:`_synthesized` into a
-    pipe, and the pipe's read end."""
-    reader, writer = os.pipe()
-    received, sending = open(reader, "rb"), open(writer, "wb")
+def _split(synthesizers: list[Synthesizer], positions: list[int]) -> dict:
+    """:func:`_synthesized` of ``positions``, every other one built by a
+    forked child (pickled back, ``os._exit``) when that pays: two usable
+    CPUs, no second live thread (unsafe to fork) and a share of at least
+    :data:`FORK_MIN_INSTRUCTIONS` loop instructions.  The child is reaped
+    before this returns or raises; one that exits without its kernels
+    raises :class:`SynthesisError`."""
+    share = positions[1::2]
+    passes = [p for i in share for p in synthesizers[i].passes]
+    work = sum(p.size for p in passes if isinstance(p, EndlessLoopSkeleton))
+    alone = threading.active_count() == 1
+    if not alone or _usable_cpus() < 2 or work < FORK_MIN_INSTRUCTIONS:
+        return _synthesized(synthesizers, positions)
+    received, sending = map(open, os.pipe(), ("rb", "wb"))
     with sending:
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN, ENOMEM: this process builds them all
+            received.close()
+            return _synthesized(synthesizers, positions)
         if pid == 0:
             try:
-                pickle.dump(_synthesized(synthesizers, positions), sending)
+                pickle.dump(_synthesized(synthesizers, share), sending)
                 sending.flush()
                 os._exit(0)
             finally:
                 os._exit(1)
-    return pid, received
+    try:
+        delivered = _synthesized(synthesizers, positions[::2])
+        sent = received.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        received.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        message = f"a forked synthesis child exited with status {status}"
+        raise SynthesisError(message)
+    delivered.update(pickle.loads(sent))
+    return delivered
 
 
 def _pass_recipe(pass_: Pass) -> list | None:

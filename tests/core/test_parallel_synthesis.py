@@ -1,15 +1,17 @@
 """Forked and single-process kernel builds agree.
 
 ``build_kernels`` splits a batch's memo misses between this process
-and forked children.  Whatever the split, the build must return the
+and a forked child.  Whatever the split, the build must return the
 same kernels (down to their ``vars()``), queue the same memo writes,
 count the same memo hits and misses, leave every ordinal where the
 single-process build leaves it, fail exactly as it fails, and leave no
-child process behind.
+child process behind.  Most tests let any share fork
+(``FORK_MIN_INSTRUCTIONS`` 1); one keeps the real break-even.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import threading
@@ -106,8 +108,11 @@ def builds(monkeypatch):
     return calls
 
 
-def _cpus(monkeypatch, cpus: int) -> None:
+def _cpus(monkeypatch, cpus: int, fork_min: int = 1) -> None:
+    """Pin the usable CPUs and the loop instructions a forked share
+    must hold (by default any share with a loop forks)."""
     monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(synthesizer_module, "FORK_MIN_INSTRUCTIONS", fork_min)
 
 
 def assert_no_child_left(pids=()) -> None:
@@ -188,23 +193,28 @@ def _recipe(arch, name, pool=("add", "lwz", "stw", "fmadd"), weights=None):
 
 
 def _failing_batch(arch):
-    """Eight recipes; 6 and 7 fail differently.  With recipe 1 a memo
-    hit and the misses split two or three ways, 6 falls to a child and
-    7 to this process."""
-    recipes = [_recipe(arch, f"r{i}") for i in range(8)]
+    """Nine recipes; 6 and 7 fail differently.  With recipes 1 and 8
+    memo hits and the misses split two ways, 6 falls to the child and 7
+    to this process."""
+    recipes = [_recipe(arch, f"r{i}") for i in range(9)]
     recipes[6] = _recipe(arch, "r6", pool=("add", "bogus"))
     recipes[7] = _recipe(arch, "r7", weights={"L9": 1.0})
     return recipes
 
 
-def _failed_build(arch, root):
-    """The error, the memo writes and the ordinals of a failed build
-    over a store that holds recipe 1."""
+def _one_by_one(recipes, memo):
+    """The batch as single ``kernel()`` calls, each its own batch."""
+    return [synth.kernel(memo) for synth in recipes]
+
+
+def _failed_build(arch, root, build=build_kernels):
+    """The error, the memo writes, the ordinals and the store's kernel
+    hits and misses of a failed build over a store holding 1 and 8."""
     store = ResultStore(root)
     recipes = _failing_batch(arch)
     with KernelMemo(store, arch) as memo:
         with pytest.raises(Exception) as failure:
-            build_kernels(recipes, memo)
+            build(recipes, memo)
         pending = [(key, kernel.digest()) for key, kernel in memo.pending]
     return (
         type(failure.value),
@@ -221,18 +231,21 @@ def test_a_failing_recipe_fails_the_build_as_in_one_process(
 ):
     warm = ResultStore(tmp_path / "warm")
     with KernelMemo(warm, power7_arch) as memo:
-        build_kernels(_failing_batch(power7_arch)[1:2], memo)
+        build_kernels(_failing_batch(power7_arch)[1::7], memo)
     _cpus(monkeypatch, 1)
-    shutil.copytree(tmp_path / "warm", tmp_path / "single")
-    single = _failed_build(power7_arch, tmp_path / "single")
+    runs = {}
+    for name, build in (("single", build_kernels), ("one by one", _one_by_one)):
+        shutil.copytree(tmp_path / "warm", tmp_path / name)
+        runs[name] = _failed_build(power7_arch, tmp_path / name, build)
     assert not forks
     _cpus(monkeypatch, cpus)
     shutil.copytree(tmp_path / "warm", tmp_path / "forked")
     forked = _failed_build(power7_arch, tmp_path / "forked")
-    assert len(forks) == cpus - 1
+    # One child at most, whatever the CPU count.
+    assert len(forks) == 1
     assert_no_child_left(forks)
 
-    assert forked == single
+    assert forked == runs["single"]
     kind, text, pending, ordinals, counts = forked
     # The first failing position wins: recipe 6's error, not 7's.
     assert (kind.__name__, text) == (
@@ -245,8 +258,14 @@ def test_a_failing_recipe_fails_the_build_as_in_one_process(
     ]
     del reference[1]
     assert pending == [(key, kernel.digest()) for key, kernel in reference]
-    assert ordinals == [1] * 7 + [0]
-    assert counts == (1, 7)
+    # Ordinals move up to the failing recipe; the hit past it, 8, stays.
+    assert ordinals == [1] * 7 + [0, 0]
+    # Error, memo writes and ordinals are those of building the recipes
+    # one kernel() call at a time; only the store's counters differ, as
+    # the batch looks every recipe up before synthesizing any.
+    assert forked[:4] == runs["one by one"][:4]
+    assert counts == (2, 7)
+    assert runs["one by one"][4] == (1, 6)
 
 
 def test_a_child_that_exits_without_kernels_fails_the_build(
@@ -269,6 +288,59 @@ def test_a_child_that_exits_without_kernels_fails_the_build(
     assert_no_child_left(forks)
 
 
+def test_a_failed_fork_builds_in_this_process(power7_arch, monkeypatch):
+    pipes = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        pipes.extend(pipe())
+        return pipes[-2:]
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    _cpus(monkeypatch, 2)
+    recipes = [_recipe(power7_arch, f"r{i}") for i in range(5)]
+    # An end left to the garbage collector would warn as it closes.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernels = build_kernels(recipes)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(pipes) == 2
+    for end in pipes:  # both ends closed
+        with pytest.raises(OSError):
+            os.fstat(end)
+    assert_no_child_left()
+    assert [synth._counter for synth in recipes] == [1] * 5
+    assert [_kernel_facts(k) for k in kernels] == [
+        _kernel_facts(_recipe(power7_arch, f"r{i}").kernel()) for i in range(5)
+    ]
+
+
+def test_a_share_below_the_break_even_builds_in_this_process(
+    power7_arch, monkeypatch, forks
+):
+    # A bootstrap pair: the child's share is one loop.  At loop 256 the
+    # fork costs more than the loop (the pair takes 2.5 ms forked
+    # against 0.7 ms in one process on a 2-vCPU host).
+    minimum = synthesizer_module.FORK_MIN_INSTRUCTIONS
+    _cpus(monkeypatch, 2, fork_min=minimum)
+    for loop, forked in ((256, 0), (minimum - 1, 0), (minimum, 1)):
+        bootstrapper = Bootstrapper(
+            power7_arch, None, loop_size=loop,
+            executor=SimpleNamespace(store=None),
+        )
+        kernels = bootstrapper._kernels([("add", True), ("add", False)])
+        assert len(forks) == forked
+        assert kernels == [
+            bootstrapper._build("add", chained).kernel()
+            for chained in (True, False)
+        ]
+    assert_no_child_left(forks)
+
+
 def test_an_interrupted_build_leaves_no_child(power7_arch, monkeypatch, forks):
     parent = os.getpid()
     synthesize = Synthesizer.synthesize
@@ -286,14 +358,14 @@ def test_an_interrupted_build_leaves_no_child(power7_arch, monkeypatch, forks):
     recipes = [_recipe(power7_arch, f"r{i}") for i in range(9)]
     with pytest.raises(KeyboardInterrupt):
         build_kernels(recipes)
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert_no_child_left(forks)
     assert [synth._counter for synth in recipes] == [0] * 9
 
     # The same batch builds afterwards, forked, and leaves no child.
     monkeypatch.setattr(Synthesizer, "synthesize", synthesize)
     kernels = build_kernels(recipes)
-    assert len(forks) == 4
+    assert len(forks) == 2
     assert_no_child_left(forks)
     assert kernels == [
         _recipe(power7_arch, f"r{i}").kernel() for i in range(9)
@@ -307,14 +379,17 @@ def test_nothing_forks_beside_a_second_thread(power7_arch, monkeypatch, forks):
     thread.start()
     try:
         recipes = [_recipe(power7_arch, f"r{i}") for i in range(4)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        # os.fork issues its multi-threaded-fork DeprecationWarning (3.12+)
+        # and clears it at once, so an "error" filter would not see it.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             kernels = build_kernels(recipes)
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
     assert kernels == [
         _recipe(power7_arch, f"r{i}").kernel() for i in range(4)
     ]

@@ -216,7 +216,9 @@ def test_fully_cold_campaign_builds_no_slot(
         forks.append(pid)
         return pid
 
+    # The smoke suites' shares sit below the fork break-even: let any fork.
     monkeypatch.setattr(synthesizer_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(synthesizer_module, "FORK_MIN_INSTRUCTIONS", 1)
     monkeypatch.setattr(os, "fork", counting_fork)
     result, cold = _campaign(power7_arch, tmp_path)
     assert bool(forks) == (cpus > 1)
