@@ -38,6 +38,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -112,15 +113,23 @@ def _build_machine(arch, args: argparse.Namespace) -> Machine:
     return Machine(arch, seed=args.seed)
 
 
-def _build_executor(machine: Machine, args: argparse.Namespace):
+@contextlib.contextmanager
+def _executor(machine: Machine, args: argparse.Namespace):
+    """The verb's executor; its store (if any) closes on the way out."""
     # Explicit flags win; unset flags fall back to the documented
     # REPRO_STORE / REPRO_SERVER environment knobs.
     server = getattr(args, "server", None) or os.environ.get("REPRO_SERVER")
     if server:
         from repro.exec.client import RemoteExecutor
 
-        return RemoteExecutor(server, arch=args.arch, seed=args.seed)
-    return default_executor(machine, store=args.store)
+        executor = RemoteExecutor(server, arch=args.arch, seed=args.seed)
+    else:
+        executor = default_executor(machine, store=args.store)
+    try:
+        yield executor
+    finally:
+        if executor.store is not None:
+            executor.store.close()
 
 
 def _report_store(executor) -> None:
@@ -203,27 +212,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else None
     )
 
-    executor = _build_executor(machine, args)
-    runner = MeasurementRunner(machine, args.duration, executor=executor)
-    logger.info(
-        "sweep: %d workloads x %d configurations%s",
-        len(workloads),
-        len(configs),
-        f" x {len(p_states)} p-states" if p_states else "",
-    )
-    sweep = runner.run_sweep(workloads, configs=configs, p_states=p_states)
-
-    print(f"=== {args.workloads} sweep: {len(sweep)} configurations ===")
-    width = max(len(config.label) for config in sweep)
-    for config, measurements in sweep.items():
-        powers = [measurement.mean_power for measurement in measurements]
-        hottest = max(measurements, key=lambda m: m.mean_power)
-        print(
-            f"{config.label:>{max(8, width)}s}  "
-            f"mean {ordered_sum(powers) / len(powers):7.1f} W  "
-            f"max {hottest.mean_power:7.1f} W ({hottest.workload_name})"
+    with _executor(machine, args) as executor:
+        runner = MeasurementRunner(machine, args.duration, executor=executor)
+        logger.info(
+            "sweep: %d workloads x %d configurations%s",
+            len(workloads),
+            len(configs),
+            f" x {len(p_states)} p-states" if p_states else "",
         )
-    _report_store(executor)
+        sweep = runner.run_sweep(workloads, configs=configs, p_states=p_states)
+
+        print(f"=== {args.workloads} sweep: {len(sweep)} configurations ===")
+        width = max(len(config.label) for config in sweep)
+        for config, measurements in sweep.items():
+            powers = [measurement.mean_power for measurement in measurements]
+            hottest = max(measurements, key=lambda m: m.mean_power)
+            print(
+                f"{config.label:>{max(8, width)}s}  "
+                f"mean {ordered_sum(powers) / len(powers):7.1f} W  "
+                f"max {hottest.mean_power:7.1f} W ({hottest.workload_name})"
+            )
+        _report_store(executor)
     _report_cache_stats(machine, args)
     return 0
 
@@ -237,36 +246,37 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     arch = get_architecture(args.arch)
     machine = _build_machine(arch, args)
-    executor = _build_executor(machine, args)
-    campaign = ModelingCampaign(
-        machine,
-        scale=args.scale,
-        loop_size=args.loop_size,
-        duration=args.duration,
-        seed=args.seed,
-        executor=executor,
-    )
-    result = campaign.run()
-
-    validation = [
-        measurement
-        for measurements in result.spec_by_config.values()
-        for measurement in measurements
-    ]
-    models = {"BU": result.bottom_up, **result.top_down}
-    print(
-        f"=== modeling campaign: scale {args.scale}, "
-        f"{len(result.configs)} configurations, "
-        f"{len(validation)} SPEC validation measurements ==="
-    )
-    for name, model in models.items():
-        # One scoring pass: PAAE and the worst case of one error list.
-        errors = prediction_errors(model.predict, validation)
-        print(
-            f"{name:>10s}  PAAE {ordered_sum(errors) / len(errors):5.2f} %  "
-            f"max error {max(errors):5.2f} %"
+    with _executor(machine, args) as executor:
+        campaign = ModelingCampaign(
+            machine,
+            scale=args.scale,
+            loop_size=args.loop_size,
+            duration=args.duration,
+            seed=args.seed,
+            executor=executor,
         )
-    _report_store(executor)
+        result = campaign.run()
+
+        validation = [
+            measurement
+            for measurements in result.spec_by_config.values()
+            for measurement in measurements
+        ]
+        models = {"BU": result.bottom_up, **result.top_down}
+        print(
+            f"=== modeling campaign: scale {args.scale}, "
+            f"{len(result.configs)} configurations, "
+            f"{len(validation)} SPEC validation measurements ==="
+        )
+        for name, model in models.items():
+            # One scoring pass: PAAE and the worst case of one error list.
+            errors = prediction_errors(model.predict, validation)
+            mean = ordered_sum(errors) / len(errors)
+            print(
+                f"{name:>10s}  PAAE {mean:5.2f} %  "
+                f"max error {max(errors):5.2f} %"
+            )
+        _report_store(executor)
     _report_cache_stats(machine, args)
     return 0
 
@@ -290,49 +300,48 @@ def _cmd_stressmark(args: argparse.Namespace) -> int:
 
     arch = get_architecture(args.arch)
     machine = _build_machine(arch, args)
-    executor = _build_executor(machine, args)
+    with _executor(machine, args) as executor:
+        logger.info("bootstrapping per-instruction EPI/IPC records")
+        # The bootstrap routes through the same executor, so a warm store
+        # serves the whole-ISA probe's cells and, from its kernel memo, the
+        # probe's 315 kernels: a warm run synthesizes none of them.
+        # Paper-standard 10 s windows for the bootstrap regardless of
+        # --duration: the EPI/latency records are reference data.
+        records = Bootstrapper(
+            arch,
+            machine,
+            loop_size=args.bootstrap_loop,
+            executor=executor,
+        ).run()
+        candidates = select_candidates(arch, records)
+        print(f"IPC*EPI candidates per unit: {candidates}")
 
-    logger.info("bootstrapping per-instruction EPI/IPC records")
-    # The bootstrap routes through the same executor, so a warm store
-    # serves the whole-ISA probe's cells and, from its kernel memo, the
-    # probe's 315 kernels: a warm run synthesizes none of them.
-    # Paper-standard 10 s windows for the bootstrap regardless of
-    # --duration: the EPI/latency records are reference data.
-    records = Bootstrapper(
-        arch,
-        machine,
-        loop_size=args.bootstrap_loop,
-        executor=executor,
-    ).run()
-    candidates = select_candidates(arch, records)
-    print(f"IPC*EPI candidates per unit: {candidates}")
+        logger.info("measuring the SPEC maximum-power baseline")
+        baseline = spec_power_baseline(
+            machine, duration=args.duration, executor=executor
+        )
+        print(f"SPEC CPU2006 maximum: {baseline:.1f} W")
 
-    logger.info("measuring the SPEC maximum-power baseline")
-    baseline = spec_power_baseline(
-        machine, duration=args.duration, executor=executor
-    )
-    print(f"SPEC CPU2006 maximum: {baseline:.1f} W")
-
-    sequences = covering_sequences(tuple(candidates.values()))
-    results = stressmark_search(
-        machine,
-        sequences,
-        loop_size=args.loop_size,
-        duration=args.duration,
-        executor=executor,
-    )
-    summary = summarize_set("MicroProbe", results, baseline)
-    spread = order_spread_analysis(results, baseline)
-    print(f"best stressmark: {' '.join(best_sequence(results))}")
-    print(
-        f"max power: {summary.maximum:.3f}x the SPEC maximum "
-        f"(+{(summary.maximum - 1) * 100:.1f}%; paper: +10.7%)"
-    )
-    print(
-        f"order-only spread at max IPC: {spread.spread_percent:.1f}% over "
-        f"{spread.sequences_at_max_ipc} orderings (paper: ~17%)"
-    )
-    _report_store(executor)
+        sequences = covering_sequences(tuple(candidates.values()))
+        results = stressmark_search(
+            machine,
+            sequences,
+            loop_size=args.loop_size,
+            duration=args.duration,
+            executor=executor,
+        )
+        summary = summarize_set("MicroProbe", results, baseline)
+        spread = order_spread_analysis(results, baseline)
+        print(f"best stressmark: {' '.join(best_sequence(results))}")
+        print(
+            f"max power: {summary.maximum:.3f}x the SPEC maximum "
+            f"(+{(summary.maximum - 1) * 100:.1f}%; paper: +10.7%)"
+        )
+        print(
+            f"order-only spread at max IPC: {spread.spread_percent:.1f}% over "
+            f"{spread.sequences_at_max_ipc} orderings (paper: ~17%)"
+        )
+        _report_store(executor)
     _report_cache_stats(machine, args)
     return 0
 
@@ -420,53 +429,53 @@ def _cmd_store(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    store = ResultStore(root)
-    if args.action == "verify":
-        report = store.verify()
+    with ResultStore(root) as store:
+        if args.action == "verify":
+            report = store.verify()
+            print(f"store {store.root}: {report.describe()}")
+            ledger = RunRegistry(store.root)
+            if len(ledger):
+                journals = ledger.journal_summary()
+                print(
+                    f"journals: {journals['runs']} run(s), "
+                    f"{journals['complete']} complete, "
+                    f"{journals['interrupted']} interrupted"
+                )
+                summary = ledger.summary()
+                print(
+                    f"registry: {summary['runs']} run(s), "
+                    f"{summary['complete']} complete, "
+                    f"{summary['interrupted']} interrupted, "
+                    f"{summary['quarantined']} quarantined, "
+                    f"{summary['running']} running"
+                )
+            if ledger.skipped:
+                print(
+                    f"registry: {ledger.skipped} line(s) skipped, not intact "
+                    "run records (`store scrub` compacts them away)"
+                )
+            if not report.ok:
+                print(
+                    "store has damaged records; "
+                    "run `python -m repro store scrub` to repair",
+                    file=sys.stderr,
+                )
+                return 1
+            return 0
+        report = store.scrub()
         print(f"store {store.root}: {report.describe()}")
+        # Scrub is also the ledger's retention pass: manifests of runs that
+        # recorded their end carry nothing the store does not, and the
+        # ledger collapses to one line per run.
         ledger = RunRegistry(store.root)
-        if len(ledger):
-            journals = ledger.journal_summary()
-            print(
-                f"journals: {journals['runs']} run(s), "
-                f"{journals['complete']} complete, "
-                f"{journals['interrupted']} interrupted"
-            )
-            summary = ledger.summary()
-            print(
-                f"registry: {summary['runs']} run(s), "
-                f"{summary['complete']} complete, "
-                f"{summary['interrupted']} interrupted, "
-                f"{summary['quarantined']} quarantined, "
-                f"{summary['running']} running"
-            )
-        if ledger.skipped:
-            print(
-                f"registry: {ledger.skipped} line(s) skipped, not intact "
-                "run records (`store scrub` compacts them away)"
-            )
-        if not report.ok:
-            print(
-                "store has damaged records; "
-                "run `python -m repro store scrub` to repair",
-                file=sys.stderr,
-            )
-            return 1
+        swept = gc_journals(ledger)
+        if swept:
+            print(f"journals: swept {swept} run manifest(s) left behind")
+        if len(ledger) or ledger.skipped:
+            dropped = ledger.compact()
+            if dropped > 0:
+                print(f"registry: compacted away {dropped} superseded line(s)")
         return 0
-    report = store.scrub()
-    print(f"store {store.root}: {report.describe()}")
-    # Scrub is also the ledger's retention pass: manifests of runs that
-    # recorded their end carry nothing the store does not, and the
-    # ledger collapses to one line per run.
-    ledger = RunRegistry(store.root)
-    swept = gc_journals(ledger)
-    if swept:
-        print(f"journals: swept {swept} run manifest(s) left behind")
-    if len(ledger) or ledger.skipped:
-        dropped = ledger.compact()
-        if dropped > 0:
-            print(f"registry: compacted away {dropped} superseded line(s)")
-    return 0
 
 
 # -- entry point ---------------------------------------------------------------

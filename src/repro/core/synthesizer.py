@@ -59,7 +59,8 @@ class KernelMemo:
     Computes the architecture digest once and collects the kernels
     synthesized on misses; leaving the ``with`` block writes them back
     in one batch, one locked append per touched shard.  The store is
-    anything with ``get_kernel(key)`` and ``put_kernels(entries)``
+    anything with ``get_kernels(keys)`` (one batch read of a suite's
+    recipe keys, ``None`` for each miss) and ``put_kernels(entries)``
     (:class:`~repro.exec.store.ResultStore`).
     """
 
@@ -212,7 +213,8 @@ def build_kernels(
     raise its own error.  A synthesizer appears at most once.
     """
     keys = [memo and s.recipe_key(memo.arch_digest) for s in synthesizers]
-    kernels = [None if k is None else memo.store.get_kernel(k) for k in keys]
+    found = iter(memo.store.get_kernels([k for k in keys if k]) if memo else ())
+    kernels = [key and next(found) for key in keys]
     misses = [i for i, kernel in enumerate(kernels) if kernel is None]
     delivered = _split(synthesizers, misses)
     for position, synth in enumerate(synthesizers):

@@ -242,10 +242,9 @@ class SerialExecutor:
             # measured*; the digest is memoized per architecture object
             # (see __init__) so warm single-cell runs stay cheap.
             keys = self.keys_of(plan)
-            # The probe comes first: a run that owes no cells writes
-            # no key manifest.  One fault-plan lookup serves every key.
-            fault_plan = faults.active()
-            results = [self.store.get(key, fault_plan) for key in keys]
+            # The probe comes first, as one batch read: a run that owes
+            # no cells writes no key manifest.
+            results = self.store.get_many(keys)
             misses = [
                 index for index, found in enumerate(results) if found is None
             ]

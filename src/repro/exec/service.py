@@ -468,12 +468,11 @@ class MeasurementService:
             seed,
             run,
         )
-        # The probe comes first: a run that owes no cells writes no key
-        # manifest.  Warm cells stay stored body bytes, never decoded;
-        # one fault-plan lookup serves every key.
-        fault_plan = faults.active()
+        # The probe comes first, as one batch read: a run that owes no
+        # cells writes no key manifest.  Warm cells stay stored body
+        # bytes, never decoded.
         bodies = (
-            [self.store.get_body(key, fault_plan) for key in keys]
+            self.store.get_bodies(keys)
             if self.store is not None
             else [None] * len(keys)
         )
@@ -697,8 +696,8 @@ class MeasurementService:
             )
             return status, []
         lines = []
-        for key in sorted(set(keys)):
-            body = self.store.get_body(key)
+        keys = sorted(set(keys))
+        for key, body in zip(keys, self.store.get_bodies(keys)):
             if body is not None:
                 # Manifest keys are read from disk: escape them.
                 lines.append(

@@ -4,7 +4,7 @@ A :class:`ResultStore` is a directory of *shard* files --
 ``shards/<xx>.jsonl``, fanned out on the first key byte -- each an
 append-only sequence of JSON lines, one per persisted measurement
 cell.  A second record type shares every mechanism below: synthesized
-kernels (:meth:`ResultStore.get_kernel`/:meth:`~ResultStore.put_kernels`)
+kernels (:meth:`ResultStore.get_kernels`/:meth:`~ResultStore.put_kernels`)
 live in ``kernels/<xx>.jsonl``, keyed by the content hash of their
 synthesis recipe (:meth:`repro.core.synthesizer.Synthesizer.recipe_key`),
 so a warm campaign or bootstrap loads its kernels instead of
@@ -41,23 +41,34 @@ I/O errors are counted too (:meth:`fault_stats`, warn-once per shard),
 so a half-unreadable store is visible instead of quietly re-measuring
 everything.
 
-There is one read path: :meth:`ResultStore.get_body` returns a
-record's verified canonical body text.  A line laid out exactly as
-:func:`render_record` writes it is checked by slicing -- current
-format, key, body text and the checksum over key and body text -- with
-no JSON parse; any other line (foreign formatting, a retired format,
-damage) is parsed and its checksum recomputed over the canonical
-re-dump.  :meth:`~ResultStore.get` and :meth:`~ResultStore.get_kernel`
-decode on top of it, quarantining a checksum-valid body that does not
-decode; the campaign service streams the body text itself, so a warm
-cell is never decoded on the server.
+There is one read path, and it reads batches:
+:meth:`ResultStore.get_bodies` returns each key's verified canonical
+body text, :meth:`~ResultStore.get_many` its measurement and
+:meth:`~ResultStore.get_kernels` its kernel (``get_body``, ``get`` and
+``get_kernel`` are the batch of one).  Keys group by shard; each group
+is read under the store lock on its own, so a long probe never holds a
+writer off for its whole length, in offset order, one ``pread`` per
+record.  A line laid out exactly as :func:`render_record` writes it is
+checked by slicing -- format, key, body text and the checksum over key
+and body text -- with no JSON parse; any other line (foreign
+formatting, a retired format, damage) is parsed and its checksum
+recomputed over the canonical re-dump.  A group's verified bodies then
+decode with one ``json.loads`` over them joined as a JSON array, and
+each distinct configuration once per batch.  A batch moves ``hits``/
+``misses``, the kernel counters, :meth:`~ResultStore.fault_stats` and
+the quarantine log as reading its keys one at a time would (each key
+draws its own ``get:<key>`` fault; ``tests/oracle/store_reads.py``
+keeps the per-key reads).  The campaign service streams the body text
+itself, so a warm cell is never decoded on the server.
 
-Reads are served from a lazy per-shard offset index: the first lookup
-touching a shard scans it once, later lookups seek straight to the
-line (verifying the key, so an externally rewritten shard is a miss,
-never a wrong entry).  A miss re-checks whether another process has
-grown the shard since it was scanned, so concurrent campaigns sharing
-one store see each other's results.  That scan is the only index:
+Reads are served from a lazy per-shard offset index: the first batch
+touching a shard scans it once, later reads go straight to the line
+(verifying the key, so an externally rewritten shard is a miss, never
+a wrong entry).  A group missing a key re-checks, once, whether
+another process has grown the shard since it was scanned, so
+concurrent campaigns sharing one store see each other's results.
+Leaving a ``with`` block closes the cached shard handles.  That scan
+is the only index:
 none is persisted, so a read never writes, and index files older
 releases kept beside the shards are ignored.  Shard files are the only
 layout: per-cell ``<xx>/<key>.json`` files of the pre-shard layout are
@@ -72,6 +83,7 @@ run it between campaigns.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -146,8 +158,6 @@ KERNELS = RecordKind(
 
 _SUM_FIELD = b', "sum": "'
 _TAIL = b'"}\n'
-#: A read's default ``fault_plan``: look the plan in effect up.
-_RESOLVE = object()
 
 
 def _checksum(kind: RecordKind, key: str, body_text: str) -> str:
@@ -505,6 +515,12 @@ class ResultStore:
                     shard.handle.close()
                     shard.handle = None
 
+    def __enter__(self) -> "ResultStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- shard plumbing --------------------------------------------------------
 
     def _shard(self, key: str, kind: RecordKind = CELLS) -> _Shard:
@@ -576,13 +592,71 @@ class ResultStore:
             return
         shard.offsets[str(key)] = (offset, length)
 
-    def _read_at(self, shard: _Shard, offset: int, length: int) -> bytes:
-        handle = shard.reader()
-        handle.seek(offset)
-        return handle.read(length)
+    def _batch(self, kind: RecordKind, keys, decode=None) -> list:
+        """Each key's verified body text, decoded by ``decode`` if
+        given, or ``None``: one shard group at a time, each under the
+        store lock.  Counts a hit or a miss per key."""
+        fault_plan = faults.active()
+        found: list = [None] * len(keys)
+        groups: dict[str, list[int]] = {}
+        for position, key in enumerate(keys):
+            groups.setdefault(key[:2], []).append(position)
+        for name, positions in groups.items():
+            with self._lock:
+                shard = self._shard(name, kind)
+                read = self._read_group(
+                    shard, keys, positions, found, fault_plan
+                )
+                if decode is not None and read:
+                    read = self._decode_group(shard, keys, read, found, decode)
+                if kind is CELLS:
+                    self.hits += len(read)
+                    self.misses += len(positions) - len(read)
+                else:
+                    self.kernel_hits += len(read)
+                    self.kernel_misses += len(positions) - len(read)
+        return found
 
-    def _read(self, key: str, kind: RecordKind, fault_plan=_RESOLVE):
-        """The verified canonical body text of ``key``, or ``None``.
+    def _read_group(self, shard: _Shard, keys, positions, found, fault_plan):
+        """Fill ``found`` at ``positions`` (one shard's keys) with their
+        verified body texts; the positions filled, in offset order.
+
+        The shard is re-scanned once if some key is missing from its
+        index (another process may have appended since the last scan).
+        Each indexed key draws its ``get`` fault in key order, then the
+        records are read in offset order, one ``pread`` each.
+        """
+        locate = shard.offsets.get
+        locations = [locate(keys[p]) for p in positions]
+        if None in locations:
+            self._refresh(shard)
+            locations = [locate(keys[p]) for p in positions]
+        reads = []
+        for position, location in zip(positions, locations):
+            if location is None:
+                continue
+            if fault_plan is not None:
+                try:
+                    fault_plan.maybe_io_error(f"get:{keys[position]}")
+                except OSError as exc:
+                    self._count_io_error(shard.path, exc)
+                    continue
+            reads.append((location, position))
+        reads.sort()
+        read = []
+        for (offset, length), position in reads:
+            try:
+                raw = os.pread(shard.reader().fileno(), length, offset)
+            except OSError as exc:
+                self._count_io_error(shard.path, exc)
+                continue
+            found[position] = self._verified(shard, keys[position], raw)
+            if found[position] is not None:
+                read.append(position)
+        return read
+
+    def _verified(self, shard: _Shard, key: str, raw: bytes) -> bytes | None:
+        """The canonical body text of record ``raw``, read for ``key``.
 
         Unreadable, corrupt (checksum-mismatched) or format-mismatched
         records are quarantined: counted in :meth:`fault_stats`, logged
@@ -590,23 +664,7 @@ class ResultStore:
         re-synthesizes) and overwrites them.  A record in a retired
         format is a plain miss.  Never raises.
         """
-        shard = self._shard(key, kind)
-        location = shard.offsets.get(key)
-        if location is None:
-            # Another process may have appended since the last scan.
-            self._refresh(shard)
-            location = shard.offsets.get(key)
-        if location is None:
-            return None
-        try:
-            if fault_plan is _RESOLVE:
-                fault_plan = faults.active()
-            if fault_plan is not None:
-                fault_plan.maybe_io_error(f"get:{key}")
-            raw = self._read_at(shard, *location)
-        except OSError as exc:
-            self._count_io_error(shard.path, exc)
-            return None
+        kind = shard.kind
         try:
             text = _sliced_body(kind, key, raw)
             if text is not None:
@@ -659,77 +717,80 @@ class ResultStore:
             exc,
         )
 
-    def _decoded(self, key, kind, decode: Callable, fault_plan=_RESOLVE):
-        """:meth:`_read`, decoded; a body that does not decode is
-        quarantined as a corrupt record and read as ``None``."""
-        text = self._read(key, kind, fault_plan)
-        if text is None:
-            return None
+    def _decode_group(self, shard: _Shard, keys, read, found, decode):
+        """Decode the verified texts at ``read`` in ``found`` in place,
+        parsed with one ``json.loads`` of them joined as a JSON array --
+        body by body if that fails or yields another count (a text
+        holding several values); the positions that decoded.  A body
+        that does not decode is quarantined alone."""
+        joined = b",".join([found[i] for i in read])
         try:
-            return decode(json.loads(text))
-        except (ValueError, KeyError, TypeError) as exc:
-            self._discard(self._shard(key, kind), key, exc)
-            return None
+            bodies = json.loads(b"[%s]" % joined)
+        except ValueError:
+            bodies = None
+        if bodies is None or len(bodies) != len(read):
+            bodies = [None] * len(read)
+        decoded = []
+        for position, body in zip(read, bodies):
+            try:
+                found[position] = decode(
+                    json.loads(found[position]) if body is None else body
+                )
+                decoded.append(position)
+            except (ValueError, KeyError, TypeError) as exc:
+                self._discard(shard, keys[position], exc)
+                found[position] = None
+        return decoded
 
     # -- public API -------------------------------------------------------------
 
-    def get_body(self, key: str, fault_plan=_RESOLVE) -> bytes | None:
-        """The verified canonical body text of ``key``'s cell record,
-        or ``None`` on a miss: the bytes :meth:`get` decodes.
+    def get_bodies(self, keys: Sequence[str]) -> list[bytes | None]:
+        """The verified canonical body text of each key's cell record,
+        ``None`` for a miss: the bytes :meth:`get_many` decodes.
 
-        Quarantines like :meth:`get` and moves ``hits``/``misses`` the
-        same way, but decodes nothing, so a checksum-valid body that
-        does not decode is a hit here (the campaign service streams it
-        as stored and its client names the cell).  ``fault_plan`` as
-        for :meth:`get`.  Thread-safe.
+        Quarantines and counts like :meth:`get_many` but decodes
+        nothing, so a checksum-valid body that does not decode is a hit
+        here (the campaign service streams it as stored and its client
+        names the cell).  Thread-safe.
         """
-        with self._lock:
-            text = self._read(key, CELLS, fault_plan)
-            if text is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return text
+        return self._batch(CELLS, keys)
 
-    def get(self, key: str, fault_plan=_RESOLVE) -> Measurement | None:
-        """The stored measurement for ``key``, or ``None`` on a miss.
+    def get_many(self, keys: Sequence[str]) -> list[Measurement | None]:
+        """The stored measurement of each key, ``None`` for a miss.
 
         Unreadable, corrupt (checksum-mismatched) or format-mismatched
         entries are quarantined: counted in :meth:`fault_stats`, logged,
         and served as misses so the executor re-measures and overwrites
-        them.  A caller probing many keys passes the plan in effect
-        (:func:`repro.exec.faults.active`), looked up once for all of
-        them.  Thread-safe: concurrent readers serialize on the store
-        lock (they share per-shard file handles).
+        them.  Thread-safe: readers serialize on the store lock, one
+        shard group at a time (they share per-shard file handles).
         """
-        with self._lock:
-            measurement = self._decoded(
-                key, CELLS, Measurement.from_dict, fault_plan
-            )
-            if measurement is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return measurement
+        decode = functools.partial(Measurement.from_dict, configs={})
+        return self._batch(CELLS, keys, decode)
+
+    def get_kernels(self, keys: Sequence[str]) -> list[Kernel | None]:
+        """The kernel stored under each recipe key, ``None`` for a miss.
+
+        Quarantines like :meth:`get_many` -- an I/O error, checksum
+        failure, bad shape or wrong key is a counted fault and a miss,
+        so the caller synthesizes the kernel and writes it again -- and
+        moves ``kernel_hits``/``kernel_misses``, never the cell
+        counters.  A record in a retired format is a plain miss, no
+        fault.  A hit is checked and digested at load; its slots are
+        built on first read (:meth:`Kernel.from_slot_table`).
+        """
+        return self._batch(KERNELS, keys, kernel_from_body)
+
+    def get_body(self, key: str) -> bytes | None:
+        """:meth:`get_bodies` of one key."""
+        return self.get_bodies([key])[0]
+
+    def get(self, key: str) -> Measurement | None:
+        """:meth:`get_many` of one key."""
+        return self.get_many([key])[0]
 
     def get_kernel(self, key: str) -> Kernel | None:
-        """The stored kernel under recipe ``key``, or ``None``.
-
-        Quarantines like :meth:`get` -- an I/O error, checksum failure,
-        bad shape or wrong key is a counted fault and a miss, so the
-        caller synthesizes the kernel and writes it again -- and moves
-        ``kernel_hits``/``kernel_misses``, never the cell counters.  A
-        record in a retired format is a plain miss, no fault.  A hit is
-        checked and digested at load; its slots are built on first
-        read (:meth:`Kernel.from_slot_table`).
-        """
-        with self._lock:
-            kernel = self._decoded(key, KERNELS, kernel_from_body)
-            if kernel is None:
-                self.kernel_misses += 1
-            else:
-                self.kernel_hits += 1
-            return kernel
+        """:meth:`get_kernels` of one key."""
+        return self.get_kernels([key])[0]
 
     def put(self, key: str, measurement: Measurement) -> None:
         """Persist one measurement under ``key``."""

@@ -143,13 +143,15 @@ class Measurement:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Measurement":
+    def from_dict(cls, data: dict, configs=None) -> "Measurement":
         """Rebuild a measurement serialized by :meth:`to_dict`.
 
         The configuration deserializes by shape: a ``clusters`` key
         marks a heterogeneous :class:`~repro.sim.topology.ChipTopology`,
-        anything else is a :class:`MachineConfig`.  Threads that map to
-        one counter set share one dict.  Records written before the
+        anything else is a :class:`MachineConfig`.  Given ``configs``, a
+        batch's memo, each distinct section (by ``repr``, which tells
+        ``1`` from ``1.0``) decodes once and is shared.  Threads that map
+        to one counter set share one dict.  Records written before the
         compact form (one ``thread_counters`` entry per thread) still
         read.
 
@@ -162,14 +164,19 @@ class Measurement:
                 errors the store quarantines as corrupt records.
         """
         config_data = data["config"]
-        try:
-            config = (
-                ChipTopology.from_dict(config_data)
-                if "clusters" in config_data
-                else MachineConfig.from_dict(config_data)
-            )
-        except AttributeError as exc:  # a list or string where a dict goes
-            raise ValueError(f"malformed configuration: {exc}") from None
+        section = None if configs is None else repr(config_data)
+        config = None if section is None else configs.get(section)
+        if config is None:
+            try:
+                config = (
+                    ChipTopology.from_dict(config_data)
+                    if "clusters" in config_data
+                    else MachineConfig.from_dict(config_data)
+                )
+            except AttributeError as exc:  # a list or string where a dict goes
+                raise ValueError(f"malformed configuration: {exc}") from None
+            if section is not None:
+                configs[section] = config
         counters = data.get("counters")
         if counters is None:
             thread_counters = tuple(

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec import ResultStore
 from repro.march import get_architecture
 from repro.sim import Kernel, KernelInstruction, Machine
 
@@ -42,6 +43,21 @@ def pytest_addoption(parser):
 def power7_arch():
     """The bundled POWER7 micro-architecture definition."""
     return get_architecture("POWER7")
+
+
+@pytest.fixture
+def open_store():
+    """``open_store(root)`` opens a :class:`ResultStore` that closes
+    (releasing its shard read handles) when the test ends."""
+    stores = []
+
+    def open_(root):
+        stores.append(ResultStore(root))
+        return stores[-1]
+
+    yield open_
+    for store in stores:
+        store.close()
 
 
 @pytest.fixture(scope="session")

@@ -68,12 +68,14 @@ def _shared_like_to_kernel(kernel) -> bool:
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_memo_served_suite_equals_fresh_synthesis(power7_arch, tmp_path, seed):
+def test_memo_served_suite_equals_fresh_synthesis(
+    power7_arch, tmp_path, seed, open_store
+):
     fresh = generate_training_suite(power7_arch, LOOP, SCALE, seed)
     cold = generate_training_suite(
-        power7_arch, LOOP, SCALE, seed, ResultStore(tmp_path)
+        power7_arch, LOOP, SCALE, seed, open_store(tmp_path)
     )
-    store = ResultStore(tmp_path)
+    store = open_store(tmp_path)
     warm = generate_training_suite(power7_arch, LOOP, SCALE, seed, store)
     assert store.kernel_hits == len(fresh) and store.kernel_misses == 0
     assert cold == fresh
@@ -104,12 +106,12 @@ def test_memo_served_suite_equals_fresh_synthesis(power7_arch, tmp_path, seed):
 
 
 def test_second_run_synthesizes_nothing(
-    power7_arch, tmp_path, synthesize_calls
+    power7_arch, tmp_path, synthesize_calls, open_store
 ):
-    generate_training_suite(power7_arch, LOOP, SCALE, 1, ResultStore(tmp_path))
+    generate_training_suite(power7_arch, LOOP, SCALE, 1, open_store(tmp_path))
     built = len(synthesize_calls)
     assert built > 0
-    store = ResultStore(tmp_path)
+    store = open_store(tmp_path)
     generate_training_suite(power7_arch, LOOP, SCALE, 1, store)
     assert len(synthesize_calls) == built
     assert store.kernel_hits == built
@@ -117,11 +119,13 @@ def test_second_run_synthesizes_nothing(
     assert (store.hits, store.misses, len(store)) == (0, 0, 0)
 
 
-def test_ordinal_advances_on_a_hit_as_on_a_miss(power7_arch, tmp_path):
-    with KernelMemo(ResultStore(tmp_path), power7_arch) as memo:
+def test_ordinal_advances_on_a_hit_as_on_a_miss(
+    power7_arch, tmp_path, open_store
+):
+    with KernelMemo(open_store(tmp_path), power7_arch) as memo:
         cold = _recipe(power7_arch)
         first = [cold.kernel(memo) for _ in range(3)]
-    store = ResultStore(tmp_path)
+    store = open_store(tmp_path)
     with KernelMemo(store, power7_arch) as memo:
         warm = _recipe(power7_arch)
         served = [warm.kernel(memo) for _ in range(3)]
@@ -175,10 +179,12 @@ def test_every_recipe_ingredient_moves_the_key(power7_arch, monkeypatch):
     assert len(set(variants.values())) == len(variants)
 
 
-def test_a_changed_recipe_misses_in_the_store(power7_arch, tmp_path):
-    with KernelMemo(ResultStore(tmp_path), power7_arch) as memo:
+def test_a_changed_recipe_misses_in_the_store(
+    power7_arch, tmp_path, open_store
+):
+    with KernelMemo(open_store(tmp_path), power7_arch) as memo:
         _recipe(power7_arch).kernel(memo)
-    store = ResultStore(tmp_path)
+    store = open_store(tmp_path)
     with KernelMemo(store, power7_arch) as memo:
         kernel = _recipe(power7_arch, prefix="other").kernel(memo)
         assert (store.kernel_hits, store.kernel_misses) == (0, 1)
@@ -226,11 +232,11 @@ def test_non_canonical_recipes_have_no_key(power7_arch, edit):
     "name", ["foreign pass class", "InstructionDef in a pool", "tuple parameter"]
 )
 def test_non_canonical_recipes_are_synthesized_unmemoized(
-    power7_arch, tmp_path, name
+    power7_arch, tmp_path, name, open_store
 ):
     synth = _recipe(power7_arch)
     _NON_CANONICAL[name](synth)
-    store = ResultStore(tmp_path)
+    store = open_store(tmp_path)
     with KernelMemo(store, power7_arch) as memo:
         assert synth.kernel(memo).name == "memo-0"
         assert memo.pending == []
@@ -256,7 +262,7 @@ def test_synthesis_reads_nothing_the_arch_digest_excludes(power7_arch):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_memo_served_bootstrap_equals_fresh(
-    tmp_path, seed, synthesize_calls, monkeypatch
+    tmp_path, seed, synthesize_calls, monkeypatch, open_store
 ):
     """The whole-ISA bootstrap loads its kernels from a warm store.
 
@@ -285,13 +291,13 @@ def test_memo_served_bootstrap_equals_fresh(
             executor=SerialExecutor(machine, store=store),
         )
 
-    cold_store = ResultStore(tmp_path)
+    cold_store = open_store(tmp_path)
     cold = bootstrapper(cold_store).run()
     built = len(synthesize_calls)
     # Two benchmarks per probeable instruction plus the nop reference.
     assert built == cold_store.kernel_misses == len(written)
     assert built == 2 * len(cold) + 1 > 300
-    warm_store = ResultStore(tmp_path)
+    warm_store = open_store(tmp_path)
     warm = bootstrapper(warm_store)
     assert warm.run() == cold
     assert (warm_store.kernel_hits, warm_store.kernel_misses) == (built, 0)
@@ -303,7 +309,7 @@ def test_memo_served_bootstrap_equals_fresh(
     assert [k.digest() for k in loaded] == [k.digest() for k in written]
     assert loaded == written
 
-    other_store = ResultStore(tmp_path)
+    other_store = open_store(tmp_path)
     other = bootstrapper(other_store, machine_seed=seed + 7).run()
     assert (other_store.kernel_hits, other_store.kernel_misses) == (built, 0)
     assert other_store.misses == built
@@ -311,14 +317,16 @@ def test_memo_served_bootstrap_equals_fresh(
     assert other == bootstrapper(machine_seed=seed + 7).run()
 
 
-def test_a_kernel_outside_the_record_grammar_is_not_written(tmp_path):
+def test_a_kernel_outside_the_record_grammar_is_not_written(
+    tmp_path, open_store
+):
     """A slot text the record grammar rejects could only read back as a
     miss, so the kernel is not written at all."""
     odd = Kernel("odd", (KernelInstruction("ld,x"), KernelInstruction("b")))
     plain = Kernel("plain", (KernelInstruction("ld"), KernelInstruction("b")))
     assert odd.slot_table() is None
     assert plain.slot_table() == ("ld,None,None,None|b,None,None,None", [0, 1])
-    store = ResultStore(tmp_path)
+    store = open_store(tmp_path)
     store.put_kernels([("ab" * 16, odd), ("cd" * 16, plain)])
     assert store.get_kernel("ab" * 16) is None
     assert store.get_kernel("cd" * 16) == plain

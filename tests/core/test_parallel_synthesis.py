@@ -136,13 +136,13 @@ def _kernel_facts(kernel) -> tuple:
 
 @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES)
 def test_forked_builds_equal_single_process_builds(
-    power7_arch, tmp_path, monkeypatch, builds, forks, source
+    power7_arch, tmp_path, monkeypatch, builds, forks, source, open_store
 ):
     # A store holding every third kernel, so each build mixes hits
     # with misses.
     _cpus(monkeypatch, 1)
-    source(power7_arch, ResultStore(tmp_path / "all"))
-    partial = ResultStore(tmp_path / "partial")
+    source(power7_arch, open_store(tmp_path / "all"))
+    partial = open_store(tmp_path / "partial")
     for _, pending, _ in builds:
         partial.put_kernels(pending[::3])
     builds.clear()
@@ -152,7 +152,7 @@ def test_forked_builds_equal_single_process_builds(
         _cpus(monkeypatch, cpus)
         root = tmp_path / f"cpus-{cpus}"
         shutil.copytree(tmp_path / "partial", root)
-        store = ResultStore(root)
+        store = open_store(root)
         source(power7_arch, store)
         runs[cpus] = (
             list(builds), store.kernel_hits, store.kernel_misses, len(forks)
@@ -210,9 +210,8 @@ def _one_by_one(recipes, memo):
 def _failed_build(arch, root, build=build_kernels):
     """The error, the memo writes, the ordinals and the store's kernel
     hits and misses of a failed build over a store holding 1 and 8."""
-    store = ResultStore(root)
     recipes = _failing_batch(arch)
-    with KernelMemo(store, arch) as memo:
+    with ResultStore(root) as store, KernelMemo(store, arch) as memo:
         with pytest.raises(Exception) as failure:
             build(recipes, memo)
         pending = [(key, kernel.digest()) for key, kernel in memo.pending]
@@ -227,9 +226,9 @@ def _failed_build(arch, root, build=build_kernels):
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_failing_recipe_fails_the_build_as_in_one_process(
-    power7_arch, tmp_path, monkeypatch, forks, cpus
+    power7_arch, tmp_path, monkeypatch, forks, cpus, open_store
 ):
-    warm = ResultStore(tmp_path / "warm")
+    warm = open_store(tmp_path / "warm")
     with KernelMemo(warm, power7_arch) as memo:
         build_kernels(_failing_batch(power7_arch)[1::7], memo)
     _cpus(monkeypatch, 1)

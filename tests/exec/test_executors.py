@@ -10,7 +10,6 @@ import pytest
 
 from repro.exec import (
     ExperimentPlan,
-    ResultStore,
     SerialExecutor,
     default_executor,
 )
@@ -73,7 +72,7 @@ class TestOnePassPerExecution:
     measured ones."""
 
     @pytest.fixture()
-    def counted(self, power7_arch, tmp_path):
+    def counted(self, power7_arch, tmp_path, open_store):
         """A store-backed executor whose passes and appends are logged."""
         machine = Machine(power7_arch)
         calls: dict[str, list] = {"passes": [], "appends": []}
@@ -84,7 +83,7 @@ class TestOnePassPerExecution:
             return run_cells(cells, plan=plan)
 
         machine.run_cells = counting_pass
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         put_many = store.put_many
 
         def counting_put(entries):

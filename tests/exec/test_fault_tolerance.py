@@ -17,7 +17,6 @@ from repro.errors import ExecutionError
 from repro.exec import (
     ExperimentPlan,
     MeasurementService,
-    ResultStore,
     SerialExecutor,
 )
 from repro.exec import faults
@@ -67,9 +66,9 @@ def _transient_faults() -> FaultPlan:
 
 class TestBitIdentityUnderFaults:
     def test_transient_store_io_is_retried(
-        self, power7_arch, small_plan, baseline, tmp_path
+        self, power7_arch, small_plan, baseline, tmp_path, open_store
     ):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         with faults.injected(FaultPlan(seed=5).arm("io")):
             executor = SerialExecutor(Machine(power7_arch), store=store)
             report = executor.execute(small_plan)
@@ -80,14 +79,14 @@ class TestBitIdentityUnderFaults:
         assert len(store) == small_plan.size
 
     def test_unreadable_warm_records_remeasure_loudly(
-        self, power7_arch, small_plan, baseline, tmp_path
+        self, power7_arch, small_plan, baseline, tmp_path, open_store
     ):
         """Satellite: a store read failing with OSError is surfaced as
         a counted, warn-once miss -- and the cells re-measure to the
         same bytes instead of silently vanishing."""
-        warm = ResultStore(tmp_path / "store")
+        warm = open_store(tmp_path / "store")
         SerialExecutor(Machine(power7_arch), store=warm).run(small_plan)
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         with faults.injected(FaultPlan(seed=5).arm("io", times=1)):
             executor = SerialExecutor(Machine(power7_arch), store=store)
             report = executor.execute(small_plan)
@@ -113,7 +112,7 @@ class TestBitIdentityUnderFaults:
         assert report.fault_counters["degraded_cells"] == small_plan.size
 
     def test_scalar_plane_recovers_identically(
-        self, power7_arch, small_plan, baseline, tmp_path
+        self, power7_arch, small_plan, baseline, tmp_path, open_store
     ):
         scalar_baseline = SerialExecutor(OracleMachine(power7_arch)).run(
             small_plan
@@ -125,16 +124,16 @@ class TestBitIdentityUnderFaults:
             OracleMachine(power7_arch),
             small_plan,
             _transient_faults(),
-            store=ResultStore(tmp_path / "store"),
+            store=open_store(tmp_path / "store"),
         )
         assert report.ok
         assert list(report) == baseline
         assert report.fault_counters["degraded_cells"] == small_plan.size
 
     def test_store_backed_faulted_run_equals_clean_warm_run(
-        self, power7_arch, small_plan, baseline, tmp_path
+        self, power7_arch, small_plan, baseline, tmp_path, open_store
     ):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         with faults.injected(_transient_faults()):
             faulted = SerialExecutor(Machine(power7_arch), store=store).run(
                 small_plan
@@ -143,7 +142,7 @@ class TestBitIdentityUnderFaults:
         # The store contents are clean: a fault-free warm run serves
         # byte-identical measurements.
         warm = SerialExecutor(
-            Machine(power7_arch), store=ResultStore(tmp_path / "store")
+            Machine(power7_arch), store=open_store(tmp_path / "store")
         ).run(small_plan)
         assert warm == baseline
 
@@ -242,9 +241,11 @@ class TestDegradedFallbackKeepsLandedCells:
             duration=_DURATION,
         )
 
-    def test_local_store_backed_run(self, power7_arch, spec_plan, tmp_path):
+    def test_local_store_backed_run(
+        self, power7_arch, spec_plan, tmp_path, open_store
+    ):
         baseline = SerialExecutor(Machine(power7_arch)).run(spec_plan)
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         machine = _pass_fails_once(Machine(power7_arch))
         measured = []
         run_cells = machine.run_cells

@@ -49,10 +49,14 @@ def _campaign(arch, root=None, executor_class=SerialExecutor):
     machine = Machine(arch)
     store = ResultStore(root) if root is not None else None
     executor = executor_class(machine, store=store)
-    result = ModelingCampaign(
-        machine, scale=SCALE, loop_size=LOOP, duration=DURATION,
-        executor=executor,
-    ).run()
+    try:
+        result = ModelingCampaign(
+            machine, scale=SCALE, loop_size=LOOP, duration=DURATION,
+            executor=executor,
+        ).run()
+    finally:
+        if store is not None:
+            store.close()
     return result, executor
 
 
@@ -106,10 +110,10 @@ def _kernel_lines(root) -> list[bytes]:
     ]
 
 
-def test_store_counts_cells_only(campaign_store, clean):
+def test_store_counts_cells_only(campaign_store, clean, open_store):
     root, result, executor = campaign_store
     assert _fingerprint(result) == clean
-    store = ResultStore(root)
+    store = open_store(root)
     assert len(store) == len(executor.cell_keys)
     assert set(store.keys()) == executor.cell_keys
     assert store.snapshot_stats()["cells"] == len(executor.cell_keys)
@@ -248,7 +252,7 @@ def test_cold_cells_over_a_warm_memo_build_no_slot(
 
 
 def test_scrub_keeps_the_newest_valid_kernel_record(
-    campaign_store, tmp_path
+    campaign_store, tmp_path, open_store
 ):
     source, _, _ = campaign_store
     lines = _kernel_lines(source)[:2]
@@ -287,7 +291,7 @@ def test_scrub_keeps_the_newest_valid_kernel_record(
     )
     report = ResultStore(tmp_path).verify()
     assert report.ok and (report.kernel_records, report.kernel_keys) == (2, 2)
-    store = ResultStore(tmp_path)
+    store = open_store(tmp_path)
     names = [
         store.get_kernel(record["key"]).name for record in (first, second)
     ]

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.exec import ExperimentPlan, PlanCell, ResultStore, SerialExecutor
+from repro.exec import ExperimentPlan, PlanCell, SerialExecutor
 from repro.exec.plan import workload_fingerprint
 from repro.exec.serialize import (
     plan_from_dict,
@@ -263,9 +263,9 @@ class TestNoRowsOnTheHotPath:
         assert constructions == []
 
     def test_store_backed_execution(
-        self, power7_arch, plan, constructions, tmp_path
+        self, power7_arch, plan, constructions, tmp_path, open_store
     ):
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         for _ in ("cold", "warm"):
             report = SerialExecutor(Machine(power7_arch), store=store).execute(
                 plan

@@ -515,15 +515,17 @@ def test_unencodable_key_is_a_counted_miss(tmp_path):
     assert store.misses == 2
 
 
-def test_garbage_index_files_are_ignored(tmp_path, plan, power7_arch):
+def test_garbage_index_files_are_ignored(
+    tmp_path, plan, power7_arch, open_store
+):
     # Older releases kept an index file beside each shard.  The store
     # reads none: garbage ones change nothing, and reads never write.
     root = tmp_path / "store"
-    cold = SerialExecutor(Machine(power7_arch), store=ResultStore(root)).run(
+    cold = SerialExecutor(Machine(power7_arch), store=open_store(root)).run(
         plan
     )
     rng = random.Random(_SEED + 2)
-    keys = ResultStore(root).keys()
+    keys = open_store(root).keys()
     shards = sorted(root.glob("shards/*.jsonl"))
     for number, shard in enumerate(shards):
         # Random bytes, a foreign header, and an old-style index that
@@ -546,7 +548,7 @@ def test_garbage_index_files_are_ignored(tmp_path, plan, power7_arch):
         raise AssertionError("machine invoked on a warm store")
 
     machine.run = machine.run_many = machine.run_cells = forbid
-    store = ResultStore(root)
+    store = open_store(root)
     warm = SerialExecutor(machine, store=store).run(plan)
     store.close()
     assert warm == cold
@@ -896,7 +898,7 @@ def test_accepted_kernel_records_materialize_as_loaded(tmp_path, memo_arch):
     assert 0.2 * len(records) < accepted < 0.9 * len(records)
 
 
-def test_kernel_record_faults_are_counted(tmp_path, power7_arch):
+def test_kernel_record_faults_are_counted(tmp_path, power7_arch, open_store):
     plain = _kernel_recipes(power7_arch)[0]
     key = plain().recipe_key(power7_arch.content_digest())
     body = kernel_body(plain().kernel())
@@ -913,12 +915,12 @@ def test_kernel_record_faults_are_counted(tmp_path, power7_arch):
         root = tmp_path / str(number)
         (root / "kernels").mkdir(parents=True)
         (root / "kernels" / f"{key[:2]}.jsonl").write_bytes(line)
-        store = ResultStore(root)
+        store = open_store(root)
         assert store.get_kernel(key) is None
         assert store.fault_stats() == {counter: 1}
         assert (store.kernel_misses, store.misses) == (1, 0)
     with faults.injected(FaultPlan(seed=1).arm("io")):
-        store = ResultStore(root)
+        store = open_store(root)
         assert store.get_kernel(key) is None
         store.put_kernels([(key, plain().kernel())])  # never raises
         assert store.fault_stats() == {"io_errors": 2}

@@ -209,7 +209,7 @@ class TestRunLedger:
             assert written == {"ledger": 2, "manifest": 1, "passes": 1}, name
 
     def test_owned_run_that_raises_reads_interrupted(
-        self, power7_arch, small_kernel_factory, tmp_path
+        self, power7_arch, small_kernel_factory, tmp_path, open_store
     ):
         """An execution that owns its run records it ``interrupted``,
         with the error, before re-raising -- as the campaign service
@@ -224,7 +224,7 @@ class TestRunLedger:
         def progress(cells, measurements, warm):
             raise RuntimeError("client went away")
 
-        executor = SerialExecutor(Machine(power7_arch), store=ResultStore(root))
+        executor = SerialExecutor(Machine(power7_arch), store=open_store(root))
         with pytest.raises(RuntimeError, match="client went away"):
             executor.execute(plan, progress=progress)
         [record] = RunRegistry(root).runs()
@@ -233,7 +233,7 @@ class TestRunLedger:
         assert read_manifest(root, record["run"]) is not None
 
         report = SerialExecutor(
-            Machine(power7_arch), store=ResultStore(root)
+            Machine(power7_arch), store=open_store(root)
         ).execute(plan)
         assert report.ok
         [record] = RunRegistry(root).runs()
@@ -241,7 +241,7 @@ class TestRunLedger:
         assert (record["warm"], record["measured"]) == (plan.size, 0)
 
     def test_fully_warm_run_writes_no_manifest(
-        self, power7_arch, small_kernel_factory, tmp_path
+        self, power7_arch, small_kernel_factory, tmp_path, open_store
     ):
         """A run that owes no cells writes no key manifest: nothing is
         under ``journal/`` while a fully warm execution runs.  The cold
@@ -264,7 +264,7 @@ class TestRunLedger:
             )
 
         runs = [
-            SerialExecutor(Machine(power7_arch), store=ResultStore(root))
+            SerialExecutor(Machine(power7_arch), store=open_store(root))
             .execute(plan, progress=progress)
             .measurements
             for _ in range(2)
@@ -335,12 +335,12 @@ class TestJournalGC:
         ]
 
     def test_real_campaign_journal_is_reclaimable(
-        self, power7_arch, small_kernel_factory, tmp_path
+        self, power7_arch, small_kernel_factory, tmp_path, open_store
     ):
         """End to end: a clean store-backed run leaves no manifest and
         one complete run in the ledger; the store still serves the
         cells warm afterwards."""
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         plan = ExperimentPlan.single(
             small_kernel_factory("add", count=24),
             MachineConfig(1, 1),
@@ -417,7 +417,7 @@ def _subprocess_env(fault_spec: str | None = None) -> dict:
 
 
 class TestKillNineResume:
-    def test_sigkilled_campaign_resumes_from_store(self, tmp_path):
+    def test_sigkilled_campaign_resumes_from_store(self, tmp_path, open_store):
         store_dir = tmp_path / "store"
         # Each shard append sleeps 0.5 s first, so the campaign is
         # killable between durable appends.
@@ -430,7 +430,7 @@ class TestKillNineResume:
         )
         try:
             deadline = time.monotonic() + 60
-            while len(ResultStore(store_dir)) < 2:
+            while len(open_store(store_dir)) < 2:
                 assert time.monotonic() < deadline, "no progress to kill"
                 if process.poll() is not None:  # pragma: no cover
                     pytest.fail(
@@ -446,7 +446,7 @@ class TestKillNineResume:
                 process.communicate()
         assert process.returncode == -signal.SIGKILL
 
-        persisted = len(ResultStore(store_dir))
+        persisted = len(open_store(store_dir))
         assert 2 <= persisted < 6
 
         # The ledger knows the run died mid-flight, and its manifest
@@ -461,7 +461,7 @@ class TestKillNineResume:
         assert record["state"] == "running"
         keys = read_manifest(store_dir, record["run"])
         assert len(keys) == 6
-        assert sum(key in ResultStore(store_dir) for key in keys) == persisted
+        assert sum(key in open_store(store_dir) for key in keys) == persisted
 
         # The rerun (same plan, same store) measures only the rest.
         from repro.march import get_architecture
@@ -477,7 +477,7 @@ class TestKillNineResume:
             ],
             duration=_DURATION,
         )
-        store = ResultStore(store_dir)
+        store = open_store(store_dir)
         executor = SerialExecutor(machine, store=store)
         report = executor.execute(plan)
         assert report.ok

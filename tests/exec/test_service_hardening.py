@@ -540,7 +540,7 @@ def _spawn_server(store_dir, fault_spec=None):
 
 class TestServerKillNineRestart:
     def test_sigkilled_server_restarts_and_resumes_warm(
-        self, tmp_path, power7_arch
+        self, tmp_path, power7_arch, open_store
     ):
         """The tentpole acceptance: kill -9 ``repro serve`` mid-run,
         restart it on the same store, and the restarted server (a) lists
@@ -581,10 +581,8 @@ class TestServerKillNineRestart:
         client_thread = threading.Thread(target=submit_and_die, daemon=True)
         try:
             client_thread.start()
-            from repro.exec import ResultStore
-
             deadline = time.monotonic() + 60
-            while len(ResultStore(store_dir)) < 2:
+            while len(open_store(store_dir)) < 2:
                 assert time.monotonic() < deadline, "no progress to kill"
                 assert process.poll() is None, process.communicate()[1]
                 time.sleep(0.05)
@@ -597,7 +595,7 @@ class TestServerKillNineRestart:
         assert process.returncode == -signal.SIGKILL
         client_thread.join(timeout=30)
         assert not failure, failure
-        persisted = len(ResultStore(store_dir))
+        persisted = len(open_store(store_dir))
         assert 2 <= persisted < len(plan.cells)
         # The kill -9 left the registry's last word at "running".
         assert RunRegistry(store_dir).get(run)["state"] == "running"

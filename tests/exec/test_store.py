@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.exec import ExperimentPlan, ResultStore, SerialExecutor
+from repro.exec import ExperimentPlan, SerialExecutor
 from repro.measure.measurement import Measurement
 from repro.sim import (
     Kernel,
@@ -109,8 +109,10 @@ class TestSerializationRoundTrips:
 
 
 class TestResultStore:
-    def test_put_get_contains(self, machine, small_kernel_factory, tmp_path):
-        store = ResultStore(tmp_path / "store")
+    def test_put_get_contains(
+        self, machine, small_kernel_factory, tmp_path, open_store
+    ):
+        store = open_store(tmp_path / "store")
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
@@ -121,14 +123,16 @@ class TestResultStore:
         assert len(store) == 1
         assert store.keys() == ["ab" * 16]
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_corrupt_entry_is_a_miss(self, tmp_path, open_store):
+        store = open_store(tmp_path)
         shard = store.shard_dir / "cd.jsonl"
         shard.write_text("{not json\n")
         assert store.get("cd" * 16) is None
 
-    def test_format_mismatch_is_a_miss(self, machine, small_kernel_factory, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_format_mismatch_is_a_miss(
+        self, machine, small_kernel_factory, tmp_path, open_store
+    ):
+        store = open_store(tmp_path)
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
@@ -137,15 +141,15 @@ class TestResultStore:
         payload = json.loads(shard.read_text())
         payload["format"] = "something-else"
         shard.write_text(json.dumps(payload) + "\n")
-        assert ResultStore(tmp_path).get("ef" * 16) is None
+        assert open_store(tmp_path).get("ef" * 16) is None
 
     def test_put_many_one_append_per_shard(
-        self, machine, small_kernel_factory, tmp_path
+        self, machine, small_kernel_factory, tmp_path, open_store
     ):
         """A batched write is O(batch): the cells land as appended
         lines in their shard files, and rewriting a key appends a
         newer line that wins on read."""
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         first = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
@@ -160,16 +164,16 @@ class TestResultStore:
         store.put_many([("ab" * 16, second)])  # overwrite appends
         assert len(shard.read_text().splitlines()) == 3
         assert store.get("ab" * 16) == second
-        assert ResultStore(tmp_path).get("ab" * 16) == second
+        assert open_store(tmp_path).get("ab" * 16) == second
         assert len(store) == 2
 
     def test_appends_visible_across_store_objects(
-        self, machine, small_kernel_factory, tmp_path
+        self, machine, small_kernel_factory, tmp_path, open_store
     ):
         """Two campaigns sharing one directory see each other's writes:
         a miss re-scans the shard tail before giving up."""
-        writer = ResultStore(tmp_path)
-        reader = ResultStore(tmp_path)
+        writer = open_store(tmp_path)
+        reader = open_store(tmp_path)
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
@@ -178,11 +182,11 @@ class TestResultStore:
         assert reader.get("ab" * 16) == measurement
 
     def test_torn_tail_is_repaired_and_skipped(
-        self, machine, small_kernel_factory, tmp_path
+        self, machine, small_kernel_factory, tmp_path, open_store
     ):
         """A crashed writer's partial trailing line neither corrupts
         later appends nor is ever served."""
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
@@ -190,15 +194,15 @@ class TestResultStore:
         shard.write_bytes(b'{"format": "repro-result-v1", "key": "ab')
         store.put("ab" * 16, measurement)
         assert store.get("ab" * 16) == measurement
-        assert ResultStore(tmp_path).get("ab" * 16) == measurement
+        assert open_store(tmp_path).get("ab" * 16) == measurement
 
     def test_reader_waits_out_partially_visible_append(
-        self, machine, small_kernel_factory, tmp_path
+        self, machine, small_kernel_factory, tmp_path, open_store
     ):
         """A reader racing a concurrent append must not skip past the
         torn tail: once the remaining bytes land, the entry is found."""
-        writer = ResultStore(tmp_path)
-        reader = ResultStore(tmp_path)
+        writer = open_store(tmp_path)
+        reader = open_store(tmp_path)
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
@@ -213,11 +217,11 @@ class TestResultStore:
         assert reader.get("ab" * 16) == measurement
 
     def test_stray_per_cell_file_is_ignored(
-        self, machine, small_kernel_factory, tmp_path
+        self, machine, small_kernel_factory, tmp_path, open_store
     ):
         """Shard files are the only layout: a ``<xx>/<key>.json`` file
         (the pre-shard layout) is neither served, found nor counted."""
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         measurement = machine.run(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
@@ -252,7 +256,7 @@ def _forbid_measurement(machine):
 
 class TestWarmRuns:
     def test_warm_plan_never_touches_the_machine(
-        self, power7_arch, small_kernel_factory, tmp_path
+        self, power7_arch, small_kernel_factory, tmp_path, open_store
     ):
         kernels = [
             small_kernel_factory("add", count=24),
@@ -263,7 +267,7 @@ class TestWarmRuns:
             [MachineConfig(1, 1), MachineConfig(8, 4)],
             duration=_DURATION,
         )
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         cold = SerialExecutor(Machine(power7_arch), store=store).run(plan)
 
         warm_machine = Machine(power7_arch)
@@ -273,7 +277,7 @@ class TestWarmRuns:
         assert store.hits == plan.size
 
     def test_fig9_stressmark_warm_run_zero_machine_runs(
-        self, power7_arch, tmp_path
+        self, power7_arch, tmp_path, open_store
     ):
         """The acceptance criterion, at reduced scale: a warm store
         re-run of the Figure-9 search flow performs zero Machine.run
@@ -281,7 +285,7 @@ class TestWarmRuns:
         from repro.stressmark import stressmark_search
 
         sequences = covering_sequences(("mulldo", "lxvw4x", "xvnmsubmdp"))[:12]
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         cold_machine = Machine(power7_arch)
         cold = stressmark_search(
             cold_machine,
@@ -305,7 +309,7 @@ class TestWarmRuns:
 
 class TestInterruptedRuns:
     def test_progress_is_durable_mid_campaign(
-        self, power7_arch, small_kernel_factory, tmp_path
+        self, power7_arch, small_kernel_factory, tmp_path, open_store
     ):
         """A campaign interrupted between its shard appends keeps every
         shard it appended: a re-run serves those cells warm and
@@ -319,7 +323,7 @@ class TestInterruptedRuns:
             [MachineConfig(1, 1), MachineConfig(2, 2)],
             duration=_DURATION,
         )
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         appended: list[int] = []
         put_many = store.put_many
 
@@ -386,7 +390,7 @@ class TestArchDigestKeys:
         assert run_once("1") == run_once("2")
 
     def test_definition_edit_invalidates_store(
-        self, small_kernel_factory, tmp_path
+        self, small_kernel_factory, tmp_path, open_store
     ):
         """Editing the architecture definition must shift cell keys so
         stale persisted measurements are never served."""
@@ -397,7 +401,7 @@ class TestArchDigestKeys:
         plan = ExperimentPlan.single(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         SerialExecutor(Machine(get_architecture("POWER7")), store=store).run(plan)
 
         edited_arch = get_architecture("POWER7")
@@ -411,7 +415,7 @@ class TestArchDigestKeys:
         assert store.misses >= 1 and len(store) == 2
 
     def test_bootstrap_write_back_keeps_keys_stable(
-        self, small_kernel_factory, tmp_path
+        self, small_kernel_factory, tmp_path, open_store
     ):
         """epi/avg_power write-backs are not machine physics and must
         not invalidate the store mid-session."""
@@ -421,7 +425,7 @@ class TestArchDigestKeys:
         plan = ExperimentPlan.single(
             small_kernel_factory("add", count=24), MachineConfig(1, 1), _DURATION
         )
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         SerialExecutor(Machine(arch), store=store).run(plan)
         arch.properties.add(
             arch.properties.get("add").with_bootstrap(epi=1.0, avg_power=9.0)
@@ -433,11 +437,13 @@ class TestArchDigestKeys:
 
 
 class TestBootstrapThroughEngine:
-    def test_warm_store_bootstrap_zero_machine_runs(self, tmp_path):
+    def test_warm_store_bootstrap_zero_machine_runs(
+        self, tmp_path, open_store
+    ):
         from repro.march import get_architecture
         from repro.march.bootstrap import Bootstrapper
 
-        store = ResultStore(tmp_path / "store")
+        store = open_store(tmp_path / "store")
         mnemonics = ["add", "mulld"]
 
         cold_arch = get_architecture("POWER7")
@@ -484,7 +490,7 @@ class TestBootstrapThroughEngine:
         assert engine_path == default_path
 
     def test_default_bootstrap_reruns_warm_from_repro_store(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, open_store
     ):
         from repro.march import get_architecture
         from repro.march.bootstrap import Bootstrapper
@@ -492,19 +498,24 @@ class TestBootstrapThroughEngine:
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
         mnemonics = ["add", "mulld"]
         cold_arch = get_architecture("POWER7")
-        cold = Bootstrapper(
+        cold_bootstrapper = Bootstrapper(
             cold_arch, Machine(cold_arch), loop_size=64, duration=_DURATION
-        ).run(mnemonics)
+        )
+        cold = cold_bootstrapper.run(mnemonics)
 
         warm_arch = get_architecture("POWER7")
         warm_machine = Machine(warm_arch)
         _forbid_measurement(warm_machine)
-        warm = Bootstrapper(
+        warm_bootstrapper = Bootstrapper(
             warm_arch, warm_machine, loop_size=64, duration=_DURATION
-        ).run(mnemonics)
+        )
+        warm = warm_bootstrapper.run(mnemonics)
+        # The stores REPRO_STORE gave the default executors.
+        for bootstrapper in (cold_bootstrapper, warm_bootstrapper):
+            bootstrapper.executor.store.close()
         assert warm == cold
         # The nop reference plus two benchmarks per mnemonic.
-        assert len(ResultStore(tmp_path / "store")) == 1 + 2 * len(mnemonics)
+        assert len(open_store(tmp_path / "store")) == 1 + 2 * len(mnemonics)
 
 
 class TestRunnerBaselineMemoization:

@@ -54,7 +54,7 @@ class TestChecksums:
         assert record_checksum("k", reparsed) == record_checksum("k", original)
 
     def test_foreign_formatting_reads_as_the_canonical_body(
-        self, measurement, tmp_path
+        self, measurement, tmp_path, open_store
     ):
         """A valid record in foreign formatting -- its fields reordered,
         no spaces -- fails the sliced check, verifies by recomputation,
@@ -68,39 +68,41 @@ class TestChecksums:
         )
         (tmp_path / "shards").mkdir()
         (tmp_path / "shards" / "ab.jsonl").write_text(foreign + "\n")
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         body = store.get_body(key)
         assert b'"measurement": ' + body + b', "sum": ' in canonical
         assert store.get(key) == measurement
         assert (store.hits, store.misses) == (2, 0)
         assert store.fault_stats() == {}
 
-    def test_tampered_record_is_a_counted_miss(self, measurement, tmp_path):
-        writer = ResultStore(tmp_path)
+    def test_tampered_record_is_a_counted_miss(
+        self, measurement, tmp_path, open_store
+    ):
+        writer = open_store(tmp_path)
         writer.put("ab" * 16, measurement)
         shard = writer.shard_dir / "ab.jsonl"
         payload = json.loads(shard.read_bytes())
         payload["measurement"]["mean_power"] += 1.0  # bit-rot stand-in
         shard.write_bytes(json.dumps(payload).encode() + b"\n")
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         assert store.get("ab" * 16) is None
         assert store.fault_stats()["checksum_failures"] == 1
         report = store.verify()
         assert not report.ok and report.checksum_mismatches == 1
 
     def test_sumless_edited_record_is_a_counted_miss(
-        self, measurement, tmp_path
+        self, measurement, tmp_path, open_store
     ):
         """Without its checksum an edited record is indistinguishable
         from a genuine one, so a line without ``sum`` is never served."""
-        writer = ResultStore(tmp_path)
+        writer = open_store(tmp_path)
         writer.put("ab" * 16, measurement)
         shard = writer.shard_dir / "ab.jsonl"
         payload = json.loads(shard.read_bytes())
         del payload["sum"]
         payload["measurement"]["mean_power"] += 1.0
         shard.write_bytes(json.dumps(payload).encode() + b"\n")
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         assert store.get("ab" * 16) is None
         assert store.misses == 1 and store.hits == 0
         assert store.fault_stats() == {"checksum_failures": 1}
@@ -113,7 +115,7 @@ class TestChecksums:
         assert ResultStore(tmp_path).verify().ok
 
     def test_corrupt_fault_roundtrip_remeasures_bit_identically(
-        self, power7_arch, small_kernel_factory, tmp_path
+        self, power7_arch, small_kernel_factory, tmp_path, open_store
     ):
         """End to end: a lying record (valid JSON, wrong payload) is
         caught on read and re-measured to the fault-free bytes."""
@@ -122,15 +124,15 @@ class TestChecksums:
         clean = SerialExecutor(Machine(power7_arch)).run(plan)
         with faults.injected(FaultPlan(seed=1).arm("corrupt")):
             SerialExecutor(
-                Machine(power7_arch), store=ResultStore(tmp_path)
+                Machine(power7_arch), store=open_store(tmp_path)
             ).run(plan)
         assert ResultStore(tmp_path).verify().checksum_mismatches == 1
         # The warm re-run detects the lie, re-measures, overwrites.
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         rerun = SerialExecutor(Machine(power7_arch), store=store).run(plan)
         assert rerun == clean
         assert store.fault_stats()["checksum_failures"] == 1
-        assert ResultStore(tmp_path).get(store.keys()[0]) == clean[0]
+        assert open_store(tmp_path).get(store.keys()[0]) == clean[0]
 
 
 class TestVerifyScrub:
@@ -169,11 +171,13 @@ class TestVerifyScrub:
         damaged_store.verify()
         assert shard.read_bytes() == before
 
-    def test_scrub_repairs_and_compacts(self, damaged_store, measurement):
+    def test_scrub_repairs_and_compacts(
+        self, damaged_store, measurement, open_store
+    ):
         report = damaged_store.scrub()
         assert report.dropped >= 3  # corrupt + mismatch + torn remnant
         assert report.compacted == 1  # the superseded duplicate
-        after = ResultStore(damaged_store.root)
+        after = open_store(damaged_store.root)
         clean = after.verify()
         assert clean.ok
         assert clean.keys == 1
@@ -194,9 +198,9 @@ class TestVerifyScrub:
 
 class TestIoErrorAccounting:
     def test_get_oserror_counted_and_warned_once_per_shard(
-        self, measurement, tmp_path, caplog
+        self, measurement, tmp_path, caplog, open_store
     ):
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         store.put("ab" * 16, measurement)
         store.put("ab" + "cd" * 15 + "ef", measurement)
         with faults.injected(FaultPlan().arm("io", times=1)):
@@ -255,7 +259,7 @@ def _expected_measurement(power7_arch):
 
 class TestConcurrentWriters:
     def test_no_record_lost_or_duplicated_under_contention(
-        self, power7_arch, tmp_path
+        self, power7_arch, tmp_path, open_store
     ):
         """Two real writer processes interleaving appends on the same
         shards: every record lands exactly once and parses cleanly."""
@@ -275,7 +279,7 @@ class TestConcurrentWriters:
             stdout, stderr = writer.communicate(timeout=120)
             assert writer.returncode == 0, stderr
             assert "DONE" in stdout
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         assert sorted(store.keys()) == sorted(keys_a + keys_b)
         expected = _expected_measurement(power7_arch)
         for key in keys_a + keys_b:
@@ -284,7 +288,7 @@ class TestConcurrentWriters:
         assert report.ok and report.records == 32 and report.keys == 32
 
     def test_writer_killed_mid_append_loses_only_its_own_record(
-        self, power7_arch, tmp_path
+        self, power7_arch, tmp_path, open_store
     ):
         """Satellite: a writer dying mid-append (the ``torn`` fault is
         a deterministic kill -9 mid-write) leaves a torn tail that the
@@ -313,7 +317,7 @@ class TestConcurrentWriters:
         )
         assert survivor.returncode == 0, survivor.stderr
 
-        store = ResultStore(tmp_path)
+        store = open_store(tmp_path)
         expected = _expected_measurement(power7_arch)
         assert store.get(survivor_key) == expected
         # The victim's record never finished: it re-measures next run.
@@ -324,6 +328,6 @@ class TestConcurrentWriters:
         assert report.records == 1 and report.keys == 1
         # Scrub removes the remnant entirely.
         assert store.scrub().dropped == 1
-        final = ResultStore(tmp_path)
+        final = open_store(tmp_path)
         assert final.verify().ok
         assert final.get(survivor_key) == expected

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import MeasurementError, PlanValidationError, ReproError
 from repro.exec.executors import SerialExecutor
 from repro.exec.plan import ExperimentPlan, PlanCell
-from repro.exec.store import ResultStore
 from repro.measure.measurement import Measurement
 from repro.measure.runner import MeasurementRunner
 from repro.sim import (
@@ -40,11 +39,11 @@ class TestTopologyKeys:
         assert moved.key("POWER7", 0, 1, {None: 1, "POWER7_ECO": 2}) != base
 
     def test_executor_resolves_cluster_digests(
-        self, power7_arch, kernels, topology, tmp_path
+        self, power7_arch, kernels, topology, tmp_path, open_store
     ):
         machine = Machine(power7_arch)
         executor = SerialExecutor(
-            machine, store=ResultStore(tmp_path / "store")
+            machine, store=open_store(tmp_path / "store")
         )
         plan = ExperimentPlan.cross(kernels, [topology], duration=_DURATION)
         first = executor.run(plan)
@@ -58,7 +57,7 @@ class TestTopologyKeys:
         warm_machine.run = warm_machine.run_many = forbid
         warm_machine.run_cells = forbid
         warm = SerialExecutor(
-            warm_machine, store=ResultStore(tmp_path / "store")
+            warm_machine, store=open_store(tmp_path / "store")
         ).run(plan)
         assert warm == first
 

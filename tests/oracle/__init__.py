@@ -9,8 +9,9 @@ walk the kernel-summary engine replaced (:mod:`.pipeline`), the
 per-measurement model fits the matrix fits replaced (:mod:`.fits`),
 the row plan builder the columnar plans replaced (:mod:`.plans`), the
 per-slot synthesis pipeline the column passes replaced
-(:mod:`.synthesis`) and the slot-object kernel path and summary family
-the slot tables replaced (:mod:`.kernels`).
+(:mod:`.synthesis`), the slot-object kernel path and summary family
+the slot tables replaced (:mod:`.kernels`) and the per-key store reads
+the batch reads replaced (:mod:`.store_reads`).
 Tests and benches compare the production paths with it bit for bit.
 """
 

@@ -66,8 +66,9 @@ def produce(power7_arch, memo_root):
     """A fresh kernel from the named producer."""
 
     def memo_loaded() -> Kernel:
-        store = ResultStore(memo_root)
-        with KernelMemo(store, power7_arch) as memo:
+        with ResultStore(memo_root) as store, KernelMemo(
+            store, power7_arch
+        ) as memo:
             kernel = _recipe(power7_arch).kernel(memo)
         assert store.kernel_hits == 1
         assert "instructions" not in vars(kernel)
