@@ -22,8 +22,8 @@ A second table re-runs the ladder with the big cluster down-volted to
 Run:  python examples/biglittle_sweep.py
 """
 
-from repro.dse import energy_per_instruction_nj
 from repro.march import get_architecture
+from repro.measure.measurement import energy_per_instruction_nj
 from repro.sim import Machine, topology_ladder
 from repro.sim.pstate import get_pstate
 from repro.workloads.mixes import hi_ilp_kernel, memory_bound_kernel

@@ -18,7 +18,9 @@ Sub-packages:
   the analytical cache model and the bootstrap process (2.1.2-2.1.3)
 * :mod:`repro.core` -- the pass-based micro-benchmark synthesizer and
   the C/assembly emitters (2.2)
-* :mod:`repro.dse` -- integrated design-space exploration (2.3)
+* :mod:`repro.stressmark.search` -- integrated design-space
+  exploration (2.3): every sequence of the section-6 space is
+  synthesized and measured in-process, as one plan
 * :mod:`repro.sim` -- the POWER7-like machine substrate standing in
   for the paper's BladeCenter PS701 (section 3)
 * :mod:`repro.measure` -- the measurement harness (section 3)

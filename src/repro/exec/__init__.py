@@ -12,8 +12,8 @@ The automation layer behind every measurement campaign::
               ledger records every store-backed run
 
 All measurement consumers (the runner, the section-4 modeling
-campaign, the DSE evaluators, the stressmark search, the figure
-benchmarks and the ``python -m repro`` CLI) route through this engine.
+campaign, the stressmark search, the figure benchmarks and the
+``python -m repro`` CLI) route through this engine.
 The campaign service (``python -m repro serve`` /
 :mod:`repro.exec.service`) keeps the whole engine resident behind an
 HTTP/JSON API; :class:`~repro.exec.client.RemoteExecutor` is the

@@ -109,8 +109,8 @@ class SerialExecutor:
         # The store's run ledger, replayed by the first store-backed run.
         self._ledger: RunRegistry | None = None
         # (arch object, digest) memo: rendering the digest costs
-        # ~1.5 ms, which would dominate warm single-cell plans
-        # (per-point DSE loops) if recomputed per run.  The memo holds
+        # ~1.5 ms, which would dominate warm single-cell plans if
+        # recomputed per run.  The memo holds
         # the architecture object itself (identity via ``is``, never a
         # bare ``id()`` that a recycled allocation could collide with).
         # Swapping in a different architecture object re-digests;

@@ -1,8 +1,8 @@
 """Declarative experiment plans: what to measure, expressed as data.
 
 Every measurement campaign in the system -- the 24-configuration
-CMP/SMT sweep, the section-4 training suites, DSE populations, the
-Figure-9 stressmark search -- reduces to the same shape: a set of
+CMP/SMT sweep, the section-4 training suites, the Figure-9
+stressmark search -- reduces to the same shape: a set of
 *cells*, each one workload (or placement) on one configuration for one
 window.  An :class:`ExperimentPlan` captures that cross product
 declaratively, deduplicates cells that describe the same physical

@@ -3,18 +3,15 @@
 Mirrors the paper's platform harness: workloads are deployed as one
 copy per hardware thread, pinned to logical CPUs, run for a 10-second
 window while power sensors sample at 1 ms granularity and performance
-counters accumulate.  Traces are reduced POTRA-style into
-:class:`~repro.measure.measurement.Measurement` records consumed by the
-modeling code.
+counters accumulate.  Each window becomes one
+:class:`~repro.measure.measurement.Measurement` record, the only view
+of a run the modeling code gets.
 """
 
 from repro.measure.measurement import Measurement
 from repro.measure.runner import MeasurementRunner
-from repro.measure.traces import TraceStatistics, analyze_trace
 
 __all__ = [
     "Measurement",
     "MeasurementRunner",
-    "TraceStatistics",
-    "analyze_trace",
 ]

@@ -205,6 +205,25 @@ class Measurement:
         return {name: value / scale for name, value in totals.items()}
 
 
+def energy_per_instruction_nj(measurement: Measurement) -> float:
+    """Chip energy per committed instruction, nanojoules.
+
+    The sensor-level EPI a cross-architecture campaign compares big
+    and little shapes on: window energy over the instructions every
+    hardware thread committed.  Returns ``inf`` for a window that
+    committed nothing.
+    """
+    instructions = sum(
+        counters.get("PM_RUN_INST_CMPL", 0.0)
+        for counters in measurement.thread_counters
+    )
+    if not instructions:
+        return float("inf")
+    return (
+        measurement.mean_power * measurement.duration / instructions * 1e9
+    )
+
+
 # -- compact counter codec ---------------------------------------------------
 
 _FLOAT_ONLY = frozenset((float,))

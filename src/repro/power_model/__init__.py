@@ -11,8 +11,6 @@ metric, and the per-component power breakdown used in Figures 5a and 8.
 from repro.power_model.bottom_up import BottomUpModel, BottomUpTrainer
 from repro.power_model.campaign import (
     CampaignResult,
-    HeterogeneousCampaign,
-    HeterogeneousCampaignResult,
     ModelingCampaign,
 )
 from repro.power_model.features import POWER_COMPONENTS, component_rates
@@ -30,8 +28,6 @@ __all__ = [
     "BottomUpModel",
     "BottomUpTrainer",
     "CampaignResult",
-    "HeterogeneousCampaign",
-    "HeterogeneousCampaignResult",
     "ModelingCampaign",
     "TopDownModel",
     "TopDownTrainer",

@@ -28,7 +28,6 @@ from repro.exec.executors import default_executor
 from repro.exec.plan import ExperimentPlan
 from repro.measure.measurement import Measurement
 from repro.power_model.bottom_up import BottomUpModel, BottomUpTrainer
-from repro.power_model.metrics import ordered_sum
 from repro.power_model.top_down import TopDownModel, TopDownTrainer
 from repro.power_model.training import (
     TrainingBenchmark,
@@ -211,129 +210,4 @@ class ModelingCampaign:
             configs=self.configs,
             spec_by_config=spec_by_config,
             idle=data["idle"],
-        )
-
-
-# -- heterogeneous chips ---------------------------------------------------------
-
-
-@dataclass
-class HeterogeneousCampaignResult:
-    """Per-core-class fitted models of one heterogeneous topology.
-
-    ``per_class`` maps each distinct cluster core class (``None`` is
-    the base class) to the full :class:`CampaignResult` fitted on that
-    class's silicon -- every cluster of a big.LITTLE chip gets its own
-    bottom-up and top-down models, trained on its own pipeline widths,
-    cache latencies and clock.
-    """
-
-    topology: object
-    per_class: dict
-
-    def predict(self, measurement: Measurement) -> float:
-        """Predict chip power of a topology measurement, watts.
-
-        Each cluster's thread-counter segment is scored by its core
-        class's bottom-up model as if it were a homogeneous chip of
-        that cluster's shape; the chip-wide components (measured idle
-        and the uncore constant) are counted once -- from the first
-        cluster's model -- rather than once per cluster.
-        """
-        topology = measurement.config
-        total = 0.0
-        for index, (cluster, span) in enumerate(
-            topology.cluster_slices()
-        ):
-            sub = Measurement(
-                workload_name=measurement.workload_name,
-                config=MachineConfig(
-                    cluster.cores, cluster.smt, cluster.p_state
-                ),
-                duration=measurement.duration,
-                thread_counters=measurement.thread_counters[span],
-                mean_power=measurement.mean_power,
-                power_std=measurement.power_std,
-                sample_count=measurement.sample_count,
-            )
-            model = self.per_class[cluster.core_class].bottom_up
-            breakdown = model.breakdown(sub)
-            if index > 0:
-                breakdown.pop("Workload_Independent", None)
-                breakdown.pop("Uncore", None)
-            total += ordered_sum(breakdown.values())
-        return total
-
-    __call__ = predict
-
-
-class HeterogeneousCampaign:
-    """Fit the section-4 models per core class of a topology.
-
-    Runs one full :class:`ModelingCampaign` per distinct cluster core
-    class -- the big class on the machine's own architecture (sharing
-    its caches and any bootstrap write-backs), the little class on a
-    machine built from its registered definition -- so every cluster
-    of the topology gets models trained on its own silicon.
-
-    ``executor_factory`` (machine -> executor) lets callers attach a
-    store-backed executor per class machine; the default resolves the
-    usual ``REPRO_STORE`` knob.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        topology,
-        scale: float = 1.0,
-        loop_size: int = 4096,
-        duration: float = 10.0,
-        seed: int = 0,
-        executor_factory=None,
-    ) -> None:
-        self.machine = machine
-        self.topology = topology
-        self.scale = scale
-        self.loop_size = loop_size
-        self.duration = duration
-        self.seed = seed
-        self.executor_factory = (
-            executor_factory
-            if executor_factory is not None
-            else default_executor
-        )
-
-    def run(self, sequential: bool = True) -> HeterogeneousCampaignResult:
-        """Fit every cluster core class; one campaign per class."""
-        per_class: dict = {}
-        for core_class in self.topology.core_classes:
-            key = self.machine._class_key(core_class)
-            if key in per_class:
-                continue
-            if key is None:
-                class_machine = self.machine
-            else:
-                class_machine = Machine(
-                    self.machine.cluster_arch(core_class), seed=self.seed
-                )
-            logger.info(
-                "heterogeneous campaign: fitting core class %s",
-                class_machine.arch.name,
-            )
-            campaign = ModelingCampaign(
-                class_machine,
-                scale=self.scale,
-                loop_size=self.loop_size,
-                duration=self.duration,
-                seed=self.seed,
-                executor=self.executor_factory(class_machine),
-            )
-            result = campaign.run(sequential=sequential)
-            per_class[key] = result
-            if core_class != key:
-                # Alias the raw class spelling (e.g. the base class
-                # written by name) so predict() looks up either form.
-                per_class[core_class] = result
-        return HeterogeneousCampaignResult(
-            topology=self.topology, per_class=per_class
         )

@@ -218,7 +218,7 @@ class Machine:
         fused tensor program cached weakly under the plan: the first
         run pays canonicalization, validation and compilation once,
         and every re-execution of the same plan object (resident
-        service engines, steady-state benches, DSE loops) jumps
+        service engines, steady-state benches) jumps
         straight to the fused pass.
 
         Raises:

@@ -392,30 +392,3 @@ class Placement:
             )
             position += width
         return cls(name=name, core_groups=tuple(groups))
-
-    @classmethod
-    def cluster_affinity(
-        cls,
-        per_cluster: Sequence[object],
-        topology,
-        name: str,
-    ) -> "Placement":
-        """One workload per *cluster*, replicated across its threads.
-
-        The big.LITTLE affinity layout: ``per_cluster[i]`` runs on
-        every hardware thread of ``topology.clusters[i]`` -- e.g. the
-        compute-hungry kernel pinned to the big cluster while the
-        memory-bound stream rides the little cores.
-        """
-        clusters = topology.clusters
-        if len(per_cluster) != len(clusters):
-            raise ValueError(
-                f"cluster_affinity needs {len(clusters)} workloads "
-                f"for {topology.label}, got {len(per_cluster)}"
-            )
-        groups = []
-        for workload, cluster in zip(per_cluster, clusters):
-            groups.extend(
-                [(workload,) * cluster.smt] * cluster.cores
-            )
-        return cls(name=name, core_groups=tuple(groups))

@@ -206,15 +206,6 @@ class ChipTopology:
                 seen.append(cluster.core_class)
         return tuple(seen)
 
-    def cluster_slices(self) -> list[tuple[CoreCluster, slice]]:
-        """Per cluster, its thread span in core-major thread order."""
-        spans = []
-        start = 0
-        for cluster in self.clusters:
-            spans.append((cluster, slice(start, start + cluster.threads)))
-            start += cluster.threads
-        return spans
-
     # -- degeneracy ------------------------------------------------------------
 
     def degenerate_config(self) -> MachineConfig | None:

@@ -35,7 +35,7 @@ cluster order, runs the sensor stage, and assembles Measurements around
 lazy counter views that defer per-cell dict materialization until a
 reader asks.  ``Machine.run_plan`` keys compiled programs weakly by
 plan object, so a resident campaign (service engines, perf-bench steady
-state, DSE loops) re-executes the same plan with zero recompilation.
+state) re-executes the same plan with zero recompilation.
 
 **Bit-identity contract.**  Measurements are pure functions of cell
 content: the same floating-point operations on the same operands in
@@ -1356,7 +1356,7 @@ class VectorPlane:
         )
         self._lanes: dict[str | None, _Lane] = {None: self._base}
         # Compiled programs, weakly keyed by plan object: a resident
-        # plan (service engine, bench steady state, DSE loop)
+        # plan (service engine, bench steady state)
         # re-executes with zero recompilation; a dropped plan frees its
         # program with it.
         self._programs: WeakKeyDictionary = WeakKeyDictionary()

@@ -2,22 +2,19 @@
 
 from repro.stressmark.expert import expert_dse_set, expert_manual_set
 from repro.stressmark.heuristics import select_candidates
-from repro.stressmark.report import StressmarkReport, SetSummary
+from repro.stressmark.report import SetSummary
 from repro.stressmark.search import (
     build_stressmark,
-    sequence_space,
     spec_power_baseline,
     stressmark_search,
 )
 
 __all__ = [
     "SetSummary",
-    "StressmarkReport",
     "build_stressmark",
     "expert_dse_set",
     "expert_manual_set",
     "select_candidates",
-    "sequence_space",
     "spec_power_baseline",
     "stressmark_search",
 ]

@@ -43,20 +43,6 @@ class OrderSpread:
         return (self.max_normalized / self.min_normalized - 1.0) * 100.0
 
 
-@dataclass(frozen=True)
-class StressmarkReport:
-    """Everything Figure 9 and the section-6 text report."""
-
-    baseline_power: float  # SPEC max, absolute watts
-    summaries: dict[str, SetSummary]
-    best_sequences: dict[str, tuple[str, ...]]
-    order_spread: OrderSpread | None = None
-
-    def improvement_over_spec(self, set_name: str) -> float:
-        """Percent by which a set's best stressmark beats the SPEC max."""
-        return (self.summaries[set_name].maximum - 1.0) * 100.0
-
-
 def summarize_set(
     name: str,
     results: list[tuple[tuple[str, ...], int, float, float]],

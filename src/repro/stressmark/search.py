@@ -14,7 +14,6 @@ import logging
 import math
 from collections.abc import Iterable, Sequence
 
-from repro.dse.space import DesignPoint, DesignSpace
 from repro.march.definition import MicroArchitecture
 from repro.sim.kernel import Kernel, intern_slot
 
@@ -115,18 +114,6 @@ def build_stressmark(
     )
 
 
-def sequence_space(
-    candidates: Iterable[str], length: int = SEQUENCE_LENGTH
-) -> DesignSpace:
-    """The design space: one candidate mnemonic per sequence slot."""
-    return DesignSpace.from_slots(length, tuple(candidates))
-
-
-def point_to_sequence(point: DesignPoint, length: int = SEQUENCE_LENGTH) -> tuple[str, ...]:
-    """Decode a design point into the instruction sequence."""
-    return tuple(point[f"slot{index}"] for index in range(length))
-
-
 def covering_sequences(
     candidates: Sequence[str], length: int = SEQUENCE_LENGTH
 ) -> list[tuple[str, ...]]:
@@ -145,6 +132,22 @@ def covering_sequences(
     ]
 
 
+def _run(machine, plan, executor):
+    """``executor.run(plan)``, or with no executor the environment's
+    default one, whose store (``REPRO_STORE``) closes before this
+    returns.  A store inside a caller's executor stays open."""
+    from repro.exec.executors import default_executor
+
+    if executor is not None:
+        return executor.run(plan)
+    executor = default_executor(machine)
+    try:
+        return executor.run(plan)
+    finally:
+        if executor.store is not None:
+            executor.store.close()
+
+
 def spec_power_baseline(
     machine, duration: float = 10.0, executor=None
 ) -> float:
@@ -156,14 +159,11 @@ def spec_power_baseline(
     store-backed executor serves a warm baseline without touching the
     machine.
     """
-    from repro.exec.executors import default_executor
     from repro.exec.plan import ExperimentPlan
     from repro.sim.config import MachineConfig
     from repro.workloads.spec import spec_cpu2006
 
     arch = machine.arch
-    if executor is None:
-        executor = default_executor(machine)
     plan = ExperimentPlan.cross(
         spec_cpu2006(),
         [
@@ -174,7 +174,8 @@ def spec_power_baseline(
     )
     logger.info("SPEC baseline: %s", plan.describe())
     return max(
-        measurement.mean_power for measurement in executor.run(plan)
+        measurement.mean_power
+        for measurement in _run(machine, plan, executor)
     )
 
 
@@ -197,7 +198,6 @@ def stressmark_search(
     executor, so ``REPRO_STORE`` serves a warm re-run from disk with
     zero machine invocations.
     """
-    from repro.exec.executors import default_executor
     from repro.exec.plan import ExperimentPlan
     from repro.sim.config import MachineConfig
 
@@ -208,8 +208,6 @@ def stressmark_search(
         build_stressmark(arch, sequence, loop_size) for sequence in sequences
     ]
     configs = [MachineConfig(cores, smt) for smt in smt_modes]
-    if executor is None:
-        executor = default_executor(machine)
     plan = ExperimentPlan.cross(kernels, configs, duration=duration)
     logger.info(
         "stressmark search: %d sequences x %d SMT modes (%s)",
@@ -219,7 +217,7 @@ def stressmark_search(
     )
     # Configuration-major plan: the measurements of SMT mode ``m`` are
     # the contiguous slice ``[m * len(kernels), (m + 1) * len(kernels))``.
-    measurements = executor.run(plan)
+    measurements = _run(machine, plan, executor)
     results = []
     for index, sequence in enumerate(sequences):
         for mode_index, smt in enumerate(smt_modes):

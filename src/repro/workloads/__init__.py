@@ -12,10 +12,7 @@ micro-benchmarks built with the public synthesizer API.
 from repro.workloads.daxpy import daxpy_kernels
 from repro.workloads.extreme import extreme_kernels
 from repro.workloads.mixes import (
-    AffinityMix,
     MixScenario,
-    biglittle_mixes,
-    get_biglittle_mix,
     get_mix,
     mix_scenarios,
 )
@@ -25,14 +22,11 @@ from repro.workloads.spec import spec_cpu2006
 
 __all__ = [
     "ActivityProfile",
-    "AffinityMix",
     "MixScenario",
     "ProfiledWorkload",
     "RandomBenchmarkPolicy",
-    "biglittle_mixes",
     "daxpy_kernels",
     "extreme_kernels",
-    "get_biglittle_mix",
     "get_mix",
     "mix_scenarios",
     "spec_cpu2006",

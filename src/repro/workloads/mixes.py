@@ -195,95 +195,3 @@ def get_mix(name: str, loop_size: int = DEFAULT_MIX_LOOP) -> MixScenario:
         raise KeyError(
             f"unknown mix {name!r}; known: {', '.join(scenarios)}"
         ) from None
-
-
-# -- big.LITTLE affinity mixes ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AffinityMix:
-    """A big.LITTLE affinity scenario: one workload per cluster *role*.
-
-    On a heterogeneous :class:`~repro.sim.topology.ChipTopology` the
-    scheduling question is not which SMT slot but which *cluster* a
-    workload lands on.  ``big_workload`` runs on every thread of
-    big-class clusters, ``little_workload`` on every thread of the
-    other clusters -- the classic affinity policies (compute on big,
-    memory-stalls on little) and their inverted controls.
-    """
-
-    name: str
-    description: str
-    big_workload: Kernel
-    little_workload: Kernel
-
-    def placement(
-        self,
-        topology,
-        big_classes: tuple[str | None, ...] = (None, "POWER7"),
-    ) -> Placement:
-        """Lay the mix out cluster-affine over ``topology``.
-
-        ``big_classes`` names the core classes counted as big;
-        the default covers both spellings of the bundled big core
-        (``None`` -- the machine's base class -- and explicit
-        ``POWER7``).  Everything else gets the little workload.
-        """
-        per_cluster = [
-            self.big_workload
-            if cluster.core_class in big_classes
-            else self.little_workload
-            for cluster in topology.clusters
-        ]
-        return Placement.cluster_affinity(
-            per_cluster, topology, name=self.name
-        )
-
-
-def biglittle_mixes(
-    loop_size: int = DEFAULT_MIX_LOOP,
-) -> tuple[AffinityMix, ...]:
-    """The named big.LITTLE affinity scenarios, stable order."""
-    return (
-        AffinityMix(
-            name="compute-on-big",
-            description=(
-                "dispatch-hungry integer stream on the wide big "
-                "cluster, main-memory-bound loads parked on the "
-                "little cores (the textbook affinity policy)"
-            ),
-            big_workload=hi_ilp_kernel(loop_size),
-            little_workload=memory_bound_kernel(loop_size),
-        ),
-        AffinityMix(
-            name="vector-on-big",
-            description=(
-                "VSU fused-multiply-add stream on the big cluster's "
-                "full-width vector pipes, scalar multiplies on little"
-            ),
-            big_workload=vector_kernel(loop_size),
-            little_workload=scalar_kernel(loop_size),
-        ),
-        AffinityMix(
-            name="inverted-affinity",
-            description=(
-                "the wrong-way control: memory stalls occupy the big "
-                "cluster while the compute stream starves on little"
-            ),
-            big_workload=memory_bound_kernel(loop_size),
-            little_workload=hi_ilp_kernel(loop_size),
-        ),
-    )
-
-
-def get_biglittle_mix(
-    name: str, loop_size: int = DEFAULT_MIX_LOOP
-) -> AffinityMix:
-    """Look up one affinity scenario by name."""
-    mixes = {mix.name: mix for mix in biglittle_mixes(loop_size)}
-    try:
-        return mixes[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown big.LITTLE mix {name!r}; known: {', '.join(mixes)}"
-        ) from None

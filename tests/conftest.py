@@ -18,11 +18,12 @@ record of what moved.
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.exec import ResultStore
+from repro.exec import MeasurementService, ResultStore, build_server
 from repro.march import get_architecture
 from repro.sim import Kernel, KernelInstruction, Machine
 
@@ -58,6 +59,18 @@ def open_store():
     yield open_
     for store in stores:
         store.close()
+
+
+@pytest.fixture
+def service_url():
+    """A store-less campaign service on an ephemeral localhost port."""
+    service = MeasurementService()
+    server = build_server(service)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+    service.close()
 
 
 @pytest.fixture(scope="session")

@@ -309,30 +309,3 @@ class TestDegradedFallbackKeepsLandedCells:
             index: measurement.to_dict()
             for index, measurement in enumerate(baseline)
         }
-
-
-class TestEvaluatorQuarantineScoring:
-    def test_poisoned_points_score_minus_infinity(
-        self, power7_arch, small_kernel_factory
-    ):
-        from repro.dse.evaluator import MeasurementEvaluator
-        from repro.dse.space import DesignPoint
-
-        machine = Machine(power7_arch)
-        kernels = {
-            "add": small_kernel_factory("add", count=24),
-            "mulld": small_kernel_factory("mulld", count=24),
-        }
-        evaluator = MeasurementEvaluator(
-            builder=lambda point: kernels[point["kernel"]],
-            machine=machine,
-            config=MachineConfig(1, 1),
-            duration=_DURATION,
-            executor=SerialExecutor(machine, retries=0),
-        )
-        points = [DesignPoint({"kernel": name}) for name in kernels]
-        clean = evaluator.evaluate_many(points)
-        assert all(score > 0 for score in clean)
-        with faults.injected(FaultPlan(seed=0).arm("poison")):
-            scores = evaluator.evaluate_many(points)
-        assert scores == [float("-inf")] * len(points)

@@ -7,7 +7,9 @@ whole campaign -- including the Figure-9 stressmark search -- with
 zero ``Machine`` measurement calls.
 """
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -307,6 +309,67 @@ class TestWarmRuns:
         assert warm == cold
 
 
+class TestStoreKeysCarryTheContext:
+    """One store serves many contexts: a cell's key carries the
+    configuration, the p-state and the window along with the workload,
+    so a change of any of them is a fresh measurement, never another
+    context's record."""
+
+    @pytest.fixture()
+    def run(self, power7_arch, small_kernel_factory, tmp_path, open_store):
+        store = open_store(tmp_path / "store")
+        kernel = small_kernel_factory("xvmaddadp", count=24)
+
+        def run_(config, duration=_DURATION):
+            before = store.hits, store.misses
+            executor = SerialExecutor(Machine(power7_arch), store=store)
+            [measurement] = executor.run(
+                ExperimentPlan.single(kernel, config, duration)
+            )
+            return (
+                measurement,
+                store.hits - before[0],
+                store.misses - before[1],
+            )
+
+        return run_
+
+    def test_configuration_change_measures_afresh(self, run):
+        small, _, _ = run(MachineConfig(1, 1))
+        big, hits, misses = run(MachineConfig(8, 4))
+        assert (hits, misses) == (0, 1)
+        # An 8-core SMT-4 deployment draws far more than one thread.
+        assert big.mean_power > small.mean_power + 50.0
+
+    def test_p_state_change_measures_afresh(self, run):
+        config = MachineConfig(8, 2)
+        nominal, _, _ = run(config)
+        throttled, hits, misses = run(config.with_p_state(get_pstate("p3")))
+        assert (hits, misses) == (0, 1)
+        assert throttled.mean_power < nominal.mean_power
+
+    def test_window_change_measures_afresh(self, run):
+        config = MachineConfig(2, 1)
+        short, _, _ = run(config, duration=1.0)
+        long, hits, misses = run(config, duration=2.0)
+        assert (hits, misses) == (0, 1)
+        assert long.duration == 2.0
+        assert long.sample_count == 2 * short.sample_count
+
+    def test_every_context_is_warm_afterwards(self, run):
+        contexts = [
+            (MachineConfig(1, 1), 1.0),
+            (MachineConfig(8, 4), 1.0),
+            (MachineConfig(8, 4).with_p_state(get_pstate("p3")), 1.0),
+            (MachineConfig(1, 1), 2.0),
+        ]
+        cold = [run(config, duration)[0] for config, duration in contexts]
+        for (config, duration), first in zip(contexts, cold):
+            again, hits, misses = run(config, duration)
+            assert (hits, misses) == (1, 0)
+            assert again == first
+
+
 class TestInterruptedRuns:
     def test_progress_is_durable_mid_campaign(
         self, power7_arch, small_kernel_factory, tmp_path, open_store
@@ -516,6 +579,97 @@ class TestBootstrapThroughEngine:
         assert warm == cold
         # The nop reference plus two benchmarks per mnemonic.
         assert len(open_store(tmp_path / "store")) == 1 + 2 * len(mnemonics)
+
+
+def _with_resource_warnings(call):
+    """``call()``'s result and the ``ResourceWarning``s (unclosed shard
+    handles) it leaves once its garbage is collected."""
+    gc.collect()  # garbage from before the call is not the call's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = call()
+        gc.collect()
+    return result, [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, ResourceWarning)
+    ]
+
+
+class TestFigure9StoresClose:
+    """``spec_power_baseline`` and ``stressmark_search`` close the store
+    that ``default_executor`` opens from ``REPRO_STORE`` before they
+    return; a store inside the caller's executor stays open."""
+
+    _SEQUENCES = covering_sequences(("mulldo", "lxvw4x", "xvnmsubmdp"))[:12]
+
+    def test_spec_baseline_closes_the_repro_store(
+        self, power7_arch, tmp_path, monkeypatch
+    ):
+        from repro.stressmark import spec_power_baseline
+
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        cold, cold_left = _with_resource_warnings(
+            lambda: spec_power_baseline(
+                Machine(power7_arch), duration=_DURATION
+            )
+        )
+        warm_machine = Machine(power7_arch)
+        _forbid_measurement(warm_machine)
+        warm, warm_left = _with_resource_warnings(
+            lambda: spec_power_baseline(warm_machine, duration=_DURATION)
+        )
+        assert warm == cold
+        assert cold_left == [] and warm_left == []
+
+    def test_stressmark_search_closes_the_repro_store(
+        self, power7_arch, tmp_path, monkeypatch
+    ):
+        from repro.stressmark import stressmark_search
+
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+
+        def search(machine):
+            return stressmark_search(
+                machine, self._SEQUENCES, loop_size=96, duration=_DURATION
+            )
+
+        cold, cold_left = _with_resource_warnings(
+            lambda: search(Machine(power7_arch))
+        )
+        warm_machine = Machine(power7_arch)
+        _forbid_measurement(warm_machine)
+        warm, warm_left = _with_resource_warnings(lambda: search(warm_machine))
+        assert warm == cold
+        assert cold_left == [] and warm_left == []
+
+    def test_a_callers_store_stays_open(
+        self, power7_arch, tmp_path, open_store
+    ):
+        from repro.stressmark import spec_power_baseline, stressmark_search
+
+        store = open_store(tmp_path / "store")
+        closes = []
+        close = store.close
+
+        def counting_close():
+            closes.append(store)
+            close()
+
+        store.close = counting_close
+        machine = Machine(power7_arch)
+        executor = SerialExecutor(machine, store=store)
+        for _ in range(2):  # cold, then warm
+            spec_power_baseline(machine, duration=_DURATION, executor=executor)
+            stressmark_search(
+                machine,
+                self._SEQUENCES,
+                loop_size=96,
+                duration=_DURATION,
+                executor=executor,
+            )
+        assert closes == []
+        assert store.hits == store.misses > 0
 
 
 class TestRunnerBaselineMemoization:

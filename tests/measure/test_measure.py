@@ -1,4 +1,4 @@
-"""Tests for measurements, the runner, and trace analysis.
+"""Tests for measurements and the runner.
 
 Machine and kernel construction come from the shared fixtures in
 ``tests/conftest.py``.
@@ -7,11 +7,12 @@ Machine and kernel construction come from the shared fixtures in
 import numpy as np
 import pytest
 
-from repro.measure import MeasurementRunner, analyze_trace
-from repro.measure.measurement import Measurement
-from repro.measure.traces import segment_phases
-from repro.sim import MachineConfig, get_pstate
+from repro.exec import RemoteExecutor
+from repro.measure import MeasurementRunner
+from repro.measure.measurement import Measurement, energy_per_instruction_nj
+from repro.sim import Machine, MachineConfig, get_pstate
 from repro.sim.sensors import PowerSensor, stable_seed
+from repro.workloads.mixes import hi_ilp_kernel
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +39,68 @@ class TestMeasurement:
                 mean_power=1.0, power_std=0.1, sample_count=10,
             )
 
+    def test_counter_only_epi(self, machine):
+        measurement = machine.run(
+            hi_ilp_kernel(64), MachineConfig(2, 1), duration=2.0
+        )
+        assert energy_per_instruction_nj(measurement) > 0
+        idle = machine.run_idle(MachineConfig(2, 1), duration=2.0)
+        assert energy_per_instruction_nj(idle) == float("inf")
+
+
+    def test_epi_is_window_energy_over_committed_instructions(self):
+        measurement = Measurement(
+            workload_name="x", config=MachineConfig(1, 2), duration=2.0,
+            thread_counters=(
+                {"PM_RUN_INST_CMPL": 1e9}, {"PM_RUN_INST_CMPL": 3e9},
+            ),
+            mean_power=100.0, power_std=0.1, sample_count=2000,
+        )
+        # 200 J over 4e9 instructions from both threads.
+        assert energy_per_instruction_nj(measurement) == pytest.approx(50.0)
+
+    def test_window_and_workload_names_validated(self):
+        fields = dict(
+            workload_name="x", config=MachineConfig(1, 2), duration=1.0,
+            thread_counters=({}, {}),
+            mean_power=1.0, power_std=0.1, sample_count=10,
+        )
+        with pytest.raises(ValueError, match="duration"):
+            Measurement(**{**fields, "duration": 0.0})
+        with pytest.raises(ValueError, match="workload names"):
+            Measurement(**fields, thread_workloads=("a",))
+        assert Measurement(**fields, thread_workloads=("a", "a")).threads == 2
+
+    def test_idle_threads_report_zero_ipc(self, machine):
+        idle = machine.run_idle(MachineConfig(2, 2), duration=1.0)
+        assert idle.thread_ipcs() == (0.0,) * 4
+
 
 class TestRunner:
+    def test_single_run_matches_the_machine(self, power7_arch, kernel):
+        runner = MeasurementRunner(Machine(power7_arch), duration=1.0)
+        assert runner.last_report is None
+        config = MachineConfig(2, 2)
+        assert runner.run(kernel(), config) == Machine(power7_arch).run(
+            kernel(), config, 1.0
+        )
+        assert runner.last_report.ok
+
+    def test_service_url_runs_remotely_bit_identical(
+        self, power7_arch, kernel, service_url
+    ):
+        machine = Machine(power7_arch, seed=3)
+        remote = MeasurementRunner(machine, duration=1.0, executor=service_url)
+        assert isinstance(remote.executor, RemoteExecutor)
+        assert (remote.executor.arch, remote.executor.seed) == ("POWER7", 3)
+        local = MeasurementRunner(Machine(power7_arch, seed=3), duration=1.0)
+        workloads = [kernel(), hi_ilp_kernel(64)]
+        configs = [MachineConfig(4, 2), MachineConfig(8, 4)]
+        assert remote.run_sweep(workloads, configs) == local.run_sweep(
+            workloads, configs
+        )
+        assert remote.last_report.ok
+
     def test_sweep_covers_configs(self, machine, kernel):
         runner = MeasurementRunner(machine, duration=1.0)
         sweep = runner.run_sweep([kernel()])
@@ -104,35 +165,3 @@ class TestSensors:
         trace = sensor.synthesize_trace(80.0, duration=0.1, seed=1)
         milliwatts = trace * 1000
         assert np.allclose(milliwatts, np.round(milliwatts))
-
-
-class TestTraces:
-    def test_analyze(self):
-        trace = np.array([10.0, 12.0, 11.0, 13.0])
-        stats = analyze_trace(trace)
-        assert stats.mean == pytest.approx(11.5)
-        assert stats.minimum == 10.0
-        assert stats.maximum == 13.0
-        assert stats.sample_count == 4
-
-    def test_stability_improves_with_samples(self):
-        rng = np.random.default_rng(3)
-        short = analyze_trace(rng.normal(100, 0.5, 10))
-        long = analyze_trace(rng.normal(100, 0.5, 10_000))
-        assert long.standard_error < short.standard_error
-        assert long.is_stable()
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            analyze_trace(np.array([]))
-
-    def test_phase_segmentation(self):
-        trace = np.concatenate([
-            np.full(1000, 100.0), np.full(1000, 120.0), np.full(1000, 95.0),
-        ])
-        phases = segment_phases(trace, window=100, threshold=1.5)
-        assert len(phases) == 3
-        means = [phase[2] for phase in phases]
-        assert means[0] == pytest.approx(100.0)
-        assert means[1] == pytest.approx(120.0)
-        assert means[2] == pytest.approx(95.0)

@@ -43,6 +43,20 @@ class TestLinearRegression:
         assert coefficients[1] == 0.0
         assert coefficients[0] > 0
 
+    def test_ols_shape_errors(self):
+        with pytest.raises(ModelingError, match="2-D"):
+            ols(np.ones(8), np.ones(8))
+        with pytest.raises(ModelingError, match="equal rows"):
+            ols(np.ones((8, 2)), np.ones(7))
+
+    def test_nnls_with_every_column_negative_fits_the_mean(self):
+        rng = np.random.default_rng(4)
+        features = rng.uniform(0, 10, size=(30, 2))
+        targets = 50.0 - features @ np.array([2.0, 3.0])
+        coefficients, intercept = nnls_ols(features, targets)
+        assert list(coefficients) == [0.0, 0.0]
+        assert intercept == pytest.approx(float(np.mean(targets)))
+
     @given(
         true=st.lists(st.floats(0.1, 5.0), min_size=2, max_size=4),
         noise=st.floats(0.0, 0.01),
@@ -100,3 +114,29 @@ class TestMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ModelingError):
             paae(lambda m: 0.0, [])
+
+    def test_non_positive_power_rejected(self):
+        # A relative error against zero power is undefined.
+        with pytest.raises(ModelingError, match="non-positive power"):
+            paae(lambda m: 1.0, [self._Fake(100.0), self._Fake(0.0)])
+
+
+class TestTopDownTrainer:
+    def test_one_coefficient_per_feature(self, arch):
+        from repro.power_model.features import POWER_COMPONENTS
+        from repro.power_model.top_down import TopDownTrainer
+        from repro.sim import Machine, MachineConfig
+        from repro.workloads import spec_cpu2006
+
+        machine = Machine(arch)
+        measurements = [
+            measurement
+            for config in (MachineConfig(2, 1), MachineConfig(8, 4))
+            for measurement in machine.run_many(spec_cpu2006(), config, 1.0)
+        ]
+        trainer = TopDownTrainer()
+        model = trainer.train("TD_SPEC", measurements)
+        # One weight per power component, plus cores and SMT on/off.
+        assert len(model.coefficients) == len(POWER_COMPONENTS) + 2
+        with pytest.raises(ModelingError, match="'TD_tiny' needs more"):
+            trainer.train("TD_tiny", measurements[:4])

@@ -17,7 +17,6 @@ from repro.sim import (
 )
 from repro.sim.pstate import get_pstate
 from repro.workloads.mixes import (
-    biglittle_mixes,
     hi_ilp_kernel,
     memory_bound_kernel,
     scalar_kernel,
@@ -161,9 +160,10 @@ class TestTopologyPlacements:
         assert placed.thread_counters == plain.thread_counters
 
     def test_affinity_mix_beats_inverted(self, scalar_machine):
-        """compute-on-big commits more work than the inverted control."""
+        """Compute on big and memory on little commits more work than
+        the inverted placement."""
         topology = parse_topology("4big+4little")
-        mixes = {mix.name: mix for mix in biglittle_mixes(64)}
+        compute, memory = hi_ilp_kernel(64), memory_bound_kernel(64)
 
         def committed(measurement):
             return sum(
@@ -171,11 +171,17 @@ class TestTopologyPlacements:
                 for counters in measurement.thread_counters
             )
 
+        # Core groups are cluster-major: the four big cores, then the
+        # four little ones, one thread each.
         right = scalar_machine.run(
-            mixes["compute-on-big"].placement(topology), topology, _DURATION
+            Placement("compute-on-big", ((compute,),) * 4 + ((memory,),) * 4),
+            topology,
+            _DURATION,
         )
         wrong = scalar_machine.run(
-            mixes["inverted-affinity"].placement(topology),
+            Placement(
+                "inverted-affinity", ((memory,),) * 4 + ((compute,),) * 4
+            ),
             topology,
             _DURATION,
         )

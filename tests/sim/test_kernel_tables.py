@@ -31,7 +31,13 @@ from repro.sim.kernel import Kernel
 from repro.sim.pipeline import CorePipelineModel
 from repro.sim.summary import KernelSummary
 from repro.stressmark.search import build_stressmark, covering_sequences
-from repro.workloads.mixes import biglittle_mixes, mix_scenarios
+from repro.workloads.mixes import (
+    hi_ilp_kernel,
+    memory_bound_kernel,
+    mix_scenarios,
+    scalar_kernel,
+    vector_kernel,
+)
 from tests.core.test_synthesis_oracle import _random_pipeline
 from tests.oracle import kernels as oracle
 
@@ -192,8 +198,15 @@ def test_stressmark_and_mix_kernels_match_the_oracle(power7_arch, models):
     for loop_size in (1, 2, 64, 256):
         for scenario in mix_scenarios(loop_size):
             kernels.extend(scenario.workloads)
-        for mix in biglittle_mixes(loop_size):
-            kernels.extend((mix.big_workload, mix.little_workload))
+        kernels.extend(
+            build(loop_size)
+            for build in (
+                hi_ilp_kernel,
+                memory_bound_kernel,
+                vector_kernel,
+                scalar_kernel,
+            )
+        )
     for kernel in kernels:
         assert "_index" not in vars(kernel)
         assert_readers_match(kernel, kernel, models)

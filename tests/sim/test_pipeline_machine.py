@@ -86,6 +86,34 @@ class TestMachineConfig:
         assert PState("half", 1, 0.5).dynamic_scale == 0.25
         assert MachineConfig(2, 2, get_pstate("p2")).label == "2-2@p2"
 
+    @pytest.mark.parametrize("label", ["8", "x-2", "8-3", "8-2@p9"])
+    def test_bad_labels_name_the_label(self, label):
+        with pytest.raises(
+            ValueError, match=f"bad configuration label '{label}'"
+        ):
+            parse_config(label)
+
+    def test_every_standard_label_parses_back(self):
+        configs = standard_configurations(
+            8, (1, 2, 4), (get_pstate("nominal"), get_pstate("p2"))
+        )
+        assert len(configs) == 48
+        for config in configs:
+            assert str(config) == config.label
+            assert parse_config(config.label) == config
+
+    def test_chip_limits(self):
+        from repro.march import get_architecture
+
+        chip = get_architecture("POWER7_ECO").chip
+        MachineConfig(chip.max_cores, chip.max_smt).validate_against(chip)
+        with pytest.raises(
+            ValueError, match=f"chip supports SMT-{chip.max_smt}"
+        ):
+            MachineConfig(1, 4).validate_against(chip)
+        with pytest.raises(ValueError, match=f"chip has {chip.max_cores}"):
+            MachineConfig(chip.max_cores + 1, 1).validate_against(chip)
+
     def test_standard_sweep(self):
         configs = standard_configurations(8, (1, 2, 4))
         assert len(configs) == 24

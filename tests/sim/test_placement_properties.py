@@ -327,6 +327,36 @@ class TestMixedContention:
         assert measurement.thread_counters[0] is measurement.thread_counters[2]
         assert measurement.thread_counters[1] is measurement.thread_counters[3]
 
+    @pytest.mark.parametrize(
+        "name, groups, message",
+        [
+            ("", (("w",),), "needs a name"),
+            ("p", (), "has no cores"),
+            ("p", (("w",), ()), "core 1 is empty"),
+        ],
+        ids=["unnamed", "no-cores", "empty-core"],
+    )
+    def test_malformed_placements_rejected(self, name, groups, message):
+        with pytest.raises(ValueError, match=message):
+            Placement(name, groups)
+
+    def test_round_robin_needs_a_workload(self):
+        with pytest.raises(ValueError, match="at least one workload"):
+            Placement.round_robin((), MachineConfig(2, 2), name="none")
+
+    def test_topology_core_count_validated(self):
+        from repro.sim import parse_topology
+
+        topology = parse_topology("2big-2+2little")
+        kernel = random_kernel(402)
+        fits = Placement(
+            "fits", ((kernel, kernel), (kernel, kernel), (kernel,), (kernel,))
+        )
+        fits.validate_against(topology)
+        short = Placement("short", fits.core_groups[:3])
+        with pytest.raises(ValueError, match="has 3 cores, topology"):
+            short.validate_against(topology)
+
     def test_placement_shape_validated(self, machine):
         kernel = random_kernel(401)
         with pytest.raises(MeasurementError):

@@ -98,12 +98,6 @@ class TestChipTopology:
         topology = parse_topology("2big-4@turbo+6little-2@p3")
         assert ChipTopology.from_dict(topology.to_dict()) == topology
 
-    def test_cluster_slices(self):
-        topology = parse_topology("2big-2+4little")
-        slices = topology.cluster_slices()
-        assert slices[0][1] == slice(0, 4)
-        assert slices[1][1] == slice(4, 8)
-
     def test_core_classes(self):
         topology = parse_topology("2big+2little+2eco")
         assert topology.core_classes == (None, "POWER7_ECO")
@@ -139,6 +133,21 @@ class TestParseTopology:
         )
         assert topology.clusters[1].core_class == "POWER7_ECO"
 
+    @pytest.mark.parametrize(
+        "label",
+        ["8big", "4big-2@p2+4little", "1big-4+3little-2@p3", "2-4@turbo+2big"],
+    )
+    def test_labels_parse_back(self, label):
+        topology = parse_topology(label)
+        assert topology.label == str(topology) == label
+        assert parse_topology(topology.label) == topology
+        # The model-facing SMT summary is the widest cluster's way.
+        assert topology.smt == max(
+            cluster.smt for cluster in topology.clusters
+        )
+        for cluster in topology.clusters:
+            assert str(cluster) == cluster.label
+
 
 class TestTopologyLadder:
     def test_ratio_ladder(self):
@@ -154,6 +163,11 @@ class TestTopologyLadder:
     def test_smt_carries(self):
         ladder = topology_ladder(4, step=2, smt=2)
         assert ladder[1].label == "2big-2+2little-2"
+
+    @pytest.mark.parametrize("budget, step", [(0, 1), (4, 0)])
+    def test_empty_budget_or_step_rejected(self, budget, step):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            topology_ladder(budget, step=step)
 
 
 _CLUSTERED = """

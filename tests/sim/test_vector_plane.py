@@ -358,6 +358,21 @@ class TestCacheAccounting:
         stats = cache.stats()
         assert stats["size"] == 3 and stats["capacity"] == 3
 
+    def test_lru_put_refreshes_an_existing_key(self):
+        from repro.caching import LRUCache
+
+        with pytest.raises(ValueError, match="capacity"):
+            LRUCache(0)
+        cache = LRUCache(2, "test")
+        cache.put("a", 1)
+        cache.put("b", 2)
+        # Re-putting "a" updates it in place and makes "b" the victim.
+        cache.put("a", 10)
+        assert len(cache) == 2 and cache.evictions == 0
+        cache.put("c", 3)
+        assert "b" not in cache
+        assert cache.get("a") == 10 and cache.evictions == 1
+
 
 class TestFusedProgramCaches:
     def test_canonical_stack_key_hits_on_permuted_batches(self, power7_arch):

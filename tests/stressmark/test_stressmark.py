@@ -1,9 +1,12 @@
-"""Tests for stressmark construction, sets, and reporting."""
+"""Tests for stressmark construction, sets, search and reporting."""
+
+from math import comb
 
 import pytest
 
 from repro.errors import SearchError
 from repro.march import get_architecture
+from repro.sim import Machine, MachineConfig
 from repro.stressmark.expert import (
     EXPERT_INSTRUCTIONS,
     expert_dse_set,
@@ -18,9 +21,10 @@ from repro.stressmark.report import (
 from repro.stressmark.search import (
     build_stressmark,
     covering_sequences,
-    point_to_sequence,
-    sequence_space,
+    spec_power_baseline,
+    stressmark_search,
 )
+from repro.workloads import spec_cpu2006
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +57,6 @@ class TestBuildStressmark:
 
 
 class TestSequenceSpaces:
-    def test_space_size(self):
-        space = sequence_space(("a", "b", "c"))
-        assert space.size == 3 ** 6
-
-    def test_point_decoding(self):
-        space = sequence_space(("a", "b"))
-        point = next(space.points())
-        assert point_to_sequence(point) == ("a",) * 6
-
     def test_covering_sequences_is_540(self):
         # The paper's "540 possible combinations": 3^6 minus sequences
         # that drop one of the three instructions.
@@ -69,6 +64,24 @@ class TestSequenceSpaces:
         assert len(sequences) == 540
         for sequence in sequences:
             assert set(sequence) == {"a", "b", "c"}
+
+    @pytest.mark.parametrize(
+        "count, length", [(1, 1), (1, 4), (2, 3), (3, 3), (4, 5), (4, 3)]
+    )
+    def test_covering_sequences_are_the_surjections(self, count, length):
+        candidates = tuple("abcd"[:count])
+        sequences = covering_sequences(candidates, length)
+        # Inclusion-exclusion over the candidates a sequence leaves out.
+        assert len(sequences) == sum(
+            (-1) ** left_out
+            * comb(count, left_out)
+            * (count - left_out) ** length
+            for left_out in range(count + 1)
+        )
+        assert len(set(sequences)) == len(sequences)
+        for sequence in sequences:
+            assert len(sequence) == length
+            assert set(sequence) == set(candidates)
 
     def test_expert_sets(self):
         assert len(expert_dse_set()) == 540
@@ -115,3 +128,74 @@ class TestReporting:
             best_sequence([])
         with pytest.raises(SearchError):
             order_spread_analysis(self._rows(), 100.0, smt=4)
+
+
+class TestStressmarkSearch:
+    """The section-6 search: one row per (sequence, SMT mode), each the
+    measurement of that stressmark on all cores."""
+
+    _SEQUENCES = covering_sequences(("mulldo", "lxvw4x"), length=3)
+    _MODES = (1, 2, 4)
+
+    @pytest.fixture(scope="class")
+    def rows(self, arch):
+        return stressmark_search(
+            Machine(arch),
+            self._SEQUENCES,
+            smt_modes=self._MODES,
+            loop_size=48,
+            duration=1.0,
+        )
+
+    def test_one_row_per_sequence_and_mode(self, rows):
+        assert len(self._SEQUENCES) == 6
+        assert [(sequence, smt) for sequence, smt, _, _ in rows] == [
+            (sequence, smt)
+            for sequence in self._SEQUENCES
+            for smt in self._MODES
+        ]
+
+    def test_rows_match_direct_runs(self, arch, rows):
+        machine = Machine(arch)
+        cores = arch.chip.max_cores
+        for sequence, smt, power, core_ipc in rows:
+            measurement = machine.run(
+                build_stressmark(arch, sequence, 48),
+                MachineConfig(cores, smt),
+                1.0,
+            )
+            assert power == measurement.mean_power
+            # Core IPC: one thread's IPC times the threads sharing it.
+            assert core_ipc == arch.ipc(measurement.thread_counters[0]) * smt
+
+    def test_interleaving_outdraws_every_blocked_rotation(self, arch):
+        # Section 6: order alone moves power.  Same mix, same IPC; the
+        # orders that switch units every slot draw more than any
+        # rotation of the blocked order.
+        blocked = ("mulldo",) * 3 + ("lxvw4x",) * 3
+        rotations = [blocked[i:] + blocked[:i] for i in range(6)]
+        interleaved = [("mulldo", "lxvw4x") * 3, ("lxvw4x", "mulldo") * 3]
+        rows = stressmark_search(
+            Machine(arch),
+            rotations + interleaved,
+            smt_modes=(1, 4),
+            loop_size=48,
+            duration=1.0,
+        )
+        for mode in (1, 4):
+            power = {seq: watts for seq, smt, watts, _ in rows if smt == mode}
+            assert len({ipc for _, smt, _, ipc in rows if smt == mode}) == 1
+            assert min(power[seq] for seq in interleaved) > max(
+                power[seq] for seq in rotations
+            )
+
+    def test_spec_baseline_is_the_hottest_proxy(self, arch):
+        machine = Machine(arch)
+        baseline = spec_power_baseline(machine, duration=1.0)
+        cores = arch.chip.max_cores
+        powers = [
+            machine.run(workload, MachineConfig(cores, smt), 1.0).mean_power
+            for workload in spec_cpu2006()
+            for smt in arch.chip.smt_modes()
+        ]
+        assert baseline == max(powers)

@@ -157,7 +157,3 @@ class TestFeatureMatrix:
                       "MemoryModel", "BranchBehavior", "DependencyDistance",
                       "InitRegisters", "InitImmediates", "SequenceOrder"):
             assert hasattr(passes, name)
-
-    def test_integrated_dse(self):
-        from repro.dse import ExhaustiveSearch, GeneticSearch, GuidedSearch
-        assert ExhaustiveSearch and GeneticSearch and GuidedSearch

@@ -49,6 +49,53 @@ class TestMixScenarios:
             assert measurement.is_heterogeneous
             assert measurement.mean_power > 0
 
+    @pytest.mark.parametrize(
+        "name, story",
+        [
+            # The compute thread soaks up the issue slots the stalled
+            # thread leaves idle: near solo speed, far above sharing
+            # the core with a copy of itself.
+            ("ilp-vs-memory", ("near-solo", "near-solo")),
+            # Little unit overlap: both run near solo speed.
+            ("vector-vs-scalar", ("near-solo", "near-solo")),
+            # Same-unit interference at equal demand: each thread is
+            # slowed as much as by a copy of itself.
+            ("antagonist-lsu", ("as-self", "as-self")),
+            # The chain is latency-bound, immune to the co-runner; the
+            # co-runner claims everything the chain leaves idle.
+            ("chain-vs-throughput", ("solo", "near-solo")),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "-".join(value),
+    )
+    def test_contention_story(self, machine, name, story):
+        [scenario] = [s for s in mix_scenarios(64) if s.name == name]
+        solo_config, smt2 = MachineConfig(1, 1), MachineConfig(1, 2)
+        mixed = machine.run(scenario.placement(smt2), smt2, duration=1.0)
+        assert mixed.thread_workloads == tuple(
+            kernel.name for kernel in scenario.workloads
+        )
+        for kernel, ipc, expected in zip(
+            scenario.workloads, mixed.thread_ipcs(), story
+        ):
+            solo = machine.run(kernel, solo_config, 1.0).thread_ipc()
+            itself = machine.run(kernel, smt2, 1.0).thread_ipc()
+            if expected == "solo":
+                assert ipc == pytest.approx(solo)
+            elif expected == "near-solo":
+                assert 0.9 * solo <= ipc <= solo
+                assert ipc > itself * 1.3
+            else:
+                assert itself < solo
+                assert ipc == pytest.approx(itself)
+
+    def test_homogeneous_placement_threads_agree(self, machine):
+        config = MachineConfig(2, 2)
+        kernel = mix_scenarios(64)[0].workloads[0]
+        measurement = machine.run(kernel, config, duration=1.0)
+        ipcs = measurement.thread_ipcs()
+        assert len(ipcs) == 4
+        assert max(ipcs) == min(ipcs) > 0
+
     def test_scenarios_measure_at_non_nominal_p_state(self, machine):
         config = MachineConfig(2, 2)
         throttled = config.with_p_state(get_pstate("p3"))
